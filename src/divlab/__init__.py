@@ -48,7 +48,6 @@ from .losses import (
     UtilityFn,
     check_log_subadditive,
     check_oce_inequality,
-    conjugate_eval,
     numeric_conjugate,
 )
 from .prob import (
@@ -56,13 +55,11 @@ from .prob import (
     JointDist,
     Kernel,
     Partition,
-    RandomVariable,
     check_convex_order,
     compose_kernel,
     condition,
     disintegrate,
     law_of,
-    make_dist,
     mixture,
     point_mass,
     pushforward,

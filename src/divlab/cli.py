@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .consistency import SEARCH_TARGETS, SearchBudget, counterexample_search
+from .consistency import CHECK_KINDS, SearchBudget, counterexample_search
 from .divergence import DivergenceSpec
 from .errors import ConfigParseError, DivLabError
 from .prob import FiniteDist, Partition
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--spec", required=True)
     p_search.add_argument("--divergence", default=None)
     p_search.add_argument(
-        "--target", required=True, help=f"one of {', '.join(SEARCH_TARGETS)} or any check kind"
+        "--target", required=True, help=f"a check kind: {', '.join(CHECK_KINDS)}"
     )
     p_search.add_argument("--trials", type=int, default=1000)
     p_search.add_argument("--seed", type=int, default=0)

@@ -29,8 +29,9 @@ trials are distributed over workers. Gaps where both sides are +inf are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .divergence import (
     Gap,
     divergence_for_risk_spec,
     dpi_gap,
+    dual_divergence,
     primal_reconstruction,
+    refinement_monotonicity,
     sufficiency_gap,
     _dual_divergence_w,
 )
@@ -51,6 +54,7 @@ from .prob import (
     Kernel,
     Partition,
     _as_values,
+    disintegrate_w,
     mixture,
     shift_law,
 )
@@ -270,13 +274,21 @@ def _inf_sum(*terms: float) -> float:
     return total
 
 
-def _conditional_rows(joint: JointDist) -> tuple[np.ndarray, np.ndarray]:
-    marg = joint.matrix.sum(axis=1)
-    rows = np.empty_like(joint.matrix)
-    n_f = joint.matrix.shape[1]
-    for i, m in enumerate(marg):
-        rows[i] = joint.matrix[i] / m if m > 0 else 1.0 / n_f
-    return marg, rows
+def _row_terms(evaluators, nu_marg, nu_rows, mu_rows) -> list[float]:
+    """sum_x nu(x) alpha(K^nu_x | K^mu_x) over charged x, one sum per alpha.
+
+    Every sum is +inf from the first row at which any alpha is infinite.
+    """
+    totals = [0.0] * len(evaluators)
+    for x in range(len(nu_marg)):
+        if nu_marg[x] <= 0.0:
+            continue
+        terms = [evaluate(nu_rows[x], mu_rows[x]) for evaluate in evaluators]
+        if any(math.isinf(t) for t in terms):
+            return [math.inf] * len(evaluators)
+        for k, t in enumerate(terms):
+            totals[k] += nu_marg[x] * t
+    return totals
 
 
 def superadditivity_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
@@ -288,18 +300,10 @@ def superadditivity_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
     joint_term = div.evaluate_w(
         inst.nu_bar.matrix.reshape(-1), inst.mu_bar.matrix.reshape(-1)
     )
-    mu_marg, mu_rows = _conditional_rows(inst.mu_bar)
-    nu_marg, nu_rows = _conditional_rows(inst.nu_bar)
+    mu_marg, mu_rows = disintegrate_w(inst.mu_bar.matrix)
+    nu_marg, nu_rows = disintegrate_w(inst.nu_bar.matrix)
     marg_term = div.evaluate_w(nu_marg, mu_marg)
-    row_term = 0.0
-    for x in range(len(nu_marg)):
-        if nu_marg[x] <= 0.0:
-            continue
-        a = div.evaluate_w(nu_rows[x], mu_rows[x])
-        if math.isinf(a):
-            row_term = math.inf
-            break
-        row_term += nu_marg[x] * a
+    (row_term,) = _row_terms((div.evaluate_w,), nu_marg, nu_rows, mu_rows)
     return Gap.of(joint_term, _inf_sum(marg_term, row_term))
 
 
@@ -312,17 +316,9 @@ def weak_consistency_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
     joint_term = div.evaluate_w(
         inst.nu_bar.matrix.reshape(-1), inst.mu_bar.matrix.reshape(-1)
     )
-    _, mu_rows = _conditional_rows(inst.mu_bar)
-    nu_marg, nu_rows = _conditional_rows(inst.nu_bar)
-    row_term = 0.0
-    for x in range(len(nu_marg)):
-        if nu_marg[x] <= 0.0:
-            continue
-        a = div.evaluate_w(nu_rows[x], mu_rows[x])
-        if math.isinf(a):
-            row_term = math.inf
-            break
-        row_term += nu_marg[x] * a
+    _, mu_rows = disintegrate_w(inst.mu_bar.matrix)
+    nu_marg, nu_rows = disintegrate_w(inst.nu_bar.matrix)
+    (row_term,) = _row_terms((div.evaluate_w,), nu_marg, nu_rows, mu_rows)
     return Gap.of(joint_term, row_term)
 
 
@@ -426,20 +422,13 @@ def integral_lemma_gap(
     """
     options = options or DualSolverOptions()
     closed = divergence_for_risk_spec(spec)
-    _, mu_rows = _conditional_rows(mu_bar)
-    nu_marg, nu_rows = _conditional_rows(nu_bar)
-    left = 0.0
-    right = 0.0
-    for x in range(len(nu_marg)):
-        if nu_marg[x] <= 0.0:
-            continue
-        a = closed.evaluate_w(nu_rows[x], mu_rows[x])
-        b = _dual_divergence_w(spec, nu_rows[x], mu_rows[x], options).value
-        if math.isinf(a) or math.isinf(b):
-            left, right = math.inf, math.inf
-            break
-        left += nu_marg[x] * a
-        right += nu_marg[x] * b
+    _, mu_rows = disintegrate_w(mu_bar.matrix)
+    nu_marg, nu_rows = disintegrate_w(nu_bar.matrix)
+
+    def dual(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
+        return _dual_divergence_w(spec, nu_w, mu_w, options).value
+
+    left, right = _row_terms((closed.evaluate_w, dual), nu_marg, nu_rows, mu_rows)
     if math.isinf(left) and math.isinf(right):
         return Gap(value=None, vacuous=True)
     return Gap(value=abs(left - right))
@@ -453,7 +442,7 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
     simplex grid, with the per-row inner suprema evaluated in closed form.
     """
     f_mat = np.asarray(f, dtype=float).reshape(mu_bar.matrix.shape)
-    mu_marg, mu_rows = _conditional_rows(mu_bar)
+    mu_marg, mu_rows = disintegrate_w(mu_bar.matrix)
     g = np.zeros(len(mu_marg))
     for x in range(len(mu_marg)):
         if mu_marg[x] > 0.0:
@@ -465,37 +454,13 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# seeded trial machinery
+# check kinds
 # ---------------------------------------------------------------------------
-
-# side "lower": gaps should stay >= -noise; side "abs": |gap| should stay
-# <= noise. "needs" says which of (risk spec, divergence spec) a kind uses.
-CHECK_KINDS: dict[str, dict] = {
-    "chain_rule": {"side": "abs", "needs": "div"},
-    "superadditivity": {"side": "lower", "needs": "div"},
-    "subadditivity": {"side": "lower", "needs": "div"},
-    "weak_consistency": {"side": "lower", "needs": "div"},
-    "dpi": {"side": "lower", "needs": "div"},
-    "dpi_bijection": {"side": "abs", "needs": "div"},
-    "duality": {"side": "abs", "needs": "risk"},
-    "time_consistency": {"side": "abs", "needs": "risk"},
-    "acceptance": {"side": "lower", "needs": "risk"},
-    "rejection": {"side": "lower", "needs": "risk"},
-    "weak_acceptance": {"side": "lower", "needs": "risk"},
-    "shift_convexity": {"side": "lower", "needs": "risk"},
-    "property_s": {"side": "lower", "needs": "risk"},
-    "mixture_convexity": {"side": "lower", "needs": "risk"},
-    "joint_convexity": {"side": "lower", "needs": "div"},
-    "dist_concavity": {"side": "lower", "needs": "risk"},
-    "sufficiency_matched": {"side": "abs", "needs": "div"},
-    "sufficiency_generic": {"side": "lower", "needs": "div"},
-    "refinement": {"side": "lower", "needs": "div"},
-    "lemma_identity": {"side": "abs", "needs": "risk"},
-    "key_identity": {"side": "abs", "needs": "risk"},
-    "lebesgue": {"side": "abs", "needs": "risk"},
-}
-
-SEARCH_TARGETS = ("acceptance", "rejection", "weak_acceptance", "shift_convexity")
+#
+# A trial is a function (rng, risk, div, budget) -> (gap, vacuous, is_product,
+# instance) that draws all its randomness from rng, the per-trial generator.
+# is_product is None for kinds without a product/general split; the instance
+# is None when there is nothing to report.
 
 
 def _sample_pair(rng, budget: SearchBudget, n: int | None = None):
@@ -517,272 +482,297 @@ def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
     return out
 
 
-def _run_trial(kind: str, risk, div, budget: SearchBudget, trial: int, with_instance: bool):
-    """One seeded trial: returns (gap, vacuous, is_product, instance_or_None).
+def _small_budget(budget: SearchBudget) -> SearchBudget:
+    """The budget with spaces capped at 4 x 4, the limit of the grid oracle."""
+    return replace(budget, max_e=min(4, budget.max_e), max_f=min(4, budget.max_f))
 
-    The rng stream is a pure function of (budget.seed, trial), so reported
-    instances replay exactly and results are independent of worker layout.
+
+def _negated(trial):
+    """The trial with its gap negated, for the one-sided reverse inequality."""
+
+    def negated(rng, risk, div, budget):
+        gap, vacuous, is_product, inst = trial(rng, risk, div, budget)
+        return (None if gap is None else -gap), vacuous, is_product, inst
+
+    return negated
+
+
+def _superadditivity_trial(rng, risk, div, budget):
+    inst = sample_product_instance(rng, budget)
+    g = superadditivity_gap(div, inst)
+    return g.value, g.vacuous, inst.is_product, inst
+
+
+def _weak_consistency_trial(rng, risk, div, budget):
+    inst = sample_product_instance(rng, budget)
+    g = weak_consistency_gap(div, inst)
+    return g.value, g.vacuous, inst.is_product, inst
+
+
+def _dpi_trial(rng, risk, div, budget, bijection: bool):
+    mu, nu = _sample_pair(rng, budget)
+    n = len(mu)
+    if bijection:
+        mat = np.zeros((n, n))
+        for i, j in enumerate(rng.permutation(n)):
+            mat[i, j] = 1.0
+        kernel = Kernel(mu.atoms, _labels("b", n), mat)
+    else:
+        n_f = int(rng.integers(2, budget.max_f + 1))
+        rows = np.vstack([_dirichlet(rng, n_f, budget.dirichlet_alpha) for _ in range(n)])
+        kernel = Kernel(mu.atoms, _labels("b", n_f), rows)
+    g = dpi_gap(div, nu, mu, kernel)
+    return g.value, g.vacuous, None, {"nu": nu, "mu": mu, "kernel": kernel}
+
+
+def _duality_trial(rng, risk, div, budget):
+    mu, nu = _sample_pair(rng, budget)
+    res = dual_divergence(risk, nu, mu)
+    if res.certified_gap is None:
+        return None, True, None, None
+    inst = {
+        "nu": nu,
+        "mu": mu,
+        "dual_value": res.value,
+        "closed_form": res.closed_form,
+        "iterations": res.iterations,
+    }
+    return res.certified_gap, False, None, inst
+
+
+def _consistency_trial(rng, risk, div, budget):
+    inst = sample_conditional_instance(rng, budget)
+    return consistency_gap(risk, *inst.flat()), False, inst.is_product, inst
+
+
+def _weak_acceptance_trial(rng, risk, div, budget):
+    inst = sample_conditional_instance(rng, budget)
+    return weak_acceptance_margin(risk, *inst.flat()), False, inst.is_product, inst
+
+
+def _shift_convexity_trial(rng, risk, div, budget):
+    inst = sample_shift_convexity_instance(rng, budget, risk)
+    probe = shift_convexity_probe(risk, inst.mu, inst.kernel)
+    return -probe.rho_mixture, False, None, inst
+
+
+def _boundary_laws(rng, budget: SearchBudget, risk, k: int) -> list[FiniteDist]:
+    return [
+        sample_boundary_law(rng, budget, risk, int(rng.integers(2, budget.max_f + 1)))
+        for _ in range(k)
+    ]
+
+
+def _property_s_trial(rng, risk, div, budget):
+    k = int(rng.integers(2, 5))
+    xs = rng.choice(_value_grid(), size=k, replace=False)
+    weights = _dirichlet(rng, k, budget.dirichlet_alpha)
+    laws = _boundary_laws(rng, budget, risk, k)
+    marginal = mixture(
+        [(float(w), FiniteDist([float(x)], [1.0])) for w, x in zip(weights, xs)]
+    )
+    shift = -rho_of_law(risk, marginal)
+    pairs = [(float(w), float(x) + shift, law) for w, x, law in zip(weights, xs, laws)]
+    probe = property_s_probe(risk, pairs)
+    return -probe.rho_mixture, False, None, pairs
+
+
+def _mixture_convexity_trial(rng, risk, div, budget):
+    k = int(rng.integers(2, 5))
+    weights = _dirichlet(rng, k, budget.dirichlet_alpha)
+    components = list(zip(map(float, weights), _boundary_laws(rng, budget, risk, k)))
+    probe = mixture_convexity_probe(risk, components)
+    return -probe.rho_mixture, False, None, components
+
+
+def _joint_convexity_trial(rng, risk, div, budget):
+    n = int(rng.integers(2, budget.max_e + 1))
+    labels = _labels("a", n)
+    mu1 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
+    nu1 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
+    mu2 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
+    nu2 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
+    t = float(rng.uniform(0.05, 0.95))
+    a1 = div.evaluate(nu1, mu1)
+    a2 = div.evaluate(nu2, mu2)
+    mix_nu = FiniteDist(labels, t * nu1.weights + (1 - t) * nu2.weights)
+    mix_mu = FiniteDist(labels, t * mu1.weights + (1 - t) * mu2.weights)
+    a_mix = div.evaluate(mix_nu, mix_mu)
+    if math.isinf(a1) or math.isinf(a2):
+        vac = math.isinf(a_mix)
+        return (None, True, None, None) if vac else (math.inf, False, None, None)
+    inst = {"t": t, "nu1": nu1, "mu1": mu1, "nu2": nu2, "mu2": mu2}
+    return t * a1 + (1 - t) * a2 - a_mix, False, None, inst
+
+
+def _dist_concavity_trial(rng, risk, div, budget):
+    n1 = int(rng.integers(2, budget.max_e + 1))
+    n2 = int(rng.integers(2, budget.max_e + 1))
+    m1 = FiniteDist(
+        [float(v) for v in rng.choice(_value_grid(), size=n1, replace=False)],
+        _dirichlet(rng, n1, budget.dirichlet_alpha),
+    )
+    m2 = FiniteDist(
+        [float(v) for v in rng.choice(_value_grid(), size=n2, replace=False)],
+        _dirichlet(rng, n2, budget.dirichlet_alpha),
+    )
+    t = float(rng.uniform(0.05, 0.95))
+    mixed = mixture([(t, m1), (1 - t, m2)])
+    gap = rho_of_law(risk, mixed) - t * rho_of_law(risk, m1) - (1 - t) * rho_of_law(risk, m2)
+    return gap, False, None, {"t": t, "m1": m1, "m2": m2}
+
+
+def _sufficiency_trial(rng, risk, div, budget, matched: bool):
+    n = int(rng.integers(2, max(3, budget.max_e) + 1))
+    labels = _labels("a", n)
+    mu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
+    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
+    assignment = _random_surjection(rng, n, n_fibers)
+    mapping = {a: f"g{assignment[i]}" for i, a in enumerate(labels)}
+    if matched:
+        ratios = rng.uniform(0.25, 2.5, size=n_fibers)
+        nu_w = mu_w * ratios[assignment]
+        nu_w = nu_w / nu_w.sum()
+    else:
+        nu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
+    mu = FiniteDist(labels, mu_w)
+    nu = FiniteDist(labels, nu_w)
+    g = sufficiency_gap(div, nu, mu, mapping)
+    return g.value, g.vacuous, None, {"nu": nu, "mu": mu, "map": mapping}
+
+
+def _refinement_trial(rng, risk, div, budget):
+    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
+    labels = _labels("a", n0)
+    mu = FiniteDist(labels, _dirichlet(rng, n0, budget.dirichlet_alpha))
+    nu = FiniteDist(labels, _dirichlet(rng, n0, budget.dirichlet_alpha))
+    n1 = int(rng.integers(2, n0))
+    n2 = int(rng.integers(1, n1 + 1))
+    m1 = {a: f"b{k}" for a, k in zip(labels, _random_surjection(rng, n0, n1))}
+    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(_random_surjection(rng, n1, n2))}
+    values = refinement_monotonicity(div, nu, mu, [m1, m2])
+    finite = [v for v in values if math.isfinite(v)]
+    if len(finite) < 2:
+        return None, True, None, None
+    worst_step = min(
+        values[i] - values[i + 1]
+        for i in range(len(values) - 1)
+        if math.isfinite(values[i]) and math.isfinite(values[i + 1])
+    )
+    return worst_step, False, None, {"nu": nu, "mu": mu, "maps": [m1, m2], "values": values}
+
+
+def _lemma_identity_trial(rng, risk, div, budget):
+    inst = sample_product_instance(rng, _small_budget(budget))
+    g = integral_lemma_gap(risk, inst.nu_bar, inst.mu_bar)
+    return g.value, g.vacuous, inst.is_product, inst
+
+
+def _key_identity_trial(rng, risk, div, budget):
+    inst = sample_conditional_instance(rng, _small_budget(budget))
+    return key_identity_gap(risk, inst.joint, inst.values), False, inst.is_product, inst
+
+
+def _lebesgue_trial(rng, risk, div, budget):
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu = FiniteDist(_labels("a", n), _dirichlet(rng, n, budget.dirichlet_alpha))
+    f = rng.choice(_value_grid(), size=n)
+    h = rng.uniform(0.0, 1.0, size=n)
+    rho_limit = rho_lifted(risk, mu, f)
+    prev = math.inf
+    mono_violation = 0.0
+    last = rho_limit
+    for k in range(15):
+        eps = 4.0 ** (-k)
+        val = rho_lifted(risk, mu, f + eps * h)
+        mono_violation = max(mono_violation, val - prev)
+        prev = val
+        last = val
+    return max(mono_violation, abs(last - rho_limit)), False, None, (mu, f, h)
+
+
+def _as_json(inst) -> dict:
+    return inst.as_json()
+
+
+def _parts_json(parts: dict) -> dict:
+    """An instance given as named parts: laws and kernels by their as_json."""
+    return {k: v.as_json() if hasattr(v, "as_json") else v for k, v in parts.items()}
+
+
+def _property_s_json(pairs) -> dict:
+    return {"pairs": [{"weight": w, "x": x, "law": law.as_json()} for w, x, law in pairs]}
+
+
+def _mixture_json(components) -> dict:
+    return {"components": [{"weight": w, "law": law.as_json()} for w, law in components]}
+
+
+def _lebesgue_json(inst) -> dict:
+    mu, f, h = inst
+    return {"mu": mu.as_json(), "f": f.tolist(), "h": h.tolist()}
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    """One structural fact, checked by seeded sampling.
+
+    ``side`` "lower": gaps should stay >= -noise; "abs": |gap| should stay
+    <= noise. ``needs`` says which of (risk spec, divergence spec) the trial
+    uses. ``trial`` is described above; ``serialize`` turns its instance into
+    JSON and runs only when a trial is described, never in ``run_trials``.
     """
-    rng = budget.rng_for(trial)
-    inst_doc = None
 
-    if kind in ("chain_rule", "superadditivity", "subadditivity", "weak_consistency"):
-        inst = sample_product_instance(rng, budget)
-        if kind == "weak_consistency":
-            g = weak_consistency_gap(div, inst)
-        else:
-            g = superadditivity_gap(div, inst)
-        value = g.value
-        if value is not None and kind == "subadditivity":
-            value = -value
-        if with_instance:
-            inst_doc = inst.as_json()
-        return value, g.vacuous, inst.is_product, inst_doc
+    side: str
+    needs: str
+    trial: Callable
+    serialize: Callable
 
-    if kind in ("dpi", "dpi_bijection"):
-        mu, nu = _sample_pair(rng, budget)
-        n = len(mu)
-        if kind == "dpi_bijection":
-            perm = rng.permutation(n)
-            target = _labels("b", n)
-            mat = np.zeros((n, n))
-            for i, j in enumerate(perm):
-                mat[i, j] = 1.0
-            kernel = Kernel(mu.atoms, target, mat)
-        else:
-            n_f = int(rng.integers(2, budget.max_f + 1))
-            rows = np.vstack(
-                [_dirichlet(rng, n_f, budget.dirichlet_alpha) for _ in range(n)]
-            )
-            kernel = Kernel(mu.atoms, _labels("b", n_f), rows)
-        g = dpi_gap(div, nu, mu, kernel)
-        if with_instance:
-            inst_doc = {"nu": nu.as_json(), "mu": mu.as_json(), "kernel": kernel.as_json()}
-        return g.value, g.vacuous, None, inst_doc
+    def badness(self, gap: float) -> float:
+        """How strongly a gap leans toward violation; larger is worse."""
+        return abs(gap) if self.side == "abs" else -gap
 
-    if kind == "duality":
-        mu, nu = _sample_pair(rng, budget)
-        from .divergence import dual_divergence
+    def __getitem__(self, field: str):
+        # entries also read as mappings: kind["side"], kind["needs"]
+        return getattr(self, field)
 
-        res = dual_divergence(risk, nu, mu)
-        if res.certified_gap is None:
-            return None, True, None, None
-        if with_instance:
-            inst_doc = {
-                "nu": nu.as_json(),
-                "mu": mu.as_json(),
-                "dual_value": res.value,
-                "closed_form": res.closed_form,
-                "iterations": res.iterations,
-            }
-        return res.certified_gap, False, None, inst_doc
 
-    if kind in ("time_consistency", "acceptance", "rejection", "weak_acceptance"):
-        inst = sample_conditional_instance(rng, budget)
-        dist, vals, part = inst.flat()
-        if kind == "weak_acceptance":
-            value = weak_acceptance_margin(risk, dist, vals, part)
-        else:
-            value = consistency_gap(risk, dist, vals, part)
-            if kind == "rejection":
-                value = -value
-        if with_instance:
-            inst_doc = inst.as_json()
-        return value, False, inst.is_product, inst_doc
+CHECK_KINDS: dict[str, CheckKind] = {
+    "chain_rule": CheckKind("abs", "div", _superadditivity_trial, _as_json),
+    "superadditivity": CheckKind("lower", "div", _superadditivity_trial, _as_json),
+    "subadditivity": CheckKind("lower", "div", _negated(_superadditivity_trial), _as_json),
+    "weak_consistency": CheckKind("lower", "div", _weak_consistency_trial, _as_json),
+    "dpi": CheckKind("lower", "div", partial(_dpi_trial, bijection=False), _parts_json),
+    "dpi_bijection": CheckKind("abs", "div", partial(_dpi_trial, bijection=True), _parts_json),
+    "duality": CheckKind("abs", "risk", _duality_trial, _parts_json),
+    "time_consistency": CheckKind("abs", "risk", _consistency_trial, _as_json),
+    "acceptance": CheckKind("lower", "risk", _consistency_trial, _as_json),
+    "rejection": CheckKind("lower", "risk", _negated(_consistency_trial), _as_json),
+    "weak_acceptance": CheckKind("lower", "risk", _weak_acceptance_trial, _as_json),
+    "shift_convexity": CheckKind("lower", "risk", _shift_convexity_trial, _as_json),
+    "property_s": CheckKind("lower", "risk", _property_s_trial, _property_s_json),
+    "mixture_convexity": CheckKind("lower", "risk", _mixture_convexity_trial, _mixture_json),
+    "joint_convexity": CheckKind("lower", "div", _joint_convexity_trial, _parts_json),
+    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trial, _parts_json),
+    "sufficiency_matched": CheckKind(
+        "abs", "div", partial(_sufficiency_trial, matched=True), _parts_json
+    ),
+    "sufficiency_generic": CheckKind(
+        "lower", "div", partial(_sufficiency_trial, matched=False), _parts_json
+    ),
+    "refinement": CheckKind("lower", "div", _refinement_trial, _parts_json),
+    "lemma_identity": CheckKind("abs", "risk", _lemma_identity_trial, _as_json),
+    "key_identity": CheckKind("abs", "risk", _key_identity_trial, _as_json),
+    "lebesgue": CheckKind("abs", "risk", _lebesgue_trial, _lebesgue_json),
+}
 
-    if kind == "shift_convexity":
-        inst = sample_shift_convexity_instance(rng, budget, risk)
-        probe = shift_convexity_probe(risk, inst.mu, inst.kernel)
-        if with_instance:
-            inst_doc = inst.as_json()
-        return -probe.rho_mixture, False, None, inst_doc
 
-    if kind == "property_s":
-        k = int(rng.integers(2, 5))
-        xs = rng.choice(_value_grid(), size=k, replace=False)
-        weights = _dirichlet(rng, k, budget.dirichlet_alpha)
-        laws = [
-            sample_boundary_law(rng, budget, risk, int(rng.integers(2, budget.max_f + 1)))
-            for _ in range(k)
-        ]
-        marginal = mixture(
-            [(float(w), FiniteDist([float(x)], [1.0])) for w, x in zip(weights, xs)]
-        )
-        shift = -rho_of_law(risk, marginal)
-        pairs = [
-            (float(w), float(x) + shift, law) for w, x, law in zip(weights, xs, laws)
-        ]
-        probe = property_s_probe(risk, pairs)
-        if with_instance:
-            inst_doc = {
-                "pairs": [
-                    {"weight": w, "x": x, "law": law.as_json()} for w, x, law in pairs
-                ]
-            }
-        return -probe.rho_mixture, False, None, inst_doc
-
-    if kind == "mixture_convexity":
-        k = int(rng.integers(2, 5))
-        weights = _dirichlet(rng, k, budget.dirichlet_alpha)
-        laws = [
-            sample_boundary_law(rng, budget, risk, int(rng.integers(2, budget.max_f + 1)))
-            for _ in range(k)
-        ]
-        probe = mixture_convexity_probe(risk, list(zip(map(float, weights), laws)))
-        if with_instance:
-            inst_doc = {
-                "components": [
-                    {"weight": float(w), "law": law.as_json()}
-                    for w, law in zip(weights, laws)
-                ]
-            }
-        return -probe.rho_mixture, False, None, inst_doc
-
-    if kind == "joint_convexity":
-        n = int(rng.integers(2, budget.max_e + 1))
-        labels = _labels("a", n)
-        mu1 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-        nu1 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-        mu2 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-        nu2 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-        t = float(rng.uniform(0.05, 0.95))
-        a1 = div.evaluate(nu1, mu1)
-        a2 = div.evaluate(nu2, mu2)
-        mix_nu = FiniteDist(labels, t * nu1.weights + (1 - t) * nu2.weights)
-        mix_mu = FiniteDist(labels, t * mu1.weights + (1 - t) * mu2.weights)
-        a_mix = div.evaluate(mix_nu, mix_mu)
-        if math.isinf(a1) or math.isinf(a2):
-            vac = math.isinf(a_mix)
-            return (None, True, None, None) if vac else (math.inf, False, None, None)
-        if with_instance:
-            inst_doc = {
-                "t": t,
-                "nu1": nu1.as_json(),
-                "mu1": mu1.as_json(),
-                "nu2": nu2.as_json(),
-                "mu2": mu2.as_json(),
-            }
-        return t * a1 + (1 - t) * a2 - a_mix, False, None, inst_doc
-
-    if kind == "dist_concavity":
-        n1 = int(rng.integers(2, budget.max_e + 1))
-        n2 = int(rng.integers(2, budget.max_e + 1))
-        m1 = FiniteDist(
-            [float(v) for v in rng.choice(_value_grid(), size=n1, replace=False)],
-            _dirichlet(rng, n1, budget.dirichlet_alpha),
-        )
-        m2 = FiniteDist(
-            [float(v) for v in rng.choice(_value_grid(), size=n2, replace=False)],
-            _dirichlet(rng, n2, budget.dirichlet_alpha),
-        )
-        t = float(rng.uniform(0.05, 0.95))
-        mixed = mixture([(t, m1), (1 - t, m2)])
-        gap = rho_of_law(risk, mixed) - t * rho_of_law(risk, m1) - (1 - t) * rho_of_law(risk, m2)
-        if with_instance:
-            inst_doc = {"t": t, "m1": m1.as_json(), "m2": m2.as_json()}
-        return gap, False, None, inst_doc
-
-    if kind in ("sufficiency_matched", "sufficiency_generic"):
-        n = int(rng.integers(2, max(3, budget.max_e) + 1))
-        labels = _labels("a", n)
-        mu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
-        n_fibers = 1 if n == 2 else int(rng.integers(1, n))
-        assignment = _random_surjection(rng, n, n_fibers)
-        mapping = {a: f"g{assignment[i]}" for i, a in enumerate(labels)}
-        if kind == "sufficiency_matched":
-            ratios = rng.uniform(0.25, 2.5, size=n_fibers)
-            nu_w = mu_w * ratios[assignment]
-            nu_w = nu_w / nu_w.sum()
-        else:
-            nu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
-        mu = FiniteDist(labels, mu_w)
-        nu = FiniteDist(labels, nu_w)
-        g = sufficiency_gap(div, nu, mu, mapping)
-        if with_instance:
-            inst_doc = {"nu": nu.as_json(), "mu": mu.as_json(), "map": mapping}
-        return g.value, g.vacuous, None, inst_doc
-
-    if kind == "refinement":
-        from .divergence import refinement_monotonicity
-
-        n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
-        labels = _labels("a", n0)
-        mu = FiniteDist(labels, _dirichlet(rng, n0, budget.dirichlet_alpha))
-        nu = FiniteDist(labels, _dirichlet(rng, n0, budget.dirichlet_alpha))
-        n1 = int(rng.integers(2, n0))
-        n2 = int(rng.integers(1, n1 + 1))
-        m1 = {a: f"b{k}" for a, k in zip(labels, _random_surjection(rng, n0, n1))}
-        m2 = {f"b{i}": f"c{k}" for i, k in enumerate(_random_surjection(rng, n1, n2))}
-        values = refinement_monotonicity(div, nu, mu, [m1, m2])
-        finite = [v for v in values if math.isfinite(v)]
-        if len(finite) < 2:
-            return None, True, None, None
-        worst_step = min(
-            values[i] - values[i + 1]
-            for i in range(len(values) - 1)
-            if math.isfinite(values[i]) and math.isfinite(values[i + 1])
-        )
-        if with_instance:
-            inst_doc = {
-                "nu": nu.as_json(),
-                "mu": mu.as_json(),
-                "maps": [m1, m2],
-                "values": values,
-            }
-        return worst_step, False, None, inst_doc
-
-    if kind == "lemma_identity":
-        small = SearchBudget(
-            trials=budget.trials,
-            seed=budget.seed,
-            max_e=min(4, budget.max_e),
-            max_f=min(4, budget.max_f),
-            dirichlet_alpha=budget.dirichlet_alpha,
-            product_fraction=budget.product_fraction,
-        )
-        inst = sample_product_instance(rng, small)
-        g = integral_lemma_gap(risk, inst.nu_bar, inst.mu_bar)
-        if with_instance:
-            inst_doc = inst.as_json()
-        return g.value, g.vacuous, inst.is_product, inst_doc
-
-    if kind == "key_identity":
-        small = SearchBudget(
-            trials=budget.trials,
-            seed=budget.seed,
-            max_e=min(4, budget.max_e),
-            max_f=min(4, budget.max_f),
-            dirichlet_alpha=budget.dirichlet_alpha,
-            product_fraction=budget.product_fraction,
-        )
-        inst = sample_conditional_instance(rng, small)
-        gap = key_identity_gap(risk, inst.joint, inst.values)
-        if with_instance:
-            inst_doc = inst.as_json()
-        return gap, False, inst.is_product, inst_doc
-
-    if kind == "lebesgue":
-        n = int(rng.integers(2, budget.max_e + 1))
-        labels = _labels("a", n)
-        mu = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-        f = rng.choice(_value_grid(), size=n)
-        h = rng.uniform(0.0, 1.0, size=n)
-        rho_limit = rho_lifted(risk, mu, f)
-        prev = math.inf
-        mono_violation = 0.0
-        last = rho_limit
-        for k in range(15):
-            eps = 4.0 ** (-k)
-            val = rho_lifted(risk, mu, f + eps * h)
-            mono_violation = max(mono_violation, val - prev)
-            prev = val
-            last = val
-        gap = max(mono_violation, abs(last - rho_limit))
-        if with_instance:
-            inst_doc = {"mu": mu.as_json(), "f": list(map(float, f)), "h": list(map(float, h))}
-        return gap, False, None, inst_doc
-
-    raise UnknownFamilyError(f"unknown check kind {kind!r}")
+def check_kind(name: str) -> CheckKind:
+    """The registry entry of a check kind; UnknownFamilyError if there is none."""
+    try:
+        return CHECK_KINDS[name]
+    except KeyError:
+        raise UnknownFamilyError(f"unknown check kind {name!r}") from None
 
 
 @dataclass
@@ -820,10 +810,6 @@ class TrialStats:
         return out
 
 
-def _badness(kind: str, gap: float) -> float:
-    return abs(gap) if CHECK_KINDS[kind]["side"] == "abs" else -gap
-
-
 def run_trials(
     kind: str,
     risk: RiskSpec | None,
@@ -833,14 +819,15 @@ def run_trials(
     stop: int,
 ) -> TrialStats:
     """Evaluate trials [start, stop); summaries merge deterministically."""
+    entry = check_kind(kind)
     stats = TrialStats(class_worst={})
     for trial in range(start, stop):
-        gap, vacuous, is_product, _ = _run_trial(kind, risk, div, budget, trial, False)
+        gap, vacuous, is_product, _ = entry.trial(budget.rng_for(trial), risk, div, budget)
         stats.count += 1
         if vacuous or gap is None:
             stats.vacuous += 1
             continue
-        bad = _badness(kind, gap)
+        bad = entry.badness(gap)
         if stats.worst_trial is None or bad > stats.worst_badness:
             stats.worst_badness = bad
             stats.worst_trial = trial
@@ -863,12 +850,13 @@ def describe_trial(
     trial: int,
 ) -> dict:
     """Replay one trial and serialize its instance together with its gap."""
-    gap, vacuous, is_product, inst = _run_trial(kind, risk, div, budget, trial, True)
+    entry = check_kind(kind)
+    gap, vacuous, is_product, inst = entry.trial(budget.rng_for(trial), risk, div, budget)
     doc = {"kind": kind, "trial": trial, "seed": budget.seed, "gap": gap, "vacuous": vacuous}
     if is_product is not None:
         doc["class"] = "product" if is_product else "general"
     if inst is not None:
-        doc["instance"] = inst
+        doc["instance"] = entry.serialize(inst)
     return doc
 
 
@@ -914,11 +902,8 @@ def counterexample_search(
     (seed, trial). With zero trials the result is empty and carries no
     verdict.
     """
-    if target not in CHECK_KINDS:
-        raise UnknownFamilyError(f"unknown search target {target!r}")
-    needs = CHECK_KINDS[target]["needs"]
     div = divergence
-    if needs == "div" and div is None:
+    if check_kind(target).needs == "div" and div is None:
         div = divergence_for_risk_spec(spec)
     stats = run_trials(target, spec, div, budget, 0, budget.trials)
     instance = None

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .losses import LossFn, UtilityFn
 from .prob import FiniteDist, Kernel, compose_kernel, pushforward
-from .risk import RiskSpec, rho_values
+from .risk import RiskSpec, _golden_min, rho_values
 
 _EQUALITY_TOL = 1e-12
 
@@ -137,21 +137,8 @@ def shortfall_divergence_w(
             lo, hi = hi - 0.25 * width, hi + width
     else:
         return float(vals[k])
-    a, b = float(grid[k - 1]), float(grid[k + 1])
-    best = float(vals[k])
-    ga = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - ga * (b - a), a + ga * (b - a)
-    fc, fd = g_of_s(c), g_of_s(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ga * (b - a)
-            fc = g_of_s(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ga * (b - a)
-            fd = g_of_s(d)
-    return min(best, g_of_s(0.5 * (a + b)))
+    s = _golden_min(g_of_s, float(grid[k - 1]), float(grid[k + 1]), 1e-12)
+    return min(float(vals[k]), g_of_s(s))
 
 
 def equality_indicator_w(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
@@ -509,6 +496,19 @@ def dpi_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, kernel: Kernel)
     return Gap.of(before, after)
 
 
+def _pushforward_pair(nu: FiniteDist, mu: FiniteDist, mapping) -> tuple[FiniteDist, FiniteDist]:
+    """Push both laws through one map onto a common image atom set."""
+    nu_t = pushforward(nu, mapping)
+    mu_t = pushforward(mu, mapping)
+    if nu_t.atoms != mu_t.atoms:
+        # first-appearance order may differ when one measure charges a fiber
+        # the other does not reach first
+        atoms = tuple(dict.fromkeys(list(mu_t.atoms) + list(nu_t.atoms)))
+        mu_t = FiniteDist(atoms, [mu_t.weight(a) if a in mu_t.atoms else 0.0 for a in atoms])
+        nu_t = FiniteDist(atoms, [nu_t.weight(a) if a in nu_t.atoms else 0.0 for a in atoms])
+    return nu_t, mu_t
+
+
 def sufficiency_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, mapping) -> Gap:
     """alpha(nu | mu) - alpha(nu o T^-1 | mu o T^-1) for a statistic T.
 
@@ -519,14 +519,7 @@ def sufficiency_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, mapping
     if _not_ac(nu.weights, mu.weights):
         raise NotAbsolutelyContinuousError("sufficiency_gap requires nu << mu")
     before = div.evaluate(nu, mu)
-    nu_t = pushforward(nu, mapping)
-    mu_t = pushforward(mu, mapping)
-    if nu_t.atoms != mu_t.atoms:
-        # align the image atom sets; first-appearance order may differ when
-        # one measure charges a fiber the other does not reach first
-        atoms = tuple(dict.fromkeys(list(mu_t.atoms) + list(nu_t.atoms)))
-        mu_t = FiniteDist(atoms, [mu_t.weight(a) if a in mu_t.atoms else 0.0 for a in atoms])
-        nu_t = FiniteDist(atoms, [nu_t.weight(a) if a in nu_t.atoms else 0.0 for a in atoms])
+    nu_t, mu_t = _pushforward_pair(nu, mu, mapping)
     after = div.evaluate(nu_t, mu_t)
     return Gap.of(before, after)
 
@@ -543,12 +536,7 @@ def refinement_monotonicity(
     values = [div.evaluate(nu, mu)]
     cur_nu, cur_mu = nu, mu
     for mapping in chain:
-        nu_t = pushforward(cur_nu, mapping)
-        mu_t = pushforward(cur_mu, mapping)
-        if nu_t.atoms != mu_t.atoms:
-            atoms = tuple(dict.fromkeys(list(mu_t.atoms) + list(nu_t.atoms)))
-            mu_t = FiniteDist(atoms, [mu_t.weight(a) if a in mu_t.atoms else 0.0 for a in atoms])
-            nu_t = FiniteDist(atoms, [nu_t.weight(a) if a in nu_t.atoms else 0.0 for a in atoms])
+        nu_t, mu_t = _pushforward_pair(cur_nu, cur_mu, mapping)
         values.append(div.evaluate(nu_t, mu_t))
         cur_nu, cur_mu = nu_t, mu_t
     return values
@@ -631,7 +619,6 @@ def primal_reconstruction(
         best_w = grid[best_idx].copy()
         best = float(scores[best_idx])
 
-    ga = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(polish_passes):
         improved = False
         for i in range(n):
@@ -642,25 +629,13 @@ def primal_reconstruction(
                 if hi - lo < 1e-12:
                     continue
 
-                def line(delta: float) -> float:
+                def neg_line(delta: float) -> float:
                     w = best_w.copy()
                     w[i] -= delta
                     w[j] += delta
-                    return objective(np.maximum(w, 0.0))
+                    return -objective(np.maximum(w, 0.0))
 
-                a, b = lo, hi
-                c, d = b - ga * (b - a), a + ga * (b - a)
-                fc, fd = line(c), line(d)
-                while b - a > 1e-11:
-                    if fc > fd:
-                        b, d, fd = d, c, fc
-                        c = b - ga * (b - a)
-                        fc = line(c)
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + ga * (b - a)
-                        fd = line(d)
-                delta = 0.5 * (a + b)
+                delta = _golden_min(neg_line, lo, hi, 1e-11)
                 cand = best_w.copy()
                 cand[i] -= delta
                 cand[j] += delta

@@ -159,7 +159,7 @@ class LossFn:
             if self.p == 1.0:
                 return -y if y <= 1.0 else math.inf
             return (self.p - 1.0) * (y / self.p) ** (self.p / (self.p - 1.0)) - y
-        return self.conjugate_table().eval(y)
+        return conjugate_table(self).eval(y)
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         """Vectorized l* over a nonnegative array; +inf entries allowed."""
@@ -176,18 +176,7 @@ class LossFn:
             if self.p == 1.0:
                 return np.where(y <= 1.0, -y, math.inf)
             return (self.p - 1.0) * (y / self.p) ** (self.p / (self.p - 1.0)) - y
-        return _table_conjugate_array(self.conjugate_table(), y)
-
-    def conjugate_table(self) -> ConjugateTable:
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        slopes = np.diff(ys) / np.diff(xs)
-        return ConjugateTable(
-            slopes=tuple(float(v) for v in xs),
-            intercepts=tuple(float(-v) for v in ys),
-            y_lo=float(slopes[0]),
-            y_hi=float(slopes[-1]),
-        )
+        return _table_conjugate_array(conjugate_table(self), y)
 
     # -- validation -----------------------------------------------------
 
@@ -296,7 +285,7 @@ class UtilityFn:
         if self.kind == "hinge_power":
             q = self.p / (self.p - 1.0)
             return (self.p - 1.0) * y**q - self.p * y + 1.0
-        return self.conjugate_table().eval(y)
+        return conjugate_table(self).eval(y)
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         """Vectorized phi* over a nonnegative array; +inf entries allowed."""
@@ -313,18 +302,7 @@ class UtilityFn:
         if self.kind == "hinge_power":
             q = self.p / (self.p - 1.0)
             return (self.p - 1.0) * y**q - self.p * y + 1.0
-        return _table_conjugate_array(self.conjugate_table(), y)
-
-    def conjugate_table(self) -> ConjugateTable:
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        slopes = np.diff(ys) / np.diff(xs)
-        return ConjugateTable(
-            slopes=tuple(float(v) for v in xs),
-            intercepts=tuple(float(-v) for v in ys),
-            y_lo=float(slopes[0]),
-            y_hi=float(slopes[-1]),
-        )
+        return _table_conjugate_array(conjugate_table(self), y)
 
     def as_json(self) -> dict:
         if self.kind == "hinge_power":
@@ -350,9 +328,17 @@ class UtilityFn:
         raise ConfigParseError(f"unknown utility kind {kind!r}")
 
 
-def conjugate_eval(fn: LossFn | UtilityFn, y: float) -> float:
-    """Fenchel conjugate of a loss or utility at y >= 0 (maybe +inf)."""
-    return fn.conjugate(float(y))
+def conjugate_table(fn: LossFn | UtilityFn) -> ConjugateTable:
+    """The conjugate of a custom (tabulated) loss or utility, as a max of affines."""
+    xs = np.asarray(fn.xs)
+    ys = np.asarray(fn.ys)
+    slopes = np.diff(ys) / np.diff(xs)
+    return ConjugateTable(
+        slopes=tuple(float(v) for v in xs),
+        intercepts=tuple(float(-v) for v in ys),
+        y_lo=float(slopes[0]),
+        y_hi=float(slopes[-1]),
+    )
 
 
 def numeric_conjugate(fn, y: float, bound: float = 50.0, n: int = 20001) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class FiniteDist:
         return cls(doc["atoms"], doc["weights"])
 
 
-def make_dist(atoms: Iterable[Atom], weights: Sequence[float]) -> FiniteDist:
-    return FiniteDist(atoms, weights)
-
-
 def uniform(atoms: Iterable[Atom]) -> FiniteDist:
     atoms = tuple(atoms)
     return FiniteDist(atoms, np.full(len(atoms), 1.0 / len(atoms)))
@@ -129,23 +125,8 @@ def point_mass(atom: Atom) -> FiniteDist:
     return FiniteDist((atom,), [1.0])
 
 
-@dataclass(frozen=True, eq=False)
-class RandomVariable:
-    """Real values attached atom-by-atom to a finite space."""
-
-    values: tuple
-
-    def __init__(self, values: Sequence[float]):
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
-
-    @classmethod
-    def from_function(cls, dist: FiniteDist, fn: Callable[[Atom], float]) -> "RandomVariable":
-        return cls([fn(a) for a in dist.atoms])
-
-
 def _as_values(f, n: int) -> np.ndarray:
-    vals = f.values if isinstance(f, RandomVariable) else f
-    arr = np.asarray(vals, dtype=float)
+    arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise LengthMismatchError(f"expected {n} values, got shape {arr.shape}")
     return arr
@@ -371,15 +352,24 @@ def disintegrate(joint: JointDist) -> tuple[FiniteDist, Kernel]:
     Rows at zero-marginal atoms are set to the uniform distribution: any
     choice is almost-surely equivalent and uniform is reproducible.
     """
-    marg = joint.matrix.sum(axis=1)
-    n_f = len(joint.col_atoms)
-    rows = np.empty_like(joint.matrix)
+    marg, rows = disintegrate_w(joint.matrix)
+    return FiniteDist(joint.row_atoms, marg), Kernel(joint.row_atoms, joint.col_atoms, rows)
+
+
+def disintegrate_w(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``disintegrate`` on a joint weight matrix: (row marginal, row-stochastic rows).
+
+    Skips building and validating the law and the kernel, for hot loops.
+    """
+    marg = matrix.sum(axis=1)
+    n_f = matrix.shape[1]
+    rows = np.empty_like(matrix)
     for i, m in enumerate(marg):
         if m > 0.0:
-            rows[i] = joint.matrix[i] / m
+            rows[i] = matrix[i] / m
         else:
             rows[i] = 1.0 / n_f
-    return FiniteDist(joint.row_atoms, marg), Kernel(joint.row_atoms, joint.col_atoms, rows)
+    return marg, rows
 
 
 def radon_nikodym(nu: FiniteDist, mu: FiniteDist) -> np.ndarray:

@@ -24,14 +24,14 @@ from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
 from .consistency import (
-    CHECK_KINDS,
     SearchBudget,
     TrialStats,
+    check_kind,
     describe_trial,
     run_trials,
 )
 from .divergence import DivergenceSpec, divergence_for_risk_spec
-from .errors import ConfigParseError, IoError, UnknownFamilyError
+from .errors import ConfigParseError, IoError
 from .risk import RiskSpec
 
 SCHEMA_VERSION = 1
@@ -75,9 +75,7 @@ class CheckSpec:
     must_pass: bool = True
 
     def __post_init__(self):
-        if self.target not in CHECK_KINDS:
-            raise UnknownFamilyError(f"unknown check target {self.target!r}")
-        needs = CHECK_KINDS[self.target]["needs"]
+        needs = check_kind(self.target).needs
         if needs == "risk" and self.risk is None:
             raise ConfigParseError(f"check {self.name!r} needs a risk spec")
         if needs == "div" and self.divergence is None and self.risk is None:
@@ -86,7 +84,7 @@ class CheckSpec:
             )
 
     def resolved_divergence(self) -> DivergenceSpec | None:
-        if CHECK_KINDS[self.target]["needs"] != "div":
+        if check_kind(self.target).needs != "div":
             return self.divergence
         if self.divergence is not None:
             return self.divergence
@@ -188,8 +186,9 @@ class CheckReport:
     def from_json(cls, doc: Mapping) -> "CheckReport":
         cw = None
         if "class_worst" in doc:
+            kind = check_kind(doc["target"])
             cw = {
-                k: (abs(v["gap"]), v["trial"], v["gap"])
+                k: (kind.badness(v["gap"]), v["trial"], v["gap"])
                 for k, v in doc["class_worst"].items()
             }
         return cls(
@@ -210,8 +209,7 @@ class CheckReport:
 def _verdict(target: str, worst_gap: float | None, tol: Tolerances) -> str:
     if worst_gap is None:
         return "pass"
-    side = CHECK_KINDS[target]["side"]
-    badness = abs(worst_gap) if side == "abs" else -worst_gap
+    badness = check_kind(target).badness(worst_gap)
     if badness <= tol.noise:
         return "pass"
     if badness > tol.violation:

@@ -178,7 +178,13 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
     return hi
 
 
-def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> tuple[float, float]:
+def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> float:
+    """Golden-section search for a minimizer of a unimodal fn on [lo, hi].
+
+    Returns the final bracket midpoint; callers that need the value evaluate
+    fn there. The comparison is strict, so ties move the bracket right.
+    Maximize by negating fn.
+    """
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
@@ -193,8 +199,7 @@ def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> t
             d = lo + _GOLDEN * (hi - lo)
             fd = fn(d)
         it += 1
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
+    return 0.5 * (lo + hi)
 
 
 def _oce_values(w: np.ndarray, v: np.ndarray, utility: UtilityFn, tol: float) -> float:
@@ -210,7 +215,8 @@ def _oce_values(w: np.ndarray, v: np.ndarray, utility: UtilityFn, tol: float) ->
     lo = -float(np.max(vv)) - 50.0
     hi = -float(np.min(vv)) + 50.0
     for _ in range(10):
-        m, val = _golden_min(objective, lo, hi, tol)
+        m = _golden_min(objective, lo, hi, tol)
+        val = objective(m)
         width = hi - lo
         if m - lo > 1e-3 * width and hi - m > 1e-3 * width:
             return val

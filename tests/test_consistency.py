@@ -26,6 +26,7 @@ from divlab.divergence import DivergenceSpec, divergence_for_risk_spec, relative
 from divlab.errors import PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, JointDist, Kernel, Partition, point_mass, uniform
+from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_lifted, rho_of_law
 
 ENTROPIC = RiskSpec.entropic(1.0)
@@ -327,6 +328,17 @@ class TestTrialMachinery:
             div = RE if meta["needs"] == "div" else None
             stats = run_trials(kind, risk, div, budget, 0, 3)
             assert stats.count == 3
+            assert stats.worst_trial is not None, kind
+            replay = describe_trial(kind, risk, div, budget, stats.worst_trial)
+            assert replay["gap"] == stats.worst_gap, kind
+            canonical_json(replay["instance"])  # raises on anything it cannot emit
+
+    @pytest.mark.parametrize("kind, law", [("lemma_identity", "mu_bar"), ("key_identity", "joint")])
+    def test_small_budget_kinds_keep_sparsity(self, kind, law):
+        budget = SearchBudget(trials=10, seed=24, max_e=3, max_f=3, sparsity=0.9)
+        for trial in range(10):
+            inst = describe_trial(kind, ENTROPIC, None, budget, trial)["instance"]
+            assert min(min(row) for row in inst[law]["weights"]) == 0.0
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)

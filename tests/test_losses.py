@@ -13,7 +13,7 @@ from divlab.losses import (
     UtilityFn,
     check_log_subadditive,
     check_oce_inequality,
-    conjugate_eval,
+    conjugate_table,
     numeric_conjugate,
 )
 
@@ -22,20 +22,20 @@ class TestLossConjugates:
     def test_exponential_at_one(self):
         # l(x) = e^x has l*(y) = y log y - y, so l*(1) = -1
         loss = LossFn.exponential(1.0)
-        assert conjugate_eval(loss, 1.0) == pytest.approx(-1.0, abs=1e-12)
+        assert loss.conjugate(1.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_exponential_at_zero_is_neg_inf_of_loss(self):
-        assert conjugate_eval(LossFn.exponential(1.0), 0.0) == 0.0
-        assert conjugate_eval(LossFn.power_plus(2.0), 0.0) == 0.0
+        assert LossFn.exponential(1.0).conjugate(0.0) == 0.0
+        assert LossFn.power_plus(2.0).conjugate(0.0) == 0.0
 
     def test_negative_argument_rejected(self):
         with pytest.raises(NegativeArgumentError):
-            conjugate_eval(LossFn.exponential(1.0), -0.5)
+            LossFn.exponential(1.0).conjugate(-0.5)
 
     def test_power_plus_one(self):
         loss = LossFn.power_plus(1.0)
-        assert conjugate_eval(loss, 0.5) == -0.5
-        assert conjugate_eval(loss, 2.0) == math.inf
+        assert loss.conjugate(0.5) == -0.5
+        assert loss.conjugate(2.0) == math.inf
 
     @pytest.mark.parametrize("loss", [
         LossFn.exponential(1.0),
@@ -45,7 +45,7 @@ class TestLossConjugates:
     ])
     def test_closed_forms_match_numeric_oracle(self, loss):
         for y in [0.0, 0.3, 1.0, 2.0, 5.0]:
-            exact = conjugate_eval(loss, y)
+            exact = loss.conjugate(y)
             brute = numeric_conjugate(loss, y)
             if math.isfinite(exact):
                 assert exact == pytest.approx(brute, abs=1e-6)
@@ -60,7 +60,7 @@ class TestLossConjugates:
     def test_fenchel_young(self, loss):
         xs = np.linspace(-3, 3, 13)
         for y in [0.0, 0.25, 1.0, 3.0]:
-            star = conjugate_eval(loss, y)
+            star = loss.conjugate(y)
             if not math.isfinite(star):
                 continue
             vals = np.asarray(loss(xs), dtype=float)
@@ -77,9 +77,9 @@ class TestLossConjugates:
         # tabulated e^x on [-2, 2]: slopes span roughly [e^-2, e^2]
         xs = np.linspace(-2, 2, 41)
         loss = LossFn.custom(xs, np.exp(xs))
-        table = loss.conjugate_table()
-        assert conjugate_eval(loss, 1.0) == pytest.approx(-1.0, abs=1e-3)
-        assert conjugate_eval(loss, table.y_hi * 2) == math.inf
+        table = conjugate_table(loss)
+        assert loss.conjugate(1.0) == pytest.approx(-1.0, abs=1e-3)
+        assert loss.conjugate(table.y_hi * 2) == math.inf
 
 
 class TestLossValidation:
@@ -112,22 +112,22 @@ class TestLossValidation:
 class TestUtilityConjugates:
     def test_exp_shift_normalization(self):
         # phi(x) = e^{x-1} has phi*(y) = y log y, so phi*(1) = 0
-        assert conjugate_eval(UtilityFn.exp_shift(), 1.0) == 0.0
+        assert UtilityFn.exp_shift().conjugate(1.0) == 0.0
 
     def test_exp_shift_is_ylogy(self):
         phi = UtilityFn.exp_shift()
         for y in [0.5, 1.0, 2.0, 3.0]:
-            assert conjugate_eval(phi, y) == pytest.approx(y * math.log(y), abs=1e-12)
+            assert phi.conjugate(y) == pytest.approx(y * math.log(y), abs=1e-12)
 
     def test_identity_conjugate(self):
         phi = UtilityFn.identity()
-        assert conjugate_eval(phi, 1.0) == 0.0
-        assert conjugate_eval(phi, 2.0) == math.inf
+        assert phi.conjugate(1.0) == 0.0
+        assert phi.conjugate(2.0) == math.inf
 
     def test_hinge_power_two_is_squared_distance(self):
         phi = UtilityFn.hinge_power(2.0)
         for y in [0.0, 0.5, 1.0, 2.0, 4.0]:
-            assert conjugate_eval(phi, y) == pytest.approx((y - 1.0) ** 2, abs=1e-12)
+            assert phi.conjugate(y) == pytest.approx((y - 1.0) ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("phi", [
         UtilityFn.exp_shift(),
@@ -136,7 +136,7 @@ class TestUtilityConjugates:
     ])
     def test_closed_forms_match_numeric_oracle(self, phi):
         for y in [0.0, 0.5, 1.0, 2.0, 5.0]:
-            exact = conjugate_eval(phi, y)
+            exact = phi.conjugate(y)
             brute = numeric_conjugate(phi, y)
             assert exact == pytest.approx(brute, abs=1e-6)
 
@@ -149,7 +149,7 @@ class TestUtilityConjugates:
     def test_custom_accepts_normalized_table(self):
         xs = np.linspace(-4.0, 4.0, 161)
         phi = UtilityFn.custom(xs, np.exp(xs - 1.0))
-        assert abs(conjugate_eval(phi, 1.0)) <= 1e-9
+        assert abs(phi.conjugate(1.0)) <= 1e-9
 
 
 class TestLogSubadditivity:

@@ -26,7 +26,6 @@ from divlab.prob import (
     condition,
     disintegrate,
     law_of,
-    make_dist,
     mixture,
     point_mass,
     pushforward,
@@ -43,50 +42,50 @@ def random_dist(rng, n, labels=None):
 
 class TestMakeDist:
     def test_uniform_two_atoms(self):
-        d = make_dist(["a", "b"], [0.5, 0.5])
+        d = FiniteDist(["a", "b"], [0.5, 0.5])
         assert d.weight("a") == 0.5 and d.weight("b") == 0.5
 
     def test_point_mass(self):
-        d = make_dist(["a"], [1.0])
+        d = FiniteDist(["a"], [1.0])
         assert d.weights[0] == 1.0
 
     def test_sum_outside_tolerance_is_an_error(self):
         # 0.9 is neither zero mass nor within 1e-9 of 1
         with pytest.raises(TotalMassError):
-            make_dist(["a", "b"], [0.3, 0.6])
+            FiniteDist(["a", "b"], [0.3, 0.6])
 
     def test_zero_mass(self):
         with pytest.raises(ZeroTotalMassError):
-            make_dist(["a", "b"], [0.0, 0.0])
+            FiniteDist(["a", "b"], [0.0, 0.0])
 
     def test_tiny_negative_clamped(self):
-        d = make_dist(["a", "b"], [1.0 + 5e-16, -5e-16])
+        d = FiniteDist(["a", "b"], [1.0 + 5e-16, -5e-16])
         assert d.weights[1] == 0.0
 
     def test_real_negative_rejected(self):
         with pytest.raises(NegativeWeightError):
-            make_dist(["a", "b"], [1.1, -0.1])
+            FiniteDist(["a", "b"], [1.1, -0.1])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            make_dist(["a", "b"], [1.0])
+            FiniteDist(["a", "b"], [1.0])
 
     def test_duplicate_atoms(self):
         with pytest.raises(DuplicateAtomError):
-            make_dist(["a", "a"], [0.5, 0.5])
+            FiniteDist(["a", "a"], [0.5, 0.5])
 
     def test_near_one_sum_renormalized_exactly(self):
-        d = make_dist(["a", "b"], [0.5 + 2e-10, 0.5])
+        d = FiniteDist(["a", "b"], [0.5 + 2e-10, 0.5])
         assert abs(float(d.weights.sum()) - 1.0) <= 1e-15
 
     def test_json_round_trip(self):
-        d = make_dist(["a", "b", "c"], [0.2, 0.3, 0.5])
+        d = FiniteDist(["a", "b", "c"], [0.2, 0.3, 0.5])
         assert FiniteDist.from_json(d.as_json()).is_close(d)
 
 
 class TestPushforward:
     def test_identity(self):
-        d = make_dist(["a", "b"], [0.25, 0.75])
+        d = FiniteDist(["a", "b"], [0.25, 0.75])
         assert pushforward(d, {"a": "a", "b": "b"}).is_close(d)
 
     def test_constant_map_gives_point_mass(self):
@@ -95,7 +94,7 @@ class TestPushforward:
         assert out.atoms == ("c",) and out.weights[0] == 1.0
 
     def test_swap(self):
-        d = make_dist(["a", "b"], [0.25, 0.75])
+        d = FiniteDist(["a", "b"], [0.25, 0.75])
         out = pushforward(d, {"a": "b", "b": "a"})
         assert out.weight("b") == 0.25 and out.weight("a") == 0.75
 
@@ -115,7 +114,7 @@ class TestPushforward:
 
 class TestComposeAndDisintegrate:
     def test_deterministic_kernel_is_graph_measure(self):
-        mu = make_dist(["a", "b"], [0.3, 0.7])
+        mu = FiniteDist(["a", "b"], [0.3, 0.7])
         k = Kernel.deterministic(mu.atoms, {"a": "u", "b": "v"})
         joint, marginal = compose_kernel(mu, k)
         assert marginal.is_close(pushforward(mu, {"a": "u", "b": "v"}))
@@ -123,8 +122,8 @@ class TestComposeAndDisintegrate:
         assert joint.matrix[1, 1] == pytest.approx(0.7)
 
     def test_constant_kernel_is_product(self):
-        mu = make_dist(["a", "b"], [0.3, 0.7])
-        eta = make_dist(["u", "v"], [0.4, 0.6])
+        mu = FiniteDist(["a", "b"], [0.3, 0.7])
+        eta = FiniteDist(["u", "v"], [0.4, 0.6])
         joint, marginal = compose_kernel(mu, Kernel.constant(mu.atoms, eta))
         assert marginal.is_close(eta)
         assert np.allclose(joint.matrix, np.outer(mu.weights, eta.weights))
@@ -142,8 +141,8 @@ class TestComposeAndDisintegrate:
             compose_kernel(mu, k)
 
     def test_disintegrate_product(self):
-        mu = make_dist(["a", "b"], [0.3, 0.7])
-        eta = make_dist(["u", "v"], [0.4, 0.6])
+        mu = FiniteDist(["a", "b"], [0.3, 0.7])
+        eta = FiniteDist(["u", "v"], [0.4, 0.6])
         joint, _ = compose_kernel(mu, Kernel.constant(mu.atoms, eta))
         marg, kernel = disintegrate(joint)
         assert marg.is_close(mu)
@@ -173,23 +172,23 @@ class TestComposeAndDisintegrate:
 
 class TestRadonNikodym:
     def test_identity_density(self):
-        mu = make_dist(["a", "b"], [0.4, 0.6])
+        mu = FiniteDist(["a", "b"], [0.4, 0.6])
         assert np.allclose(radon_nikodym(mu, mu), [1.0, 1.0])
 
     def test_ratio(self):
-        nu = make_dist(["a", "b"], [1.0, 0.0])
+        nu = FiniteDist(["a", "b"], [1.0, 0.0])
         mu = uniform(["a", "b"])
         assert np.allclose(radon_nikodym(nu, mu), [2.0, 0.0])
 
     def test_support_violation(self):
         nu = uniform(["a", "b"])
-        mu = make_dist(["a", "b"], [1.0, 0.0])
+        mu = FiniteDist(["a", "b"], [1.0, 0.0])
         with pytest.raises(NotAbsolutelyContinuousError):
             radon_nikodym(nu, mu)
 
     def test_shared_null_atom_gets_zero(self):
-        nu = make_dist(["a", "b", "c"], [1.0, 0.0, 0.0])
-        mu = make_dist(["a", "b", "c"], [0.5, 0.5, 0.0])
+        nu = FiniteDist(["a", "b", "c"], [1.0, 0.0, 0.0])
+        mu = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
         assert np.allclose(radon_nikodym(nu, mu), [2.0, 0.0, 0.0])
 
     def test_different_spaces(self):
@@ -205,7 +204,7 @@ class TestCondition:
         assert blocks[0].law.is_close(law_of(mu, [0.0, 1.0]))
 
     def test_finest_partition(self):
-        mu = make_dist(["a", "b"], [0.3, 0.7])
+        mu = FiniteDist(["a", "b"], [0.3, 0.7])
         blocks = condition(mu, [5.0, 7.0], Partition.finest(mu.atoms))
         assert [b.weight for b in blocks] == pytest.approx([0.3, 0.7])
         assert blocks[0].law.atoms == (5.0,)
@@ -221,7 +220,7 @@ class TestCondition:
             assert np.allclose(b.law.weights, [0.5, 0.5])
 
     def test_zero_weight_block_omitted(self):
-        mu = make_dist(["a", "b", "c"], [0.5, 0.5, 0.0])
+        mu = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
         blocks = condition(mu, [1.0, 2.0, 3.0], Partition([("a",), ("b",), ("c",)]))
         assert len(blocks) == 2
 

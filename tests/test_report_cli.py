@@ -70,6 +70,17 @@ class TestReports:
         again = reports_from_document(decode_special_floats(doc))
         assert again == reports
 
+    def test_one_sided_report_round_trip(self):
+        check = CheckSpec(
+            name="wc",
+            target="weak_consistency",
+            budget=SearchBudget(trials=50, seed=3),
+            divergence=DivergenceSpec.relative_entropy(1.0),
+        )
+        report = run_check(check, workers=1)
+        assert report.class_worst["general"][0] == -report.class_worst["general"][2]
+        assert CheckReport.from_json(report.as_json()) == report
+
     def test_csv_columns(self):
         reports = run_suite(SuiteConfig(checks=(entropic_check(),)))
         lines = reports_to_csv(reports).strip().split("\n")

@@ -536,6 +536,7 @@ def _duality_trial(rng, risk, div, budget):
         "dual_value": res.value,
         "closed_form": res.closed_form,
         "iterations": res.iterations,
+        "budget_exhausted": res.budget_exhausted,
     }
     return res.certified_gap, False, None, inst
 
@@ -781,6 +782,7 @@ class TrialStats:
 
     count: int = 0
     vacuous: int = 0
+    nan: int = 0  # trials whose gap is NaN; never ranked, and they fail the check
     worst_badness: float = -math.inf
     worst_trial: int | None = None
     worst_gap: float | None = None
@@ -790,6 +792,7 @@ class TrialStats:
         out = TrialStats(
             count=self.count + other.count,
             vacuous=self.vacuous + other.vacuous,
+            nan=self.nan + other.nan,
         )
         for side in (self, other):
             if side.worst_trial is None:
@@ -826,6 +829,10 @@ def run_trials(
         stats.count += 1
         if vacuous or gap is None:
             stats.vacuous += 1
+            continue
+        if math.isnan(gap):
+            # every comparison with NaN is false: ranked, it would mask later gaps
+            stats.nan += 1
             continue
         bad = entry.badness(gap)
         if stats.worst_trial is None or bad > stats.worst_badness:
@@ -872,9 +879,10 @@ class SearchResult:
     worst_trial: int | None
     worst_instance: dict | None
     class_worst: dict | None
+    nan: int = 0  # NaN gaps; emitted only when nonzero
 
     def as_json(self) -> dict:
-        return {
+        doc = {
             "target": self.target,
             "trials": self.trials,
             "vacuous": self.vacuous,
@@ -888,6 +896,9 @@ class SearchResult:
             }
             or None,
         }
+        if self.nan:
+            doc["nan"] = self.nan
+        return doc
 
 
 def counterexample_search(
@@ -918,4 +929,5 @@ def counterexample_search(
         worst_trial=stats.worst_trial,
         worst_instance=instance,
         class_worst=stats.class_worst,
+        nan=stats.nan,
     )

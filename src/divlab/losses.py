@@ -147,6 +147,27 @@ class LossFn:
             return np.maximum(1.0 + x, 0.0) ** self.p
         return _interp_extrapolate(x, np.asarray(self.xs), np.asarray(self.ys))
 
+    def derivative(self, x):
+        """Elementwise left derivative l'(x-): the slope where l is smooth and
+        the slope on the left at a kink, so that -l'(x - c-) is the right
+        derivative in c of c -> l(x - c), the slope a Newton step taken from
+        the left of a root needs.
+        """
+        x = np.asarray(x, dtype=float)
+        if self.kind == "exponential":
+            with np.errstate(over="ignore"):
+                return self.eta * np.exp(self.eta * x)
+        if self.kind == "power_plus":
+            # explicit zero left of -1: numpy's 0.0 ** 0 is 1, which would
+            # give power_plus(1) slope p there
+            base = 1.0 + x
+            return np.where(base > 0.0, self.p * np.maximum(base, 0.0) ** (self.p - 1.0), 0.0)
+        xs = np.asarray(self.xs)
+        slopes = np.diff(np.asarray(self.ys)) / np.diff(xs)
+        # segment k spans (xs[k], xs[k+1]]; outside the table the boundary slopes
+        seg = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, slopes.size - 1)
+        return slopes[seg]
+
     def conjugate(self, y: float) -> float:
         """l*(y) = sup_x (x*y - l(x)) for y >= 0; +inf is a legal value."""
         if y < 0:

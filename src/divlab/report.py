@@ -4,7 +4,8 @@ A suite is a list of named checks. Each check binds a risk spec and/or a
 divergence spec to a check kind from ``consistency.CHECK_KINDS``, a seeded
 sampling budget, and a two-tier tolerance: gaps inside the noise band are
 ignored, gaps beyond the violation threshold are defects, and the strip in
-between is "inconclusive, refine".
+between is "inconclusive, refine". A trial whose gap is NaN is counted
+apart and makes its check a violation, whatever the other gaps are.
 
 Reports are emitted as a single JSON document (with a schema_version field)
 or as CSV with one row per check. Serialization is deterministic: keys are
@@ -161,6 +162,7 @@ class CheckReport:
     worst_trial: int | None = None
     class_worst: dict | None = None
     instance: dict | None = None
+    nan: int = 0  # trials with a NaN gap; emitted only when nonzero
 
     def as_json(self) -> dict:
         doc = {
@@ -180,6 +182,8 @@ class CheckReport:
             }
         if self.instance is not None:
             doc["instance"] = self.instance
+        if self.nan:
+            doc["nan"] = self.nan
         return doc
 
     @classmethod
@@ -203,10 +207,13 @@ class CheckReport:
             worst_trial=doc.get("worst_trial"),
             class_worst=cw,
             instance=doc.get("instance"),
+            nan=doc.get("nan", 0),
         )
 
 
-def _verdict(target: str, worst_gap: float | None, tol: Tolerances) -> str:
+def _verdict(target: str, worst_gap: float | None, nan: int, tol: Tolerances) -> str:
+    if nan:
+        return "violation"
     if worst_gap is None:
         return "pass"
     badness = check_kind(target).badness(worst_gap)
@@ -252,7 +259,7 @@ def run_check(check: CheckSpec, workers: int | None = None) -> CheckReport:
         stats = TrialStats()
         for part in parts:
             stats = stats.merge(part)
-    verdict = _verdict(check.target, stats.worst_gap, check.tolerances)
+    verdict = _verdict(check.target, stats.worst_gap, stats.nan, check.tolerances)
     instance = None
     if verdict != "pass" and stats.worst_trial is not None:
         instance = describe_trial(check.target, check.risk, div, budget, stats.worst_trial)
@@ -268,6 +275,7 @@ def run_check(check: CheckSpec, workers: int | None = None) -> CheckReport:
         worst_trial=stats.worst_trial,
         class_worst=stats.class_worst,
         instance=instance,
+        nan=stats.nan,
     )
 
 

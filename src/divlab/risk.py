@@ -40,6 +40,9 @@ from .prob import FiniteDist, Partition, _as_values, condition
 FAMILIES = ("entropic", "shortfall", "oce", "expectation", "esssup", "coherent")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a cap on shortfall root iterations; it also ends the search where the float
+# spacing at the root exceeds root_tol, so that neither step nor bracket can shrink to it
+_ROOT_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,22 +163,59 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
 
     lo = float(np.min(vv)) - 1.0
     hi = float(np.max(vv)) + 1.0
-    if expected(lo) <= 1.0 or expected(hi) > 1.0 + 1e-12:
+    e_lo = expected(lo)
+    if e_lo <= 1.0 or expected(hi) > 1.0 + 1e-12:
         raise BracketFailureError(
             "E[loss(X - c)] does not cross 1 on the standard bracket; "
             "the loss violates l(0) = 1 < l(x > 0)"
         )
-    # expected() is nonincreasing and continuous in c, so bisection converges
-    # unconditionally to the smallest c with expected(c) <= 1.
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if expected(mid) <= 1.0:
-            hi = mid
+    # expected() is convex and nonincreasing in c, so a Newton step from a
+    # point left of the root never passes it: a Newton point at or past hi
+    # makes hi the root, and one with expected <= 1 is the root itself. The
+    # start E[X] lies left of the root, since expected(E[X]) >= l(0) = 1 by
+    # Jensen. A step that is not finite (overflow) or more than half the last
+    # one (slow progress far left of the root) becomes a bisection of [lo, hi].
+    def newton_step(c: float, e_c: float) -> float:
+        slope = float(ww @ loss.derivative(vv - c))
+        return (e_c - 1.0) / slope if 0.0 < slope < math.inf else math.inf
+
+    start = min(max(float(ww @ vv), lo), hi)
+    e_start = expected(start)
+    if e_start > 1.0:
+        lo, e_lo = start, e_start
+    else:
+        hi = start
+    step = newton_step(lo, e_lo)
+    last = hi - lo
+    for _ in range(_ROOT_MAX_ITER):
+        if math.isfinite(step) and lo + step >= hi:
+            root = hi
+            break
+        if step <= 0.5 * last:
+            root = lo + step
+            if step <= tol:
+                break
+            e_root = expected(root)
+            if e_root <= 1.0:
+                break
+            lo, e_lo, last = root, e_root, step
+            step = newton_step(lo, e_lo)
         else:
-            lo = mid
-    if expected(hi) > 1.0 + 1e-9:
+            mid = 0.5 * (lo + hi)
+            e_mid = expected(mid)
+            if e_mid <= 1.0:
+                hi = mid
+            else:
+                lo, e_lo = mid, e_mid
+                step = newton_step(lo, e_lo)
+            if hi - lo <= tol:
+                root = hi
+                break
+    else:
+        root = hi
+    if expected(root) > 1.0 + 1e-9:
         raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
-    return hi
+    return root
 
 
 def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> float:
@@ -280,7 +320,7 @@ def rho_entropic(law: FiniteDist, eta: float) -> float:
 
 
 def rho_shortfall(law: FiniteDist, loss: LossFn, tol: float = 1e-11) -> float:
-    """Smallest cash level c with E[loss(X - c)] <= 1, by bisection."""
+    """Smallest cash level c with E[loss(X - c)] <= 1, by safeguarded Newton."""
     return _shortfall_values(law.weights, law.values_array(), loss, tol)
 
 

@@ -332,6 +332,8 @@ class TestTrialMachinery:
             replay = describe_trial(kind, risk, div, budget, stats.worst_trial)
             assert replay["gap"] == stats.worst_gap, kind
             canonical_json(replay["instance"])  # raises on anything it cannot emit
+            if kind == "duality":
+                assert replay["instance"]["budget_exhausted"] is False
 
     @pytest.mark.parametrize("kind, law", [("lemma_identity", "mu_bar"), ("key_identity", "joint")])
     def test_small_budget_kinds_keep_sparsity(self, kind, law):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divlab.errors import (
     InvalidLossError,
@@ -80,6 +82,48 @@ class TestLossConjugates:
         table = conjugate_table(loss)
         assert loss.conjugate(1.0) == pytest.approx(-1.0, abs=1e-3)
         assert loss.conjugate(table.y_hi * 2) == math.inf
+
+
+CONVEX_TABLE = LossFn.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [0.5, 0.5, 1.0, 2.0, 4.0])
+
+
+class TestLossDerivative:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([
+            LossFn.exponential(0.3),
+            LossFn.exponential(3.0),
+            LossFn.power_plus(1.0),
+            LossFn.power_plus(1.5),
+            LossFn.power_plus(2.0),
+            LossFn.power_plus(3.0),
+            CONVEX_TABLE,
+        ]),
+        st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_matches_central_differences_away_from_kinks(self, loss, x):
+        kinks = {"power_plus": [-1.0], "custom": list(loss.xs or ())}.get(loss.kind, [])
+        h = 1e-6
+        if any(abs(x - k) < 1e-3 for k in kinks):
+            return
+        central = (float(loss(x + h)) - float(loss(x - h))) / (2.0 * h)
+        assert float(loss.derivative(x)) == pytest.approx(central, rel=1e-6, abs=1e-6)
+
+    def test_power_plus_one_is_flat_left_of_minus_one(self):
+        loss = LossFn.power_plus(1.0)
+        xs = np.array([-5.0, -2.0, -1.0 - 1e-12, -1.0])
+        assert np.all(loss.derivative(xs) == 0.0)
+        assert np.all(loss.derivative(np.array([-0.5, 0.0, 3.0])) == 1.0)
+
+    def test_custom_takes_the_left_segment_slope(self):
+        # slopes 0, 0.5, 1, 2 between the table points; boundary slopes outside
+        xs = np.array([-9.0, -2.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0, 9.0])
+        expected = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 2.0]
+        assert CONVEX_TABLE.derivative(xs).tolist() == expected
+
+    def test_exponential_overflow_is_inf_not_an_error(self):
+        with np.errstate(over="raise"):
+            assert LossFn.exponential(3.0).derivative(np.array([400.0]))[0] == math.inf
 
 
 class TestLossValidation:

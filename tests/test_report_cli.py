@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from divlab.consistency import SearchBudget
+from divlab.consistency import CHECK_KINDS, CheckKind, SearchBudget, counterexample_search
 from divlab.divergence import DivergenceSpec
 from divlab.errors import ConfigParseError, UnknownFamilyError
 from divlab.report import (
@@ -80,6 +80,34 @@ class TestReports:
         report = run_check(check, workers=1)
         assert report.class_worst["general"][0] == -report.class_worst["general"][2]
         assert CheckReport.from_json(report.as_json()) == report
+
+    def test_nan_gap_fails_the_check(self, monkeypatch):
+        # a NaN first gap once became the worst gap for good, since every
+        # later `bad > nan` is false, and hid the -5 violation behind it
+        gaps = [math.nan, 0.0, -5.0]
+
+        def trial(rng, risk, div, budget):
+            gap = gaps[rng.bit_generator.seed_seq.entropy[1]]
+            return gap, False, None, {"gap": gap}
+
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", trial, dict))
+        check = entropic_check(name="np", trials=3, target="nan_probe")
+        report = run_check(check, workers=1)
+        assert (report.nan, report.worst_trial, report.worst_gap) == (1, 2, -5.0)
+        assert report.verdict == "violation"
+        assert run_check(check, workers=2) == report
+        doc = json.loads(canonical_json(report.as_json()))
+        assert doc["nan"] == 1
+        assert CheckReport.from_json(doc) == report
+        assert "nan" not in run_check(entropic_check()).as_json()
+
+        only_nan = run_check(entropic_check(name="np", trials=1, target="nan_probe"))
+        assert only_nan.worst_gap is None and only_nan.verdict == "violation"
+
+        result = counterexample_search(check.risk, check.budget, "nan_probe")
+        assert (result.nan, result.worst_trial, result.worst_gap) == (1, 2, -5.0)
+        assert result.as_json()["nan"] == 1
+        assert "nan" not in counterexample_search(check.risk, check.budget, "acceptance").as_json()
 
     def test_csv_columns(self):
         reports = run_suite(SuiteConfig(checks=(entropic_check(),)))

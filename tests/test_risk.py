@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divlab.errors import (
     BracketFailureError,
@@ -21,6 +23,7 @@ from divlab.risk import (
     rho_oce,
     rho_of_law,
     rho_shortfall,
+    _shortfall_values,
 )
 
 UNIFORM01 = FiniteDist([0.0, 1.0], [0.5, 0.5])
@@ -89,6 +92,124 @@ class TestShortfall:
             c = rho_shortfall(law, loss)
             expected = float(law.weights @ np.asarray(loss(law.values_array() - c)))
             assert expected <= 1.0 + 1e-9
+
+
+def bisection_root(w, v, loss, tol=1e-11):
+    """Reference shortfall root: bisection of [min X - 1, max X + 1] down to
+    tol, as the library computed it before the Newton iteration. Returns the
+    root and the number of loss calls, bracket and post-check included."""
+    calls = 0
+
+    def expected(c):
+        nonlocal calls
+        calls += 1
+        with np.errstate(over="ignore"):
+            return float(w @ np.asarray(loss(v - c), dtype=float))
+
+    lo, hi = float(np.min(v)) - 1.0, float(np.max(v)) + 1.0
+    assert expected(lo) > 1.0 and expected(hi) <= 1.0 + 1e-12
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if expected(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    assert expected(hi) <= 1.0 + 1e-9
+    return hi, calls
+
+
+class CountingLoss:
+    """A loss that counts its value and derivative calls."""
+
+    def __init__(self, loss):
+        self.loss = loss
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.loss(x)
+
+    def derivative(self, x):
+        self.calls += 1
+        return self.loss.derivative(x)
+
+
+CONVEX_TABLE = LossFn.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [0.5, 0.5, 1.0, 2.0, 4.0])
+ROOT_LOSSES = [
+    LossFn.exponential(0.3),
+    LossFn.exponential(1.0),
+    LossFn.exponential(3.0),
+    LossFn.power_plus(1.0),
+    LossFn.power_plus(1.5),
+    LossFn.power_plus(2.0),
+    LossFn.power_plus(3.0),
+    CONVEX_TABLE,
+]
+WIDE_LAWS = [
+    ([0.0, 600.0], [0.999, 0.001]),
+    ([-300.0, 300.0], [0.5, 0.5]),
+    ([40.0, 0.0], [1e-6, 1.0 - 1e-6]),
+]
+
+
+def root_and_calls(values, weights, loss):
+    counting = CountingLoss(loss)
+    w, v = np.asarray(weights, dtype=float), np.asarray(values, dtype=float)
+    return _shortfall_values(w, v, counting, 1e-11), counting.calls
+
+
+class TestShortfallRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-300.0, max_value=300.0),
+                st.one_of(st.just(1e-6), st.floats(min_value=1e-6, max_value=1.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.one_of(
+            st.floats(min_value=0.3, max_value=3.0).map(LossFn.exponential),
+            st.sampled_from([1.0, 1.5, 2.0, 3.0]).map(LossFn.power_plus),
+            st.just(CONVEX_TABLE),
+        ),
+    )
+    def test_matches_bisection_oracle(self, atoms, loss):
+        v = np.array([a for a, _ in atoms])
+        w = np.array([b for _, b in atoms])
+        w = w / w.sum()
+        rho = _shortfall_values(w, v, loss, 1e-11)
+        oracle, _ = bisection_root(w, v, loss)
+        assert abs(rho - oracle) <= 1e-9
+        with np.errstate(over="ignore"):
+            assert float(w @ np.asarray(loss(v - rho), dtype=float)) <= 1.0 + 1e-9
+
+    def test_exponential_overflow_terminates(self):
+        # exp(3 * 600) overflows, so plain Newton would divide inf by inf
+        rho, _ = root_and_calls([0.0, 600.0], [0.999, 0.001], LossFn.exponential(3.0))
+        law = FiniteDist([0.0, 600.0], [0.999, 0.001])
+        assert rho == pytest.approx(rho_entropic(law, 3.0), abs=1e-9)
+
+    def test_root_at_the_mean_is_found_at_once(self):
+        rho, calls = root_and_calls([0.1, -0.4, 0.9], [0.3, 0.3, 0.4], LossFn.power_plus(1.0))
+        assert rho == pytest.approx(0.27, abs=1e-12)
+        assert calls <= 6
+
+    @pytest.mark.parametrize("loss", ROOT_LOSSES, ids=lambda l: str(l.as_json()))
+    @pytest.mark.parametrize("values, weights", WIDE_LAWS)
+    def test_wide_laws_need_no_more_calls_than_bisection(self, values, weights, loss):
+        rho, calls = root_and_calls(values, weights, loss)
+        oracle, oracle_calls = bisection_root(np.asarray(weights), np.asarray(values), loss)
+        assert calls <= oracle_calls
+        assert abs(rho - oracle) <= 1e-9
+
+    def test_terminates_where_float_spacing_exceeds_tol(self):
+        # near 1e5 neighbouring floats lie 1.5e-11 apart, wider than root_tol,
+        # so a bracket can never shrink to 1e-11
+        rho, calls = root_and_calls([1e5, 1e5 + 1.0], [0.5, 0.5], LossFn.power_plus(2.0))
+        assert rho == pytest.approx(1e5 + 0.5 * (3.0 - math.sqrt(3.0)), abs=1e-9)
+        assert calls <= 20
 
 
 class TestOce:

@@ -80,6 +80,7 @@ from .risk import (
     ConditionalRisk,
     RiskSpec,
     acceptance_member,
+    rho_batch,
     rho_coherent,
     rho_conditional,
     rho_entropic,

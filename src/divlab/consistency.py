@@ -22,7 +22,9 @@ induced divergence alpha:
 Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
-trials are distributed over workers. Gaps where both sides are +inf are
+trials are distributed over workers. The conditional kinds then evaluate a
+whole block of sampled instances in batched solves whose per-trial results
+do not depend on the block either. Gaps where both sides are +inf are
 "vacuous" and excluded from statistics but counted.
 """
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +49,12 @@ from .divergence import (
     sufficiency_gap,
     _dual_divergence_w,
 )
-from .errors import ConfigParseError, PreconditionViolatedError, UnknownFamilyError
+from .errors import (
+    ConfigParseError,
+    InvalidPartitionError,
+    PreconditionViolatedError,
+    UnknownFamilyError,
+)
 from .prob import (
     FiniteDist,
     JointDist,
@@ -58,7 +65,7 @@ from .prob import (
     mixture,
     shift_law,
 )
-from .risk import RiskSpec, acceptance_member, rho_conditional, rho_lifted, rho_of_law, rho_values
+from .risk import RiskSpec, _atom_sum, acceptance_member, rho_batch, rho_lifted, rho_of_law, rho_values
 
 VALUE_RANGE = (-2.0, 2.0)
 VALUE_GRID_POINTS = 41
@@ -322,26 +329,58 @@ def weak_consistency_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
     return Gap.of(joint_term, row_term)
 
 
+def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) -> np.ndarray:
+    """Gaps of B conditional instances packed as (B, E, F) weights and values.
+
+    Row e of instance b is block e of its partition; zero weights pad short
+    rows and missing ones. The row laws are solved in one batch, and then the
+    outer laws of the row risks and the full laws: ``consistency_gap``, or
+    ``weak_acceptance_margin`` when ``weak``. The full law lists the blocks'
+    atoms row after row.
+    """
+    b, e, f = w.shape
+    mass = _atom_sum(w)
+    charged = mass > 0.0
+    row_risk = np.zeros((b, e))
+    row_risk[charged] = rho_batch(spec, w[charged] / mass[charged][:, None], v[charged])
+    full_w = w.reshape(b, e * f)
+    if weak:
+        return -rho_batch(spec, full_w, (v - row_risk[:, :, None]).reshape(b, e * f))
+    return rho_batch(spec, mass, row_risk) - rho_batch(spec, full_w, v.reshape(b, e * f))
+
+
+def _pack_partition(mu: FiniteDist, f, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, f, partition) as one packed instance: a row per block, in block order."""
+    partition.validate_against(mu.atoms)
+    vals = _as_values(f, len(mu))
+    w = np.zeros((1, len(partition.blocks), max(len(bl) for bl in partition.blocks)))
+    v = np.zeros_like(w)
+    for e, block in enumerate(partition.blocks):
+        ids = [mu._index[a] for a in block]
+        w[0, e, : len(ids)] = mu.weights[ids]
+        v[0, e, : len(ids)] = vals[ids]
+    if not np.any(w > 0.0):
+        raise InvalidPartitionError("no block carries positive mass")
+    return w, v
+
+
 def consistency_gap(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> float:
-    """rho(rho(X | G)) - rho(X); nonnegative iff acceptance-consistent here."""
-    cond = rho_conditional(spec, mu, f, partition)
-    outer = rho_of_law(spec, cond.as_law())
-    return outer - rho_lifted(spec, mu, f)
+    """rho(rho(X | G)) - rho(X); nonnegative iff acceptance-consistent here.
+
+    Evaluated as a batch of one by the kernel of the conditional check kinds,
+    so the gap of a sampled instance's ``flat()`` form is the bits its trial
+    gives.
+    """
+    return float(_conditional_gaps(spec, *_pack_partition(mu, f, partition), weak=False)[0])
 
 
 def weak_acceptance_margin(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> float:
     """-rho(X~) where X~ is X recentered so rho(X~ | G) = 0 on every block.
 
     Weak acceptance consistency demands rho(X~) <= 0, so a negative margin
-    is a violation.
+    is a violation. Evaluated like ``consistency_gap``.
     """
-    cond = rho_conditional(spec, mu, f, partition)
-    vals = _as_values(f, len(mu)).copy()
-    idx = {a: i for i, a in enumerate(mu.atoms)}
-    for (block, v) in cond.values:
-        for a in block:
-            vals[idx[a]] -= v
-    return -rho_lifted(spec, mu, vals)
+    return float(_conditional_gaps(spec, *_pack_partition(mu, f, partition), weak=True)[0])
 
 
 @dataclass(frozen=True)
@@ -457,10 +496,31 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 # check kinds
 # ---------------------------------------------------------------------------
 #
-# A trial is a function (rng, risk, div, budget) -> (gap, vacuous, is_product,
-# instance) that draws all its randomness from rng, the per-trial generator.
-# is_product is None for kinds without a product/general split; the instance
-# is None when there is nothing to report.
+# A kind's trial function maps (risk, div, budget, start, stop) to an
+# iterable of one TrialResult per trial in [start, stop), read once; trial k
+# draws all its randomness from budget.rng_for(k). Most kinds are written for
+# one trial, as
+# (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
+# and wrapped by per_trial, which runs each trial as it is read, so a batch
+# never holds their instances; the conditional kinds sample their trials one
+# by one and solve them in one batch.
+
+
+class TrialResult(NamedTuple):
+    gap: float | None
+    vacuous: bool
+    is_product: bool | None  # None for kinds without a product/general split
+    instance: object  # None when there is nothing to report
+    exhausted: bool = False  # a solver ran out of its iteration budget
+
+
+def per_trial(trial: Callable) -> Callable:
+    """A kind's trial function from a one-trial function of (rng, risk, div, budget)."""
+
+    def trials(risk, div, budget, start, stop):
+        return (TrialResult(*trial(budget.rng_for(k), risk, div, budget)) for k in range(start, stop))
+
+    return trials
 
 
 def _sample_pair(rng, budget: SearchBudget, n: int | None = None):
@@ -487,12 +547,14 @@ def _small_budget(budget: SearchBudget) -> SearchBudget:
     return replace(budget, max_e=min(4, budget.max_e), max_f=min(4, budget.max_f))
 
 
-def _negated(trial):
-    """The trial with its gap negated, for the one-sided reverse inequality."""
+def _negated(trials):
+    """The trial function with its gaps negated, for the one-sided reverse inequality."""
 
-    def negated(rng, risk, div, budget):
-        gap, vacuous, is_product, inst = trial(rng, risk, div, budget)
-        return (None if gap is None else -gap), vacuous, is_product, inst
+    def negated(risk, div, budget, start, stop):
+        return (
+            r if r.gap is None else r._replace(gap=-r.gap)
+            for r in trials(risk, div, budget, start, stop)
+        )
 
     return negated
 
@@ -538,17 +600,31 @@ def _duality_trial(rng, risk, div, budget):
         "iterations": res.iterations,
         "budget_exhausted": res.budget_exhausted,
     }
-    return res.certified_gap, False, None, inst
+    return res.certified_gap, False, None, inst, res.budget_exhausted
 
 
-def _consistency_trial(rng, risk, div, budget):
-    inst = sample_conditional_instance(rng, budget)
-    return consistency_gap(risk, *inst.flat()), False, inst.is_product, inst
+def _pack(instances: Sequence[ConditionalInstance]) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional instances as zero-padded (B, E, F) weights and values.
+
+    The weights are renormalized as ``joint.as_dist()`` renormalizes them, so
+    an instance packed here and its ``flat()`` form carry the same bits.
+    """
+    n_e = max(inst.values.shape[0] for inst in instances)
+    n_f = max(inst.values.shape[1] for inst in instances)
+    w = np.zeros((len(instances), n_e, n_f))
+    v = np.zeros_like(w)
+    for b, inst in enumerate(instances):
+        rows, cols = inst.values.shape
+        flat = inst.joint.matrix.reshape(-1)
+        w[b, :rows, :cols] = (flat / flat.sum()).reshape(rows, cols)
+        v[b, :rows, :cols] = inst.values
+    return w, v
 
 
-def _weak_acceptance_trial(rng, risk, div, budget):
-    inst = sample_conditional_instance(rng, budget)
-    return weak_acceptance_margin(risk, *inst.flat()), False, inst.is_product, inst
+def _conditional_trials(risk, div, budget, start, stop, weak: bool):
+    insts = [sample_conditional_instance(budget.rng_for(k), budget) for k in range(start, stop)]
+    gaps = _conditional_gaps(risk, *_pack(insts), weak=weak)
+    return [TrialResult(float(g), False, inst.is_product, inst) for g, inst in zip(gaps, insts)]
 
 
 def _shift_convexity_trial(rng, risk, div, budget):
@@ -738,33 +814,42 @@ class CheckKind:
         return getattr(self, field)
 
 
+_SUPERADDITIVITY = per_trial(_superadditivity_trial)
+_CONSISTENCY = partial(_conditional_trials, weak=False)
+
 CHECK_KINDS: dict[str, CheckKind] = {
-    "chain_rule": CheckKind("abs", "div", _superadditivity_trial, _as_json),
-    "superadditivity": CheckKind("lower", "div", _superadditivity_trial, _as_json),
-    "subadditivity": CheckKind("lower", "div", _negated(_superadditivity_trial), _as_json),
-    "weak_consistency": CheckKind("lower", "div", _weak_consistency_trial, _as_json),
-    "dpi": CheckKind("lower", "div", partial(_dpi_trial, bijection=False), _parts_json),
-    "dpi_bijection": CheckKind("abs", "div", partial(_dpi_trial, bijection=True), _parts_json),
-    "duality": CheckKind("abs", "risk", _duality_trial, _parts_json),
-    "time_consistency": CheckKind("abs", "risk", _consistency_trial, _as_json),
-    "acceptance": CheckKind("lower", "risk", _consistency_trial, _as_json),
-    "rejection": CheckKind("lower", "risk", _negated(_consistency_trial), _as_json),
-    "weak_acceptance": CheckKind("lower", "risk", _weak_acceptance_trial, _as_json),
-    "shift_convexity": CheckKind("lower", "risk", _shift_convexity_trial, _as_json),
-    "property_s": CheckKind("lower", "risk", _property_s_trial, _property_s_json),
-    "mixture_convexity": CheckKind("lower", "risk", _mixture_convexity_trial, _mixture_json),
-    "joint_convexity": CheckKind("lower", "div", _joint_convexity_trial, _parts_json),
-    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trial, _parts_json),
+    "chain_rule": CheckKind("abs", "div", _SUPERADDITIVITY, _as_json),
+    "superadditivity": CheckKind("lower", "div", _SUPERADDITIVITY, _as_json),
+    "subadditivity": CheckKind("lower", "div", _negated(_SUPERADDITIVITY), _as_json),
+    "weak_consistency": CheckKind("lower", "div", per_trial(_weak_consistency_trial), _as_json),
+    "dpi": CheckKind("lower", "div", per_trial(partial(_dpi_trial, bijection=False)), _parts_json),
+    "dpi_bijection": CheckKind(
+        "abs", "div", per_trial(partial(_dpi_trial, bijection=True)), _parts_json
+    ),
+    "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json),
+    "time_consistency": CheckKind("abs", "risk", _CONSISTENCY, _as_json),
+    "acceptance": CheckKind("lower", "risk", _CONSISTENCY, _as_json),
+    "rejection": CheckKind("lower", "risk", _negated(_CONSISTENCY), _as_json),
+    "weak_acceptance": CheckKind(
+        "lower", "risk", partial(_conditional_trials, weak=True), _as_json
+    ),
+    "shift_convexity": CheckKind("lower", "risk", per_trial(_shift_convexity_trial), _as_json),
+    "property_s": CheckKind("lower", "risk", per_trial(_property_s_trial), _property_s_json),
+    "mixture_convexity": CheckKind(
+        "lower", "risk", per_trial(_mixture_convexity_trial), _mixture_json
+    ),
+    "joint_convexity": CheckKind("lower", "div", per_trial(_joint_convexity_trial), _parts_json),
+    "dist_concavity": CheckKind("lower", "risk", per_trial(_dist_concavity_trial), _parts_json),
     "sufficiency_matched": CheckKind(
-        "abs", "div", partial(_sufficiency_trial, matched=True), _parts_json
+        "abs", "div", per_trial(partial(_sufficiency_trial, matched=True)), _parts_json
     ),
     "sufficiency_generic": CheckKind(
-        "lower", "div", partial(_sufficiency_trial, matched=False), _parts_json
+        "lower", "div", per_trial(partial(_sufficiency_trial, matched=False)), _parts_json
     ),
-    "refinement": CheckKind("lower", "div", _refinement_trial, _parts_json),
-    "lemma_identity": CheckKind("abs", "risk", _lemma_identity_trial, _as_json),
-    "key_identity": CheckKind("abs", "risk", _key_identity_trial, _as_json),
-    "lebesgue": CheckKind("abs", "risk", _lebesgue_trial, _lebesgue_json),
+    "refinement": CheckKind("lower", "div", per_trial(_refinement_trial), _parts_json),
+    "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json),
+    "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json),
+    "lebesgue": CheckKind("abs", "risk", per_trial(_lebesgue_trial), _lebesgue_json),
 }
 
 
@@ -776,6 +861,10 @@ def check_kind(name: str) -> CheckKind:
         raise UnknownFamilyError(f"unknown check kind {name!r}") from None
 
 
+# trials per call of a kind's trial function in run_trials
+TRIAL_BATCH = 100
+
+
 @dataclass
 class TrialStats:
     """Order-independent summary of a block of trials."""
@@ -783,6 +872,7 @@ class TrialStats:
     count: int = 0
     vacuous: int = 0
     nan: int = 0  # trials whose gap is NaN; never ranked, and they fail the check
+    exhausted: int = 0  # trials whose solver ran out of its budget; they fail the check
     worst_badness: float = -math.inf
     worst_trial: int | None = None
     worst_gap: float | None = None
@@ -793,6 +883,7 @@ class TrialStats:
             count=self.count + other.count,
             vacuous=self.vacuous + other.vacuous,
             nan=self.nan + other.nan,
+            exhausted=self.exhausted + other.exhausted,
         )
         for side in (self, other):
             if side.worst_trial is None:
@@ -821,29 +912,38 @@ def run_trials(
     start: int,
     stop: int,
 ) -> TrialStats:
-    """Evaluate trials [start, stop); summaries merge deterministically."""
+    """Evaluate trials [start, stop); summaries merge deterministically.
+
+    The kind's trial function runs on consecutive batches of at most
+    TRIAL_BATCH trials, so memory stays bounded on any range. A trial's gap
+    is the same bits in any batch and when ``describe_trial`` replays it
+    alone: batched kinds sum over atoms in a fixed order that zero padding
+    does not change (see ``risk.rho_batch``).
+    """
     entry = check_kind(kind)
     stats = TrialStats(class_worst={})
-    for trial in range(start, stop):
-        gap, vacuous, is_product, _ = entry.trial(budget.rng_for(trial), risk, div, budget)
-        stats.count += 1
-        if vacuous or gap is None:
-            stats.vacuous += 1
-            continue
-        if math.isnan(gap):
-            # every comparison with NaN is false: ranked, it would mask later gaps
-            stats.nan += 1
-            continue
-        bad = entry.badness(gap)
-        if stats.worst_trial is None or bad > stats.worst_badness:
-            stats.worst_badness = bad
-            stats.worst_trial = trial
-            stats.worst_gap = gap
-        if is_product is not None:
-            label = "product" if is_product else "general"
-            cur = stats.class_worst.get(label)
-            if cur is None or bad > cur[0]:
-                stats.class_worst[label] = (bad, trial, gap)
+    for first in range(start, stop, TRIAL_BATCH):
+        results = entry.trial(risk, div, budget, first, min(first + TRIAL_BATCH, stop))
+        for trial, (gap, vacuous, is_product, _, exhausted) in enumerate(results, first):
+            stats.count += 1
+            stats.exhausted += exhausted
+            if vacuous or gap is None:
+                stats.vacuous += 1
+                continue
+            if math.isnan(gap):
+                # every comparison with NaN is false: ranked, it would mask later gaps
+                stats.nan += 1
+                continue
+            bad = entry.badness(gap)
+            if stats.worst_trial is None or bad > stats.worst_badness:
+                stats.worst_badness = bad
+                stats.worst_trial = trial
+                stats.worst_gap = gap
+            if is_product is not None:
+                label = "product" if is_product else "general"
+                cur = stats.class_worst.get(label)
+                if cur is None or bad > cur[0]:
+                    stats.class_worst[label] = (bad, trial, gap)
     if not stats.class_worst:
         stats.class_worst = None
     return stats
@@ -858,7 +958,7 @@ def describe_trial(
 ) -> dict:
     """Replay one trial and serialize its instance together with its gap."""
     entry = check_kind(kind)
-    gap, vacuous, is_product, inst = entry.trial(budget.rng_for(trial), risk, div, budget)
+    ((gap, vacuous, is_product, inst, _),) = entry.trial(risk, div, budget, trial, trial + 1)
     doc = {"kind": kind, "trial": trial, "seed": budget.seed, "gap": gap, "vacuous": vacuous}
     if is_product is not None:
         doc["class"] = "product" if is_product else "general"
@@ -880,6 +980,7 @@ class SearchResult:
     worst_instance: dict | None
     class_worst: dict | None
     nan: int = 0  # NaN gaps; emitted only when nonzero
+    exhausted: int = 0  # trials whose solver ran out of its budget; emitted only when nonzero
 
     def as_json(self) -> dict:
         doc = {
@@ -898,6 +999,8 @@ class SearchResult:
         }
         if self.nan:
             doc["nan"] = self.nan
+        if self.exhausted:
+            doc["exhausted"] = self.exhausted
         return doc
 
 
@@ -930,4 +1033,5 @@ def counterexample_search(
         worst_instance=instance,
         class_worst=stats.class_worst,
         nan=stats.nan,
+        exhausted=stats.exhausted,
     )

@@ -4,8 +4,9 @@ A suite is a list of named checks. Each check binds a risk spec and/or a
 divergence spec to a check kind from ``consistency.CHECK_KINDS``, a seeded
 sampling budget, and a two-tier tolerance: gaps inside the noise band are
 ignored, gaps beyond the violation threshold are defects, and the strip in
-between is "inconclusive, refine". A trial whose gap is NaN is counted
-apart and makes its check a violation, whatever the other gaps are.
+between is "inconclusive, refine". A trial whose gap is NaN, or whose solver
+ran out of its iteration budget, is counted apart and makes its check a
+violation, whatever the other gaps are.
 
 Reports are emitted as a single JSON document (with a schema_version field)
 or as CSV with one row per check. Serialization is deterministic: keys are
@@ -163,6 +164,7 @@ class CheckReport:
     class_worst: dict | None = None
     instance: dict | None = None
     nan: int = 0  # trials with a NaN gap; emitted only when nonzero
+    exhausted: int = 0  # trials whose solver ran out of its budget; emitted only when nonzero
 
     def as_json(self) -> dict:
         doc = {
@@ -184,6 +186,8 @@ class CheckReport:
             doc["instance"] = self.instance
         if self.nan:
             doc["nan"] = self.nan
+        if self.exhausted:
+            doc["exhausted"] = self.exhausted
         return doc
 
     @classmethod
@@ -208,12 +212,14 @@ class CheckReport:
             class_worst=cw,
             instance=doc.get("instance"),
             nan=doc.get("nan", 0),
+            exhausted=doc.get("exhausted", 0),
         )
 
 
-def _verdict(target: str, worst_gap: float | None, nan: int, tol: Tolerances) -> str:
-    if nan:
+def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
+    if stats.nan or stats.exhausted:
         return "violation"
+    worst_gap = stats.worst_gap
     if worst_gap is None:
         return "pass"
     badness = check_kind(target).badness(worst_gap)
@@ -259,7 +265,7 @@ def run_check(check: CheckSpec, workers: int | None = None) -> CheckReport:
         stats = TrialStats()
         for part in parts:
             stats = stats.merge(part)
-    verdict = _verdict(check.target, stats.worst_gap, stats.nan, check.tolerances)
+    verdict = _verdict(check.target, stats, check.tolerances)
     instance = None
     if verdict != "pass" and stats.worst_trial is not None:
         instance = describe_trial(check.target, check.risk, div, budget, stats.worst_trial)
@@ -276,6 +282,7 @@ def run_check(check: CheckSpec, workers: int | None = None) -> CheckReport:
         class_worst=stats.class_worst,
         instance=instance,
         nan=stats.nan,
+        exhausted=stats.exhausted,
     )
 
 

@@ -29,10 +29,12 @@ from .errors import (
     ConfigParseError,
     InvalidDensityError,
     InvalidPartitionError,
+    LengthMismatchError,
     SpaceMismatchError,
     UnboundedObjectiveError,
     UnknownFamilyError,
     UnsupportedFamilyError,
+    ZeroTotalMassError,
 )
 from .losses import LossFn, UtilityFn
 from .prob import FiniteDist, Partition, _as_values, condition
@@ -43,6 +45,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # a cap on shortfall root iterations; it also ends the search where the float
 # spacing at the root exceeds root_tol, so that neither step nor bracket can shrink to it
 _ROOT_MAX_ITER = 100
+_BRACKET_FAILURE = (
+    "E[loss(X - c)] does not cross 1 on the standard bracket; "
+    "the loss violates l(0) = 1 < l(x > 0)"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,18 +169,17 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
 
     lo = float(np.min(vv)) - 1.0
     hi = float(np.max(vv)) + 1.0
-    e_lo = expected(lo)
-    if e_lo <= 1.0 or expected(hi) > 1.0 + 1e-12:
-        raise BracketFailureError(
-            "E[loss(X - c)] does not cross 1 on the standard bracket; "
-            "the loss violates l(0) = 1 < l(x > 0)"
-        )
+    e_lo, e_hi = expected(lo), expected(hi)
+    if e_lo <= 1.0 or e_hi > 1.0 + 1e-12:
+        raise BracketFailureError(_BRACKET_FAILURE)
     # expected() is convex and nonincreasing in c, so a Newton step from a
     # point left of the root never passes it: a Newton point at or past hi
     # makes hi the root, and one with expected <= 1 is the root itself. The
     # start E[X] lies left of the root, since expected(E[X]) >= l(0) = 1 by
     # Jensen. A step that is not finite (overflow) or more than half the last
     # one (slow progress far left of the root) becomes a bisection of [lo, hi].
+    # e_root carries expected(root) into the post-check whenever the
+    # iteration has already evaluated the root; None means it has not.
     def newton_step(c: float, e_c: float) -> float:
         slope = float(ww @ loss.derivative(vv - c))
         return (e_c - 1.0) / slope if 0.0 < slope < math.inf else math.inf
@@ -184,12 +189,13 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
     if e_start > 1.0:
         lo, e_lo = start, e_start
     else:
-        hi = start
+        hi, e_hi = start, e_start
     step = newton_step(lo, e_lo)
     last = hi - lo
+    e_root = None
     for _ in range(_ROOT_MAX_ITER):
         if math.isfinite(step) and lo + step >= hi:
-            root = hi
+            root, e_root = hi, e_hi
             break
         if step <= 0.5 * last:
             root = lo + step
@@ -199,21 +205,25 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
             if e_root <= 1.0:
                 break
             lo, e_lo, last = root, e_root, step
+            e_root = None
             step = newton_step(lo, e_lo)
         else:
             mid = 0.5 * (lo + hi)
             e_mid = expected(mid)
             if e_mid <= 1.0:
-                hi = mid
+                hi, e_hi = mid, e_mid
             else:
                 lo, e_lo = mid, e_mid
                 step = newton_step(lo, e_lo)
             if hi - lo <= tol:
-                root = hi
+                root, e_root = hi, e_hi
                 break
     else:
-        root = hi
-    if expected(root) > 1.0 + 1e-9:
+        root, e_root = hi, e_hi
+    if e_root is None:
+        # a Newton step below tol; it may not move off lo
+        e_root = e_lo if root == lo else expected(root)
+    if e_root > 1.0 + 1e-9:
         raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
     return root
 
@@ -310,6 +320,144 @@ def rho_values(spec: RiskSpec, mu_w: np.ndarray, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# batched evaluators on (B, K) arrays: law b is (w[b], v[b])
+# ---------------------------------------------------------------------------
+#
+# Atoms of zero weight are masked: their values are set to 0 and their terms
+# to exact zeros, so a law padded with zero-weight atoms is the same law. Each
+# law's arithmetic is elementwise and its sums over atoms run in atom order,
+# which makes its risk the same bits in a batch of any size, at any position
+# and with any padding.
+
+
+def _atom_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last (atom) axis, adding atoms one after another.
+
+    A running sum adds in index order whatever the array's shape, and adding
+    an exact zero leaves a float unchanged; np.sum adds pairwise from 8 atoms
+    on, so padding would regroup it and change the bits.
+    """
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _entropic_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, eta: float) -> np.ndarray:
+    ev = np.where(pos, eta * v, -math.inf)
+    s = ev.max(axis=-1)
+    return (s + np.log(_atom_sum(w * np.exp(ev - s[:, None])))) / eta
+
+
+def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn, tol: float) -> np.ndarray:
+    """``_shortfall_values`` on every law at once, step for step.
+
+    Each law keeps its own bracket, step and root; the masks below pick, per
+    law, the branch the scalar iteration takes, and a law that has stopped
+    keeps its root while the others go on.
+    """
+
+    def expected(c: np.ndarray, rows=slice(None)) -> np.ndarray:
+        # masked terms are exact zeros, never 0 * inf from an overflowed loss
+        terms = np.where(pos[rows], loss(v[rows] - c[:, None]), 0.0)
+        return _atom_sum(w[rows] * terms)
+
+    def newton_step(c: np.ndarray, e_c: np.ndarray) -> np.ndarray:
+        slope = _atom_sum(w * np.where(pos, loss.derivative(v - c[:, None]), 0.0))
+        ok = (slope > 0.0) & (slope < math.inf)
+        return np.where(ok, (e_c - 1.0) / np.where(ok, slope, 1.0), math.inf)
+
+    lo = np.where(pos, v, math.inf).min(axis=-1) - 1.0
+    hi = np.where(pos, v, -math.inf).max(axis=-1) + 1.0
+    e_lo, e_hi = expected(lo), expected(hi)
+    if np.any(e_lo <= 1.0) or np.any(e_hi > 1.0 + 1e-12):
+        raise BracketFailureError(_BRACKET_FAILURE)
+    start = np.minimum(np.maximum(_atom_sum(w * v), lo), hi)
+    e_start = expected(start)
+    left = e_start > 1.0
+    lo, e_lo = np.where(left, start, lo), np.where(left, e_start, e_lo)
+    hi, e_hi = np.where(left, hi, start), np.where(left, e_hi, e_start)
+    step = newton_step(lo, e_lo)
+    last = hi - lo
+    root, e_root = hi, e_hi
+    known = np.ones(lo.shape, dtype=bool)  # e_root holds expected(root)
+    active = np.ones(lo.shape, dtype=bool)
+    for _ in range(_ROOT_MAX_ITER):
+        at_hi = active & np.isfinite(step) & (lo + step >= hi)
+        newton = active & ~at_hi & (step <= 0.5 * last)
+        small = newton & (step <= tol)
+        c = np.where(newton, lo + step, 0.5 * (lo + hi))
+        root = np.where(at_hi, hi, np.where(small, c, root))
+        e_root = np.where(at_hi, e_hi, e_root)
+        known &= ~small
+        active &= ~(at_hi | small)
+        if not active.any():
+            break
+        newton &= active
+        bisect = active & ~newton
+        e_c = expected(c)
+        below = e_c <= 1.0
+        accept = newton & below
+        root, e_root = np.where(accept, c, root), np.where(accept, e_c, e_root)
+        last = np.where(newton, step, last)
+        moves_hi = bisect & below
+        hi, e_hi = np.where(moves_hi, c, hi), np.where(moves_hi, e_c, e_hi)
+        moves_lo = active & ~accept & ~moves_hi
+        lo, e_lo = np.where(moves_lo, c, lo), np.where(moves_lo, e_c, e_lo)
+        if moves_lo.any():
+            step = np.where(moves_lo, newton_step(lo, e_lo), step)
+        closed = bisect & (hi - lo <= tol)
+        root, e_root = np.where(closed, hi, root), np.where(closed, e_hi, e_root)
+        active &= ~(accept | closed)
+    root = np.where(active, hi, root)
+    e_root = np.where(active, e_hi, e_root)
+    # a Newton step below tol leaves its root unevaluated, or equal to lo
+    # when the step is below half the float spacing there
+    e_root = np.where(~known & (root == lo), e_lo, e_root)
+    rows = np.flatnonzero(~known & (root != lo))
+    if rows.size:
+        e_root[rows] = expected(root[rows], rows)
+    if np.any(e_root > 1.0 + 1e-9):
+        raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
+    return root
+
+
+def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
+    """Risks of the B laws whose weights and values are the rows of (B, K) arrays.
+
+    The batched counterpart of ``rho_values`` for law-invariant families;
+    each law needs an atom of positive weight, and zero-weight atoms (also
+    the zeros that pad shorter laws) are masked out. Every sum over atoms
+    adds them in a fixed order, one after another, with masked atoms adding
+    exact zeros, so a law's risk is the same bits whatever the batch size,
+    its position in the batch and its padding. It agrees with ``rho_values``
+    up to rounding, which sums in another order. Shortfall runs the scalar
+    safeguarded Newton elementwise under masks, with the same bracket check
+    and post-check; OCE solves its laws one by one.
+    """
+    if spec.family == "coherent":
+        raise UnsupportedFamilyError(
+            "a coherent family is tied to its reference space; it has no batched law-level evaluator"
+        )
+    W = np.asarray(W, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if W.ndim != 2 or W.shape != V.shape:
+        raise LengthMismatchError(f"need (B, K) weights and values, got {W.shape} and {V.shape}")
+    pos = W > 0.0
+    if not pos.any(axis=-1).all():
+        raise ZeroTotalMassError("every law of a batch needs an atom of positive weight")
+    V = np.where(pos, V, 0.0)
+    if spec.family == "entropic":
+        return _entropic_batch(W, V, pos, spec.eta)
+    if spec.family == "shortfall":
+        return _shortfall_batch(W, V, pos, spec.loss, spec.root_tol)
+    if spec.family == "oce":
+        return np.array([_oce_values(w, v, spec.utility, spec.opt_tol) for w, v in zip(W, V)])
+    if spec.family == "expectation":
+        return _atom_sum(W * V)
+    if spec.family == "esssup":
+        return np.where(pos, V, -math.inf).max(axis=-1)
+    raise UnknownFamilyError(spec.family)
+
+
+# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -366,12 +514,6 @@ class ConditionalRisk:
     partition: Partition
     values: tuple  # of (block, value) pairs, positive-weight blocks only
     weights: tuple  # matching block probabilities
-
-    def as_law(self) -> FiniteDist:
-        """The law of the block-value variable under the block weights."""
-        from .prob import mixture, point_mass
-
-        return mixture([(w, point_mass(v)) for (_, v), w in zip(self.values, self.weights)])
 
 
 def rho_conditional(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> ConditionalRisk:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ from divlab.risk import RiskSpec, rho_lifted, rho_of_law
 
 ENTROPIC = RiskSpec.entropic(1.0)
 RE = DivergenceSpec.relative_entropy(1.0)
+
+
+BATCHED_KINDS = ("time_consistency", "acceptance", "rejection", "weak_acceptance")
+BATCH_SPECS = [
+    RiskSpec.shortfall(LossFn.power_plus(2.0)),
+    RiskSpec.shortfall(LossFn.exponential(1.0)),
+    ENTROPIC,
+    RiskSpec.esssup(),
+]
 
 
 def product_instance_from(mu_bar, nu_bar):
@@ -341,6 +351,42 @@ class TestTrialMachinery:
         for trial in range(10):
             inst = describe_trial(kind, ENTROPIC, None, budget, trial)["instance"]
             assert min(min(row) for row in inst[law]["weights"]) == 0.0
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_batched_kinds_give_the_same_bits_in_every_layout(self, monkeypatch, kind, sparsity):
+        # 4 x 4 instances give full laws of up to 16 atoms, where a pairwise
+        # sum would regroup under padding; 150 trials span two internal batches
+        n = 150
+        budget = SearchBudget(trials=n, seed=25, max_e=4, max_f=4, sparsity=sparsity)
+        entry = CHECK_KINDS[kind]
+        seen: dict = {}
+
+        def recorded(risk, div, budget, start, stop):
+            results = list(entry.trial(risk, div, budget, start, stop))
+            seen.update(zip(range(start, stop), (r.gap for r in results)))
+            return results
+
+        monkeypatch.setitem(CHECK_KINDS, kind, replace(entry, trial=recorded))
+        public = weak_acceptance_margin if kind == "weak_acceptance" else consistency_gap
+        sign = -1.0 if kind == "rejection" else 1.0
+        for spec in BATCH_SPECS:
+            seen.clear()
+            stats = run_trials(kind, spec, None, budget, 0, n)
+            whole = dict(seen)
+            seen.clear()
+            for start, stop in [(0, 1), (1, 8), (8, 45), (45, 101), (101, n)]:
+                run_trials(kind, spec, None, budget, start, stop)
+            alone = {k: describe_trial(kind, spec, None, budget, k)["gap"] for k in range(n)}
+            assert not any(math.isnan(g) for g in whole.values())
+            assert whole == seen == alone, spec.as_json()
+            flat = {
+                k: sign * public(spec, *sample_conditional_instance(budget.rng_for(k), budget).flat())
+                for k in range(n)
+            }
+            assert flat == whole, spec.as_json()
+            worst = max(range(n), key=lambda k: (entry.badness(whole[k]), -k))
+            assert (stats.worst_trial, stats.worst_gap) == (worst, whole[worst])
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from divlab.consistency import CHECK_KINDS, CheckKind, SearchBudget, counterexample_search
+from divlab.consistency import CHECK_KINDS, CheckKind, SearchBudget, counterexample_search, per_trial
 from divlab.divergence import DivergenceSpec
 from divlab.errors import ConfigParseError, UnknownFamilyError
 from divlab.report import (
@@ -90,7 +90,7 @@ class TestReports:
             gap = gaps[rng.bit_generator.seed_seq.entropy[1]]
             return gap, False, None, {"gap": gap}
 
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", trial, dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", per_trial(trial), dict))
         check = entropic_check(name="np", trials=3, target="nan_probe")
         report = run_check(check, workers=1)
         assert (report.nan, report.worst_trial, report.worst_gap) == (1, 2, -5.0)
@@ -108,6 +108,36 @@ class TestReports:
         assert (result.nan, result.worst_trial, result.worst_gap) == (1, 2, -5.0)
         assert result.as_json()["nan"] == 1
         assert "nan" not in counterexample_search(check.risk, check.budget, "acceptance").as_json()
+
+    def test_exhausted_solve_fails_the_check(self, monkeypatch):
+        # a dual solve that ran out of iterations once passed on its small
+        # certified gap, as if the solver had converged
+        from divlab import consistency
+        from divlab.divergence import DualSolveResult
+
+        def exhausted_solve(spec, nu, mu):
+            return DualSolveResult(
+                value=0.0, maximizer=None, iterations=5000, budget_exhausted=True,
+                closed_form=1e-12, certified_gap=1e-12,
+            )
+
+        check = entropic_check(name="dual", trials=3, target="duality")
+        honest = run_check(check, workers=1)
+        assert honest.verdict == "pass" and honest.exhausted == 0
+        assert "exhausted" not in honest.as_json()
+
+        monkeypatch.setattr(consistency, "dual_divergence", exhausted_solve)
+        report = run_check(check, workers=1)
+        assert (report.exhausted, report.worst_gap) == (3, 1e-12)
+        assert report.verdict == "violation"
+        assert run_check(check, workers=2) == report
+        doc = json.loads(canonical_json(report.as_json()))
+        assert doc["exhausted"] == 3
+        assert CheckReport.from_json(doc) == report
+
+        result = counterexample_search(check.risk, check.budget, "duality")
+        assert result.exhausted == 3 and result.as_json()["exhausted"] == 3
+        assert "exhausted" not in counterexample_search(check.risk, check.budget, "acceptance").as_json()
 
     def test_csv_columns(self):
         reports = run_suite(SuiteConfig(checks=(entropic_check(),)))

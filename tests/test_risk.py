@@ -10,6 +10,7 @@ from divlab.errors import (
     InvalidDensityError,
     SpaceMismatchError,
     UnsupportedFamilyError,
+    ZeroTotalMassError,
 )
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, Partition, law_of, point_mass, uniform
@@ -22,7 +23,9 @@ from divlab.risk import (
     rho_lifted,
     rho_oce,
     rho_of_law,
+    rho_batch,
     rho_shortfall,
+    rho_values,
     _shortfall_values,
 )
 
@@ -134,6 +137,18 @@ class CountingLoss:
         return self.loss.derivative(x)
 
 
+class RecordingLoss(CountingLoss):
+    """A loss that also records the argument of each value call."""
+
+    def __init__(self, loss):
+        super().__init__(loss)
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(np.asarray(x, dtype=float).tobytes())
+        return super().__call__(x)
+
+
 CONVEX_TABLE = LossFn.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [0.5, 0.5, 1.0, 2.0, 4.0])
 ROOT_LOSSES = [
     LossFn.exponential(0.3),
@@ -204,12 +219,101 @@ class TestShortfallRoot:
         assert calls <= oracle_calls
         assert abs(rho - oracle) <= 1e-9
 
+    @pytest.mark.parametrize("loss", ROOT_LOSSES, ids=lambda l: str(l.as_json()))
+    def test_no_point_is_evaluated_twice(self, loss):
+        # the post-check reuses E[loss(X - rho)] where the iteration has
+        # already computed it, in the scalar solver and in the batched one
+        rng = np.random.default_rng(5)
+        grid = np.linspace(-2.0, 2.0, 41)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            w, v = rng.dirichlet(np.ones(n)), rng.choice(grid, n)
+            scalar = RecordingLoss(loss)
+            _shortfall_values(w, v, scalar, 1e-11)
+            batched = RecordingLoss(loss)
+            rho_batch(RiskSpec.shortfall(batched), w[None], v[None])
+            for recorded in (scalar, batched):
+                assert len(set(recorded.points)) == len(recorded.points)
+
     def test_terminates_where_float_spacing_exceeds_tol(self):
         # near 1e5 neighbouring floats lie 1.5e-11 apart, wider than root_tol,
         # so a bracket can never shrink to 1e-11
         rho, calls = root_and_calls([1e5, 1e5 + 1.0], [0.5, 0.5], LossFn.power_plus(2.0))
         assert rho == pytest.approx(1e5 + 0.5 * (3.0 - math.sqrt(3.0)), abs=1e-9)
         assert calls <= 20
+
+
+BATCH_SPECS = [
+    RiskSpec.entropic(0.3),
+    RiskSpec.entropic(3.0),
+    *[RiskSpec.shortfall(loss) for loss in ROOT_LOSSES],
+    RiskSpec.oce(UtilityFn.exp_shift()),
+    RiskSpec.oce(UtilityFn.hinge_power(2.0)),
+    RiskSpec.expectation(),
+    RiskSpec.esssup(),
+]
+# exp(3 * 600) overflows: masked atoms must not turn the overflow into NaN
+OVERFLOW_LAW = ([0.0, 0.0, 600.0], [0.999, 0.0, 0.001])
+
+law_strategy = st.lists(
+    st.tuples(
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.one_of(st.just(0.0), st.just(1e-6), st.floats(min_value=1e-6, max_value=1.0)),
+    ),
+    min_size=1,
+    max_size=16,
+).filter(lambda atoms: any(w > 0.0 for _, w in atoms))
+
+
+def padded(laws, width):
+    """(B, width) weights and values, zero beyond each law's atoms."""
+    w, v = np.zeros((len(laws), width)), np.zeros((len(laws), width))
+    for i, (values, weights) in enumerate(laws):
+        v[i, : len(values)] = values
+        w[i, : len(weights)] = np.asarray(weights) / np.sum(weights)
+    return w, v
+
+
+class TestRhoBatch:
+    """rho_batch against the scalar evaluators, which are its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(law_strategy, min_size=1, max_size=4), st.sampled_from(BATCH_SPECS), st.booleans())
+    def test_matches_scalar_and_ignores_padding(self, atom_lists, spec, overflow):
+        laws = [([a for a, _ in atoms], [b for _, b in atoms]) for atoms in atom_lists]
+        if overflow and spec.family == "shortfall" and spec.loss.kind == "exponential":
+            laws.insert(len(laws) // 2, OVERFLOW_LAW)
+        w, v = padded(laws, 16 + 3)
+        batch = rho_batch(spec, w, v)
+        for i, (values, weights) in enumerate(laws):
+            n = len(values)
+            scalar = rho_values(spec, w[i, :n], v[i, :n])
+            assert abs(batch[i] - scalar) <= 1e-12 * max(1.0, abs(scalar))
+            # alone and unpadded: the same bits
+            assert rho_batch(spec, w[i : i + 1, :n], v[i : i + 1, :n])[0] == batch[i]
+
+    def test_overflow_law_matches_entropic(self):
+        w, v = padded([OVERFLOW_LAW, ([0.0, 1.0], [0.5, 0.5])], 12)
+        out = rho_batch(RiskSpec.shortfall(LossFn.exponential(3.0)), w, v)
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(rho_entropic(FiniteDist([0.0, 600.0], [0.999, 0.001]), 3.0), abs=1e-9)
+        assert out[1] == pytest.approx(rho_entropic(UNIFORM01, 3.0), abs=1e-9)
+
+    def test_coherent_is_unsupported(self):
+        spec = RiskSpec.coherent([[2.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(UnsupportedFamilyError):
+            rho_batch(spec, np.array([[0.5, 0.5]]), np.array([[0.0, 1.0]]))
+
+    def test_checks_are_kept(self):
+        class Flat:
+            def __call__(self, x):
+                return np.ones_like(np.asarray(x, dtype=float))
+
+        w, v = np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[0.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(BracketFailureError):
+            rho_batch(RiskSpec.shortfall(Flat()), w, v)
+        with pytest.raises(ZeroTotalMassError):
+            rho_batch(RiskSpec.expectation(), np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
 
 
 class TestOce:

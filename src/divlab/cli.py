@@ -32,7 +32,6 @@ from .report import (
     run_check,
     run_suite,
     suite_failed,
-    worker_count,
 )
 from .risk import RiskSpec, rho_conditional, rho_of_law
 
@@ -110,7 +109,7 @@ def _apply_overrides(doc: dict, args) -> dict:
 def _cmd_verify(args) -> int:
     doc = _apply_overrides(_load_json(args.config), args)
     config = SuiteConfig.from_json(doc)
-    reports = run_suite(config, workers=worker_count())
+    reports = run_suite(config)
     timestamp = None if args.no_timestamp else now_timestamp()
     text = emit_report(reports, args.format, args.out, timestamp, config.name)
     if args.out == "-":
@@ -153,7 +152,7 @@ def _cmd_sweep(args) -> int:
     for v in values:
         doc = json.loads(json.dumps(base))
         _set_by_path(doc, args.param, v)
-        report = run_check(CheckSpec.from_json(doc), workers=worker_count())
+        report = run_check(CheckSpec.from_json(doc))
         gap = "" if report.worst_gap is None else format(report.worst_gap, ".17g")
         lines.append(f"{format(v, '.17g')},{gap}")
     _print_or_write("\n".join(lines) + "\n", args.out)

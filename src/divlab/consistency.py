@@ -22,7 +22,7 @@ induced divergence alpha:
 Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
-trials are distributed over workers. The conditional kinds then evaluate a
+trials are split into blocks. The conditional kinds then evaluate a
 whole block of sampled instances in batched solves whose per-trial results
 do not depend on the block either. Gaps where both sides are +inf are
 "vacuous" and excluded from statistics but counted.
@@ -67,8 +67,9 @@ from .prob import (
 )
 from .risk import RiskSpec, _atom_sum, acceptance_member, rho_batch, rho_lifted, rho_of_law, rho_values
 
-VALUE_RANGE = (-2.0, 2.0)
-VALUE_GRID_POINTS = 41
+# the payoff values that samplers draw from: -2.0, -1.9, ..., 2.0
+VALUE_GRID = np.linspace(-2.0, 2.0, 41)
+VALUE_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,6 @@ class ConditionalInstance:
 # ---------------------------------------------------------------------------
 
 
-def _value_grid() -> np.ndarray:
-    return np.linspace(VALUE_RANGE[0], VALUE_RANGE[1], VALUE_GRID_POINTS)
-
-
 def _dirichlet(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     w = rng.dirichlet(np.full(n, alpha))
     # guard against exact zeros from extreme draws; keep it a distribution
@@ -220,7 +217,7 @@ def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) 
     else:
         w = _dirichlet(rng, n_e * n_f, budget.dirichlet_alpha).reshape(n_e, n_f)
     w = _sparsify(rng, w, budget.sparsity)
-    values = rng.choice(_value_grid(), size=(n_e, n_f))
+    values = rng.choice(VALUE_GRID, size=(n_e, n_f))
     return ConditionalInstance(
         joint=JointDist(_labels("e", n_e), _labels("f", n_f), w),
         values=values,
@@ -230,7 +227,7 @@ def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) 
 
 def sample_boundary_law(rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec, n: int) -> FiniteDist:
     """A law shifted onto the acceptance boundary rho = 0."""
-    values = rng.choice(_value_grid(), size=n, replace=False)
+    values = rng.choice(VALUE_GRID, size=n, replace=False)
     w = _dirichlet(rng, n, budget.dirichlet_alpha)
     law = FiniteDist([float(v) for v in values], w)
     return shift_law(law, -rho_of_law(spec, law))
@@ -459,18 +456,32 @@ def integral_lemma_gap(
     functions is the nu-weighted sum of per-row dual solves; the closed form
     of the same sum is the oracle.
     """
+    return _integral_lemma(spec, nu_bar, mu_bar, options)[0]
+
+
+def _integral_lemma(
+    spec: RiskSpec,
+    nu_bar: JointDist,
+    mu_bar: JointDist,
+    options: DualSolverOptions | None = None,
+) -> tuple[Gap, bool]:
+    """The integral lemma gap, and whether a per-row dual solve ran out of its budget."""
     options = options or DualSolverOptions()
     closed = divergence_for_risk_spec(spec)
     _, mu_rows = disintegrate_w(mu_bar.matrix)
     nu_marg, nu_rows = disintegrate_w(nu_bar.matrix)
+    exhausted = False
 
     def dual(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
-        return _dual_divergence_w(spec, nu_w, mu_w, options).value
+        nonlocal exhausted
+        res = _dual_divergence_w(spec, nu_w, mu_w, options)
+        exhausted = exhausted or res.budget_exhausted
+        return res.value
 
     left, right = _row_terms((closed.evaluate_w, dual), nu_marg, nu_rows, mu_rows)
     if math.isinf(left) and math.isinf(right):
-        return Gap(value=None, vacuous=True)
-    return Gap(value=abs(left - right))
+        return Gap(value=None, vacuous=True), exhausted
+    return Gap(value=abs(left - right)), exhausted
 
 
 def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
@@ -642,7 +653,7 @@ def _boundary_laws(rng, budget: SearchBudget, risk, k: int) -> list[FiniteDist]:
 
 def _property_s_trial(rng, risk, div, budget):
     k = int(rng.integers(2, 5))
-    xs = rng.choice(_value_grid(), size=k, replace=False)
+    xs = rng.choice(VALUE_GRID, size=k, replace=False)
     weights = _dirichlet(rng, k, budget.dirichlet_alpha)
     laws = _boundary_laws(rng, budget, risk, k)
     marginal = mixture(
@@ -686,11 +697,11 @@ def _dist_concavity_trial(rng, risk, div, budget):
     n1 = int(rng.integers(2, budget.max_e + 1))
     n2 = int(rng.integers(2, budget.max_e + 1))
     m1 = FiniteDist(
-        [float(v) for v in rng.choice(_value_grid(), size=n1, replace=False)],
+        [float(v) for v in rng.choice(VALUE_GRID, size=n1, replace=False)],
         _dirichlet(rng, n1, budget.dirichlet_alpha),
     )
     m2 = FiniteDist(
-        [float(v) for v in rng.choice(_value_grid(), size=n2, replace=False)],
+        [float(v) for v in rng.choice(VALUE_GRID, size=n2, replace=False)],
         _dirichlet(rng, n2, budget.dirichlet_alpha),
     )
     t = float(rng.uniform(0.05, 0.95))
@@ -741,8 +752,8 @@ def _refinement_trial(rng, risk, div, budget):
 
 def _lemma_identity_trial(rng, risk, div, budget):
     inst = sample_product_instance(rng, _small_budget(budget))
-    g = integral_lemma_gap(risk, inst.nu_bar, inst.mu_bar)
-    return g.value, g.vacuous, inst.is_product, inst
+    g, exhausted = _integral_lemma(risk, inst.nu_bar, inst.mu_bar)
+    return g.value, g.vacuous, inst.is_product, inst, exhausted
 
 
 def _key_identity_trial(rng, risk, div, budget):
@@ -753,7 +764,7 @@ def _key_identity_trial(rng, risk, div, budget):
 def _lebesgue_trial(rng, risk, div, budget):
     n = int(rng.integers(2, budget.max_e + 1))
     mu = FiniteDist(_labels("a", n), _dirichlet(rng, n, budget.dirichlet_alpha))
-    f = rng.choice(_value_grid(), size=n)
+    f = rng.choice(VALUE_GRID, size=n)
     h = rng.uniform(0.0, 1.0, size=n)
     rho_limit = rho_lifted(risk, mu, f)
     prev = math.inf
@@ -808,10 +819,6 @@ class CheckKind:
     def badness(self, gap: float) -> float:
         """How strongly a gap leans toward violation; larger is worse."""
         return abs(gap) if self.side == "abs" else -gap
-
-    def __getitem__(self, field: str):
-        # entries also read as mappings: kind["side"], kind["needs"]
-        return getattr(self, field)
 
 
 _SUPERADDITIVITY = per_trial(_superadditivity_trial)

@@ -41,6 +41,10 @@ from .prob import FiniteDist, Kernel, compose_kernel, pushforward
 from .risk import RiskSpec, _golden_min, rho_values
 
 _EQUALITY_TOL = 1e-12
+# the first scan of shortfall_divergence_w covers s = log t in [-_S_BOUND, _S_BOUND]
+_S_BOUND = 40.0
+# the most mass-transfer passes of primal_reconstruction's polish
+_POLISH_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,7 @@ def phi_divergence_w(nu_w: np.ndarray, mu_w: np.ndarray, utility: UtilityFn) -> 
     return total
 
 
-def shortfall_divergence_w(
-    nu_w: np.ndarray, mu_w: np.ndarray, loss: LossFn, s_bound: float = 40.0
-) -> float:
+def shortfall_divergence_w(nu_w: np.ndarray, mu_w: np.ndarray, loss: LossFn) -> float:
     if _not_ac(nu_w, mu_w):
         return math.inf
     pairs = [
@@ -123,7 +125,7 @@ def shortfall_divergence_w(
 
     # g is convex in t, hence unimodal in s = log t; a coarse scan guards the
     # golden refinement against flat +inf shoulders.
-    lo, hi = -s_bound, s_bound
+    lo, hi = -_S_BOUND, _S_BOUND
     for _ in range(6):
         grid = np.linspace(lo, hi, 64)
         vals = np.asarray([g_of_s(float(s)) for s in grid])
@@ -579,9 +581,7 @@ def _grid_scores(div: DivergenceSpec, grid: np.ndarray, mu_w: np.ndarray, values
     return None
 
 
-def primal_reconstruction(
-    div: DivergenceSpec, mu: FiniteDist, f, polish_passes: int = 12
-) -> float:
+def primal_reconstruction(div: DivergenceSpec, mu: FiniteDist, f) -> float:
     """Recover rho_mu(f) as max over laws nu of E_nu[f] - alpha(nu | mu).
 
     A brute-force enumeration oracle: dense simplex grid, then pairwise
@@ -619,7 +619,7 @@ def primal_reconstruction(
         best_w = grid[best_idx].copy()
         best = float(scores[best_idx])
 
-    for _ in range(polish_passes):
+    for _ in range(_POLISH_PASSES):
         improved = False
         for i in range(n):
             for j in range(n):

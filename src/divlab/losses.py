@@ -51,11 +51,7 @@ class ConjugateTable:
     y_hi: float
 
     def eval(self, y: float) -> float:
-        if y < self.y_lo - 1e-12 or y > self.y_hi + 1e-12:
-            return math.inf
-        s = np.asarray(self.slopes)
-        b = np.asarray(self.intercepts)
-        return float(np.max(s * y + b))
+        return float(_table_conjugate_array(self, np.asarray(y, dtype=float)))
 
 
 def _validate_table(xs: Sequence[float], ys: Sequence[float], name: str) -> tuple[np.ndarray, np.ndarray]:

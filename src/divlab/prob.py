@@ -5,8 +5,7 @@ reduces to arithmetic on the types defined here. Atom labels are opaque and
 ordered; two spaces are "the same" exactly when their label tuples are equal.
 Weights are validated on construction: tiny negatives (>= -1e-15) are clamped
 to zero, totals within 1e-9 of 1 are renormalized exactly, and anything worse
-raises. All values are immutable after construction and safe to share across
-workers.
+raises. All values are immutable after construction.
 """
 
 from __future__ import annotations

@@ -12,15 +12,13 @@ Reports are emitted as a single JSON document (with a schema_version field)
 or as CSV with one row per check. Serialization is deterministic: keys are
 sorted, floats carry 17 significant digits, infinities are encoded as the
 strings "inf"/"-inf", and timestamps can be suppressed. Identical configs
-and seeds produce byte-identical JSON regardless of the worker count.
+and seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
@@ -230,41 +228,11 @@ def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
     return "inconclusive"
 
 
-def worker_count() -> int:
-    raw = os.environ.get("DIVLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_check(check: CheckSpec, workers: int | None = None) -> CheckReport:
-    """Execute one check; trial chunks may run on a thread pool.
-
-    The chunk merge is associative with a trial-index tie-break, so the
-    outcome is identical for any worker count.
-    """
-    workers = workers or worker_count()
+def run_check(check: CheckSpec) -> CheckReport:
+    """Run a check's trials, judge them, and describe the worst one unless the check passes."""
     div = check.resolved_divergence()
     budget = check.budget
-    trials = budget.trials
-    if trials == 0:
-        stats = TrialStats()
-    elif workers == 1:
-        stats = run_trials(check.target, check.risk, div, budget, 0, trials)
-    else:
-        chunk = max(1, -(-trials // (workers * 4)))
-        ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: run_trials(check.target, check.risk, div, budget, r[0], r[1]),
-                    ranges,
-                )
-            )
-        stats = TrialStats()
-        for part in parts:
-            stats = stats.merge(part)
+    stats = run_trials(check.target, check.risk, div, budget, 0, budget.trials)
     verdict = _verdict(check.target, stats, check.tolerances)
     instance = None
     if verdict != "pass" and stats.worst_trial is not None:
@@ -286,9 +254,9 @@ def run_check(check: CheckSpec, workers: int | None = None) -> CheckReport:
     )
 
 
-def run_suite(config: SuiteConfig, workers: int | None = None) -> list[CheckReport]:
+def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run every check in order; an empty suite yields an empty report."""
-    return [run_check(c, workers) for c in config.checks]
+    return [run_check(c) for c in config.checks]
 
 
 def suite_failed(reports: Sequence[CheckReport]) -> bool:

@@ -42,8 +42,11 @@ from .prob import FiniteDist, Partition, _as_values, condition
 FAMILIES = ("entropic", "shortfall", "oce", "expectation", "esssup", "coherent")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# solver tolerances: the shortfall root and the OCE shift are found to within these
+_ROOT_TOL = 1e-11
+_OPT_TOL = 1e-11
 # a cap on shortfall root iterations; it also ends the search where the float
-# spacing at the root exceeds root_tol, so that neither step nor bracket can shrink to it
+# spacing at the root exceeds _ROOT_TOL, so that neither step nor bracket can shrink to it
 _ROOT_MAX_ITER = 100
 _BRACKET_FAILURE = (
     "E[loss(X - c)] does not cross 1 on the standard bracket; "
@@ -53,7 +56,7 @@ _BRACKET_FAILURE = (
 
 @dataclass(frozen=True, eq=False)
 class RiskSpec:
-    """A tagged description of one risk family plus numeric tolerances."""
+    """A tagged description of one risk family."""
 
     family: str
     eta: float | None = None
@@ -61,8 +64,6 @@ class RiskSpec:
     utility: UtilityFn | None = None
     densities: tuple | None = None
     reference: FiniteDist | None = None
-    root_tol: float = 1e-11
-    opt_tol: float = 1e-11
 
     def __post_init__(self):
         if self.family == "entropic":
@@ -252,7 +253,7 @@ def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> f
     return 0.5 * (lo + hi)
 
 
-def _oce_values(w: np.ndarray, v: np.ndarray, utility: UtilityFn, tol: float) -> float:
+def _oce_values(w: np.ndarray, v: np.ndarray, utility: UtilityFn) -> float:
     pos = w > 0.0
     vv, ww = v[pos], w[pos]
 
@@ -265,7 +266,7 @@ def _oce_values(w: np.ndarray, v: np.ndarray, utility: UtilityFn, tol: float) ->
     lo = -float(np.max(vv)) - 50.0
     hi = -float(np.min(vv)) + 50.0
     for _ in range(10):
-        m = _golden_min(objective, lo, hi, tol)
+        m = _golden_min(objective, lo, hi, _OPT_TOL)
         val = objective(m)
         width = hi - lo
         if m - lo > 1e-3 * width and hi - m > 1e-3 * width:
@@ -307,9 +308,9 @@ def rho_values(spec: RiskSpec, mu_w: np.ndarray, values: np.ndarray) -> float:
     if spec.family == "entropic":
         return _entropic_values(mu_w, values, spec.eta)
     if spec.family == "shortfall":
-        return _shortfall_values(mu_w, values, spec.loss, spec.root_tol)
+        return _shortfall_values(mu_w, values, spec.loss, _ROOT_TOL)
     if spec.family == "oce":
-        return _oce_values(mu_w, values, spec.utility, spec.opt_tol)
+        return _oce_values(mu_w, values, spec.utility)
     if spec.family == "expectation":
         return float(mu_w @ values)
     if spec.family == "esssup":
@@ -346,7 +347,7 @@ def _entropic_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, eta: float) -
     return (s + np.log(_atom_sum(w * np.exp(ev - s[:, None])))) / eta
 
 
-def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn, tol: float) -> np.ndarray:
+def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn) -> np.ndarray:
     """``_shortfall_values`` on every law at once, step for step.
 
     Each law keeps its own bracket, step and root; the masks below pick, per
@@ -382,7 +383,7 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
     for _ in range(_ROOT_MAX_ITER):
         at_hi = active & np.isfinite(step) & (lo + step >= hi)
         newton = active & ~at_hi & (step <= 0.5 * last)
-        small = newton & (step <= tol)
+        small = newton & (step <= _ROOT_TOL)
         c = np.where(newton, lo + step, 0.5 * (lo + hi))
         root = np.where(at_hi, hi, np.where(small, c, root))
         e_root = np.where(at_hi, e_hi, e_root)
@@ -403,12 +404,12 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
         lo, e_lo = np.where(moves_lo, c, lo), np.where(moves_lo, e_c, e_lo)
         if moves_lo.any():
             step = np.where(moves_lo, newton_step(lo, e_lo), step)
-        closed = bisect & (hi - lo <= tol)
+        closed = bisect & (hi - lo <= _ROOT_TOL)
         root, e_root = np.where(closed, hi, root), np.where(closed, e_hi, e_root)
         active &= ~(accept | closed)
     root = np.where(active, hi, root)
     e_root = np.where(active, e_hi, e_root)
-    # a Newton step below tol leaves its root unevaluated, or equal to lo
+    # a Newton step below _ROOT_TOL leaves its root unevaluated, or equal to lo
     # when the step is below half the float spacing there
     e_root = np.where(~known & (root == lo), e_lo, e_root)
     rows = np.flatnonzero(~known & (root != lo))
@@ -447,9 +448,9 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     if spec.family == "entropic":
         return _entropic_batch(W, V, pos, spec.eta)
     if spec.family == "shortfall":
-        return _shortfall_batch(W, V, pos, spec.loss, spec.root_tol)
+        return _shortfall_batch(W, V, pos, spec.loss)
     if spec.family == "oce":
-        return np.array([_oce_values(w, v, spec.utility, spec.opt_tol) for w, v in zip(W, V)])
+        return np.array([_oce_values(w, v, spec.utility) for w, v in zip(W, V)])
     if spec.family == "expectation":
         return _atom_sum(W * V)
     if spec.family == "esssup":
@@ -467,14 +468,14 @@ def rho_entropic(law: FiniteDist, eta: float) -> float:
     return _entropic_values(law.weights, law.values_array(), eta)
 
 
-def rho_shortfall(law: FiniteDist, loss: LossFn, tol: float = 1e-11) -> float:
+def rho_shortfall(law: FiniteDist, loss: LossFn) -> float:
     """Smallest cash level c with E[loss(X - c)] <= 1, by safeguarded Newton."""
-    return _shortfall_values(law.weights, law.values_array(), loss, tol)
+    return _shortfall_values(law.weights, law.values_array(), loss, _ROOT_TOL)
 
 
-def rho_oce(law: FiniteDist, utility: UtilityFn, tol: float = 1e-11) -> float:
+def rho_oce(law: FiniteDist, utility: UtilityFn) -> float:
     """inf over shifts m of E[utility(m + X)] - m, by golden section."""
-    return _oce_values(law.weights, law.values_array(), utility, tol)
+    return _oce_values(law.weights, law.values_array(), utility)
 
 
 def rho_coherent(mu: FiniteDist, f, densities: Sequence[Sequence[float]]) -> float:

@@ -7,6 +7,7 @@ import pytest
 from divlab.consistency import (
     CHECK_KINDS,
     SearchBudget,
+    TrialStats,
     consistency_gap,
     counterexample_search,
     describe_trial,
@@ -317,14 +318,17 @@ class TestImplicationWeb:
 
 class TestTrialMachinery:
     def test_chunked_and_sequential_runs_agree(self):
-        budget = SearchBudget(trials=200, seed=21, max_e=3, max_f=3)
-        whole = run_trials("time_consistency", ENTROPIC, None, budget, 0, 200)
-        first = run_trials("time_consistency", ENTROPIC, None, budget, 0, 77)
-        second = run_trials("time_consistency", ENTROPIC, None, budget, 77, 200)
-        merged = first.merge(second)
-        assert merged.worst_trial == whole.worst_trial
-        assert merged.worst_gap == whole.worst_gap
-        assert merged.count == whole.count
+        # uneven chunks, some inside one internal batch and some across two;
+        # sparse reference laws give vacuous trials next to both classes
+        budget = SearchBudget(trials=300, seed=21, max_e=3, max_f=3, sparsity=0.5)
+        whole = run_trials("chain_rule", None, RE, budget, 0, 300)
+        bounds = [0, 1, 38, 39, 150, 251, 300]
+        merged = TrialStats()
+        for start, stop in zip(bounds, bounds[1:]):
+            merged = merged.merge(run_trials("chain_rule", None, RE, budget, start, stop))
+        assert whole.count == 300 and whole.vacuous > 0
+        assert set(whole.class_worst) == {"product", "general"}
+        assert merged == whole
 
     def test_every_kind_runs(self):
         budget = SearchBudget(trials=3, seed=22, max_e=3, max_f=3)
@@ -335,7 +339,7 @@ class TestTrialMachinery:
         }
         for kind, meta in CHECK_KINDS.items():
             risk = risk_for.get(kind, ENTROPIC)
-            div = RE if meta["needs"] == "div" else None
+            div = RE if meta.needs == "div" else None
             stats = run_trials(kind, risk, div, budget, 0, 3)
             assert stats.count == 3
             assert stats.worst_trial is not None, kind

@@ -236,7 +236,7 @@ class TestShortfallRoot:
                 assert len(set(recorded.points)) == len(recorded.points)
 
     def test_terminates_where_float_spacing_exceeds_tol(self):
-        # near 1e5 neighbouring floats lie 1.5e-11 apart, wider than root_tol,
+        # near 1e5 neighbouring floats lie 1.5e-11 apart, wider than the root tolerance,
         # so a bracket can never shrink to 1e-11
         rho, calls = root_and_calls([1e5, 1e5 + 1.0], [0.5, 0.5], LossFn.power_plus(2.0))
         assert rho == pytest.approx(1e5 + 0.5 * (3.0 - math.sqrt(3.0)), abs=1e-9)

@@ -29,7 +29,6 @@ from .consistency import (
 from .divergence import (
     DivergenceSpec,
     DualSolveResult,
-    DualSolverOptions,
     Gap,
     divergence_for_risk_spec,
     dpi_gap,
@@ -48,7 +47,6 @@ from .losses import (
     UtilityFn,
     check_log_subadditive,
     check_oce_inequality,
-    numeric_conjugate,
 )
 from .prob import (
     FiniteDist,

@@ -39,7 +39,6 @@ import numpy as np
 
 from .divergence import (
     DivergenceSpec,
-    DualSolverOptions,
     Gap,
     divergence_for_risk_spec,
     dpi_gap,
@@ -444,29 +443,20 @@ def mixture_convexity_probe(
     return ProbeResult(acceptable=rho <= tol, rho_mixture=rho, mixture=mixed)
 
 
-def integral_lemma_gap(
-    spec: RiskSpec,
-    nu_bar: JointDist,
-    mu_bar: JointDist,
-    options: DualSolverOptions | None = None,
-) -> Gap:
+def integral_lemma_gap(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> Gap:
     """|sum_x nu(x) alpha(K^nu_x | K^mu_x) - rowwise dual suprema|.
 
     The dual objective separates across rows, so the supremum over joint test
     functions is the nu-weighted sum of per-row dual solves; the closed form
-    of the same sum is the oracle.
+    of the same sum is the oracle. Each row runs ``dual_divergence``'s fixed
+    budget; the ``lemma_identity`` check kind also counts the rows that ran
+    out of it, which this value alone does not show.
     """
-    return _integral_lemma(spec, nu_bar, mu_bar, options)[0]
+    return _integral_lemma(spec, nu_bar, mu_bar)[0]
 
 
-def _integral_lemma(
-    spec: RiskSpec,
-    nu_bar: JointDist,
-    mu_bar: JointDist,
-    options: DualSolverOptions | None = None,
-) -> tuple[Gap, bool]:
+def _integral_lemma(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> tuple[Gap, bool]:
     """The integral lemma gap, and whether a per-row dual solve ran out of its budget."""
-    options = options or DualSolverOptions()
     closed = divergence_for_risk_spec(spec)
     _, mu_rows = disintegrate_w(mu_bar.matrix)
     nu_marg, nu_rows = disintegrate_w(nu_bar.matrix)
@@ -474,7 +464,7 @@ def _integral_lemma(
 
     def dual(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
         nonlocal exhausted
-        res = _dual_divergence_w(spec, nu_w, mu_w, options)
+        res = _dual_divergence_w(spec, nu_w, mu_w)
         exhausted = exhausted or res.budget_exhausted
         return res.value
 

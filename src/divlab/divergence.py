@@ -35,6 +35,7 @@ from .errors import (
     SpaceMismatchError,
     UnknownFamilyError,
     UnsupportedFamilyError,
+    reject_unknown_keys,
 )
 from .losses import LossFn, UtilityFn
 from .prob import FiniteDist, Kernel, compose_kernel, pushforward
@@ -45,6 +46,13 @@ _EQUALITY_TOL = 1e-12
 _S_BOUND = 40.0
 # the most mass-transfer passes of primal_reconstruction's polish
 _POLISH_PASSES = 12
+# the dual solver's fixed budget: its most ascent iterations, its first step
+# (the step grows to at most 16 times this), the improvement below which it
+# stops, and the step of its central finite-difference supergradients
+_DUAL_MAX_ITERS = 5000
+_DUAL_STEP0 = 1.0
+_DUAL_TOL = 1e-10
+_DUAL_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -183,33 +191,6 @@ def shortfall_divergence(nu: FiniteDist, mu: FiniteDist, loss: LossFn) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSolverOptions:
-    max_iters: int = 5000
-    step0: float = 1.0
-    tol: float = 1e-10
-    fd_step: float = 1e-6
-
-    @classmethod
-    def from_json(cls, doc: Mapping | None) -> "DualSolverOptions":
-        if not doc:
-            return cls()
-        return cls(
-            max_iters=int(doc.get("max_iters", 5000)),
-            step0=float(doc.get("step0", 1.0)),
-            tol=float(doc.get("tol", 1e-10)),
-            fd_step=float(doc.get("fd_step", 1e-6)),
-        )
-
-    def as_json(self) -> dict:
-        return {
-            "max_iters": self.max_iters,
-            "step0": self.step0,
-            "tol": self.tol,
-            "fd_step": self.fd_step,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class DivergenceSpec:
     """A tagged divergence family, closed-form or dual-of-a-risk-spec.
@@ -223,7 +204,6 @@ class DivergenceSpec:
     utility: UtilityFn | None = None
     loss: LossFn | None = None
     risk: RiskSpec | None = None
-    options: DualSolverOptions = DualSolverOptions()
 
     def __post_init__(self):
         if self.family == "relative_entropy":
@@ -256,8 +236,8 @@ class DivergenceSpec:
         return cls(family="shortfall_div", loss=loss)
 
     @classmethod
-    def dual_of(cls, risk: RiskSpec, options: DualSolverOptions | None = None) -> "DivergenceSpec":
-        return cls(family="dual_of", risk=risk, options=options or DualSolverOptions())
+    def dual_of(cls, risk: RiskSpec) -> "DivergenceSpec":
+        return cls(family="dual_of", risk=risk)
 
     @classmethod
     def equality_indicator(cls) -> "DivergenceSpec":
@@ -279,7 +259,7 @@ class DivergenceSpec:
         if self.family == "support_indicator":
             return support_indicator_w(nu_w, mu_w)
         if self.family == "dual_of":
-            return _dual_divergence_w(self.risk, nu_w, mu_w, self.options).value
+            return _dual_divergence_w(self.risk, nu_w, mu_w).value
         raise UnknownFamilyError(self.family)
 
     def evaluate(self, nu: FiniteDist, mu: FiniteDist) -> float:
@@ -296,7 +276,6 @@ class DivergenceSpec:
             doc["loss"] = self.loss.as_json()
         elif self.family == "dual_of":
             doc["spec"] = self.risk.as_json()
-            doc["options"] = self.options.as_json()
         return doc
 
     @classmethod
@@ -310,10 +289,8 @@ class DivergenceSpec:
             if family == "shortfall_div":
                 return cls.shortfall_div(LossFn.from_json(doc["loss"]))
             if family == "dual_of":
-                return cls.dual_of(
-                    RiskSpec.from_json(doc["spec"]),
-                    DualSolverOptions.from_json(doc.get("options")),
-                )
+                reject_unknown_keys(doc, ("family", "spec"), "dual_of divergence")
+                return cls.dual_of(RiskSpec.from_json(doc["spec"]))
             if family == "equality_indicator":
                 return cls.equality_indicator()
             if family == "support_indicator":
@@ -362,7 +339,7 @@ class DualSolveResult:
     certified_gap: float | None = None
 
 
-def _supergradient(spec: RiskSpec, mu_w: np.ndarray, nu_w: np.ndarray, f: np.ndarray, h: float):
+def _supergradient(spec: RiskSpec, mu_w: np.ndarray, nu_w: np.ndarray, f: np.ndarray):
     if spec.family == "entropic":
         g = mu_w * np.exp(spec.eta * (f - np.max(f)))
         g /= g.sum()
@@ -376,6 +353,7 @@ def _supergradient(spec: RiskSpec, mu_w: np.ndarray, nu_w: np.ndarray, f: np.nda
                 best_val, best_d = val, arr
         return nu_w - mu_w * best_d
     # central finite differences on the risk term
+    h = _DUAL_FD_STEP
     grad = np.empty_like(f)
     for i in range(f.size):
         e = np.zeros_like(f)
@@ -384,9 +362,7 @@ def _supergradient(spec: RiskSpec, mu_w: np.ndarray, nu_w: np.ndarray, f: np.nda
     return nu_w - grad
 
 
-def _dual_divergence_w(
-    spec: RiskSpec, nu_w: np.ndarray, mu_w: np.ndarray, options: DualSolverOptions
-) -> DualSolveResult:
+def _dual_divergence_w(spec: RiskSpec, nu_w: np.ndarray, mu_w: np.ndarray) -> DualSolveResult:
     if _not_ac(nu_w, mu_w):
         return DualSolveResult(
             value=math.inf, maximizer=None, iterations=0, budget_exhausted=False
@@ -413,12 +389,12 @@ def _dual_divergence_w(
         f = center(np.zeros_like(mw))
     best_f = f
     best_val = value(f)
-    step = options.step0
+    step = _DUAL_STEP0
     iters = 0
     exhausted = True
-    while iters < options.max_iters:
+    while iters < _DUAL_MAX_ITERS:
         iters += 1
-        g = _supergradient(spec, mw, nw, best_f, options.fd_step)
+        g = _supergradient(spec, mw, nw, best_f)
         gnorm = float(np.max(np.abs(g)))
         if gnorm * step < 1e-14:
             exhausted = False
@@ -428,10 +404,10 @@ def _dual_divergence_w(
         if cand_val > best_val:
             improvement = cand_val - best_val
             best_f, best_val = cand, cand_val
-            if improvement < options.tol:
+            if improvement < _DUAL_TOL:
                 exhausted = False
                 break
-            step = min(step * 1.3, 16.0 * options.step0)
+            step = min(step * 1.3, 16.0 * _DUAL_STEP0)
         else:
             step *= 0.5
             if step < 1e-13:
@@ -447,24 +423,21 @@ def _dual_divergence_w(
     )
 
 
-def dual_divergence(
-    spec: RiskSpec,
-    nu: FiniteDist,
-    mu: FiniteDist,
-    options: DualSolverOptions | None = None,
-) -> DualSolveResult:
+def dual_divergence(spec: RiskSpec, nu: FiniteDist, mu: FiniteDist) -> DualSolveResult:
     """Maximize E_nu[f] - rho_mu(f) by supergradient ascent.
 
     Analytic supergradients are used for the entropic family (Gibbs weights)
     and coherent families (the argmax density); other families use central
-    finite differences. The gauge freedom from cash additivity is removed by
-    keeping iterates mean-zero under mu. Off absolute continuity the value is
-    +inf with no optimization. A closed form, when the family has one, is
-    attached together with the certified gap closed_form - value.
+    finite differences with step 1e-6. The gauge freedom from cash additivity
+    is removed by keeping iterates mean-zero under mu. The budget is fixed: the
+    ascent stops when an accepted step improves the value by less than 1e-10
+    or the step collapses, and a solve still running after 5000 iterations
+    comes back with ``budget_exhausted`` set. Off absolute continuity the
+    value is +inf with no optimization. A closed form, when the family has
+    one, is attached together with the certified gap closed_form - value.
     """
     _check_same_atoms(nu, mu)
-    options = options or DualSolverOptions()
-    result = _dual_divergence_w(spec, nu.weights, mu.weights, options)
+    result = _dual_divergence_w(spec, nu.weights, mu.weights)
     try:
         closed_spec = divergence_for_risk_spec(spec)
     except UnsupportedFamilyError:

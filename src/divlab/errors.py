@@ -90,3 +90,14 @@ class UnknownFamilyError(ConfigParseError):
 
 class IoError(DivLabError):
     """A report could not be written to its destination."""
+
+
+def reject_unknown_keys(doc, known, what: str) -> None:
+    """Raise ConfigParseError naming every key of doc outside known.
+
+    A field the parser does not read must not be dropped silently: a
+    misspelled field would otherwise run with the default it meant to change.
+    """
+    unknown = sorted(set(doc) - set(known), key=str)
+    if unknown:
+        raise ConfigParseError(f"{what} has unknown field(s): {', '.join(map(repr, unknown))}")

@@ -178,23 +178,6 @@ class LossFn:
             return (self.p - 1.0) * (y / self.p) ** (self.p / (self.p - 1.0)) - y
         return conjugate_table(self).eval(y)
 
-    def conjugate_array(self, y: np.ndarray) -> np.ndarray:
-        """Vectorized l* over a nonnegative array; +inf entries allowed."""
-        y = np.asarray(y, dtype=float)
-        if np.any(y < 0):
-            raise NegativeArgumentError("conjugates are evaluated on y >= 0 only")
-        if self.kind == "exponential":
-            out = np.zeros_like(y)
-            pos = y > 0
-            yp = y[pos]
-            out[pos] = (yp * np.log(yp / self.eta) - yp) / self.eta
-            return out
-        if self.kind == "power_plus":
-            if self.p == 1.0:
-                return np.where(y <= 1.0, -y, math.inf)
-            return (self.p - 1.0) * (y / self.p) ** (self.p / (self.p - 1.0)) - y
-        return _table_conjugate_array(conjugate_table(self), y)
-
     # -- validation -----------------------------------------------------
 
     def _validate_shape(self) -> None:
@@ -356,26 +339,6 @@ def conjugate_table(fn: LossFn | UtilityFn) -> ConjugateTable:
         y_lo=float(slopes[0]),
         y_hi=float(slopes[-1]),
     )
-
-
-def numeric_conjugate(fn, y: float, bound: float = 50.0, n: int = 20001) -> float:
-    """Brute-force conjugate oracle: grid maximization of x*y - fn(x).
-
-    Two enumeration stages (global, then local around the argmax) to push
-    the grid error well below 1e-6. Deliberately independent of the closed
-    forms; used to cross-check them.
-    """
-    lo, hi = -bound, bound
-    best = -math.inf
-    for _ in range(3):
-        xs = np.linspace(lo, hi, n)
-        with np.errstate(over="ignore"):
-            vals = xs * y - np.asarray(fn(xs), dtype=float)
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        step = (hi - lo) / (n - 1)
-        lo, hi = xs[k] - step, xs[k] + step
-    return best
 
 
 @dataclass(frozen=True)

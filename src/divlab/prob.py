@@ -241,9 +241,6 @@ class JointDist:
     def row_marginal(self) -> FiniteDist:
         return FiniteDist(self.row_atoms, self.matrix.sum(axis=1))
 
-    def col_marginal(self) -> FiniteDist:
-        return FiniteDist(self.col_atoms, self.matrix.sum(axis=0))
-
     def as_json(self) -> dict:
         return {
             "row_atoms": list(self.row_atoms),

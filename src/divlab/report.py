@@ -6,7 +6,8 @@ sampling budget, and a two-tier tolerance: gaps inside the noise band are
 ignored, gaps beyond the violation threshold are defects, and the strip in
 between is "inconclusive, refine". A trial whose gap is NaN, or whose solver
 ran out of its iteration budget, is counted apart and makes its check a
-violation, whatever the other gaps are.
+violation, whatever the other gaps are. A check document with a field that
+the parser does not read is refused with ``ConfigParseError``.
 
 Reports are emitted as a single JSON document (with a schema_version field)
 or as CSV with one row per check. Serialization is deterministic: keys are
@@ -31,13 +32,15 @@ from .consistency import (
     run_trials,
 )
 from .divergence import DivergenceSpec, divergence_for_risk_spec
-from .errors import ConfigParseError, IoError
+from .errors import ConfigParseError, IoError, reject_unknown_keys
 from .risk import RiskSpec
 
 SCHEMA_VERSION = 1
 
 DEFAULT_NOISE_TOL = 1e-8
 DEFAULT_VIOLATION_TOL = 1e-4
+# the fields of a check document besides those of its budget
+_CHECK_FIELDS = ("name", "target", "spec", "divergence", "tolerances", "must_pass")
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,17 @@ class CheckSpec:
             target = doc["target"]
         except KeyError as exc:
             raise ConfigParseError(f"check is missing field {exc}") from exc
+        budget = SearchBudget.from_json(doc)
+        budget_doc = budget.as_json()
+        reject_unknown_keys(doc, (*_CHECK_FIELDS, *budget_doc), f"check {name!r}")
+        reject_unknown_keys(doc.get("sizes", {}), budget_doc["sizes"], f"check {name!r} sizes")
+        reject_unknown_keys(
+            doc.get("tolerances") or {}, ("noise", "violation"), f"check {name!r} tolerances"
+        )
         return cls(
             name=name,
             target=target,
-            budget=SearchBudget.from_json(doc),
+            budget=budget,
             risk=RiskSpec.from_json(doc["spec"]) if "spec" in doc else None,
             divergence=(
                 DivergenceSpec.from_json(doc["divergence"]) if "divergence" in doc else None

@@ -48,6 +48,8 @@ _OPT_TOL = 1e-11
 # a cap on shortfall root iterations; it also ends the search where the float
 # spacing at the root exceeds _ROOT_TOL, so that neither step nor bracket can shrink to it
 _ROOT_MAX_ITER = 100
+# a cap on golden-section steps; 58 of them shrink a unit bracket below 1e-12
+_GOLDEN_MAX_ITER = 400
 _BRACKET_FAILURE = (
     "E[loss(X - c)] does not cross 1 on the standard bracket; "
     "the loss violates l(0) = 1 < l(x > 0)"
@@ -161,7 +163,7 @@ def _entropic_values(w: np.ndarray, v: np.ndarray, eta: float) -> float:
     return (s + math.log(float(ww @ np.exp(eta * vv - s)))) / eta
 
 
-def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) -> float:
+def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn) -> float:
     pos = w > 0.0
     vv, ww = v[pos], w[pos]
 
@@ -200,7 +202,7 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
             break
         if step <= 0.5 * last:
             root = lo + step
-            if step <= tol:
+            if step <= _ROOT_TOL:
                 break
             e_root = expected(root)
             if e_root <= 1.0:
@@ -216,20 +218,20 @@ def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn, tol: float) ->
             else:
                 lo, e_lo = mid, e_mid
                 step = newton_step(lo, e_lo)
-            if hi - lo <= tol:
+            if hi - lo <= _ROOT_TOL:
                 root, e_root = hi, e_hi
                 break
     else:
         root, e_root = hi, e_hi
     if e_root is None:
-        # a Newton step below tol; it may not move off lo
+        # a Newton step below _ROOT_TOL; it may not move off lo
         e_root = e_lo if root == lo else expected(root)
     if e_root > 1.0 + 1e-9:
         raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
     return root
 
 
-def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> float:
+def _golden_min(fn, lo: float, hi: float, xtol: float) -> float:
     """Golden-section search for a minimizer of a unimodal fn on [lo, hi].
 
     Returns the final bracket midpoint; callers that need the value evaluate
@@ -240,7 +242,7 @@ def _golden_min(fn, lo: float, hi: float, xtol: float, max_iter: int = 400) -> f
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
     it = 0
-    while hi - lo > xtol and it < max_iter:
+    while hi - lo > xtol and it < _GOLDEN_MAX_ITER:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -308,7 +310,7 @@ def rho_values(spec: RiskSpec, mu_w: np.ndarray, values: np.ndarray) -> float:
     if spec.family == "entropic":
         return _entropic_values(mu_w, values, spec.eta)
     if spec.family == "shortfall":
-        return _shortfall_values(mu_w, values, spec.loss, _ROOT_TOL)
+        return _shortfall_values(mu_w, values, spec.loss)
     if spec.family == "oce":
         return _oce_values(mu_w, values, spec.utility)
     if spec.family == "expectation":
@@ -470,7 +472,7 @@ def rho_entropic(law: FiniteDist, eta: float) -> float:
 
 def rho_shortfall(law: FiniteDist, loss: LossFn) -> float:
     """Smallest cash level c with E[loss(X - c)] <= 1, by safeguarded Newton."""
-    return _shortfall_values(law.weights, law.values_array(), loss, _ROOT_TOL)
+    return _shortfall_values(law.weights, law.values_array(), loss)
 
 
 def rho_oce(law: FiniteDist, utility: UtilityFn) -> float:

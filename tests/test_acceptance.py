@@ -235,9 +235,11 @@ def test_criterion_12_report_determinism(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(config))
 
-    def run(workers: int, out: str):
+    def run(hash_seed: str, out: str):
+        # string hashes, and with them the iteration order of sets of
+        # strings, vary with PYTHONHASHSEED; the report bytes must not
         env = dict(os.environ)
-        env["DIVLAB_THREADS"] = str(workers)
+        env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
             [sys.executable, "-m", "divlab.cli", "verify",
              "--config", str(path), "--no-timestamp", "--out", str(tmp_path / out)],
@@ -246,9 +248,9 @@ def test_criterion_12_report_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return (tmp_path / out).read_bytes()
 
-    first = run(1, "a.json")
-    second = run(1, "b.json")
-    eight = run(8, "c.json")
+    first = run("0", "a.json")
+    second = run("0", "b.json")
+    rehashed = run("12345", "c.json")
     assert first == second, "same config and seed produced different bytes"
-    assert first == eight, "worker count changed the report bytes"
-    report(12, f"byte-identical reports across runs and 1 vs 8 workers ({len(first)} bytes)")
+    assert first == rehashed, "PYTHONHASHSEED changed the report bytes"
+    report(12, f"byte-identical reports across reruns and PYTHONHASHSEED 0 vs 12345 ({len(first)} bytes)")

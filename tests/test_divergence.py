@@ -5,7 +5,6 @@ import pytest
 
 from divlab.divergence import (
     DivergenceSpec,
-    DualSolverOptions,
     Gap,
     divergence_for_risk_spec,
     dpi_gap,
@@ -17,7 +16,7 @@ from divlab.divergence import (
     shortfall_divergence,
     sufficiency_gap,
 )
-from divlab.errors import NotAbsolutelyContinuousError, SpaceMismatchError
+from divlab.errors import ConfigParseError, NotAbsolutelyContinuousError, SpaceMismatchError
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, Kernel, uniform
 from divlab.risk import RiskSpec, rho_lifted
@@ -216,7 +215,7 @@ class TestDualSolver:
         spec = RiskSpec.oce(UtilityFn.hinge_power(2.0))
         for _ in range(10):
             nu, mu = pair(rng, 4)
-            res = dual_divergence(spec, nu, mu, DualSolverOptions(max_iters=300))
+            res = dual_divergence(spec, nu, mu)
             assert res.value <= res.closed_form + 1e-9
 
     def test_maximizer_is_mean_zero(self):
@@ -234,9 +233,14 @@ class TestDualSolver:
         res = dual_divergence(spec, nu, ref)
         assert abs(res.value) <= 1e-8
 
-    def test_options_json_round_trip(self):
-        opts = DualSolverOptions(max_iters=123, step0=0.5, tol=1e-9)
-        assert DualSolverOptions.from_json(opts.as_json()) == opts
+    def test_dual_of_json_rejects_options(self):
+        # the solver budget is fixed; a dual_of doc once carried solver options,
+        # and a misspelled one was dropped without a word
+        spec = {"family": "entropic", "eta": 1.0}
+        div = DivergenceSpec.from_json({"family": "dual_of", "spec": spec})
+        assert div.as_json() == {"family": "dual_of", "spec": spec}
+        with pytest.raises(ConfigParseError, match="'options'"):
+            DivergenceSpec.from_json({"family": "dual_of", "spec": spec, "options": {"max_itres": 10}})
 
 
 class TestDpi:

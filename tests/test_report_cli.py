@@ -146,8 +146,8 @@ class TestReports:
 
         solve = consistency._dual_divergence_w
 
-        def exhausted_solve(spec, nu_w, mu_w, options):
-            return replace(solve(spec, nu_w, mu_w, options), budget_exhausted=True)
+        def exhausted_solve(spec, nu_w, mu_w):
+            return replace(solve(spec, nu_w, mu_w), budget_exhausted=True)
 
         check = entropic_check(name="lemma", trials=3, target="lemma_identity")
         honest = run_check(check)
@@ -239,6 +239,20 @@ class TestSuiteConfig:
         config = SuiteConfig.from_json(doc)
         assert len(config.checks) == 2
         assert config.checks[1].budget.seed == 42
+        again = SuiteConfig.from_json(config.as_json())
+        assert [c.as_json() for c in again.checks] == [c.as_json() for c in config.checks]
+
+    @pytest.mark.parametrize("field, where", [
+        ({"sparcity": 0.5}, "check 'acc'"),
+        ({"sizes": {"E": 3, "G": 3}}, "check 'acc' sizes"),
+        ({"tolerances": {"noise": 1e-9, "violaton": 1e-4}}, "check 'acc' tolerances"),
+    ], ids=["top_level", "sizes", "tolerances"])
+    def test_unknown_check_field_rejected(self, field, where):
+        # a misspelled field once ran the check at the default it meant to change
+        doc = {"name": "acc", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
+               "trials": 10, "seed": 42, **field}
+        with pytest.raises(ConfigParseError, match=f"^{where} has unknown field"):
+            CheckSpec.from_json(doc)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigParseError):

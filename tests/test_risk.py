@@ -170,7 +170,7 @@ WIDE_LAWS = [
 def root_and_calls(values, weights, loss):
     counting = CountingLoss(loss)
     w, v = np.asarray(weights, dtype=float), np.asarray(values, dtype=float)
-    return _shortfall_values(w, v, counting, 1e-11), counting.calls
+    return _shortfall_values(w, v, counting), counting.calls
 
 
 class TestShortfallRoot:
@@ -194,7 +194,7 @@ class TestShortfallRoot:
         v = np.array([a for a, _ in atoms])
         w = np.array([b for _, b in atoms])
         w = w / w.sum()
-        rho = _shortfall_values(w, v, loss, 1e-11)
+        rho = _shortfall_values(w, v, loss)
         oracle, _ = bisection_root(w, v, loss)
         assert abs(rho - oracle) <= 1e-9
         with np.errstate(over="ignore"):
@@ -229,7 +229,7 @@ class TestShortfallRoot:
             n = int(rng.integers(2, 10))
             w, v = rng.dirichlet(np.ones(n)), rng.choice(grid, n)
             scalar = RecordingLoss(loss)
-            _shortfall_values(w, v, scalar, 1e-11)
+            _shortfall_values(w, v, scalar)
             batched = RecordingLoss(loss)
             rho_batch(RiskSpec.shortfall(batched), w[None], v[None])
             for recorded in (scalar, batched):
@@ -535,7 +535,7 @@ class TestFailureModes:
                 return np.ones_like(np.asarray(x, dtype=float))
 
         with pytest.raises(BracketFailureError):
-            _shortfall_values(np.array([0.5, 0.5]), np.array([0.0, 1.0]), Flat(), 1e-11)
+            _shortfall_values(np.array([0.5, 0.5]), np.array([0.0, 1.0]), Flat())
 
     def test_lebesgue_continuity_probe(self):
         # decreasing perturbations converge monotonically to the base risk

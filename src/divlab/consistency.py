@@ -22,9 +22,9 @@ induced divergence alpha:
 Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
-trials are split into blocks. The conditional kinds then evaluate a
-whole block of sampled instances in batched solves whose per-trial results
-do not depend on the block either. Gaps where both sides are +inf are
+trials are split into blocks. The conditional and product kinds then
+evaluate a whole block of sampled instances in batched solves whose
+per-trial results do not depend on the block either. Gaps where both sides are +inf are
 "vacuous" and excluded from statistics but counted.
 """
 
@@ -71,6 +71,15 @@ VALUE_GRID = np.linspace(-2.0, 2.0, 41)
 VALUE_GRID.flags.writeable = False
 
 
+def _typed(doc: Mapping, key: str, default, kind: type):
+    """doc[key] (or the default) converted to kind; ConfigParseError if it does not convert."""
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigParseError(f"budget field {key!r} must be {kind.__name__}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """How much to sample and from where; fully determines a search."""
@@ -103,14 +112,16 @@ class SearchBudget:
     @classmethod
     def from_json(cls, doc: Mapping) -> "SearchBudget":
         sizes = doc.get("sizes", {})
+        if not isinstance(sizes, Mapping):
+            raise ConfigParseError(f"budget field 'sizes' must be an object, got {sizes!r}")
         return cls(
-            trials=int(doc.get("trials", 0)),
-            seed=int(doc.get("seed", 0)),
-            max_e=int(sizes.get("E", 3)),
-            max_f=int(sizes.get("F", 3)),
-            dirichlet_alpha=float(doc.get("dirichlet_alpha", 1.0)),
-            product_fraction=float(doc.get("product_fraction", 0.5)),
-            sparsity=float(doc.get("sparsity", 0.0)),
+            trials=_typed(doc, "trials", 0, int),
+            seed=_typed(doc, "seed", 0, int),
+            max_e=_typed(sizes, "E", 3, int),
+            max_f=_typed(sizes, "F", 3, int),
+            dirichlet_alpha=_typed(doc, "dirichlet_alpha", 1.0, float),
+            product_fraction=_typed(doc, "product_fraction", 0.5, float),
+            sparsity=_typed(doc, "sparsity", 0.0, float),
         )
 
 
@@ -183,7 +194,23 @@ def _sparsify(rng: np.random.Generator, w: np.ndarray, sparsity: float) -> np.nd
     return w / w.sum()
 
 
-def sample_product_instance(rng: np.random.Generator, budget: SearchBudget) -> ProductInstance:
+class _ProductDraw(NamedTuple):
+    """The weights of a product instance as drawn, before JointDist renormalizes them."""
+
+    mu_w: np.ndarray  # shape (n_e, n_f)
+    nu_w: np.ndarray  # shape (n_e, n_f)
+    is_product: bool
+
+    def instance(self) -> ProductInstance:
+        e, f = _labels("e", self.mu_w.shape[0]), _labels("f", self.mu_w.shape[1])
+        return ProductInstance(
+            mu_bar=JointDist(e, f, self.mu_w),
+            nu_bar=JointDist(e, f, self.nu_w),
+            is_product=self.is_product,
+        )
+
+
+def _draw_product(rng: np.random.Generator, budget: SearchBudget) -> _ProductDraw:
     n_e = int(rng.integers(2, budget.max_e + 1))
     n_f = int(rng.integers(2, budget.max_f + 1))
     is_product = bool(rng.random() < budget.product_fraction)
@@ -196,12 +223,11 @@ def sample_product_instance(rng: np.random.Generator, budget: SearchBudget) -> P
         mu_w = _dirichlet(rng, n_e * n_f, budget.dirichlet_alpha).reshape(n_e, n_f)
     mu_w = _sparsify(rng, mu_w, budget.sparsity)
     nu_w = _dirichlet(rng, n_e * n_f, budget.dirichlet_alpha).reshape(n_e, n_f)
-    e, f = _labels("e", n_e), _labels("f", n_f)
-    return ProductInstance(
-        mu_bar=JointDist(e, f, mu_w),
-        nu_bar=JointDist(e, f, nu_w),
-        is_product=is_product,
-    )
+    return _ProductDraw(mu_w, nu_w, is_product)
+
+
+def sample_product_instance(rng: np.random.Generator, budget: SearchBudget) -> ProductInstance:
+    return _draw_product(rng, budget).instance()
 
 
 def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) -> ConditionalInstance:
@@ -268,15 +294,6 @@ def sample_shift_convexity_instance(
 # ---------------------------------------------------------------------------
 
 
-def _inf_sum(*terms: float) -> float:
-    total = 0.0
-    for t in terms:
-        if math.isinf(t):
-            return math.inf
-        total += t
-    return total
-
-
 def _row_terms(evaluators, nu_marg, nu_rows, mu_rows) -> list[float]:
     """sum_x nu(x) alpha(K^nu_x | K^mu_x) over charged x, one sum per alpha.
 
@@ -294,35 +311,62 @@ def _row_terms(evaluators, nu_marg, nu_rows, mu_rows) -> list[float]:
     return totals
 
 
+def _product_gaps(
+    div: DivergenceSpec, mu: np.ndarray, nu: np.ndarray, n_f: np.ndarray, weak: bool
+) -> list[Gap]:
+    """Gaps of B product instances packed as (B, E, F) joint weights.
+
+    Instance b has ``n_f[b]`` columns; zeros pad the rest and the missing
+    rows. The joint, the marginal and the nu-charged rows are each one
+    batched evaluation, combined into ``superadditivity_gap``, or into
+    ``weak_consistency_gap`` when ``weak``. A row of zero mu-mass is uniform
+    on the instance's columns, as ``disintegrate_w`` makes it, and the row
+    term is +inf once any nu-charged row is infinite.
+    """
+    b, e, f = mu.shape
+    joint = div.evaluate_batch(nu.reshape(b, e * f), mu.reshape(b, e * f))
+    mu_marg, nu_marg = _atom_sum(mu), _atom_sum(nu)
+    charged = nu_marg > 0.0
+    mu_mass = mu_marg[charged][:, None]
+    width = np.broadcast_to(n_f[:, None], (b, e))[charged][:, None]
+    uniform = np.where(np.arange(f) < width, 1.0 / width, 0.0)
+    mu_rows = np.where(mu_mass > 0.0, mu[charged] / np.where(mu_mass > 0.0, mu_mass, 1.0), uniform)
+    alpha = np.zeros((b, e))
+    alpha[charged] = div.evaluate_batch(nu[charged] / nu_marg[charged][:, None], mu_rows)
+    rows = np.where(np.isinf(alpha).any(axis=-1), math.inf, _atom_sum(nu_marg * alpha))
+    if weak:
+        rhs = rows
+    else:
+        marg = div.evaluate_batch(nu_marg, mu_marg)
+        rhs = np.where(np.isinf(marg) | np.isinf(rows), math.inf, marg + rows)
+    return [Gap.of(j, r) for j, r in zip(joint.tolist(), rhs.tolist())]
+
+
+def _product_gap(div: DivergenceSpec, inst: ProductInstance, weak: bool) -> Gap:
+    """One instance's gap, as a batch of one of ``_product_gaps``."""
+    mu, nu = inst.mu_bar.matrix[None], inst.nu_bar.matrix[None]
+    return _product_gaps(div, mu, nu, np.array([mu.shape[2]]), weak)[0]
+
+
 def superadditivity_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
     """alpha(nu_bar | mu_bar) minus the two-stage decomposition.
 
     Positive gaps witness superadditivity at the instance, negative ones
     subadditivity; relative entropy gives exactly zero (chain rule).
+    Evaluated as a batch of one by the kernel of the product check kinds,
+    so a sampled instance's gap is the bits its trial gives.
     """
-    joint_term = div.evaluate_w(
-        inst.nu_bar.matrix.reshape(-1), inst.mu_bar.matrix.reshape(-1)
-    )
-    mu_marg, mu_rows = disintegrate_w(inst.mu_bar.matrix)
-    nu_marg, nu_rows = disintegrate_w(inst.nu_bar.matrix)
-    marg_term = div.evaluate_w(nu_marg, mu_marg)
-    (row_term,) = _row_terms((div.evaluate_w,), nu_marg, nu_rows, mu_rows)
-    return Gap.of(joint_term, _inf_sum(marg_term, row_term))
+    return _product_gap(div, inst, weak=False)
 
 
 def weak_consistency_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
     """alpha(nu_bar | mu_bar) - sum_x nu(x) alpha(K^nu_x | K^mu_x).
 
     Weaker than the superadditivity gap by exactly alpha(nu | mu) >= 0;
-    nonnegative for weakly acceptance-consistent families.
+    nonnegative for weakly acceptance-consistent families. Evaluated like
+    ``superadditivity_gap``.
     """
-    joint_term = div.evaluate_w(
-        inst.nu_bar.matrix.reshape(-1), inst.mu_bar.matrix.reshape(-1)
-    )
-    _, mu_rows = disintegrate_w(inst.mu_bar.matrix)
-    nu_marg, nu_rows = disintegrate_w(inst.nu_bar.matrix)
-    (row_term,) = _row_terms((div.evaluate_w,), nu_marg, nu_rows, mu_rows)
-    return Gap.of(joint_term, row_term)
+    return _product_gap(div, inst, weak=True)
 
 
 def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) -> np.ndarray:
@@ -503,8 +547,8 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 # one trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
-# never holds their instances; the conditional kinds sample their trials one
-# by one and solve them in one batch.
+# never holds their instances; the conditional and product kinds sample their
+# trials one by one and solve them in one batch.
 
 
 class TrialResult(NamedTuple):
@@ -560,18 +604,6 @@ def _negated(trials):
     return negated
 
 
-def _superadditivity_trial(rng, risk, div, budget):
-    inst = sample_product_instance(rng, budget)
-    g = superadditivity_gap(div, inst)
-    return g.value, g.vacuous, inst.is_product, inst
-
-
-def _weak_consistency_trial(rng, risk, div, budget):
-    inst = sample_product_instance(rng, budget)
-    g = weak_consistency_gap(div, inst)
-    return g.value, g.vacuous, inst.is_product, inst
-
-
 def _dpi_trial(rng, risk, div, budget, bijection: bool):
     mu, nu = _sample_pair(rng, budget)
     n = len(mu)
@@ -604,28 +636,51 @@ def _duality_trial(rng, risk, div, budget):
     return res.certified_gap, False, None, inst, res.budget_exhausted
 
 
+def _padded(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """(n_e, n_f) matrices as one zero-padded (B, E, F) array."""
+    out = np.zeros((len(mats), max(m.shape[0] for m in mats), max(m.shape[1] for m in mats)))
+    for b, m in enumerate(mats):
+        out[b, : m.shape[0], : m.shape[1]] = m
+    return out
+
+
+def _renormalized(w: np.ndarray) -> np.ndarray:
+    """Joint weights divided by their total, the bits JointDist and FiniteDist store."""
+    flat = w.reshape(-1)
+    return (flat / flat.sum()).reshape(w.shape)
+
+
 def _pack(instances: Sequence[ConditionalInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Conditional instances as zero-padded (B, E, F) weights and values.
 
     The weights are renormalized as ``joint.as_dist()`` renormalizes them, so
     an instance packed here and its ``flat()`` form carry the same bits.
     """
-    n_e = max(inst.values.shape[0] for inst in instances)
-    n_f = max(inst.values.shape[1] for inst in instances)
-    w = np.zeros((len(instances), n_e, n_f))
-    v = np.zeros_like(w)
-    for b, inst in enumerate(instances):
-        rows, cols = inst.values.shape
-        flat = inst.joint.matrix.reshape(-1)
-        w[b, :rows, :cols] = (flat / flat.sum()).reshape(rows, cols)
-        v[b, :rows, :cols] = inst.values
-    return w, v
+    w = _padded([_renormalized(inst.joint.matrix) for inst in instances])
+    return w, _padded([inst.values for inst in instances])
 
 
 def _conditional_trials(risk, div, budget, start, stop, weak: bool):
     insts = [sample_conditional_instance(budget.rng_for(k), budget) for k in range(start, stop)]
     gaps = _conditional_gaps(risk, *_pack(insts), weak=weak)
     return [TrialResult(float(g), False, inst.is_product, inst) for g, inst in zip(gaps, insts)]
+
+
+def _product_trials(risk, div, budget, start, stop, weak: bool):
+    """Product instances drawn one by one as arrays, their gaps in one ``_product_gaps``.
+
+    The weights are renormalized as JointDist renormalizes them, so a trial
+    gives the bits of the public gap on its ``sample_product_instance``.
+    """
+    draws = [_draw_product(budget.rng_for(k), budget) for k in range(start, stop)]
+    gaps = _product_gaps(
+        div,
+        _padded([_renormalized(d.mu_w) for d in draws]),
+        _padded([_renormalized(d.nu_w) for d in draws]),
+        np.array([d.mu_w.shape[1] for d in draws]),
+        weak,
+    )
+    return [TrialResult(g.value, g.vacuous, d.is_product, d) for g, d in zip(gaps, draws)]
 
 
 def _shift_convexity_trial(rng, risk, div, budget):
@@ -773,6 +828,10 @@ def _as_json(inst) -> dict:
     return inst.as_json()
 
 
+def _product_json(draw: _ProductDraw) -> dict:
+    return draw.instance().as_json()
+
+
 def _parts_json(parts: dict) -> dict:
     """An instance given as named parts: laws and kernels by their as_json."""
     return {k: v.as_json() if hasattr(v, "as_json") else v for k, v in parts.items()}
@@ -811,14 +870,16 @@ class CheckKind:
         return abs(gap) if self.side == "abs" else -gap
 
 
-_SUPERADDITIVITY = per_trial(_superadditivity_trial)
+_SUPERADDITIVITY = partial(_product_trials, weak=False)
 _CONSISTENCY = partial(_conditional_trials, weak=False)
 
 CHECK_KINDS: dict[str, CheckKind] = {
-    "chain_rule": CheckKind("abs", "div", _SUPERADDITIVITY, _as_json),
-    "superadditivity": CheckKind("lower", "div", _SUPERADDITIVITY, _as_json),
-    "subadditivity": CheckKind("lower", "div", _negated(_SUPERADDITIVITY), _as_json),
-    "weak_consistency": CheckKind("lower", "div", per_trial(_weak_consistency_trial), _as_json),
+    "chain_rule": CheckKind("abs", "div", _SUPERADDITIVITY, _product_json),
+    "superadditivity": CheckKind("lower", "div", _SUPERADDITIVITY, _product_json),
+    "subadditivity": CheckKind("lower", "div", _negated(_SUPERADDITIVITY), _product_json),
+    "weak_consistency": CheckKind(
+        "lower", "div", partial(_product_trials, weak=True), _product_json
+    ),
     "dpi": CheckKind("lower", "div", per_trial(partial(_dpi_trial, bijection=False)), _parts_json),
     "dpi_bijection": CheckKind(
         "abs", "div", per_trial(partial(_dpi_trial, bijection=True)), _parts_json

@@ -9,11 +9,13 @@ Closed forms implemented here:
 
 - entropic(eta)   -> relative entropy / eta (Kullback-Leibler divergence)
 - oce(phi)        -> the phi*-divergence  sum mu * phi*(d nu / d mu)
-- shortfall(l)    -> inf_{t>0} (1 + sum mu * l*(t d nu / d mu)) / t
+- shortfall(l)    -> inf_{t>0} (1 + sum mu * l*(t d nu / d mu)) / t, in closed
+                     form for every loss kind (see ``shortfall_divergence``)
 - expectation     -> 0 if nu == mu else +inf
 - esssup          -> 0 if nu << mu else +inf
 
-``dual_divergence`` solves the defining supremum directly by supergradient
+``DivergenceSpec.evaluate_batch`` evaluates the closed forms on many pairs at
+once. ``dual_divergence`` solves the defining supremum directly by supergradient
 ascent over mean-zero test vectors and reports a certified gap against the
 closed form when one exists. The remaining operations are the structural
 inequalities: data processing, sufficiency, and refinement monotonicity.
@@ -37,13 +39,20 @@ from .errors import (
     UnsupportedFamilyError,
     reject_unknown_keys,
 )
-from .losses import LossFn, UtilityFn
+from .losses import LossFn, UtilityFn, _table_conjugate_array, conjugate_table
 from .prob import FiniteDist, Kernel, compose_kernel, pushforward
-from .risk import RiskSpec, _golden_min, rho_values
+from .risk import RiskSpec, _atom_sum, _golden_min, rho_values
 
 _EQUALITY_TOL = 1e-12
-# the first scan of shortfall_divergence_w covers s = log t in [-_S_BOUND, _S_BOUND]
-_S_BOUND = 40.0
+# the fields of each family's JSON document besides "family"
+_FIELDS = {
+    "relative_entropy": ("eta",),
+    "phi_star": ("utility",),
+    "shortfall_div": ("loss",),
+    "dual_of": ("spec",),
+    "equality_indicator": (),
+    "support_indicator": (),
+}
 # the most mass-transfer passes of primal_reconstruction's polish
 _POLISH_PASSES = 12
 # the dual solver's fixed budget: its most ascent iterations, its first step
@@ -116,39 +125,73 @@ def phi_divergence_w(nu_w: np.ndarray, mu_w: np.ndarray, utility: UtilityFn) -> 
 def shortfall_divergence_w(nu_w: np.ndarray, mu_w: np.ndarray, loss: LossFn) -> float:
     if _not_ac(nu_w, mu_w):
         return math.inf
-    pairs = [
-        (m, n / m) for n, m in zip(nu_w.tolist(), mu_w.tolist()) if m > 0.0
-    ]
-    star = loss.conjugate
+    if loss.kind == "exponential":
+        return relative_entropy_w(nu_w, mu_w, loss.eta)
+    return float(_shortfall_div_batch(nu_w[None], mu_w[None], loss)[0])
 
-    def g_of_s(s: float) -> float:
-        t = math.exp(s)
-        total = 1.0
-        for m, r in pairs:
-            v = star(t * r)
-            if math.isinf(v):
-                return math.inf
-            total += m * v
-        return total / t
 
-    # g is convex in t, hence unimodal in s = log t; a coarse scan guards the
-    # golden refinement against flat +inf shoulders.
-    lo, hi = -_S_BOUND, _S_BOUND
-    for _ in range(6):
-        grid = np.linspace(lo, hi, 64)
-        vals = np.asarray([g_of_s(float(s)) for s in grid])
-        k = int(np.argmin(vals))
-        if 0 < k < len(grid) - 1:
-            break
-        width = hi - lo
-        if k == 0:
-            lo, hi = lo - width, lo + 0.25 * width
-        else:
-            lo, hi = hi - 0.25 * width, hi + width
-    else:
-        return float(vals[k])
-    s = _golden_min(g_of_s, float(grid[k - 1]), float(grid[k + 1]), 1e-12)
-    return min(float(vals[k]), g_of_s(s))
+# ---------------------------------------------------------------------------
+# closed forms on (B, K) arrays: pair b is (nu[b], mu[b])
+# ---------------------------------------------------------------------------
+#
+# As in risk.rho_batch, atoms of zero mu-weight are masked: their terms are
+# exact zeros, never 0 * inf, and every sum over atoms is a running sum in
+# atom order. So a pair's value is the same bits in a batch of any size, at
+# any position and with any zero padding. These take pairs with nu << mu;
+# DivergenceSpec.evaluate_batch sets the others to +inf.
+
+
+def _relative_entropy_batch(nu: np.ndarray, mu: np.ndarray, eta: float) -> np.ndarray:
+    both = (nu > 0.0) & (mu > 0.0)
+    n, m = np.where(both, nu, 1.0), np.where(both, mu, 1.0)
+    return _atom_sum(np.where(both, n * (np.log(n) - np.log(m)), 0.0)) / eta
+
+
+def _phi_divergence_batch(nu: np.ndarray, mu: np.ndarray, utility: UtilityFn) -> np.ndarray:
+    pos = mu > 0.0
+    ratio = np.where(pos, nu / np.where(pos, mu, 1.0), 1.0)
+    star = np.where(pos, utility.conjugate_array(ratio), 0.0)
+    return np.where(np.isinf(star).any(axis=-1), math.inf, _atom_sum(mu * star))
+
+
+def _shortfall_div_batch(nu: np.ndarray, mu: np.ndarray, loss: LossFn) -> np.ndarray:
+    """inf over t > 0 of g(t) = (1 + sum mu * l*(t r)) / t with r = nu / mu, exactly."""
+    if loss.kind == "exponential":
+        # l*(y) = (y log(y / eta) - y) / eta puts the minimum at t = eta
+        return _relative_entropy_batch(nu, mu, loss.eta)
+    pos = mu > 0.0
+    r = np.where(pos, nu / np.where(pos, mu, 1.0), 0.0)
+    if loss.kind == "custom":
+        return np.array([_table_shortfall_div(rr[p], mm[p], loss) for rr, mm, p in zip(r, mu, pos)])
+    top = r.max(axis=-1)
+    if loss.p == 1.0:
+        # l*(y) = -y on [0, 1] and +inf beyond, so g(t) = 1/t - 1 falls up to
+        # the edge t = 1 / max r of its domain
+        return top - 1.0
+    # g(t) = 1/t - 1 + (p - 1) p^-q t^(q - 1) E[r^q] with q = p / (p - 1) is
+    # least at t = p E[r^q]^(-1/q); dividing r by its maximum keeps r^q finite
+    q = loss.p / (loss.p - 1.0)
+    top = np.where(top > 0.0, top, 1.0)
+    return top * _atom_sum(mu * (r / top[:, None]) ** q) ** (1.0 / q) - 1.0
+
+
+def _table_shortfall_div(r: np.ndarray, m: np.ndarray, loss: LossFn) -> float:
+    """The shortfall divergence of a tabulated loss, from the ratios r on the charged atoms.
+
+    l* is the max of the affine maps y -> x_k y - y_k, finite on the slope
+    range of the table, so h(t) = t g(t) = 1 + sum m * l*(t r) is convex and
+    piecewise affine in t: its kinks are the t at which some t r_i meets a
+    slope s_k, and it is +inf once some t r_i leaves the slope range. On each
+    affine piece g = h / t is monotone, so the infimum lies at one of the
+    points s_k / r_i. As t -> 0, h tends to h(0) = 1 - inf l >= 0: g runs to
+    +inf when h(0) > 0, and when h(0) = 0 it is constant on the lowest piece,
+    whose upper end is one of the points.
+    """
+    kinks = np.diff(np.asarray(loss.ys)) / np.diff(np.asarray(loss.xs))
+    ok = (kinks[:, None] > 0.0) & (r > 0.0)
+    t = (kinks[:, None] / np.where(r > 0.0, r, 1.0))[ok]
+    h = 1.0 + _atom_sum(m * _table_conjugate_array(conjugate_table(loss), t[:, None] * r))
+    return float(np.min(h / t, initial=math.inf))
 
 
 def equality_indicator_w(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
@@ -177,10 +220,13 @@ def phi_divergence(nu: FiniteDist, mu: FiniteDist, utility: UtilityFn) -> float:
 
 
 def shortfall_divergence(nu: FiniteDist, mu: FiniteDist, loss: LossFn) -> float:
-    """inf over t > 0 of (1 + sum mu * l*(t d nu / d mu)) / t.
+    """inf over t > 0 of (1 + sum mu * l*(t d nu / d mu)) / t, in closed form.
 
-    Minimized in s = log t by golden section after a 64-point scan; the map
-    is convex in t, so it is unimodal in s.
+    With r = d nu / d mu: for exponential(eta), the relative entropy divided
+    by eta; for power_plus(p) with p > 1, E_mu[r^q]^(1/q) - 1 with
+    q = p / (p - 1); for power_plus(1), the largest r on the atoms mu charges,
+    minus 1; for a tabulated loss, the least value at the finitely many t
+    where t r meets a slope of the table. +inf off nu << mu.
     """
     _check_same_atoms(nu, mu)
     return shortfall_divergence_w(nu.weights, mu.weights, loss)
@@ -262,6 +308,34 @@ class DivergenceSpec:
             return _dual_divergence_w(self.risk, nu_w, mu_w).value
         raise UnknownFamilyError(self.family)
 
+    def evaluate_batch(self, nu, mu) -> np.ndarray:
+        """alpha(nu[b] | mu[b]) for the B pairs of laws given as the rows of (B, K) arrays.
+
+        The batched counterpart of ``evaluate_w``, selected by the check
+        kinds that evaluate many pairs. Atoms of zero weight under both laws,
+        also the zeros that pad shorter laws, drop out, and every sum over
+        atoms adds them one after another in atom order, so a pair's value is
+        the same bits whatever the batch size, its position and its padding.
+        It agrees with ``evaluate_w`` up to rounding; ``dual_of`` solves its
+        pairs one by one with the dual solver.
+        """
+        nu = np.asarray(nu, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        if self.family == "dual_of":
+            values = [_dual_divergence_w(self.risk, n, m).value for n, m in zip(nu, mu)]
+            return np.array(values, dtype=float)
+        if self.family == "equality_indicator":
+            return np.where(np.all(np.abs(nu - mu) <= _EQUALITY_TOL, axis=-1), 0.0, math.inf)
+        if self.family == "relative_entropy":
+            values = _relative_entropy_batch(nu, mu, self.eta)
+        elif self.family == "phi_star":
+            values = _phi_divergence_batch(nu, mu, self.utility)
+        elif self.family == "shortfall_div":
+            values = _shortfall_div_batch(nu, mu, self.loss)
+        else:  # support_indicator
+            values = np.zeros(nu.shape[0])
+        return np.where(np.any((nu > 0.0) & (mu == 0.0), axis=-1), math.inf, values)
+
     def evaluate(self, nu: FiniteDist, mu: FiniteDist) -> float:
         _check_same_atoms(nu, mu)
         return self.evaluate_w(nu.weights, mu.weights)
@@ -281,6 +355,8 @@ class DivergenceSpec:
     @classmethod
     def from_json(cls, doc: Mapping) -> "DivergenceSpec":
         family = doc.get("family")
+        if family in _FIELDS:
+            reject_unknown_keys(doc, ("family", *_FIELDS[family]), f"{family} divergence")
         try:
             if family == "relative_entropy":
                 return cls.relative_entropy(doc.get("eta", 1.0))
@@ -289,7 +365,6 @@ class DivergenceSpec:
             if family == "shortfall_div":
                 return cls.shortfall_div(LossFn.from_json(doc["loss"]))
             if family == "dual_of":
-                reject_unknown_keys(doc, ("family", "spec"), "dual_of divergence")
                 return cls.dual_of(RiskSpec.from_json(doc["spec"]))
             if family == "equality_indicator":
                 return cls.equality_indicator()

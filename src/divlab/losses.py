@@ -30,10 +30,14 @@ from .errors import (
     InvalidLossError,
     InvalidUtilityError,
     NegativeArgumentError,
+    reject_unknown_keys,
 )
 
 _CONVEXITY_TOL = 1e-9
 _NORMALIZATION_TOL = 1e-9
+# the fields of each kind's JSON document besides "kind"
+_LOSS_FIELDS = {"exponential": ("eta",), "power_plus": ("p",), "custom": ("xs", "ys")}
+_UTILITY_FIELDS = {"exp_shift": (), "identity": (), "hinge_power": ("p",), "custom": ("xs", "ys")}
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,8 @@ class LossFn:
     @classmethod
     def from_json(cls, doc: Mapping) -> "LossFn":
         kind = doc.get("kind")
+        if kind in _LOSS_FIELDS:
+            reject_unknown_keys(doc, ("kind", *_LOSS_FIELDS[kind]), f"{kind} loss spec")
         try:
             if kind == "exponential":
                 return cls.exponential(doc["eta"])
@@ -314,6 +320,8 @@ class UtilityFn:
     @classmethod
     def from_json(cls, doc: Mapping) -> "UtilityFn":
         kind = doc.get("kind")
+        if kind in _UTILITY_FIELDS:
+            reject_unknown_keys(doc, ("kind", *_UTILITY_FIELDS[kind]), f"{kind} utility spec")
         try:
             if kind == "exp_shift":
                 return cls.exp_shift()

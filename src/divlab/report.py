@@ -144,6 +144,7 @@ class SuiteConfig:
     def from_json(cls, doc: Mapping) -> "SuiteConfig":
         if not isinstance(doc, Mapping) or "checks" not in doc:
             raise ConfigParseError("suite config must be an object with a 'checks' list")
+        reject_unknown_keys(doc, ("schema_version", "checks", "name"), "suite config")
         return cls(
             checks=tuple(CheckSpec.from_json(c) for c in doc["checks"]),
             name=doc.get("name"),

@@ -35,11 +35,21 @@ from .errors import (
     UnknownFamilyError,
     UnsupportedFamilyError,
     ZeroTotalMassError,
+    reject_unknown_keys,
 )
 from .losses import LossFn, UtilityFn
 from .prob import FiniteDist, Partition, _as_values, condition
 
-FAMILIES = ("entropic", "shortfall", "oce", "expectation", "esssup", "coherent")
+# the fields of each family's JSON document besides "family"
+_FIELDS = {
+    "entropic": ("eta",),
+    "shortfall": ("loss",),
+    "oce": ("utility",),
+    "expectation": (),
+    "esssup": (),
+    "coherent": ("densities", "reference"),
+}
+FAMILIES = tuple(_FIELDS)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # solver tolerances: the shortfall root and the OCE shift are found to within these
@@ -131,6 +141,8 @@ class RiskSpec:
     @classmethod
     def from_json(cls, doc: Mapping) -> "RiskSpec":
         family = doc.get("family")
+        if family in _FIELDS:
+            reject_unknown_keys(doc, ("family", *_FIELDS[family]), f"{family} risk spec")
         try:
             if family == "entropic":
                 return cls.entropic(doc["eta"])

@@ -35,13 +35,34 @@ ENTROPIC = RiskSpec.entropic(1.0)
 RE = DivergenceSpec.relative_entropy(1.0)
 
 
-BATCHED_KINDS = ("time_consistency", "acceptance", "rejection", "weak_acceptance")
+CONDITIONAL_KINDS = ("time_consistency", "acceptance", "rejection", "weak_acceptance")
+PRODUCT_KINDS = ("chain_rule", "superadditivity", "subadditivity", "weak_consistency")
 BATCH_SPECS = [
     RiskSpec.shortfall(LossFn.power_plus(2.0)),
     RiskSpec.shortfall(LossFn.exponential(1.0)),
     ENTROPIC,
     RiskSpec.esssup(),
 ]
+BATCH_DIVS = [
+    RE,
+    DivergenceSpec.phi_star(UtilityFn.exp_shift()),
+    DivergenceSpec.phi_star(UtilityFn.hinge_power(2.0)),
+    DivergenceSpec.shortfall_div(LossFn.exponential(1.0)),
+    DivergenceSpec.shortfall_div(LossFn.power_plus(2.0)),
+    DivergenceSpec.support_indicator(),
+]
+
+
+def public_gap(kind, spec, budget, trial):
+    """A batched kind's gap at a trial, from its public sampler and gap function."""
+    rng = budget.rng_for(trial)
+    if kind in PRODUCT_KINDS:
+        gap_of = weak_consistency_gap if kind == "weak_consistency" else superadditivity_gap
+        gap = gap_of(spec, sample_product_instance(rng, budget)).value
+    else:
+        gap_of = weak_acceptance_margin if kind == "weak_acceptance" else consistency_gap
+        gap = gap_of(spec, *sample_conditional_instance(rng, budget).flat())
+    return -gap if kind in ("rejection", "subadditivity") and gap is not None else gap
 
 
 def product_instance_from(mu_bar, nu_bar):
@@ -357,10 +378,11 @@ class TestTrialMachinery:
             assert min(min(row) for row in inst[law]["weights"]) == 0.0
 
     @pytest.mark.parametrize("sparsity", [0.0, 0.5])
-    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + PRODUCT_KINDS)
     def test_batched_kinds_give_the_same_bits_in_every_layout(self, monkeypatch, kind, sparsity):
         # 4 x 4 instances give full laws of up to 16 atoms, where a pairwise
-        # sum would regroup under padding; 150 trials span two internal batches
+        # sum would regroup under padding; 150 trials span two internal
+        # batches; sparse product instances give +inf and vacuous gaps
         n = 150
         budget = SearchBudget(trials=n, seed=25, max_e=4, max_f=4, sparsity=sparsity)
         entry = CHECK_KINDS[kind]
@@ -372,25 +394,25 @@ class TestTrialMachinery:
             return results
 
         monkeypatch.setitem(CHECK_KINDS, kind, replace(entry, trial=recorded))
-        public = weak_acceptance_margin if kind == "weak_acceptance" else consistency_gap
-        sign = -1.0 if kind == "rejection" else 1.0
-        for spec in BATCH_SPECS:
+        product = kind in PRODUCT_KINDS
+        for spec in BATCH_DIVS if product else BATCH_SPECS:
+            risk, div = (None, spec) if product else (spec, None)
             seen.clear()
-            stats = run_trials(kind, spec, None, budget, 0, n)
+            stats = run_trials(kind, risk, div, budget, 0, n)
             whole = dict(seen)
             seen.clear()
             for start, stop in [(0, 1), (1, 8), (8, 45), (45, 101), (101, n)]:
-                run_trials(kind, spec, None, budget, start, stop)
-            alone = {k: describe_trial(kind, spec, None, budget, k)["gap"] for k in range(n)}
-            assert not any(math.isnan(g) for g in whole.values())
+                run_trials(kind, risk, div, budget, start, stop)
+            alone = {k: describe_trial(kind, risk, div, budget, k)["gap"] for k in range(n)}
+            ranked = [k for k in range(n) if whole[k] is not None]
+            assert not any(math.isnan(whole[k]) for k in ranked)
             assert whole == seen == alone, spec.as_json()
-            flat = {
-                k: sign * public(spec, *sample_conditional_instance(budget.rng_for(k), budget).flat())
-                for k in range(n)
-            }
-            assert flat == whole, spec.as_json()
-            worst = max(range(n), key=lambda k: (entry.badness(whole[k]), -k))
-            assert (stats.worst_trial, stats.worst_gap) == (worst, whole[worst])
+            assert {k: public_gap(kind, spec, budget, k) for k in range(n)} == whole, spec.as_json()
+            worst = max(ranked, key=lambda k: (entry.badness(whole[k]), -k), default=None)
+            assert (stats.worst_trial, stats.worst_gap) == (worst, whole.get(worst))
+            assert stats.vacuous == n - len(ranked)
+            if product and sparsity:
+                assert stats.vacuous > 0 or any(math.isinf(whole[k]) for k in ranked), spec.as_json()
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)

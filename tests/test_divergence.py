@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divlab.divergence import (
     DivergenceSpec,
@@ -14,6 +16,7 @@ from divlab.divergence import (
     refinement_monotonicity,
     relative_entropy,
     shortfall_divergence,
+    shortfall_divergence_w,
     sufficiency_gap,
 )
 from divlab.errors import ConfigParseError, NotAbsolutelyContinuousError, SpaceMismatchError
@@ -122,6 +125,75 @@ class TestShortfallDivergence:
         for _ in range(50):
             nu, mu = pair(rng, 4)
             assert shortfall_divergence(nu, mu, LossFn.power_plus(2.0)) >= -1e-12
+
+
+# flat at 0.5 left of -1, so l*(0) = -0.5 is finite and nu-null atoms keep
+# the divergence finite; g is +inf beyond t = 2 / max r
+ORACLE_TABLE = LossFn.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [0.5, 0.5, 1.0, 2.0, 4.0])
+# the oracle's fine grid step in s = log t
+ORACLE_STEP = 2e-4
+
+
+def grid_min_of_g(nu_w, mu_w, loss):
+    """A brute-force minimum of g(t) = (1 + sum mu * l*(t nu / mu)) / t.
+
+    g is convex in 1 / t, so unimodal in s = log t: a coarse grid over
+    t in [e^-18, e^6] brackets the minimizer between the neighbours of its
+    least point, and a fine grid of step ORACLE_STEP searches that bracket.
+    Every g value comes from the scalar ``LossFn.conjugate``.
+    """
+    pos = mu_w > 0.0
+    pairs = list(zip(mu_w[pos].tolist(), (nu_w[pos] / mu_w[pos]).tolist()))
+
+    def g(s):
+        t = math.exp(s)
+        return (1.0 + sum(m * loss.conjugate(t * r) for m, r in pairs)) / t
+
+    coarse = np.linspace(-18.0, 6.0, 601)
+    k = int(np.argmin([g(s) for s in coarse]))
+    lo, hi = coarse[max(k - 1, 0)], coarse[min(k + 1, coarse.size - 1)]
+    fine = np.linspace(lo, hi, int(round((hi - lo) / ORACLE_STEP)) + 1)
+    return min(g(s) for s in fine)
+
+
+@st.composite
+def oracle_cases(draw):
+    loss = draw(st.one_of(
+        st.floats(0.3, 3.0).map(LossFn.exponential),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]).map(LossFn.power_plus),
+        st.just(ORACLE_TABLE),
+    ))
+    n = draw(st.integers(2, 9))
+    mu = np.asarray(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    nu = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    nu = np.asarray(nu)
+    if nu.sum() == 0.0:
+        nu[draw(st.integers(0, n - 1))] = 1.0
+    return loss, nu / nu.sum(), mu / mu.sum()
+
+
+class TestShortfallDivergenceOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases())
+    def test_matches_a_brute_force_minimum(self, case):
+        # the minimum of g may sit on the edge of l*'s finite domain
+        # (power_plus(1), tables), where a scan in log t once missed it
+        loss, nu, mu = case
+        value = shortfall_divergence_w(nu, mu, loss)
+        oracle = grid_min_of_g(nu, mu, loss)
+        assert value <= oracle + 1e-12 * max(1.0, abs(oracle))
+        # on a grid of step d in log t, the least grid value exceeds the true
+        # minimum by at most (e^d - 1) times |g| plus the largest |x| of l*'s
+        # affine pieces (1 for power_plus(1), 2 for the table)
+        assert value >= oracle - 2.0 * ORACLE_STEP * (3.0 + abs(oracle))
+
+    def test_power_plus_one_matches_the_dual_solver(self):
+        # the scan gave 5.7178 here, and duality reported a false violation
+        mu = FiniteDist(["a", "b"], [0.808, 0.192])
+        nu = FiniteDist(["a", "b"], [0.195, 0.805])
+        res = dual_divergence(RiskSpec.shortfall(LossFn.power_plus(1.0)), nu, mu)
+        assert res.closed_form == pytest.approx(0.805 / 0.192 - 1.0, rel=1e-12)
+        assert abs(res.closed_form - res.value) <= 1e-5
 
 
 class TestAxioms:

@@ -9,6 +9,8 @@ import pytest
 from divlab.consistency import CHECK_KINDS, CheckKind, SearchBudget, counterexample_search, per_trial
 from divlab.divergence import DivergenceSpec
 from divlab.errors import ConfigParseError, UnknownFamilyError
+from divlab.losses import LossFn, UtilityFn
+from divlab.prob import uniform
 from divlab.report import (
     CheckReport,
     CheckSpec,
@@ -254,6 +256,38 @@ class TestSuiteConfig:
         with pytest.raises(ConfigParseError, match=f"^{where} has unknown field"):
             CheckSpec.from_json(doc)
 
+    @pytest.mark.parametrize("parse, doc, where", [
+        (RiskSpec.from_json, {"family": "entropic", "eta": 1.0, "etta": 2}, "entropic risk spec"),
+        (DivergenceSpec.from_json, {"family": "relative_entropy", "eta": 2.0, "etaa": 5},
+         "relative_entropy divergence"),
+        (LossFn.from_json, {"kind": "power_plus", "p": 2, "eta": 1.0}, "power_plus loss spec"),
+        (UtilityFn.from_json, {"kind": "exp_shift", "p": 2}, "exp_shift utility spec"),
+        (SuiteConfig.from_json, {"nmae": "demo", "checks": []}, "suite config"),
+    ], ids=["risk", "divergence", "loss", "utility", "suite"])
+    def test_unknown_spec_field_rejected(self, parse, doc, where):
+        # these once parsed, with the misspelled field dropped
+        with pytest.raises(ConfigParseError, match=f"^{where} has unknown field"):
+            parse(doc)
+
+    def test_every_spec_document_round_trips(self):
+        table = ([-1.0, 0.0, 1.0], [0.5, 1.0, 2.0])
+        utility_table = ([-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0])
+        losses = [LossFn.exponential(2.0), LossFn.power_plus(3.0), LossFn.custom(*table)]
+        utilities = [UtilityFn.exp_shift(), UtilityFn.identity(), UtilityFn.hinge_power(2.0),
+                     UtilityFn.custom(*utility_table)]
+        risks = [RiskSpec.entropic(1.0), RiskSpec.expectation(), RiskSpec.esssup(),
+                 RiskSpec.coherent([[1.0, 1.0]], uniform(["a", "b"])),
+                 *map(RiskSpec.shortfall, losses), *map(RiskSpec.oce, utilities)]
+        divergences = [DivergenceSpec.relative_entropy(2.0), DivergenceSpec.equality_indicator(),
+                       DivergenceSpec.support_indicator(), DivergenceSpec.dual_of(RiskSpec.entropic(1.0)),
+                       *map(DivergenceSpec.shortfall_div, losses), *map(DivergenceSpec.phi_star, utilities)]
+        for cls, specs in [(LossFn, losses), (UtilityFn, utilities), (RiskSpec, risks),
+                           (DivergenceSpec, divergences)]:
+            for spec in specs:
+                assert cls.from_json(spec.as_json()).as_json() == spec.as_json()
+        config = SuiteConfig(checks=(entropic_check("x"),), name="demo")
+        assert SuiteConfig.from_json(config.as_json()).as_json() == config.as_json()
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigParseError):
             SuiteConfig(checks=(entropic_check("x"), entropic_check("x")))
@@ -357,6 +391,14 @@ class TestCli:
         out = run_cli("risk", "--spec", '{"family":"entropic"}', "--law", '{"atoms":[0],"weights":[1]}')
         assert out.returncode == 2
         assert "error:" in out.stderr
+
+    @pytest.mark.parametrize("field", [{"trials": "many"}, {"sizes": None}], ids=["trials", "sizes"])
+    def test_ill_typed_check_field_exits_2(self, field):
+        # these once escaped as a ValueError or AttributeError traceback with status 1
+        check = {"name": "a", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0}, **field}
+        out = run_cli("verify", "--config", json.dumps({"checks": [check]}))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: budget field") and "Traceback" not in out.stderr
 
     def test_search_command(self, tmp_path):
         out_path = tmp_path / "search.json"

@@ -22,10 +22,14 @@ induced divergence alpha:
 Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
-trials are split into blocks. The conditional and product kinds then
-evaluate a whole block of sampled instances in batched solves whose
-per-trial results do not depend on the block either. Gaps where both sides are +inf are
-"vacuous" and excluded from statistics but counted.
+trials are split into blocks. The conditional and product kinds draw their
+instances from one sampler of a random joint law (``_draw_joint``), as plain
+arrays that become ``JointDist`` objects only when ``describe_trial``
+serializes one, and evaluate a whole block of them in batched solves whose
+per-trial results do not depend on the block either. Gaps where both sides
+are +inf are "vacuous" and excluded from statistics but counted. A
+``SearchBudget`` sets the trial count, the seed, the grid sizes and the
+sparsity; every other parameter of the samplers is a module constant.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .errors import (
     InvalidPartitionError,
     PreconditionViolatedError,
     UnknownFamilyError,
+    typed_field,
 )
 from .prob import (
     FiniteDist,
@@ -69,15 +74,10 @@ from .risk import RiskSpec, _atom_sum, acceptance_member, rho_batch, rho_lifted,
 # the payoff values that samplers draw from: -2.0, -1.9, ..., 2.0
 VALUE_GRID = np.linspace(-2.0, 2.0, 41)
 VALUE_GRID.flags.writeable = False
-
-
-def _typed(doc: Mapping, key: str, default, kind: type):
-    """doc[key] (or the default) converted to kind; ConfigParseError if it does not convert."""
-    value = doc.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigParseError(f"budget field {key!r} must be {kind.__name__}, got {value!r}") from None
+# the concentration of every Dirichlet weight draw: uniform on the simplex
+DIRICHLET_ALPHA = 1.0
+# the chance that a joint instance's reference law is a product of its marginals
+PRODUCT_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ class SearchBudget:
     seed: int
     max_e: int = 3
     max_f: int = 3
-    dirichlet_alpha: float = 1.0
-    product_fraction: float = 0.5
     sparsity: float = 0.0
 
     def __post_init__(self):
-        if self.trials < 0 or self.max_e < 1 or self.max_f < 1:
-            raise ConfigParseError("budget needs trials >= 0 and positive sizes")
+        if self.trials < 0 or self.seed < 0 or self.max_e < 1 or self.max_f < 1:
+            raise ConfigParseError("budget needs trials >= 0, seed >= 0 and positive sizes")
+        if not 0.0 <= self.sparsity <= 1.0:
+            raise ConfigParseError(f"budget field 'sparsity' must lie in [0, 1], got {self.sparsity!r}")
 
     def rng_for(self, trial: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, trial])
@@ -104,24 +104,19 @@ class SearchBudget:
             "trials": self.trials,
             "seed": self.seed,
             "sizes": {"E": self.max_e, "F": self.max_f},
-            "dirichlet_alpha": self.dirichlet_alpha,
-            "product_fraction": self.product_fraction,
             "sparsity": self.sparsity,
         }
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SearchBudget":
-        sizes = doc.get("sizes", {})
-        if not isinstance(sizes, Mapping):
-            raise ConfigParseError(f"budget field 'sizes' must be an object, got {sizes!r}")
+        field = partial(typed_field, what="budget field")
+        sizes = field(doc, "sizes", {}, dict)
         return cls(
-            trials=_typed(doc, "trials", 0, int),
-            seed=_typed(doc, "seed", 0, int),
-            max_e=_typed(sizes, "E", 3, int),
-            max_f=_typed(sizes, "F", 3, int),
-            dirichlet_alpha=_typed(doc, "dirichlet_alpha", 1.0, float),
-            product_fraction=_typed(doc, "product_fraction", 0.5, float),
-            sparsity=_typed(doc, "sparsity", 0.0, float),
+            trials=field(doc, "trials", 0, int),
+            seed=field(doc, "seed", 0, int),
+            max_e=field(sizes, "E", 3, int),
+            max_f=field(sizes, "F", 3, int),
+            sparsity=field(doc, "sparsity", 0.0, float),
         )
 
 
@@ -173,8 +168,8 @@ class ConditionalInstance:
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
-    w = rng.dirichlet(np.full(n, alpha))
+def _dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    w = rng.dirichlet(np.full(n, DIRICHLET_ALPHA))
     # guard against exact zeros from extreme draws; keep it a distribution
     w = np.maximum(w, 0.0)
     return w / w.sum()
@@ -194,66 +189,60 @@ def _sparsify(rng: np.random.Generator, w: np.ndarray, sparsity: float) -> np.nd
     return w / w.sum()
 
 
-class _ProductDraw(NamedTuple):
-    """The weights of a product instance as drawn, before JointDist renormalizes them."""
-
-    mu_w: np.ndarray  # shape (n_e, n_f)
-    nu_w: np.ndarray  # shape (n_e, n_f)
-    is_product: bool
-
-    def instance(self) -> ProductInstance:
-        e, f = _labels("e", self.mu_w.shape[0]), _labels("f", self.mu_w.shape[1])
-        return ProductInstance(
-            mu_bar=JointDist(e, f, self.mu_w),
-            nu_bar=JointDist(e, f, self.nu_w),
-            is_product=self.is_product,
-        )
-
-
-def _draw_product(rng: np.random.Generator, budget: SearchBudget) -> _ProductDraw:
+def _draw_joint(rng: np.random.Generator, budget: SearchBudget) -> tuple[np.ndarray, bool]:
+    """The reference weights of a random joint instance, and whether they are a product law."""
     n_e = int(rng.integers(2, budget.max_e + 1))
     n_f = int(rng.integers(2, budget.max_f + 1))
-    is_product = bool(rng.random() < budget.product_fraction)
+    is_product = bool(rng.random() < PRODUCT_FRACTION)
     if is_product:
-        mu_w = np.outer(
-            _dirichlet(rng, n_e, budget.dirichlet_alpha),
-            _dirichlet(rng, n_f, budget.dirichlet_alpha),
-        )
+        w = np.outer(_dirichlet(rng, n_e), _dirichlet(rng, n_f))
     else:
-        mu_w = _dirichlet(rng, n_e * n_f, budget.dirichlet_alpha).reshape(n_e, n_f)
-    mu_w = _sparsify(rng, mu_w, budget.sparsity)
-    nu_w = _dirichlet(rng, n_e * n_f, budget.dirichlet_alpha).reshape(n_e, n_f)
-    return _ProductDraw(mu_w, nu_w, is_product)
+        w = _dirichlet(rng, n_e * n_f).reshape(n_e, n_f)
+    return _sparsify(rng, w, budget.sparsity), is_product
+
+
+class _JointDraw(NamedTuple):
+    """A joint instance as drawn, before JointDist renormalizes its weights."""
+
+    w: np.ndarray  # shape (n_e, n_f): the reference weights, mu_bar or the joint law
+    paired: np.ndarray  # shape (n_e, n_f): the weights of nu_bar, or the payoff values
+    is_product: bool
+
+
+def _joint_dist(w: np.ndarray) -> JointDist:
+    return JointDist(_labels("e", w.shape[0]), _labels("f", w.shape[1]), w)
+
+
+def _draw_product(rng: np.random.Generator, budget: SearchBudget) -> _JointDraw:
+    w, is_product = _draw_joint(rng, budget)
+    return _JointDraw(w, _dirichlet(rng, w.size).reshape(w.shape), is_product)
+
+
+def _draw_conditional(rng: np.random.Generator, budget: SearchBudget) -> _JointDraw:
+    w, is_product = _draw_joint(rng, budget)
+    return _JointDraw(w, rng.choice(VALUE_GRID, size=w.shape), is_product)
+
+
+def _product_instance(draw: _JointDraw) -> ProductInstance:
+    return ProductInstance(_joint_dist(draw.w), _joint_dist(draw.paired), draw.is_product)
+
+
+def _conditional_instance(draw: _JointDraw) -> ConditionalInstance:
+    return ConditionalInstance(_joint_dist(draw.w), draw.paired, draw.is_product)
 
 
 def sample_product_instance(rng: np.random.Generator, budget: SearchBudget) -> ProductInstance:
-    return _draw_product(rng, budget).instance()
+    return _product_instance(_draw_product(rng, budget))
 
 
 def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) -> ConditionalInstance:
-    n_e = int(rng.integers(2, budget.max_e + 1))
-    n_f = int(rng.integers(2, budget.max_f + 1))
-    is_product = bool(rng.random() < budget.product_fraction)
-    if is_product:
-        w = np.outer(
-            _dirichlet(rng, n_e, budget.dirichlet_alpha),
-            _dirichlet(rng, n_f, budget.dirichlet_alpha),
-        )
-    else:
-        w = _dirichlet(rng, n_e * n_f, budget.dirichlet_alpha).reshape(n_e, n_f)
-    w = _sparsify(rng, w, budget.sparsity)
-    values = rng.choice(VALUE_GRID, size=(n_e, n_f))
-    return ConditionalInstance(
-        joint=JointDist(_labels("e", n_e), _labels("f", n_f), w),
-        values=values,
-        is_product=is_product,
-    )
+    return _conditional_instance(_draw_conditional(rng, budget))
 
 
 def sample_boundary_law(rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec, n: int) -> FiniteDist:
     """A law shifted onto the acceptance boundary rho = 0."""
     values = rng.choice(VALUE_GRID, size=n, replace=False)
-    w = _dirichlet(rng, n, budget.dirichlet_alpha)
+    w = _dirichlet(rng, n)
     law = FiniteDist([float(v) for v in values], w)
     return shift_law(law, -rho_of_law(spec, law))
 
@@ -435,20 +424,12 @@ def shift_convexity_probe(
 ) -> ProbeResult:
     """Check that acceptable inputs produce an acceptable shifted mixture.
 
-    The mixture places weight mu(x) * K_x(y) at the value x + y. Inputs that
-    are not all acceptable violate the precondition and raise.
+    The mixture places weight mu(x) * K_x(y) at the value x + y: the
+    ``property_s_probe`` of the pairs (mu(x), x, K_x). Inputs that are not
+    all acceptable violate the precondition and raise.
     """
-    if not acceptance_member(spec, mu, tol):
-        raise PreconditionViolatedError("mu is not acceptable")
-    for i in range(len(kernel.source)):
-        if not acceptance_member(spec, kernel.row(i), tol):
-            raise PreconditionViolatedError(f"kernel row {i} is not acceptable")
-    parts = []
-    for i, x in enumerate(mu.atoms):
-        parts.append((float(mu.weights[i]), shift_law(kernel.row(i), float(x))))
-    mixed = mixture(parts)
-    rho = rho_of_law(spec, mixed)
-    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho, mixture=mixed)
+    pairs = [(float(w), float(x), kernel.row(i)) for i, (x, w) in enumerate(zip(mu.atoms, mu.weights))]
+    return property_s_probe(spec, pairs, tol)
 
 
 def property_s_probe(
@@ -461,10 +442,7 @@ def property_s_probe(
     Requires the first marginal (the law of the x_i) and every component law
     m_i to be acceptable; checks the shifted mixture sum_i w_i m_i(. - x_i).
     """
-    weights = [w for w, _, _ in pairs]
-    marginal = mixture(
-        [(w, FiniteDist([x], [1.0])) for w, x, _ in pairs]
-    )
+    marginal = mixture([(w, FiniteDist([x], [1.0])) for w, x, _ in pairs])
     if not acceptance_member(spec, marginal, tol):
         raise PreconditionViolatedError("the x-marginal is not acceptable")
     for _, _, law in pairs:
@@ -547,8 +525,8 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 # one trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
-# never holds their instances; the conditional and product kinds sample their
-# trials one by one and solve them in one batch.
+# never holds their instances; the conditional and product kinds draw their
+# trials one by one as arrays and solve them in one batch.
 
 
 class TrialResult(NamedTuple):
@@ -568,11 +546,11 @@ def per_trial(trial: Callable) -> Callable:
     return trials
 
 
-def _sample_pair(rng, budget: SearchBudget, n: int | None = None):
-    n = n or int(rng.integers(2, budget.max_e + 1))
+def _sample_pair(rng, budget: SearchBudget):
+    n = int(rng.integers(2, budget.max_e + 1))
     labels = _labels("a", n)
-    mu_w = _sparsify(rng, _dirichlet(rng, n, budget.dirichlet_alpha), budget.sparsity)
-    nu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
+    mu_w = _sparsify(rng, _dirichlet(rng, n), budget.sparsity)
+    nu_w = _dirichlet(rng, n)
     return FiniteDist(labels, mu_w), FiniteDist(labels, nu_w)
 
 
@@ -614,7 +592,7 @@ def _dpi_trial(rng, risk, div, budget, bijection: bool):
         kernel = Kernel(mu.atoms, _labels("b", n), mat)
     else:
         n_f = int(rng.integers(2, budget.max_f + 1))
-        rows = np.vstack([_dirichlet(rng, n_f, budget.dirichlet_alpha) for _ in range(n)])
+        rows = np.vstack([_dirichlet(rng, n_f) for _ in range(n)])
         kernel = Kernel(mu.atoms, _labels("b", n_f), rows)
     g = dpi_gap(div, nu, mu, kernel)
     return g.value, g.vacuous, None, {"nu": nu, "mu": mu, "kernel": kernel}
@@ -650,20 +628,17 @@ def _renormalized(w: np.ndarray) -> np.ndarray:
     return (flat / flat.sum()).reshape(w.shape)
 
 
-def _pack(instances: Sequence[ConditionalInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional instances as zero-padded (B, E, F) weights and values.
-
-    The weights are renormalized as ``joint.as_dist()`` renormalizes them, so
-    an instance packed here and its ``flat()`` form carry the same bits.
-    """
-    w = _padded([_renormalized(inst.joint.matrix) for inst in instances])
-    return w, _padded([inst.values for inst in instances])
-
-
 def _conditional_trials(risk, div, budget, start, stop, weak: bool):
-    insts = [sample_conditional_instance(budget.rng_for(k), budget) for k in range(start, stop)]
-    gaps = _conditional_gaps(risk, *_pack(insts), weak=weak)
-    return [TrialResult(float(g), False, inst.is_product, inst) for g, inst in zip(gaps, insts)]
+    """Conditional instances drawn one by one as arrays, their gaps in one ``_conditional_gaps``.
+
+    The weights are renormalized twice, as JointDist and then ``flat()``'s
+    FiniteDist renormalize them, so a trial gives the bits of the public gap
+    on its ``sample_conditional_instance(...).flat()``.
+    """
+    draws = [_draw_conditional(budget.rng_for(k), budget) for k in range(start, stop)]
+    w = _padded([_renormalized(_renormalized(d.w)) for d in draws])
+    gaps = _conditional_gaps(risk, w, _padded([d.paired for d in draws]), weak=weak)
+    return [TrialResult(float(g), False, d.is_product, d) for g, d in zip(gaps, draws)]
 
 
 def _product_trials(risk, div, budget, start, stop, weak: bool):
@@ -675,9 +650,9 @@ def _product_trials(risk, div, budget, start, stop, weak: bool):
     draws = [_draw_product(budget.rng_for(k), budget) for k in range(start, stop)]
     gaps = _product_gaps(
         div,
-        _padded([_renormalized(d.mu_w) for d in draws]),
-        _padded([_renormalized(d.nu_w) for d in draws]),
-        np.array([d.mu_w.shape[1] for d in draws]),
+        _padded([_renormalized(d.w) for d in draws]),
+        _padded([_renormalized(d.paired) for d in draws]),
+        np.array([d.w.shape[1] for d in draws]),
         weak,
     )
     return [TrialResult(g.value, g.vacuous, d.is_product, d) for g, d in zip(gaps, draws)]
@@ -699,7 +674,7 @@ def _boundary_laws(rng, budget: SearchBudget, risk, k: int) -> list[FiniteDist]:
 def _property_s_trial(rng, risk, div, budget):
     k = int(rng.integers(2, 5))
     xs = rng.choice(VALUE_GRID, size=k, replace=False)
-    weights = _dirichlet(rng, k, budget.dirichlet_alpha)
+    weights = _dirichlet(rng, k)
     laws = _boundary_laws(rng, budget, risk, k)
     marginal = mixture(
         [(float(w), FiniteDist([float(x)], [1.0])) for w, x in zip(weights, xs)]
@@ -712,7 +687,7 @@ def _property_s_trial(rng, risk, div, budget):
 
 def _mixture_convexity_trial(rng, risk, div, budget):
     k = int(rng.integers(2, 5))
-    weights = _dirichlet(rng, k, budget.dirichlet_alpha)
+    weights = _dirichlet(rng, k)
     components = list(zip(map(float, weights), _boundary_laws(rng, budget, risk, k)))
     probe = mixture_convexity_probe(risk, components)
     return -probe.rho_mixture, False, None, components
@@ -721,10 +696,10 @@ def _mixture_convexity_trial(rng, risk, div, budget):
 def _joint_convexity_trial(rng, risk, div, budget):
     n = int(rng.integers(2, budget.max_e + 1))
     labels = _labels("a", n)
-    mu1 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-    nu1 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-    mu2 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
-    nu2 = FiniteDist(labels, _dirichlet(rng, n, budget.dirichlet_alpha))
+    mu1 = FiniteDist(labels, _dirichlet(rng, n))
+    nu1 = FiniteDist(labels, _dirichlet(rng, n))
+    mu2 = FiniteDist(labels, _dirichlet(rng, n))
+    nu2 = FiniteDist(labels, _dirichlet(rng, n))
     t = float(rng.uniform(0.05, 0.95))
     a1 = div.evaluate(nu1, mu1)
     a2 = div.evaluate(nu2, mu2)
@@ -743,11 +718,11 @@ def _dist_concavity_trial(rng, risk, div, budget):
     n2 = int(rng.integers(2, budget.max_e + 1))
     m1 = FiniteDist(
         [float(v) for v in rng.choice(VALUE_GRID, size=n1, replace=False)],
-        _dirichlet(rng, n1, budget.dirichlet_alpha),
+        _dirichlet(rng, n1),
     )
     m2 = FiniteDist(
         [float(v) for v in rng.choice(VALUE_GRID, size=n2, replace=False)],
-        _dirichlet(rng, n2, budget.dirichlet_alpha),
+        _dirichlet(rng, n2),
     )
     t = float(rng.uniform(0.05, 0.95))
     mixed = mixture([(t, m1), (1 - t, m2)])
@@ -758,7 +733,7 @@ def _dist_concavity_trial(rng, risk, div, budget):
 def _sufficiency_trial(rng, risk, div, budget, matched: bool):
     n = int(rng.integers(2, max(3, budget.max_e) + 1))
     labels = _labels("a", n)
-    mu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
+    mu_w = _dirichlet(rng, n)
     n_fibers = 1 if n == 2 else int(rng.integers(1, n))
     assignment = _random_surjection(rng, n, n_fibers)
     mapping = {a: f"g{assignment[i]}" for i, a in enumerate(labels)}
@@ -767,7 +742,7 @@ def _sufficiency_trial(rng, risk, div, budget, matched: bool):
         nu_w = mu_w * ratios[assignment]
         nu_w = nu_w / nu_w.sum()
     else:
-        nu_w = _dirichlet(rng, n, budget.dirichlet_alpha)
+        nu_w = _dirichlet(rng, n)
     mu = FiniteDist(labels, mu_w)
     nu = FiniteDist(labels, nu_w)
     g = sufficiency_gap(div, nu, mu, mapping)
@@ -777,8 +752,8 @@ def _sufficiency_trial(rng, risk, div, budget, matched: bool):
 def _refinement_trial(rng, risk, div, budget):
     n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
     labels = _labels("a", n0)
-    mu = FiniteDist(labels, _dirichlet(rng, n0, budget.dirichlet_alpha))
-    nu = FiniteDist(labels, _dirichlet(rng, n0, budget.dirichlet_alpha))
+    mu = FiniteDist(labels, _dirichlet(rng, n0))
+    nu = FiniteDist(labels, _dirichlet(rng, n0))
     n1 = int(rng.integers(2, n0))
     n2 = int(rng.integers(1, n1 + 1))
     m1 = {a: f"b{k}" for a, k in zip(labels, _random_surjection(rng, n0, n1))}
@@ -808,7 +783,7 @@ def _key_identity_trial(rng, risk, div, budget):
 
 def _lebesgue_trial(rng, risk, div, budget):
     n = int(rng.integers(2, budget.max_e + 1))
-    mu = FiniteDist(_labels("a", n), _dirichlet(rng, n, budget.dirichlet_alpha))
+    mu = FiniteDist(_labels("a", n), _dirichlet(rng, n))
     f = rng.choice(VALUE_GRID, size=n)
     h = rng.uniform(0.0, 1.0, size=n)
     rho_limit = rho_lifted(risk, mu, f)
@@ -828,8 +803,12 @@ def _as_json(inst) -> dict:
     return inst.as_json()
 
 
-def _product_json(draw: _ProductDraw) -> dict:
-    return draw.instance().as_json()
+def _product_json(draw: _JointDraw) -> dict:
+    return _product_instance(draw).as_json()
+
+
+def _conditional_json(draw: _JointDraw) -> dict:
+    return _conditional_instance(draw).as_json()
 
 
 def _parts_json(parts: dict) -> dict:
@@ -885,11 +864,11 @@ CHECK_KINDS: dict[str, CheckKind] = {
         "abs", "div", per_trial(partial(_dpi_trial, bijection=True)), _parts_json
     ),
     "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json),
-    "time_consistency": CheckKind("abs", "risk", _CONSISTENCY, _as_json),
-    "acceptance": CheckKind("lower", "risk", _CONSISTENCY, _as_json),
-    "rejection": CheckKind("lower", "risk", _negated(_CONSISTENCY), _as_json),
+    "time_consistency": CheckKind("abs", "risk", _CONSISTENCY, _conditional_json),
+    "acceptance": CheckKind("lower", "risk", _CONSISTENCY, _conditional_json),
+    "rejection": CheckKind("lower", "risk", _negated(_CONSISTENCY), _conditional_json),
     "weak_acceptance": CheckKind(
-        "lower", "risk", partial(_conditional_trials, weak=True), _as_json
+        "lower", "risk", partial(_conditional_trials, weak=True), _conditional_json
     ),
     "shift_convexity": CheckKind("lower", "risk", per_trial(_shift_convexity_trial), _as_json),
     "property_s": CheckKind("lower", "risk", per_trial(_property_s_trial), _property_s_json),

@@ -7,6 +7,8 @@ violated contract, not the call site.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 
 class DivLabError(Exception):
     """Base error for the package."""
@@ -101,3 +103,23 @@ def reject_unknown_keys(doc, known, what: str) -> None:
     unknown = sorted(set(doc) - set(known), key=str)
     if unknown:
         raise ConfigParseError(f"{what} has unknown field(s): {', '.join(map(repr, unknown))}")
+
+
+def typed_field(doc, key: str, default, kind: type, what: str):
+    """doc[key], or the default, if it is a JSON value of kind: int, float, bool or dict.
+
+    Nothing is coerced: ``"trials": 2.7``, ``"trials": true`` or
+    ``"must_pass": "false"`` raises ConfigParseError instead of running as 2, 1 or true.
+    An integer is any number without a fractional part, 2.0 included, as in JSON Schema.
+    """
+    value = doc.get(key, default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok, name = {
+        int: (number and (isinstance(value, int) or value.is_integer()), "an integer"),
+        float: (number, "a number"),
+        bool: (isinstance(value, bool), "true or false"),
+        dict: (isinstance(value, Mapping), "an object"),
+    }[kind]
+    if not ok:
+        raise ConfigParseError(f"{what} {key!r} must be {name}, got {value!r}")
+    return kind(value)

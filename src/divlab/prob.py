@@ -91,10 +91,6 @@ class FiniteDist:
     def weight(self, atom: Atom) -> float:
         return float(self.weights[self._index[atom]])
 
-    def support(self) -> tuple:
-        """Atoms carrying strictly positive mass."""
-        return tuple(a for a, w in zip(self.atoms, self.weights) if w > 0.0)
-
     def values_array(self) -> np.ndarray:
         """Atoms coerced to floats; valid only for laws on the real line."""
         try:
@@ -163,9 +159,6 @@ class Kernel:
 
     def row(self, i: int) -> FiniteDist:
         return FiniteDist(self.target, self.matrix[i])
-
-    def rows(self) -> list[FiniteDist]:
-        return [self.row(i) for i in range(len(self.source))]
 
     @classmethod
     def deterministic(cls, source: Iterable[Atom], mapping, target: Iterable[Atom] | None = None) -> "Kernel":

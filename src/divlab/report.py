@@ -32,7 +32,7 @@ from .consistency import (
     run_trials,
 )
 from .divergence import DivergenceSpec, divergence_for_risk_spec
-from .errors import ConfigParseError, IoError, reject_unknown_keys
+from .errors import ConfigParseError, IoError, reject_unknown_keys, typed_field
 from .risk import RiskSpec
 
 SCHEMA_VERSION = 1
@@ -53,12 +53,10 @@ class Tolerances:
             raise ConfigParseError("need 0 <= noise <= violation")
 
     @classmethod
-    def from_json(cls, doc: Mapping | None) -> "Tolerances":
-        if not doc:
-            return cls()
+    def from_json(cls, doc: Mapping) -> "Tolerances":
         return cls(
-            noise=float(doc.get("noise", DEFAULT_NOISE_TOL)),
-            violation=float(doc.get("violation", DEFAULT_VIOLATION_TOL)),
+            noise=typed_field(doc, "noise", DEFAULT_NOISE_TOL, float, "tolerance"),
+            violation=typed_field(doc, "violation", DEFAULT_VIOLATION_TOL, float, "tolerance"),
         )
 
     def as_json(self) -> dict:
@@ -104,9 +102,8 @@ class CheckSpec:
         budget_doc = budget.as_json()
         reject_unknown_keys(doc, (*_CHECK_FIELDS, *budget_doc), f"check {name!r}")
         reject_unknown_keys(doc.get("sizes", {}), budget_doc["sizes"], f"check {name!r} sizes")
-        reject_unknown_keys(
-            doc.get("tolerances") or {}, ("noise", "violation"), f"check {name!r} tolerances"
-        )
+        tolerances = typed_field(doc, "tolerances", {}, dict, f"check {name!r} field")
+        reject_unknown_keys(tolerances, ("noise", "violation"), f"check {name!r} tolerances")
         return cls(
             name=name,
             target=target,
@@ -115,8 +112,8 @@ class CheckSpec:
             divergence=(
                 DivergenceSpec.from_json(doc["divergence"]) if "divergence" in doc else None
             ),
-            tolerances=Tolerances.from_json(doc.get("tolerances")),
-            must_pass=bool(doc.get("must_pass", True)),
+            tolerances=Tolerances.from_json(tolerances),
+            must_pass=typed_field(doc, "must_pass", True, bool, f"check {name!r} field"),
         )
 
     def as_json(self) -> dict:

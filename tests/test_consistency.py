@@ -414,6 +414,28 @@ class TestTrialMachinery:
             if product and sparsity:
                 assert stats.vacuous > 0 or any(math.isinf(whole[k]) for k in ranked), spec.as_json()
 
+    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + PRODUCT_KINDS)
+    def test_batched_kinds_build_no_joint_law(self, monkeypatch, kind):
+        # the batched kinds keep their draws as arrays: a JointDist is built
+        # only when describe_trial serializes the instance
+        budget = SearchBudget(trials=120, seed=26, max_e=3, max_f=3, sparsity=0.3)
+        product = kind in PRODUCT_KINDS
+        risk, div = (None, RE) if product else (ENTROPIC, None)
+        built = []
+        init = JointDist.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JointDist, "__init__", counted)
+        stats = run_trials(kind, risk, div, budget, 0, budget.trials)
+        assert stats.count == budget.trials and stats.worst_trial is not None
+        assert built == []
+        doc = describe_trial(kind, risk, div, budget, stats.worst_trial)
+        sample = sample_product_instance if product else sample_conditional_instance
+        assert doc["instance"] == sample(budget.rng_for(stats.worst_trial), budget).as_json()
+
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)
         stats = run_trials("chain_rule", None, RE, budget, 0, 200)

@@ -256,6 +256,40 @@ class TestSuiteConfig:
         with pytest.raises(ConfigParseError, match=f"^{where} has unknown field"):
             CheckSpec.from_json(doc)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"must_pass": "false"}, "check 'acc' field 'must_pass' must be true or false"),
+        ({"trials": 2.7}, "budget field 'trials' must be an integer"),
+        ({"trials": True}, "budget field 'trials' must be an integer"),
+        ({"sizes": {"E": math.inf}}, "budget field 'E' must be an integer"),
+        ({"seed": 1.9}, "budget field 'seed' must be an integer"),
+        ({"seed": -1}, "budget needs trials >= 0, seed >= 0"),
+        ({"tolerances": {"noise": "x"}}, "tolerance 'noise' must be a number"),
+        ({"sparsity": math.nan}, "budget field 'sparsity' must lie in [0, 1]"),
+        ({"sparsity": -1}, "budget field 'sparsity' must lie in [0, 1]"),
+        ({"sparsity": 1.5}, "budget field 'sparsity' must lie in [0, 1]"),
+        ({"dirichlet_alpha": 2}, "check 'acc' has unknown field(s): 'dirichlet_alpha'"),
+        ({"product_fraction": 0.5}, "check 'acc' has unknown field(s): 'product_fraction'"),
+    ], ids=["must_pass_string", "trials_fraction", "trials_bool", "size_inf", "seed_fraction", "seed_negative",
+            "noise_string", "sparsity_nan", "sparsity_negative", "sparsity_above_one",
+            "dirichlet_alpha", "product_fraction"])
+    def test_ill_valued_check_field_rejected(self, field, message):
+        # each of these once parsed: coerced ("false" read as true, 2.7 as 2,
+        # true as 1), kept out of range, escaping as a ValueError, or set as a
+        # sampler knob that is now a constant
+        doc = {"name": "acc", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
+               "trials": 10, "seed": 42, **field}
+        with pytest.raises(ConfigParseError) as err:
+            CheckSpec.from_json(doc)
+        assert str(err.value).startswith(message)
+
+    def test_whole_numbers_fill_integer_and_number_fields(self):
+        doc = {"name": "acc", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
+               "trials": 10.0, "seed": 0, "sparsity": 1, "tolerances": {"noise": 0, "violation": 1},
+               "must_pass": False}
+        check = CheckSpec.from_json(doc)
+        assert check.budget.trials == 10 and isinstance(check.budget.trials, int)
+        assert (check.budget.sparsity, check.tolerances, check.must_pass) == (1.0, Tolerances(0.0, 1.0), False)
+
     @pytest.mark.parametrize("parse, doc, where", [
         (RiskSpec.from_json, {"family": "entropic", "eta": 1.0, "etta": 2}, "entropic risk spec"),
         (DivergenceSpec.from_json, {"family": "relative_entropy", "eta": 2.0, "etaa": 5},
@@ -400,6 +434,16 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr.startswith("error: budget field") and "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("field", [{"must_pass": "false"}, {"tolerances": {"noise": "x"}}],
+                             ids=["must_pass", "tolerances"])
+    def test_ill_typed_check_option_exits_2(self, field):
+        # the first once ran as must_pass true; the second escaped as a ValueError with status 1
+        check = {"name": "a", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
+                 "trials": 5, **field}
+        out = run_cli("verify", "--config", json.dumps({"checks": [check]}))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
     def test_search_command(self, tmp_path):
         out_path = tmp_path / "search.json"
         out = run_cli(
@@ -473,3 +517,12 @@ class TestCli:
         lines = out.stdout.strip().split("\n")
         assert lines[0] == "parameter,worst_gap"
         assert len(lines) == 3
+
+    def test_sweep_over_an_integer_field(self, tmp_path):
+        # sweep values arrive as floats; an integral one is a valid integer field
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps({"name": "tc", "target": "time_consistency",
+                                    "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}))
+        out = run_cli("sweep", "--config", str(path), "--param", "trials", "--values", "20,30")
+        assert out.returncode == 0, out.stderr
+        assert [line.split(",")[0] for line in out.stdout.strip().split("\n")] == ["parameter", "20", "30"]

@@ -10,7 +10,8 @@ Subcommands:
 - ``sweep``        rerun one check over a parameter range, emit (parameter, gap) CSV
 
 All inputs are JSON documents read from files or standard input ("-").
-Exit status is nonzero iff a must-pass check reports a violation.
+Exit status is 1 iff a must-pass check reports a violation, and 2 on a
+malformed input or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .consistency import CHECK_KINDS, SearchBudget, counterexample_search
 from .divergence import DivergenceSpec
@@ -32,6 +34,7 @@ from .report import (
     run_check,
     run_suite,
     suite_failed,
+    write_text,
 )
 from .risk import RiskSpec, rho_conditional, rho_of_law
 
@@ -49,19 +52,11 @@ def _load_json(source: str):
         raise ConfigParseError(f"cannot read JSON from {source!r}: {exc}") from exc
 
 
-def _print_or_write(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _cmd_risk(args) -> int:
     spec = RiskSpec.from_json(_load_json(args.spec))
     law = FiniteDist.from_json(_load_json(args.law))
     value = rho_of_law(spec, law)
-    _print_or_write(canonical_json({"value": value}) + "\n", args.out)
+    write_text(canonical_json({"value": value}) + "\n", args.out)
     return 0
 
 
@@ -70,7 +65,7 @@ def _cmd_div(args) -> int:
     nu = FiniteDist.from_json(_load_json(args.nu))
     mu = FiniteDist.from_json(_load_json(args.mu))
     value = div.evaluate(nu, mu)
-    _print_or_write(canonical_json({"value": value}) + "\n", args.out)
+    write_text(canonical_json({"value": value}) + "\n", args.out)
     return 0
 
 
@@ -86,34 +81,31 @@ def _cmd_conditional(args) -> int:
             for (block, v), w in zip(cond.values, cond.weights)
         ]
     }
-    _print_or_write(canonical_json(doc) + "\n", args.out)
+    write_text(canonical_json(doc) + "\n", args.out)
     return 0
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    for check in doc.get("checks", []):
-        if args.seed is not None:
-            check["seed"] = args.seed
-        if args.trials is not None:
-            check["trials"] = args.trials
-        tols = dict(check.get("tolerances", {}))
-        if args.tol_noise is not None:
-            tols["noise"] = args.tol_noise
-        if args.tol_violation is not None:
-            tols["violation"] = args.tol_violation
-        if tols:
-            check["tolerances"] = tols
-    return doc
+def _override(check: CheckSpec, args) -> CheckSpec:
+    """The parsed check with the command line's seed, trials and tolerances in place of its own."""
+
+    def given(**fields) -> dict:
+        return {key: value for key, value in fields.items() if value is not None}
+
+    return replace(
+        check,
+        budget=replace(check.budget, **given(seed=args.seed, trials=args.trials)),
+        tolerances=replace(
+            check.tolerances, **given(noise=args.tol_noise, violation=args.tol_violation)
+        ),
+    )
 
 
 def _cmd_verify(args) -> int:
-    doc = _apply_overrides(_load_json(args.config), args)
-    config = SuiteConfig.from_json(doc)
+    config = SuiteConfig.from_json(_load_json(args.config))
+    config = replace(config, checks=tuple(_override(c, args) for c in config.checks))
     reports = run_suite(config)
     timestamp = None if args.no_timestamp else now_timestamp()
-    text = emit_report(reports, args.format, args.out, timestamp, config.name)
-    if args.out == "-":
-        sys.stdout.write(text)
+    write_text(emit_report(reports, args.format, "-", timestamp, config.name), args.out)
     return 1 if suite_failed(reports) else 0
 
 
@@ -129,7 +121,7 @@ def _cmd_search(args) -> int:
         max_f=args.size_f,
     )
     result = counterexample_search(spec, budget, args.target, divergence)
-    _print_or_write(canonical_json(result.as_json()) + "\n", args.out)
+    write_text(canonical_json(result.as_json()) + "\n", args.out)
     return 0
 
 
@@ -145,9 +137,16 @@ def _set_by_path(doc: dict, path: str, value: float) -> None:
     node[parts[-1]] = value
 
 
+def _sweep_value(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigParseError(f"sweep value {token!r} is not a number") from None
+
+
 def _cmd_sweep(args) -> int:
     base = _load_json(args.config)
-    values = [float(v) for v in args.values.split(",")]
+    values = [_sweep_value(v) for v in args.values.split(",")]
     lines = ["parameter,worst_gap"]
     for v in values:
         doc = json.loads(json.dumps(base))
@@ -155,7 +154,7 @@ def _cmd_sweep(args) -> int:
         report = run_check(CheckSpec.from_json(doc))
         gap = "" if report.worst_gap is None else format(report.worst_gap, ".17g")
         lines.append(f"{format(v, '.17g')},{gap}")
-    _print_or_write("\n".join(lines) + "\n", args.out)
+    write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

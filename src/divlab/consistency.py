@@ -898,6 +898,15 @@ def check_kind(name: str) -> CheckKind:
         raise UnknownFamilyError(f"unknown check kind {name!r}") from None
 
 
+def resolve_divergence(
+    kind: str, risk: RiskSpec | None, div: DivergenceSpec | None
+) -> DivergenceSpec | None:
+    """div, or the closed form of the risk spec when a divergence kind is given none."""
+    if div is None and check_kind(kind).needs == "div":
+        return divergence_for_risk_spec(risk)
+    return div
+
+
 # trials per call of a kind's trial function in run_trials
 TRIAL_BATCH = 100
 
@@ -1053,9 +1062,7 @@ def counterexample_search(
     (seed, trial). With zero trials the result is empty and carries no
     verdict.
     """
-    div = divergence
-    if check_kind(target).needs == "div" and div is None:
-        div = divergence_for_risk_spec(spec)
+    div = resolve_divergence(target, spec, divergence)
     stats = run_trials(target, spec, div, budget, 0, budget.trials)
     instance = None
     if stats.worst_trial is not None:

@@ -546,19 +546,6 @@ def dpi_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, kernel: Kernel)
     return Gap.of(before, after)
 
 
-def _pushforward_pair(nu: FiniteDist, mu: FiniteDist, mapping) -> tuple[FiniteDist, FiniteDist]:
-    """Push both laws through one map onto a common image atom set."""
-    nu_t = pushforward(nu, mapping)
-    mu_t = pushforward(mu, mapping)
-    if nu_t.atoms != mu_t.atoms:
-        # first-appearance order may differ when one measure charges a fiber
-        # the other does not reach first
-        atoms = tuple(dict.fromkeys(list(mu_t.atoms) + list(nu_t.atoms)))
-        mu_t = FiniteDist(atoms, [mu_t.weight(a) if a in mu_t.atoms else 0.0 for a in atoms])
-        nu_t = FiniteDist(atoms, [nu_t.weight(a) if a in nu_t.atoms else 0.0 for a in atoms])
-    return nu_t, mu_t
-
-
 def sufficiency_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, mapping) -> Gap:
     """alpha(nu | mu) - alpha(nu o T^-1 | mu o T^-1) for a statistic T.
 
@@ -569,8 +556,7 @@ def sufficiency_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, mapping
     if _not_ac(nu.weights, mu.weights):
         raise NotAbsolutelyContinuousError("sufficiency_gap requires nu << mu")
     before = div.evaluate(nu, mu)
-    nu_t, mu_t = _pushforward_pair(nu, mu, mapping)
-    after = div.evaluate(nu_t, mu_t)
+    after = div.evaluate(pushforward(nu, mapping), pushforward(mu, mapping))
     return Gap.of(before, after)
 
 
@@ -586,9 +572,8 @@ def refinement_monotonicity(
     values = [div.evaluate(nu, mu)]
     cur_nu, cur_mu = nu, mu
     for mapping in chain:
-        nu_t, mu_t = _pushforward_pair(cur_nu, cur_mu, mapping)
-        values.append(div.evaluate(nu_t, mu_t))
-        cur_nu, cur_mu = nu_t, mu_t
+        cur_nu, cur_mu = pushforward(cur_nu, mapping), pushforward(cur_mu, mapping)
+        values.append(div.evaluate(cur_nu, cur_mu))
     return values
 
 
@@ -608,33 +593,18 @@ def _simplex_grid(n: int, m: int) -> np.ndarray:
     return np.column_stack([mesh, last]).astype(float) / m
 
 
-_GRID_FINE = {1: 1, 2: 2000, 3: 400, 4: 120}
-_GRID_COARSE = {1: 1, 2: 400, 3: 60, 4: 24}
-
-
-def _grid_scores(div: DivergenceSpec, grid: np.ndarray, mu_w: np.ndarray, values: np.ndarray):
-    """Vectorized objective over all grid rows, or None if not supported."""
-    if not np.all(mu_w > 0):
-        return None
-    if div.family == "relative_entropy":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(
-                grid > 0, grid * (np.log(np.where(grid > 0, grid, 1.0)) - np.log(mu_w)), 0.0
-            )
-        return grid @ values - terms.sum(axis=1) / div.eta
-    if div.family == "phi_star":
-        star = div.utility.conjugate_array(grid / mu_w)
-        totals = np.where(np.isinf(star), math.inf, star * mu_w).sum(axis=1)
-        return np.where(np.isfinite(totals), grid @ values - totals, -math.inf)
-    return None
+# the simplex grid's divisions per atom count; the exchange polish supplies the last digits
+_GRID = {1: 1, 2: 400, 3: 60, 4: 24}
 
 
 def primal_reconstruction(div: DivergenceSpec, mu: FiniteDist, f) -> float:
     """Recover rho_mu(f) as max over laws nu of E_nu[f] - alpha(nu | mu).
 
-    A brute-force enumeration oracle: dense simplex grid, then pairwise
-    mass-transfer polish with golden section. Independent of the risk-side
-    evaluators, so it certifies the duality rather than restating it.
+    A brute-force enumeration oracle: score a uniform simplex grid in one
+    batch, and nu = mu itself, where alpha(mu | mu) = 0 for every family; then
+    polish the best point by pairwise mass transfer with golden section.
+    Independent of the risk-side evaluators, so it certifies the duality
+    rather than restating it.
     """
     from .prob import _as_values
 
@@ -650,22 +620,14 @@ def primal_reconstruction(div: DivergenceSpec, mu: FiniteDist, f) -> float:
             return -math.inf
         return float(nu_w @ values) - a
 
-    # families with vectorized scorers afford a fine grid; the rest start
-    # coarse and rely on the exchange polish for the last digits
-    grid = _simplex_grid(n, _GRID_FINE[n])
-    scores = _grid_scores(div, grid, mu_w, values)
-    if scores is None:
-        grid = _simplex_grid(n, _GRID_COARSE[n])
-        best = -math.inf
-        best_w = grid[0].copy()
-        for row in grid:
-            s = objective(row)
-            if s > best:
-                best, best_w = s, row.copy()
-    else:
-        best_idx = int(np.argmax(scores))
-        best_w = grid[best_idx].copy()
-        best = float(scores[best_idx])
+    grid = _simplex_grid(n, _GRID[n])
+    scores = grid @ values - div.evaluate_batch(grid, np.broadcast_to(mu_w, grid.shape))
+    best_idx = int(np.argmax(scores))
+    best_w = grid[best_idx].copy()
+    best = float(scores[best_idx])
+    at_mu = float(mu_w @ values)
+    if at_mu > best:
+        best, best_w = at_mu, mu_w.copy()
 
     for _ in range(_POLISH_PASSES):
         improved = False

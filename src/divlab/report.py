@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
@@ -29,9 +30,10 @@ from .consistency import (
     TrialStats,
     check_kind,
     describe_trial,
+    resolve_divergence,
     run_trials,
 )
-from .divergence import DivergenceSpec, divergence_for_risk_spec
+from .divergence import DivergenceSpec
 from .errors import ConfigParseError, IoError, reject_unknown_keys, typed_field
 from .risk import RiskSpec
 
@@ -84,13 +86,6 @@ class CheckSpec:
                 f"check {self.name!r} needs a divergence (or a risk spec to derive one)"
             )
 
-    def resolved_divergence(self) -> DivergenceSpec | None:
-        if check_kind(self.target).needs != "div":
-            return self.divergence
-        if self.divergence is not None:
-            return self.divergence
-        return divergence_for_risk_spec(self.risk)
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "CheckSpec":
         try:
@@ -142,8 +137,11 @@ class SuiteConfig:
         if not isinstance(doc, Mapping) or "checks" not in doc:
             raise ConfigParseError("suite config must be an object with a 'checks' list")
         reject_unknown_keys(doc, ("schema_version", "checks", "name"), "suite config")
+        checks = doc["checks"]
+        if not isinstance(checks, list) or not all(isinstance(c, Mapping) for c in checks):
+            raise ConfigParseError("suite config 'checks' must be a list of check objects")
         return cls(
-            checks=tuple(CheckSpec.from_json(c) for c in doc["checks"]),
+            checks=tuple(CheckSpec.from_json(c) for c in checks),
             name=doc.get("name"),
         )
 
@@ -238,7 +236,7 @@ def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
 
 def run_check(check: CheckSpec) -> CheckReport:
     """Run a check's trials, judge them, and describe the worst one unless the check passes."""
-    div = check.resolved_divergence()
+    div = resolve_divergence(check.target, check.risk, check.divergence)
     budget = check.budget
     stats = run_trials(check.target, check.risk, div, budget, 0, budget.trials)
     verdict = _verdict(check.target, stats, check.tolerances)
@@ -396,9 +394,17 @@ def emit_report(
     else:
         raise ConfigParseError(f"unknown report format {fmt!r}")
     if path != "-":
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise IoError(f"cannot write report to {path!r}: {exc}") from exc
+        write_text(text, path)
     return text
+
+
+def write_text(text: str, path: str) -> None:
+    """Write text to the file at path, or to standard output when path is "-"."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write to {path!r}: {exc}") from exc

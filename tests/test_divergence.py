@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab.consistency import SearchBudget, run_trials
 from divlab.divergence import (
     DivergenceSpec,
     Gap,
@@ -455,6 +456,37 @@ class TestPrimalReconstruction:
         mu = FiniteDist(("a", "b", "c"), rng.dirichlet(np.ones(3)))
         f = rng.uniform(-2, 2, 3)
         assert abs(rho_lifted(spec, mu, f) - primal_reconstruction(div, mu, f)) <= 2e-4
+
+
+class TestReconstructionCandidates:
+    def test_expectation_is_recovered_at_mu(self):
+        # alpha is the indicator of nu = mu, and a grid almost never holds mu:
+        # without mu as a candidate the oracle returns -inf
+        rng = np.random.default_rng(17)
+        div = DivergenceSpec.equality_indicator()
+        for n in (2, 3, 4):
+            mu = FiniteDist(tuple(f"a{i}" for i in range(n)), rng.dirichlet(np.ones(n)))
+            f = rng.uniform(-2, 2, n)
+            assert abs(primal_reconstruction(div, mu, f) - float(mu.weights @ f)) <= 1e-15
+
+    def test_key_identity_holds_for_the_expectation(self):
+        budget = SearchBudget(trials=20, seed=11, max_e=4, max_f=4, sparsity=0.3)
+        stats = run_trials("key_identity", RiskSpec.expectation(), None, budget, 0, 20)
+        assert stats.nan == 0 and stats.vacuous == 0
+        assert stats.worst_gap <= 1e-15
+
+    @pytest.mark.parametrize("spec", [
+        RiskSpec.entropic(1.0),
+        RiskSpec.oce(UtilityFn.exp_shift()),
+        RiskSpec.shortfall(LossFn.power_plus(2.0)),
+        RiskSpec.esssup(),
+    ])
+    def test_a_law_with_an_uncharged_atom(self, spec):
+        # grid points that charge the atom score -inf; the rest find the risk
+        mu = FiniteDist(("a", "b", "c", "d"), [0.3, 0.0, 0.45, 0.25])
+        f = np.array([0.5, 3.0, -1.0, 1.5])
+        rhs = primal_reconstruction(divergence_for_risk_spec(spec), mu, f)
+        assert abs(rho_lifted(spec, mu, f) - rhs) <= 1e-10
 
 
 class TestGapAlgebra:

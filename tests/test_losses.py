@@ -187,7 +187,7 @@ class TestUtilityConjugates:
         UtilityFn.custom(np.linspace(-4.0, 4.0, 161), np.exp(np.linspace(-4.0, 4.0, 161) - 1.0)),
     ])
     def test_array_matches_scalar(self, phi):
-        # conjugate_array feeds the vectorized grid scores of primal_reconstruction
+        # conjugate_array feeds the batched phi* divergence, evaluate_batch
         ys = np.array([[0.0, 0.5, 1.0], [1.0 + 1e-13, 2.0, 7.0], [21.0, 1.0 - 1e-9, 3.5]])
         arr = phi.conjugate_array(ys)
         assert arr.shape == ys.shape

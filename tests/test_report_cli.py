@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from divlab.consistency import CHECK_KINDS, CheckKind, SearchBudget, counterexample_search, per_trial
+from divlab.consistency import (
+    CHECK_KINDS,
+    CheckKind,
+    SearchBudget,
+    counterexample_search,
+    per_trial,
+    resolve_divergence,
+)
 from divlab.divergence import DivergenceSpec
 from divlab.errors import ConfigParseError, UnknownFamilyError
 from divlab.losses import LossFn, UtilityFn
@@ -322,6 +329,11 @@ class TestSuiteConfig:
         config = SuiteConfig(checks=(entropic_check("x"),), name="demo")
         assert SuiteConfig.from_json(config.as_json()).as_json() == config.as_json()
 
+    @pytest.mark.parametrize("checks", [5, [5], [{"name": "a"}, "b"]], ids=["not_a_list", "number", "string"])
+    def test_checks_must_be_a_list_of_objects(self, checks):
+        with pytest.raises(ConfigParseError, match="'checks' must be a list of check objects"):
+            SuiteConfig.from_json({"checks": checks})
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigParseError):
             SuiteConfig(checks=(entropic_check("x"), entropic_check("x")))
@@ -354,7 +366,7 @@ class TestSuiteConfig:
             budget=SearchBudget(trials=1, seed=0),
             risk=RiskSpec.entropic(2.0),
         )
-        derived = check.resolved_divergence()
+        derived = resolve_divergence(check.target, check.risk, check.divergence)
         assert derived.family == "relative_entropy" and derived.eta == 2.0
 
 
@@ -526,3 +538,49 @@ class TestCli:
         out = run_cli("sweep", "--config", str(path), "--param", "trials", "--values", "20,30")
         assert out.returncode == 0, out.stderr
         assert [line.split(",")[0] for line in out.stdout.strip().split("\n")] == ["parameter", "20", "30"]
+
+    @pytest.mark.parametrize("args", [
+        ("--config", '{"checks":[5]}'),
+        ("--tol-noise", "1e-9", "--config", json.dumps({"checks": [{
+            "name": "a", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
+            "trials": 5, "tolerances": None}]})),
+        ("--tol-noise", "1", "--config", json.dumps({"checks": [{
+            "name": "a", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
+            "trials": 5}]})),
+    ], ids=["check_not_an_object", "null_tolerances", "override_breaks_tolerances"])
+    def test_verify_parses_before_it_overrides(self, args):
+        # the first two once escaped as an AttributeError or TypeError with status 1;
+        # an override is checked like the field it replaces (noise 1 > violation 1e-4)
+        out = run_cli("verify", *args)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    def test_sweep_refuses_a_value_that_is_not_a_number(self, tmp_path):
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps({"name": "tc", "target": "time_consistency",
+                                    "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}))
+        out = run_cli("sweep", "--config", str(path), "--param", "trials", "--values", "10,abc")
+        assert out.returncode == 2
+        assert out.stderr == "error: sweep value 'abc' is not a number\n"
+
+    @pytest.mark.parametrize("args", [
+        ("risk", "--spec", '{"family":"entropic","eta":1.0}',
+         "--law", '{"atoms":[0.0,1.0],"weights":[0.5,0.5]}'),
+        ("div", "--divergence", '{"family":"relative_entropy","eta":1.0}',
+         "--nu", '{"atoms":["a","b"],"weights":[0.75,0.25]}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", "[1.0,2.0]",
+         "--partition", '{"blocks":[["a"],["b"]]}'),
+        ("verify", "--config", '{"checks":[]}'),
+        ("search", "--spec", '{"family":"entropic","eta":1.0}', "--target", "acceptance",
+         "--trials", "2"),
+        ("sweep", "--config", '{"name":"tc","target":"time_consistency",'
+         '"spec":{"family":"entropic","eta":1.0},"trials":2}', "--param", "trials", "--values", "3"),
+    ], ids=lambda args: args[0])
+    def test_unwritable_out_exits_2(self, args, tmp_path):
+        # five of these once escaped as a FileNotFoundError with status 1
+        target = tmp_path / "missing" / "x.json"
+        out = run_cli(*args, "--out", str(target))
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"error: cannot write to {str(target)!r}")

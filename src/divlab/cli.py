@@ -11,13 +11,15 @@ Subcommands:
 
 All inputs are JSON documents read from files or standard input ("-").
 Exit status is 1 iff a must-pass check reports a violation, and 2 on a
-malformed input or an output that cannot be written.
+malformed input, an output that cannot be written, or a ``div`` whose dual
+solve ran out of its iteration budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -65,6 +67,8 @@ def _cmd_div(args) -> int:
     nu = FiniteDist.from_json(_load_json(args.nu))
     mu = FiniteDist.from_json(_load_json(args.mu))
     value = div.evaluate(nu, mu)
+    if math.isnan(value):  # the one source of a NaN divergence
+        raise DivLabError("the dual solve ran out of its iteration budget; alpha(nu | mu) is unknown")
     write_text(canonical_json({"value": value}) + "\n", args.out)
     return 0
 

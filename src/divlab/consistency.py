@@ -23,11 +23,12 @@ Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
 trials are split into blocks. The conditional and product kinds draw their
-instances from one sampler of a random joint law (``_draw_joint``), as plain
-arrays that become ``JointDist`` objects only when ``describe_trial``
+instances from one sampler of a random joint law (``_draw_joint``), and the
+data-processing kinds and ``joint_convexity`` draw pairs of laws. They keep
+their draws as plain arrays, which become objects only when ``describe_trial``
 serializes one, and evaluate a whole block of them in batched solves whose
-per-trial results do not depend on the block either. Gaps where both sides
-are +inf are "vacuous" and excluded from statistics but counted. A
+per-trial results do not depend on the block either. Gaps where both sides are +inf are "vacuous"
+and excluded from statistics but counted. A
 ``SearchBudget`` sets the trial count, the seed, the grid sizes and the
 sparsity; every other parameter of the samplers is a module constant.
 """
@@ -45,11 +46,9 @@ from .divergence import (
     DivergenceSpec,
     Gap,
     divergence_for_risk_spec,
-    dpi_gap,
     dual_divergence,
     primal_reconstruction,
-    refinement_monotonicity,
-    sufficiency_gap,
+    _chain_values,
     _dual_divergence_w,
 )
 from .errors import (
@@ -264,12 +263,7 @@ def sample_shift_convexity_instance(
     mu = sample_boundary_law(rng, budget, spec, n_e)
     rows = [sample_boundary_law(rng, budget, spec, n_f) for _ in range(n_e)]
     # rows carry their own shifted supports; the kernel target is the union
-    target: list[float] = []
-    for r in rows:
-        for a in r.atoms:
-            if a not in target:
-                target.append(float(a))
-    target.sort()
+    target = sorted({float(a) for r in rows for a in r.atoms})
     idx = {a: i for i, a in enumerate(target)}
     mat = np.zeros((n_e, len(target)))
     for i, r in enumerate(rows):
@@ -281,23 +275,6 @@ def sample_shift_convexity_instance(
 # ---------------------------------------------------------------------------
 # gap operations
 # ---------------------------------------------------------------------------
-
-
-def _row_terms(evaluators, nu_marg, nu_rows, mu_rows) -> list[float]:
-    """sum_x nu(x) alpha(K^nu_x | K^mu_x) over charged x, one sum per alpha.
-
-    Every sum is +inf from the first row at which any alpha is infinite.
-    """
-    totals = [0.0] * len(evaluators)
-    for x in range(len(nu_marg)):
-        if nu_marg[x] <= 0.0:
-            continue
-        terms = [evaluate(nu_rows[x], mu_rows[x]) for evaluate in evaluators]
-        if any(math.isinf(t) for t in terms):
-            return [math.inf] * len(evaluators)
-        for k, t in enumerate(terms):
-            totals[k] += nu_marg[x] * t
-    return totals
 
 
 def _product_gaps(
@@ -478,22 +455,22 @@ def integral_lemma_gap(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> 
 
 
 def _integral_lemma(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> tuple[Gap, bool]:
-    """The integral lemma gap, and whether a per-row dual solve ran out of its budget."""
-    closed = divergence_for_risk_spec(spec)
+    """The integral lemma gap, and whether a per-row dual solve ran out of its budget.
+
+    The closed forms of the rows nu charges are one batch; a row of infinite
+    alpha makes the gap vacuous, and then no row is solved.
+    """
     _, mu_rows = disintegrate_w(mu_bar.matrix)
     nu_marg, nu_rows = disintegrate_w(nu_bar.matrix)
-    exhausted = False
-
-    def dual(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
-        nonlocal exhausted
-        res = _dual_divergence_w(spec, nu_w, mu_w)
-        exhausted = exhausted or res.budget_exhausted
-        return res.value
-
-    left, right = _row_terms((closed.evaluate_w, dual), nu_marg, nu_rows, mu_rows)
-    if math.isinf(left) and math.isinf(right):
-        return Gap(value=None, vacuous=True), exhausted
-    return Gap(value=abs(left - right)), exhausted
+    charged = nu_marg > 0.0
+    weights, nu_rows, mu_rows = nu_marg[charged], nu_rows[charged], mu_rows[charged]
+    closed = divergence_for_risk_spec(spec).evaluate_batch(nu_rows, mu_rows)
+    if np.isinf(closed).any():
+        return Gap(value=None, vacuous=True), False
+    solves = [_dual_divergence_w(spec, n, m) for n, m in zip(nu_rows, mu_rows)]
+    dual = np.array([res.value for res in solves])
+    gap = abs(float(_atom_sum(weights * closed)) - float(_atom_sum(weights * dual)))
+    return Gap(value=gap), any(res.budget_exhausted for res in solves)
 
 
 def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
@@ -521,12 +498,13 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 #
 # A kind's trial function maps (risk, div, budget, start, stop) to an
 # iterable of one TrialResult per trial in [start, stop), read once; trial k
-# draws all its randomness from budget.rng_for(k). Most kinds are written for
-# one trial, as
+# draws all its randomness from budget.rng_for(k). The conditional, product
+# and data-processing kinds and joint_convexity draw their trials one by one
+# as arrays and solve them in one batch. The other kinds are written for one
+# trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
-# never holds their instances; the conditional and product kinds draw their
-# trials one by one as arrays and solve them in one batch.
+# never holds their instances.
 
 
 class TrialResult(NamedTuple):
@@ -546,12 +524,11 @@ def per_trial(trial: Callable) -> Callable:
     return trials
 
 
-def _sample_pair(rng, budget: SearchBudget):
+def _draw_pair(rng, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (mu, nu) of a random pair of laws on one atom set."""
     n = int(rng.integers(2, budget.max_e + 1))
-    labels = _labels("a", n)
     mu_w = _sparsify(rng, _dirichlet(rng, n), budget.sparsity)
-    nu_w = _dirichlet(rng, n)
-    return FiniteDist(labels, mu_w), FiniteDist(labels, nu_w)
+    return mu_w, _dirichlet(rng, n)
 
 
 def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
@@ -559,8 +536,7 @@ def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
     out = [0] * n_from
     for k, i in enumerate(img):
         out[i] = k
-    rest = [i for i in range(n_from) if i not in set(img)]
-    for i in rest:
+    for i in sorted(set(range(n_from)) - set(img)):
         out[i] = int(rng.integers(n_to))
     return out
 
@@ -582,24 +558,120 @@ def _negated(trials):
     return negated
 
 
-def _dpi_trial(rng, risk, div, budget, bijection: bool):
-    mu, nu = _sample_pair(rng, budget)
-    n = len(mu)
+class _ChainDraw(NamedTuple):
+    """A pair of laws and the matrices that push them, as drawn: before FiniteDist and Kernel renormalize."""
+
+    nu: np.ndarray
+    mu: np.ndarray
+    chain: tuple  # row-stochastic matrices, finest first: a kernel's rows or a map's 0/1 matrix
+    maps: tuple  # the maps as the instance reports them; empty for a kernel
+
+
+def _map_matrix(mapping: dict) -> np.ndarray:
+    """A map's 0/1 matrix, its images in first-appearance order as ``Kernel.deterministic`` orders them."""
+    order = list(dict.fromkeys(mapping.values()))
+    return np.eye(len(order))[[order.index(y) for y in mapping.values()]]
+
+
+def _draw_dpi(rng, budget: SearchBudget, bijection: bool) -> _ChainDraw:
+    mu_w, nu_w = _draw_pair(rng, budget)
     if bijection:
-        mat = np.zeros((n, n))
-        for i, j in enumerate(rng.permutation(n)):
-            mat[i, j] = 1.0
-        kernel = Kernel(mu.atoms, _labels("b", n), mat)
+        kernel = np.eye(mu_w.size)[rng.permutation(mu_w.size)]
     else:
         n_f = int(rng.integers(2, budget.max_f + 1))
-        rows = np.vstack([_dirichlet(rng, n_f) for _ in range(n)])
-        kernel = Kernel(mu.atoms, _labels("b", n_f), rows)
-    g = dpi_gap(div, nu, mu, kernel)
-    return g.value, g.vacuous, None, {"nu": nu, "mu": mu, "kernel": kernel}
+        kernel = np.vstack([_dirichlet(rng, n_f) for _ in range(mu_w.size)])
+    return _ChainDraw(nu_w, mu_w, (kernel,), ())
+
+
+def _draw_sufficiency(rng, budget: SearchBudget, matched: bool) -> _ChainDraw:
+    n = int(rng.integers(2, max(3, budget.max_e) + 1))
+    mu_w = _dirichlet(rng, n)
+    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
+    images = _random_surjection(rng, n, n_fibers)
+    if matched:
+        nu_w = mu_w * rng.uniform(0.25, 2.5, size=n_fibers)[images]
+        nu_w = nu_w / nu_w.sum()
+    else:
+        nu_w = _dirichlet(rng, n)
+    mapping = {f"a{i}": f"g{k}" for i, k in enumerate(images)}
+    return _ChainDraw(nu_w, mu_w, (_map_matrix(mapping),), (mapping,))
+
+
+def _draw_refinement(rng, budget: SearchBudget) -> _ChainDraw:
+    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
+    mu_w, nu_w = _dirichlet(rng, n0), _dirichlet(rng, n0)
+    n1 = int(rng.integers(2, n0))
+    n2 = int(rng.integers(1, n1 + 1))
+    m1 = {f"a{i}": f"b{k}" for i, k in enumerate(_random_surjection(rng, n0, n1))}
+    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(_random_surjection(rng, n1, n2))}
+    # m2 acts on the image of m1, whose atoms come in the order they first appear
+    on_image = {b: m2[b] for b in dict.fromkeys(m1.values())}
+    return _ChainDraw(nu_w, mu_w, (_map_matrix(m1), _map_matrix(on_image)), (m1, m2))
+
+
+def _pair_score(values: list, draw: _ChainDraw) -> TrialResult:
+    """alpha before minus alpha after the one push of a data-processing trial."""
+    g = Gap.of(*values)
+    return TrialResult(g.value, g.vacuous, None, (draw, values))
+
+
+def _refinement_score(values: list, draw: _ChainDraw) -> TrialResult:
+    """The least step down the values, over the steps between finite values; NaN if any value is."""
+    if any(math.isnan(v) for v in values):
+        return TrialResult(math.nan, False, None, (draw, values))
+    steps = [a - b for a, b in zip(values, values[1:]) if math.isfinite(a) and math.isfinite(b)]
+    if not steps:
+        return TrialResult(None, True, None, None)
+    return TrialResult(min(steps), False, None, (draw, values))
+
+
+def _chain_trials(risk, div, budget, start, stop, draw: Callable, score: Callable = _pair_score):
+    """Pairs of laws drawn one by one as arrays, pushed along their chains in one ``_chain_values``.
+
+    The laws and the matrices' rows are renormalized as FiniteDist and Kernel
+    renormalize them, so a trial gives the bits of ``dpi_gap``,
+    ``sufficiency_gap`` or ``refinement_monotonicity`` on its instance.
+    """
+    draws = [draw(budget.rng_for(k), budget) for k in range(start, stop)]
+    values = _chain_values(
+        div,
+        _padded([_renormalized(d.nu) for d in draws]),
+        _padded([_renormalized(d.mu) for d in draws]),
+        [_padded([m / m.sum(axis=1, keepdims=True) for m in step]) for step in zip(*(d.chain for d in draws))],
+    )
+    return [score(v, d) for v, d in zip(values.tolist(), draws)]
+
+
+def _draw_convexity(rng, budget: SearchBudget) -> tuple:
+    """A joint_convexity instance as drawn: (t, nu1, mu1, nu2, mu2)."""
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu1, nu1, mu2, nu2 = (_dirichlet(rng, n) for _ in range(4))
+    return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
+
+
+def _joint_convexity_trials(risk, div, budget, start, stop):
+    """t alpha(nu1 | mu1) + (1 - t) alpha(nu2 | mu2) - alpha(the mixtures), in three batched evaluations.
+
+    Laws are renormalized as FiniteDist renormalizes them. Infinite on both
+    sides is vacuous, and a trial with an infinite side keeps no instance.
+    """
+    draws = [_draw_convexity(budget.rng_for(k), budget) for k in range(start, stop)]
+    t, *laws = zip(*draws)
+    nu1, mu1, nu2, mu2 = (_padded([_renormalized(w) for w in ws]) for ws in laws)
+    t = np.array(t)
+    lhs = t * div.evaluate_batch(nu1, mu1) + (1 - t) * div.evaluate_batch(nu2, mu2)
+    mix_nu, mix_mu = (t[:, None] * a + (1 - t[:, None]) * b for a, b in ((nu1, nu2), (mu1, mu2)))
+    rhs = div.evaluate_batch(mix_nu / _atom_sum(mix_nu)[:, None], mix_mu / _atom_sum(mix_mu)[:, None])
+    return [
+        TrialResult(None, True, None, None)
+        if math.isinf(left) and math.isinf(right)
+        else TrialResult(left - right, False, None, None if math.isinf(left) else d)
+        for left, right, d in zip(lhs.tolist(), rhs.tolist(), draws)
+    ]
 
 
 def _duality_trial(rng, risk, div, budget):
-    mu, nu = _sample_pair(rng, budget)
+    mu, nu = (FiniteDist(_labels("a", w.size), w) for w in _draw_pair(rng, budget))
     res = dual_divergence(risk, nu, mu)
     if res.certified_gap is None:
         return None, True, None, None
@@ -614,16 +686,16 @@ def _duality_trial(rng, risk, div, budget):
     return res.certified_gap, False, None, inst, res.budget_exhausted
 
 
-def _padded(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """(n_e, n_f) matrices as one zero-padded (B, E, F) array."""
-    out = np.zeros((len(mats), max(m.shape[0] for m in mats), max(m.shape[1] for m in mats)))
-    for b, m in enumerate(mats):
-        out[b, : m.shape[0], : m.shape[1]] = m
+def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Arrays of one rank as one zero-padded array, stacked along a new first axis."""
+    out = np.zeros((len(arrays), *map(max, zip(*(a.shape for a in arrays)))))
+    for b, a in enumerate(arrays):
+        out[(b, *map(slice, a.shape))] = a
     return out
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:
-    """Joint weights divided by their total, the bits JointDist and FiniteDist store."""
+    """Weights divided by their total, the bits JointDist and FiniteDist store."""
     flat = w.reshape(-1)
     return (flat / flat.sum()).reshape(w.shape)
 
@@ -693,26 +765,6 @@ def _mixture_convexity_trial(rng, risk, div, budget):
     return -probe.rho_mixture, False, None, components
 
 
-def _joint_convexity_trial(rng, risk, div, budget):
-    n = int(rng.integers(2, budget.max_e + 1))
-    labels = _labels("a", n)
-    mu1 = FiniteDist(labels, _dirichlet(rng, n))
-    nu1 = FiniteDist(labels, _dirichlet(rng, n))
-    mu2 = FiniteDist(labels, _dirichlet(rng, n))
-    nu2 = FiniteDist(labels, _dirichlet(rng, n))
-    t = float(rng.uniform(0.05, 0.95))
-    a1 = div.evaluate(nu1, mu1)
-    a2 = div.evaluate(nu2, mu2)
-    mix_nu = FiniteDist(labels, t * nu1.weights + (1 - t) * nu2.weights)
-    mix_mu = FiniteDist(labels, t * mu1.weights + (1 - t) * mu2.weights)
-    a_mix = div.evaluate(mix_nu, mix_mu)
-    if math.isinf(a1) or math.isinf(a2):
-        vac = math.isinf(a_mix)
-        return (None, True, None, None) if vac else (math.inf, False, None, None)
-    inst = {"t": t, "nu1": nu1, "mu1": mu1, "nu2": nu2, "mu2": mu2}
-    return t * a1 + (1 - t) * a2 - a_mix, False, None, inst
-
-
 def _dist_concavity_trial(rng, risk, div, budget):
     n1 = int(rng.integers(2, budget.max_e + 1))
     n2 = int(rng.integers(2, budget.max_e + 1))
@@ -728,46 +780,6 @@ def _dist_concavity_trial(rng, risk, div, budget):
     mixed = mixture([(t, m1), (1 - t, m2)])
     gap = rho_of_law(risk, mixed) - t * rho_of_law(risk, m1) - (1 - t) * rho_of_law(risk, m2)
     return gap, False, None, {"t": t, "m1": m1, "m2": m2}
-
-
-def _sufficiency_trial(rng, risk, div, budget, matched: bool):
-    n = int(rng.integers(2, max(3, budget.max_e) + 1))
-    labels = _labels("a", n)
-    mu_w = _dirichlet(rng, n)
-    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
-    assignment = _random_surjection(rng, n, n_fibers)
-    mapping = {a: f"g{assignment[i]}" for i, a in enumerate(labels)}
-    if matched:
-        ratios = rng.uniform(0.25, 2.5, size=n_fibers)
-        nu_w = mu_w * ratios[assignment]
-        nu_w = nu_w / nu_w.sum()
-    else:
-        nu_w = _dirichlet(rng, n)
-    mu = FiniteDist(labels, mu_w)
-    nu = FiniteDist(labels, nu_w)
-    g = sufficiency_gap(div, nu, mu, mapping)
-    return g.value, g.vacuous, None, {"nu": nu, "mu": mu, "map": mapping}
-
-
-def _refinement_trial(rng, risk, div, budget):
-    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
-    labels = _labels("a", n0)
-    mu = FiniteDist(labels, _dirichlet(rng, n0))
-    nu = FiniteDist(labels, _dirichlet(rng, n0))
-    n1 = int(rng.integers(2, n0))
-    n2 = int(rng.integers(1, n1 + 1))
-    m1 = {a: f"b{k}" for a, k in zip(labels, _random_surjection(rng, n0, n1))}
-    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(_random_surjection(rng, n1, n2))}
-    values = refinement_monotonicity(div, nu, mu, [m1, m2])
-    finite = [v for v in values if math.isfinite(v)]
-    if len(finite) < 2:
-        return None, True, None, None
-    worst_step = min(
-        values[i] - values[i + 1]
-        for i in range(len(values) - 1)
-        if math.isfinite(values[i]) and math.isfinite(values[i + 1])
-    )
-    return worst_step, False, None, {"nu": nu, "mu": mu, "maps": [m1, m2], "values": values}
 
 
 def _lemma_identity_trial(rng, risk, div, budget):
@@ -816,6 +828,25 @@ def _parts_json(parts: dict) -> dict:
     return {k: v.as_json() if hasattr(v, "as_json") else v for k, v in parts.items()}
 
 
+def _chain_json(inst: tuple) -> dict:
+    """A data-processing instance: its laws and its kernel, its map, or its maps and the values along them."""
+    draw, values = inst
+    labels = _labels("a", draw.mu.size)
+    laws = {"nu": FiniteDist(labels, draw.nu).as_json(), "mu": FiniteDist(labels, draw.mu).as_json()}
+    if not draw.maps:
+        (rows,) = draw.chain
+        return {**laws, "kernel": Kernel(labels, _labels("b", rows.shape[1]), rows).as_json()}
+    if len(draw.maps) == 1:
+        return {**laws, "map": draw.maps[0]}
+    return {**laws, "maps": list(draw.maps), "values": values}
+
+
+def _convexity_json(draw: tuple) -> dict:
+    t, *laws = draw
+    labels = _labels("a", laws[0].size)
+    return {"t": t, **{k: FiniteDist(labels, w).as_json() for k, w in zip(("nu1", "mu1", "nu2", "mu2"), laws)}}
+
+
 def _property_s_json(pairs) -> dict:
     return {"pairs": [{"weight": w, "x": x, "law": law.as_json()} for w, x, law in pairs]}
 
@@ -859,9 +890,11 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "weak_consistency": CheckKind(
         "lower", "div", partial(_product_trials, weak=True), _product_json
     ),
-    "dpi": CheckKind("lower", "div", per_trial(partial(_dpi_trial, bijection=False)), _parts_json),
+    "dpi": CheckKind(
+        "lower", "div", partial(_chain_trials, draw=partial(_draw_dpi, bijection=False)), _chain_json
+    ),
     "dpi_bijection": CheckKind(
-        "abs", "div", per_trial(partial(_dpi_trial, bijection=True)), _parts_json
+        "abs", "div", partial(_chain_trials, draw=partial(_draw_dpi, bijection=True)), _chain_json
     ),
     "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json),
     "time_consistency": CheckKind("abs", "risk", _CONSISTENCY, _conditional_json),
@@ -875,15 +908,17 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "mixture_convexity": CheckKind(
         "lower", "risk", per_trial(_mixture_convexity_trial), _mixture_json
     ),
-    "joint_convexity": CheckKind("lower", "div", per_trial(_joint_convexity_trial), _parts_json),
+    "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json),
     "dist_concavity": CheckKind("lower", "risk", per_trial(_dist_concavity_trial), _parts_json),
     "sufficiency_matched": CheckKind(
-        "abs", "div", per_trial(partial(_sufficiency_trial, matched=True)), _parts_json
+        "abs", "div", partial(_chain_trials, draw=partial(_draw_sufficiency, matched=True)), _chain_json
     ),
     "sufficiency_generic": CheckKind(
-        "lower", "div", per_trial(partial(_sufficiency_trial, matched=False)), _parts_json
+        "lower", "div", partial(_chain_trials, draw=partial(_draw_sufficiency, matched=False)), _chain_json
     ),
-    "refinement": CheckKind("lower", "div", per_trial(_refinement_trial), _parts_json),
+    "refinement": CheckKind(
+        "lower", "div", partial(_chain_trials, draw=_draw_refinement, score=_refinement_score), _chain_json
+    ),
     "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json),
     "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json),
     "lebesgue": CheckKind("abs", "risk", per_trial(_lebesgue_trial), _lebesgue_json),
@@ -918,7 +953,7 @@ class TrialStats:
     count: int = 0
     vacuous: int = 0
     nan: int = 0  # trials whose gap is NaN; never ranked, and they fail the check
-    exhausted: int = 0  # trials whose solver ran out of its budget; they fail the check
+    exhausted: int = 0  # non-vacuous trials whose solver ran out of its budget; they fail the check
     worst_badness: float = -math.inf
     worst_trial: int | None = None
     worst_gap: float | None = None
@@ -972,10 +1007,11 @@ def run_trials(
         results = entry.trial(risk, div, budget, first, min(first + TRIAL_BATCH, stop))
         for trial, (gap, vacuous, is_product, _, exhausted) in enumerate(results, first):
             stats.count += 1
-            stats.exhausted += exhausted
             if vacuous or gap is None:
+                # a vacuous trial carries no information, nor does its solver's budget
                 stats.vacuous += 1
                 continue
+            stats.exhausted += exhausted
             if math.isnan(gap):
                 # every comparison with NaN is false: ranked, it would mask later gaps
                 stats.nan += 1

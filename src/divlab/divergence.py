@@ -14,13 +14,14 @@ Closed forms implemented here:
 - expectation     -> 0 if nu == mu else +inf
 - esssup          -> 0 if nu << mu else +inf
 
-``DivergenceSpec.evaluate_batch`` evaluates the closed forms on many pairs at
-once. ``dual_divergence`` solves the defining supremum directly by supergradient
+``DivergenceSpec.evaluate_batch`` is the one implementation of the closed
+forms, on many pairs at once; every other evaluation is a batch of one of it.
+``dual_divergence`` solves the defining supremum directly by supergradient
 ascent over mean-zero test vectors and reports a certified gap against the
-closed form when one exists. The remaining operations are the structural
-inequalities: data processing, sufficiency, and refinement monotonicity.
-All alphas are nonnegative, vanish at nu == mu, and are +inf off absolute
-continuity.
+closed form when one exists. The structural inequalities (data processing,
+sufficiency, refinement monotonicity) push both laws along a chain of
+row-stochastic matrices. All alphas are nonnegative, vanish at nu == mu, and
+are +inf off absolute continuity.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .errors import (
     reject_unknown_keys,
 )
 from .losses import LossFn, UtilityFn, _table_conjugate_array, conjugate_table
-from .prob import FiniteDist, Kernel, compose_kernel, pushforward
-from .risk import RiskSpec, _atom_sum, _golden_min, rho_values
+from .prob import FiniteDist, Kernel
+from .risk import RiskSpec, _atom_sum, _golden_min, _validate_density, rho_values
 
 _EQUALITY_TOL = 1e-12
 # the fields of each family's JSON document besides "family"
@@ -83,51 +84,13 @@ class Gap:
         return Gap(value=lhs - rhs)
 
 
-# ---------------------------------------------------------------------------
-# closed forms on weight arrays
-# ---------------------------------------------------------------------------
-
-
 def _check_same_atoms(nu: FiniteDist, mu: FiniteDist) -> None:
     if nu.atoms != mu.atoms:
         raise SpaceMismatchError("divergences need both laws on the same atom set")
 
 
-def _not_ac(nu_w: np.ndarray, mu_w: np.ndarray) -> bool:
-    return bool(np.any((nu_w > 0.0) & (mu_w == 0.0)))
-
-
-def relative_entropy_w(nu_w: np.ndarray, mu_w: np.ndarray, eta: float = 1.0) -> float:
-    if _not_ac(nu_w, mu_w):
-        return math.inf
-    pos = nu_w > 0.0
-    n, m = nu_w[pos], mu_w[pos]
-    return float(n @ (np.log(n) - np.log(m))) / eta
-
-
-def phi_divergence_w(nu_w: np.ndarray, mu_w: np.ndarray, utility: UtilityFn) -> float:
-    if _not_ac(nu_w, mu_w):
-        return math.inf
-    # scalar loop: spaces are desk-scale, and python floats beat numpy
-    # dispatch below ~10 atoms
-    total = 0.0
-    star = utility.conjugate
-    for n, m in zip(nu_w.tolist(), mu_w.tolist()):
-        if m <= 0.0:
-            continue
-        v = star(n / m)
-        if math.isinf(v):
-            return math.inf
-        total += m * v
-    return total
-
-
-def shortfall_divergence_w(nu_w: np.ndarray, mu_w: np.ndarray, loss: LossFn) -> float:
-    if _not_ac(nu_w, mu_w):
-        return math.inf
-    if loss.kind == "exponential":
-        return relative_entropy_w(nu_w, mu_w, loss.eta)
-    return float(_shortfall_div_batch(nu_w[None], mu_w[None], loss)[0])
+def _not_ac(nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return np.any((nu > 0.0) & (mu == 0.0), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,44 +157,6 @@ def _table_shortfall_div(r: np.ndarray, m: np.ndarray, loss: LossFn) -> float:
     return float(np.min(h / t, initial=math.inf))
 
 
-def equality_indicator_w(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
-    return 0.0 if np.all(np.abs(nu_w - mu_w) <= _EQUALITY_TOL) else math.inf
-
-
-def support_indicator_w(nu_w: np.ndarray, mu_w: np.ndarray) -> float:
-    return math.inf if _not_ac(nu_w, mu_w) else 0.0
-
-
-# ---------------------------------------------------------------------------
-# public closed-form operations
-# ---------------------------------------------------------------------------
-
-
-def relative_entropy(nu: FiniteDist, mu: FiniteDist, eta: float = 1.0) -> float:
-    """sum nu * log(d nu / d mu), scaled by 1/eta; +inf off nu << mu."""
-    _check_same_atoms(nu, mu)
-    return relative_entropy_w(nu.weights, mu.weights, eta)
-
-
-def phi_divergence(nu: FiniteDist, mu: FiniteDist, utility: UtilityFn) -> float:
-    """sum mu * phi*(d nu / d mu) over charged atoms; +inf off nu << mu."""
-    _check_same_atoms(nu, mu)
-    return phi_divergence_w(nu.weights, mu.weights, utility)
-
-
-def shortfall_divergence(nu: FiniteDist, mu: FiniteDist, loss: LossFn) -> float:
-    """inf over t > 0 of (1 + sum mu * l*(t d nu / d mu)) / t, in closed form.
-
-    With r = d nu / d mu: for exponential(eta), the relative entropy divided
-    by eta; for power_plus(p) with p > 1, E_mu[r^q]^(1/q) - 1 with
-    q = p / (p - 1); for power_plus(1), the largest r on the atoms mu charges,
-    minus 1; for a tabulated loss, the least value at the finitely many t
-    where t r meets a slope of the table. +inf off nu << mu.
-    """
-    _check_same_atoms(nu, mu)
-    return shortfall_divergence_w(nu.weights, mu.weights, loss)
-
-
 # ---------------------------------------------------------------------------
 # divergence specifications
 # ---------------------------------------------------------------------------
@@ -293,37 +218,22 @@ class DivergenceSpec:
     def support_indicator(cls) -> "DivergenceSpec":
         return cls(family="support_indicator")
 
-    def evaluate_w(self, nu_w: np.ndarray, mu_w: np.ndarray) -> float:
-        if self.family == "relative_entropy":
-            return relative_entropy_w(nu_w, mu_w, self.eta)
-        if self.family == "phi_star":
-            return phi_divergence_w(nu_w, mu_w, self.utility)
-        if self.family == "shortfall_div":
-            return shortfall_divergence_w(nu_w, mu_w, self.loss)
-        if self.family == "equality_indicator":
-            return equality_indicator_w(nu_w, mu_w)
-        if self.family == "support_indicator":
-            return support_indicator_w(nu_w, mu_w)
-        if self.family == "dual_of":
-            return _dual_divergence_w(self.risk, nu_w, mu_w).value
-        raise UnknownFamilyError(self.family)
-
     def evaluate_batch(self, nu, mu) -> np.ndarray:
         """alpha(nu[b] | mu[b]) for the B pairs of laws given as the rows of (B, K) arrays.
 
-        The batched counterpart of ``evaluate_w``, selected by the check
-        kinds that evaluate many pairs. Atoms of zero weight under both laws,
-        also the zeros that pad shorter laws, drop out, and every sum over
-        atoms adds them one after another in atom order, so a pair's value is
-        the same bits whatever the batch size, its position and its padding.
-        It agrees with ``evaluate_w`` up to rounding; ``dual_of`` solves its
-        pairs one by one with the dual solver.
+        The one implementation of the closed forms. Atoms of zero weight under
+        both laws, also the zeros that pad shorter laws, drop out, and every
+        sum over atoms adds them one after another in atom order, so a pair's
+        value is the same bits whatever the batch size, its position and its
+        padding. ``dual_of`` solves its pairs one by one with the dual solver;
+        a solve that runs out of its budget certifies nothing, so its value
+        is NaN.
         """
         nu = np.asarray(nu, dtype=float)
         mu = np.asarray(mu, dtype=float)
         if self.family == "dual_of":
-            values = [_dual_divergence_w(self.risk, n, m).value for n, m in zip(nu, mu)]
-            return np.array(values, dtype=float)
+            solves = (_dual_divergence_w(self.risk, n, m) for n, m in zip(nu, mu))
+            return np.array([math.nan if s.budget_exhausted else s.value for s in solves], dtype=float)
         if self.family == "equality_indicator":
             return np.where(np.all(np.abs(nu - mu) <= _EQUALITY_TOL, axis=-1), 0.0, math.inf)
         if self.family == "relative_entropy":
@@ -334,7 +244,11 @@ class DivergenceSpec:
             values = _shortfall_div_batch(nu, mu, self.loss)
         else:  # support_indicator
             values = np.zeros(nu.shape[0])
-        return np.where(np.any((nu > 0.0) & (mu == 0.0), axis=-1), math.inf, values)
+        return np.where(_not_ac(nu, mu), math.inf, values)
+
+    def evaluate_w(self, nu_w: np.ndarray, mu_w: np.ndarray) -> float:
+        """alpha(nu | mu) on weight arrays: a batch of one of ``evaluate_batch``."""
+        return float(self.evaluate_batch([nu_w], [mu_w])[0])
 
     def evaluate(self, nu: FiniteDist, mu: FiniteDist) -> float:
         _check_same_atoms(nu, mu)
@@ -392,6 +306,28 @@ def divergence_for_risk_spec(spec: RiskSpec) -> DivergenceSpec:
     )
 
 
+def relative_entropy(nu: FiniteDist, mu: FiniteDist, eta: float = 1.0) -> float:
+    """sum nu * log(d nu / d mu), scaled by 1/eta; +inf off nu << mu."""
+    return DivergenceSpec.relative_entropy(eta).evaluate(nu, mu)
+
+
+def phi_divergence(nu: FiniteDist, mu: FiniteDist, utility: UtilityFn) -> float:
+    """sum mu * phi*(d nu / d mu) over charged atoms; +inf off nu << mu."""
+    return DivergenceSpec.phi_star(utility).evaluate(nu, mu)
+
+
+def shortfall_divergence(nu: FiniteDist, mu: FiniteDist, loss: LossFn) -> float:
+    """inf over t > 0 of (1 + sum mu * l*(t d nu / d mu)) / t, in closed form.
+
+    With r = d nu / d mu: for exponential(eta), the relative entropy divided
+    by eta; for power_plus(p) with p > 1, E_mu[r^q]^(1/q) - 1 with
+    q = p / (p - 1); for power_plus(1), the largest r on the atoms mu charges,
+    minus 1; for a tabulated loss, the least value at the finitely many t
+    where t r meets a slope of the table. +inf off nu << mu.
+    """
+    return DivergenceSpec.shortfall_div(loss).evaluate(nu, mu)
+
+
 # ---------------------------------------------------------------------------
 # dual solver
 # ---------------------------------------------------------------------------
@@ -445,6 +381,11 @@ def _dual_divergence_w(spec: RiskSpec, nu_w: np.ndarray, mu_w: np.ndarray) -> Du
     mask = mu_w > 0.0
     mw = mu_w[mask]
     nw = nu_w[mask]
+    if spec.family == "coherent":
+        # the densities drop the same mu-null atoms as the weights
+        for d in spec.densities:
+            _validate_density(np.asarray(d), mu_w)
+        spec = replace(spec, densities=tuple(np.asarray(d)[mask] for d in spec.densities), reference=None)
 
     def center(f: np.ndarray) -> np.ndarray:
         # cash additivity makes the objective constant along all-ones, so the
@@ -531,33 +472,51 @@ def dual_divergence(spec: RiskSpec, nu: FiniteDist, mu: FiniteDist) -> DualSolve
 # ---------------------------------------------------------------------------
 
 
+def _pushed(w: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """The laws w[b] pushed along the row-stochastic matrices kernels[b], renormalized."""
+    pushed = _atom_sum(np.swapaxes(w[:, :, None] * kernels, 1, 2))
+    return pushed / _atom_sum(pushed)[:, None]
+
+
+def _chain_values(div: DivergenceSpec, nu: np.ndarray, mu: np.ndarray, chain: Sequence) -> np.ndarray:
+    """alpha of B pairs of laws and of their pushes along a chain, as a (B, L + 1) array.
+
+    ``nu`` and ``mu`` are (B, K) arrays and ``chain[l]`` a (B, K_l, K_l+1) array
+    of row-stochastic matrices, a map's being its 0/1 matrix; column l is alpha
+    after l pushes. Zeros pad short laws and matrices. Each pushed law is
+    renormalized, and every sum over atoms runs in atom order, its total's too,
+    so a pair's values are the same bits in any batch.
+    """
+    values = [div.evaluate_batch(nu, mu)]
+    for kernels in chain:
+        nu, mu = _pushed(nu, kernels), _pushed(mu, kernels)
+        values.append(div.evaluate_batch(nu, mu))
+    return np.stack(values, axis=1)
+
+
 def dpi_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, kernel: Kernel) -> Gap:
     """alpha(nu | mu) - alpha(nu K | mu K); nonnegative for any divergence.
 
     Both sides infinite is reported vacuous rather than as NaN arithmetic.
+    Evaluated as a batch of one by the kernel of the ``dpi`` check kinds, so
+    a sampled instance's gap is the bits its trial gives.
     """
     _check_same_atoms(nu, mu)
     if kernel.source != mu.atoms:
         raise SpaceMismatchError("kernel source must match the common atom set")
-    before = div.evaluate(nu, mu)
-    _, nu_k = compose_kernel(nu, kernel)
-    _, mu_k = compose_kernel(mu, kernel)
-    after = div.evaluate(nu_k, mu_k)
-    return Gap.of(before, after)
+    return Gap.of(*_chain_values(div, nu.weights[None], mu.weights[None], [kernel.matrix[None]])[0].tolist())
 
 
 def sufficiency_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, mapping) -> Gap:
     """alpha(nu | mu) - alpha(nu o T^-1 | mu o T^-1) for a statistic T.
 
     Zero (within solver noise) whenever d nu / d mu is constant on each fiber
-    of T; nonnegative always, by data processing.
+    of T; nonnegative always, by data processing. Evaluated like ``dpi_gap``.
     """
     _check_same_atoms(nu, mu)
     if _not_ac(nu.weights, mu.weights):
         raise NotAbsolutelyContinuousError("sufficiency_gap requires nu << mu")
-    before = div.evaluate(nu, mu)
-    after = div.evaluate(pushforward(nu, mapping), pushforward(mu, mapping))
-    return Gap.of(before, after)
+    return Gap.of(*refinement_monotonicity(div, nu, mu, [mapping]))
 
 
 def refinement_monotonicity(
@@ -566,15 +525,15 @@ def refinement_monotonicity(
     """Divergence values along a chain of coarsening maps, finest first.
 
     The first entry is alpha(nu | mu) itself; each later entry pushes both
-    laws through one more map. Data processing makes the list nonincreasing.
+    laws through one more map, as its 0/1 kernel with the images in
+    first-appearance order. Data processing makes the list nonincreasing.
+    Evaluated like ``dpi_gap``.
     """
     _check_same_atoms(nu, mu)
-    values = [div.evaluate(nu, mu)]
-    cur_nu, cur_mu = nu, mu
+    kernels: list[Kernel] = []
     for mapping in chain:
-        cur_nu, cur_mu = pushforward(cur_nu, mapping), pushforward(cur_mu, mapping)
-        values.append(div.evaluate(cur_nu, cur_mu))
-    return values
+        kernels.append(Kernel.deterministic(kernels[-1].target if kernels else mu.atoms, mapping))
+    return _chain_values(div, nu.weights[None], mu.weights[None], [k.matrix[None] for k in kernels])[0].tolist()
 
 
 # ---------------------------------------------------------------------------

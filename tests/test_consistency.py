@@ -24,7 +24,14 @@ from divlab.consistency import (
     weak_acceptance_margin,
     weak_consistency_gap,
 )
-from divlab.divergence import DivergenceSpec, divergence_for_risk_spec, relative_entropy
+from divlab.divergence import (
+    DivergenceSpec,
+    divergence_for_risk_spec,
+    dpi_gap,
+    refinement_monotonicity,
+    relative_entropy,
+    sufficiency_gap,
+)
 from divlab.errors import PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, JointDist, Kernel, Partition, point_mass, uniform
@@ -37,6 +44,10 @@ RE = DivergenceSpec.relative_entropy(1.0)
 
 CONDITIONAL_KINDS = ("time_consistency", "acceptance", "rejection", "weak_acceptance")
 PRODUCT_KINDS = ("chain_rule", "superadditivity", "subadditivity", "weak_consistency")
+CHAIN_KINDS = ("dpi", "dpi_bijection", "sufficiency_matched", "sufficiency_generic", "refinement")
+DIV_KINDS = PRODUCT_KINDS + CHAIN_KINDS + ("joint_convexity",)
+# each data-processing kind's array draw of one trial
+CHAIN_DRAWS = {kind: CHECK_KINDS[kind].trial.keywords["draw"] for kind in CHAIN_KINDS}
 BATCH_SPECS = [
     RiskSpec.shortfall(LossFn.power_plus(2.0)),
     RiskSpec.shortfall(LossFn.exponential(1.0)),
@@ -53,9 +64,29 @@ BATCH_DIVS = [
 ]
 
 
+def public_chain_gap(kind, div, budget, trial):
+    """A data-processing kind's gap at a trial, from its public gap function.
+
+    The laws, kernel and maps are the objects the kind serializes, built from
+    the trial's draw.
+    """
+    draw = CHAIN_DRAWS[kind](budget.rng_for(trial), budget)
+    labels = [f"a{i}" for i in range(draw.mu.size)]
+    nu, mu = FiniteDist(labels, draw.nu), FiniteDist(labels, draw.mu)
+    if kind.startswith("dpi"):
+        (rows,) = draw.chain
+        return dpi_gap(div, nu, mu, Kernel(labels, [f"b{j}" for j in range(rows.shape[1])], rows)).value
+    if kind.startswith("sufficiency"):
+        return sufficiency_gap(div, nu, mu, *draw.maps).value
+    values = refinement_monotonicity(div, nu, mu, draw.maps)
+    return min(hi - lo for hi, lo in zip(values, values[1:]))
+
+
 def public_gap(kind, spec, budget, trial):
     """A batched kind's gap at a trial, from its public sampler and gap function."""
     rng = budget.rng_for(trial)
+    if kind in CHAIN_KINDS:
+        return public_chain_gap(kind, spec, budget, trial)
     if kind in PRODUCT_KINDS:
         gap_of = weak_consistency_gap if kind == "weak_consistency" else superadditivity_gap
         gap = gap_of(spec, sample_product_instance(rng, budget)).value
@@ -378,13 +409,16 @@ class TestTrialMachinery:
             assert min(min(row) for row in inst[law]["weights"]) == 0.0
 
     @pytest.mark.parametrize("sparsity", [0.0, 0.5])
-    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + PRODUCT_KINDS)
+    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + DIV_KINDS)
     def test_batched_kinds_give_the_same_bits_in_every_layout(self, monkeypatch, kind, sparsity):
-        # 4 x 4 instances give full laws of up to 16 atoms, where a pairwise
-        # sum would regroup under padding; 150 trials span two internal
-        # batches; sparse product instances give +inf and vacuous gaps
+        # 4 x 4 joint instances give full laws of up to 16 atoms, and the
+        # pair kinds' drawn and pushed laws reach 9 atoms: from 8 atoms on, a
+        # pairwise sum would regroup under padding; 150 trials span two
+        # internal batches; sparse product and dpi instances give +inf and
+        # vacuous gaps
         n = 150
-        budget = SearchBudget(trials=n, seed=25, max_e=4, max_f=4, sparsity=sparsity)
+        size = 4 if kind in CONDITIONAL_KINDS + PRODUCT_KINDS else 9
+        budget = SearchBudget(trials=n, seed=25, max_e=size, max_f=size, sparsity=sparsity)
         entry = CHECK_KINDS[kind]
         seen: dict = {}
 
@@ -394,9 +428,9 @@ class TestTrialMachinery:
             return results
 
         monkeypatch.setitem(CHECK_KINDS, kind, replace(entry, trial=recorded))
-        product = kind in PRODUCT_KINDS
-        for spec in BATCH_DIVS if product else BATCH_SPECS:
-            risk, div = (None, spec) if product else (spec, None)
+        on_div = kind in DIV_KINDS
+        for spec in BATCH_DIVS if on_div else BATCH_SPECS:
+            risk, div = (None, spec) if on_div else (spec, None)
             seen.clear()
             stats = run_trials(kind, risk, div, budget, 0, n)
             whole = dict(seen)
@@ -407,34 +441,66 @@ class TestTrialMachinery:
             ranked = [k for k in range(n) if whole[k] is not None]
             assert not any(math.isnan(whole[k]) for k in ranked)
             assert whole == seen == alone, spec.as_json()
-            assert {k: public_gap(kind, spec, budget, k) for k in range(n)} == whole, spec.as_json()
+            if kind != "joint_convexity":
+                assert {k: public_gap(kind, spec, budget, k) for k in range(n)} == whole, spec.as_json()
             worst = max(ranked, key=lambda k: (entry.badness(whole[k]), -k), default=None)
             assert (stats.worst_trial, stats.worst_gap) == (worst, whole.get(worst))
             assert stats.vacuous == n - len(ranked)
-            if product and sparsity:
+            if kind in PRODUCT_KINDS + ("dpi", "dpi_bijection") and sparsity:
                 assert stats.vacuous > 0 or any(math.isinf(whole[k]) for k in ranked), spec.as_json()
 
-    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + PRODUCT_KINDS)
+    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + DIV_KINDS)
     def test_batched_kinds_build_no_joint_law(self, monkeypatch, kind):
-        # the batched kinds keep their draws as arrays: a JointDist is built
-        # only when describe_trial serializes the instance
+        # the batched kinds keep their draws as arrays: a law, a kernel or a
+        # joint law is built only when describe_trial serializes the instance
         budget = SearchBudget(trials=120, seed=26, max_e=3, max_f=3, sparsity=0.3)
-        product = kind in PRODUCT_KINDS
-        risk, div = (None, RE) if product else (ENTROPIC, None)
+        risk, div = (None, RE) if kind in DIV_KINDS else (ENTROPIC, None)
         built = []
-        init = JointDist.__init__
+        for cls in (FiniteDist, Kernel, JointDist):
 
-        def counted(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                built.append(type(self))
+                init(self, *args, **kwargs)
 
-        monkeypatch.setattr(JointDist, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         stats = run_trials(kind, risk, div, budget, 0, budget.trials)
         assert stats.count == budget.trials and stats.worst_trial is not None
         assert built == []
         doc = describe_trial(kind, risk, div, budget, stats.worst_trial)
-        sample = sample_product_instance if product else sample_conditional_instance
-        assert doc["instance"] == sample(budget.rng_for(stats.worst_trial), budget).as_json()
+        assert built
+        if kind in PRODUCT_KINDS + CONDITIONAL_KINDS:
+            sample = sample_product_instance if kind in PRODUCT_KINDS else sample_conditional_instance
+            assert doc["instance"] == sample(budget.rng_for(stats.worst_trial), budget).as_json()
+
+    @pytest.mark.parametrize("kind", CHAIN_KINDS + ("joint_convexity",))
+    def test_pair_kinds_replay_from_their_instance_document(self, kind):
+        # the reported instance names everything the gap depends on: its
+        # laws, its kernel or maps, or its mixing weight
+        budget = SearchBudget(trials=6, seed=27, max_e=4, max_f=4)
+        for trial in range(6):
+            doc = describe_trial(kind, None, RE, budget, trial)
+            inst = doc["instance"]
+            laws = {k: FiniteDist.from_json(v) for k, v in inst.items() if k.startswith(("nu", "mu"))}
+            if kind.startswith("dpi"):
+                gap = dpi_gap(RE, laws["nu"], laws["mu"], Kernel.from_json(inst["kernel"])).value
+            elif kind.startswith("sufficiency"):
+                gap = sufficiency_gap(RE, laws["nu"], laws["mu"], inst["map"]).value
+            elif kind == "refinement":
+                values = refinement_monotonicity(RE, laws["nu"], laws["mu"], inst["maps"])
+                assert values == pytest.approx(inst["values"], abs=1e-15)
+                gap = min(hi - lo for hi, lo in zip(values, values[1:]))
+            else:
+                t, atoms = inst["t"], laws["nu1"].atoms
+                nu, mu = (
+                    FiniteDist(atoms, t * laws[a].weights + (1 - t) * laws[b].weights)
+                    for a, b in (("nu1", "nu2"), ("mu1", "mu2"))
+                )
+                gap = (
+                    t * relative_entropy(laws["nu1"], laws["mu1"])
+                    + (1 - t) * relative_entropy(laws["nu2"], laws["mu2"])
+                    - relative_entropy(nu, mu)
+                )
+            assert gap == pytest.approx(doc["gap"], abs=1e-14)
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)

@@ -17,7 +17,6 @@ from divlab.divergence import (
     refinement_monotonicity,
     relative_entropy,
     shortfall_divergence,
-    shortfall_divergence_w,
     sufficiency_gap,
 )
 from divlab.errors import ConfigParseError, NotAbsolutelyContinuousError, SpaceMismatchError
@@ -180,7 +179,7 @@ class TestShortfallDivergenceOracle:
         # the minimum of g may sit on the edge of l*'s finite domain
         # (power_plus(1), tables), where a scan in log t once missed it
         loss, nu, mu = case
-        value = shortfall_divergence_w(nu, mu, loss)
+        value = DivergenceSpec.shortfall_div(loss).evaluate_w(nu, mu)
         oracle = grid_min_of_g(nu, mu, loss)
         assert value <= oracle + 1e-12 * max(1.0, abs(oracle))
         # on a grid of step d in log t, the least grid value exceeds the true

@@ -168,6 +168,19 @@ class TestReports:
         assert report.verdict == "violation"
         assert CheckReport.from_json(report.as_json()) == report
 
+    def test_exhausted_dual_of_divergence_fails_the_check(self):
+        # the dual solve of the expectation family's divergence never
+        # converges off nu = mu; its last iterate once passed as alpha, and a
+        # dpi check on it passed
+        check = CheckSpec(
+            name="dpi-dual",
+            target="dpi",
+            budget=SearchBudget(trials=2, seed=1),
+            divergence=DivergenceSpec.dual_of(RiskSpec.expectation()),
+        )
+        report = run_check(check)
+        assert report.verdict == "violation" and report.nan >= 1
+
     def test_csv_columns(self):
         reports = run_suite(SuiteConfig(checks=(entropic_check(),)))
         lines = reports_to_csv(reports).strip().split("\n")
@@ -412,6 +425,42 @@ class TestCli:
             "--mu", '{"atoms":["a","b"],"weights":[1.0,0.0]}',
         )
         assert json.loads(out.stdout)["value"] == "inf"
+
+    def test_div_command_refuses_an_exhausted_dual_solve(self):
+        out = run_cli(
+            "div",
+            "--divergence", '{"family":"dual_of","spec":{"family":"expectation"}}',
+            "--nu", '{"atoms":["a","b"],"weights":[0.3,0.7]}',
+            "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}',
+        )
+        assert out.returncode == 2 and "iteration budget" in out.stderr
+
+    @pytest.mark.parametrize("atoms, weights", [(["a", "b", "c"], [0.5, 0.5, 0.0]), (["a", "b"], [0.5, 0.5])])
+    def test_div_command_dual_of_coherent(self, atoms, weights):
+        # the densities once kept the mu-null atom c that the weights drop
+        densities = [[2, 0, 0], [0, 2, 5]] if len(atoms) == 3 else [[2, 0], [0, 2]]
+        law = json.dumps({"atoms": atoms, "weights": weights})
+        out = run_cli(
+            "div",
+            "--divergence", json.dumps({"family": "dual_of", "spec": {"family": "coherent", "densities": densities}}),
+            "--nu", law,
+            "--mu", law,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["value"] == 0
+
+    def test_vacuous_trials_count_no_exhausted_solve(self):
+        # every expectation-family lemma_identity trial is vacuous, and its
+        # row solves run out; lemma_identity once counted them as exhausted
+        # and failed where duality passes the same laws
+        checks = [
+            {"name": kind, "target": kind, "spec": {"family": "expectation"}, "trials": 5, "seed": 1}
+            for kind in ("lemma_identity", "duality")
+        ]
+        out = run_cli("verify", "--no-timestamp", "--config", json.dumps({"checks": checks}))
+        assert out.returncode == 0, out.stdout
+        for check in json.loads(out.stdout)["checks"]:
+            assert (check["vacuous"], check["verdict"], "exhausted" in check) == (5, "pass", False)
 
     def test_conditional_command(self):
         out = run_cli(

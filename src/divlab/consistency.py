@@ -22,15 +22,21 @@ induced divergence alpha:
 Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
-trials are split into blocks. The conditional and product kinds draw their
+trials are split into blocks. Dirichlet(1) weights are normalized standard
+exponentials, the stream and bits of numpy's ``dirichlet``, and payoffs are
+drawn by integer index into VALUE_GRID, the stream of ``choice``; reports of
+earlier versions replay unchanged. The conditional and product kinds draw their
 instances from one sampler of a random joint law (``_draw_joint``), and the
 data-processing kinds and ``joint_convexity`` draw pairs of laws. They keep
 their draws as plain arrays, which become objects only when ``describe_trial``
 serializes one, and evaluate a whole block of them in batched solves whose
-per-trial results do not depend on the block either. Gaps where both sides are +inf are "vacuous"
-and excluded from statistics but counted. A
+per-trial results do not depend on the block either. Gaps where both sides
+are +inf are "vacuous" and excluded from statistics but counted. A
 ``SearchBudget`` sets the trial count, the seed, the grid sizes and the
-sparsity; every other parameter of the samplers is a module constant.
+sparsity; every other parameter of the samplers is a module constant. The
+kinds that draw laws on distinct grid values (``shift_convexity``,
+``property_s``, ``mixture_convexity``, ``dist_concavity``) refuse sizes
+above the grid's 41 points.
 """
 
 from __future__ import annotations
@@ -73,8 +79,6 @@ from .risk import RiskSpec, _atom_sum, acceptance_member, rho_batch, rho_lifted,
 # the payoff values that samplers draw from: -2.0, -1.9, ..., 2.0
 VALUE_GRID = np.linspace(-2.0, 2.0, 41)
 VALUE_GRID.flags.writeable = False
-# the concentration of every Dirichlet weight draw: uniform on the simplex
-DIRICHLET_ALPHA = 1.0
 # the chance that a joint instance's reference law is a product of its marginals
 PRODUCT_FRACTION = 0.5
 
@@ -167,11 +171,26 @@ class ConditionalInstance:
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = rng.dirichlet(np.full(n, DIRICHLET_ALPHA))
-    # guard against exact zeros from extreme draws; keep it a distribution
-    w = np.maximum(w, 0.0)
-    return w / w.sum()
+def _dirichlet(rng: np.random.Generator, shape) -> np.ndarray:
+    """Dirichlet(1) weights along the last axis, renormalized: ``rng.dirichlet``'s stream and bits.
+
+    numpy draws them as standard exponentials times one over their
+    left-to-right sum; one ``standard_exponential`` call does the same.
+    """
+    w = rng.standard_exponential(shape)
+    w *= 1.0 / w.cumsum(axis=-1)[..., -1:]
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _payoffs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Payoff values drawn with replacement from VALUE_GRID: ``rng.choice``'s stream and values."""
+    return VALUE_GRID[rng.integers(0, VALUE_GRID.size, size=shape)]
+
+
+def _grid_law(rng: np.random.Generator, n: int) -> FiniteDist:
+    """A law on n distinct values of VALUE_GRID with Dirichlet(1) weights."""
+    values = rng.choice(VALUE_GRID, size=n, replace=False)
+    return FiniteDist([float(v) for v in values], _dirichlet(rng, n))
 
 
 def _labels(prefix: str, n: int) -> tuple:
@@ -219,7 +238,7 @@ def _draw_product(rng: np.random.Generator, budget: SearchBudget) -> _JointDraw:
 
 def _draw_conditional(rng: np.random.Generator, budget: SearchBudget) -> _JointDraw:
     w, is_product = _draw_joint(rng, budget)
-    return _JointDraw(w, rng.choice(VALUE_GRID, size=w.shape), is_product)
+    return _JointDraw(w, _payoffs(rng, w.shape), is_product)
 
 
 def _product_instance(draw: _JointDraw) -> ProductInstance:
@@ -240,9 +259,7 @@ def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) 
 
 def sample_boundary_law(rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec, n: int) -> FiniteDist:
     """A law shifted onto the acceptance boundary rho = 0."""
-    values = rng.choice(VALUE_GRID, size=n, replace=False)
-    w = _dirichlet(rng, n)
-    law = FiniteDist([float(v) for v in values], w)
+    law = _grid_law(rng, n)
     return shift_law(law, -rho_of_law(spec, law))
 
 
@@ -267,8 +284,7 @@ def sample_shift_convexity_instance(
     idx = {a: i for i, a in enumerate(target)}
     mat = np.zeros((n_e, len(target)))
     for i, r in enumerate(rows):
-        for a, w in zip(r.atoms, r.weights):
-            mat[i, idx[float(a)]] = w
+        mat[i, [idx[float(a)] for a in r.atoms]] = r.weights
     return ShiftConvexityInstance(mu=mu, kernel=Kernel(mu.atoms, tuple(target), mat))
 
 
@@ -579,7 +595,7 @@ def _draw_dpi(rng, budget: SearchBudget, bijection: bool) -> _ChainDraw:
         kernel = np.eye(mu_w.size)[rng.permutation(mu_w.size)]
     else:
         n_f = int(rng.integers(2, budget.max_f + 1))
-        kernel = np.vstack([_dirichlet(rng, n_f) for _ in range(mu_w.size)])
+        kernel = _dirichlet(rng, (mu_w.size, n_f))
     return _ChainDraw(nu_w, mu_w, (kernel,), ())
 
 
@@ -599,7 +615,7 @@ def _draw_sufficiency(rng, budget: SearchBudget, matched: bool) -> _ChainDraw:
 
 def _draw_refinement(rng, budget: SearchBudget) -> _ChainDraw:
     n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
-    mu_w, nu_w = _dirichlet(rng, n0), _dirichlet(rng, n0)
+    mu_w, nu_w = _dirichlet(rng, (2, n0))
     n1 = int(rng.integers(2, n0))
     n2 = int(rng.integers(1, n1 + 1))
     m1 = {f"a{i}": f"b{k}" for i, k in enumerate(_random_surjection(rng, n0, n1))}
@@ -645,7 +661,7 @@ def _chain_trials(risk, div, budget, start, stop, draw: Callable, score: Callabl
 def _draw_convexity(rng, budget: SearchBudget) -> tuple:
     """A joint_convexity instance as drawn: (t, nu1, mu1, nu2, mu2)."""
     n = int(rng.integers(2, budget.max_e + 1))
-    mu1, nu1, mu2, nu2 = (_dirichlet(rng, n) for _ in range(4))
+    mu1, nu1, mu2, nu2 = _dirichlet(rng, (4, n))
     return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
 
 
@@ -768,14 +784,7 @@ def _mixture_convexity_trial(rng, risk, div, budget):
 def _dist_concavity_trial(rng, risk, div, budget):
     n1 = int(rng.integers(2, budget.max_e + 1))
     n2 = int(rng.integers(2, budget.max_e + 1))
-    m1 = FiniteDist(
-        [float(v) for v in rng.choice(VALUE_GRID, size=n1, replace=False)],
-        _dirichlet(rng, n1),
-    )
-    m2 = FiniteDist(
-        [float(v) for v in rng.choice(VALUE_GRID, size=n2, replace=False)],
-        _dirichlet(rng, n2),
-    )
+    m1, m2 = _grid_law(rng, n1), _grid_law(rng, n2)
     t = float(rng.uniform(0.05, 0.95))
     mixed = mixture([(t, m1), (1 - t, m2)])
     gap = rho_of_law(risk, mixed) - t * rho_of_law(risk, m1) - (1 - t) * rho_of_law(risk, m2)
@@ -796,19 +805,12 @@ def _key_identity_trial(rng, risk, div, budget):
 def _lebesgue_trial(rng, risk, div, budget):
     n = int(rng.integers(2, budget.max_e + 1))
     mu = FiniteDist(_labels("a", n), _dirichlet(rng, n))
-    f = rng.choice(VALUE_GRID, size=n)
+    f = _payoffs(rng, n)
     h = rng.uniform(0.0, 1.0, size=n)
     rho_limit = rho_lifted(risk, mu, f)
-    prev = math.inf
-    mono_violation = 0.0
-    last = rho_limit
-    for k in range(15):
-        eps = 4.0 ** (-k)
-        val = rho_lifted(risk, mu, f + eps * h)
-        mono_violation = max(mono_violation, val - prev)
-        prev = val
-        last = val
-    return max(mono_violation, abs(last - rho_limit)), False, None, (mu, f, h)
+    vals = [rho_lifted(risk, mu, f + 4.0 ** (-k) * h) for k in range(15)]
+    mono_violation = max([0.0, *(b - a for a, b in zip(vals, vals[1:]))])
+    return max(mono_violation, abs(vals[-1] - rho_limit)), False, None, (mu, f, h)
 
 
 def _as_json(inst) -> dict:
@@ -868,16 +870,26 @@ class CheckKind:
     <= noise. ``needs`` says which of (risk spec, divergence spec) the trial
     uses. ``trial`` is described above; ``serialize`` turns its instance into
     JSON and runs only when a trial is described, never in ``run_trials``.
+    ``grid_sizes`` names the sizes, "E" or "F", that count atoms of distinct
+    values drawn from VALUE_GRID, so they may not exceed its 41 points.
     """
 
     side: str
     needs: str
     trial: Callable
     serialize: Callable
+    grid_sizes: str = ""
 
     def badness(self, gap: float) -> float:
         """How strongly a gap leans toward violation; larger is worse."""
         return abs(gap) if self.side == "abs" else -gap
+
+    def check_budget(self, budget: SearchBudget, what: str) -> None:
+        """ConfigParseError if a size of the budget exceeds what this kind's sampler can draw."""
+        for axis, size in zip("EF", (budget.max_e, budget.max_f)):
+            if axis in self.grid_sizes and size > VALUE_GRID.size:
+                limit = f"size {axis} must be at most {VALUE_GRID.size}, got {size}"
+                raise ConfigParseError(f"{what} draws distinct payoff values from VALUE_GRID: {limit}")
 
 
 _SUPERADDITIVITY = partial(_product_trials, weak=False)
@@ -887,9 +899,7 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "chain_rule": CheckKind("abs", "div", _SUPERADDITIVITY, _product_json),
     "superadditivity": CheckKind("lower", "div", _SUPERADDITIVITY, _product_json),
     "subadditivity": CheckKind("lower", "div", _negated(_SUPERADDITIVITY), _product_json),
-    "weak_consistency": CheckKind(
-        "lower", "div", partial(_product_trials, weak=True), _product_json
-    ),
+    "weak_consistency": CheckKind("lower", "div", partial(_product_trials, weak=True), _product_json),
     "dpi": CheckKind(
         "lower", "div", partial(_chain_trials, draw=partial(_draw_dpi, bijection=False)), _chain_json
     ),
@@ -900,16 +910,12 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "time_consistency": CheckKind("abs", "risk", _CONSISTENCY, _conditional_json),
     "acceptance": CheckKind("lower", "risk", _CONSISTENCY, _conditional_json),
     "rejection": CheckKind("lower", "risk", _negated(_CONSISTENCY), _conditional_json),
-    "weak_acceptance": CheckKind(
-        "lower", "risk", partial(_conditional_trials, weak=True), _conditional_json
-    ),
-    "shift_convexity": CheckKind("lower", "risk", per_trial(_shift_convexity_trial), _as_json),
-    "property_s": CheckKind("lower", "risk", per_trial(_property_s_trial), _property_s_json),
-    "mixture_convexity": CheckKind(
-        "lower", "risk", per_trial(_mixture_convexity_trial), _mixture_json
-    ),
+    "weak_acceptance": CheckKind("lower", "risk", partial(_conditional_trials, weak=True), _conditional_json),
+    "shift_convexity": CheckKind("lower", "risk", per_trial(_shift_convexity_trial), _as_json, "EF"),
+    "property_s": CheckKind("lower", "risk", per_trial(_property_s_trial), _property_s_json, "F"),
+    "mixture_convexity": CheckKind("lower", "risk", per_trial(_mixture_convexity_trial), _mixture_json, "F"),
     "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json),
-    "dist_concavity": CheckKind("lower", "risk", per_trial(_dist_concavity_trial), _parts_json),
+    "dist_concavity": CheckKind("lower", "risk", per_trial(_dist_concavity_trial), _parts_json, "E"),
     "sufficiency_matched": CheckKind(
         "abs", "div", partial(_chain_trials, draw=partial(_draw_sufficiency, matched=True)), _chain_json
     ),
@@ -1098,6 +1104,7 @@ def counterexample_search(
     (seed, trial). With zero trials the result is empty and carries no
     verdict.
     """
+    check_kind(target).check_budget(budget, f"target {target!r}")
     div = resolve_divergence(target, spec, divergence)
     stats = run_trials(target, spec, div, budget, 0, budget.trials)
     instance = None

@@ -176,12 +176,6 @@ class Kernel:
             mat[i, idx[y]] = 1.0
         return cls(source, target, mat)
 
-    @classmethod
-    def constant(cls, source: Iterable[Atom], dist: FiniteDist) -> "Kernel":
-        source = tuple(source)
-        mat = np.tile(dist.weights, (len(source), 1))
-        return cls(source, dist.atoms, mat)
-
     def as_json(self) -> dict:
         return {
             "source": list(self.source),
@@ -271,10 +265,6 @@ class Partition:
     @classmethod
     def trivial(cls, atoms: Iterable[Atom]) -> "Partition":
         return cls((tuple(atoms),))
-
-    @classmethod
-    def finest(cls, atoms: Iterable[Atom]) -> "Partition":
-        return cls(tuple((a,) for a in atoms))
 
     def as_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}

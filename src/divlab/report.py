@@ -78,10 +78,11 @@ class CheckSpec:
     must_pass: bool = True
 
     def __post_init__(self):
-        needs = check_kind(self.target).needs
-        if needs == "risk" and self.risk is None:
+        kind = check_kind(self.target)
+        kind.check_budget(self.budget, f"check {self.name!r}")
+        if kind.needs == "risk" and self.risk is None:
             raise ConfigParseError(f"check {self.name!r} needs a risk spec")
-        if needs == "div" and self.divergence is None and self.risk is None:
+        if kind.needs == "div" and self.divergence is None and self.risk is None:
             raise ConfigParseError(
                 f"check {self.name!r} needs a divergence (or a risk spec to derive one)"
             )

@@ -1,11 +1,14 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from divlab import consistency
 from divlab.consistency import (
     CHECK_KINDS,
+    VALUE_GRID,
     SearchBudget,
     TrialStats,
     consistency_gap,
@@ -17,6 +20,7 @@ from divlab.consistency import (
     property_s_probe,
     run_trials,
     sample_conditional_instance,
+    sample_boundary_law,
     sample_product_instance,
     sample_shift_convexity_instance,
     shift_convexity_probe,
@@ -34,7 +38,7 @@ from divlab.divergence import (
 )
 from divlab.errors import PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, JointDist, Kernel, Partition, point_mass, uniform
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition, point_mass, shift_law, uniform
 from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_lifted, rho_of_law
 
@@ -201,7 +205,7 @@ class TestWeakConsistencyGap:
 
 class TestShiftConvexity:
     def test_point_masses(self):
-        kernel = Kernel.constant((0.0,), point_mass(0.0))
+        kernel = Kernel((0.0,), (0.0,), [[1.0]])
         probe = shift_convexity_probe(ENTROPIC, point_mass(0.0), kernel)
         assert probe.acceptable
 
@@ -213,7 +217,7 @@ class TestShiftConvexity:
             assert probe.rho_mixture <= 1e-9
 
     def test_precondition_enforced(self):
-        kernel = Kernel.constant((1.0,), point_mass(0.0))
+        kernel = Kernel((1.0,), (0.0,), [[1.0]])
         with pytest.raises(PreconditionViolatedError):
             shift_convexity_probe(ENTROPIC, point_mass(1.0), kernel)
 
@@ -507,3 +511,147 @@ class TestTrialMachinery:
         stats = run_trials("chain_rule", None, RE, budget, 0, 200)
         assert stats.vacuous > 0
         assert stats.count == 200
+
+
+def legacy_dirichlet(rng, shape):
+    """Dirichlet(1) weights as the samplers once drew them: ``rng.dirichlet``, clipped and renormalized."""
+    *lead, n = np.empty(shape).shape
+
+    def one():
+        w = np.maximum(rng.dirichlet(np.full(n, 1.0)), 0.0)
+        return w / w.sum()
+
+    return np.array([one() for _ in range(math.prod(lead))]).reshape(*lead, n)
+
+
+def legacy_payoffs(rng, shape):
+    """Payoffs as the samplers once drew them."""
+    return rng.choice(VALUE_GRID, size=shape)
+
+
+def as_bits(x):
+    """A draw in comparable form: arrays by dtype, shape and bytes, floats by their bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, FiniteDist):
+        return as_bits(x.atoms), as_bits(x.weights)
+    if isinstance(x, (tuple, list)):
+        return tuple(map(as_bits, x))
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    return x
+
+
+# The samplers whose calls to the generator were regrouped, as they once were:
+# one Dirichlet vector per call, and payoffs from ``choice``. The others
+# still make one call per vector and serve as their own oracle once
+# ``_dirichlet`` and ``_payoffs`` are replaced by the legacy primitives.
+
+
+def legacy_draw_dpi(rng, budget, bijection):
+    mu_w, nu_w = consistency._draw_pair(rng, budget)
+    if bijection:
+        kernel = np.eye(mu_w.size)[rng.permutation(mu_w.size)]
+    else:
+        n_f = int(rng.integers(2, budget.max_f + 1))
+        kernel = np.vstack([legacy_dirichlet(rng, n_f) for _ in range(mu_w.size)])
+    return consistency._ChainDraw(nu_w, mu_w, (kernel,), ())
+
+
+def legacy_draw_refinement(rng, budget):
+    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
+    mu_w, nu_w = legacy_dirichlet(rng, n0), legacy_dirichlet(rng, n0)
+    n1 = int(rng.integers(2, n0))
+    n2 = int(rng.integers(1, n1 + 1))
+    m1 = {f"a{i}": f"b{k}" for i, k in enumerate(consistency._random_surjection(rng, n0, n1))}
+    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(consistency._random_surjection(rng, n1, n2))}
+    on_image = {b: m2[b] for b in dict.fromkeys(m1.values())}
+    chain = (consistency._map_matrix(m1), consistency._map_matrix(on_image))
+    return consistency._ChainDraw(nu_w, mu_w, chain, (m1, m2))
+
+
+def legacy_draw_convexity(rng, budget):
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu1, nu1, mu2, nu2 = (legacy_dirichlet(rng, n) for _ in range(4))
+    return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
+
+
+def legacy_boundary_law(rng, budget, spec, n):
+    values = rng.choice(VALUE_GRID, size=n, replace=False)
+    w = legacy_dirichlet(rng, n)
+    law = FiniteDist([float(v) for v in values], w)
+    return shift_law(law, -rho_of_law(spec, law))
+
+
+# one seed above 2**32, where SeedSequence takes a second word
+STREAM_SEEDS = (0, 1, 101, 7919, 2**33 + 5)
+# sampler name -> (the sampler, its legacy form)
+SAMPLERS = {
+    "product": (consistency._draw_product,) * 2,
+    "conditional": (consistency._draw_conditional,) * 2,
+    "convexity": (consistency._draw_convexity, legacy_draw_convexity),
+    "dpi": (CHAIN_DRAWS["dpi"], partial(legacy_draw_dpi, bijection=False)),
+    "dpi_bijection": (CHAIN_DRAWS["dpi_bijection"], partial(legacy_draw_dpi, bijection=True)),
+    "sufficiency_matched": (CHAIN_DRAWS["sufficiency_matched"],) * 2,
+    "sufficiency_generic": (CHAIN_DRAWS["sufficiency_generic"],) * 2,
+    "refinement": (CHAIN_DRAWS["refinement"], legacy_draw_refinement),
+}
+
+
+class TestSamplerStream:
+    """The samplers draw the bytes and leave the generator state of their legacy forms."""
+
+    @staticmethod
+    def same_draws(monkeypatch, new, old, calls):
+        """``new`` and ``old`` give the same bits and generator state on each (rng, *args) of ``calls``."""
+
+        def draws(sampler):
+            out = []
+            for rng, *args in calls():
+                out.append((as_bits(sampler(rng, *args)), rng.bit_generator.state))
+            return out
+
+        drawn = draws(new)
+        monkeypatch.setattr(consistency, "_dirichlet", legacy_dirichlet)
+        monkeypatch.setattr(consistency, "_payoffs", legacy_payoffs)
+        assert draws(old) == drawn
+
+    @pytest.mark.parametrize("shape", [1, 2, 7, 12, (1, 5), (2, 9), (4, 3), (12, 12), (3, 2, 4)])
+    def test_weights_and_payoffs(self, monkeypatch, shape):
+        def calls():
+            return [(np.random.default_rng([seed, 3]), shape) for seed in STREAM_SEEDS]
+
+        self.same_draws(monkeypatch, consistency._dirichlet, legacy_dirichlet, calls)
+        monkeypatch.undo()
+        self.same_draws(monkeypatch, consistency._payoffs, legacy_payoffs, calls)
+
+    @pytest.mark.parametrize("size", [3, 12])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_batched_samplers(self, monkeypatch, sampler, sparsity, size):
+        def calls():
+            for seed in STREAM_SEEDS:
+                budget = SearchBudget(trials=0, seed=seed, max_e=size, max_f=size, sparsity=sparsity)
+                for trial in range(30):
+                    yield budget.rng_for(trial), budget
+
+        self.same_draws(monkeypatch, *SAMPLERS[sampler], calls)
+
+    def test_boundary_laws(self, monkeypatch):
+        def calls():
+            for seed in STREAM_SEEDS:
+                budget = SearchBudget(trials=0, seed=seed)
+                for n in range(2, 13):
+                    yield budget.rng_for(n), budget, ENTROPIC, n
+
+        self.same_draws(monkeypatch, sample_boundary_law, legacy_boundary_law, calls)
+
+    def test_row_sums_are_the_bits_of_one_dimensional_sums(self):
+        # batched weights renormalize each row by a 2-D sum along the last
+        # axis; from 8 atoms on numpy sums pairwise, and the row sum must
+        # group exactly as the 1-D sum of the row does
+        rng = np.random.default_rng(0)
+        for n in range(2, 41):
+            w = rng.standard_exponential((50, n))
+            rows = w.sum(axis=-1, keepdims=True)[:, 0]
+            assert [r.tobytes() for r in rows] == [row.sum().tobytes() for row in w]

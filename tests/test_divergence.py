@@ -355,7 +355,7 @@ class TestDpi:
         nu = FiniteDist(["a", "b"], [0.75, 0.25])
         mu = uniform(["a", "b"])
         eta = FiniteDist(["u", "v"], [0.3, 0.7])
-        kernel = Kernel.constant(mu.atoms, eta)
+        kernel = Kernel(mu.atoms, eta.atoms, [eta.weights] * len(mu))
         gap = dpi_gap(div, nu, mu, kernel)
         assert gap.value == pytest.approx(relative_entropy(nu, mu), abs=1e-12)
 

@@ -124,7 +124,7 @@ class TestComposeAndDisintegrate:
     def test_constant_kernel_is_product(self):
         mu = FiniteDist(["a", "b"], [0.3, 0.7])
         eta = FiniteDist(["u", "v"], [0.4, 0.6])
-        joint, marginal = compose_kernel(mu, Kernel.constant(mu.atoms, eta))
+        joint, marginal = compose_kernel(mu, Kernel(mu.atoms, eta.atoms, [eta.weights] * len(mu)))
         assert marginal.is_close(eta)
         assert np.allclose(joint.matrix, np.outer(mu.weights, eta.weights))
 
@@ -143,7 +143,7 @@ class TestComposeAndDisintegrate:
     def test_disintegrate_product(self):
         mu = FiniteDist(["a", "b"], [0.3, 0.7])
         eta = FiniteDist(["u", "v"], [0.4, 0.6])
-        joint, _ = compose_kernel(mu, Kernel.constant(mu.atoms, eta))
+        joint, _ = compose_kernel(mu, Kernel(mu.atoms, eta.atoms, [eta.weights] * len(mu)))
         marg, kernel = disintegrate(joint)
         assert marg.is_close(mu)
         for i in range(2):
@@ -205,7 +205,7 @@ class TestCondition:
 
     def test_finest_partition(self):
         mu = FiniteDist(["a", "b"], [0.3, 0.7])
-        blocks = condition(mu, [5.0, 7.0], Partition.finest(mu.atoms))
+        blocks = condition(mu, [5.0, 7.0], Partition((("a",), ("b",))))
         assert [b.weight for b in blocks] == pytest.approx([0.3, 0.7])
         assert blocks[0].law.atoms == (5.0,)
         assert blocks[1].law.atoms == (7.0,)

@@ -347,6 +347,35 @@ class TestSuiteConfig:
         with pytest.raises(ConfigParseError, match="'checks' must be a list of check objects"):
             SuiteConfig.from_json({"checks": checks})
 
+    @pytest.mark.parametrize("target, sizes", [
+        ("shift_convexity", {"E": 45, "F": 3}),
+        ("shift_convexity", {"E": 3, "F": 42}),
+        ("property_s", {"E": 3, "F": 45}),
+        ("mixture_convexity", {"E": 3, "F": 45}),
+        ("dist_concavity", {"E": 45, "F": 3}),
+    ])
+    def test_sizes_beyond_the_value_grid_are_refused(self, target, sizes):
+        # these kinds draw laws on distinct values of the 41-point grid; such
+        # sizes once crashed the sampler with a ValueError at run time
+        doc = {"name": "g", "target": target, "spec": {"family": "entropic", "eta": 1.0}, "sizes": sizes}
+        with pytest.raises(ConfigParseError, match=r"^check 'g' draws .* must be at most 41, got 4[25]$"):
+            CheckSpec.from_json(doc)
+        budget = SearchBudget.from_json({"trials": 1, "sizes": sizes})
+        with pytest.raises(ConfigParseError, match=f"^target '{target}' draws"):
+            counterexample_search(RiskSpec.entropic(1.0), budget, target)
+
+    @pytest.mark.parametrize("target, sizes", [
+        ("shift_convexity", {"E": 41, "F": 41}),
+        ("property_s", {"E": 45, "F": 41}),
+        ("mixture_convexity", {"E": 45, "F": 41}),
+        ("dist_concavity", {"E": 41, "F": 45}),
+    ])
+    def test_sizes_up_to_the_value_grid_run(self, target, sizes):
+        # a size the kind's sampler does not draw distinct values for is not limited
+        doc = {"name": "g", "target": target, "spec": {"family": "entropic", "eta": 1.0}, "sizes": sizes,
+               "trials": 2}
+        assert run_check(CheckSpec.from_json(doc)).trials == 2
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigParseError):
             SuiteConfig(checks=(entropic_check("x"), entropic_check("x")))
@@ -494,6 +523,14 @@ class TestCli:
         out = run_cli("verify", "--config", json.dumps({"checks": [check]}))
         assert out.returncode == 2
         assert out.stderr.startswith("error: budget field") and "Traceback" not in out.stderr
+
+    def test_oversized_grid_kind_exits_2(self):
+        # this once ran into the sampler's ValueError: status 1, the status of a violation
+        check = {"name": "a", "target": "shift_convexity", "spec": {"family": "entropic", "eta": 1.0},
+                 "trials": 5, "sizes": {"E": 45, "F": 45}}
+        out = run_cli("verify", "--config", json.dumps({"checks": [check]}))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: check 'a' draws") and "41" in out.stderr
 
     @pytest.mark.parametrize("field", [{"must_pass": "false"}, {"tolerances": {"noise": "x"}}],
                              ids=["must_pass", "tolerances"])

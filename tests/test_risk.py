@@ -441,7 +441,7 @@ class TestConditional:
     def test_finest_partition_returns_values(self):
         spec = RiskSpec.entropic(1.0)
         mu = uniform(["a", "b"])
-        cond = rho_conditional(spec, mu, [0.25, 0.5], Partition.finest(mu.atoms))
+        cond = rho_conditional(spec, mu, [0.25, 0.5], Partition((("a",), ("b",))))
         assert [v for _, v in cond.values] == pytest.approx([0.25, 0.5], abs=1e-12)
 
     def test_independent_product_blocks(self):

@@ -7,7 +7,8 @@ Subcommands:
 - ``conditional``  evaluate blockwise conditional risk
 - ``verify``       run a suite of seeded checks and emit a report
 - ``search``       hunt for counterexamples to one target property
-- ``sweep``        rerun one check over a parameter range, emit (parameter, gap) CSV
+- ``sweep``        rerun one check over a parameter range, emit CSV of each value's
+                   worst gap, verdict, and NaN and exhausted counts
 
 All inputs are JSON documents read from files or standard input ("-").
 Exit status is 1 iff a must-pass check reports a violation, and 2 on a
@@ -23,7 +24,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .consistency import CHECK_KINDS, SearchBudget, counterexample_search
+from .consistency import CHECK_KINDS, SearchBudget, _trial_pool, counterexample_search
 from .divergence import DivergenceSpec
 from .errors import ConfigParseError, DivLabError
 from .prob import FiniteDist, Partition
@@ -151,13 +152,17 @@ def _sweep_value(token: str) -> float:
 def _cmd_sweep(args) -> int:
     base = _load_json(args.config)
     values = [_sweep_value(v) for v in args.values.split(",")]
-    lines = ["parameter,worst_gap"]
+    checks = []
     for v in values:
         doc = json.loads(json.dumps(base))
         _set_by_path(doc, args.param, v)
-        report = run_check(CheckSpec.from_json(doc))
-        gap = "" if report.worst_gap is None else format(report.worst_gap, ".17g")
-        lines.append(f"{format(v, '.17g')},{gap}")
+        checks.append(CheckSpec.from_json(doc))
+    lines = ["parameter,worst_gap,verdict,nan,exhausted"]
+    with _trial_pool(c.budget for c in checks) as pool:
+        for v, check in zip(values, checks):
+            report = run_check(check, pool)
+            gap = "" if report.worst_gap is None else format(report.worst_gap, ".17g")
+            lines.append(f"{format(v, '.17g')},{gap},{report.verdict},{report.nan},{report.exhausted}")
     write_text("\n".join(lines) + "\n", args.out)
     return 0
 

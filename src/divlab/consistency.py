@@ -22,7 +22,8 @@ induced divergence alpha:
 Instances are sampled from seeded per-trial generators: trial k of a search
 with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
 instance replays exactly from (seed, trial) and results do not depend on how
-trials are split into blocks. Dirichlet(1) weights are normalized standard
+trials are split into blocks, nor on which process runs a block (see
+``_trial_pool``). Dirichlet(1) weights are normalized standard
 exponentials, the stream and bits of numpy's ``dirichlet``, and payoffs are
 drawn by integer index into VALUE_GRID, the stream of ``choice``; reports of
 earlier versions replay unchanged. The conditional and product kinds draw their
@@ -42,9 +43,12 @@ above the grid's 41 points.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1037,6 +1041,65 @@ def run_trials(
     return stats
 
 
+def _trial_stats(
+    kind: str,
+    risk: RiskSpec | None,
+    div: DivergenceSpec | None,
+    budget: SearchBudget,
+    pool=None,
+) -> TrialStats:
+    """run_trials over every trial of the budget, as its TRIAL_BATCH ranges merged in order.
+
+    With a pool the ranges run on its workers, else in this process. Each
+    range is a batch that run_trials would run anyway and merging is exact,
+    so the result is the same with and without a pool.
+    """
+    starts = range(0, budget.trials, TRIAL_BATCH)
+    stops = [min(first + TRIAL_BATCH, budget.trials) for first in starts]
+    parts = (map if pool is None else pool.map)(partial(run_trials, kind, risk, div, budget), starts, stops)
+    return reduce(TrialStats.merge, parts, TrialStats())
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can say which cores it may use
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _trial_pool(budgets: Iterable[SearchBudget]):
+    """A process pool with one worker per usable core for a run of these budgets, or None.
+
+    The pool opens only where it can help and forking is safe: at least two
+    usable cores, some budget of more than one TRIAL_BATCH, no other thread
+    in this process (a forked child gets a copy of every lock, held ones
+    too), the "fork" start method, and a process that is not a daemon (a
+    daemon may have no children). Its workers are forked, so they see the
+    kinds and specs of this process as they are. It shuts down when the
+    block ends, cancelling the ranges still queued if the block raises, so
+    no worker outlives the run.
+    """
+    cores = _usable_cores()
+    context = None
+    if cores >= 2 and threading.active_count() == 1 and any(b.trials > TRIAL_BATCH for b in budgets):
+        import multiprocessing  # imported here, so that a run without a pool never pays for it
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(cores, mp_context=context) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def describe_trial(
     kind: str,
     risk: RiskSpec | None,
@@ -1102,11 +1165,13 @@ def counterexample_search(
 
     Deterministic given the budget seed; the returned instance replays from
     (seed, trial). With zero trials the result is empty and carries no
-    verdict.
+    verdict. The trials run on every usable core (see ``_trial_pool``), with
+    the same result as in one process.
     """
     check_kind(target).check_budget(budget, f"target {target!r}")
     div = resolve_divergence(target, spec, divergence)
-    stats = run_trials(target, spec, div, budget, 0, budget.trials)
+    with _trial_pool([budget]) as pool:
+        stats = _trial_stats(target, spec, div, budget, pool)
     instance = None
     if stats.worst_trial is not None:
         instance = describe_trial(target, spec, div, budget, stats.worst_trial)

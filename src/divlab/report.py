@@ -28,10 +28,11 @@ from typing import Mapping, Sequence
 from .consistency import (
     SearchBudget,
     TrialStats,
+    _trial_pool,
+    _trial_stats,
     check_kind,
     describe_trial,
     resolve_divergence,
-    run_trials,
 )
 from .divergence import DivergenceSpec
 from .errors import ConfigParseError, IoError, reject_unknown_keys, typed_field
@@ -235,11 +236,16 @@ def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
     return "inconclusive"
 
 
-def run_check(check: CheckSpec) -> CheckReport:
-    """Run a check's trials, judge them, and describe the worst one unless the check passes."""
+def run_check(check: CheckSpec, pool=None) -> CheckReport:
+    """Run a check's trials, judge them, and describe the worst one unless the check passes.
+
+    The trials run as consecutive ranges of TRIAL_BATCH, on the workers of
+    ``pool`` when one is given (see ``run_suite``) and in this process
+    otherwise; the report is the same bytes either way.
+    """
     div = resolve_divergence(check.target, check.risk, check.divergence)
     budget = check.budget
-    stats = run_trials(check.target, check.risk, div, budget, 0, budget.trials)
+    stats = _trial_stats(check.target, check.risk, div, budget, pool)
     verdict = _verdict(check.target, stats, check.tolerances)
     instance = None
     if verdict != "pass" and stats.worst_trial is not None:
@@ -262,8 +268,15 @@ def run_check(check: CheckSpec) -> CheckReport:
 
 
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
-    """Run every check in order; an empty suite yields an empty report."""
-    return [run_check(c) for c in config.checks]
+    """Run every check in order; an empty suite yields an empty report.
+
+    One process pool, with a worker per usable core, serves every check of
+    the suite; it opens only when some check has more than one TRIAL_BATCH
+    of trials and the platform can fork, and it is shut down before this
+    returns or raises. Reports are byte-identical with any number of workers.
+    """
+    with _trial_pool(c.budget for c in config.checks) as pool:
+        return [run_check(c, pool) for c in config.checks]
 
 
 def suite_failed(reports: Sequence[CheckReport]) -> bool:

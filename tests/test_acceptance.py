@@ -212,41 +212,36 @@ def test_criterion_11_sufficient_statistics():
     report(11, f"sufficiency equality and generic monotonicity, 200 each (matched worst={abs(matched.worst_gap):.2e})")
 
 
+# criterion 12's suite: both checks span several trial batches
+DETERMINISM_SUITE = {
+    "name": "determinism",
+    "checks": [
+        {
+            "name": "chain",
+            "target": "chain_rule",
+            "divergence": {"family": "relative_entropy", "eta": 1.0},
+            "trials": 400, "seed": 42, "sizes": {"E": 4, "F": 4},
+            "tolerances": {"noise": 1e-9, "violation": 1e-4},
+        },
+        {
+            "name": "pp2-acceptance",
+            "target": "acceptance",
+            "spec": {"family": "shortfall", "loss": {"kind": "power_plus", "p": 2}},
+            "trials": 1500, "seed": 7, "sizes": {"E": 3, "F": 3},
+            "must_pass": False,
+        },
+    ],
+}
+
+
 def test_criterion_12_report_determinism(tmp_path):
-    config = {
-        "name": "determinism",
-        "checks": [
-            {
-                "name": "chain",
-                "target": "chain_rule",
-                "divergence": {"family": "relative_entropy", "eta": 1.0},
-                "trials": 400, "seed": 42, "sizes": {"E": 4, "F": 4},
-                "tolerances": {"noise": 1e-9, "violation": 1e-4},
-            },
-            {
-                "name": "pp2-acceptance",
-                "target": "acceptance",
-                "spec": {"family": "shortfall", "loss": {"kind": "power_plus", "p": 2}},
-                "trials": 1500, "seed": 7, "sizes": {"E": 3, "F": 3},
-                "must_pass": False,
-            },
-        ],
-    }
     path = tmp_path / "suite.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(DETERMINISM_SUITE))
 
     def run(hash_seed: str, out: str):
         # string hashes, and with them the iteration order of sets of
         # strings, vary with PYTHONHASHSEED; the report bytes must not
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run(
-            [sys.executable, "-m", "divlab.cli", "verify",
-             "--config", str(path), "--no-timestamp", "--out", str(tmp_path / out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return (tmp_path / out).read_bytes()
+        return verify_bytes(path, tmp_path / out, hash_seed)
 
     first = run("0", "a.json")
     second = run("0", "b.json")
@@ -254,3 +249,32 @@ def test_criterion_12_report_determinism(tmp_path):
     assert first == second, "same config and seed produced different bytes"
     assert first == rehashed, "PYTHONHASHSEED changed the report bytes"
     report(12, f"byte-identical reports across reruns and PYTHONHASHSEED 0 vs 12345 ({len(first)} bytes)")
+
+
+def test_criterion_12_report_determinism_on_one_core(tmp_path):
+    # every usable core runs a share of each check's trial batches; a run
+    # pinned to one core runs them all in one process and must agree
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is missing: a run cannot be pinned to one core")
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) < 2:
+        pytest.skip("only one core is usable, so every run is already a one-core run")
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(DETERMINISM_SUITE))
+    workers = verify_bytes(path, tmp_path / "a.json", "0")
+    pinned = verify_bytes(path, tmp_path / "b.json", "0", lambda: os.sched_setaffinity(0, {cores[0]}))
+    assert workers == pinned, f"{len(cores)} workers and one core produced different bytes"
+    report(12, f"byte-identical reports on {len(cores)} cores and pinned to one ({len(pinned)} bytes)")
+
+
+def verify_bytes(config, out, hash_seed: str, preexec_fn=None) -> bytes:
+    """The report of `divlab verify` on a suite file, run in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "divlab.cli", "verify",
+         "--config", str(config), "--no-timestamp", "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=preexec_fn,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()

@@ -1,11 +1,16 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
+from divlab import cli, consistency, report
 from divlab.consistency import (
     CHECK_KINDS,
     CheckKind,
@@ -15,7 +20,7 @@ from divlab.consistency import (
     resolve_divergence,
 )
 from divlab.divergence import DivergenceSpec
-from divlab.errors import ConfigParseError, UnknownFamilyError
+from divlab.errors import ConfigParseError, PreconditionViolatedError, UnknownFamilyError
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import uniform
 from divlab.report import (
@@ -613,8 +618,26 @@ class TestCli:
         path.write_text(json.dumps(check))
         out = run_cli("sweep", "--config", str(path), "--param", "spec.eta", "--values", "0.5,2")
         lines = out.stdout.strip().split("\n")
-        assert lines[0] == "parameter,worst_gap"
+        assert lines[0] == "parameter,worst_gap,verdict,nan,exhausted"
         assert len(lines) == 3
+        for line, eta in zip(lines[1:], ("0.5", "2")):
+            value, gap, verdict, nan, exhausted = line.split(",")
+            assert (value, verdict, nan, exhausted) == (eta, "pass", "0", "0")
+            float(gap)
+
+    def test_sweep_shows_nan_and_exhausted_values(self, monkeypatch, capsys):
+        # the sweep once printed only "parameter,worst_gap": a value whose
+        # trials gave NaN gaps printed a plain gap, as if it had passed
+        def trial(rng, risk, div, budget):
+            k = rng.bit_generator.seed_seq.entropy[1]
+            return (math.nan if k == 1 else 0.5), False, None, {}
+
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", per_trial(trial), dict))
+        check = {"name": "np", "target": "nan_probe", "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}
+        assert cli.main(["sweep", "--config", json.dumps(check), "--param", "trials", "--values", "1,3"]) == 0
+        assert capsys.readouterr().out == (
+            "parameter,worst_gap,verdict,nan,exhausted\n1,0.5,pass,0,0\n3,0.5,violation,1,0\n"
+        )
 
     def test_sweep_over_an_integer_field(self, tmp_path):
         # sweep values arrive as floats; an integral one is a valid integer field
@@ -670,3 +693,153 @@ class TestCli:
         out = run_cli(*args, "--out", str(target))
         assert out.returncode == 2
         assert out.stderr.startswith(f"error: cannot write to {str(target)!r}")
+
+
+def _gap_probe(rng, risk, div, budget):
+    """Gaps that depend only on the trial: NaN on every 37th."""
+    k = rng.bit_generator.seed_seq.entropy[1]
+    return (math.nan if k % 37 == 5 else 1e-3 * (k % 11)), False, None, {}
+
+
+def _refusing_probe(error):
+    """A kind that raises error(message) from trial 100 on."""
+
+    def trial(rng, risk, div, budget):
+        k = rng.bit_generator.seed_seq.entropy[1]
+        if k >= 100:
+            raise error(f"trial {k} refused")
+        return 0.0, False, None, {}
+
+    return CheckKind("abs", "risk", per_trial(trial), dict)
+
+
+class TestParallelRuns:
+    """run_suite, search and sweep spread a check's trial batches over a process pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pool (or None) that each run of run_suite, search and sweep opened."""
+        opened = []
+        open_pool = consistency._trial_pool
+
+        @contextmanager
+        def recording(budgets):
+            with open_pool(budgets) as pool:
+                opened.append(pool)
+                yield pool
+
+        for module in (consistency, report, cli):
+            monkeypatch.setattr(module, "_trial_pool", recording)
+        return opened
+
+    @staticmethod
+    def needs_pool():
+        if consistency._usable_cores() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("a pool needs two usable cores and the fork start method")
+        if threading.active_count() > 1:
+            pytest.skip("a pool opens only in a process without other threads")
+
+    @staticmethod
+    def pool_off(monkeypatch):
+        monkeypatch.setattr(consistency, "_usable_cores", lambda: 1)
+
+    def suite(self, monkeypatch) -> SuiteConfig:
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", per_trial(_gap_probe), dict))
+        sparse = dict(seed=1, max_e=3, max_f=3, sparsity=0.5)
+        return SuiteConfig(checks=(
+            CheckSpec(name="chain", target="chain_rule", budget=SearchBudget(trials=250, **sparse),
+                      divergence=DivergenceSpec.relative_entropy(1.0)),
+            CheckSpec(name="pp2", target="acceptance", budget=SearchBudget(trials=250, **sparse),
+                      risk=RiskSpec.shortfall(LossFn.power_plus(2.0)), must_pass=False),
+            CheckSpec(name="probe", target="nan_probe", budget=SearchBudget(trials=230, seed=3),
+                      risk=RiskSpec.entropic(1.0)),
+            CheckSpec(name="small", target="time_consistency", budget=SearchBudget(trials=40, seed=2),
+                      risk=RiskSpec.entropic(1.0)),
+        ))
+
+    def test_pool_and_one_process_emit_the_same_bytes(self, monkeypatch, pools):
+        self.needs_pool()
+        config = self.suite(monkeypatch)
+        parallel = emit_report(run_suite(config), "json", "-")
+        self.pool_off(monkeypatch)
+        serial = run_suite(config)
+        assert pools[0] is not None and pools[1] is None
+        assert emit_report(serial, "json", "-") == parallel
+        chain, pp2, probe, small = serial
+        # the pp2 violation sits in the second batch; the probe has NaN gaps in every batch
+        assert (pp2.verdict, pp2.worst_trial, chain.verdict) == ("violation", 116, "pass")
+        assert pp2.instance["trial"] == 116 and chain.vacuous > 0
+        assert (probe.verdict, probe.nan, probe.worst_trial) == ("violation", 7, 0)
+        assert small.trials == 40
+
+    def test_search_and_sweep_run_on_the_pool(self, monkeypatch, pools, capsys):
+        self.needs_pool()
+        budget = SearchBudget(trials=250, seed=1, sparsity=0.5)
+        spec = RiskSpec.shortfall(LossFn.power_plus(2.0))
+        searched = counterexample_search(spec, budget, "acceptance")
+        check = {"name": "tc", "target": "time_consistency", "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}
+        argv = ["sweep", "--config", json.dumps(check), "--param", "trials", "--values", "50,150,250"]
+        assert cli.main(argv) == 0
+        swept = capsys.readouterr().out
+        assert pools[0] is not None and pools[1] is not None
+        assert multiprocessing.active_children() == []
+        self.pool_off(monkeypatch)
+        assert counterexample_search(spec, budget, "acceptance") == searched
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == swept
+        assert pools[2:] == [None, None]
+
+    def test_small_runs_open_no_pool(self, pools):
+        run_suite(SuiteConfig(checks=(entropic_check(trials=100), entropic_check(name="b", trials=3))))
+        assert pools == [None]
+
+    def test_no_pool_beside_another_thread(self, pools):
+        # a forked child copies every lock of the parent, even one that
+        # another thread holds, so a process with threads runs in-process
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            with_thread = run_suite(SuiteConfig(checks=(entropic_check(trials=250),)))
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert pools == [None]
+        assert run_suite(SuiteConfig(checks=(entropic_check(trials=250),))) == with_thread
+
+    @pytest.mark.parametrize("error", [PreconditionViolatedError, RuntimeError])
+    def test_worker_errors_surface_as_in_one_process(self, monkeypatch, pools, capsys, error):
+        self.needs_pool()
+        monkeypatch.setitem(CHECK_KINDS, "refusing", _refusing_probe(error))
+        check = {"name": "r", "target": "refusing", "spec": {"family": "entropic", "eta": 1.0}, "trials": 400}
+        argv = ["verify", "--config", json.dumps({"checks": [check]}), "--no-timestamp"]
+
+        def outcome():
+            try:
+                status = cli.main(argv)
+            except Exception as exc:  # not a DivLabError: it escapes main, as a traceback and status 1
+                status = (type(exc), str(exc))
+            assert multiprocessing.active_children() == []
+            return status, capsys.readouterr()
+
+        parallel = outcome()
+        self.pool_off(monkeypatch)
+        assert outcome() == parallel
+        assert pools[0] is not None and pools[1] is None
+        if error is PreconditionViolatedError:
+            assert parallel[0] == 2 and parallel[1].err == "error: trial 100 refused\n"
+        else:
+            assert parallel[0] == (RuntimeError, "trial 100 refused")
+
+    def test_no_worker_outlives_a_run(self, monkeypatch, pools):
+        self.needs_pool()
+        run_suite(self.suite(monkeypatch))
+        assert pools[0] is not None
+        assert multiprocessing.active_children() == []
+        monkeypatch.setitem(CHECK_KINDS, "refusing", _refusing_probe(RuntimeError))
+        refusing = replace(entropic_check(name="r", trials=300), target="refusing")
+        with pytest.raises(RuntimeError, match="trial 100 refused") as raised:
+            run_suite(SuiteConfig(checks=(refusing,)))
+        assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
+        assert multiprocessing.active_children() == []

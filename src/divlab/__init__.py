@@ -77,7 +77,6 @@ from .report import (
 from .risk import (
     ConditionalRisk,
     RiskSpec,
-    acceptance_member,
     rho_batch,
     rho_coherent,
     rho_conditional,

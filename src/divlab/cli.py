@@ -42,16 +42,21 @@ from .report import (
 from .risk import RiskSpec, rho_conditional, rho_of_law
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_json(source: str):
+    """The JSON document at source; NaN, Infinity and -Infinity, which json accepts beyond the standard, are refused."""
     try:
         if source == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_constant=_refuse_constant)
         text = source
         if not source.lstrip().startswith(("{", "[")):
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as exc:
         raise ConfigParseError(f"cannot read JSON from {source!r}: {exc}") from exc
 
 

@@ -31,7 +31,9 @@ instances from one sampler of a random joint law (``_draw_joint``), and the
 data-processing kinds and ``joint_convexity`` draw pairs of laws. They keep
 their draws as plain arrays, which become objects only when ``describe_trial``
 serializes one, and evaluate a whole block of them in batched solves whose
-per-trial results do not depend on the block either. Gaps where both sides
+per-trial results do not depend on the block either. The acceptance-set
+probes, ``dist_concavity`` and ``lebesgue`` draw laws and evaluate a block's
+risks in at most two ``rho_batch`` calls. Gaps where both sides
 are +inf are "vacuous" and excluded from statistics but counted. A
 ``SearchBudget`` sets the trial count, the seed, the grid sizes and the
 sparsity; every other parameter of the samplers is a module constant. The
@@ -75,10 +77,8 @@ from .prob import (
     Partition,
     _as_values,
     disintegrate_w,
-    mixture,
-    shift_law,
 )
-from .risk import RiskSpec, _atom_sum, acceptance_member, rho_batch, rho_lifted, rho_of_law, rho_values
+from .risk import RiskSpec, _atom_sum, rho_batch, rho_values
 
 # the payoff values that samplers draw from: -2.0, -1.9, ..., 2.0
 VALUE_GRID = np.linspace(-2.0, 2.0, 41)
@@ -191,10 +191,9 @@ def _payoffs(rng: np.random.Generator, shape) -> np.ndarray:
     return VALUE_GRID[rng.integers(0, VALUE_GRID.size, size=shape)]
 
 
-def _grid_law(rng: np.random.Generator, n: int) -> FiniteDist:
-    """A law on n distinct values of VALUE_GRID with Dirichlet(1) weights."""
-    values = rng.choice(VALUE_GRID, size=n, replace=False)
-    return FiniteDist([float(v) for v in values], _dirichlet(rng, n))
+def _draw_law(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n distinct values of VALUE_GRID and Dirichlet(1) weights, before FiniteDist renormalizes them."""
+    return rng.choice(VALUE_GRID, size=n, replace=False), _dirichlet(rng, n)
 
 
 def _labels(prefix: str, n: int) -> tuple:
@@ -261,10 +260,18 @@ def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) 
     return _conditional_instance(_draw_conditional(rng, budget))
 
 
+def _on_boundary(spec: RiskSpec, groups: Sequence[Sequence[tuple]]) -> list[list[FiniteDist]]:
+    """Each group's drawn laws (values, weights) shifted onto rho = 0 by one ``rho_batch``: ``rho_of_law``'s bits."""
+    laws = [law for group in groups for law in group]
+    weights = [_renormalized(w) for _, w in laws]
+    rho = rho_batch(spec, _padded(weights), _padded([v for v, _ in laws])).tolist()
+    shifted = iter([FiniteDist((v - r).tolist(), w) for (v, _), w, r in zip(laws, weights, rho)])
+    return [[next(shifted) for _ in group] for group in groups]
+
+
 def sample_boundary_law(rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec, n: int) -> FiniteDist:
     """A law shifted onto the acceptance boundary rho = 0."""
-    law = _grid_law(rng, n)
-    return shift_law(law, -rho_of_law(spec, law))
+    return _on_boundary(spec, [[_draw_law(rng, n)]])[0][0]
 
 
 @dataclass(frozen=True)
@@ -272,24 +279,38 @@ class ShiftConvexityInstance:
     mu: FiniteDist
     kernel: Kernel
 
+    def pairs(self) -> list[tuple[float, float, FiniteDist]]:
+        """(mu(x), x, K_x) for each atom x of mu: the compound lottery of the shifted mixture."""
+        atoms = zip(self.mu.atoms, self.mu.weights)
+        return [(float(w), float(x), self.kernel.row(i)) for i, (x, w) in enumerate(atoms)]
+
     def as_json(self) -> dict:
         return {"mu": self.mu.as_json(), "kernel": self.kernel.as_json()}
+
+
+def _draw_shift_convexity(rng: np.random.Generator, budget: SearchBudget) -> tuple[list, None]:
+    """The laws of a shift_convexity instance as drawn: mu's, then one per kernel row."""
+    n_e = int(rng.integers(2, budget.max_e + 1))
+    n_f = int(rng.integers(2, budget.max_f + 1))
+    return [_draw_law(rng, n) for n in (n_e, *[n_f] * n_e)], None
+
+
+def _shift_convexity_instance(laws: Sequence[FiniteDist], _=None) -> ShiftConvexityInstance:
+    """mu and the kernel whose rows are the other laws, all on the boundary."""
+    mu, rows = laws[0], laws[1:]
+    # rows carry their own shifted supports; the kernel target is the union
+    target = sorted({a for r in rows for a in r.atoms})
+    idx = {a: i for i, a in enumerate(target)}
+    mat = np.zeros((len(rows), len(target)))
+    for i, r in enumerate(rows):
+        mat[i, [idx[a] for a in r.atoms]] = r.weights
+    return ShiftConvexityInstance(mu=mu, kernel=Kernel(mu.atoms, tuple(target), mat))
 
 
 def sample_shift_convexity_instance(
     rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec
 ) -> ShiftConvexityInstance:
-    n_e = int(rng.integers(2, budget.max_e + 1))
-    n_f = int(rng.integers(2, budget.max_f + 1))
-    mu = sample_boundary_law(rng, budget, spec, n_e)
-    rows = [sample_boundary_law(rng, budget, spec, n_f) for _ in range(n_e)]
-    # rows carry their own shifted supports; the kernel target is the union
-    target = sorted({float(a) for r in rows for a in r.atoms})
-    idx = {a: i for i, a in enumerate(target)}
-    mat = np.zeros((n_e, len(target)))
-    for i, r in enumerate(rows):
-        mat[i, [idx[float(a)] for a in r.atoms]] = r.weights
-    return ShiftConvexityInstance(mu=mu, kernel=Kernel(mu.atoms, tuple(target), mat))
+    return _shift_convexity_instance(_on_boundary(spec, [_draw_shift_convexity(rng, budget)[0]])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +434,30 @@ def weak_acceptance_margin(spec: RiskSpec, mu: FiniteDist, f, partition: Partiti
 class ProbeResult:
     acceptable: bool
     rho_mixture: float
-    mixture: FiniteDist
+
+
+def _mixture_risks(spec: RiskSpec, mixtures: Sequence[Sequence[tuple]], tol: float = 1e-9, marginal=True) -> np.ndarray:
+    """rho of each mixture sum_i w_i m_i(. - x_i) of pairs (w_i, x_i, m_i), once its inputs are found acceptable.
+
+    The mixtures, their component laws and, when ``marginal``, their
+    x-marginals sum_i w_i delta_(x_i) are one ``rho_batch``. The weights w_i
+    are renormalized to sum to 1. A marginal or a component above tol
+    violates the precondition and raises.
+    """
+    q, x = (_padded([np.array([pair[i] for pair in pairs]) for pairs in mixtures]) for i in (0, 1))
+    q = q / _atom_sum(q)[:, None]
+    w = _padded([_padded([law.weights for _, _, law in pairs]) for pairs in mixtures])
+    v = _padded([_padded([law.values_array() for _, _, law in pairs]) for pairs in mixtures])
+    b, k, m = w.shape
+    present = w.any(axis=-1)
+    parts = [(q, x)] if marginal else []
+    parts += [(w[present], v[present]), ((q[:, :, None] * w).reshape(b, k * m), (x[:, :, None] + v).reshape(b, k * m))]
+    rho = rho_batch(spec, _stacked([pw for pw, _ in parts]), _stacked([pv for _, pv in parts]))
+    if marginal and np.any(rho[:b] > tol):
+        raise PreconditionViolatedError("the x-marginal is not acceptable")
+    if np.any(rho[b * marginal : -b] > tol):
+        raise PreconditionViolatedError("a component law is not acceptable")
+    return rho[-b:]
 
 
 def shift_convexity_probe(
@@ -425,8 +469,7 @@ def shift_convexity_probe(
     ``property_s_probe`` of the pairs (mu(x), x, K_x). Inputs that are not
     all acceptable violate the precondition and raise.
     """
-    pairs = [(float(w), float(x), kernel.row(i)) for i, (x, w) in enumerate(zip(mu.atoms, mu.weights))]
-    return property_s_probe(spec, pairs, tol)
+    return property_s_probe(spec, ShiftConvexityInstance(mu, kernel).pairs(), tol)
 
 
 def property_s_probe(
@@ -438,28 +481,26 @@ def property_s_probe(
 
     Requires the first marginal (the law of the x_i) and every component law
     m_i to be acceptable; checks the shifted mixture sum_i w_i m_i(. - x_i).
+    Evaluated as a batch of one by the kernel of the probe kinds, so a
+    sampled instance's risk is the bits its trial gives.
     """
-    marginal = mixture([(w, FiniteDist([x], [1.0])) for w, x, _ in pairs])
-    if not acceptance_member(spec, marginal, tol):
-        raise PreconditionViolatedError("the x-marginal is not acceptable")
-    for _, _, law in pairs:
-        if not acceptance_member(spec, law, tol):
-            raise PreconditionViolatedError("a component law is not acceptable")
-    mixed = mixture([(w, shift_law(law, x)) for w, x, law in pairs])
-    rho = rho_of_law(spec, mixed)
-    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho, mixture=mixed)
+    rho = float(_mixture_risks(spec, [pairs], tol)[0])
+    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho)
 
 
 def mixture_convexity_probe(
     spec: RiskSpec, laws: Sequence[tuple[float, FiniteDist]], tol: float = 1e-9
 ) -> ProbeResult:
-    """Convexity of the acceptance set: mixtures of acceptable laws stay in."""
-    for _, law in laws:
-        if not acceptance_member(spec, law, tol):
-            raise PreconditionViolatedError("a component law is not acceptable")
-    mixed = mixture(list(laws))
-    rho = rho_of_law(spec, mixed)
-    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho, mixture=mixed)
+    """Convexity of the acceptance set: mixtures of acceptable laws stay in.
+
+    Evaluated like ``property_s_probe``, with no shifts and no x-marginal.
+    """
+    rho = float(_mixture_risks(spec, [_unshifted(laws)], tol, marginal=False)[0])
+    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho)
+
+
+def _unshifted(laws: Sequence[tuple[float, FiniteDist]]) -> list[tuple[float, float, FiniteDist]]:
+    return [(w, 0.0, law) for w, law in laws]
 
 
 def integral_lemma_gap(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> Gap:
@@ -499,13 +540,13 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
     The left side composes the risk through the disintegration of mu_bar;
     the right side maximizes E_nu[g] - alpha(nu | mu) over an enumerated
     simplex grid, with the per-row inner suprema evaluated in closed form.
+    The rows' risks are one ``rho_batch``.
     """
     f_mat = np.asarray(f, dtype=float).reshape(mu_bar.matrix.shape)
     mu_marg, mu_rows = disintegrate_w(mu_bar.matrix)
+    charged = mu_marg > 0.0
     g = np.zeros(len(mu_marg))
-    for x in range(len(mu_marg)):
-        if mu_marg[x] > 0.0:
-            g[x] = rho_values(spec, mu_rows[x], f_mat[x])
+    g[charged] = rho_batch(spec, mu_rows[charged], f_mat[charged])
     lhs = rho_values(spec, mu_marg, g)
     closed = divergence_for_risk_spec(spec)
     rhs = primal_reconstruction(closed, FiniteDist(mu_bar.row_atoms, mu_marg), g)
@@ -518,10 +559,13 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 #
 # A kind's trial function maps (risk, div, budget, start, stop) to an
 # iterable of one TrialResult per trial in [start, stop), read once; trial k
-# draws all its randomness from budget.rng_for(k). The conditional, product
-# and data-processing kinds and joint_convexity draw their trials one by one
-# as arrays and solve them in one batch. The other kinds are written for one
-# trial, as
+# draws all its randomness from budget.rng_for(k). 19 kinds draw their trials
+# one by one and solve them in a few batched evaluations: the conditional,
+# product and data-processing kinds and joint_convexity keep their draws as
+# arrays; the probe kinds (shift_convexity, property_s, mixture_convexity),
+# dist_concavity and lebesgue draw laws and take at most two ``rho_batch``
+# calls. The other 3 kinds (duality, lemma_identity, key_identity) run a
+# solver per trial and are written for one trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
 # never holds their instances.
@@ -714,6 +758,12 @@ def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """2-D arrays one after another along the first axis, zero-padded to a common width."""
+    width = max(a.shape[1] for a in arrays)
+    return np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in arrays])
+
+
 def _renormalized(w: np.ndarray) -> np.ndarray:
     """Weights divided by their total, the bits JointDist and FiniteDist store."""
     flat = w.reshape(-1)
@@ -750,49 +800,63 @@ def _product_trials(risk, div, budget, start, stop, weak: bool):
     return [TrialResult(g.value, g.vacuous, d.is_product, d) for g, d in zip(gaps, draws)]
 
 
-def _shift_convexity_trial(rng, risk, div, budget):
-    inst = sample_shift_convexity_instance(rng, budget, risk)
-    probe = shift_convexity_probe(risk, inst.mu, inst.kernel)
-    return -probe.rho_mixture, False, None, inst
+def _probe_trials(
+    risk, div, budget, start, stop, draw: Callable, instance: Callable, pairs: Callable = list, marginal=True
+):
+    """Trials of an acceptance-set probe kind in two ``rho_batch`` calls.
+
+    ``draw`` gives a trial's laws and its other draws. The first call shifts
+    every law onto the boundary; ``instance`` builds each trial's instance
+    and ``pairs`` its compound lottery, for the second, ``_mixture_risks``.
+    """
+    draws = [draw(budget.rng_for(k), budget) for k in range(start, stop)]
+    boundary = _on_boundary(risk, [laws for laws, _ in draws])
+    insts = [instance(laws, drawn) for laws, (_, drawn) in zip(boundary, draws)]
+    rho = _mixture_risks(risk, [pairs(inst) for inst in insts], marginal=marginal)
+    return [TrialResult(-r, False, None, inst) for r, inst in zip(rho.tolist(), insts)]
 
 
-def _boundary_laws(rng, budget: SearchBudget, risk, k: int) -> list[FiniteDist]:
-    return [
-        sample_boundary_law(rng, budget, risk, int(rng.integers(2, budget.max_f + 1)))
-        for _ in range(k)
-    ]
-
-
-def _property_s_trial(rng, risk, div, budget):
+def _draw_property_s(rng, budget: SearchBudget) -> tuple[list, np.ndarray]:
+    """The x-marginal and the k component laws of a compound lottery as drawn, and the marginal's weights."""
     k = int(rng.integers(2, 5))
-    xs = rng.choice(VALUE_GRID, size=k, replace=False)
-    weights = _dirichlet(rng, k)
-    laws = _boundary_laws(rng, budget, risk, k)
-    marginal = mixture(
-        [(float(w), FiniteDist([float(x)], [1.0])) for w, x in zip(weights, xs)]
-    )
-    shift = -rho_of_law(risk, marginal)
-    pairs = [(float(w), float(x) + shift, law) for w, x, law in zip(weights, xs, laws)]
-    probe = property_s_probe(risk, pairs)
-    return -probe.rho_mixture, False, None, pairs
+    marginal = _draw_law(rng, k)
+    return [marginal, *(_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k))], marginal[1]
 
 
-def _mixture_convexity_trial(rng, risk, div, budget):
+def _property_s_instance(laws: Sequence[FiniteDist], weights: np.ndarray) -> list:
+    """The pairs (w, x, law): the marginal's atoms on the boundary, as shifts."""
+    return [(float(w), x, law) for w, x, law in zip(weights, laws[0].atoms, laws[1:])]
+
+
+def _draw_mixture(rng, budget: SearchBudget) -> tuple[list, np.ndarray]:
     k = int(rng.integers(2, 5))
     weights = _dirichlet(rng, k)
-    components = list(zip(map(float, weights), _boundary_laws(rng, budget, risk, k)))
-    probe = mixture_convexity_probe(risk, components)
-    return -probe.rho_mixture, False, None, components
+    return [_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k)], weights
 
 
-def _dist_concavity_trial(rng, risk, div, budget):
+def _mixture_instance(laws: Sequence[FiniteDist], weights: np.ndarray) -> list:
+    return list(zip(map(float, weights), laws))
+
+
+def _draw_concavity(rng, budget: SearchBudget) -> dict:
     n1 = int(rng.integers(2, budget.max_e + 1))
     n2 = int(rng.integers(2, budget.max_e + 1))
-    m1, m2 = _grid_law(rng, n1), _grid_law(rng, n2)
-    t = float(rng.uniform(0.05, 0.95))
-    mixed = mixture([(t, m1), (1 - t, m2)])
-    gap = rho_of_law(risk, mixed) - t * rho_of_law(risk, m1) - (1 - t) * rho_of_law(risk, m2)
-    return gap, False, None, {"t": t, "m1": m1, "m2": m2}
+    m1, m2 = (FiniteDist(v.tolist(), w) for v, w in (_draw_law(rng, n1), _draw_law(rng, n2)))
+    return {"t": float(rng.uniform(0.05, 0.95)), "m1": m1, "m2": m2}
+
+
+def _dist_concavity_trials(risk, div, budget, start, stop):
+    """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2), the laws and the mixtures in one ``rho_batch``."""
+    insts = [_draw_concavity(budget.rng_for(k), budget) for k in range(start, stop)]
+    t = np.array([inst["t"] for inst in insts])
+    laws = [[inst[m] for inst in insts] for m in ("m1", "m2")]
+    w1, w2 = (_padded([law.weights for law in ms]) for ms in laws)
+    v1, v2 = (_padded([law.values_array() for law in ms]) for ms in laws)
+    mixed_w = np.hstack([t[:, None] * w1, (1 - t[:, None]) * w2])
+    rho = rho_batch(risk, _stacked([w1, w2, mixed_w]), _stacked([v1, v2, np.hstack([v1, v2])]))
+    rho1, rho2, mixed = rho.reshape(3, -1)
+    gaps = mixed - t * rho1 - (1 - t) * rho2
+    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps.tolist(), insts)]
 
 
 def _lemma_identity_trial(rng, risk, div, budget):
@@ -806,15 +870,23 @@ def _key_identity_trial(rng, risk, div, budget):
     return key_identity_gap(risk, inst.joint, inst.values), False, inst.is_product, inst
 
 
-def _lebesgue_trial(rng, risk, div, budget):
+def _draw_lebesgue(rng, budget: SearchBudget) -> tuple:
     n = int(rng.integers(2, budget.max_e + 1))
     mu = FiniteDist(_labels("a", n), _dirichlet(rng, n))
-    f = _payoffs(rng, n)
-    h = rng.uniform(0.0, 1.0, size=n)
-    rho_limit = rho_lifted(risk, mu, f)
-    vals = [rho_lifted(risk, mu, f + 4.0 ** (-k) * h) for k in range(15)]
-    mono_violation = max([0.0, *(b - a for a, b in zip(vals, vals[1:]))])
-    return max(mono_violation, abs(vals[-1] - rho_limit)), False, None, (mu, f, h)
+    return mu, _payoffs(rng, n), rng.uniform(0.0, 1.0, size=n)
+
+
+def _lebesgue_trials(risk, div, budget, start, stop):
+    """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f): the 16 risks of every trial in one ``rho_batch``."""
+    insts = [_draw_lebesgue(budget.rng_for(k), budget) for k in range(start, stop)]
+    scales = 4.0 ** -np.arange(15.0)
+    v = _padded([np.vstack([f, f + scales[:, None] * h]) for _, f, h in insts])
+    w = _padded([np.broadcast_to(mu.weights, (16, mu.weights.size)) for mu, _, _ in insts])
+    rho = rho_batch(risk, w.reshape(-1, w.shape[-1]), v.reshape(-1, v.shape[-1])).reshape(-1, 16)
+    limit, vals = rho[:, 0], rho[:, 1:]
+    # ties keep the first argument, as max() does: a zero step or gap stays +0.0
+    gaps = np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit))
+    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps.tolist(), insts)]
 
 
 def _as_json(inst) -> dict:
@@ -898,6 +970,13 @@ class CheckKind:
 
 _SUPERADDITIVITY = partial(_product_trials, weak=False)
 _CONSISTENCY = partial(_conditional_trials, weak=False)
+_SHIFT_CONVEXITY = partial(
+    _probe_trials, draw=_draw_shift_convexity, instance=_shift_convexity_instance, pairs=ShiftConvexityInstance.pairs
+)
+_PROPERTY_S = partial(_probe_trials, draw=_draw_property_s, instance=_property_s_instance)
+_MIXTURE_CONVEXITY = partial(
+    _probe_trials, draw=_draw_mixture, instance=_mixture_instance, pairs=_unshifted, marginal=False
+)
 
 CHECK_KINDS: dict[str, CheckKind] = {
     "chain_rule": CheckKind("abs", "div", _SUPERADDITIVITY, _product_json),
@@ -915,11 +994,11 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "acceptance": CheckKind("lower", "risk", _CONSISTENCY, _conditional_json),
     "rejection": CheckKind("lower", "risk", _negated(_CONSISTENCY), _conditional_json),
     "weak_acceptance": CheckKind("lower", "risk", partial(_conditional_trials, weak=True), _conditional_json),
-    "shift_convexity": CheckKind("lower", "risk", per_trial(_shift_convexity_trial), _as_json, "EF"),
-    "property_s": CheckKind("lower", "risk", per_trial(_property_s_trial), _property_s_json, "F"),
-    "mixture_convexity": CheckKind("lower", "risk", per_trial(_mixture_convexity_trial), _mixture_json, "F"),
+    "shift_convexity": CheckKind("lower", "risk", _SHIFT_CONVEXITY, _as_json, "EF"),
+    "property_s": CheckKind("lower", "risk", _PROPERTY_S, _property_s_json, "F"),
+    "mixture_convexity": CheckKind("lower", "risk", _MIXTURE_CONVEXITY, _mixture_json, "F"),
     "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json),
-    "dist_concavity": CheckKind("lower", "risk", per_trial(_dist_concavity_trial), _parts_json, "E"),
+    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trials, _parts_json, "E"),
     "sufficiency_matched": CheckKind(
         "abs", "div", partial(_chain_trials, draw=partial(_draw_sufficiency, matched=True)), _chain_json
     ),
@@ -931,7 +1010,7 @@ CHECK_KINDS: dict[str, CheckKind] = {
     ),
     "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json),
     "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json),
-    "lebesgue": CheckKind("abs", "risk", per_trial(_lebesgue_trial), _lebesgue_json),
+    "lebesgue": CheckKind("abs", "risk", _lebesgue_trials, _lebesgue_json),
 }
 
 

@@ -60,10 +60,6 @@ _OPT_TOL = 1e-11
 _ROOT_MAX_ITER = 100
 # a cap on golden-section steps; 58 of them shrink a unit bracket below 1e-12
 _GOLDEN_MAX_ITER = 400
-_BRACKET_FAILURE = (
-    "E[loss(X - c)] does not cross 1 on the standard bracket; "
-    "the loss violates l(0) = 1 < l(x > 0)"
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,82 +163,6 @@ class RiskSpec:
 # ---------------------------------------------------------------------------
 
 
-def _entropic_values(w: np.ndarray, v: np.ndarray, eta: float) -> float:
-    # max-shift keeps exp() in range for any bounded values
-    pos = w > 0.0
-    vv, ww = v[pos], w[pos]
-    s = float(np.max(eta * vv))
-    return (s + math.log(float(ww @ np.exp(eta * vv - s)))) / eta
-
-
-def _shortfall_values(w: np.ndarray, v: np.ndarray, loss: LossFn) -> float:
-    pos = w > 0.0
-    vv, ww = v[pos], w[pos]
-
-    def expected(c: float) -> float:
-        return float(ww @ np.asarray(loss(vv - c), dtype=float))
-
-    lo = float(np.min(vv)) - 1.0
-    hi = float(np.max(vv)) + 1.0
-    e_lo, e_hi = expected(lo), expected(hi)
-    if e_lo <= 1.0 or e_hi > 1.0 + 1e-12:
-        raise BracketFailureError(_BRACKET_FAILURE)
-    # expected() is convex and nonincreasing in c, so a Newton step from a
-    # point left of the root never passes it: a Newton point at or past hi
-    # makes hi the root, and one with expected <= 1 is the root itself. The
-    # start E[X] lies left of the root, since expected(E[X]) >= l(0) = 1 by
-    # Jensen. A step that is not finite (overflow) or more than half the last
-    # one (slow progress far left of the root) becomes a bisection of [lo, hi].
-    # e_root carries expected(root) into the post-check whenever the
-    # iteration has already evaluated the root; None means it has not.
-    def newton_step(c: float, e_c: float) -> float:
-        slope = float(ww @ loss.derivative(vv - c))
-        return (e_c - 1.0) / slope if 0.0 < slope < math.inf else math.inf
-
-    start = min(max(float(ww @ vv), lo), hi)
-    e_start = expected(start)
-    if e_start > 1.0:
-        lo, e_lo = start, e_start
-    else:
-        hi, e_hi = start, e_start
-    step = newton_step(lo, e_lo)
-    last = hi - lo
-    e_root = None
-    for _ in range(_ROOT_MAX_ITER):
-        if math.isfinite(step) and lo + step >= hi:
-            root, e_root = hi, e_hi
-            break
-        if step <= 0.5 * last:
-            root = lo + step
-            if step <= _ROOT_TOL:
-                break
-            e_root = expected(root)
-            if e_root <= 1.0:
-                break
-            lo, e_lo, last = root, e_root, step
-            e_root = None
-            step = newton_step(lo, e_lo)
-        else:
-            mid = 0.5 * (lo + hi)
-            e_mid = expected(mid)
-            if e_mid <= 1.0:
-                hi, e_hi = mid, e_mid
-            else:
-                lo, e_lo = mid, e_mid
-                step = newton_step(lo, e_lo)
-            if hi - lo <= _ROOT_TOL:
-                root, e_root = hi, e_hi
-                break
-    else:
-        root, e_root = hi, e_hi
-    if e_root is None:
-        # a Newton step below _ROOT_TOL; it may not move off lo
-        e_root = e_lo if root == lo else expected(root)
-    if e_root > 1.0 + 1e-9:
-        raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
-    return root
-
-
 def _golden_min(fn, lo: float, hi: float, xtol: float) -> float:
     """Golden-section search for a minimizer of a unimodal fn on [lo, hi].
 
@@ -313,27 +233,6 @@ def _coherent_values(mu_w: np.ndarray, v: np.ndarray, densities: Sequence) -> fl
     return best
 
 
-def rho_values(spec: RiskSpec, mu_w: np.ndarray, values: np.ndarray) -> float:
-    """Risk of a value vector against weights, bypassing law construction.
-
-    This is the hot path shared by the lifted evaluator and the dual solver;
-    law invariance makes merging equal values immaterial.
-    """
-    if spec.family == "entropic":
-        return _entropic_values(mu_w, values, spec.eta)
-    if spec.family == "shortfall":
-        return _shortfall_values(mu_w, values, spec.loss)
-    if spec.family == "oce":
-        return _oce_values(mu_w, values, spec.utility)
-    if spec.family == "expectation":
-        return float(mu_w @ values)
-    if spec.family == "esssup":
-        return float(np.max(values[mu_w > 0.0]))
-    if spec.family == "coherent":
-        return _coherent_values(mu_w, values, spec.densities)
-    raise UnknownFamilyError(spec.family)
-
-
 # ---------------------------------------------------------------------------
 # batched evaluators on (B, K) arrays: law b is (w[b], v[b])
 # ---------------------------------------------------------------------------
@@ -362,11 +261,15 @@ def _entropic_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, eta: float) -
 
 
 def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn) -> np.ndarray:
-    """``_shortfall_values`` on every law at once, step for step.
+    """The smallest c with E[loss(X - c)] <= 1 for every law, by safeguarded Newton.
 
-    Each law keeps its own bracket, step and root; the masks below pick, per
-    law, the branch the scalar iteration takes, and a law that has stopped
-    keeps its root while the others go on.
+    expected(c) is convex and nonincreasing in c, so a Newton step from the
+    left of the root never passes it: a Newton point at or past hi makes hi
+    the root, and one with expected <= 1 is the root itself. The start E[X]
+    is left of the root, as expected(E[X]) >= l(0) = 1 by Jensen. A step that
+    is not finite (overflow) or more than half the last one (slow progress)
+    becomes a bisection of [lo, hi]. Each law keeps its own bracket, step and
+    root; masks pick each law's branch, and a law that has stopped keeps its root.
     """
 
     def expected(c: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -383,7 +286,9 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
     hi = np.where(pos, v, -math.inf).max(axis=-1) + 1.0
     e_lo, e_hi = expected(lo), expected(hi)
     if np.any(e_lo <= 1.0) or np.any(e_hi > 1.0 + 1e-12):
-        raise BracketFailureError(_BRACKET_FAILURE)
+        raise BracketFailureError(
+            "E[loss(X - c)] does not cross 1 on the standard bracket; the loss violates l(0) = 1 < l(x > 0)"
+        )
     start = np.minimum(np.maximum(_atom_sum(w * v), lo), hi)
     e_start = expected(start)
     left = e_start > 1.0
@@ -437,15 +342,15 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
 def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     """Risks of the B laws whose weights and values are the rows of (B, K) arrays.
 
-    The batched counterpart of ``rho_values`` for law-invariant families;
-    each law needs an atom of positive weight, and zero-weight atoms (also
-    the zeros that pad shorter laws) are masked out. Every sum over atoms
-    adds them in a fixed order, one after another, with masked atoms adding
-    exact zeros, so a law's risk is the same bits whatever the batch size,
-    its position in the batch and its padding. It agrees with ``rho_values``
-    up to rounding, which sums in another order. Shortfall runs the scalar
-    safeguarded Newton elementwise under masks, with the same bracket check
-    and post-check; OCE solves its laws one by one.
+    The one law-level evaluator: every other evaluation of a law-invariant
+    family is a batch of one of it. Each law needs an atom of positive
+    weight, and zero-weight atoms (also the zeros that pad shorter laws) are
+    masked out. Every sum over atoms adds them in a fixed order, one after
+    another, with masked atoms adding exact zeros, so a law's risk is the
+    same bits whatever the batch size, its position in the batch and its
+    padding. Shortfall runs its safeguarded Newton on all laws at once under
+    masks, with a bracket check and a post-check; OCE solves its laws one by
+    one.
     """
     if spec.family == "coherent":
         raise UnsupportedFamilyError(
@@ -472,6 +377,16 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     raise UnknownFamilyError(spec.family)
 
 
+def rho_values(spec: RiskSpec, mu_w: np.ndarray, values: np.ndarray) -> float:
+    """Risk of a value vector against weights, bypassing law construction.
+
+    A batch of one of ``rho_batch``; a coherent family evaluates pathwise.
+    """
+    if spec.family == "coherent":
+        return _coherent_values(mu_w, values, spec.densities)
+    return float(rho_batch(spec, [mu_w], [values])[0])
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -479,17 +394,17 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
 
 def rho_entropic(law: FiniteDist, eta: float) -> float:
     """log(E[exp(eta X)]) / eta for the law of X."""
-    return _entropic_values(law.weights, law.values_array(), eta)
+    return rho_of_law(RiskSpec.entropic(eta), law)
 
 
 def rho_shortfall(law: FiniteDist, loss: LossFn) -> float:
     """Smallest cash level c with E[loss(X - c)] <= 1, by safeguarded Newton."""
-    return _shortfall_values(law.weights, law.values_array(), loss)
+    return rho_of_law(RiskSpec.shortfall(loss), law)
 
 
 def rho_oce(law: FiniteDist, utility: UtilityFn) -> float:
     """inf over shifts m of E[utility(m + X)] - m, by golden section."""
-    return _oce_values(law.weights, law.values_array(), utility)
+    return rho_of_law(RiskSpec.oce(utility), law)
 
 
 def rho_coherent(mu: FiniteDist, f, densities: Sequence[Sequence[float]]) -> float:
@@ -515,10 +430,8 @@ def rho_lifted(spec: RiskSpec, mu: FiniteDist, f) -> float:
     which must match their reference space when one is pinned.
     """
     values = _as_values(f, len(mu))
-    if spec.family == "coherent":
-        if spec.reference is not None and spec.reference.atoms != mu.atoms:
-            raise SpaceMismatchError("coherent spec is pinned to a different reference space")
-        return _coherent_values(mu.weights, values, spec.densities)
+    if spec.family == "coherent" and spec.reference is not None and spec.reference.atoms != mu.atoms:
+        raise SpaceMismatchError("coherent spec is pinned to a different reference space")
     return rho_values(spec, mu.weights, values)
 
 
@@ -532,18 +445,16 @@ class ConditionalRisk:
 
 
 def rho_conditional(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> ConditionalRisk:
-    """Blockwise risk of f given the partition, one value per charged block."""
+    """Blockwise risk of f given the partition, one value per charged block, in one ``rho_batch``."""
     blocks = condition(mu, f, partition)
     if not blocks:
         raise InvalidPartitionError("no block carries positive mass")
-    vals = tuple((cb.block, rho_of_law(spec, cb.law)) for cb in blocks)
+    W, V = np.zeros((2, len(blocks), max(len(cb.law) for cb in blocks)))
+    for b, cb in enumerate(blocks):
+        W[b, : len(cb.law)], V[b, : len(cb.law)] = cb.law.weights, cb.law.values_array()
+    risks = rho_batch(spec, W, V).tolist()
     return ConditionalRisk(
         partition=partition,
-        values=vals,
+        values=tuple((cb.block, r) for cb, r in zip(blocks, risks)),
         weights=tuple(cb.weight for cb in blocks),
     )
-
-
-def acceptance_member(spec: RiskSpec, law: FiniteDist, tol: float = 1e-9) -> bool:
-    """Membership of a law in the acceptance set {rho <= 0}, up to tol."""
-    return rho_of_law(spec, law) <= tol

@@ -38,7 +38,7 @@ from divlab.divergence import (
 )
 from divlab.errors import PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, JointDist, Kernel, Partition, point_mass, shift_law, uniform
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition, mixture, point_mass, shift_law, uniform
 from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_lifted, rho_of_law
 
@@ -50,6 +50,9 @@ CONDITIONAL_KINDS = ("time_consistency", "acceptance", "rejection", "weak_accept
 PRODUCT_KINDS = ("chain_rule", "superadditivity", "subadditivity", "weak_consistency")
 CHAIN_KINDS = ("dpi", "dpi_bijection", "sufficiency_matched", "sufficiency_generic", "refinement")
 DIV_KINDS = PRODUCT_KINDS + CHAIN_KINDS + ("joint_convexity",)
+PROBE_KINDS = ("shift_convexity", "property_s", "mixture_convexity")
+# the risk kinds that draw laws and evaluate them with no conditioning
+LAW_KINDS = PROBE_KINDS + ("dist_concavity", "lebesgue")
 # each data-processing kind's array draw of one trial
 CHAIN_DRAWS = {kind: CHECK_KINDS[kind].trial.keywords["draw"] for kind in CHAIN_KINDS}
 BATCH_SPECS = [
@@ -98,6 +101,17 @@ def public_gap(kind, spec, budget, trial):
         gap_of = weak_acceptance_margin if kind == "weak_acceptance" else consistency_gap
         gap = gap_of(spec, *sample_conditional_instance(rng, budget).flat())
     return -gap if kind in ("rejection", "subadditivity") and gap is not None else gap
+
+
+def public_probe_gap(kind, spec, inst):
+    """A probe kind's gap on a trial's instance, from its public probe."""
+    if kind == "shift_convexity":
+        probe = shift_convexity_probe(spec, inst.mu, inst.kernel)
+    elif kind == "property_s":
+        probe = property_s_probe(spec, inst)
+    else:
+        probe = mixture_convexity_probe(spec, inst)
+    return -probe.rho_mixture
 
 
 def product_instance_from(mu_bar, nu_bar):
@@ -412,23 +426,30 @@ class TestTrialMachinery:
             inst = describe_trial(kind, ENTROPIC, None, budget, trial)["instance"]
             assert min(min(row) for row in inst[law]["weights"]) == 0.0
 
-    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
-    @pytest.mark.parametrize("kind", CONDITIONAL_KINDS + DIV_KINDS)
+    @pytest.mark.parametrize(
+        "kind, sparsity",
+        # the law kinds draw no reference weights, so sparsity does not reach them
+        [(kind, sparsity) for kind in CONDITIONAL_KINDS + DIV_KINDS for sparsity in (0.0, 0.5)]
+        + [(kind, 0.0) for kind in LAW_KINDS],
+    )
     def test_batched_kinds_give_the_same_bits_in_every_layout(self, monkeypatch, kind, sparsity):
-        # 4 x 4 joint instances give full laws of up to 16 atoms, and the
-        # pair kinds' drawn and pushed laws reach 9 atoms: from 8 atoms on, a
-        # pairwise sum would regroup under padding; 150 trials span two
-        # internal batches; sparse product and dpi instances give +inf and
-        # vacuous gaps
+        # 4 x 4 joint instances give full laws of up to 16 atoms, the probe
+        # kinds' mixtures up to 64, and the pair kinds' drawn and pushed laws,
+        # dist_concavity's mixtures and lebesgue's laws reach 9 atoms or more:
+        # from 8 atoms on, a pairwise sum would regroup under padding; 150
+        # trials span two internal batches; sparse product and dpi instances
+        # give +inf and vacuous gaps
         n = 150
-        size = 4 if kind in CONDITIONAL_KINDS + PRODUCT_KINDS else 9
+        size = 4 if kind in CONDITIONAL_KINDS + PRODUCT_KINDS + PROBE_KINDS else 9
         budget = SearchBudget(trials=n, seed=25, max_e=size, max_f=size, sparsity=sparsity)
         entry = CHECK_KINDS[kind]
         seen: dict = {}
+        instances: dict = {}
 
         def recorded(risk, div, budget, start, stop):
             results = list(entry.trial(risk, div, budget, start, stop))
             seen.update(zip(range(start, stop), (r.gap for r in results)))
+            instances.update(zip(range(start, stop), (r.instance for r in results)))
             return results
 
         monkeypatch.setitem(CHECK_KINDS, kind, replace(entry, trial=recorded))
@@ -445,7 +466,10 @@ class TestTrialMachinery:
             ranked = [k for k in range(n) if whole[k] is not None]
             assert not any(math.isnan(whole[k]) for k in ranked)
             assert whole == seen == alone, spec.as_json()
-            if kind != "joint_convexity":
+            if kind in PROBE_KINDS:
+                # the public probe on each trial's instance gives the trial's bits
+                assert {k: public_probe_gap(kind, spec, instances[k]) for k in range(n)} == whole, spec.as_json()
+            elif kind in CONDITIONAL_KINDS + DIV_KINDS and kind != "joint_convexity":
                 assert {k: public_gap(kind, spec, budget, k) for k in range(n)} == whole, spec.as_json()
             worst = max(ranked, key=lambda k: (entry.badness(whole[k]), -k), default=None)
             assert (stats.worst_trial, stats.worst_gap) == (worst, whole.get(worst))
@@ -505,6 +529,43 @@ class TestTrialMachinery:
                     - relative_entropy(nu, mu)
                 )
             assert gap == pytest.approx(doc["gap"], abs=1e-14)
+
+    @pytest.mark.parametrize("spec", [ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))], ids=["entropic", "pp2"])
+    @pytest.mark.parametrize("kind", LAW_KINDS)
+    def test_law_kinds_replay_from_their_instance_document(self, kind, spec):
+        # the reported instance names everything the gap depends on; read
+        # back from JSON, its laws are renormalized once more, so the gap
+        # agrees to rounding
+        budget = SearchBudget(trials=8, seed=28, max_e=4, max_f=4)
+        for trial in range(8):
+            doc = describe_trial(kind, spec, None, budget, trial)
+            inst = doc["instance"]
+            if kind == "shift_convexity":
+                probe = shift_convexity_probe(spec, FiniteDist.from_json(inst["mu"]), Kernel.from_json(inst["kernel"]))
+                gap = -probe.rho_mixture
+            elif kind == "property_s":
+                pairs = [(p["weight"], p["x"], FiniteDist.from_json(p["law"])) for p in inst["pairs"]]
+                gap = -property_s_probe(spec, pairs).rho_mixture
+            elif kind == "mixture_convexity":
+                laws = [(c["weight"], FiniteDist.from_json(c["law"])) for c in inst["components"]]
+                gap = -mixture_convexity_probe(spec, laws).rho_mixture
+            elif kind == "dist_concavity":
+                t, m1, m2 = inst["t"], FiniteDist.from_json(inst["m1"]), FiniteDist.from_json(inst["m2"])
+                mixed = mixture([(t, m1), (1 - t, m2)])
+                gap = rho_of_law(spec, mixed) - t * rho_of_law(spec, m1) - (1 - t) * rho_of_law(spec, m2)
+            else:
+                mu, f, h = FiniteDist.from_json(inst["mu"]), np.array(inst["f"]), np.array(inst["h"])
+                vals = [rho_lifted(spec, mu, f + 4.0 ** -k * h) for k in range(15)]
+                steps = [b - a for a, b in zip(vals, vals[1:])]
+                gap = max(0.0, *steps, abs(vals[-1] - rho_lifted(spec, mu, f)))
+            assert gap == pytest.approx(doc["gap"], abs=1e-14)
+
+    def test_shift_convexity_sampler_gives_the_trials_instance(self):
+        budget = SearchBudget(trials=20, seed=29, max_e=4, max_f=4)
+        for spec in (ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))):
+            for trial, result in enumerate(CHECK_KINDS["shift_convexity"].trial(spec, None, budget, 0, 20)):
+                inst = sample_shift_convexity_instance(budget.rng_for(trial), budget, spec)
+                assert canonical_json(inst.as_json()) == canonical_json(result.instance.as_json())
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)

@@ -673,6 +673,29 @@ class TestCli:
         assert out.stderr == "error: sweep value 'abc' is not a number\n"
 
     @pytest.mark.parametrize("args", [
+        ("risk", "--spec", '{"family":"shortfall","loss":{"kind":"power_plus","p":2}}',
+         "--law", '{"atoms":[Infinity,1.0],"weights":[0.5,0.5]}'),
+        ("risk", "--spec", '{"family":"entropic","eta":1.0}',
+         "--law", '{"atoms":[-Infinity,1.0],"weights":[0.5,0.5]}'),
+        ("risk", "--spec", '{"family":"oce","utility":{"kind":"exp_shift"}}',
+         "--law", '{"atoms":[NaN,1.0],"weights":[0.5,0.5]}'),
+        ("div", "--divergence", '{"family":"relative_entropy","eta":1.0}',
+         "--nu", '{"atoms":["a","b"],"weights":[NaN,0.25]}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", "[Infinity,2.0]",
+         "--partition", '{"blocks":[["a"],["b"]]}'),
+        ("verify", "--config", '{"checks":[{"name":"a","target":"acceptance",'
+         '"spec":{"family":"entropic","eta":NaN},"trials":5}]}'),
+    ], ids=["risk-shortfall", "risk-entropic", "risk-oce", "div", "conditional", "verify"])
+    def test_non_standard_json_constants_exit_2(self, args):
+        # json reads NaN and +/-Infinity; the shortfall risk once printed "inf"
+        # with status 0, and verify ran 5 NaN trials and exited 1
+        out = run_cli(*args)
+        assert out.returncode == 2, out.stdout
+        assert out.stderr.startswith("error: cannot read JSON from") and "is not a JSON number" in out.stderr
+
+    @pytest.mark.parametrize("args", [
         ("risk", "--spec", '{"family":"entropic","eta":1.0}',
          "--law", '{"atoms":[0.0,1.0],"weights":[0.5,0.5]}'),
         ("div", "--divergence", '{"family":"relative_entropy","eta":1.0}',

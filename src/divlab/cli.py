@@ -149,9 +149,12 @@ def _set_by_path(doc: dict, path: str, value: float) -> None:
 
 def _sweep_value(token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigParseError(f"sweep value {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigParseError(f"sweep value {token!r} is not a finite number")
+    return value
 
 
 def _cmd_sweep(args) -> int:

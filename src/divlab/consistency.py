@@ -19,11 +19,15 @@ induced divergence alpha:
    plus the acceptance-set geometry probes (shift-convexity, the compound
    shifted-mixture property, plain mixture convexity).
 
-Instances are sampled from seeded per-trial generators: trial k of a search
-with seed s uses ``numpy.random.default_rng([s, k])``, so any reported
-instance replays exactly from (seed, trial) and results do not depend on how
-trials are split into blocks, nor on which process runs a block (see
-``_trial_pool``). Dirichlet(1) weights are normalized standard
+Instances are sampled from seeded per-trial streams: trial k of a search
+with seed s draws the stream of ``numpy.random.default_rng([s, k])``, so any
+reported instance replays exactly from (seed, trial) and results do not
+depend on how trials are split into blocks, nor on which process runs a
+block (see ``_trial_pool``). A block does not build a generator per trial:
+``_trial_rngs`` computes the PCG64 states of all its trials in one
+vectorized pass and sets one generator to each in turn, the state
+``default_rng([s, k])`` starts in. ``SearchBudget.rng_for`` builds the
+generator itself and stays the reference. Dirichlet(1) weights are normalized standard
 exponentials, the stream and bits of numpy's ``dirichlet``, and payoffs are
 drawn by integer index into VALUE_GRID, the stream of ``choice``; reports of
 earlier versions replay unchanged. The conditional and product kinds draw their
@@ -49,8 +53,8 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial, reduce
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import cache, partial, reduce
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,6 +108,12 @@ class SearchBudget:
             raise ConfigParseError(f"budget field 'sparsity' must lie in [0, 1], got {self.sparsity!r}")
 
     def rng_for(self, trial: int) -> np.random.Generator:
+        """A new generator of the trial's stream, ``default_rng([seed, trial])``.
+
+        The reference for every trial's draws: the trial functions seed a
+        block's trials through ``_trial_rngs``, whose states are tested equal
+        to these, and a trial replays by hand from this generator.
+        """
         return np.random.default_rng([self.seed, trial])
 
     def as_json(self) -> dict:
@@ -125,6 +135,134 @@ class SearchBudget:
             max_f=field(sizes, "F", 3, int),
             sparsity=field(doc, "sparsity", 0.0, float),
         )
+
+
+# ---------------------------------------------------------------------------
+# trial generators
+# ---------------------------------------------------------------------------
+#
+# default_rng([s, k]) hashes the 32-bit words of s and k into a pool of four
+# words with numpy's SeedSequence (NEP 19), draws PCG64's initial state and
+# sequence from the pool, and seeds PCG64 as O'Neill's srandom does. The
+# functions below take the same steps on uint32 arrays, one column per trial.
+
+_POOL_SIZE = 4  # SeedSequence's pool, in words
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (first constant, multiplier) of the hashes that mix entropy
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for the hashes of generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, as SeedSequence reads an int; 0 is one word."""
+    words = [n & _MASK32]
+    while n >> 32 * len(words):
+        words.append(n >> 32 * len(words) & _MASK32)
+    return words
+
+
+@cache
+def _seeding_constants(n_words: int) -> tuple:
+    """SeedSequence's hash constants on n_words of entropy, as (xor, multiply) pairs of uint32 columns.
+
+    A hash xors its value with a running constant, multiplies the constant by
+    a fixed factor and the value by the new constant, so every constant
+    depends on how many hashes came before and never on the data. The pairs
+    come in the order of the steps of ``_pcg64_states``: the first hash of each
+    pool word; per pool word, its hashes into the other words, with zeros in
+    its own row; per entropy word beyond the pool, its hashes into every pool
+    word; and generate_state's hashes of the pool read twice over.
+    """
+
+    def running(first: int, factor: int, count: int) -> list[tuple[int, int]]:
+        h = [first]
+        for _ in range(count):
+            h.append(h[-1] * factor & _MASK32)
+        return list(zip(h, h[1:]))
+
+    def columns(pairs: list) -> tuple[np.ndarray, np.ndarray]:
+        out = np.array(pairs, np.uint32).T[:, :, None]
+        out.flags.writeable = False
+        return out[0], out[1]
+
+    a = iter(running(*_HASH_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, n_words - _POOL_SIZE)))
+    first = columns([next(a) for _ in range(_POOL_SIZE)])
+    rounds = [
+        columns([(0, 0) if dst == src else next(a) for dst in range(_POOL_SIZE)]) for src in range(_POOL_SIZE)
+    ]
+    beyond = [columns([next(a) for _ in range(_POOL_SIZE)]) for _ in range(_POOL_SIZE, n_words)]
+    return first, rounds, beyond, columns(running(*_HASH_B, 2 * _POOL_SIZE))
+
+
+def _hashed(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ v >> _XSHIFT
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ v >> _XSHIFT
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) in ``default_rng([seed, k])`` for k in [start, stop), all with start's word count."""
+    trials = np.arange(start, stop, dtype=object)
+    entropy = np.array(
+        [
+            *([w] * trials.size for w in _uint32_words(seed)),
+            *(trials >> 32 * j & _MASK32 for j in range(len(_uint32_words(start)))),
+        ],
+        np.uint32,
+    )
+    first, rounds, beyond, generate = _seeding_constants(len(entropy))
+    # SeedSequence.mix_entropy: hash the first words into the pool, zeros past
+    # the entropy, then each pool word into every other one in turn
+    pool = np.zeros((_POOL_SIZE, trials.size), np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashed(pool, *first)
+    for src, consts in enumerate(rounds):
+        word = pool[src].copy()
+        pool = _mixed(pool, _hashed(word, *consts))
+        pool[src] = word
+    # and each entropy word beyond the pool into every pool word
+    for word, consts in zip(entropy[_POOL_SIZE:], beyond):
+        pool = _mixed(pool, _hashed(word, *consts))
+    # generate_state(4, uint64): the pool cycled to 8 words, hashed, read as little-endian pairs
+    w = _hashed(np.vstack([pool, pool]), *generate).astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = (w[0::2] | w[1::2] << np.uint64(32)).tolist()
+    # PCG64's srandom: state 0 and inc = 2 initseq + 1, one step, add initstate, one step
+    out = []
+    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        out.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return out
+
+
+def _trial_rngs(budget: SearchBudget, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """The generator of each trial in [start, stop), in order: one Generator, reseeded before each trial.
+
+    Before trial k it holds exactly the state of ``budget.rng_for(k)``, buffered
+    half-word cleared, so trial k draws the same stream. The states of a run of
+    trials with one word count (it changes at k = 2**32) come from one
+    vectorized pass, which costs a fraction of building a generator per trial.
+    A yielded generator is valid only until the next one is drawn: a trial
+    must take all its draws before its caller advances.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    while start < stop:
+        end = min(stop, 1 << 32 * len(_uint32_words(start)))
+        for state, inc in _pcg64_states(budget.seed, start, end):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+        start = end
 
 
 @dataclass(frozen=True)
@@ -559,12 +697,15 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 #
 # A kind's trial function maps (risk, div, budget, start, stop) to an
 # iterable of one TrialResult per trial in [start, stop), read once; trial k
-# draws all its randomness from budget.rng_for(k). 19 kinds draw their trials
-# one by one and solve them in a few batched evaluations: the conditional,
-# product and data-processing kinds and joint_convexity keep their draws as
-# arrays; the probe kinds (shift_convexity, property_s, mixture_convexity),
-# dist_concavity and lebesgue draw laws and take at most two ``rho_batch``
-# calls. The other 3 kinds (duality, lemma_identity, key_identity) run a
+# draws all its randomness from the stream of budget.rng_for(k). It draws
+# through the block's one generator, which _trial_rngs reseeds by state
+# before each trial: a trial function takes all of a trial's draws before the
+# next trial's, and the generator carries no SeedSequence of the trial's own.
+# 19 kinds draw their trials one by one and solve them in a few batched
+# evaluations: the conditional, product and data-processing kinds and
+# joint_convexity keep their draws as arrays; the probe kinds
+# (shift_convexity, property_s, mixture_convexity), dist_concavity and
+# lebesgue draw laws and take at most two ``rho_batch`` calls. The other 3 kinds (duality, lemma_identity, key_identity) run a
 # solver per trial and are written for one trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
@@ -583,7 +724,7 @@ def per_trial(trial: Callable) -> Callable:
     """A kind's trial function from a one-trial function of (rng, risk, div, budget)."""
 
     def trials(risk, div, budget, start, stop):
-        return (TrialResult(*trial(budget.rng_for(k), risk, div, budget)) for k in range(start, stop))
+        return (TrialResult(*trial(rng, risk, div, budget)) for rng in _trial_rngs(budget, start, stop))
 
     return trials
 
@@ -696,7 +837,7 @@ def _chain_trials(risk, div, budget, start, stop, draw: Callable, score: Callabl
     renormalize them, so a trial gives the bits of ``dpi_gap``,
     ``sufficiency_gap`` or ``refinement_monotonicity`` on its instance.
     """
-    draws = [draw(budget.rng_for(k), budget) for k in range(start, stop)]
+    draws = [draw(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     values = _chain_values(
         div,
         _padded([_renormalized(d.nu) for d in draws]),
@@ -719,7 +860,7 @@ def _joint_convexity_trials(risk, div, budget, start, stop):
     Laws are renormalized as FiniteDist renormalizes them. Infinite on both
     sides is vacuous, and a trial with an infinite side keeps no instance.
     """
-    draws = [_draw_convexity(budget.rng_for(k), budget) for k in range(start, stop)]
+    draws = [_draw_convexity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     t, *laws = zip(*draws)
     nu1, mu1, nu2, mu2 = (_padded([_renormalized(w) for w in ws]) for ws in laws)
     t = np.array(t)
@@ -777,7 +918,7 @@ def _conditional_trials(risk, div, budget, start, stop, weak: bool):
     FiniteDist renormalize them, so a trial gives the bits of the public gap
     on its ``sample_conditional_instance(...).flat()``.
     """
-    draws = [_draw_conditional(budget.rng_for(k), budget) for k in range(start, stop)]
+    draws = [_draw_conditional(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     w = _padded([_renormalized(_renormalized(d.w)) for d in draws])
     gaps = _conditional_gaps(risk, w, _padded([d.paired for d in draws]), weak=weak)
     return [TrialResult(float(g), False, d.is_product, d) for g, d in zip(gaps, draws)]
@@ -789,7 +930,7 @@ def _product_trials(risk, div, budget, start, stop, weak: bool):
     The weights are renormalized as JointDist renormalizes them, so a trial
     gives the bits of the public gap on its ``sample_product_instance``.
     """
-    draws = [_draw_product(budget.rng_for(k), budget) for k in range(start, stop)]
+    draws = [_draw_product(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     gaps = _product_gaps(
         div,
         _padded([_renormalized(d.w) for d in draws]),
@@ -809,7 +950,7 @@ def _probe_trials(
     every law onto the boundary; ``instance`` builds each trial's instance
     and ``pairs`` its compound lottery, for the second, ``_mixture_risks``.
     """
-    draws = [draw(budget.rng_for(k), budget) for k in range(start, stop)]
+    draws = [draw(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     boundary = _on_boundary(risk, [laws for laws, _ in draws])
     insts = [instance(laws, drawn) for laws, (_, drawn) in zip(boundary, draws)]
     rho = _mixture_risks(risk, [pairs(inst) for inst in insts], marginal=marginal)
@@ -847,7 +988,7 @@ def _draw_concavity(rng, budget: SearchBudget) -> dict:
 
 def _dist_concavity_trials(risk, div, budget, start, stop):
     """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2), the laws and the mixtures in one ``rho_batch``."""
-    insts = [_draw_concavity(budget.rng_for(k), budget) for k in range(start, stop)]
+    insts = [_draw_concavity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     t = np.array([inst["t"] for inst in insts])
     laws = [[inst[m] for inst in insts] for m in ("m1", "m2")]
     w1, w2 = (_padded([law.weights for law in ms]) for ms in laws)
@@ -878,7 +1019,7 @@ def _draw_lebesgue(rng, budget: SearchBudget) -> tuple:
 
 def _lebesgue_trials(risk, div, budget, start, stop):
     """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f): the 16 risks of every trial in one ``rho_batch``."""
-    insts = [_draw_lebesgue(budget.rng_for(k), budget) for k in range(start, stop)]
+    insts = [_draw_lebesgue(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     scales = 4.0 ** -np.arange(15.0)
     v = _padded([np.vstack([f, f + scales[:, None] * h]) for _, f, h in insts])
     w = _padded([np.broadcast_to(mu.weights, (16, mu.weights.size)) for mu, _, _ in insts])

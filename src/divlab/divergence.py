@@ -178,8 +178,8 @@ class DivergenceSpec:
 
     def __post_init__(self):
         if self.family == "relative_entropy":
-            if self.eta is None or self.eta <= 0:
-                raise ConfigParseError("relative_entropy needs eta > 0")
+            if self.eta is None or not 0 < self.eta < math.inf:
+                raise ConfigParseError(f"relative_entropy needs a finite eta > 0, got {self.eta!r}")
         elif self.family == "phi_star":
             if self.utility is None:
                 raise ConfigParseError("phi_star needs a utility")

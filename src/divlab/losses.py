@@ -107,11 +107,11 @@ class LossFn:
 
     def __post_init__(self):
         if self.kind == "exponential":
-            if self.eta is None or self.eta <= 0:
-                raise InvalidLossError("exponential loss needs eta > 0")
+            if self.eta is None or not 0 < self.eta < math.inf:
+                raise InvalidLossError(f"exponential loss needs a finite eta > 0, got {self.eta!r}")
         elif self.kind == "power_plus":
-            if self.p is None or self.p < 1:
-                raise InvalidLossError("power_plus loss needs p >= 1")
+            if self.p is None or not 1 <= self.p < math.inf:
+                raise InvalidLossError(f"power_plus loss needs a finite p >= 1, got {self.p!r}")
         elif self.kind == "custom":
             xs, ys = _validate_table(self.xs, self.ys, "loss")
             object.__setattr__(self, "xs", tuple(float(v) for v in xs))
@@ -235,8 +235,8 @@ class UtilityFn:
         if self.kind in ("exp_shift", "identity"):
             pass
         elif self.kind == "hinge_power":
-            if self.p is None or self.p <= 1:
-                raise InvalidUtilityError("hinge_power utility needs p > 1")
+            if self.p is None or not 1 < self.p < math.inf:
+                raise InvalidUtilityError(f"hinge_power utility needs a finite p > 1, got {self.p!r}")
         elif self.kind == "custom":
             xs, ys = _validate_table(self.xs, self.ys, "utility")
             object.__setattr__(self, "xs", tuple(float(v) for v in xs))

@@ -75,8 +75,8 @@ class RiskSpec:
 
     def __post_init__(self):
         if self.family == "entropic":
-            if self.eta is None or self.eta <= 0:
-                raise ConfigParseError("entropic family needs eta > 0")
+            if self.eta is None or not 0 < self.eta < math.inf:
+                raise ConfigParseError(f"entropic family needs a finite eta > 0, got {self.eta!r}")
         elif self.family == "shortfall":
             if self.loss is None:
                 raise ConfigParseError("shortfall family needs a loss function")

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -716,3 +716,54 @@ class TestSamplerStream:
             w = rng.standard_exponential((50, n))
             rows = w.sum(axis=-1, keepdims=True)[:, 0]
             assert [r.tobytes() for r in rows] == [row.sum().tobytes() for row in w]
+
+
+class TestBlockSeeding:
+    """A block's one reseeded generator holds, before each trial, the state of ``default_rng([seed, k])``."""
+
+    @pytest.mark.parametrize("first, stop", [(0, 300), (2**31 - 5, 2**31 + 5), (2**32 - 3, 2**32 + 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 101, 7919, 2**33 + 5, 2**100 + 3])
+    def test_states_are_those_of_default_rng(self, seed, first, stop):
+        # 2**100 + 3 has more words than SeedSequence's pool of 4, and the last
+        # range crosses k = 2**32, where k's word count changes
+        budget = SearchBudget(trials=0, seed=seed)
+        seen = 0
+        for k, rng in zip(range(first, stop), consistency._trial_rngs(budget, first, stop)):
+            assert rng.bit_generator.state == np.random.default_rng([seed, k]).bit_generator.state, k
+            # one float32 takes half of a 64-bit output and buffers the other
+            # half, which the next trial's state must not inherit
+            rng.random(dtype=np.float32)
+            seen += 1
+        assert seen == stop - first
+
+
+def result_bits(x):
+    """A trial's result in comparable form: ``as_bits``, through dicts and dataclass instances too."""
+    if isinstance(x, dict):
+        return tuple((k, result_bits(v)) for k, v in x.items())
+    if is_dataclass(x) and not isinstance(x, type):
+        return type(x).__name__, tuple(result_bits(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(result_bits, x))
+    return as_bits(x)
+
+
+class TestBlockPathBits:
+    """Every kind gives the bits it gave when each trial built its own generator with ``rng_for``."""
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    @pytest.mark.parametrize("size", [3, 12])
+    @pytest.mark.parametrize("kind", list(CHECK_KINDS))
+    def test_trials_match_per_trial_generators(self, monkeypatch, kind, size, sparsity):
+        budget = SearchBudget(trials=20, seed=11, max_e=size, max_f=size, sparsity=sparsity)
+        div = consistency.resolve_divergence(kind, ENTROPIC, None)
+
+        def results():
+            # gap bits, the vacuous, product and exhausted flags, and the drawn instance
+            return [result_bits(r) for r in CHECK_KINDS[kind].trial(ENTROPIC, div, budget, 5, 15)]
+
+        seeded = results()
+        monkeypatch.setattr(
+            consistency, "_trial_rngs", lambda budget, start, stop: (budget.rng_for(k) for k in range(start, stop))
+        )
+        assert results() == seeded

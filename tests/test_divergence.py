@@ -36,6 +36,11 @@ def pair(rng, n, labels=None):
 
 
 class TestRelativeEntropy:
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        with pytest.raises(ConfigParseError):
+            DivergenceSpec.relative_entropy(eta)
+
     def test_diagonal_vanishes(self):
         mu = FiniteDist(["a", "b"], [0.4, 0.6])
         assert relative_entropy(mu, mu) == 0.0

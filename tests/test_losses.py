@@ -159,6 +159,14 @@ class TestLossValidation:
         with pytest.raises(InvalidLossError):
             LossFn.power_plus(0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        # NaN passed the comparisons eta <= 0 and p < 1, and inf passed them too
+        with pytest.raises(InvalidLossError):
+            LossFn.exponential(value)
+        with pytest.raises(InvalidLossError):
+            LossFn.power_plus(value)
+
     def test_json_round_trip(self):
         for loss in [LossFn.exponential(2.0), LossFn.power_plus(3.0)]:
             again = LossFn.from_json(loss.as_json())
@@ -221,6 +229,11 @@ class TestUtilityConjugates:
         xs = np.linspace(-2, 2, 41)
         with pytest.raises(InvalidUtilityError):
             UtilityFn.custom(xs, xs**2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, value):
+        with pytest.raises(InvalidUtilityError, match="finite p > 1"):
+            UtilityFn.hinge_power(value)
 
     def test_custom_accepts_normalized_table(self):
         xs = np.linspace(-4.0, 4.0, 161)

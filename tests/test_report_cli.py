@@ -15,8 +15,8 @@ from divlab.consistency import (
     CHECK_KINDS,
     CheckKind,
     SearchBudget,
+    TrialResult,
     counterexample_search,
-    per_trial,
     resolve_divergence,
 )
 from divlab.divergence import DivergenceSpec
@@ -100,11 +100,10 @@ class TestReports:
         # later `bad > nan` is false, and hid the -5 violation behind it
         gaps = [math.nan, 0.0, -5.0]
 
-        def trial(rng, risk, div, budget):
-            gap = gaps[rng.bit_generator.seed_seq.entropy[1]]
-            return gap, False, None, {"gap": gap}
+        def trials(risk, div, budget, start, stop):
+            return (TrialResult(gaps[k], False, None, {"gap": gaps[k]}) for k in range(start, stop))
 
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", per_trial(trial), dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", trials, dict))
         check = entropic_check(name="np", trials=3, target="nan_probe")
         report = run_check(check)
         assert (report.nan, report.worst_trial, report.worst_gap) == (1, 2, -5.0)
@@ -628,11 +627,10 @@ class TestCli:
     def test_sweep_shows_nan_and_exhausted_values(self, monkeypatch, capsys):
         # the sweep once printed only "parameter,worst_gap": a value whose
         # trials gave NaN gaps printed a plain gap, as if it had passed
-        def trial(rng, risk, div, budget):
-            k = rng.bit_generator.seed_seq.entropy[1]
-            return (math.nan if k == 1 else 0.5), False, None, {}
+        def trials(risk, div, budget, start, stop):
+            return (TrialResult(math.nan if k == 1 else 0.5, False, None, {}) for k in range(start, stop))
 
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", per_trial(trial), dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", trials, dict))
         check = {"name": "np", "target": "nan_probe", "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}
         assert cli.main(["sweep", "--config", json.dumps(check), "--param", "trials", "--values", "1,3"]) == 0
         assert capsys.readouterr().out == (
@@ -671,6 +669,17 @@ class TestCli:
         out = run_cli("sweep", "--config", str(path), "--param", "trials", "--values", "10,abc")
         assert out.returncode == 2
         assert out.stderr == "error: sweep value 'abc' is not a number\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_sweep_refuses_a_value_that_is_not_finite(self, tmp_path, value):
+        # a NaN eta once passed the spec's eta > 0 test and swept as a row "nan,,violation,5,0"
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps({"name": "tc", "target": "time_consistency",
+                                    "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}))
+        out = run_cli("sweep", "--config", str(path), "--param", "spec.eta", "--values", "1," + value)
+        assert out.returncode == 2
+        assert out.stderr == f"error: sweep value {value!r} is not a finite number\n"
+        assert out.stdout == ""
 
     @pytest.mark.parametrize("args", [
         ("risk", "--spec", '{"family":"shortfall","loss":{"kind":"power_plus","p":2}}',
@@ -718,22 +727,22 @@ class TestCli:
         assert out.stderr.startswith(f"error: cannot write to {str(target)!r}")
 
 
-def _gap_probe(rng, risk, div, budget):
+def _gap_probe(risk, div, budget, start, stop):
     """Gaps that depend only on the trial: NaN on every 37th."""
-    k = rng.bit_generator.seed_seq.entropy[1]
-    return (math.nan if k % 37 == 5 else 1e-3 * (k % 11)), False, None, {}
+    for k in range(start, stop):
+        yield TrialResult(math.nan if k % 37 == 5 else 1e-3 * (k % 11), False, None, {})
 
 
 def _refusing_probe(error):
     """A kind that raises error(message) from trial 100 on."""
 
-    def trial(rng, risk, div, budget):
-        k = rng.bit_generator.seed_seq.entropy[1]
-        if k >= 100:
-            raise error(f"trial {k} refused")
-        return 0.0, False, None, {}
+    def trials(risk, div, budget, start, stop):
+        for k in range(start, stop):
+            if k >= 100:
+                raise error(f"trial {k} refused")
+            yield TrialResult(0.0, False, None, {})
 
-    return CheckKind("abs", "risk", per_trial(trial), dict)
+    return CheckKind("abs", "risk", trials, dict)
 
 
 class TestParallelRuns:
@@ -767,7 +776,7 @@ class TestParallelRuns:
         monkeypatch.setattr(consistency, "_usable_cores", lambda: 1)
 
     def suite(self, monkeypatch) -> SuiteConfig:
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", per_trial(_gap_probe), dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", _gap_probe, dict))
         sparse = dict(seed=1, max_e=3, max_f=3, sparsity=0.5)
         return SuiteConfig(checks=(
             CheckSpec(name="chain", target="chain_rule", budget=SearchBudget(trials=250, **sparse),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from divlab.errors import (
     BracketFailureError,
+    ConfigParseError,
     InvalidDensityError,
     SpaceMismatchError,
     UnsupportedFamilyError,
@@ -62,6 +63,11 @@ class TestEntropic:
         assert rho_entropic(shifted, 1.0) == pytest.approx(
             rho_entropic(UNIFORM01, 1.0) + 1.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        with pytest.raises(ConfigParseError):
+            RiskSpec.entropic(eta)
 
     def test_overflow_safety(self):
         law = FiniteDist([0.0, 500.0], [0.5, 0.5])

@@ -53,16 +53,8 @@ from .prob import (
     JointDist,
     Kernel,
     Partition,
-    check_convex_order,
-    compose_kernel,
     condition,
-    disintegrate,
-    law_of,
-    mixture,
-    point_mass,
     pushforward,
-    radon_nikodym,
-    shift_law,
     uniform,
 )
 from .report import (
@@ -78,7 +70,6 @@ from .risk import (
     ConditionalRisk,
     RiskSpec,
     rho_batch,
-    rho_coherent,
     rho_conditional,
     rho_entropic,
     rho_lifted,

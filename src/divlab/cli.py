@@ -82,7 +82,9 @@ def _cmd_div(args) -> int:
 def _cmd_conditional(args) -> int:
     spec = RiskSpec.from_json(_load_json(args.spec))
     mu = FiniteDist.from_json(_load_json(args.mu))
-    values = [float(v) for v in _load_json(args.values)]
+    values = _load_json(args.values)
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise ConfigParseError(f"--values must be a JSON list of numbers, got {values!r}")
     partition = Partition.from_json(_load_json(args.partition))
     cond = rho_conditional(spec, mu, values, partition)
     doc = {

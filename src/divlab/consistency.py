@@ -407,11 +407,6 @@ def _on_boundary(spec: RiskSpec, groups: Sequence[Sequence[tuple]]) -> list[list
     return [[next(shifted) for _ in group] for group in groups]
 
 
-def sample_boundary_law(rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec, n: int) -> FiniteDist:
-    """A law shifted onto the acceptance boundary rho = 0."""
-    return _on_boundary(spec, [[_draw_law(rng, n)]])[0][0]
-
-
 @dataclass(frozen=True)
 class ShiftConvexityInstance:
     mu: FiniteDist
@@ -443,12 +438,6 @@ def _shift_convexity_instance(laws: Sequence[FiniteDist], _=None) -> ShiftConvex
     for i, r in enumerate(rows):
         mat[i, [idx[a] for a in r.atoms]] = r.weights
     return ShiftConvexityInstance(mu=mu, kernel=Kernel(mu.atoms, tuple(target), mat))
-
-
-def sample_shift_convexity_instance(
-    rng: np.random.Generator, budget: SearchBudget, spec: RiskSpec
-) -> ShiftConvexityInstance:
-    return _shift_convexity_instance(_on_boundary(spec, [_draw_shift_convexity(rng, budget)[0]])[0])
 
 
 # ---------------------------------------------------------------------------

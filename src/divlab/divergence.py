@@ -38,6 +38,7 @@ from .errors import (
     SpaceMismatchError,
     UnknownFamilyError,
     UnsupportedFamilyError,
+    json_object,
     reject_unknown_keys,
 )
 from .losses import LossFn, UtilityFn, _table_conjugate_array, conjugate_table
@@ -268,6 +269,7 @@ class DivergenceSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "DivergenceSpec":
+        json_object(doc, "divergence spec")
         family = doc.get("family")
         if family in _FIELDS:
             reject_unknown_keys(doc, ("family", *_FIELDS[family]), f"{family} divergence")

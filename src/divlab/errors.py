@@ -94,6 +94,16 @@ class IoError(DivLabError):
     """A report could not be written to its destination."""
 
 
+def json_object(doc, what: str, *fields) -> tuple:
+    """doc's values of fields, once doc is a JSON object that has all of them; else ConfigParseError."""
+    if not isinstance(doc, Mapping):
+        raise ConfigParseError(f"{what} must be a JSON object, got {doc!r}")
+    missing = [key for key in fields if key not in doc]
+    if missing:
+        raise ConfigParseError(f"{what} is missing field(s): {', '.join(map(repr, missing))}")
+    return tuple(doc[key] for key in fields)
+
+
 def reject_unknown_keys(doc, known, what: str) -> None:
     """Raise ConfigParseError naming every key of doc outside known.
 

@@ -30,6 +30,7 @@ from .errors import (
     InvalidLossError,
     InvalidUtilityError,
     NegativeArgumentError,
+    json_object,
     reject_unknown_keys,
 )
 
@@ -207,6 +208,7 @@ class LossFn:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "LossFn":
+        json_object(doc, "loss spec")
         kind = doc.get("kind")
         if kind in _LOSS_FIELDS:
             reject_unknown_keys(doc, ("kind", *_LOSS_FIELDS[kind]), f"{kind} loss spec")
@@ -319,6 +321,7 @@ class UtilityFn:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "UtilityFn":
+        json_object(doc, "utility spec")
         kind = doc.get("kind")
         if kind in _UTILITY_FIELDS:
             reject_unknown_keys(doc, ("kind", *_UTILITY_FIELDS[kind]), f"{kind} utility spec")

@@ -1,11 +1,12 @@
-"""Finite probability spaces: distributions, kernels, products, conditioning.
+"""Finite probability spaces: laws, kernels, joint laws, pushforward, conditioning.
 
 Everything downstream (risk evaluation, divergences, consistency checks)
 reduces to arithmetic on the types defined here. Atom labels are opaque and
 ordered; two spaces are "the same" exactly when their label tuples are equal.
 Weights are validated on construction: tiny negatives (>= -1e-15) are clamped
 to zero, totals within 1e-9 of 1 are renormalized exactly, and anything worse
-raises. All values are immutable after construction.
+raises. All values are immutable after construction. ``from_json`` refuses a
+document that is not an object or lacks a field with ``ConfigParseError``.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ from .errors import (
     InvalidPartitionError,
     LengthMismatchError,
     NegativeWeightError,
-    NotAbsolutelyContinuousError,
-    SpaceMismatchError,
     TotalMassError,
     UnmappedAtomError,
     ZeroTotalMassError,
+    json_object,
 )
 
 NEGATIVE_CLAMP = -1e-15
 TOTAL_MASS_TOL = 1e-9
-INVARIANT_TOL = 1e-12
 
 Atom = Any
 
@@ -98,26 +97,17 @@ class FiniteDist:
         except (TypeError, ValueError) as exc:
             raise DivLabError(f"atoms of this distribution are not numbers: {exc}")
 
-    def is_close(self, other: "FiniteDist", tol: float = INVARIANT_TOL) -> bool:
-        return self.atoms == other.atoms and bool(
-            np.all(np.abs(self.weights - other.weights) <= tol)
-        )
-
     def as_json(self) -> dict:
         return {"atoms": list(self.atoms), "weights": [float(w) for w in self.weights]}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "FiniteDist":
-        return cls(doc["atoms"], doc["weights"])
+        return cls(*json_object(doc, "law", "atoms", "weights"))
 
 
 def uniform(atoms: Iterable[Atom]) -> FiniteDist:
     atoms = tuple(atoms)
     return FiniteDist(atoms, np.full(len(atoms), 1.0 / len(atoms)))
-
-
-def point_mass(atom: Atom) -> FiniteDist:
-    return FiniteDist((atom,), [1.0])
 
 
 def _as_values(f, n: int) -> np.ndarray:
@@ -185,15 +175,15 @@ class Kernel:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Kernel":
-        return cls(doc["source"], doc["target"], doc["rows"])
+        return cls(*json_object(doc, "kernel", "source", "target", "rows"))
 
 
 @dataclass(frozen=True, eq=False)
 class JointDist:
     """A distribution on a product of two labeled atom sets.
 
-    Stored as a weight matrix indexed by (row atom, column atom); the pair
-    structure is primary, so disintegration is a reshape rather than a parse.
+    Stored as a weight matrix indexed by (row atom, column atom), so
+    ``disintegrate_w`` splits it with no parse of pair labels.
     """
 
     row_atoms: tuple
@@ -225,9 +215,6 @@ class JointDist:
         """The same measure as a flat distribution on pair atoms."""
         return FiniteDist(self.pairs, self.matrix.reshape(-1))
 
-    def row_marginal(self) -> FiniteDist:
-        return FiniteDist(self.row_atoms, self.matrix.sum(axis=1))
-
     def as_json(self) -> dict:
         return {
             "row_atoms": list(self.row_atoms),
@@ -237,7 +224,7 @@ class JointDist:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "JointDist":
-        return cls(doc["row_atoms"], doc["col_atoms"], doc["weights"])
+        return cls(*json_object(doc, "joint law", "row_atoms", "col_atoms", "weights"))
 
 
 @dataclass(frozen=True)
@@ -262,16 +249,12 @@ class Partition:
         if seen != set(atoms):
             raise InvalidPartitionError("blocks do not cover the atom set exactly")
 
-    @classmethod
-    def trivial(cls, atoms: Iterable[Atom]) -> "Partition":
-        return cls((tuple(atoms),))
-
     def as_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Partition":
-        return cls(doc["blocks"])
+        return cls(*json_object(doc, "partition", "blocks"))
 
 
 def _apply_map(mapping, atom: Atom):
@@ -307,38 +290,11 @@ def pushforward(mu: FiniteDist, mapping) -> FiniteDist:
     return FiniteDist(target, w)
 
 
-def law_of(mu: FiniteDist, f) -> FiniteDist:
-    """The law of a real random variable: pushforward along its values."""
-    vals = _as_values(f, len(mu))
-    return pushforward(mu, lambda a: float(vals[mu._index[a]]))
-
-
-def compose_kernel(mu: FiniteDist, kernel: Kernel) -> tuple[JointDist, FiniteDist]:
-    """Couple mu with a kernel: joint weight (x,y) -> mu(x) K_x(y).
-
-    Returns the joint measure and its target marginal (the mean measure).
-    """
-    if kernel.source != mu.atoms:
-        raise SpaceMismatchError("kernel source does not match the atom set of mu")
-    joint = JointDist(mu.atoms, kernel.target, mu.weights[:, None] * kernel.matrix)
-    marginal = FiniteDist(kernel.target, mu.weights @ kernel.matrix)
-    return joint, marginal
-
-
-def disintegrate(joint: JointDist) -> tuple[FiniteDist, Kernel]:
-    """Split a joint measure into its row marginal and a conditional kernel.
-
-    Rows at zero-marginal atoms are set to the uniform distribution: any
-    choice is almost-surely equivalent and uniform is reproducible.
-    """
-    marg, rows = disintegrate_w(joint.matrix)
-    return FiniteDist(joint.row_atoms, marg), Kernel(joint.row_atoms, joint.col_atoms, rows)
-
-
 def disintegrate_w(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``disintegrate`` on a joint weight matrix: (row marginal, row-stochastic rows).
+    """A joint weight matrix split into (row marginal, row-stochastic rows).
 
-    Skips building and validating the law and the kernel, for hot loops.
+    Rows at zero-marginal atoms are uniform: any choice is almost-surely
+    equivalent, and uniform is reproducible.
     """
     marg = matrix.sum(axis=1)
     n_f = matrix.shape[1]
@@ -349,26 +305,6 @@ def disintegrate_w(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             rows[i] = 1.0 / n_f
     return marg, rows
-
-
-def radon_nikodym(nu: FiniteDist, mu: FiniteDist) -> np.ndarray:
-    """Densities d(nu)/d(mu) atom by atom.
-
-    Atoms where both measures vanish get density 0 by convention. Mass of nu
-    outside the support of mu raises; divergence-layer callers translate that
-    into the value +inf.
-    """
-    if nu.atoms != mu.atoms:
-        raise SpaceMismatchError("radon_nikodym requires a common atom set")
-    bad = (nu.weights > 0.0) & (mu.weights == 0.0)
-    if np.any(bad):
-        raise NotAbsolutelyContinuousError(
-            f"nu has mass at atoms {[mu.atoms[i] for i in np.nonzero(bad)[0]]} where mu vanishes"
-        )
-    dens = np.zeros(len(mu))
-    pos = mu.weights > 0.0
-    dens[pos] = nu.weights[pos] / mu.weights[pos]
-    return dens
 
 
 @dataclass(frozen=True)
@@ -398,44 +334,3 @@ def condition(mu: FiniteDist, f, partition: Partition) -> list[ConditionalBlock]
         )
         out.append(ConditionalBlock(block=block, weight=w, law=law))
     return out
-
-
-def mixture(components: Sequence[tuple[float, FiniteDist]]) -> FiniteDist:
-    """Weighted mixture of laws on the real line, merging equal support points."""
-    acc: dict[float, float] = {}
-    order: list[float] = []
-    total = 0.0
-    for q, law in components:
-        if q < 0:
-            raise NegativeWeightError("mixture weights must be nonnegative")
-        total += q
-        for a, w in zip(law.atoms, law.weights):
-            v = float(a)
-            if v not in acc:
-                acc[v] = 0.0
-                order.append(v)
-            acc[v] += q * float(w)
-    if abs(total - 1.0) > TOTAL_MASS_TOL:
-        raise TotalMassError(f"mixture weights sum to {total!r}")
-    return FiniteDist(order, [acc[v] for v in order])
-
-
-def shift_law(law: FiniteDist, c: float) -> FiniteDist:
-    """The law of X + c."""
-    return FiniteDist([float(a) + c for a in law.atoms], law.weights)
-
-
-def check_convex_order(m1: FiniteDist, m2: FiniteDist, tol: float = 1e-10) -> bool:
-    """Finite-support convex order test: equal means and dominated stop-loss.
-
-    ``m1 <=cx m2`` iff E[(X-a)+] under m1 is at most that under m2 for every
-    a in the union of supports, and the means agree within ``tol``.
-    """
-    v1, w1 = m1.values_array(), m1.weights
-    v2, w2 = m2.values_array(), m2.weights
-    if abs(float(v1 @ w1) - float(v2 @ w2)) > tol:
-        return False
-    grid = np.union1d(v1, v2)
-    sl1 = np.maximum(v1[None, :] - grid[:, None], 0.0) @ w1
-    sl2 = np.maximum(v2[None, :] - grid[:, None], 0.0) @ w2
-    return bool(np.all(sl1 <= sl2 + tol))

@@ -52,8 +52,11 @@ class Tolerances:
     violation: float = DEFAULT_VIOLATION_TOL
 
     def __post_init__(self):
-        if not (0 <= self.noise <= self.violation):
-            raise ConfigParseError("need 0 <= noise <= violation")
+        # an infinite violation tolerance would pass any gap
+        if not (0 <= self.noise <= self.violation < math.inf):
+            raise ConfigParseError(
+                f"need finite 0 <= noise <= violation, got {self.noise!r}, {self.violation!r}"
+            )
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Tolerances":
@@ -196,31 +199,6 @@ class CheckReport:
             doc["exhausted"] = self.exhausted
         return doc
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "CheckReport":
-        cw = None
-        if "class_worst" in doc:
-            kind = check_kind(doc["target"])
-            cw = {
-                k: (kind.badness(v["gap"]), v["trial"], v["gap"])
-                for k, v in doc["class_worst"].items()
-            }
-        return cls(
-            name=doc["name"],
-            target=doc["target"],
-            trials=doc["trials"],
-            vacuous=doc["vacuous"],
-            worst_gap=doc["worst_gap"],
-            verdict=doc["verdict"],
-            seed=doc["seed"],
-            must_pass=doc.get("must_pass", True),
-            worst_trial=doc.get("worst_trial"),
-            class_worst=cw,
-            instance=doc.get("instance"),
-            nan=doc.get("nan", 0),
-            exhausted=doc.get("exhausted", 0),
-        )
-
 
 def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
     if stats.nan or stats.exhausted:
@@ -342,19 +320,6 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def decode_special_floats(obj):
-    """Undo the "inf"/"-inf" string encoding after a stdlib json parse."""
-    if obj == "inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
-    if isinstance(obj, dict):
-        return {k: decode_special_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [decode_special_floats(v) for v in obj]
-    return obj
-
-
 def report_document(
     reports: Sequence[CheckReport],
     timestamp: str | None = None,
@@ -369,10 +334,6 @@ def report_document(
     if timestamp is not None:
         doc["created_at"] = timestamp
     return doc
-
-
-def reports_from_document(doc: Mapping) -> list[CheckReport]:
-    return [CheckReport.from_json(c) for c in doc["checks"]]
 
 
 def now_timestamp() -> str:

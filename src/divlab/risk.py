@@ -35,6 +35,7 @@ from .errors import (
     UnknownFamilyError,
     UnsupportedFamilyError,
     ZeroTotalMassError,
+    json_object,
     reject_unknown_keys,
 )
 from .losses import LossFn, UtilityFn
@@ -136,6 +137,7 @@ class RiskSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RiskSpec":
+        json_object(doc, "risk spec")
         family = doc.get("family")
         if family in _FIELDS:
             reject_unknown_keys(doc, ("family", *_FIELDS[family]), f"{family} risk spec")
@@ -407,17 +409,12 @@ def rho_oce(law: FiniteDist, utility: UtilityFn) -> float:
     return rho_of_law(RiskSpec.oce(utility), law)
 
 
-def rho_coherent(mu: FiniteDist, f, densities: Sequence[Sequence[float]]) -> float:
-    """max over the density set of E_mu[d * f]."""
-    return _coherent_values(mu.weights, _as_values(f, len(mu)), densities)
-
-
 def rho_of_law(spec: RiskSpec, law: FiniteDist) -> float:
     """The distribution-level functional: risk as a function of the law alone."""
     if spec.family == "coherent":
         raise UnsupportedFamilyError(
             "a coherent family is tied to its reference space; evaluate it "
-            "pathwise with rho_lifted or rho_coherent"
+            "pathwise with rho_lifted"
         )
     return rho_values(spec, law.weights, law.values_array())
 

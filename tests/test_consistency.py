@@ -20,9 +20,7 @@ from divlab.consistency import (
     property_s_probe,
     run_trials,
     sample_conditional_instance,
-    sample_boundary_law,
     sample_product_instance,
-    sample_shift_convexity_instance,
     shift_convexity_probe,
     superadditivity_gap,
     weak_acceptance_margin,
@@ -38,12 +36,34 @@ from divlab.divergence import (
 )
 from divlab.errors import PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, JointDist, Kernel, Partition, mixture, point_mass, shift_law, uniform
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_lifted, rho_of_law
 
 ENTROPIC = RiskSpec.entropic(1.0)
 RE = DivergenceSpec.relative_entropy(1.0)
+
+
+def point_mass(value):
+    return FiniteDist((value,), [1.0])
+
+
+def shift_law(law, c):
+    """The law of X + c."""
+    return FiniteDist([float(a) + c for a in law.atoms], law.weights)
+
+
+def mixture(components):
+    """The mixture sum_i q_i m_i of laws on the real line, with equal support points merged."""
+    acc: dict = {}
+    for q, law in components:
+        for a, w in zip(law.atoms, law.weights):
+            acc[float(a)] = acc.get(float(a), 0.0) + q * float(w)
+    return FiniteDist(list(acc), list(acc.values()))
+
+
+def row_marginal(joint):
+    return FiniteDist(joint.row_atoms, joint.matrix.sum(axis=1))
 
 
 CONDITIONAL_KINDS = ("time_consistency", "acceptance", "rejection", "weak_acceptance")
@@ -149,7 +169,7 @@ class TestSuperadditivityGap:
         gap = superadditivity_gap(RE, inst)
         # chain rule: assemble by hand
         joint = relative_entropy(nu_bar.as_dist(), mu_bar.as_dist())
-        marg = relative_entropy(nu_bar.row_marginal(), mu_bar.row_marginal())
+        marg = relative_entropy(row_marginal(nu_bar), row_marginal(mu_bar))
         rows = 0.0
         for x in range(2):
             nm = nu_bar.matrix[x].sum()
@@ -171,7 +191,7 @@ class TestConsistencyGap:
 
     def test_trivial_partition_is_exactly_zero(self):
         mu = uniform(["a", "b", "c"])
-        gap = consistency_gap(ENTROPIC, mu, [0.0, 1.0, -1.0], Partition.trivial(mu.atoms))
+        gap = consistency_gap(ENTROPIC, mu, [0.0, 1.0, -1.0], Partition([mu.atoms]))
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_esssup_is_time_consistent(self):
@@ -197,7 +217,7 @@ class TestWeakConsistencyGap:
         for trial in range(100):
             inst = sample_product_instance(budget.rng_for(trial), budget)
             weak = weak_consistency_gap(RE, inst)
-            marg = relative_entropy(inst.nu_bar.row_marginal(), inst.mu_bar.row_marginal())
+            marg = relative_entropy(row_marginal(inst.nu_bar), row_marginal(inst.mu_bar))
             assert weak.value == pytest.approx(marg, abs=1e-10)
             assert weak.value >= -1e-12
 
@@ -226,9 +246,9 @@ class TestShiftConvexity:
     def test_entropic_fuzz_passes(self):
         budget = SearchBudget(trials=300, seed=7, max_e=3, max_f=3)
         for trial in range(300):
-            inst = sample_shift_convexity_instance(budget.rng_for(trial), budget, ENTROPIC)
-            probe = shift_convexity_probe(ENTROPIC, inst.mu, inst.kernel)
-            assert probe.rho_mixture <= 1e-9
+            inst = describe_trial("shift_convexity", ENTROPIC, None, budget, trial)["instance"]
+            mu, kernel = FiniteDist.from_json(inst["mu"]), Kernel.from_json(inst["kernel"])
+            assert shift_convexity_probe(ENTROPIC, mu, kernel).rho_mixture <= 1e-9
 
     def test_precondition_enforced(self):
         kernel = Kernel((1.0,), (0.0,), [[1.0]])
@@ -560,12 +580,12 @@ class TestTrialMachinery:
                 gap = max(0.0, *steps, abs(vals[-1] - rho_lifted(spec, mu, f)))
             assert gap == pytest.approx(doc["gap"], abs=1e-14)
 
-    def test_shift_convexity_sampler_gives_the_trials_instance(self):
+    def test_shift_convexity_replay_gives_the_blocks_instance(self):
         budget = SearchBudget(trials=20, seed=29, max_e=4, max_f=4)
         for spec in (ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))):
             for trial, result in enumerate(CHECK_KINDS["shift_convexity"].trial(spec, None, budget, 0, 20)):
-                inst = sample_shift_convexity_instance(budget.rng_for(trial), budget, spec)
-                assert canonical_json(inst.as_json()) == canonical_json(result.instance.as_json())
+                inst = describe_trial("shift_convexity", spec, None, budget, trial)["instance"]
+                assert canonical_json(inst) == canonical_json(result.instance.as_json())
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)
@@ -637,6 +657,11 @@ def legacy_draw_convexity(rng, budget):
     return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
 
 
+def boundary_law(rng, budget, spec, n):
+    """A law drawn as the probe kinds draw one and shifted onto rho = 0."""
+    return consistency._on_boundary(spec, [[consistency._draw_law(rng, n)]])[0][0]
+
+
 def legacy_boundary_law(rng, budget, spec, n):
     values = rng.choice(VALUE_GRID, size=n, replace=False)
     w = legacy_dirichlet(rng, n)
@@ -705,7 +730,7 @@ class TestSamplerStream:
                 for n in range(2, 13):
                     yield budget.rng_for(n), budget, ENTROPIC, n
 
-        self.same_draws(monkeypatch, sample_boundary_law, legacy_boundary_law, calls)
+        self.same_draws(monkeypatch, boundary_law, legacy_boundary_law, calls)
 
     def test_row_sums_are_the_bits_of_one_dimensional_sums(self):
         # batched weights renormalize each row by a 2-D sum along the last

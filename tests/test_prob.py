@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,27 +8,17 @@ from divlab.errors import (
     InvalidPartitionError,
     LengthMismatchError,
     NegativeWeightError,
-    NotAbsolutelyContinuousError,
-    SpaceMismatchError,
     TotalMassError,
     UnmappedAtomError,
     ZeroTotalMassError,
 )
 from divlab.prob import (
     FiniteDist,
-    JointDist,
     Kernel,
     Partition,
-    check_convex_order,
-    compose_kernel,
     condition,
-    disintegrate,
-    law_of,
-    mixture,
-    point_mass,
+    disintegrate_w,
     pushforward,
-    radon_nikodym,
-    shift_law,
     uniform,
 )
 
@@ -80,13 +68,15 @@ class TestMakeDist:
 
     def test_json_round_trip(self):
         d = FiniteDist(["a", "b", "c"], [0.2, 0.3, 0.5])
-        assert FiniteDist.from_json(d.as_json()).is_close(d)
+        back = FiniteDist.from_json(d.as_json())
+        assert back.atoms == d.atoms and np.array_equal(back.weights, d.weights)
 
 
 class TestPushforward:
     def test_identity(self):
         d = FiniteDist(["a", "b"], [0.25, 0.75])
-        assert pushforward(d, {"a": "a", "b": "b"}).is_close(d)
+        out = pushforward(d, {"a": "a", "b": "b"})
+        assert out.atoms == d.atoms and np.array_equal(out.weights, d.weights)
 
     def test_constant_map_gives_point_mass(self):
         d = uniform(["a", "b"])
@@ -112,57 +102,28 @@ class TestPushforward:
             assert abs(float(out.weights.sum()) - 1.0) <= 1e-15
 
 
-class TestComposeAndDisintegrate:
-    def test_deterministic_kernel_is_graph_measure(self):
-        mu = FiniteDist(["a", "b"], [0.3, 0.7])
-        k = Kernel.deterministic(mu.atoms, {"a": "u", "b": "v"})
-        joint, marginal = compose_kernel(mu, k)
-        assert marginal.is_close(pushforward(mu, {"a": "u", "b": "v"}))
-        assert joint.matrix[0, 0] == pytest.approx(0.3)
-        assert joint.matrix[1, 1] == pytest.approx(0.7)
-
-    def test_constant_kernel_is_product(self):
-        mu = FiniteDist(["a", "b"], [0.3, 0.7])
-        eta = FiniteDist(["u", "v"], [0.4, 0.6])
-        joint, marginal = compose_kernel(mu, Kernel(mu.atoms, eta.atoms, [eta.weights] * len(mu)))
-        assert marginal.is_close(eta)
-        assert np.allclose(joint.matrix, np.outer(mu.weights, eta.weights))
-
-    def test_mean_measure_example(self):
-        mu = uniform(["a", "b"])
-        k = Kernel(mu.atoms, ["u", "v"], [[0.2, 0.8], [0.6, 0.4]])
-        _, marginal = compose_kernel(mu, k)
-        assert np.allclose(marginal.weights, [0.4, 0.6])
-
-    def test_space_mismatch(self):
-        mu = uniform(["a", "b"])
-        k = Kernel(("x", "y"), ["u"], [[1.0], [1.0]])
-        with pytest.raises(SpaceMismatchError):
-            compose_kernel(mu, k)
+class TestKernelAndDisintegration:
+    def test_deterministic_kernel_is_graph_of_the_map(self):
+        k = Kernel.deterministic(["a", "b", "c"], {"a": "u", "b": "v", "c": "u"})
+        assert k.target == ("u", "v")
+        assert np.array_equal(k.matrix, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
     def test_disintegrate_product(self):
-        mu = FiniteDist(["a", "b"], [0.3, 0.7])
-        eta = FiniteDist(["u", "v"], [0.4, 0.6])
-        joint, _ = compose_kernel(mu, Kernel(mu.atoms, eta.atoms, [eta.weights] * len(mu)))
-        marg, kernel = disintegrate(joint)
-        assert marg.is_close(mu)
-        for i in range(2):
-            assert kernel.row(i).is_close(eta)
+        mu, eta = np.array([0.3, 0.7]), np.array([0.4, 0.6])
+        marg, rows = disintegrate_w(np.outer(mu, eta))
+        assert np.allclose(marg, mu)
+        assert np.allclose(rows, [eta, eta])
 
     def test_zero_row_convention_is_uniform(self):
-        joint = JointDist(["a", "b"], ["u", "v"], [[0.5, 0.5], [0.0, 0.0]])
-        _, kernel = disintegrate(joint)
-        assert np.allclose(kernel.matrix[1], [0.5, 0.5])
+        _, rows = disintegrate_w(np.array([[0.5, 0.3, 0.2], [0.0, 0.0, 0.0]]))
+        assert np.array_equal(rows[1], np.full(3, 1.0 / 3.0))
 
     def test_round_trip_on_random_joints(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             ne, nf = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             w = rng.dirichlet(np.ones(ne * nf)).reshape(ne, nf)
-            joint = JointDist([f"e{i}" for i in range(ne)], [f"f{j}" for j in range(nf)], w)
-            marg, kernel = disintegrate(joint)
-            back, _ = compose_kernel(marg, kernel)
-            assert np.all(np.abs(back.matrix - joint.matrix) <= 1e-12)
+            assert_disintegrates(w)
 
     def test_kernel_json_round_trip(self):
         k = Kernel(("a", "b"), ("u", "v"), [[0.2, 0.8], [0.6, 0.4]])
@@ -170,38 +131,20 @@ class TestComposeAndDisintegrate:
         assert k2.source == k.source and np.allclose(k2.matrix, k.matrix)
 
 
-class TestRadonNikodym:
-    def test_identity_density(self):
-        mu = FiniteDist(["a", "b"], [0.4, 0.6])
-        assert np.allclose(radon_nikodym(mu, mu), [1.0, 1.0])
-
-    def test_ratio(self):
-        nu = FiniteDist(["a", "b"], [1.0, 0.0])
-        mu = uniform(["a", "b"])
-        assert np.allclose(radon_nikodym(nu, mu), [2.0, 0.0])
-
-    def test_support_violation(self):
-        nu = uniform(["a", "b"])
-        mu = FiniteDist(["a", "b"], [1.0, 0.0])
-        with pytest.raises(NotAbsolutelyContinuousError):
-            radon_nikodym(nu, mu)
-
-    def test_shared_null_atom_gets_zero(self):
-        nu = FiniteDist(["a", "b", "c"], [1.0, 0.0, 0.0])
-        mu = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
-        assert np.allclose(radon_nikodym(nu, mu), [2.0, 0.0, 0.0])
-
-    def test_different_spaces(self):
-        with pytest.raises(SpaceMismatchError):
-            radon_nikodym(uniform(["a"]), uniform(["b"]))
+def assert_disintegrates(w):
+    """disintegrate_w(w) gives w's row sums and row-stochastic rows that rebuild w."""
+    marg, rows = disintegrate_w(w)
+    assert np.array_equal(marg, w.sum(axis=1))
+    assert np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all(np.abs(marg[:, None] * rows - w) <= 1e-12)
 
 
 class TestCondition:
     def test_trivial_partition(self):
         mu = uniform(["a", "b"])
-        blocks = condition(mu, [0.0, 1.0], Partition.trivial(mu.atoms))
-        assert len(blocks) == 1
-        assert blocks[0].law.is_close(law_of(mu, [0.0, 1.0]))
+        blocks = condition(mu, [0.0, 1.0], Partition([mu.atoms]))
+        assert len(blocks) == 1 and blocks[0].weight == 1.0
+        assert blocks[0].law.atoms == (0.0, 1.0) and np.array_equal(blocks[0].law.weights, [0.5, 0.5])
 
     def test_finest_partition(self):
         mu = FiniteDist(["a", "b"], [0.3, 0.7])
@@ -241,50 +184,9 @@ class TestCondition:
             part = Partition([mu.atoms[:cut], mu.atoms[cut:]])
             blocks = condition(mu, vals, part)
             assert sum(b.weight for b in blocks) == pytest.approx(1.0, abs=1e-12)
-            mixed = mixture([(b.weight, b.law) for b in blocks])
-            direct = law_of(mu, vals)
-            for atom in direct.atoms:
-                assert mixed.weight(atom) == pytest.approx(direct.weight(atom), abs=1e-12)
-
-
-class TestConvexOrder:
-    def test_dirac_below_uniform(self):
-        assert check_convex_order(point_mass(0.5), uniform([0.0, 1.0]))
-
-    def test_uniform_not_below_dirac(self):
-        assert not check_convex_order(uniform([0.0, 1.0]), point_mass(0.5))
-
-    def test_unequal_means_fail(self):
-        assert not check_convex_order(point_mass(0.4), uniform([0.0, 1.0]))
-
-    def test_kernel_averaging_contracts_in_convex_order(self):
-        # averaging f through a kernel produces a law dominated by the law
-        # of f under the mean measure (conditional Jensen)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            ne, nf = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            mu = random_dist(rng, ne)
-            kernel = Kernel(
-                mu.atoms,
-                [f"f{j}" for j in range(nf)],
-                np.vstack([rng.dirichlet(np.ones(nf)) for _ in range(ne)]),
-            )
-            f = rng.uniform(-2, 2, nf)
-            _, mean_measure = compose_kernel(mu, kernel)
-            averaged = law_of(mu, kernel.matrix @ f)
-            spread = law_of(mean_measure, f)
-            assert check_convex_order(averaged, spread)
-
-
-class TestShiftAndMixture:
-    def test_shift(self):
-        law = shift_law(uniform([0.0, 1.0]), 1.5)
-        assert law.atoms == (1.5, 2.5)
-
-    def test_mixture_merges_common_support(self):
-        m = mixture([(0.5, uniform([0.0, 1.0])), (0.5, uniform([1.0, 2.0]))])
-        assert m.atoms == (0.0, 1.0, 2.0)
-        assert m.weight(1.0) == pytest.approx(0.5)
+            for v, w in zip(vals, mu.weights):
+                mixed = sum(b.weight * b.law.weight(v) for b in blocks if v in b.law.atoms)
+                assert mixed == pytest.approx(w, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,11 +200,7 @@ def test_disintegration_round_trip_property(raw, seed):
     w = np.asarray(raw) / np.sum(raw)
     nf = int(rng.integers(2, 4))
     rows = np.vstack([rng.dirichlet(np.ones(nf)) for _ in range(n)])
-    mu = FiniteDist([f"e{i}" for i in range(n)], w)
-    joint, _ = compose_kernel(mu, Kernel(mu.atoms, [f"f{j}" for j in range(nf)], rows))
-    marg, kernel = disintegrate(joint)
-    back, _ = compose_kernel(marg, kernel)
-    assert np.all(np.abs(back.matrix - joint.matrix) <= 1e-12)
+    assert_disintegrates(w[:, None] * rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,17 +22,14 @@ from divlab.consistency import (
 from divlab.divergence import DivergenceSpec
 from divlab.errors import ConfigParseError, PreconditionViolatedError, UnknownFamilyError
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import uniform
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import (
-    CheckReport,
     CheckSpec,
     SuiteConfig,
     Tolerances,
     canonical_json,
-    decode_special_floats,
     emit_report,
     report_document,
-    reports_from_document,
     reports_to_csv,
     run_check,
     run_suite,
@@ -63,8 +60,6 @@ class TestCanonicalJson:
 
     def test_infinity_encoding(self):
         assert canonical_json([math.inf, -math.inf]) == '["inf","-inf"]'
-        decoded = decode_special_floats(json.loads('["inf","-inf"]'))
-        assert decoded == [math.inf, -math.inf]
 
     def test_nan_is_refused(self):
         from divlab.errors import IoError
@@ -81,10 +76,9 @@ class TestReports:
     def test_json_document_round_trip(self):
         reports = run_suite(SuiteConfig(checks=(entropic_check(),)))
         doc = json.loads(canonical_json(report_document(reports)))
-        again = reports_from_document(decode_special_floats(doc))
-        assert again == reports
+        assert doc == {"schema_version": 1, "checks": [r.as_json() for r in reports]}
 
-    def test_one_sided_report_round_trip(self):
+    def test_one_sided_report_ranks_by_badness(self):
         check = CheckSpec(
             name="wc",
             target="weak_consistency",
@@ -93,7 +87,6 @@ class TestReports:
         )
         report = run_check(check)
         assert report.class_worst["general"][0] == -report.class_worst["general"][2]
-        assert CheckReport.from_json(report.as_json()) == report
 
     def test_nan_gap_fails_the_check(self, monkeypatch):
         # a NaN first gap once became the worst gap for good, since every
@@ -110,7 +103,6 @@ class TestReports:
         assert report.verdict == "violation"
         doc = json.loads(canonical_json(report.as_json()))
         assert doc["nan"] == 1
-        assert CheckReport.from_json(doc) == report
         assert "nan" not in run_check(entropic_check()).as_json()
 
         only_nan = run_check(entropic_check(name="np", trials=1, target="nan_probe"))
@@ -144,7 +136,6 @@ class TestReports:
         assert report.verdict == "violation"
         doc = json.loads(canonical_json(report.as_json()))
         assert doc["exhausted"] == 3
-        assert CheckReport.from_json(doc) == report
 
         result = counterexample_search(check.risk, check.budget, "duality")
         assert result.exhausted == 3 and result.as_json()["exhausted"] == 3
@@ -170,7 +161,6 @@ class TestReports:
         report = run_check(check)
         assert (report.exhausted, report.worst_gap) == (3, honest.worst_gap)
         assert report.verdict == "violation"
-        assert CheckReport.from_json(report.as_json()) == report
 
     def test_exhausted_dual_of_divergence_fails_the_check(self):
         # the dual solve of the expectation family's divergence never
@@ -380,6 +370,29 @@ class TestSuiteConfig:
                "trials": 2}
         assert run_check(CheckSpec.from_json(doc)).trials == 2
 
+    @pytest.mark.parametrize("tolerances", [
+        {"noise": 0.0, "violation": math.inf},
+        {"noise": math.inf, "violation": math.inf},
+    ], ids=["violation", "both"])
+    def test_infinite_tolerances_are_refused(self, tolerances):
+        # an infinite violation tolerance once turned every violation into a pass
+        # or "inconclusive"; JSON's 1e999 reads as inf
+        with pytest.raises(ConfigParseError):
+            Tolerances(**tolerances)
+        doc = json.loads(json.dumps(tolerances).replace("Infinity", "1e999"))
+        with pytest.raises(ConfigParseError):
+            Tolerances.from_json(doc)
+
+    @pytest.mark.parametrize("cls", [
+        FiniteDist, Kernel, JointDist, Partition, RiskSpec, DivergenceSpec, LossFn, UtilityFn,
+    ], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("doc", [[1], {}], ids=["list", "empty"])
+    def test_malformed_documents_are_refused(self, cls, doc):
+        # a document that is not an object, or lacks a field, once escaped as
+        # a KeyError, TypeError or AttributeError
+        with pytest.raises(ConfigParseError):
+            cls.from_json(doc)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigParseError):
             SuiteConfig(checks=(entropic_check("x"), entropic_check("x")))
@@ -414,6 +427,11 @@ class TestSuiteConfig:
         )
         derived = resolve_divergence(check.target, check.risk, check.divergence)
         assert derived.family == "relative_entropy" and derived.eta == 2.0
+
+
+# a check whose worst gap, -0.224, is a violation at the default tolerances
+PP2_601 = {"name": "pp2", "target": "acceptance", "trials": 300, "seed": 601,
+           "spec": {"family": "shortfall", "loss": {"kind": "power_plus", "p": 2}}}
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -654,13 +672,44 @@ class TestCli:
         ("--tol-noise", "1", "--config", json.dumps({"checks": [{
             "name": "a", "target": "acceptance", "spec": {"family": "entropic", "eta": 1.0},
             "trials": 5}]})),
-    ], ids=["check_not_an_object", "null_tolerances", "override_breaks_tolerances"])
+        ("--tol-noise", "inf", "--tol-violation", "inf", "--config", json.dumps({"checks": [PP2_601]})),
+        ("--tol-violation", "inf", "--config", json.dumps({"checks": [PP2_601]})),
+    ], ids=["check_not_an_object", "null_tolerances", "override_breaks_tolerances", "infinite_tolerances",
+            "infinite_violation_tolerance"])
     def test_verify_parses_before_it_overrides(self, args):
         # the first two once escaped as an AttributeError or TypeError with status 1;
-        # an override is checked like the field it replaces (noise 1 > violation 1e-4)
+        # an override is checked like the field it replaces (noise 1 > violation 1e-4);
+        # the infinite tolerances once reported PP2_601's worst gap of -0.224 as
+        # "pass" or "inconclusive", with status 0
         out = run_cli("verify", *args)
         assert out.returncode == 2
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("risk", "--spec", '{"family":"entropic","eta":1.0}', "--law", '{"weights":[0.5,0.5]}'),
+        ("risk", "--spec", "[1]", "--law", '{"atoms":[0.0,1.0],"weights":[0.5,0.5]}'),
+        ("div", "--divergence", '{"family":"shortfall_div","loss":[1]}',
+         "--nu", '{"atoms":["a"],"weights":[1.0]}', "--mu", '{"atoms":["a"],"weights":[1.0]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", '{"x":1}',
+         "--partition", '{"blocks":[["a","b"]]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", '[0,"1"]',
+         "--partition", '{"blocks":[["a","b"]]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", "[0,1]",
+         "--partition", '[["a","b"]]'),
+        ("verify", "--config", '{"checks":[{"name":"c","target":"time_consistency","trials":5,'
+         '"spec":{"family":"coherent","densities":[[1.0]],"reference":[1]}}]}'),
+    ], ids=["law_without_atoms", "spec_not_an_object", "loss_not_an_object", "values_an_object",
+            "values_with_a_string", "partition_not_an_object", "reference_not_an_object"])
+    def test_malformed_documents_exit_2(self, args, capsys):
+        # these once escaped as a KeyError, AttributeError, ValueError or
+        # TypeError with status 1, the status of a violation; the string "1"
+        # ran as the value 1
+        assert cli.main(list(args)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_sweep_refuses_a_value_that_is_not_a_number(self, tmp_path):
         path = tmp_path / "check.json"

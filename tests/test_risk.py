@@ -14,10 +14,9 @@ from divlab.errors import (
     ZeroTotalMassError,
 )
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, Partition, law_of, point_mass, uniform
+from divlab.prob import FiniteDist, Partition, uniform
 from divlab.risk import (
     RiskSpec,
-    rho_coherent,
     rho_conditional,
     rho_entropic,
     rho_lifted,
@@ -42,6 +41,10 @@ ALL_SCALAR_SPECS = [
     RiskSpec.expectation(),
     RiskSpec.esssup(),
 ]
+
+
+def point_mass(value):
+    return FiniteDist((value,), [1.0])
 
 
 def random_law(rng, n):
@@ -367,22 +370,22 @@ class TestCoherent:
     def test_singleton_density_is_expectation(self):
         mu = uniform(["a", "b", "c"])
         f = [1.0, 2.0, 3.0]
-        assert rho_coherent(mu, f, [[1.0, 1.0, 1.0]]) == pytest.approx(2.0)
+        assert rho_lifted(RiskSpec.coherent([[1.0, 1.0, 1.0]]), mu, f) == pytest.approx(2.0)
 
     def test_constant_payoff(self):
         mu = uniform(["a", "b"])
-        assert rho_coherent(mu, [0.7, 0.7], [[2.0, 0.0], [0.0, 2.0]]) == pytest.approx(0.7)
+        assert rho_lifted(RiskSpec.coherent([[2.0, 0.0], [0.0, 2.0]]), mu, [0.7, 0.7]) == pytest.approx(0.7)
 
     def test_two_density_example(self):
         mu = uniform(["a", "b"])
-        assert rho_coherent(mu, [0.0, 1.0], [[2.0, 0.0], [0.0, 2.0]]) == pytest.approx(1.0)
+        assert rho_lifted(RiskSpec.coherent([[2.0, 0.0], [0.0, 2.0]]), mu, [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_invalid_density(self):
         mu = uniform(["a", "b"])
         with pytest.raises(InvalidDensityError):
-            rho_coherent(mu, [0.0, 1.0], [[2.0, 2.0]])
+            rho_lifted(RiskSpec.coherent([[2.0, 2.0]]), mu, [0.0, 1.0])
         with pytest.raises(InvalidDensityError):
-            rho_coherent(mu, [0.0, 1.0], [[3.0, -1.0]])
+            rho_lifted(RiskSpec.coherent([[3.0, -1.0]]), mu, [0.0, 1.0])
 
     def test_law_level_evaluation_unsupported(self):
         spec = RiskSpec.coherent([[1.0, 1.0]], uniform(["a", "b"]))
@@ -464,7 +467,7 @@ class TestConditional:
     def test_trivial_partition(self):
         spec = RiskSpec.entropic(1.0)
         mu = uniform(["a", "b"])
-        cond = rho_conditional(spec, mu, [0.0, 1.0], Partition.trivial(mu.atoms))
+        cond = rho_conditional(spec, mu, [0.0, 1.0], Partition([mu.atoms]))
         assert len(cond.values) == 1
         assert cond.values[0][1] == pytest.approx(LOG_MEAN_EXP, abs=1e-12)
 

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 from .consistency import CHECK_KINDS, SearchBudget, _trial_pool, counterexample_search
 from .divergence import DivergenceSpec
-from .errors import ConfigParseError, DivLabError
+from .errors import ConfigParseError, DivLabError, number_list
 from .prob import FiniteDist, Partition
 from .report import (
     CheckSpec,
@@ -82,9 +82,7 @@ def _cmd_div(args) -> int:
 def _cmd_conditional(args) -> int:
     spec = RiskSpec.from_json(_load_json(args.spec))
     mu = FiniteDist.from_json(_load_json(args.mu))
-    values = _load_json(args.values)
-    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-        raise ConfigParseError(f"--values must be a JSON list of numbers, got {values!r}")
+    values = number_list(_load_json(args.values), "--values")
     partition = Partition.from_json(_load_json(args.partition))
     cond = rho_conditional(spec, mu, values, partition)
     doc = {

@@ -35,7 +35,8 @@ instances from one sampler of a random joint law (``_draw_joint``), and the
 data-processing kinds and ``joint_convexity`` draw pairs of laws. They keep
 their draws as plain arrays, which become objects only when ``describe_trial``
 serializes one, and evaluate a whole block of them in batched solves whose
-per-trial results do not depend on the block either. The acceptance-set
+per-trial results do not depend on the block either; a conditional block
+takes two ``rho_batch`` calls (see ``_conditional_gaps``). The acceptance-set
 probes, ``dist_concavity`` and ``lebesgue`` draw laws and evaluate a block's
 risks in at most two ``rho_batch`` calls. Gaps where both sides
 are +inf are "vacuous" and excluded from statistics but counted. A
@@ -507,20 +508,26 @@ def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) 
     """Gaps of B conditional instances packed as (B, E, F) weights and values.
 
     Row e of instance b is block e of its partition; zero weights pad short
-    rows and missing ones. The row laws are solved in one batch, and then the
-    outer laws of the row risks and the full laws: ``consistency_gap``, or
-    ``weak_acceptance_margin`` when ``weak``. The full law lists the blocks'
-    atoms row after row.
+    rows and missing ones. The full law lists the blocks' atoms row after
+    row. ``consistency_gap`` solves the charged row laws and the full laws,
+    which do not depend on each other, in one ``rho_batch`` and then the
+    outer laws of the row risks: two solves. ``weak_acceptance_margin``
+    recenters the full laws by the row risks, so it solves the rows first
+    and then the recentered full laws: two solves as well.
     """
     b, e, f = w.shape
     mass = _atom_sum(w)
     charged = mass > 0.0
-    row_risk = np.zeros((b, e))
-    row_risk[charged] = rho_batch(spec, w[charged] / mass[charged][:, None], v[charged])
+    rows = w[charged] / mass[charged][:, None]
     full_w = w.reshape(b, e * f)
+    row_risk = np.zeros((b, e))
     if weak:
+        row_risk[charged] = rho_batch(spec, rows, v[charged])
         return -rho_batch(spec, full_w, (v - row_risk[:, :, None]).reshape(b, e * f))
-    return rho_batch(spec, mass, row_risk) - rho_batch(spec, full_w, v.reshape(b, e * f))
+    n = rows.shape[0]
+    rho = rho_batch(spec, _stacked([rows, full_w]), _stacked([v[charged], v.reshape(b, e * f)]))
+    row_risk[charged] = rho[:n]
+    return rho_batch(spec, mass, row_risk) - rho[n:]
 
 
 def _pack_partition(mu: FiniteDist, f, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -692,7 +699,9 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 # next trial's, and the generator carries no SeedSequence of the trial's own.
 # 19 kinds draw their trials one by one and solve them in a few batched
 # evaluations: the conditional, product and data-processing kinds and
-# joint_convexity keep their draws as arrays; the probe kinds
+# joint_convexity keep their draws as arrays, and a conditional block takes
+# 2 rho_batch calls (rows with full laws, then outer laws; the weak kind
+# rows, then recentered full laws, 1 call each step); the probe kinds
 # (shift_convexity, property_s, mixture_convexity), dist_concavity and
 # lebesgue draw laws and take at most two ``rho_batch`` calls. The other 3 kinds (duality, lemma_identity, key_identity) run a
 # solver per trial and are written for one trial, as
@@ -890,8 +899,12 @@ def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """2-D arrays one after another along the first axis, zero-padded to a common width."""
-    width = max(a.shape[1] for a in arrays)
-    return np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in arrays])
+    out = np.zeros((sum(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays)))
+    row = 0
+    for a in arrays:
+        out[row : row + a.shape[0], : a.shape[1]] = a
+        row += a.shape[0]
+    return out
 
 
 def _renormalized(w: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedFamilyError,
     json_object,
     reject_unknown_keys,
+    typed_field,
 )
 from .losses import LossFn, UtilityFn, _table_conjugate_array, conjugate_table
 from .prob import FiniteDist, Kernel
@@ -275,7 +276,7 @@ class DivergenceSpec:
             reject_unknown_keys(doc, ("family", *_FIELDS[family]), f"{family} divergence")
         try:
             if family == "relative_entropy":
-                return cls.relative_entropy(doc.get("eta", 1.0))
+                return cls.relative_entropy(typed_field(doc, "eta", 1.0, float, "relative_entropy divergence"))
             if family == "phi_star":
                 return cls.phi_star(UtilityFn.from_json(doc["utility"]))
             if family == "shortfall_div":

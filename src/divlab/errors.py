@@ -115,21 +115,46 @@ def reject_unknown_keys(doc, known, what: str) -> None:
         raise ConfigParseError(f"{what} has unknown field(s): {', '.join(map(repr, unknown))}")
 
 
+# the default of a typed_field that has none: a missing field raises KeyError
+REQUIRED = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def typed_field(doc, key: str, default, kind: type, what: str):
-    """doc[key], or the default, if it is a JSON value of kind: int, float, bool or dict.
+    """doc[key], or the default, if it is a JSON value of kind: int, float, bool, dict or list.
 
     Nothing is coerced: ``"trials": 2.7``, ``"trials": true`` or
     ``"must_pass": "false"`` raises ConfigParseError instead of running as 2, 1 or true.
     An integer is any number without a fractional part, 2.0 included, as in JSON Schema.
+    With the default REQUIRED a missing field raises KeyError, which the spec
+    parsers report as a missing field.
     """
-    value = doc.get(key, default)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    value = doc[key] if default is REQUIRED else doc.get(key, default)
+    number = _is_number(value)
     ok, name = {
         int: (number and (isinstance(value, int) or value.is_integer()), "an integer"),
         float: (number, "a number"),
         bool: (isinstance(value, bool), "true or false"),
         dict: (isinstance(value, Mapping), "an object"),
+        list: (isinstance(value, list), "a list"),
     }[kind]
     if not ok:
         raise ConfigParseError(f"{what} {key!r} must be {name}, got {value!r}")
     return kind(value)
+
+
+def number_list(value, what: str) -> list:
+    """value, if it is a JSON list of numbers (a bool is not one); else ConfigParseError."""
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ConfigParseError(f"{what} must be a JSON list of numbers, got {value!r}")
+    return value
+
+
+def label_list(value, what: str) -> list:
+    """value, if it is a JSON list of atom labels: anything but a list or an object, which cannot label an atom."""
+    if not isinstance(value, list) or any(isinstance(a, (list, Mapping)) for a in value):
+        raise ConfigParseError(f"{what} must be a JSON list of atom labels, got {value!r}")
+    return value

@@ -30,8 +30,11 @@ from .errors import (
     InvalidLossError,
     InvalidUtilityError,
     NegativeArgumentError,
+    REQUIRED,
     json_object,
+    number_list,
     reject_unknown_keys,
+    typed_field,
 )
 
 _CONVEXITY_TOL = 1e-9
@@ -214,11 +217,11 @@ class LossFn:
             reject_unknown_keys(doc, ("kind", *_LOSS_FIELDS[kind]), f"{kind} loss spec")
         try:
             if kind == "exponential":
-                return cls.exponential(doc["eta"])
+                return cls.exponential(typed_field(doc, "eta", REQUIRED, float, "exponential loss spec"))
             if kind == "power_plus":
-                return cls.power_plus(doc["p"])
+                return cls.power_plus(typed_field(doc, "p", REQUIRED, float, "power_plus loss spec"))
             if kind == "custom":
-                return cls.custom(doc["xs"], doc["ys"])
+                return cls.custom(*(number_list(doc[key], f"custom loss spec {key!r}") for key in ("xs", "ys")))
         except KeyError as exc:
             raise ConfigParseError(f"loss spec is missing field {exc}") from exc
         raise ConfigParseError(f"unknown loss kind {kind!r}")
@@ -331,9 +334,9 @@ class UtilityFn:
             if kind == "identity":
                 return cls.identity()
             if kind == "hinge_power":
-                return cls.hinge_power(doc["p"])
+                return cls.hinge_power(typed_field(doc, "p", REQUIRED, float, "hinge_power utility spec"))
             if kind == "custom":
-                return cls.custom(doc["xs"], doc["ys"])
+                return cls.custom(*(number_list(doc[key], f"custom utility spec {key!r}") for key in ("xs", "ys")))
         except KeyError as exc:
             raise ConfigParseError(f"utility spec is missing field {exc}") from exc
         raise ConfigParseError(f"unknown utility kind {kind!r}")

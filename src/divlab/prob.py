@@ -6,7 +6,9 @@ ordered; two spaces are "the same" exactly when their label tuples are equal.
 Weights are validated on construction: tiny negatives (>= -1e-15) are clamped
 to zero, totals within 1e-9 of 1 are renormalized exactly, and anything worse
 raises. All values are immutable after construction. ``from_json`` refuses a
-document that is not an object or lacks a field with ``ConfigParseError``.
+document that is not an object, lacks a field or has a field of the wrong
+type (weights or rows that are not lists of numbers, atoms or blocks that
+are not lists of labels) with ``ConfigParseError``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .errors import (
     UnmappedAtomError,
     ZeroTotalMassError,
     json_object,
+    label_list,
+    number_list,
+    typed_field,
 )
 
 NEGATIVE_CLAMP = -1e-15
@@ -102,7 +107,8 @@ class FiniteDist:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "FiniteDist":
-        return cls(*json_object(doc, "law", "atoms", "weights"))
+        atoms, weights = json_object(doc, "law", "atoms", "weights")
+        return cls(label_list(atoms, "law 'atoms'"), number_list(weights, "law 'weights'"))
 
 
 def uniform(atoms: Iterable[Atom]) -> FiniteDist:
@@ -175,7 +181,9 @@ class Kernel:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Kernel":
-        return cls(*json_object(doc, "kernel", "source", "target", "rows"))
+        source, target, _ = json_object(doc, "kernel", "source", "target", "rows")
+        rows = [number_list(r, "a kernel row") for r in typed_field(doc, "rows", None, list, "kernel")]
+        return cls(label_list(source, "kernel 'source'"), label_list(target, "kernel 'target'"), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +232,10 @@ class JointDist:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "JointDist":
-        return cls(*json_object(doc, "joint law", "row_atoms", "col_atoms", "weights"))
+        row_atoms, col_atoms, _ = json_object(doc, "joint law", "row_atoms", "col_atoms", "weights")
+        weights = [number_list(r, "a joint law row") for r in typed_field(doc, "weights", None, list, "joint law")]
+        rows, cols = label_list(row_atoms, "joint law 'row_atoms'"), label_list(col_atoms, "joint law 'col_atoms'")
+        return cls(rows, cols, weights)
 
 
 @dataclass(frozen=True)
@@ -254,7 +265,8 @@ class Partition:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Partition":
-        return cls(*json_object(doc, "partition", "blocks"))
+        json_object(doc, "partition", "blocks")
+        return cls(label_list(b, "partition block") for b in typed_field(doc, "blocks", None, list, "partition"))
 
 
 def _apply_map(mapping, atom: Atom):

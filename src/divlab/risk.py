@@ -35,8 +35,11 @@ from .errors import (
     UnknownFamilyError,
     UnsupportedFamilyError,
     ZeroTotalMassError,
+    REQUIRED,
     json_object,
+    number_list,
     reject_unknown_keys,
+    typed_field,
 )
 from .losses import LossFn, UtilityFn
 from .prob import FiniteDist, Partition, _as_values, condition
@@ -143,7 +146,7 @@ class RiskSpec:
             reject_unknown_keys(doc, ("family", *_FIELDS[family]), f"{family} risk spec")
         try:
             if family == "entropic":
-                return cls.entropic(doc["eta"])
+                return cls.entropic(typed_field(doc, "eta", REQUIRED, float, "entropic risk spec"))
             if family == "shortfall":
                 return cls.shortfall(LossFn.from_json(doc["loss"]))
             if family == "oce":
@@ -154,7 +157,8 @@ class RiskSpec:
                 return cls.esssup()
             if family == "coherent":
                 ref = FiniteDist.from_json(doc["reference"]) if "reference" in doc else None
-                return cls.coherent(doc["densities"], ref)
+                densities = typed_field(doc, "densities", REQUIRED, list, "coherent risk spec")
+                return cls.coherent([number_list(d, "a coherent density") for d in densities], ref)
         except KeyError as exc:
             raise ConfigParseError(f"risk spec is missing field {exc}") from exc
         raise UnknownFamilyError(f"unknown risk family {family!r}")
@@ -270,8 +274,11 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
     the root, and one with expected <= 1 is the root itself. The start E[X]
     is left of the root, as expected(E[X]) >= l(0) = 1 by Jensen. A step that
     is not finite (overflow) or more than half the last one (slow progress)
-    becomes a bisection of [lo, hi]. Each law keeps its own bracket, step and
-    root; masks pick each law's branch, and a law that has stopped keeps its root.
+    becomes a bisection of [lo, hi]. Each law keeps its own bracket and step
+    under masks, and every way a law finishes leaves its root at hi: a Newton
+    point at or past hi, a step below the tolerance, an accepted Newton
+    point, a closed bisection or the iteration cap. The post-check reuses
+    e_hi, evaluating only the roots that a small step left unevaluated.
     """
 
     def expected(c: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -298,47 +305,37 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
     hi, e_hi = np.where(left, hi, start), np.where(left, e_hi, e_start)
     step = newton_step(lo, e_lo)
     last = hi - lo
-    root, e_root = hi, e_hi
-    known = np.ones(lo.shape, dtype=bool)  # e_root holds expected(root)
+    known = np.ones(lo.shape, dtype=bool)  # e_hi holds expected(hi)
     active = np.ones(lo.shape, dtype=bool)
     for _ in range(_ROOT_MAX_ITER):
         at_hi = active & np.isfinite(step) & (lo + step >= hi)
         newton = active & ~at_hi & (step <= 0.5 * last)
         small = newton & (step <= _ROOT_TOL)
         c = np.where(newton, lo + step, 0.5 * (lo + hi))
-        root = np.where(at_hi, hi, np.where(small, c, root))
-        e_root = np.where(at_hi, e_hi, e_root)
+        hi = np.where(small, c, hi)
         known &= ~small
         active &= ~(at_hi | small)
         if not active.any():
             break
-        newton &= active
-        bisect = active & ~newton
         e_c = expected(c)
-        below = e_c <= 1.0
-        accept = newton & below
-        root, e_root = np.where(accept, c, root), np.where(accept, e_c, e_root)
-        last = np.where(newton, step, last)
-        moves_hi = bisect & below
-        hi, e_hi = np.where(moves_hi, c, hi), np.where(moves_hi, e_c, e_hi)
-        moves_lo = active & ~accept & ~moves_hi
+        below = active & (e_c <= 1.0)
+        hi, e_hi = np.where(below, c, hi), np.where(below, e_c, e_hi)
+        moves_lo = active & ~below
         lo, e_lo = np.where(moves_lo, c, lo), np.where(moves_lo, e_c, e_lo)
+        last = np.where(newton, step, last)
         if moves_lo.any():
             step = np.where(moves_lo, newton_step(lo, e_lo), step)
-        closed = bisect & (hi - lo <= _ROOT_TOL)
-        root, e_root = np.where(closed, hi, root), np.where(closed, e_hi, e_root)
-        active &= ~(accept | closed)
-    root = np.where(active, hi, root)
-    e_root = np.where(active, e_hi, e_root)
+        # an accepted Newton point or a closed bisection finishes
+        active &= ~np.where(newton, below, hi - lo <= _ROOT_TOL)
     # a Newton step below _ROOT_TOL leaves its root unevaluated, or equal to lo
     # when the step is below half the float spacing there
-    e_root = np.where(~known & (root == lo), e_lo, e_root)
-    rows = np.flatnonzero(~known & (root != lo))
+    e_hi = np.where(~known & (hi == lo), e_lo, e_hi)
+    rows = np.flatnonzero(~known & (hi != lo))
     if rows.size:
-        e_root[rows] = expected(root[rows], rows)
-    if np.any(e_root > 1.0 + 1e-9):
+        e_hi[rows] = expected(hi[rows], rows)
+    if np.any(e_hi > 1.0 + 1e-9):
         raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
-    return root
+    return hi
 
 
 def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:

@@ -38,7 +38,7 @@ from divlab.errors import PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import canonical_json
-from divlab.risk import RiskSpec, rho_lifted, rho_of_law
+from divlab.risk import RiskSpec, rho_conditional, rho_lifted, rho_of_law, rho_values
 
 ENTROPIC = RiskSpec.entropic(1.0)
 RE = DivergenceSpec.relative_entropy(1.0)
@@ -209,6 +209,35 @@ class TestConsistencyGap:
             inst = sample_conditional_instance(budget.rng_for(trial), budget)
             dist, vals, part = inst.flat()
             assert abs(consistency_gap(spec, dist, vals, part)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, seed", [("acceptance", 28), ("rejection", 29)])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    def test_one_stacked_solve_gives_the_bits_of_separate_solves(self, kind, seed, sparsity):
+        # the gap solves the row laws (up to 4 atoms) and the full laws (up
+        # to 16) in one stacked rho_batch; solving every law alone must give
+        # the same bits. rho_conditional's block laws merge equal values and
+        # renormalize, which moves the last bits, so it is compared within a
+        # tolerance
+        budget = SearchBudget(trials=40, seed=seed, max_e=4, max_f=4, sparsity=sparsity)
+        sign = -1.0 if kind == "rejection" else 1.0
+        for spec in [*BATCH_SPECS, RiskSpec.shortfall(LossFn.custom([-2.0, 0.0, 1.0, 3.0], [0.0, 1.0, 2.0, 6.0]))]:
+            for trial in range(budget.trials):
+                mu, vals, part = sample_conditional_instance(budget.rng_for(trial), budget).flat()
+                gap = consistency_gap(spec, mu, vals, part)
+                assert describe_trial(kind, spec, None, budget, trial)["gap"] == sign * gap
+                masses, risks = [], []
+                for block in part.blocks:
+                    ids = [mu.atoms.index(a) for a in block]
+                    mass = np.cumsum(mu.weights[ids])[-1]
+                    if mass > 0.0:
+                        masses.append(mass)
+                        risks.append(rho_values(spec, mu.weights[ids] / mass, vals[ids]))
+                alone = rho_values(spec, np.array(masses), np.array(risks)) - rho_lifted(spec, mu, vals)
+                assert gap == alone, (spec.as_json(), trial)
+                cond = rho_conditional(spec, mu, vals, part)
+                outer = rho_values(spec, np.array(cond.weights), np.array([r for _, r in cond.values]))
+                (_, full), = rho_conditional(spec, mu, vals, Partition([mu.atoms])).values
+                assert gap == pytest.approx(outer - full, abs=1e-12)
 
 
 class TestWeakConsistencyGap:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab.errors import (
+    ConfigParseError,
     DuplicateAtomError,
     InvalidPartitionError,
     LengthMismatchError,
@@ -14,6 +15,7 @@ from divlab.errors import (
 )
 from divlab.prob import (
     FiniteDist,
+    JointDist,
     Kernel,
     Partition,
     condition,
@@ -70,6 +72,24 @@ class TestMakeDist:
         d = FiniteDist(["a", "b", "c"], [0.2, 0.3, 0.5])
         back = FiniteDist.from_json(d.as_json())
         assert back.atoms == d.atoms and np.array_equal(back.weights, d.weights)
+
+    @pytest.mark.parametrize("parse, doc", [
+        (FiniteDist.from_json, {"atoms": 5, "weights": [1.0]}),
+        (FiniteDist.from_json, {"atoms": [0.0], "weights": ["a"]}),
+        (FiniteDist.from_json, {"atoms": [0.0], "weights": [True]}),
+        (FiniteDist.from_json, {"atoms": [[0.0]], "weights": [1.0]}),
+        (Partition.from_json, {"blocks": 5}),
+        (Partition.from_json, {"blocks": "ab"}),
+        (Partition.from_json, {"blocks": [["a"], {"b": 1}]}),
+        (Kernel.from_json, {"source": ["a"], "target": ["u"], "rows": [["1"]]}),
+        (Kernel.from_json, {"source": "a", "target": ["u"], "rows": [[1.0]]}),
+        (JointDist.from_json, {"row_atoms": ["a"], "col_atoms": ["u"], "weights": [1.0]}),
+    ])
+    def test_ill_typed_fields_rejected(self, parse, doc):
+        # these once escaped as a TypeError or ValueError, or ran coerced:
+        # true as the weight 1, "ab" as the blocks ["a"] and ["b"]
+        with pytest.raises(ConfigParseError):
+            parse(doc)
 
 
 class TestPushforward:

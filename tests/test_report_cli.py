@@ -701,12 +701,26 @@ class TestCli:
          "--partition", '[["a","b"]]'),
         ("verify", "--config", '{"checks":[{"name":"c","target":"time_consistency","trials":5,'
          '"spec":{"family":"coherent","densities":[[1.0]],"reference":[1]}}]}'),
+        ("risk", "--spec", '{"family":"entropic","eta":"x"}', "--law", '{"atoms":[0.0,1.0],"weights":[0.5,0.5]}'),
+        ("risk", "--spec", '{"family":"entropic","eta":1.0}', "--law", '{"atoms":5,"weights":[1.0]}'),
+        ("risk", "--spec", '{"family":"entropic","eta":1.0}', "--law", '{"atoms":[0.0],"weights":["a"]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", "[0,1]",
+         "--partition", '{"blocks":5}'),
+        ("risk", "--spec", '{"family":"shortfall","loss":{"kind":"power_plus","p":"2"}}',
+         "--law", '{"atoms":[0.0,1.0],"weights":[0.5,0.5]}'),
+        ("conditional", "--spec", '{"family":"entropic","eta":1.0}',
+         "--mu", '{"atoms":["a","b"],"weights":[0.5,0.5]}', "--values", "[0,1]",
+         "--partition", '{"blocks":"ab"}'),
     ], ids=["law_without_atoms", "spec_not_an_object", "loss_not_an_object", "values_an_object",
-            "values_with_a_string", "partition_not_an_object", "reference_not_an_object"])
+            "values_with_a_string", "partition_not_an_object", "reference_not_an_object",
+            "eta_a_string", "atoms_a_number", "weights_with_a_string", "blocks_a_number",
+            "p_a_string", "blocks_a_string"])
     def test_malformed_documents_exit_2(self, args, capsys):
         # these once escaped as a KeyError, AttributeError, ValueError or
         # TypeError with status 1, the status of a violation; the string "1"
-        # ran as the value 1
+        # ran as the value 1, "p": "2" as p = 2 and "blocks": "ab" as the
+        # blocks ["a"] and ["b"]
         assert cli.main(list(args)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -304,6 +305,62 @@ def oracle_risk(spec, w, v):
     return float(np.max(v[pos]))
 
 
+class PortablePowerPlus:
+    """((1 + x)_+)^p and its left derivative for p = 1.5 or 3, in products and square roots.
+
+    IEEE arithmetic rounds these the same way on every machine. numpy's
+    power does so for the exponents 1, 2 and 0.5, which it computes as a
+    copy, a square and a square root, but for 1.5 and 3 it may take a SIMD
+    path whose last bits differ between CPUs, as its exp may.
+    """
+
+    def __init__(self, p):
+        self.p = p
+
+    def __call__(self, x):
+        b = np.maximum(1.0 + np.asarray(x, dtype=float), 0.0)
+        return b * np.sqrt(b) if self.p == 1.5 else b * b * b
+
+    def derivative(self, x):
+        b = np.maximum(1.0 + np.asarray(x, dtype=float), 0.0)
+        return 1.5 * np.sqrt(b) if self.p == 1.5 else 3.0 * (b * b)
+
+
+def parity_batches(seed):
+    """Seeded (B, K) shortfall batches drawn with integer arithmetic only: sparse laws of
+    1-12 atoms, weights k / total, values on a 0.05 grid within +-2 or +-300, and up
+    to 3 zero-padding columns."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        b, k, pad = int(rng.integers(1, 31)), int(rng.integers(1, 13)), int(rng.integers(0, 4))
+        counts = rng.integers(1, 1000, size=(b, k)) * (rng.integers(0, 10, size=(b, k)) >= 3)
+        counts[np.arange(b), rng.integers(0, k, size=b)] += 1
+        reach = 40 if rng.integers(0, 4) else 6000
+        w = np.zeros((b, k + pad))
+        v = np.zeros((b, k + pad))
+        w[:, :k] = counts / counts.sum(axis=1, keepdims=True)
+        v[:, :k] = rng.integers(-reach, reach + 1, size=(b, k)) / 20.0
+        yield w, v
+
+
+# sha256 of the roots' bytes over parity_batches(seed) for each loss, as the
+# solver computed them before the root was kept at the bracket's upper end
+ROOT_DIGESTS = {
+    "power_plus(1)": "eba6c5a35e195e754adafd78149e59a47762af448ce3d1d9997c4662793ffae9",
+    "power_plus(1.5)": "74a09ab82f9b3693c987d685ee5673d76591ab56eaae2a81d43a78a042761e57",
+    "power_plus(2)": "bfb302d77076afee3d6a2f0ef7be9b90f5b8d30b4a305af3893f701c6da0e712",
+    "power_plus(3)": "55a3ff91f7f818e8668a91c94218875d70a9f551fcfd8f3b43fd76dfbccb9020",
+    "convex_table": "b66b8284e2be3f3785941efff293b5d0ac0dca82aeab40cc003747feeda47952",
+}
+PARITY_LOSSES = {
+    "power_plus(1)": LossFn.power_plus(1.0),
+    "power_plus(1.5)": PortablePowerPlus(1.5),
+    "power_plus(2)": LossFn.power_plus(2.0),
+    "power_plus(3)": PortablePowerPlus(3.0),
+    "convex_table": CONVEX_TABLE,
+}
+
+
 class TestRhoBatch:
     """rho_batch against independent oracles: bisection for shortfall, log-sum-exp for entropic, golden section for OCE."""
 
@@ -347,6 +404,13 @@ class TestRhoBatch:
             rho_batch(RiskSpec.shortfall(Flat()), w, v)
         with pytest.raises(ZeroTotalMassError):
             rho_batch(RiskSpec.expectation(), np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("name", PARITY_LOSSES)
+    def test_shortfall_roots_keep_their_bits(self, name):
+        # exponential losses are left out: numpy's SIMD exp may differ between machines
+        spec = RiskSpec.shortfall(PARITY_LOSSES[name])
+        roots = b"".join(rho_batch(spec, w, v).tobytes() for w, v in parity_batches(31))
+        assert hashlib.sha256(roots).hexdigest() == ROOT_DIGESTS[name]
 
 
 class TestOce:

@@ -17,28 +17,17 @@ from .consistency import (
     SearchResult,
     consistency_gap,
     counterexample_search,
-    integral_lemma_gap,
-    key_identity_gap,
-    mixture_convexity_probe,
-    property_s_probe,
-    shift_convexity_probe,
-    superadditivity_gap,
-    weak_acceptance_margin,
-    weak_consistency_gap,
 )
 from .divergence import (
     DivergenceSpec,
     DualSolveResult,
     Gap,
     divergence_for_risk_spec,
-    dpi_gap,
     dual_divergence,
     phi_divergence,
     primal_reconstruction,
-    refinement_monotonicity,
     relative_entropy,
     shortfall_divergence,
-    sufficiency_gap,
 )
 from .errors import DivLabError
 from .losses import (

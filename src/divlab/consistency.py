@@ -23,8 +23,10 @@ Instances are sampled from seeded per-trial streams: trial k of a search
 with seed s draws the stream of ``numpy.random.default_rng([s, k])``, so any
 reported instance replays exactly from (seed, trial) and results do not
 depend on how trials are split into blocks, nor on which process runs a
-block (see ``_trial_pool``). A block does not build a generator per trial:
-``_trial_rngs`` computes the PCG64 states of all its trials in one
+block (see ``_trial_pool``). A reported instance also replays from its
+document: ``CHECK_KINDS[kind].replay(risk, div, doc)`` reads it back and
+gives the gap bits of its trial. A block does not build a generator per
+trial: ``_trial_rngs`` computes the PCG64 states of all its trials in one
 vectorized pass and sets one generator to each in turn, the state
 ``default_rng([s, k])`` starts in. ``SearchBudget.rng_for`` builds the
 generator itself and stays the reference. Dirichlet(1) weights are normalized standard
@@ -65,14 +67,20 @@ from .divergence import (
     divergence_for_risk_spec,
     dual_divergence,
     primal_reconstruction,
+    _certified_dual_w,
     _chain_values,
     _dual_divergence_w,
+    _not_ac,
 )
 from .errors import (
     ConfigParseError,
-    InvalidPartitionError,
+    NotAbsolutelyContinuousError,
     PreconditionViolatedError,
     UnknownFamilyError,
+    json_object,
+    label_list,
+    number_list,
+    number_rows,
     typed_field,
 )
 from .prob import (
@@ -80,10 +88,9 @@ from .prob import (
     JointDist,
     Kernel,
     Partition,
-    _as_values,
     disintegrate_w,
 )
-from .risk import RiskSpec, _atom_sum, rho_batch, rho_values
+from .risk import RiskSpec, _atom_sum, _pack_partition, rho_batch, rho_values
 
 # the payoff values that samplers draw from: -2.0, -1.9, ..., 2.0
 VALUE_GRID = np.linspace(-2.0, 2.0, 41)
@@ -158,7 +165,12 @@ _MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(n: int) -> list[int]:
-    """n's 32-bit words, least significant first, as SeedSequence reads an int; 0 is one word."""
+    """n's 32-bit words, least significant first, as SeedSequence reads an int; 0 is one word.
+
+    A negative n has no words: SeedSequence refuses it, and n >> k never reaches 0.
+    """
+    if n < 0:
+        raise ValueError(f"seeds and trial indices must be nonnegative, got {n}")
     words = [n & _MASK32]
     while n >> 32 * len(words):
         words.append(n >> 32 * len(words) & _MASK32)
@@ -453,10 +465,12 @@ def _product_gaps(
 
     Instance b has ``n_f[b]`` columns; zeros pad the rest and the missing
     rows. The joint, the marginal and the nu-charged rows are each one
-    batched evaluation, combined into ``superadditivity_gap``, or into
-    ``weak_consistency_gap`` when ``weak``. A row of zero mu-mass is uniform
-    on the instance's columns, as ``disintegrate_w`` makes it, and the row
-    term is +inf once any nu-charged row is infinite.
+    batched evaluation, combined into the superadditivity gap
+    alpha(nu_bar | mu_bar) - alpha(nu | mu) - sum_x nu(x) alpha(K^nu_x | K^mu_x),
+    or, when ``weak``, into the weak gap, which drops alpha(nu | mu). A row
+    of zero mu-mass is uniform on the instance's columns, as
+    ``disintegrate_w`` makes it, and the row term is +inf once any
+    nu-charged row is infinite.
     """
     b, e, f = mu.shape
     joint = div.evaluate_batch(nu.reshape(b, e * f), mu.reshape(b, e * f))
@@ -477,43 +491,17 @@ def _product_gaps(
     return [Gap.of(j, r) for j, r in zip(joint.tolist(), rhs.tolist())]
 
 
-def _product_gap(div: DivergenceSpec, inst: ProductInstance, weak: bool) -> Gap:
-    """One instance's gap, as a batch of one of ``_product_gaps``."""
-    mu, nu = inst.mu_bar.matrix[None], inst.nu_bar.matrix[None]
-    return _product_gaps(div, mu, nu, np.array([mu.shape[2]]), weak)[0]
-
-
-def superadditivity_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
-    """alpha(nu_bar | mu_bar) minus the two-stage decomposition.
-
-    Positive gaps witness superadditivity at the instance, negative ones
-    subadditivity; relative entropy gives exactly zero (chain rule).
-    Evaluated as a batch of one by the kernel of the product check kinds,
-    so a sampled instance's gap is the bits its trial gives.
-    """
-    return _product_gap(div, inst, weak=False)
-
-
-def weak_consistency_gap(div: DivergenceSpec, inst: ProductInstance) -> Gap:
-    """alpha(nu_bar | mu_bar) - sum_x nu(x) alpha(K^nu_x | K^mu_x).
-
-    Weaker than the superadditivity gap by exactly alpha(nu | mu) >= 0;
-    nonnegative for weakly acceptance-consistent families. Evaluated like
-    ``superadditivity_gap``.
-    """
-    return _product_gap(div, inst, weak=True)
-
-
 def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) -> np.ndarray:
     """Gaps of B conditional instances packed as (B, E, F) weights and values.
 
     Row e of instance b is block e of its partition; zero weights pad short
     rows and missing ones. The full law lists the blocks' atoms row after
-    row. ``consistency_gap`` solves the charged row laws and the full laws,
-    which do not depend on each other, in one ``rho_batch`` and then the
-    outer laws of the row risks: two solves. ``weak_acceptance_margin``
-    recenters the full laws by the row risks, so it solves the rows first
-    and then the recentered full laws: two solves as well.
+    row. The gap rho(rho(X | G)) - rho(X) solves the charged row laws and
+    the full laws, which do not depend on each other, in one ``rho_batch``
+    and then the outer laws of the row risks: two solves. The weak margin
+    -rho(X~), with X~ recentered so that rho(X~ | G) = 0 on every block,
+    solves the rows first and then the recentered full laws: two solves as
+    well.
     """
     b, e, f = w.shape
     mass = _atom_sum(w)
@@ -530,21 +518,6 @@ def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) 
     return rho_batch(spec, mass, row_risk) - rho[n:]
 
 
-def _pack_partition(mu: FiniteDist, f, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, f, partition) as one packed instance: a row per block, in block order."""
-    partition.validate_against(mu.atoms)
-    vals = _as_values(f, len(mu))
-    w = np.zeros((1, len(partition.blocks), max(len(bl) for bl in partition.blocks)))
-    v = np.zeros_like(w)
-    for e, block in enumerate(partition.blocks):
-        ids = [mu._index[a] for a in block]
-        w[0, e, : len(ids)] = mu.weights[ids]
-        v[0, e, : len(ids)] = vals[ids]
-    if not np.any(w > 0.0):
-        raise InvalidPartitionError("no block carries positive mass")
-    return w, v
-
-
 def consistency_gap(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> float:
     """rho(rho(X | G)) - rho(X); nonnegative iff acceptance-consistent here.
 
@@ -555,28 +528,17 @@ def consistency_gap(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> 
     return float(_conditional_gaps(spec, *_pack_partition(mu, f, partition), weak=False)[0])
 
 
-def weak_acceptance_margin(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> float:
-    """-rho(X~) where X~ is X recentered so rho(X~ | G) = 0 on every block.
-
-    Weak acceptance consistency demands rho(X~) <= 0, so a negative margin
-    is a violation. Evaluated like ``consistency_gap``.
-    """
-    return float(_conditional_gaps(spec, *_pack_partition(mu, f, partition), weak=True)[0])
+# a presupposed-acceptable law whose risk exceeds this is not acceptable
+_ACCEPTABLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    acceptable: bool
-    rho_mixture: float
-
-
-def _mixture_risks(spec: RiskSpec, mixtures: Sequence[Sequence[tuple]], tol: float = 1e-9, marginal=True) -> np.ndarray:
+def _mixture_risks(spec: RiskSpec, mixtures: Sequence[Sequence[tuple]], marginal=True) -> np.ndarray:
     """rho of each mixture sum_i w_i m_i(. - x_i) of pairs (w_i, x_i, m_i), once its inputs are found acceptable.
 
     The mixtures, their component laws and, when ``marginal``, their
     x-marginals sum_i w_i delta_(x_i) are one ``rho_batch``. The weights w_i
-    are renormalized to sum to 1. A marginal or a component above tol
-    violates the precondition and raises.
+    are renormalized to sum to 1. A marginal or a component above
+    _ACCEPTABLE_TOL violates the precondition and raises.
     """
     q, x = (_padded([np.array([pair[i] for pair in pairs]) for pairs in mixtures]) for i in (0, 1))
     q = q / _atom_sum(q)[:, None]
@@ -587,76 +549,24 @@ def _mixture_risks(spec: RiskSpec, mixtures: Sequence[Sequence[tuple]], tol: flo
     parts = [(q, x)] if marginal else []
     parts += [(w[present], v[present]), ((q[:, :, None] * w).reshape(b, k * m), (x[:, :, None] + v).reshape(b, k * m))]
     rho = rho_batch(spec, _stacked([pw for pw, _ in parts]), _stacked([pv for _, pv in parts]))
-    if marginal and np.any(rho[:b] > tol):
+    if marginal and np.any(rho[:b] > _ACCEPTABLE_TOL):
         raise PreconditionViolatedError("the x-marginal is not acceptable")
-    if np.any(rho[b * marginal : -b] > tol):
+    if np.any(rho[b * marginal : -b] > _ACCEPTABLE_TOL):
         raise PreconditionViolatedError("a component law is not acceptable")
     return rho[-b:]
 
 
-def shift_convexity_probe(
-    spec: RiskSpec, mu: FiniteDist, kernel: Kernel, tol: float = 1e-9
-) -> ProbeResult:
-    """Check that acceptable inputs produce an acceptable shifted mixture.
-
-    The mixture places weight mu(x) * K_x(y) at the value x + y: the
-    ``property_s_probe`` of the pairs (mu(x), x, K_x). Inputs that are not
-    all acceptable violate the precondition and raise.
-    """
-    return property_s_probe(spec, ShiftConvexityInstance(mu, kernel).pairs(), tol)
-
-
-def property_s_probe(
-    spec: RiskSpec,
-    pairs: Sequence[tuple[float, float, FiniteDist]],
-    tol: float = 1e-9,
-) -> ProbeResult:
-    """Compound-lottery probe: gamma = sum_i w_i delta_(x_i, m_i).
-
-    Requires the first marginal (the law of the x_i) and every component law
-    m_i to be acceptable; checks the shifted mixture sum_i w_i m_i(. - x_i).
-    Evaluated as a batch of one by the kernel of the probe kinds, so a
-    sampled instance's risk is the bits its trial gives.
-    """
-    rho = float(_mixture_risks(spec, [pairs], tol)[0])
-    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho)
-
-
-def mixture_convexity_probe(
-    spec: RiskSpec, laws: Sequence[tuple[float, FiniteDist]], tol: float = 1e-9
-) -> ProbeResult:
-    """Convexity of the acceptance set: mixtures of acceptable laws stay in.
-
-    Evaluated like ``property_s_probe``, with no shifts and no x-marginal.
-    """
-    rho = float(_mixture_risks(spec, [_unshifted(laws)], tol, marginal=False)[0])
-    return ProbeResult(acceptable=rho <= tol, rho_mixture=rho)
-
-
-def _unshifted(laws: Sequence[tuple[float, FiniteDist]]) -> list[tuple[float, float, FiniteDist]]:
-    return [(w, 0.0, law) for w, law in laws]
-
-
-def integral_lemma_gap(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> Gap:
-    """|sum_x nu(x) alpha(K^nu_x | K^mu_x) - rowwise dual suprema|.
+def _integral_lemma(spec: RiskSpec, mu_bar: np.ndarray, nu_bar: np.ndarray) -> tuple[Gap, bool]:
+    """|sum_x nu(x) alpha(K^nu_x | K^mu_x) - rowwise dual suprema| of two joint weight matrices.
 
     The dual objective separates across rows, so the supremum over joint test
     functions is the nu-weighted sum of per-row dual solves; the closed form
-    of the same sum is the oracle. Each row runs ``dual_divergence``'s fixed
-    budget; the ``lemma_identity`` check kind also counts the rows that ran
-    out of it, which this value alone does not show.
+    of the same sum is the oracle. Also says whether a per-row dual solve ran
+    out of its budget. The closed forms of the rows nu charges are one batch;
+    a row of infinite alpha makes the gap vacuous, and then no row is solved.
     """
-    return _integral_lemma(spec, nu_bar, mu_bar)[0]
-
-
-def _integral_lemma(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> tuple[Gap, bool]:
-    """The integral lemma gap, and whether a per-row dual solve ran out of its budget.
-
-    The closed forms of the rows nu charges are one batch; a row of infinite
-    alpha makes the gap vacuous, and then no row is solved.
-    """
-    _, mu_rows = disintegrate_w(mu_bar.matrix)
-    nu_marg, nu_rows = disintegrate_w(nu_bar.matrix)
+    _, mu_rows = disintegrate_w(mu_bar)
+    nu_marg, nu_rows = disintegrate_w(nu_bar)
     charged = nu_marg > 0.0
     weights, nu_rows, mu_rows = nu_marg[charged], nu_rows[charged], mu_rows[charged]
     closed = divergence_for_risk_spec(spec).evaluate_batch(nu_rows, mu_rows)
@@ -668,22 +578,20 @@ def _integral_lemma(spec: RiskSpec, nu_bar: JointDist, mu_bar: JointDist) -> tup
     return Gap(value=gap), any(res.budget_exhausted for res in solves)
 
 
-def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
-    """|rho_mu(x -> rho_rows(f(x, .))) - grid-dual reconstruction|.
+def _key_identity_gap(spec: RiskSpec, mu_bar: np.ndarray, f: np.ndarray) -> float:
+    """|rho_mu(x -> rho_rows(f(x, .))) - grid-dual reconstruction| of a joint weight matrix and a payoff.
 
     The left side composes the risk through the disintegration of mu_bar;
     the right side maximizes E_nu[g] - alpha(nu | mu) over an enumerated
     simplex grid, with the per-row inner suprema evaluated in closed form.
     The rows' risks are one ``rho_batch``.
     """
-    f_mat = np.asarray(f, dtype=float).reshape(mu_bar.matrix.shape)
-    mu_marg, mu_rows = disintegrate_w(mu_bar.matrix)
+    mu_marg, mu_rows = disintegrate_w(mu_bar)
     charged = mu_marg > 0.0
     g = np.zeros(len(mu_marg))
-    g[charged] = rho_batch(spec, mu_rows[charged], f_mat[charged])
+    g[charged] = rho_batch(spec, mu_rows[charged], f[charged])
     lhs = rho_values(spec, mu_marg, g)
-    closed = divergence_for_risk_spec(spec)
-    rhs = primal_reconstruction(closed, FiniteDist(mu_bar.row_atoms, mu_marg), g)
+    rhs = primal_reconstruction(divergence_for_risk_spec(spec), FiniteDist(range(mu_marg.size), mu_marg), g)
     return abs(lhs - rhs)
 
 
@@ -698,13 +606,15 @@ def key_identity_gap(spec: RiskSpec, mu_bar: JointDist, f) -> float:
 # before each trial: a trial function takes all of a trial's draws before the
 # next trial's, and the generator carries no SeedSequence of the trial's own.
 # 19 kinds draw their trials one by one and solve them in a few batched
-# evaluations: the conditional, product and data-processing kinds and
+# evaluations of one block function, which a kind's replay calls on a block
+# of one: the conditional, product and data-processing kinds and
 # joint_convexity keep their draws as arrays, and a conditional block takes
 # 2 rho_batch calls (rows with full laws, then outer laws; the weak kind
 # rows, then recentered full laws, 1 call each step); the probe kinds
 # (shift_convexity, property_s, mixture_convexity), dist_concavity and
-# lebesgue draw laws and take at most two ``rho_batch`` calls. The other 3 kinds (duality, lemma_identity, key_identity) run a
-# solver per trial and are written for one trial, as
+# lebesgue draw laws and take at most two rho_batch calls. The other 3
+# kinds (duality, lemma_identity, key_identity) run a solver per trial and
+# are written for one trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
 # never holds their instances.
@@ -771,7 +681,7 @@ class _ChainDraw(NamedTuple):
 
 
 def _map_matrix(mapping: dict) -> np.ndarray:
-    """A map's 0/1 matrix, its images in first-appearance order as ``Kernel.deterministic`` orders them."""
+    """A map's 0/1 matrix, its images in the order they first appear."""
     order = list(dict.fromkeys(mapping.values()))
     return np.eye(len(order))[[order.index(y) for y in mapping.values()]]
 
@@ -832,8 +742,8 @@ def _chain_trials(risk, div, budget, start, stop, draw: Callable, score: Callabl
     """Pairs of laws drawn one by one as arrays, pushed along their chains in one ``_chain_values``.
 
     The laws and the matrices' rows are renormalized as FiniteDist and Kernel
-    renormalize them, so a trial gives the bits of ``dpi_gap``,
-    ``sufficiency_gap`` or ``refinement_monotonicity`` on its instance.
+    renormalize them, so the serialized instance holds the bits a trial
+    evaluates.
     """
     draws = [draw(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     values = _chain_values(
@@ -852,24 +762,28 @@ def _draw_convexity(rng, budget: SearchBudget) -> tuple:
     return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
 
 
+def _convexity_sides(div, t: np.ndarray, nu1, mu1, nu2, mu2) -> tuple[list, list]:
+    """Both sides of convexity, t alpha(nu1 | mu1) + (1 - t) alpha(nu2 | mu2) and alpha(the mixtures), of B pairs."""
+    lhs = t * div.evaluate_batch(nu1, mu1) + (1 - t) * div.evaluate_batch(nu2, mu2)
+    mix_nu, mix_mu = (t[:, None] * a + (1 - t[:, None]) * b for a, b in ((nu1, nu2), (mu1, mu2)))
+    rhs = div.evaluate_batch(mix_nu / _atom_sum(mix_nu)[:, None], mix_mu / _atom_sum(mix_mu)[:, None])
+    return lhs.tolist(), rhs.tolist()
+
+
 def _joint_convexity_trials(risk, div, budget, start, stop):
-    """t alpha(nu1 | mu1) + (1 - t) alpha(nu2 | mu2) - alpha(the mixtures), in three batched evaluations.
+    """The two sides of ``_convexity_sides`` minus each other, one trial per drawn instance.
 
     Laws are renormalized as FiniteDist renormalizes them. Infinite on both
     sides is vacuous, and a trial with an infinite side keeps no instance.
     """
     draws = [_draw_convexity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     t, *laws = zip(*draws)
-    nu1, mu1, nu2, mu2 = (_padded([_renormalized(w) for w in ws]) for ws in laws)
-    t = np.array(t)
-    lhs = t * div.evaluate_batch(nu1, mu1) + (1 - t) * div.evaluate_batch(nu2, mu2)
-    mix_nu, mix_mu = (t[:, None] * a + (1 - t[:, None]) * b for a, b in ((nu1, nu2), (mu1, mu2)))
-    rhs = div.evaluate_batch(mix_nu / _atom_sum(mix_nu)[:, None], mix_mu / _atom_sum(mix_mu)[:, None])
+    lhs, rhs = _convexity_sides(div, np.array(t), *(_padded([_renormalized(w) for w in ws]) for ws in laws))
     return [
         TrialResult(None, True, None, None)
         if math.isinf(left) and math.isinf(right)
         else TrialResult(left - right, False, None, None if math.isinf(left) else d)
-        for left, right, d in zip(lhs.tolist(), rhs.tolist(), draws)
+        for left, right, d in zip(lhs, rhs, draws)
     ]
 
 
@@ -917,8 +831,8 @@ def _conditional_trials(risk, div, budget, start, stop, weak: bool):
     """Conditional instances drawn one by one as arrays, their gaps in one ``_conditional_gaps``.
 
     The weights are renormalized twice, as JointDist and then ``flat()``'s
-    FiniteDist renormalize them, so a trial gives the bits of the public gap
-    on its ``sample_conditional_instance(...).flat()``.
+    FiniteDist renormalize them, so an acceptance trial gives the bits of
+    ``consistency_gap`` on its ``sample_conditional_instance(...).flat()``.
     """
     draws = [_draw_conditional(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     w = _padded([_renormalized(_renormalized(d.w)) for d in draws])
@@ -929,8 +843,8 @@ def _conditional_trials(risk, div, budget, start, stop, weak: bool):
 def _product_trials(risk, div, budget, start, stop, weak: bool):
     """Product instances drawn one by one as arrays, their gaps in one ``_product_gaps``.
 
-    The weights are renormalized as JointDist renormalizes them, so a trial
-    gives the bits of the public gap on its ``sample_product_instance``.
+    The weights are renormalized as JointDist renormalizes them, so the
+    serialized instance holds the bits a trial evaluates.
     """
     draws = [_draw_product(rng, budget) for rng in _trial_rngs(budget, start, stop)]
     gaps = _product_gaps(
@@ -978,7 +892,8 @@ def _draw_mixture(rng, budget: SearchBudget) -> tuple[list, np.ndarray]:
 
 
 def _mixture_instance(laws: Sequence[FiniteDist], weights: np.ndarray) -> list:
-    return list(zip(map(float, weights), laws))
+    """The pairs (w, 0, law): a mixture is a compound lottery with no shifts."""
+    return [(float(w), 0.0, law) for w, law in zip(weights, laws)]
 
 
 def _draw_concavity(rng, budget: SearchBudget) -> dict:
@@ -988,29 +903,32 @@ def _draw_concavity(rng, budget: SearchBudget) -> dict:
     return {"t": float(rng.uniform(0.05, 0.95)), "m1": m1, "m2": m2}
 
 
-def _dist_concavity_trials(risk, div, budget, start, stop):
-    """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2), the laws and the mixtures in one ``rho_batch``."""
-    insts = [_draw_concavity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    t = np.array([inst["t"] for inst in insts])
-    laws = [[inst[m] for inst in insts] for m in ("m1", "m2")]
-    w1, w2 = (_padded([law.weights for law in ms]) for ms in laws)
-    v1, v2 = (_padded([law.values_array() for law in ms]) for ms in laws)
+def _concavity_gaps(risk, t: np.ndarray, laws1: Sequence, laws2: Sequence) -> list[float]:
+    """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2) of B pairs, the laws and mixtures in one ``rho_batch``."""
+    w1, w2 = (_padded([law.weights for law in ms]) for ms in (laws1, laws2))
+    v1, v2 = (_padded([law.values_array() for law in ms]) for ms in (laws1, laws2))
     mixed_w = np.hstack([t[:, None] * w1, (1 - t[:, None]) * w2])
     rho = rho_batch(risk, _stacked([w1, w2, mixed_w]), _stacked([v1, v2, np.hstack([v1, v2])]))
     rho1, rho2, mixed = rho.reshape(3, -1)
-    gaps = mixed - t * rho1 - (1 - t) * rho2
-    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps.tolist(), insts)]
+    return (mixed - t * rho1 - (1 - t) * rho2).tolist()
+
+
+def _dist_concavity_trials(risk, div, budget, start, stop):
+    insts = [_draw_concavity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
+    t = np.array([inst["t"] for inst in insts])
+    gaps = _concavity_gaps(risk, t, *([inst[m] for inst in insts] for m in ("m1", "m2")))
+    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps, insts)]
 
 
 def _lemma_identity_trial(rng, risk, div, budget):
     inst = sample_product_instance(rng, _small_budget(budget))
-    g, exhausted = _integral_lemma(risk, inst.nu_bar, inst.mu_bar)
+    g, exhausted = _integral_lemma(risk, inst.mu_bar.matrix, inst.nu_bar.matrix)
     return g.value, g.vacuous, inst.is_product, inst, exhausted
 
 
 def _key_identity_trial(rng, risk, div, budget):
     inst = sample_conditional_instance(rng, _small_budget(budget))
-    return key_identity_gap(risk, inst.joint, inst.values), False, inst.is_product, inst
+    return _key_identity_gap(risk, inst.joint.matrix, inst.values), False, inst.is_product, inst
 
 
 def _draw_lebesgue(rng, budget: SearchBudget) -> tuple:
@@ -1019,17 +937,21 @@ def _draw_lebesgue(rng, budget: SearchBudget) -> tuple:
     return mu, _payoffs(rng, n), rng.uniform(0.0, 1.0, size=n)
 
 
-def _lebesgue_trials(risk, div, budget, start, stop):
-    """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f): the 16 risks of every trial in one ``rho_batch``."""
-    insts = [_draw_lebesgue(rng, budget) for rng in _trial_rngs(budget, start, stop)]
+def _lebesgue_gaps(risk, insts: Sequence[tuple]) -> list[float]:
+    """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f), per (mu's weights, f, h): all risks in one ``rho_batch``."""
     scales = 4.0 ** -np.arange(15.0)
     v = _padded([np.vstack([f, f + scales[:, None] * h]) for _, f, h in insts])
-    w = _padded([np.broadcast_to(mu.weights, (16, mu.weights.size)) for mu, _, _ in insts])
+    w = _padded([np.broadcast_to(mu_w, (16, mu_w.size)) for mu_w, _, _ in insts])
     rho = rho_batch(risk, w.reshape(-1, w.shape[-1]), v.reshape(-1, v.shape[-1])).reshape(-1, 16)
     limit, vals = rho[:, 0], rho[:, 1:]
     # ties keep the first argument, as max() does: a zero step or gap stays +0.0
-    gaps = np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit))
-    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps.tolist(), insts)]
+    return np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit)).tolist()
+
+
+def _lebesgue_trials(risk, div, budget, start, stop):
+    insts = [_draw_lebesgue(rng, budget) for rng in _trial_rngs(budget, start, stop)]
+    gaps = _lebesgue_gaps(risk, [(mu.weights, f, h) for mu, f, h in insts])
+    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps, insts)]
 
 
 def _as_json(inst) -> dict:
@@ -1073,12 +995,178 @@ def _property_s_json(pairs) -> dict:
 
 
 def _mixture_json(components) -> dict:
-    return {"components": [{"weight": w, "law": law.as_json()} for w, law in components]}
+    return {"components": [{"weight": w, "law": law.as_json()} for w, _, law in components]}
 
 
 def _lebesgue_json(inst) -> dict:
     mu, f, h = inst
     return {"mu": mu.as_json(), "f": f.tolist(), "h": h.tolist()}
+
+
+# ---------------------------------------------------------------------------
+# replay: a serialized instance read back and evaluated as a block of one
+# ---------------------------------------------------------------------------
+#
+# An instance document comes from outside the program: a part that is
+# missing or of the wrong type, or whose atoms do not match the other parts,
+# raises ConfigParseError. A replay evaluates the numbers as serialized, not
+# as FiniteDist, JointDist or Kernel store them when read, which renormalizes
+# weights once more and moves last bits; it applies the renormalizations its
+# trial applied after serializing, so it gives the trial's gap bits.
+
+
+def _stored(cls, doc, key: str = "weights") -> tuple:
+    """doc read as a cls, and its numbers under key as serialized."""
+    return cls.from_json(doc), np.array(doc[key], dtype=float)
+
+
+class _Law(NamedTuple):
+    """A law on the real line with its weights as serialized: what the block code reads of a FiniteDist."""
+
+    weights: np.ndarray
+    values: np.ndarray
+
+    def values_array(self) -> np.ndarray:
+        return self.values
+
+
+def _law(doc) -> _Law:
+    law, w = _stored(FiniteDist, doc)
+    return _Law(w, law.values_array())
+
+
+def _on_one_space(doc, what: str, cls, *names) -> tuple[dict, list[np.ndarray]]:
+    """The atoms the laws of type cls under names share, as a JSON object, and their weights as serialized."""
+    laws = [_stored(cls, part) for part in json_object(doc, what, *names)]
+    spaces = [{**law.as_json(), "weights": None} for law, _ in laws]
+    if any(space != spaces[0] for space in spaces):
+        raise ConfigParseError(f"the laws {', '.join(names)} of a {what} must share their atoms")
+    return spaces[0], [w for _, w in laws]
+
+
+def _joint_pair(doc) -> list[np.ndarray]:
+    """The weights of mu_bar and nu_bar, as serialized, of a product instance."""
+    return _on_one_space(doc, "product instance", JointDist, "mu_bar", "nu_bar")[1]
+
+
+def _product_replay(risk, div, doc, weak: bool, negate: bool = False):
+    mu, nu = _joint_pair(doc)
+    gap = _product_gaps(div, mu[None], nu[None], np.array([mu.shape[1]]), weak)[0].value
+    return -gap if negate and gap is not None else gap
+
+
+def _lemma_replay(risk, div, doc):
+    return _integral_lemma(risk, *_joint_pair(doc))[0].value
+
+
+def _joint_payoff(doc) -> tuple[np.ndarray, np.ndarray]:
+    """The weights, as serialized, and the payoff of a conditional instance."""
+    joint_doc, values, partition = json_object(doc, "conditional instance", "joint", "values", "partition")
+    if partition != "first_coordinate":
+        raise ConfigParseError(f"a conditional instance's 'partition' must be 'first_coordinate', got {partition!r}")
+    _, w = _stored(JointDist, joint_doc)
+    v = np.array(number_rows(values, "conditional instance 'values'"), dtype=float)
+    if v.shape != w.shape:
+        raise ConfigParseError(f"conditional instance 'values' must have the joint law's shape {w.shape}: {v.shape}")
+    return w, v
+
+
+def _conditional_replay(risk, div, doc, weak: bool, negate: bool = False):
+    w, v = _joint_payoff(doc)
+    # the trial's weights are renormalized once more, as flat()'s FiniteDist does
+    gap = float(_conditional_gaps(risk, _renormalized(w)[None], v[None], weak)[0])
+    return -gap if negate else gap
+
+
+def _key_identity_replay(risk, div, doc):
+    return _key_identity_gap(risk, *_joint_payoff(doc))
+
+
+def _map_matrices(atoms: tuple, maps: list) -> list[np.ndarray]:
+    """The 0/1 matrices of a JSON list of maps, each a JSON object on exactly the image of the one before."""
+    if not isinstance(maps, list):
+        raise ConfigParseError(f"a chain of maps must be a JSON list, got {maps!r}")
+    out = []
+    for mapping in maps:
+        if not isinstance(mapping, Mapping) or set(mapping) != set(atoms):
+            raise ConfigParseError(f"a map must be a JSON object on exactly the atoms {list(atoms)!r}, got {mapping!r}")
+        on_atoms = {a: mapping[a] for a in atoms}
+        atoms = tuple(dict.fromkeys(label_list(list(on_atoms.values()), "the images of a map")))
+        out.append(_map_matrix(on_atoms))
+    return out
+
+
+def _chain_replay(risk, div, doc, link: str, score: Callable = _pair_score):
+    """A data-processing instance's laws pushed along its "kernel", its "map" or its "maps".
+
+    Sufficiency of a statistic (one map) is a property of d nu / d mu, so it needs nu << mu.
+    """
+    what = "data-processing instance"
+    space, (nu, mu) = _on_one_space(doc, what, FiniteDist, "nu", "mu")
+    (link_doc,) = json_object(doc, what, link)
+    if link == "kernel":
+        kernel, rows = _stored(Kernel, link_doc, "rows")
+        if list(kernel.source) != space["atoms"]:
+            raise ConfigParseError(f"the kernel's source must be the laws' atoms {space['atoms']!r}")
+        chain = [rows]
+    else:
+        if link == "map" and _not_ac(nu, mu):
+            raise NotAbsolutelyContinuousError("a sufficiency instance needs nu << mu")
+        chain = _map_matrices(tuple(space["atoms"]), [link_doc] if link == "map" else link_doc)
+    return score(_chain_values(div, nu[None], mu[None], [m[None] for m in chain])[0].tolist(), None).gap
+
+
+def _convexity_replay(risk, div, doc):
+    what = "joint_convexity instance"
+    _, laws = _on_one_space(doc, what, FiniteDist, "nu1", "mu1", "nu2", "mu2")
+    t = typed_field(doc, "t", None, float, what)
+    (left,), (right,) = _convexity_sides(div, np.array([t]), *(w[None] for w in laws))
+    return Gap.of(left, right).value
+
+
+def _shift_convexity_replay(risk, div, doc):
+    mu_doc, kernel_doc = json_object(doc, "shift_convexity instance", "mu", "kernel")
+    (mu, mu_w), (kernel, rows) = _stored(FiniteDist, mu_doc), _stored(Kernel, kernel_doc, "rows")
+    if kernel.source != mu.atoms:
+        raise ConfigParseError(f"the kernel's source must be mu's atoms {list(mu.atoms)!r}")
+    # the trial's components are the kernel's rows as FiniteDist renormalizes them
+    pairs = [(float(w), float(x), FiniteDist(kernel.target, row)) for w, x, row in zip(mu_w, mu.values_array(), rows)]
+    return -float(_mixture_risks(risk, [pairs])[0])
+
+
+def _lottery_replay(risk, div, doc, what: str, key: str, shifted: bool):
+    """Minus the risk of a compound lottery's shifted mixture, or of a mixture, whose shifts are 0."""
+    (entries,) = json_object(doc, what, key)
+    if not isinstance(entries, list) or not entries:
+        raise ConfigParseError(f"{what} {key!r} must be a nonempty list, got {entries!r}")
+    fields = ("weight", "x", "law") if shifted else ("weight", "law")
+    parts = [json_object(entry, f"an entry of {what} {key!r}", *fields) for entry in entries]
+    weights = number_list([p[0] for p in parts], f"the weights of {what} {key!r}")
+    shifts = number_list([p[1] for p in parts], f"the shifts of {what} {key!r}") if shifted else [0.0] * len(parts)
+    FiniteDist(range(len(weights)), weights)  # raises unless the weights are a probability vector
+    pairs = [(float(w), float(x), _law(p[-1])) for w, x, p in zip(weights, shifts, parts)]
+    return -float(_mixture_risks(risk, [pairs], marginal=shifted)[0])
+
+
+def _concavity_replay(risk, div, doc):
+    what = "dist_concavity instance"
+    m1, m2 = json_object(doc, what, "m1", "m2")
+    return _concavity_gaps(risk, np.array([typed_field(doc, "t", None, float, what)]), [_law(m1)], [_law(m2)])[0]
+
+
+def _lebesgue_replay(risk, div, doc):
+    what = "lebesgue instance"
+    mu_doc, f, h = json_object(doc, what, "mu", "f", "h")
+    _, mu_w = _stored(FiniteDist, mu_doc)
+    f, h = (np.array(number_list(x, f"{what} {key!r}"), dtype=float) for key, x in (("f", f), ("h", h)))
+    if f.shape != mu_w.shape or h.shape != mu_w.shape:
+        raise ConfigParseError(f"{what} 'f' and 'h' must hold one value per atom of mu")
+    return _lebesgue_gaps(risk, [(mu_w, f, h)])[0]
+
+
+def _duality_replay(risk, div, doc):
+    _, (nu, mu) = _on_one_space(doc, "duality instance", FiniteDist, "nu", "mu")
+    return _certified_dual_w(risk, nu, mu).certified_gap
 
 
 @dataclass(frozen=True)
@@ -1089,14 +1177,19 @@ class CheckKind:
     <= noise. ``needs`` says which of (risk spec, divergence spec) the trial
     uses. ``trial`` is described above; ``serialize`` turns its instance into
     JSON and runs only when a trial is described, never in ``run_trials``.
-    ``grid_sizes`` names the sizes, "E" or "F", that count atoms of distinct
-    values drawn from VALUE_GRID, so they may not exceed its 41 points.
+    ``replay(risk, div, instance_doc)`` is its inverse: it reads a serialized
+    instance back and evaluates it through the kind's block code as a block
+    of one, so it gives the bits of the trial's gap, None when vacuous; a
+    malformed document raises ConfigParseError. ``grid_sizes`` names the
+    sizes, "E" or "F", that count atoms of distinct values drawn from
+    VALUE_GRID, so they may not exceed its 41 points.
     """
 
     side: str
     needs: str
     trial: Callable
     serialize: Callable
+    replay: Callable
     grid_sizes: str = ""
 
     def badness(self, gap: float) -> float:
@@ -1111,49 +1204,54 @@ class CheckKind:
                 raise ConfigParseError(f"{what} draws distinct payoff values from VALUE_GRID: {limit}")
 
 
-_SUPERADDITIVITY = partial(_product_trials, weak=False)
-_CONSISTENCY = partial(_conditional_trials, weak=False)
+def _product_kind(side: str, weak: bool = False, negate: bool = False) -> CheckKind:
+    trials = partial(_product_trials, weak=weak)
+    replay = partial(_product_replay, weak=weak, negate=negate)
+    return CheckKind(side, "div", _negated(trials) if negate else trials, _product_json, replay)
+
+
+def _conditional_kind(side: str, weak: bool = False, negate: bool = False) -> CheckKind:
+    trials = partial(_conditional_trials, weak=weak)
+    replay = partial(_conditional_replay, weak=weak, negate=negate)
+    return CheckKind(side, "risk", _negated(trials) if negate else trials, _conditional_json, replay)
+
+
+def _chain_kind(side: str, draw: Callable, link: str, score: Callable = _pair_score) -> CheckKind:
+    trials = partial(_chain_trials, draw=draw, score=score)
+    return CheckKind(side, "div", trials, _chain_json, partial(_chain_replay, link=link, score=score))
+
+
 _SHIFT_CONVEXITY = partial(
     _probe_trials, draw=_draw_shift_convexity, instance=_shift_convexity_instance, pairs=ShiftConvexityInstance.pairs
 )
 _PROPERTY_S = partial(_probe_trials, draw=_draw_property_s, instance=_property_s_instance)
-_MIXTURE_CONVEXITY = partial(
-    _probe_trials, draw=_draw_mixture, instance=_mixture_instance, pairs=_unshifted, marginal=False
-)
+_MIXTURE_CONVEXITY = partial(_probe_trials, draw=_draw_mixture, instance=_mixture_instance, marginal=False)
+_PROPERTY_S_REPLAY = partial(_lottery_replay, what="property_s instance", key="pairs", shifted=True)
+_MIXTURE_REPLAY = partial(_lottery_replay, what="mixture_convexity instance", key="components", shifted=False)
 
 CHECK_KINDS: dict[str, CheckKind] = {
-    "chain_rule": CheckKind("abs", "div", _SUPERADDITIVITY, _product_json),
-    "superadditivity": CheckKind("lower", "div", _SUPERADDITIVITY, _product_json),
-    "subadditivity": CheckKind("lower", "div", _negated(_SUPERADDITIVITY), _product_json),
-    "weak_consistency": CheckKind("lower", "div", partial(_product_trials, weak=True), _product_json),
-    "dpi": CheckKind(
-        "lower", "div", partial(_chain_trials, draw=partial(_draw_dpi, bijection=False)), _chain_json
-    ),
-    "dpi_bijection": CheckKind(
-        "abs", "div", partial(_chain_trials, draw=partial(_draw_dpi, bijection=True)), _chain_json
-    ),
-    "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json),
-    "time_consistency": CheckKind("abs", "risk", _CONSISTENCY, _conditional_json),
-    "acceptance": CheckKind("lower", "risk", _CONSISTENCY, _conditional_json),
-    "rejection": CheckKind("lower", "risk", _negated(_CONSISTENCY), _conditional_json),
-    "weak_acceptance": CheckKind("lower", "risk", partial(_conditional_trials, weak=True), _conditional_json),
-    "shift_convexity": CheckKind("lower", "risk", _SHIFT_CONVEXITY, _as_json, "EF"),
-    "property_s": CheckKind("lower", "risk", _PROPERTY_S, _property_s_json, "F"),
-    "mixture_convexity": CheckKind("lower", "risk", _MIXTURE_CONVEXITY, _mixture_json, "F"),
-    "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json),
-    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trials, _parts_json, "E"),
-    "sufficiency_matched": CheckKind(
-        "abs", "div", partial(_chain_trials, draw=partial(_draw_sufficiency, matched=True)), _chain_json
-    ),
-    "sufficiency_generic": CheckKind(
-        "lower", "div", partial(_chain_trials, draw=partial(_draw_sufficiency, matched=False)), _chain_json
-    ),
-    "refinement": CheckKind(
-        "lower", "div", partial(_chain_trials, draw=_draw_refinement, score=_refinement_score), _chain_json
-    ),
-    "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json),
-    "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json),
-    "lebesgue": CheckKind("abs", "risk", _lebesgue_trials, _lebesgue_json),
+    "chain_rule": _product_kind("abs"),
+    "superadditivity": _product_kind("lower"),
+    "subadditivity": _product_kind("lower", negate=True),
+    "weak_consistency": _product_kind("lower", weak=True),
+    "dpi": _chain_kind("lower", partial(_draw_dpi, bijection=False), "kernel"),
+    "dpi_bijection": _chain_kind("abs", partial(_draw_dpi, bijection=True), "kernel"),
+    "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json, _duality_replay),
+    "time_consistency": _conditional_kind("abs"),
+    "acceptance": _conditional_kind("lower"),
+    "rejection": _conditional_kind("lower", negate=True),
+    "weak_acceptance": _conditional_kind("lower", weak=True),
+    "shift_convexity": CheckKind("lower", "risk", _SHIFT_CONVEXITY, _as_json, _shift_convexity_replay, "EF"),
+    "property_s": CheckKind("lower", "risk", _PROPERTY_S, _property_s_json, _PROPERTY_S_REPLAY, "F"),
+    "mixture_convexity": CheckKind("lower", "risk", _MIXTURE_CONVEXITY, _mixture_json, _MIXTURE_REPLAY, "F"),
+    "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json, _convexity_replay),
+    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trials, _parts_json, _concavity_replay, "E"),
+    "sufficiency_matched": _chain_kind("abs", partial(_draw_sufficiency, matched=True), "map"),
+    "sufficiency_generic": _chain_kind("lower", partial(_draw_sufficiency, matched=False), "map"),
+    "refinement": _chain_kind("lower", _draw_refinement, "maps", _refinement_score),
+    "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json, _lemma_replay),
+    "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json, _key_identity_replay),
+    "lebesgue": CheckKind("abs", "risk", _lebesgue_trials, _lebesgue_json, _lebesgue_replay),
 }
 
 

@@ -18,10 +18,10 @@ Closed forms implemented here:
 forms, on many pairs at once; every other evaluation is a batch of one of it.
 ``dual_divergence`` solves the defining supremum directly by supergradient
 ascent over mean-zero test vectors and reports a certified gap against the
-closed form when one exists. The structural inequalities (data processing,
-sufficiency, refinement monotonicity) push both laws along a chain of
-row-stochastic matrices. All alphas are nonnegative, vanish at nu == mu, and
-are +inf off absolute continuity.
+closed form when one exists. ``_chain_values`` evaluates the structural
+inequalities (data processing, sufficiency, refinement monotonicity): it
+pushes both laws along a chain of row-stochastic matrices. All alphas are
+nonnegative, vanish at nu == mu, and are +inf off absolute continuity.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     ConfigParseError,
-    NotAbsolutelyContinuousError,
     SpaceMismatchError,
     UnknownFamilyError,
     UnsupportedFamilyError,
@@ -43,7 +42,7 @@ from .errors import (
     typed_field,
 )
 from .losses import LossFn, UtilityFn, _table_conjugate_array, conjugate_table
-from .prob import FiniteDist, Kernel
+from .prob import FiniteDist
 from .risk import RiskSpec, _atom_sum, _golden_min, _validate_density, rho_batch, rho_values
 
 _EQUALITY_TOL = 1e-12
@@ -453,12 +452,17 @@ def dual_divergence(spec: RiskSpec, nu: FiniteDist, mu: FiniteDist) -> DualSolve
     one, is attached together with the certified gap closed_form - value.
     """
     _check_same_atoms(nu, mu)
-    result = _dual_divergence_w(spec, nu.weights, mu.weights)
+    return _certified_dual_w(spec, nu.weights, mu.weights)
+
+
+def _certified_dual_w(spec: RiskSpec, nu_w: np.ndarray, mu_w: np.ndarray) -> DualSolveResult:
+    """``dual_divergence`` on weight arrays."""
+    result = _dual_divergence_w(spec, nu_w, mu_w)
     try:
         closed_spec = divergence_for_risk_spec(spec)
     except UnsupportedFamilyError:
         return result
-    closed = closed_spec.evaluate_w(nu.weights, mu.weights)
+    closed = closed_spec.evaluate_w(nu_w, mu_w)
     gap = None
     if math.isfinite(closed) and math.isfinite(result.value):
         gap = closed - result.value
@@ -492,48 +496,6 @@ def _chain_values(div: DivergenceSpec, nu: np.ndarray, mu: np.ndarray, chain: Se
         nu, mu = _pushed(nu, kernels), _pushed(mu, kernels)
         values.append(div.evaluate_batch(nu, mu))
     return np.stack(values, axis=1)
-
-
-def dpi_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, kernel: Kernel) -> Gap:
-    """alpha(nu | mu) - alpha(nu K | mu K); nonnegative for any divergence.
-
-    Both sides infinite is reported vacuous rather than as NaN arithmetic.
-    Evaluated as a batch of one by the kernel of the ``dpi`` check kinds, so
-    a sampled instance's gap is the bits its trial gives.
-    """
-    _check_same_atoms(nu, mu)
-    if kernel.source != mu.atoms:
-        raise SpaceMismatchError("kernel source must match the common atom set")
-    return Gap.of(*_chain_values(div, nu.weights[None], mu.weights[None], [kernel.matrix[None]])[0].tolist())
-
-
-def sufficiency_gap(div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, mapping) -> Gap:
-    """alpha(nu | mu) - alpha(nu o T^-1 | mu o T^-1) for a statistic T.
-
-    Zero (within solver noise) whenever d nu / d mu is constant on each fiber
-    of T; nonnegative always, by data processing. Evaluated like ``dpi_gap``.
-    """
-    _check_same_atoms(nu, mu)
-    if _not_ac(nu.weights, mu.weights):
-        raise NotAbsolutelyContinuousError("sufficiency_gap requires nu << mu")
-    return Gap.of(*refinement_monotonicity(div, nu, mu, [mapping]))
-
-
-def refinement_monotonicity(
-    div: DivergenceSpec, nu: FiniteDist, mu: FiniteDist, chain: Sequence
-) -> list[float]:
-    """Divergence values along a chain of coarsening maps, finest first.
-
-    The first entry is alpha(nu | mu) itself; each later entry pushes both
-    laws through one more map, as its 0/1 kernel with the images in
-    first-appearance order. Data processing makes the list nonincreasing.
-    Evaluated like ``dpi_gap``.
-    """
-    _check_same_atoms(nu, mu)
-    kernels: list[Kernel] = []
-    for mapping in chain:
-        kernels.append(Kernel.deterministic(kernels[-1].target if kernels else mu.atoms, mapping))
-    return _chain_values(div, nu.weights[None], mu.weights[None], [k.matrix[None] for k in kernels])[0].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,16 @@ def number_list(value, what: str) -> list:
     return value
 
 
+def number_rows(value, what: str) -> list:
+    """value, if it is a JSON list of lists of numbers, all of one length; else ConfigParseError."""
+    if not isinstance(value, list):
+        raise ConfigParseError(f"{what} must be a JSON list of rows, got {value!r}")
+    rows = [number_list(row, f"a row of {what}") for row in value]
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigParseError(f"the rows of {what} must all have one length, got {value!r}")
+    return rows
+
+
 def label_list(value, what: str) -> list:
     """value, if it is a JSON list of atom labels: anything but a list or an object, which cannot label an atom."""
     if not isinstance(value, list) or any(isinstance(a, (list, Mapping)) for a in value):

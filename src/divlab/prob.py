@@ -7,8 +7,9 @@ Weights are validated on construction: tiny negatives (>= -1e-15) are clamped
 to zero, totals within 1e-9 of 1 are renormalized exactly, and anything worse
 raises. All values are immutable after construction. ``from_json`` refuses a
 document that is not an object, lacks a field or has a field of the wrong
-type (weights or rows that are not lists of numbers, atoms or blocks that
-are not lists of labels) with ``ConfigParseError``.
+type (weights or rows that are not lists of numbers, rows of unequal
+lengths, atoms or blocks that are not lists of labels) with
+``ConfigParseError``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     json_object,
     label_list,
     number_list,
+    number_rows,
     typed_field,
 )
 
@@ -161,9 +163,7 @@ class Kernel:
         """The kernel x -> delta_{T(x)}; raises if T misses an atom."""
         source = tuple(source)
         images = [_apply_map(mapping, a) for a in source]
-        if target is None:
-            target = _first_appearance(images)
-        target = tuple(target)
+        target = tuple(dict.fromkeys(images) if target is None else target)
         idx = {a: i for i, a in enumerate(target)}
         mat = np.zeros((len(source), len(target)))
         for i, y in enumerate(images):
@@ -181,8 +181,8 @@ class Kernel:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Kernel":
-        source, target, _ = json_object(doc, "kernel", "source", "target", "rows")
-        rows = [number_list(r, "a kernel row") for r in typed_field(doc, "rows", None, list, "kernel")]
+        source, target, rows = json_object(doc, "kernel", "source", "target", "rows")
+        rows = number_rows(rows, "kernel 'rows'")
         return cls(label_list(source, "kernel 'source'"), label_list(target, "kernel 'target'"), rows)
 
 
@@ -232,10 +232,9 @@ class JointDist:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "JointDist":
-        row_atoms, col_atoms, _ = json_object(doc, "joint law", "row_atoms", "col_atoms", "weights")
-        weights = [number_list(r, "a joint law row") for r in typed_field(doc, "weights", None, list, "joint law")]
+        row_atoms, col_atoms, weights = json_object(doc, "joint law", "row_atoms", "col_atoms", "weights")
         rows, cols = label_list(row_atoms, "joint law 'row_atoms'"), label_list(col_atoms, "joint law 'col_atoms'")
-        return cls(rows, cols, weights)
+        return cls(rows, cols, number_rows(weights, "joint law 'weights'"))
 
 
 @dataclass(frozen=True)
@@ -270,31 +269,18 @@ class Partition:
 
 
 def _apply_map(mapping, atom: Atom):
-    if callable(mapping):
-        try:
-            return mapping(atom)
-        except (KeyError, IndexError) as exc:
-            raise UnmappedAtomError(f"map undefined at atom {atom!r}") from exc
+    """T(atom) of a callable or a mapping T; UnmappedAtomError where T is undefined."""
+    undefined = (KeyError, IndexError) if callable(mapping) else (KeyError, IndexError, TypeError)
     try:
-        return mapping[atom]
-    except (KeyError, IndexError, TypeError) as exc:
+        return mapping(atom) if callable(mapping) else mapping[atom]
+    except undefined as exc:
         raise UnmappedAtomError(f"map undefined at atom {atom!r}") from exc
-
-
-def _first_appearance(labels: Iterable[Atom]) -> tuple:
-    out = []
-    seen = set()
-    for lab in labels:
-        if lab not in seen:
-            seen.add(lab)
-            out.append(lab)
-    return tuple(out)
 
 
 def pushforward(mu: FiniteDist, mapping) -> FiniteDist:
     """The image measure mu o T^{-1}; target atoms in first-appearance order."""
     images = [_apply_map(mapping, a) for a in mu.atoms]
-    target = _first_appearance(images)
+    target = tuple(dict.fromkeys(images))
     idx = {a: i for i, a in enumerate(target)}
     w = np.zeros(len(target))
     for i, y in enumerate(images):
@@ -338,11 +324,8 @@ def condition(mu: FiniteDist, f, partition: Partition) -> list[ConditionalBlock]
     for block in partition.blocks:
         ids = [mu._index[a] for a in block]
         w = float(mu.weights[ids].sum())
-        if w <= 0.0:
-            continue
-        law = pushforward(
-            FiniteDist([mu.atoms[i] for i in ids], mu.weights[ids] / w),
-            {mu.atoms[i]: float(vals[i]) for i in ids},
-        )
-        out.append(ConditionalBlock(block=block, weight=w, law=law))
+        if w > 0.0:
+            atoms = [mu.atoms[i] for i in ids]
+            law = pushforward(FiniteDist(atoms, mu.weights[ids] / w), dict(zip(atoms, vals[ids].tolist())))
+            out.append(ConditionalBlock(block=block, weight=w, law=law))
     return out

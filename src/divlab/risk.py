@@ -42,7 +42,7 @@ from .errors import (
     typed_field,
 )
 from .losses import LossFn, UtilityFn
-from .prob import FiniteDist, Partition, _as_values, condition
+from .prob import FiniteDist, Partition, _as_values
 
 # the fields of each family's JSON document besides "family"
 _FIELDS = {
@@ -438,17 +438,35 @@ class ConditionalRisk:
     weights: tuple  # matching block probabilities
 
 
-def rho_conditional(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> ConditionalRisk:
-    """Blockwise risk of f given the partition, one value per charged block, in one ``rho_batch``."""
-    blocks = condition(mu, f, partition)
-    if not blocks:
+def _pack_partition(mu: FiniteDist, f, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, f, partition) as one packed instance of (1, E, F) weights and values: a row per block, in block order."""
+    partition.validate_against(mu.atoms)
+    vals = _as_values(f, len(mu))
+    w = np.zeros((1, len(partition.blocks), max(len(bl) for bl in partition.blocks)))
+    v = np.zeros_like(w)
+    for e, block in enumerate(partition.blocks):
+        ids = [mu._index[a] for a in block]
+        w[0, e, : len(ids)] = mu.weights[ids]
+        v[0, e, : len(ids)] = vals[ids]
+    if not np.any(w > 0.0):
         raise InvalidPartitionError("no block carries positive mass")
-    W, V = np.zeros((2, len(blocks), max(len(cb.law) for cb in blocks)))
-    for b, cb in enumerate(blocks):
-        W[b, : len(cb.law)], V[b, : len(cb.law)] = cb.law.weights, cb.law.values_array()
-    risks = rho_batch(spec, W, V).tolist()
+    return w, v
+
+
+def rho_conditional(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> ConditionalRisk:
+    """Blockwise risk of f given the partition, one value per charged block, in one ``rho_batch``.
+
+    The blocks are packed as ``consistency_gap`` packs them: each charged
+    row divided by its mass, summed in atom order, so the block risks and
+    weights are the bits that gap composes.
+    """
+    (w,), (v,) = _pack_partition(mu, f, partition)
+    mass = _atom_sum(w)
+    charged = mass > 0.0
+    risks = rho_batch(spec, w[charged] / mass[charged][:, None], v[charged]).tolist()
+    blocks = [block for block, c in zip(partition.blocks, charged) if c]
     return ConditionalRisk(
         partition=partition,
-        values=tuple((cb.block, r) for cb, r in zip(blocks, risks)),
-        weights=tuple(cb.weight for cb in blocks),
+        values=tuple(zip(blocks, risks)),
+        weights=tuple(mass[charged].tolist()),
     )

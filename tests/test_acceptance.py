@@ -16,18 +16,17 @@ import numpy as np
 import pytest
 
 from divlab.consistency import (
+    CHECK_KINDS,
     SearchBudget,
     counterexample_search,
     describe_trial,
-    integral_lemma_gap,
     run_trials,
     sample_product_instance,
 )
 from divlab.divergence import DivergenceSpec, divergence_for_risk_spec
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, JointDist, Partition
+from divlab.prob import FiniteDist
 from divlab.risk import RiskSpec, rho_entropic, rho_oce, rho_shortfall
-from divlab.consistency import consistency_gap
 
 
 def report(number: int, message: str) -> None:
@@ -138,13 +137,8 @@ def test_criterion_06_counterexample_search_finds_power_plus_violation():
     replay = describe_trial("acceptance", spec, None, budget, result.worst_trial)
     assert replay == result.worst_instance
     assert replay["gap"] == result.worst_gap
-    # and the serialized instance recomputes the same gap from scratch
-    doc = result.worst_instance["instance"]
-    joint = JointDist.from_json(doc["joint"])
-    part = Partition(tuple(tuple((x, y) for y in joint.col_atoms) for x in joint.row_atoms))
-    values = np.asarray(doc["values"], dtype=float).reshape(-1)
-    recomputed = consistency_gap(spec, joint.as_dist(), values, part)
-    assert abs(recomputed - result.worst_gap) <= 1e-12
+    # and the serialized instance replays to the same bits
+    assert CHECK_KINDS["acceptance"].replay(spec, None, result.worst_instance["instance"]) == result.worst_gap
     report(6, f"acceptance violation for ((1+x)+)^2 shortfall (gap={result.worst_gap:.4f}, trial={result.worst_trial}, replayed)")
 
 
@@ -180,9 +174,9 @@ def test_criterion_09_rowwise_integral_identity():
     worst = 0.0
     for trial in range(budget.trials):
         inst = sample_product_instance(budget.rng_for(trial), budget)
-        gap = integral_lemma_gap(spec, inst.nu_bar, inst.mu_bar)
-        assert not gap.vacuous
-        worst = max(worst, gap.value)
+        gap = CHECK_KINDS["lemma_identity"].replay(spec, None, inst.as_json())
+        assert gap is not None
+        worst = max(worst, gap)
     assert worst <= 1e-5, f"integral identity gap {worst:.3e}"
     report(9, f"rowwise dual vs closed form on 200 entropic instances (worst={worst:.2e})")
 

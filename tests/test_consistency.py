@@ -1,6 +1,8 @@
+import json
 import math
 from dataclasses import fields, is_dataclass, replace
-from functools import partial
+from functools import partial, reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -9,34 +11,20 @@ from divlab import consistency
 from divlab.consistency import (
     CHECK_KINDS,
     VALUE_GRID,
+    ProductInstance,
     SearchBudget,
     TrialStats,
     consistency_gap,
     counterexample_search,
     describe_trial,
-    integral_lemma_gap,
-    key_identity_gap,
-    mixture_convexity_probe,
-    property_s_probe,
     run_trials,
     sample_conditional_instance,
     sample_product_instance,
-    shift_convexity_probe,
-    superadditivity_gap,
-    weak_acceptance_margin,
-    weak_consistency_gap,
 )
-from divlab.divergence import (
-    DivergenceSpec,
-    divergence_for_risk_spec,
-    dpi_gap,
-    refinement_monotonicity,
-    relative_entropy,
-    sufficiency_gap,
-)
-from divlab.errors import PreconditionViolatedError
+from divlab.divergence import DivergenceSpec, divergence_for_risk_spec, relative_entropy
+from divlab.errors import ConfigParseError, PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition, pushforward, uniform
 from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_conditional, rho_lifted, rho_of_law, rho_values
 
@@ -91,53 +79,71 @@ BATCH_DIVS = [
 ]
 
 
-def public_chain_gap(kind, div, budget, trial):
-    """A data-processing kind's gap at a trial, from its public gap function.
+DELETE = object()
+# one malformed document per instance format, and each link of a
+# data-processing instance: the kind, the path to a field of a valid
+# document, and the field's new value, or DELETE
+MALFORMED = [
+    ("chain_rule", ("nu_bar",), DELETE),
+    ("lemma_identity", ("mu_bar", "weights", 0), [0.5]),
+    ("acceptance", ("joint", "weights", 0, 0), "0.5"),
+    ("key_identity", ("values",), [[1.0]]),
+    ("dpi", ("kernel", "source", 0), "z"),
+    ("sufficiency_matched", ("map", "a0"), DELETE),
+    ("refinement", ("maps", 1), {"z": "c0"}),
+    ("joint_convexity", ("mu2", "atoms", 0), "z"),
+    ("shift_convexity", ("kernel", "source", 0), 99.0),
+    ("property_s", ("pairs", 0, "x"), DELETE),
+    ("mixture_convexity", ("components", 0, "weight"), "half"),
+    ("dist_concavity", ("t",), None),
+    ("lebesgue", ("h",), [0.5]),
+    ("duality", ("nu", "atoms", 0), "z"),
+]
 
-    The laws, kernel and maps are the objects the kind serializes, built from
-    the trial's draw.
-    """
-    draw = CHAIN_DRAWS[kind](budget.rng_for(trial), budget)
-    labels = [f"a{i}" for i in range(draw.mu.size)]
-    nu, mu = FiniteDist(labels, draw.nu), FiniteDist(labels, draw.mu)
-    if kind.startswith("dpi"):
-        (rows,) = draw.chain
-        return dpi_gap(div, nu, mu, Kernel(labels, [f"b{j}" for j in range(rows.shape[1])], rows)).value
-    if kind.startswith("sufficiency"):
-        return sufficiency_gap(div, nu, mu, *draw.maps).value
-    values = refinement_monotonicity(div, nu, mu, draw.maps)
+
+def reference_gap(kind, spec, inst):
+    """A kind's gap on an instance document, rebuilt from its parsed laws without the kind's block code."""
+    if kind == "dist_concavity":
+        t, m1, m2 = inst["t"], FiniteDist.from_json(inst["m1"]), FiniteDist.from_json(inst["m2"])
+        mixed = mixture([(t, m1), (1 - t, m2)])
+        return rho_of_law(spec, mixed) - t * rho_of_law(spec, m1) - (1 - t) * rho_of_law(spec, m2)
+    if kind == "lebesgue":
+        mu, f, h = FiniteDist.from_json(inst["mu"]), np.array(inst["f"]), np.array(inst["h"])
+        vals = [rho_lifted(spec, mu, f + 4.0 ** -k * h) for k in range(15)]
+        steps = [b - a for a, b in zip(vals, vals[1:])]
+        return max(0.0, *steps, abs(vals[-1] - rho_lifted(spec, mu, f)))
+    laws = {k: FiniteDist.from_json(v) for k, v in inst.items() if k.startswith(("nu", "mu"))}
+    if kind == "joint_convexity":
+        t, atoms = inst["t"], laws["nu1"].atoms
+        nu, mu = (
+            FiniteDist(atoms, t * laws[a].weights + (1 - t) * laws[b].weights) for a, b in (("nu1", "nu2"), ("mu1", "mu2"))
+        )
+        parts = t * relative_entropy(laws["nu1"], laws["mu1"]) + (1 - t) * relative_entropy(laws["nu2"], laws["mu2"])
+        return parts - relative_entropy(nu, mu)
+    # refinement: both laws pushed along the maps, alpha after each push; the
+    # document's values must agree, and the gap is the least step down them
+    nu, mu = laws["nu"], laws["mu"]
+    values = [relative_entropy(nu, mu)]
+    for mapping in inst["maps"]:
+        nu, mu = pushforward(nu, mapping), pushforward(mu, mapping)
+        values.append(relative_entropy(nu, mu))
+    assert values == pytest.approx(inst["values"], abs=1e-14)
     return min(hi - lo for hi, lo in zip(values, values[1:]))
 
 
-def public_gap(kind, spec, budget, trial):
-    """A batched kind's gap at a trial, from its public sampler and gap function."""
-    rng = budget.rng_for(trial)
-    if kind in CHAIN_KINDS:
-        return public_chain_gap(kind, spec, budget, trial)
-    if kind in PRODUCT_KINDS:
-        gap_of = weak_consistency_gap if kind == "weak_consistency" else superadditivity_gap
-        gap = gap_of(spec, sample_product_instance(rng, budget)).value
-    else:
-        gap_of = weak_acceptance_margin if kind == "weak_acceptance" else consistency_gap
-        gap = gap_of(spec, *sample_conditional_instance(rng, budget).flat())
-    return -gap if kind in ("rejection", "subadditivity") and gap is not None else gap
+def replay(kind, spec, doc):
+    """A kind's gap on an instance document; spec is the risk or the divergence spec the kind needs."""
+    risk, div = (None, spec) if CHECK_KINDS[kind].needs == "div" else (spec, None)
+    return CHECK_KINDS[kind].replay(risk, div, doc)
 
 
-def public_probe_gap(kind, spec, inst):
-    """A probe kind's gap on a trial's instance, from its public probe."""
-    if kind == "shift_convexity":
-        probe = shift_convexity_probe(spec, inst.mu, inst.kernel)
-    elif kind == "property_s":
-        probe = property_s_probe(spec, inst)
-    else:
-        probe = mixture_convexity_probe(spec, inst)
-    return -probe.rho_mixture
+def product_doc(mu_bar, nu_bar):
+    return ProductInstance(mu_bar=mu_bar, nu_bar=nu_bar, is_product=False).as_json()
 
 
-def product_instance_from(mu_bar, nu_bar):
-    from divlab.consistency import ProductInstance
-
-    return ProductInstance(mu_bar=mu_bar, nu_bar=nu_bar, is_product=False)
+def conditional_doc(joint, values):
+    values = np.asarray(values, dtype=float).tolist()
+    return {"joint": joint.as_json(), "values": values, "partition": "first_coordinate"}
 
 
 class TestSuperadditivityGap:
@@ -145,28 +151,25 @@ class TestSuperadditivityGap:
         budget = SearchBudget(trials=300, seed=0, max_e=5, max_f=5)
         for trial in range(300):
             inst = sample_product_instance(budget.rng_for(trial), budget)
-            gap = superadditivity_gap(RE, inst)
-            assert abs(gap.value) <= 1e-12
+            assert abs(replay("chain_rule", RE, inst.as_json())) <= 1e-12
 
     def test_scaled_entropy_still_exact(self):
         budget = SearchBudget(trials=100, seed=1, max_e=4, max_f=4)
         div = DivergenceSpec.relative_entropy(2.0)
         for trial in range(100):
             inst = sample_product_instance(budget.rng_for(trial), budget)
-            assert abs(superadditivity_gap(div, inst).value) <= 1e-12
+            assert abs(replay("chain_rule", div, inst.as_json())) <= 1e-12
 
     def test_equal_joints_give_zero(self):
         w = np.asarray([[0.2, 0.3], [0.1, 0.4]])
         joint = JointDist(["a", "b"], ["u", "v"], w)
-        inst = product_instance_from(joint, joint)
         for div in [RE, DivergenceSpec.phi_star(UtilityFn.hinge_power(2.0))]:
-            assert superadditivity_gap(div, inst).value == pytest.approx(0.0, abs=1e-12)
+            assert replay("chain_rule", div, product_doc(joint, joint)) == pytest.approx(0.0, abs=1e-12)
 
     def test_manual_two_by_two(self):
         mu_bar = JointDist(["a", "b"], ["u", "v"], [[0.25, 0.25], [0.25, 0.25]])
         nu_bar = JointDist(["a", "b"], ["u", "v"], [[0.4, 0.2], [0.3, 0.1]])
-        inst = product_instance_from(mu_bar, nu_bar)
-        gap = superadditivity_gap(RE, inst)
+        gap = replay("chain_rule", RE, product_doc(mu_bar, nu_bar))
         # chain rule: assemble by hand
         joint = relative_entropy(nu_bar.as_dist(), mu_bar.as_dist())
         marg = relative_entropy(row_marginal(nu_bar), row_marginal(mu_bar))
@@ -177,8 +180,8 @@ class TestSuperadditivityGap:
                 FiniteDist(["u", "v"], nu_bar.matrix[x] / nm),
                 FiniteDist(["u", "v"], mu_bar.matrix[x] / mu_bar.matrix[x].sum()),
             )
-        assert gap.value == pytest.approx(joint - marg - rows, abs=1e-12)
-        assert abs(gap.value) <= 1e-12
+        assert gap == pytest.approx(joint - marg - rows, abs=1e-12)
+        assert abs(gap) <= 1e-12
 
 
 class TestConsistencyGap:
@@ -215,9 +218,8 @@ class TestConsistencyGap:
     def test_one_stacked_solve_gives_the_bits_of_separate_solves(self, kind, seed, sparsity):
         # the gap solves the row laws (up to 4 atoms) and the full laws (up
         # to 16) in one stacked rho_batch; solving every law alone must give
-        # the same bits. rho_conditional's block laws merge equal values and
-        # renormalize, which moves the last bits, so it is compared within a
-        # tolerance
+        # the same bits, and rho_conditional's block weights and risks are
+        # those of the packed rows, bit for bit
         budget = SearchBudget(trials=40, seed=seed, max_e=4, max_f=4, sparsity=sparsity)
         sign = -1.0 if kind == "rejection" else 1.0
         for spec in [*BATCH_SPECS, RiskSpec.shortfall(LossFn.custom([-2.0, 0.0, 1.0, 3.0], [0.0, 1.0, 2.0, 6.0]))]:
@@ -235,9 +237,7 @@ class TestConsistencyGap:
                 alone = rho_values(spec, np.array(masses), np.array(risks)) - rho_lifted(spec, mu, vals)
                 assert gap == alone, (spec.as_json(), trial)
                 cond = rho_conditional(spec, mu, vals, part)
-                outer = rho_values(spec, np.array(cond.weights), np.array([r for _, r in cond.values]))
-                (_, full), = rho_conditional(spec, mu, vals, Partition([mu.atoms])).values
-                assert gap == pytest.approx(outer - full, abs=1e-12)
+                assert (list(cond.weights), [r for _, r in cond.values]) == (masses, risks), (spec.as_json(), trial)
 
 
 class TestWeakConsistencyGap:
@@ -245,44 +245,43 @@ class TestWeakConsistencyGap:
         budget = SearchBudget(trials=100, seed=5, max_e=4, max_f=4)
         for trial in range(100):
             inst = sample_product_instance(budget.rng_for(trial), budget)
-            weak = weak_consistency_gap(RE, inst)
+            weak = replay("weak_consistency", RE, inst.as_json())
             marg = relative_entropy(row_marginal(inst.nu_bar), row_marginal(inst.mu_bar))
-            assert weak.value == pytest.approx(marg, abs=1e-10)
-            assert weak.value >= -1e-12
+            assert weak == pytest.approx(marg, abs=1e-10)
+            assert weak >= -1e-12
 
     def test_equal_joints_give_zero(self):
         joint = JointDist(["a", "b"], ["u", "v"], [[0.2, 0.3], [0.1, 0.4]])
-        assert weak_consistency_gap(RE, product_instance_from(joint, joint)).value == 0.0
+        assert replay("weak_consistency", RE, product_doc(joint, joint)) == 0.0
 
     def test_dominates_superadditivity_gap(self):
         budget = SearchBudget(trials=100, seed=6, max_e=4, max_f=4)
         div = DivergenceSpec.phi_star(UtilityFn.hinge_power(2.0))
         for trial in range(100):
             inst = sample_product_instance(budget.rng_for(trial), budget)
-            sup = superadditivity_gap(div, inst)
-            weak = weak_consistency_gap(div, inst)
-            if sup.vacuous or weak.vacuous:
+            sup = replay("superadditivity", div, inst.as_json())
+            weak = replay("weak_consistency", div, inst.as_json())
+            if sup is None or weak is None:
                 continue
-            assert sup.value <= weak.value + 1e-10
+            assert sup <= weak + 1e-10
 
 
 class TestShiftConvexity:
     def test_point_masses(self):
         kernel = Kernel((0.0,), (0.0,), [[1.0]])
-        probe = shift_convexity_probe(ENTROPIC, point_mass(0.0), kernel)
-        assert probe.acceptable
+        doc = {"mu": point_mass(0.0).as_json(), "kernel": kernel.as_json()}
+        assert replay("shift_convexity", ENTROPIC, doc) >= -1e-9
 
     def test_entropic_fuzz_passes(self):
         budget = SearchBudget(trials=300, seed=7, max_e=3, max_f=3)
         for trial in range(300):
             inst = describe_trial("shift_convexity", ENTROPIC, None, budget, trial)["instance"]
-            mu, kernel = FiniteDist.from_json(inst["mu"]), Kernel.from_json(inst["kernel"])
-            assert shift_convexity_probe(ENTROPIC, mu, kernel).rho_mixture <= 1e-9
+            assert replay("shift_convexity", ENTROPIC, inst) >= -1e-9
 
     def test_precondition_enforced(self):
         kernel = Kernel((1.0,), (0.0,), [[1.0]])
         with pytest.raises(PreconditionViolatedError):
-            shift_convexity_probe(ENTROPIC, point_mass(1.0), kernel)
+            replay("shift_convexity", ENTROPIC, {"mu": point_mass(1.0).as_json(), "kernel": kernel.as_json()})
 
     def test_power_plus_violations_exist(self):
         spec = RiskSpec.shortfall(LossFn.power_plus(2.0))
@@ -303,12 +302,14 @@ class TestPropertySAndMixtures:
         assert stats.worst_gap >= -1e-8
 
     def test_property_s_precondition(self):
+        doc = {"pairs": [{"weight": 1.0, "x": 5.0, "law": point_mass(0.0).as_json()}]}
         with pytest.raises(PreconditionViolatedError):
-            property_s_probe(ENTROPIC, [(1.0, 5.0, point_mass(0.0))])
+            replay("property_s", ENTROPIC, doc)
 
     def test_mixture_probe_direct(self):
-        laws = [(0.5, point_mass(0.0)), (0.5, point_mass(-1.0))]
-        assert mixture_convexity_probe(ENTROPIC, laws).acceptable
+        laws = [point_mass(0.0), point_mass(-1.0)]
+        doc = {"components": [{"weight": 0.5, "law": law.as_json()} for law in laws]}
+        assert replay("mixture_convexity", ENTROPIC, doc) >= -1e-9
 
 
 class TestWeakAcceptance:
@@ -316,14 +317,12 @@ class TestWeakAcceptance:
         budget = SearchBudget(trials=200, seed=11, max_e=3, max_f=3)
         for trial in range(200):
             inst = sample_conditional_instance(budget.rng_for(trial), budget)
-            dist, vals, part = inst.flat()
-            assert weak_acceptance_margin(ENTROPIC, dist, vals, part) >= -1e-9
+            assert replay("weak_acceptance", ENTROPIC, inst.as_json()) >= -1e-9
 
     def test_blockwise_recentering_reaches_boundary(self):
-        mu = uniform(["a", "b", "c", "d"])
-        part = Partition([("a", "b"), ("c", "d")])
-        vals = [1.0, 2.0, -1.0, 3.0]
-        margin = weak_acceptance_margin(ENTROPIC, mu, vals, part)
+        # uniform on four atoms, the blocks {a, b} and {c, d} as the rows
+        joint = JointDist(["ab", "cd"], ["first", "second"], [[0.25, 0.25], [0.25, 0.25]])
+        margin = replay("weak_acceptance", ENTROPIC, conditional_doc(joint, [[1.0, 2.0], [-1.0, 3.0]]))
         # for the entropic family the recentered position is exactly neutral
         assert margin == pytest.approx(0.0, abs=1e-9)
 
@@ -331,33 +330,30 @@ class TestWeakAcceptance:
 class TestIntegralLemma:
     def test_equal_joints_vanish(self):
         joint = JointDist(["a", "b"], ["u", "v"], [[0.2, 0.3], [0.1, 0.4]])
-        gap = integral_lemma_gap(ENTROPIC, joint, joint)
-        assert gap.value == pytest.approx(0.0, abs=1e-10)
+        assert replay("lemma_identity", ENTROPIC, product_doc(joint, joint)) == pytest.approx(0.0, abs=1e-10)
 
     def test_entropic_rowwise_duality(self):
         budget = SearchBudget(trials=40, seed=12, max_e=4, max_f=4)
         for trial in range(40):
             inst = sample_product_instance(budget.rng_for(trial), budget)
-            gap = integral_lemma_gap(ENTROPIC, inst.nu_bar, inst.mu_bar)
-            assert gap.value <= 1e-5
+            assert replay("lemma_identity", ENTROPIC, inst.as_json()) <= 1e-5
 
     def test_single_row_reduces_to_plain_duality(self):
         nu_bar = JointDist(["a"], ["u", "v", "w"], [[0.5, 0.3, 0.2]])
         mu_bar = JointDist(["a"], ["u", "v", "w"], [[0.2, 0.3, 0.5]])
-        gap = integral_lemma_gap(ENTROPIC, nu_bar, mu_bar)
-        assert gap.value <= 1e-6
+        assert replay("lemma_identity", ENTROPIC, product_doc(mu_bar, nu_bar)) <= 1e-6
 
 
 class TestKeyIdentity:
     def test_payoff_depending_only_on_first_coordinate(self):
         mu_bar = JointDist(["a", "b"], ["u", "v"], [[0.2, 0.3], [0.1, 0.4]])
         f = np.asarray([[1.0, 1.0], [-0.5, -0.5]])
-        assert key_identity_gap(ENTROPIC, mu_bar, f) <= 2e-4
+        assert replay("key_identity", ENTROPIC, conditional_doc(mu_bar, f)) <= 2e-4
 
     def test_constant_payoff(self):
         mu_bar = JointDist(["a", "b"], ["u", "v"], [[0.2, 0.3], [0.1, 0.4]])
         f = np.full((2, 2), 0.75)
-        assert key_identity_gap(ENTROPIC, mu_bar, f) <= 1e-8
+        assert replay("key_identity", ENTROPIC, conditional_doc(mu_bar, f)) <= 1e-8
 
     def test_random_two_by_two(self):
         budget = SearchBudget(trials=10, seed=13, max_e=2, max_f=2)
@@ -399,15 +395,7 @@ class TestCounterexampleSearch:
         spec = RiskSpec.shortfall(LossFn.power_plus(2.0))
         budget = SearchBudget(trials=3000, seed=17, max_e=3, max_f=3)
         result = counterexample_search(spec, budget, "acceptance")
-        doc = result.worst_instance["instance"]
-        joint = JointDist.from_json(doc["joint"])
-        values = np.asarray(doc["values"], dtype=float)
-        dist = joint.as_dist()
-        part = Partition(
-            tuple(tuple((x, y) for y in joint.col_atoms) for x in joint.row_atoms)
-        )
-        recomputed = consistency_gap(spec, dist, values.reshape(-1), part)
-        assert recomputed == pytest.approx(result.worst_gap, abs=1e-12)
+        assert replay("acceptance", spec, result.worst_instance["instance"]) == result.worst_gap
 
     def test_class_breakdown_reported(self):
         budget = SearchBudget(trials=500, seed=18, max_e=3, max_f=3)
@@ -493,12 +481,10 @@ class TestTrialMachinery:
         budget = SearchBudget(trials=n, seed=25, max_e=size, max_f=size, sparsity=sparsity)
         entry = CHECK_KINDS[kind]
         seen: dict = {}
-        instances: dict = {}
 
         def recorded(risk, div, budget, start, stop):
             results = list(entry.trial(risk, div, budget, start, stop))
             seen.update(zip(range(start, stop), (r.gap for r in results)))
-            instances.update(zip(range(start, stop), (r.instance for r in results)))
             return results
 
         monkeypatch.setitem(CHECK_KINDS, kind, replace(entry, trial=recorded))
@@ -511,15 +497,13 @@ class TestTrialMachinery:
             seen.clear()
             for start, stop in [(0, 1), (1, 8), (8, 45), (45, 101), (101, n)]:
                 run_trials(kind, risk, div, budget, start, stop)
-            alone = {k: describe_trial(kind, risk, div, budget, k)["gap"] for k in range(n)}
+            docs = {k: describe_trial(kind, risk, div, budget, k) for k in range(n)}
             ranked = [k for k in range(n) if whole[k] is not None]
             assert not any(math.isnan(whole[k]) for k in ranked)
-            assert whole == seen == alone, spec.as_json()
-            if kind in PROBE_KINDS:
-                # the public probe on each trial's instance gives the trial's bits
-                assert {k: public_probe_gap(kind, spec, instances[k]) for k in range(n)} == whole, spec.as_json()
-            elif kind in CONDITIONAL_KINDS + DIV_KINDS and kind != "joint_convexity":
-                assert {k: public_gap(kind, spec, budget, k) for k in range(n)} == whole, spec.as_json()
+            assert whole == seen == {k: doc["gap"] for k, doc in docs.items()}, spec.as_json()
+            # each reported instance replays to its trial's bits
+            replayed = {k: entry.replay(risk, div, doc["instance"]) for k, doc in docs.items() if "instance" in doc}
+            assert replayed == {k: whole[k] for k in replayed}, spec.as_json()
             worst = max(ranked, key=lambda k: (entry.badness(whole[k]), -k), default=None)
             assert (stats.worst_trial, stats.worst_gap) == (worst, whole.get(worst))
             assert stats.vacuous == n - len(ranked)
@@ -549,65 +533,53 @@ class TestTrialMachinery:
             sample = sample_product_instance if kind in PRODUCT_KINDS else sample_conditional_instance
             assert doc["instance"] == sample(budget.rng_for(stats.worst_trial), budget).as_json()
 
-    @pytest.mark.parametrize("kind", CHAIN_KINDS + ("joint_convexity",))
-    def test_pair_kinds_replay_from_their_instance_document(self, kind):
-        # the reported instance names everything the gap depends on: its
-        # laws, its kernel or maps, or its mixing weight
-        budget = SearchBudget(trials=6, seed=27, max_e=4, max_f=4)
-        for trial in range(6):
-            doc = describe_trial(kind, None, RE, budget, trial)
-            inst = doc["instance"]
-            laws = {k: FiniteDist.from_json(v) for k, v in inst.items() if k.startswith(("nu", "mu"))}
-            if kind.startswith("dpi"):
-                gap = dpi_gap(RE, laws["nu"], laws["mu"], Kernel.from_json(inst["kernel"])).value
-            elif kind.startswith("sufficiency"):
-                gap = sufficiency_gap(RE, laws["nu"], laws["mu"], inst["map"]).value
-            elif kind == "refinement":
-                values = refinement_monotonicity(RE, laws["nu"], laws["mu"], inst["maps"])
-                assert values == pytest.approx(inst["values"], abs=1e-15)
-                gap = min(hi - lo for hi, lo in zip(values, values[1:]))
-            else:
-                t, atoms = inst["t"], laws["nu1"].atoms
-                nu, mu = (
-                    FiniteDist(atoms, t * laws[a].weights + (1 - t) * laws[b].weights)
-                    for a, b in (("nu1", "nu2"), ("mu1", "mu2"))
-                )
-                gap = (
-                    t * relative_entropy(laws["nu1"], laws["mu1"])
-                    + (1 - t) * relative_entropy(laws["nu2"], laws["mu2"])
-                    - relative_entropy(nu, mu)
-                )
-            assert gap == pytest.approx(doc["gap"], abs=1e-14)
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    @pytest.mark.parametrize("size", [3, 12])
+    @pytest.mark.parametrize("kind", list(CHECK_KINDS))
+    def test_replay_reads_a_reported_instance_back_to_its_trials_bits(self, kind, size, sparsity):
+        # the instance goes through canonical JSON text, as a report carries
+        # it; a vacuous trial that keeps no instance has nothing to replay
+        budget = SearchBudget(trials=6, seed=27, max_e=size, max_f=size, sparsity=sparsity)
+        solver = kind in ("duality", "lemma_identity", "key_identity")
+        for spec in [ENTROPIC] if solver else [ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))]:
+            div = consistency.resolve_divergence(kind, spec, None)
+            for trial in range(budget.trials):
+                doc = describe_trial(kind, spec, div, budget, trial)
+                if "instance" in doc:
+                    inst = json.loads(canonical_json(doc["instance"]))
+                    assert CHECK_KINDS[kind].replay(spec, div, inst) == doc["gap"], (spec.as_json(), trial)
 
-    @pytest.mark.parametrize("spec", [ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))], ids=["entropic", "pp2"])
-    @pytest.mark.parametrize("kind", LAW_KINDS)
-    def test_law_kinds_replay_from_their_instance_document(self, kind, spec):
-        # the reported instance names everything the gap depends on; read
-        # back from JSON, its laws are renormalized once more, so the gap
-        # agrees to rounding
-        budget = SearchBudget(trials=8, seed=28, max_e=4, max_f=4)
-        for trial in range(8):
-            doc = describe_trial(kind, spec, None, budget, trial)
-            inst = doc["instance"]
-            if kind == "shift_convexity":
-                probe = shift_convexity_probe(spec, FiniteDist.from_json(inst["mu"]), Kernel.from_json(inst["kernel"]))
-                gap = -probe.rho_mixture
-            elif kind == "property_s":
-                pairs = [(p["weight"], p["x"], FiniteDist.from_json(p["law"])) for p in inst["pairs"]]
-                gap = -property_s_probe(spec, pairs).rho_mixture
-            elif kind == "mixture_convexity":
-                laws = [(c["weight"], FiniteDist.from_json(c["law"])) for c in inst["components"]]
-                gap = -mixture_convexity_probe(spec, laws).rho_mixture
-            elif kind == "dist_concavity":
-                t, m1, m2 = inst["t"], FiniteDist.from_json(inst["m1"]), FiniteDist.from_json(inst["m2"])
-                mixed = mixture([(t, m1), (1 - t, m2)])
-                gap = rho_of_law(spec, mixed) - t * rho_of_law(spec, m1) - (1 - t) * rho_of_law(spec, m2)
-            else:
-                mu, f, h = FiniteDist.from_json(inst["mu"]), np.array(inst["f"]), np.array(inst["h"])
-                vals = [rho_lifted(spec, mu, f + 4.0 ** -k * h) for k in range(15)]
-                steps = [b - a for a, b in zip(vals, vals[1:])]
-                gap = max(0.0, *steps, abs(vals[-1] - rho_lifted(spec, mu, f)))
-            assert gap == pytest.approx(doc["gap"], abs=1e-14)
+    @pytest.mark.parametrize("size", [4, 12])
+    @pytest.mark.parametrize("kind", ["dist_concavity", "lebesgue", "joint_convexity", "refinement"])
+    def test_replay_agrees_with_an_independent_reference(self, kind, size):
+        # the gap rebuilt from the parsed document by other code: merged
+        # mixtures, one rho_lifted per law, FiniteDist mixtures, pushforwards
+        budget = SearchBudget(trials=6, seed=28, max_e=size, max_f=size)
+        specs = [RE] if kind in DIV_KINDS + CHAIN_KINDS else [ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))]
+        for spec in specs:
+            for trial in range(budget.trials):
+                doc = describe_trial(kind, *((None, spec) if spec is RE else (spec, None)), budget, trial)
+                if "instance" not in doc:
+                    continue
+                inst = json.loads(canonical_json(doc["instance"]))
+                gap = replay(kind, spec, inst)
+                assert gap == doc["gap"]
+                assert gap == pytest.approx(reference_gap(kind, spec, inst), abs=1e-14), (kind, trial)
+
+    @pytest.mark.parametrize("kind, path, value", MALFORMED)
+    def test_replay_refuses_a_malformed_document(self, kind, path, value):
+        div = consistency.resolve_divergence(kind, ENTROPIC, None)
+        doc = json.loads(canonical_json(describe_trial(kind, ENTROPIC, div, SearchBudget(1, 30), 0)["instance"]))
+        *parents, last = path
+        node = reduce(getitem, parents, doc)
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        with pytest.raises(ConfigParseError):
+            CHECK_KINDS[kind].replay(ENTROPIC, div, doc)
+        with pytest.raises(ConfigParseError):
+            CHECK_KINDS[kind].replay(ENTROPIC, div, [doc])
 
     def test_shift_convexity_replay_gives_the_blocks_instance(self):
         budget = SearchBudget(trials=20, seed=29, max_e=4, max_f=4)
@@ -789,6 +761,14 @@ class TestBlockSeeding:
             rng.random(dtype=np.float32)
             seen += 1
         assert seen == stop - first
+
+    def test_a_negative_trial_index_is_refused(self):
+        # -1 >> k is -1 for every k: counting the words of -1 never ended
+        budget = SearchBudget(trials=5, seed=1)
+        with pytest.raises(ValueError):
+            describe_trial("acceptance", ENTROPIC, None, budget, -1)
+        with pytest.raises(ValueError):
+            run_trials("acceptance", ENTROPIC, None, budget, -3, 2)
 
 
 def result_bits(x):

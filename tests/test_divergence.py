@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.consistency import SearchBudget, run_trials
+from divlab.consistency import CHECK_KINDS, SearchBudget, run_trials
 from divlab.divergence import (
     DivergenceSpec,
     Gap,
+    _chain_values,
     divergence_for_risk_spec,
-    dpi_gap,
     dual_divergence,
     phi_divergence,
     primal_reconstruction,
-    refinement_monotonicity,
     relative_entropy,
     shortfall_divergence,
-    sufficiency_gap,
 )
 from divlab.errors import ConfigParseError, NotAbsolutelyContinuousError, SpaceMismatchError
 from divlab.losses import LossFn, UtilityFn
@@ -25,6 +23,20 @@ from divlab.prob import FiniteDist, Kernel, uniform
 from divlab.risk import RiskSpec, rho_lifted
 
 LOG2 = math.log(2.0)
+
+
+def chain_gap(kind, div, nu, mu, link, chain):
+    """A data-processing kind's gap on nu and mu and a link ("kernel", "map" or "maps"), through its replay."""
+    doc = {"nu": nu.as_json(), "mu": mu.as_json(), link: chain.as_json() if link == "kernel" else chain}
+    return CHECK_KINDS[kind].replay(None, div, doc)
+
+
+def chain_values(div, nu, mu, maps):
+    """alpha(nu | mu) and alpha after each map of a chain, finest first, each map pushed as its 0/1 kernel."""
+    kernels = []
+    for mapping in maps:
+        kernels.append(Kernel.deterministic(kernels[-1].target if kernels else mu.atoms, mapping))
+    return _chain_values(div, nu.weights[None], mu.weights[None], [k.matrix[None] for k in kernels])[0].tolist()
 
 
 def pair(rng, n, labels=None):
@@ -337,9 +349,9 @@ class TestDpi:
                 tuple(f"b{j}" for j in range(nf)),
                 np.vstack([rng.dirichlet(np.ones(nf)) for _ in range(n)]),
             )
-            gap = dpi_gap(div, nu, mu, kernel)
-            assert not gap.vacuous
-            assert gap.value >= -1e-8
+            gap = chain_gap("dpi", div, nu, mu, "kernel", kernel)
+            assert gap is not None
+            assert gap >= -1e-8
 
     def test_bijection_is_equality(self):
         rng = np.random.default_rng(11)
@@ -352,8 +364,8 @@ class TestDpi:
             for i, j in enumerate(perm):
                 mat[i, j] = 1.0
             kernel = Kernel(mu.atoms, tuple(f"b{j}" for j in range(n)), mat)
-            gap = dpi_gap(div, nu, mu, kernel)
-            assert abs(gap.value) <= 1e-9
+            gap = chain_gap("dpi_bijection", div, nu, mu, "kernel", kernel)
+            assert abs(gap) <= 1e-9
 
     def test_constant_kernel_erases_everything(self):
         div = DivergenceSpec.relative_entropy(1.0)
@@ -361,16 +373,15 @@ class TestDpi:
         mu = uniform(["a", "b"])
         eta = FiniteDist(["u", "v"], [0.3, 0.7])
         kernel = Kernel(mu.atoms, eta.atoms, [eta.weights] * len(mu))
-        gap = dpi_gap(div, nu, mu, kernel)
-        assert gap.value == pytest.approx(relative_entropy(nu, mu), abs=1e-12)
+        gap = chain_gap("dpi", div, nu, mu, "kernel", kernel)
+        assert gap == pytest.approx(relative_entropy(nu, mu), abs=1e-12)
 
     def test_vacuous_when_both_sides_blow_up(self):
         div = DivergenceSpec.relative_entropy(1.0)
         nu = FiniteDist(["a", "b"], [0.0, 1.0])
         mu = FiniteDist(["a", "b"], [1.0, 0.0])
         identity = Kernel.deterministic(mu.atoms, {"a": "a", "b": "b"}, mu.atoms)
-        gap = dpi_gap(div, nu, mu, identity)
-        assert gap.vacuous and gap.value is None
+        assert chain_gap("dpi", div, nu, mu, "kernel", identity) is None
 
 
 class TestSufficiency:
@@ -378,30 +389,30 @@ class TestSufficiency:
         rng = np.random.default_rng(12)
         div = DivergenceSpec.relative_entropy(1.0)
         nu, mu = pair(rng, 4)
-        gap = sufficiency_gap(div, nu, mu, {a: a.upper() for a in mu.atoms})
-        assert abs(gap.value) <= 1e-12
+        gap = chain_gap("sufficiency_matched", div, nu, mu, "map", {a: a.upper() for a in mu.atoms})
+        assert abs(gap) <= 1e-12
 
     def test_matched_ratio_merge_is_equality(self):
         div = DivergenceSpec.relative_entropy(1.0)
         mu = FiniteDist(["a", "b", "c"], [0.2, 0.3, 0.5])
         # d(nu)/d(mu) equal on the merged pair {a, b}
         nu = FiniteDist(["a", "b", "c"], [0.2 * 1.4, 0.3 * 1.4, 0.5 * 0.6])
-        gap = sufficiency_gap(div, nu, mu, {"a": "g", "b": "g", "c": "h"})
-        assert abs(gap.value) <= 1e-8
+        gap = chain_gap("sufficiency_matched", div, nu, mu, "map", {"a": "g", "b": "g", "c": "h"})
+        assert abs(gap) <= 1e-8
 
     def test_unmatched_merge_loses_information(self):
         div = DivergenceSpec.relative_entropy(1.0)
         mu = uniform(["a", "b", "c"])
         nu = FiniteDist(["a", "b", "c"], [0.6, 0.1, 0.3])
-        gap = sufficiency_gap(div, nu, mu, {"a": "g", "b": "g", "c": "h"})
-        assert gap.value > 1e-4
+        gap = chain_gap("sufficiency_generic", div, nu, mu, "map", {"a": "g", "b": "g", "c": "h"})
+        assert gap > 1e-4
 
     def test_requires_absolute_continuity(self):
         div = DivergenceSpec.relative_entropy(1.0)
         nu = uniform(["a", "b"])
         mu = FiniteDist(["a", "b"], [1.0, 0.0])
         with pytest.raises(NotAbsolutelyContinuousError):
-            sufficiency_gap(div, nu, mu, {"a": "g", "b": "g"})
+            chain_gap("sufficiency_generic", div, nu, mu, "map", {"a": "g", "b": "g"})
 
 
 class TestRefinement:
@@ -409,16 +420,21 @@ class TestRefinement:
         rng = np.random.default_rng(13)
         div = DivergenceSpec.relative_entropy(1.0)
         nu, mu = pair(rng, 4)
-        values = refinement_monotonicity(div, nu, mu, [])
-        assert values == [relative_entropy(nu, mu)]
+        assert chain_values(div, nu, mu, []) == [relative_entropy(nu, mu)]
+        # an empty chain takes no step, so its gap is vacuous; the identity map steps by 0
+        assert chain_gap("refinement", div, nu, mu, "maps", []) is None
+        assert chain_gap("refinement", div, nu, mu, "maps", [{a: a for a in mu.atoms}]) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_final_map_reaches_zero(self):
         div = DivergenceSpec.relative_entropy(1.0)
         nu = FiniteDist(["a", "b"], [0.75, 0.25])
         mu = uniform(["a", "b"])
-        values = refinement_monotonicity(div, nu, mu, [{"a": "z", "b": "z"}])
+        values = chain_values(div, nu, mu, [{"a": "z", "b": "z"}])
         assert values[0] == pytest.approx(relative_entropy(nu, mu))
         assert values[-1] == pytest.approx(0.0, abs=1e-15)
+        # the one step falls from alpha(nu | mu) to 0
+        gap = chain_gap("refinement", div, nu, mu, "maps", [{"a": "z", "b": "z"}])
+        assert gap == pytest.approx(relative_entropy(nu, mu), abs=1e-15)
 
     def test_random_chains_are_nonincreasing(self):
         rng = np.random.default_rng(14)
@@ -430,10 +446,13 @@ class TestRefinement:
                 {f"b{i}": f"c{i % 2}" for i in range(4)},
                 {f"c{i}": "d" for i in range(2)},
             ]
-            values = refinement_monotonicity(div, nu, mu, chain)
+            values = chain_values(div, nu, mu, chain)
             for hi, lo in zip(values, values[1:]):
                 assert lo <= hi + 1e-10
             assert values[-1] == pytest.approx(0.0, abs=1e-12)
+            # the replayed gap is the least step down the chain
+            gap = chain_gap("refinement", div, nu, mu, "maps", chain)
+            assert gap == min(hi - lo for hi, lo in zip(values, values[1:])) and gap >= -1e-10
 
 
 class TestPrimalReconstruction:

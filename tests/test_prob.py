@@ -84,10 +84,12 @@ class TestMakeDist:
         (Kernel.from_json, {"source": ["a"], "target": ["u"], "rows": [["1"]]}),
         (Kernel.from_json, {"source": "a", "target": ["u"], "rows": [[1.0]]}),
         (JointDist.from_json, {"row_atoms": ["a"], "col_atoms": ["u"], "weights": [1.0]}),
+        (Kernel.from_json, {"source": ["a", "b"], "target": ["u", "v"], "rows": [[1.0], [0.5, 0.5]]}),
+        (JointDist.from_json, {"row_atoms": ["a", "b"], "col_atoms": ["u", "v"], "weights": [[0.5, 0.25], [0.25]]}),
     ])
     def test_ill_typed_fields_rejected(self, parse, doc):
-        # these once escaped as a TypeError or ValueError, or ran coerced:
-        # true as the weight 1, "ab" as the blocks ["a"] and ["b"]
+        # these once escaped as a TypeError or ValueError (ragged rows too),
+        # or ran coerced: true as the weight 1, "ab" as the blocks ["a"] and ["b"]
         with pytest.raises(ConfigParseError):
             parse(doc)
 

@@ -38,6 +38,15 @@ from divlab.report import (
 from divlab.risk import RiskSpec
 
 
+def fake_kind(side, trials):
+    """A registry entry around a fake trial function, whose instances are plain dicts that no test replays."""
+
+    def replay(risk, div, doc):
+        raise AssertionError("a fake kind's instance is never replayed")
+
+    return CheckKind(side, "risk", trials, dict, replay)
+
+
 def entropic_check(name="tc", trials=100, seed=5, target="time_consistency"):
     return CheckSpec(
         name=name,
@@ -96,7 +105,7 @@ class TestReports:
         def trials(risk, div, budget, start, stop):
             return (TrialResult(gaps[k], False, None, {"gap": gaps[k]}) for k in range(start, stop))
 
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", trials, dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", fake_kind("lower", trials))
         check = entropic_check(name="np", trials=3, target="nan_probe")
         report = run_check(check)
         assert (report.nan, report.worst_trial, report.worst_gap) == (1, 2, -5.0)
@@ -648,7 +657,7 @@ class TestCli:
         def trials(risk, div, budget, start, stop):
             return (TrialResult(math.nan if k == 1 else 0.5, False, None, {}) for k in range(start, stop))
 
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", trials, dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", fake_kind("lower", trials))
         check = {"name": "np", "target": "nan_probe", "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}
         assert cli.main(["sweep", "--config", json.dumps(check), "--param", "trials", "--values", "1,3"]) == 0
         assert capsys.readouterr().out == (
@@ -805,7 +814,7 @@ def _refusing_probe(error):
                 raise error(f"trial {k} refused")
             yield TrialResult(0.0, False, None, {})
 
-    return CheckKind("abs", "risk", trials, dict)
+    return fake_kind("abs", trials)
 
 
 class TestParallelRuns:
@@ -839,7 +848,7 @@ class TestParallelRuns:
         monkeypatch.setattr(consistency, "_usable_cores", lambda: 1)
 
     def suite(self, monkeypatch) -> SuiteConfig:
-        monkeypatch.setitem(CHECK_KINDS, "nan_probe", CheckKind("lower", "risk", _gap_probe, dict))
+        monkeypatch.setitem(CHECK_KINDS, "nan_probe", fake_kind("lower", _gap_probe))
         sparse = dict(seed=1, max_e=3, max_f=3, sparsity=0.5)
         return SuiteConfig(checks=(
             CheckSpec(name="chain", target="chain_rule", budget=SearchBudget(trials=250, **sparse),

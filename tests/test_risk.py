@@ -10,12 +10,13 @@ from divlab.errors import (
     BracketFailureError,
     ConfigParseError,
     InvalidDensityError,
+    InvalidPartitionError,
     SpaceMismatchError,
     UnsupportedFamilyError,
     ZeroTotalMassError,
 )
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, Partition, uniform
+from divlab.prob import FiniteDist, Partition, condition, uniform
 from divlab.risk import (
     RiskSpec,
     rho_conditional,
@@ -557,6 +558,33 @@ class TestConditional:
         assert cond.values[1][1] == pytest.approx(
             rho_lifted(spec, second, [-1.0, 0.5]), abs=1e-12
         )
+
+    def test_zero_weight_blocks_are_left_out_and_bad_partitions_refused(self):
+        spec = RiskSpec.entropic(1.0)
+        mu = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
+        cond = rho_conditional(spec, mu, [1.0, 2.0, 3.0], Partition([("a",), ("b",), ("c",)]))
+        assert [block for block, _ in cond.values] == [("a",), ("b",)] and cond.weights == (0.5, 0.5)
+        for blocks in ([("a", "b")], [("a", "b"), ("b", "c")]):
+            with pytest.raises(InvalidPartitionError):
+                rho_conditional(spec, mu, [1.0, 2.0, 3.0], Partition(blocks))
+
+    def test_blocks_recombine_into_the_law(self):
+        # the charged blocks' weights are mu's mass on each and sum to 1, and
+        # each block risk is, to rounding, the risk of condition()'s block law
+        rng = np.random.default_rng(2)
+        spec = RiskSpec.shortfall(LossFn.power_plus(2.0))
+        for _ in range(30):
+            n = int(rng.integers(3, 8))
+            mu = FiniteDist([f"x{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
+            vals = rng.uniform(-2, 2, n)
+            cut = int(rng.integers(1, n))
+            part = Partition([mu.atoms[:cut], mu.atoms[cut:]])
+            cond = rho_conditional(spec, mu, vals, part)
+            assert [block for block, _ in cond.values] == list(part.blocks)
+            assert sum(cond.weights) == pytest.approx(1.0, abs=1e-12)
+            for (block, risk), weight, cb in zip(cond.values, cond.weights, condition(mu, vals, part)):
+                assert weight == pytest.approx(sum(mu.weight(a) for a in block), abs=1e-12)
+                assert risk == pytest.approx(rho_of_law(spec, cb.law), abs=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SCALAR_SPECS)
     def test_block_measurable_cash_additivity(self, spec):

@@ -29,18 +29,25 @@ gives the gap bits of its trial. A block does not build a generator per
 trial: ``_trial_rngs`` computes the PCG64 states of all its trials in one
 vectorized pass and sets one generator to each in turn, the state
 ``default_rng([s, k])`` starts in. ``SearchBudget.rng_for`` builds the
-generator itself and stays the reference. Dirichlet(1) weights are normalized standard
-exponentials, the stream and bits of numpy's ``dirichlet``, and payoffs are
-drawn by integer index into VALUE_GRID, the stream of ``choice``; reports of
-earlier versions replay unchanged. The conditional and product kinds draw their
-instances from one sampler of a random joint law (``_draw_joint``), and the
-data-processing kinds and ``joint_convexity`` draw pairs of laws. They keep
-their draws as plain arrays, which become objects only when ``describe_trial``
-serializes one, and evaluate a whole block of them in batched solves whose
-per-trial results do not depend on the block either; a conditional block
-takes two ``rho_batch`` calls (see ``_conditional_gaps``). The acceptance-set
-probes, ``dist_concavity`` and ``lebesgue`` draw laws and evaluate a block's
-risks in at most two ``rho_batch`` calls. Gaps where both sides
+generator itself and stays the reference.
+
+Every kind draws through a block sampler in two steps (see "block
+samplers"). Per trial, the draw step makes only the trial's generator
+calls, in the order of earlier versions; once per block, the finish step
+does all the arithmetic on the block's draws together: Dirichlet(1)
+weights as normalized standard exponentials, the stream and bits of
+numpy's ``dirichlet``, payoffs by integer index into VALUE_GRID, the
+stream of ``choice``, and the renormalizations of the law classes. Sums
+run over the trials of one size together, so every trial keeps its bits
+and reports of earlier versions replay unchanged. The finished arrays
+become laws, kernels and joint laws only when ``describe_trial``
+serializes an instance. The conditional and product kinds draw a random
+joint law, and the data-processing kinds and ``joint_convexity`` pairs of
+laws; they evaluate a whole block in batched solves whose per-trial
+results do not depend on the block either, and a conditional block takes
+two ``rho_batch`` calls (see ``_conditional_gaps``). The acceptance-set
+probes, ``dist_concavity`` and ``lebesgue`` draw laws and evaluate a
+block's risks in at most two ``rho_batch`` calls. Gaps where both sides
 are +inf are "vacuous" and excluded from statistics but counted. A
 ``SearchBudget`` sets the trial count, the seed, the grid sizes and the
 sparsity; every other parameter of the samplers is a module constant. The
@@ -57,6 +64,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, partial, reduce
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -110,8 +118,9 @@ class SearchBudget:
     sparsity: float = 0.0
 
     def __post_init__(self):
-        if self.trials < 0 or self.seed < 0 or self.max_e < 1 or self.max_f < 1:
-            raise ConfigParseError("budget needs trials >= 0, seed >= 0 and positive sizes")
+        # every sampler draws at least 2 atoms on each axis it sizes
+        if self.trials < 0 or self.seed < 0 or self.max_e < 2 or self.max_f < 2:
+            raise ConfigParseError("budget needs trials >= 0, seed >= 0 and sizes of at least 2")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ConfigParseError(f"budget field 'sparsity' must lie in [0, 1], got {self.sparsity!r}")
 
@@ -321,56 +330,200 @@ class ConditionalInstance:
         }
 
 
-# ---------------------------------------------------------------------------
-# samplers
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class ShiftConvexityInstance:
+    mu: FiniteDist
+    kernel: Kernel
+
+    def as_json(self) -> dict:
+        return {"mu": self.mu.as_json(), "kernel": self.kernel.as_json()}
 
 
-def _dirichlet(rng: np.random.Generator, shape) -> np.ndarray:
-    """Dirichlet(1) weights along the last axis, renormalized: ``rng.dirichlet``'s stream and bits.
+# ---------------------------------------------------------------------------
+# block samplers
+# ---------------------------------------------------------------------------
+#
+# A sampler is a pair (draw, finish). draw(rng, budget) makes one trial's
+# generator calls and keeps what they return: sizes, standard exponentials,
+# uniforms, permutations, payoff indices, sparsity keep masks. No generator
+# call depends on a drawn value, only on sizes and keep masks, so the
+# arithmetic can wait. finish(draws) does all of it for a block of trials at
+# once on zero-padded arrays: Dirichlet normalization, sparsification, outer
+# products, the renormalizations that FiniteDist, JointDist and Kernel
+# apply, kernel rows, and 0/1 map matrices. Elementwise steps and running
+# sums (cumsum) are blind to padding; np.sum adds pairwise from 8 entries on,
+# so ``_row_sums`` sums the trials of each exact size together, with the bits
+# of each trial's own 1-D sum. A finished block holds what its kinds
+# evaluate, and ``block.trial(b)`` reads out trial b's draw as the
+# one-trial samplers of earlier versions returned it, for the serializers:
+# laws, kernels, joint laws and maps are built only there.
+
+
+class _Sampler(NamedTuple):
+    draw: Callable  # (rng, budget) -> one trial's raw draws
+    finish: Callable  # (a block's raw draws) -> the finished block
+
+
+def _configured(draw: Callable, finish: Callable, **options) -> _Sampler:
+    """The sampler of draw and finish, both given the same options."""
+    return _Sampler(partial(draw, **options), partial(finish, **options))
+
+
+def _finished(sampler: _Sampler, budget: SearchBudget, start: int, stop: int):
+    """The finished block of trials [start, stop): each trial's draws from its stream in turn, then the arithmetic."""
+    return sampler.finish([sampler.draw(rng, budget) for rng in _trial_rngs(budget, start, stop)])
+
+
+def _finished_one(sampler: _Sampler, rng: np.random.Generator, budget: SearchBudget):
+    """The finished block of the one trial whose generator is rng."""
+    return sampler.finish([sampler.draw(rng, budget)])
+
+
+class _Drawn(NamedTuple):
+    """Trial b of a finished block: the instance a trial reports, read out only when it is serialized."""
+
+    block: tuple
+    b: int
+
+    def draw(self):
+        return self.block.trial(self.b)
+
+    def as_json(self) -> dict:
+        """The JSON of a draw that is an instance object."""
+        return self.draw().as_json()
+
+
+def _padded(arrays: Sequence[np.ndarray], dtype=float) -> np.ndarray:
+    """Arrays of one rank as one zero-padded array, stacked along a new first axis."""
+    rank = arrays[0].ndim
+    shapes = np.fromiter(chain.from_iterable(a.shape for a in arrays), int, rank * len(arrays)).reshape(-1, rank)
+    out = np.zeros((len(arrays), *shapes.max(axis=0)), dtype)
+    out[_own_entries(shapes, out.shape[1:])] = np.concatenate(arrays, axis=None)
+    return out
+
+
+def _own_entries(shapes: np.ndarray, dims: tuple) -> np.ndarray:
+    """The mask of each trial's entries in a zero-padded array of these dims, trial b being of shape shapes[b].
+
+    Its True entries run in row-major order, trial after trial: the order of
+    the trials' raveled arrays one after another.
+    """
+    mask = np.arange(dims[0]) < shapes[:, :1]
+    for axis in range(1, len(dims)):
+        mask = mask[..., None] & (np.arange(dims[axis]) < shapes[:, axis].reshape((-1,) + (1,) * (axis + 1)))
+    return mask
+
+
+def _row_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of x[b] over its first size[b] entries, with the bits of their own 1-D sums.
+
+    numpy sums 8 or more entries pairwise, so zero padding would regroup the
+    sum: the trials of each size are summed together, unpadded.
+    """
+    out = np.empty(x.shape[:-1])
+    for n in set(size.tolist()):
+        rows = (size == n).nonzero()[0]
+        out[rows] = x[rows, ..., :n].sum(axis=-1)
+    return out
+
+
+def _normalized(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """x divided along its last axis by the ``_row_sums`` of its trials; rows of padding stay zero."""
+    total = _row_sums(x, size)[..., None]
+    return x / np.where(total > 0.0, total, 1.0)
+
+
+def _dirichlet(e: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Dirichlet(1) weights from zero-padded rows of standard exponentials: ``rng.dirichlet``'s stream and bits.
 
     numpy draws them as standard exponentials times one over their
-    left-to-right sum; one ``standard_exponential`` call does the same.
+    left-to-right sum, which padding does not change; they are then
+    renormalized, as the samplers always did.
     """
-    w = rng.standard_exponential(shape)
-    w *= 1.0 / w.cumsum(axis=-1)[..., -1:]
-    return w / w.sum(axis=-1, keepdims=True)
+    total = e.cumsum(axis=-1)[..., -1:]
+    return _normalized(e * (1.0 / np.where(total > 0.0, total, 1.0)), size)
 
 
-def _payoffs(rng: np.random.Generator, shape) -> np.ndarray:
-    """Payoff values drawn with replacement from VALUE_GRID: ``rng.choice``'s stream and values."""
-    return VALUE_GRID[rng.integers(0, VALUE_GRID.size, size=shape)]
+def _keep_mask(rng: np.random.Generator, n: int, sparsity: float) -> np.ndarray | None:
+    """Which of n weights a sparse law keeps, at least one; None when nothing is zeroed."""
+    if sparsity <= 0.0:
+        return None
+    keep = rng.random(n) >= sparsity
+    if not keep.any():
+        keep[int(rng.integers(n))] = True
+    return keep
 
 
-def _draw_law(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n distinct values of VALUE_GRID and Dirichlet(1) weights, before FiniteDist renormalizes them."""
-    return rng.choice(VALUE_GRID, size=n, replace=False), _dirichlet(rng, n)
+def _sparsified(w: np.ndarray, keeps: Sequence, size: np.ndarray) -> np.ndarray:
+    """Padded weights with the entries their keep masks drop zeroed, renormalized; unchanged without masks."""
+    if keeps[0] is None:
+        return w
+    return _normalized(np.where(_padded(keeps, bool), w, 0.0), size)
+
+
+def _one_hot(columns: Sequence) -> np.ndarray:
+    """Zero-padded 0/1 matrices: row i of matrix b has its 1 in column columns[b][i], all set in one assignment."""
+    sizes = np.array([[len(c)] for c in columns])
+    cols = np.concatenate(columns)
+    out = np.zeros((len(columns), sizes.max(), int(cols.max()) + 1))
+    out[(*np.nonzero(_own_entries(sizes, out.shape[1:2])), cols)] = 1.0
+    return out
+
+
+def _payoffs(indices: Sequence[np.ndarray]) -> np.ndarray:
+    """Payoff values of VALUE_GRID at 1-D index arrays, zero-padded: ``rng.choice``'s values."""
+    out = np.zeros((len(indices), max(i.size for i in indices)))
+    out[_own_entries(np.array([[i.size] for i in indices]), out.shape[1:])] = VALUE_GRID[np.concatenate(indices)]
+    return out
+
+
+def _first_seen(images: Sequence) -> list[int]:
+    """Each image's rank among the distinct images in the order they first appear: a map's 0/1 columns."""
+    seen: dict = {}
+    return [seen.setdefault(y, len(seen)) for y in images]
 
 
 def _labels(prefix: str, n: int) -> tuple:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def _sparsify(rng: np.random.Generator, w: np.ndarray, sparsity: float) -> np.ndarray:
-    if sparsity <= 0.0:
-        return w
-    keep = rng.random(w.shape) >= sparsity
-    if not keep.any():
-        keep.flat[int(rng.integers(w.size))] = True
-    w = np.where(keep, w, 0.0)
-    return w / w.sum()
+def _draw_law(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n distinct values of VALUE_GRID, as ``choice`` draws them, and the exponentials of their weights."""
+    return rng.choice(VALUE_GRID, size=n, replace=False), rng.standard_exponential(n)
 
 
-def _draw_joint(rng: np.random.Generator, budget: SearchBudget) -> tuple[np.ndarray, bool]:
-    """The reference weights of a random joint instance, and whether they are a product law."""
+def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
+    img = list(rng.permutation(n_from)[:n_to])
+    out = [0] * n_from
+    for k, i in enumerate(img):
+        out[i] = k
+    for i in sorted(set(range(n_from)) - set(img)):
+        out[i] = int(rng.integers(n_to))
+    return out
+
+
+# joint instances: the product kinds, the conditional kinds, lemma_identity and key_identity
+
+
+class _JointRaw(NamedTuple):
+    n_e: int
+    n_f: int
+    exps: tuple  # (n_e,) and (n_f,) exponentials of a product reference law's marginals, or (n_e * n_f,) of another
+    keep: np.ndarray | None  # the reference weights' keep mask, row after row
+    paired: np.ndarray  # nu_bar's n_e * n_f exponentials, or the payoffs' indices into VALUE_GRID
+
+
+def _draw_joint(rng: np.random.Generator, budget: SearchBudget, payoffs: bool) -> _JointRaw:
     n_e = int(rng.integers(2, budget.max_e + 1))
     n_f = int(rng.integers(2, budget.max_f + 1))
-    is_product = bool(rng.random() < PRODUCT_FRACTION)
-    if is_product:
-        w = np.outer(_dirichlet(rng, n_e), _dirichlet(rng, n_f))
+    if rng.random() < PRODUCT_FRACTION:
+        exps = (rng.standard_exponential(n_e), rng.standard_exponential(n_f))
     else:
-        w = _dirichlet(rng, n_e * n_f).reshape(n_e, n_f)
-    return _sparsify(rng, w, budget.sparsity), is_product
+        exps = (rng.standard_exponential(n_e * n_f),)
+    n = n_e * n_f
+    keep = _keep_mask(rng, n, budget.sparsity)
+    paired = rng.integers(0, VALUE_GRID.size, size=n) if payoffs else rng.standard_exponential(n)
+    return _JointRaw(n_e, n_f, exps, keep, paired)
 
 
 class _JointDraw(NamedTuple):
@@ -381,18 +534,63 @@ class _JointDraw(NamedTuple):
     is_product: bool
 
 
+class _JointBlock(NamedTuple):
+    """Finished joint instances.
+
+    ``drawn_w`` and ``drawn_paired`` hold each trial's n_e * n_f entries as
+    drawn, row after row. ``w`` and ``paired`` are the (B, E, F) arrays the
+    kinds evaluate: mu_bar and nu_bar as JointDist renormalizes them, or the
+    joint law renormalized once more, as ``flat()``'s FiniteDist does, and
+    the payoff values.
+    """
+
+    raws: Sequence[_JointRaw]
+    product: np.ndarray
+    drawn_w: np.ndarray
+    drawn_paired: np.ndarray
+    w: np.ndarray
+    paired: np.ndarray
+
+    def trial(self, b: int) -> _JointDraw:
+        n_e, n_f = self.raws[b].n_e, self.raws[b].n_f
+        w, paired = (x[b, : n_e * n_f].reshape(n_e, n_f) for x in (self.drawn_w, self.drawn_paired))
+        return _JointDraw(w, paired, bool(self.product[b]))
+
+
+def _finish_joint(raws: Sequence[_JointRaw], payoffs: bool) -> _JointBlock:
+    grid = np.array([(r.n_e, r.n_f) for r in raws])
+    size = grid.prod(axis=1)
+    product = np.array([len(r.exps) == 2 for r in raws])
+    # every exponential vector of the block, a product law's two marginals in turn, in one normalization
+    vectors = [e for r in raws for e in r.exps]
+    d = _dirichlet(_padded(vectors), np.array([e.size for e in vectors]))
+    first = np.cumsum(1 + product) - 1 - product  # each trial's first vector
+    flat = _own_entries(size[:, None], (size.max(),))  # each trial's n_e * n_f entries, row after row
+    w = np.zeros(flat.shape)
+    w[~product, : d.shape[1]] = d[first[~product]]
+    if product.any():
+        outer = d[first[product], :, None] * d[first[product] + 1, None, :]
+        w[flat & product[:, None]] = outer[_own_entries(grid[product], outer.shape[1:])]
+    w = _sparsified(w, [r.keep for r in raws], size)
+    evaluated = _normalized(w, size)  # JointDist's renormalization
+    if payoffs:
+        evaluated = _normalized(evaluated, size)  # and flat()'s FiniteDist's
+        paired = evaluated_paired = _payoffs([r.paired for r in raws])
+    else:
+        paired = _dirichlet(_padded([r.paired for r in raws]), size)
+        evaluated_paired = _normalized(paired, size)
+    cells = _own_entries(grid, tuple(grid.max(axis=0)))
+    w_grid, paired_grid = np.zeros(cells.shape), np.zeros(cells.shape)
+    w_grid[cells], paired_grid[cells] = evaluated[flat], evaluated_paired[flat]
+    return _JointBlock(raws, product, w, paired, w_grid, paired_grid)
+
+
+_PRODUCT = _configured(_draw_joint, _finish_joint, payoffs=False)
+_CONDITIONAL = _configured(_draw_joint, _finish_joint, payoffs=True)
+
+
 def _joint_dist(w: np.ndarray) -> JointDist:
     return JointDist(_labels("e", w.shape[0]), _labels("f", w.shape[1]), w)
-
-
-def _draw_product(rng: np.random.Generator, budget: SearchBudget) -> _JointDraw:
-    w, is_product = _draw_joint(rng, budget)
-    return _JointDraw(w, _dirichlet(rng, w.size).reshape(w.shape), is_product)
-
-
-def _draw_conditional(rng: np.random.Generator, budget: SearchBudget) -> _JointDraw:
-    w, is_product = _draw_joint(rng, budget)
-    return _JointDraw(w, _payoffs(rng, w.shape), is_product)
 
 
 def _product_instance(draw: _JointDraw) -> ProductInstance:
@@ -404,53 +602,434 @@ def _conditional_instance(draw: _JointDraw) -> ConditionalInstance:
 
 
 def sample_product_instance(rng: np.random.Generator, budget: SearchBudget) -> ProductInstance:
-    return _product_instance(_draw_product(rng, budget))
+    return _product_instance(_finished_one(_PRODUCT, rng, budget).trial(0))
 
 
 def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) -> ConditionalInstance:
-    return _conditional_instance(_draw_conditional(rng, budget))
+    return _conditional_instance(_finished_one(_CONDITIONAL, rng, budget).trial(0))
 
 
-def _on_boundary(spec: RiskSpec, groups: Sequence[Sequence[tuple]]) -> list[list[FiniteDist]]:
-    """Each group's drawn laws (values, weights) shifted onto rho = 0 by one ``rho_batch``: ``rho_of_law``'s bits."""
-    laws = [law for group in groups for law in group]
-    weights = [_renormalized(w) for _, w in laws]
-    rho = rho_batch(spec, _padded(weights), _padded([v for v, _ in laws])).tolist()
-    shifted = iter([FiniteDist((v - r).tolist(), w) for (v, _), w, r in zip(laws, weights, rho)])
-    return [[next(shifted) for _ in group] for group in groups]
+# pairs of laws on one atom set, pushed along a chain: duality and the data-processing kinds
 
 
-@dataclass(frozen=True)
-class ShiftConvexityInstance:
-    mu: FiniteDist
-    kernel: Kernel
-
-    def pairs(self) -> list[tuple[float, float, FiniteDist]]:
-        """(mu(x), x, K_x) for each atom x of mu: the compound lottery of the shifted mixture."""
-        atoms = zip(self.mu.atoms, self.mu.weights)
-        return [(float(w), float(x), self.kernel.row(i)) for i, (x, w) in enumerate(atoms)]
-
-    def as_json(self) -> dict:
-        return {"mu": self.mu.as_json(), "kernel": self.kernel.as_json()}
+def _draw_pair(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """(mu's exponentials, its keep mask, nu's exponentials) on one atom set."""
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu = rng.standard_exponential(n)
+    return mu, _keep_mask(rng, n, budget.sparsity), rng.standard_exponential(n)
 
 
-def _draw_shift_convexity(rng: np.random.Generator, budget: SearchBudget) -> tuple[list, None]:
-    """The laws of a shift_convexity instance as drawn: mu's, then one per kernel row."""
+def _finish_pair(raws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights (mu, nu) of a block of pairs as drawn, zero-padded, and their sizes."""
+    mu, keep, nu = zip(*raws)
+    n = np.array([e.size for e in mu])
+    return _sparsified(_dirichlet(_padded(mu), n), keep, n), _dirichlet(_padded(nu), n), n
+
+
+class _ChainDraw(NamedTuple):
+    """A pair of laws and the matrices that push them, as drawn: before FiniteDist and Kernel renormalize."""
+
+    nu: np.ndarray
+    mu: np.ndarray
+    chain: tuple  # row-stochastic matrices, finest first: a kernel's rows or a map's 0/1 matrix
+    maps: tuple  # the maps as the instance reports them; empty for a kernel
+
+
+class _ChainBlock(NamedTuple):
+    """Finished data-processing pairs.
+
+    ``nu``, ``mu`` and ``chain`` are what ``_chain_values`` evaluates: the
+    laws as FiniteDist renormalizes them and each push's (B, K, K')
+    matrices, a kernel's rows as Kernel renormalizes them. The rest is the
+    draw: the laws' weights and the matrices as drawn with each trial's
+    matrix shapes, and each trial's map images with the labels of their
+    atoms, (source prefix, image prefix) per map.
+    """
+
+    size: np.ndarray
+    drawn_nu: np.ndarray
+    drawn_mu: np.ndarray
+    drawn_chain: list
+    shapes: list
+    images: list
+    map_labels: tuple
+    nu: np.ndarray
+    mu: np.ndarray
+    chain: list
+
+    def trial(self, b: int) -> _ChainDraw:
+        n = self.size[b]
+        chain = tuple(m[b, : s[b, 0], : s[b, 1]] for m, s in zip(self.drawn_chain, self.shapes))
+        maps = tuple(
+            {f"{src}{i}": f"{dst}{k}" for i, k in enumerate(images)}
+            for (src, dst), images in zip(self.map_labels, self.images[b])
+        )
+        return _ChainDraw(self.drawn_nu[b, :n], self.drawn_mu[b, :n], chain, maps)
+
+
+def _chain_block(nu, mu, n, chain: list, shapes: list, images=None, map_labels: tuple = ()) -> _ChainBlock:
+    """The block of laws (nu, mu) as drawn, of sizes n, their chain's matrices as drawn, of shapes shapes, and maps."""
+    evaluated = [_normalized(m, s[:, 1]) for m, s in zip(chain, shapes)]  # Kernel's rows; a 0/1 row stays as it is
+    images = [()] * len(n) if images is None else images
+    return _ChainBlock(n, nu, mu, chain, shapes, images, map_labels, _normalized(nu, n), _normalized(mu, n), evaluated)
+
+
+def _map_shapes(columns: Sequence) -> np.ndarray:
+    return np.array([(len(c), max(c) + 1) for c in columns])
+
+
+def _draw_dpi(rng: np.random.Generator, budget: SearchBudget, bijection: bool) -> tuple:
+    """(the pair's draws, the kernel's (n, n_f) exponentials or a permutation of the atoms)."""
+    pair = _draw_pair(rng, budget)
+    n = pair[0].size
+    if bijection:
+        return pair, rng.permutation(n)
+    n_f = int(rng.integers(2, budget.max_f + 1))
+    return pair, rng.standard_exponential((n, n_f))
+
+
+def _finish_dpi(raws: Sequence[tuple], bijection: bool) -> _ChainBlock:
+    pairs, links = zip(*raws)
+    mu, nu, n = _finish_pair(pairs)
+    if bijection:
+        return _chain_block(nu, mu, n, [_one_hot(links)], [np.column_stack([n, n])])
+    shapes = np.array([e.shape for e in links])
+    return _chain_block(nu, mu, n, [_dirichlet(_padded(links), shapes[:, 1])], [shapes])
+
+
+def _draw_sufficiency(rng: np.random.Generator, budget: SearchBudget, matched: bool) -> tuple:
+    """(mu's exponentials, the statistic's image of each atom, nu's exponentials or a matched nu's factor per fiber)."""
+    n = int(rng.integers(2, max(3, budget.max_e) + 1))
+    mu = rng.standard_exponential(n)
+    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
+    images = _random_surjection(rng, n, n_fibers)
+    return mu, images, rng.uniform(0.25, 2.5, size=n_fibers) if matched else rng.standard_exponential(n)
+
+
+def _finish_sufficiency(raws: Sequence[tuple], matched: bool) -> _ChainBlock:
+    exps, images, others = zip(*raws)
+    n = np.array([e.size for e in exps])
+    mu = _dirichlet(_padded(exps), n)
+    if matched:
+        # nu is mu times its fiber's factor: d nu / d mu is a function of the statistic
+        fibers = _padded([np.array(i) for i in images], int)
+        nu = _normalized(mu * np.take_along_axis(_padded(others), fibers, 1), n)
+    else:
+        nu = _dirichlet(_padded(others), n)
+    columns = [_first_seen(i) for i in images]
+    return _chain_block(nu, mu, n, [_one_hot(columns)], [_map_shapes(columns)], [(i,) for i in images], (("a", "g"),))
+
+
+def _draw_refinement(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """(mu's and nu's exponentials as a (2, n0) array, the images of the n0 atoms and of the first map's n1 images)."""
+    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
+    exps = rng.standard_exponential((2, n0))
+    n1 = int(rng.integers(2, n0))
+    n2 = int(rng.integers(1, n1 + 1))
+    return exps, (_random_surjection(rng, n0, n1), _random_surjection(rng, n1, n2))
+
+
+def _finish_refinement(raws: Sequence[tuple]) -> _ChainBlock:
+    exps, images = zip(*raws)
+    n = np.array([e.shape[1] for e in exps])
+    laws = _dirichlet(_padded(exps), n)
+    first = [_first_seen(one) for one, _ in images]
+    # the second map acts on the first one's image, whose atoms come in the order they first appear
+    second = [_first_seen([two[k] for k in dict.fromkeys(one)]) for one, two in images]
+    chain, shapes = [_one_hot(first), _one_hot(second)], [_map_shapes(first), _map_shapes(second)]
+    nu, mu = np.ascontiguousarray(laws[:, 1]), np.ascontiguousarray(laws[:, 0])
+    return _chain_block(nu, mu, n, chain, shapes, images, (("a", "b"), ("b", "c")))
+
+
+_CHAIN_SAMPLERS = {
+    "dpi": _configured(_draw_dpi, _finish_dpi, bijection=False),
+    "dpi_bijection": _configured(_draw_dpi, _finish_dpi, bijection=True),
+    "sufficiency_matched": _configured(_draw_sufficiency, _finish_sufficiency, matched=True),
+    "sufficiency_generic": _configured(_draw_sufficiency, _finish_sufficiency, matched=False),
+    "refinement": _Sampler(_draw_refinement, _finish_refinement),
+}
+
+
+# joint_convexity: two pairs of laws on one atom set and a mixing weight
+
+
+def _draw_convexity(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """(the exponentials of mu1, nu1, mu2 and nu2 as a (4, n) array, t)."""
+    n = int(rng.integers(2, budget.max_e + 1))
+    return rng.standard_exponential((4, n)), float(rng.uniform(0.05, 0.95))
+
+
+class _ConvexityBlock(NamedTuple):
+    """Finished joint_convexity instances: t, and the (B, 4, N) weights of mu1, nu1, mu2, nu2, drawn and as evaluated.
+
+    ``laws`` holds the weights as FiniteDist renormalizes them.
+    """
+
+    t: np.ndarray
+    size: np.ndarray
+    drawn: np.ndarray
+    laws: np.ndarray
+
+    def trial(self, b: int) -> tuple:
+        """(t, nu1, mu1, nu2, mu2) as drawn."""
+        mu1, nu1, mu2, nu2 = self.drawn[b, :, : self.size[b]]
+        return float(self.t[b]), nu1, mu1, nu2, mu2
+
+
+def _finish_convexity(raws: Sequence[tuple]) -> _ConvexityBlock:
+    exps, t = zip(*raws)
+    n = np.array([e.shape[1] for e in exps])
+    drawn = _dirichlet(_padded(exps), n)
+    return _ConvexityBlock(np.array(t), n, drawn, _normalized(drawn, n))
+
+
+_CONVEXITY = _Sampler(_draw_convexity, _finish_convexity)
+
+
+# dist_concavity: two laws on the real line and a mixing weight
+
+
+def _draw_concavity(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """(the values and exponentials of m1, those of m2, t)."""
+    n1 = int(rng.integers(2, budget.max_e + 1))
+    n2 = int(rng.integers(2, budget.max_e + 1))
+    m1, m2 = _draw_law(rng, n1), _draw_law(rng, n2)
+    return m1, m2, float(rng.uniform(0.05, 0.95))
+
+
+class _ConcavityBlock(NamedTuple):
+    """Finished dist_concavity instances: t, and per law its sizes, values and weights, drawn and as evaluated."""
+
+    t: np.ndarray
+    size: tuple
+    values: tuple
+    drawn: tuple
+    weights: tuple
+
+    def trial(self, b: int) -> dict:
+        laws = (FiniteDist(v[b, : n[b]].tolist(), w[b, : n[b]]) for v, w, n in zip(self.values, self.drawn, self.size))
+        return dict(zip(("t", "m1", "m2"), (float(self.t[b]), *laws)))
+
+
+def _finish_concavity(raws: Sequence[tuple]) -> _ConcavityBlock:
+    *laws, t = zip(*raws)
+    size = tuple(np.array([v.size for v, _ in m]) for m in laws)
+    values = tuple(_padded([v for v, _ in m]) for m in laws)
+    drawn = tuple(_dirichlet(_padded([e for _, e in m]), n) for m, n in zip(laws, size))
+    return _ConcavityBlock(np.array(t), size, values, drawn, tuple(_normalized(w, n) for w, n in zip(drawn, size)))
+
+
+_CONCAVITY = _Sampler(_draw_concavity, _finish_concavity)
+
+
+# lebesgue: a law, a payoff and a direction
+
+
+def _draw_lebesgue(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """(mu's exponentials, the payoff's indices into VALUE_GRID, the direction, uniform on [0, 1))."""
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu = rng.standard_exponential(n)
+    f = rng.integers(0, VALUE_GRID.size, size=n)
+    return mu, f, rng.uniform(0.0, 1.0, size=n)
+
+
+class _LebesgueBlock(NamedTuple):
+    """Finished lebesgue instances: mu's (B, N) weights, drawn and as FiniteDist stores them, payoffs and directions."""
+
+    size: np.ndarray
+    drawn: np.ndarray
+    mu: np.ndarray
+    f: np.ndarray
+    h: np.ndarray
+
+    def trial(self, b: int) -> tuple:
+        n = self.size[b]
+        return FiniteDist(_labels("a", n), self.drawn[b, :n]), self.f[b, :n], self.h[b, :n]
+
+
+def _finish_lebesgue(raws: Sequence[tuple]) -> _LebesgueBlock:
+    exps, f, h = zip(*raws)
+    n = np.array([e.size for e in exps])
+    drawn = _dirichlet(_padded(exps), n)
+    return _LebesgueBlock(n, drawn, _normalized(drawn, n), _payoffs(f), _padded(h))
+
+
+_LEBESGUE = _Sampler(_draw_lebesgue, _finish_lebesgue)
+
+
+# the acceptance-set probes: laws on the real line, each shifted onto rho = 0;
+# a trial's draws are (its laws' (values, exponentials), the exponentials of
+# mixture_convexity's mixing weights or None)
+
+
+def _draw_shift_convexity(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """mu's law, then one per kernel row."""
     n_e = int(rng.integers(2, budget.max_e + 1))
     n_f = int(rng.integers(2, budget.max_f + 1))
     return [_draw_law(rng, n) for n in (n_e, *[n_f] * n_e)], None
 
 
-def _shift_convexity_instance(laws: Sequence[FiniteDist], _=None) -> ShiftConvexityInstance:
+def _draw_property_s(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    """The x-marginal, then its k component laws."""
+    k = int(rng.integers(2, 5))
+    marginal = _draw_law(rng, k)
+    return [marginal, *(_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k))], None
+
+
+def _draw_mixture(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+    k = int(rng.integers(2, 5))
+    weights = rng.standard_exponential(k)
+    return [_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k)], weights
+
+
+class _LawsBlock(NamedTuple):
+    """Finished probe laws, one row per law of the block, trial after trial.
+
+    ``owner`` and ``slot`` give each law's trial and its place there;
+    ``drawn`` holds the weights as drawn, ``weights`` as FiniteDist stores
+    them, whose risk shifts the law onto the boundary, and ``weights2`` as
+    the shifted law's FiniteDist stores them once more. ``mixing`` is
+    mixture_convexity's (B, k) weights as drawn.
+    """
+
+    counts: np.ndarray
+    owner: np.ndarray
+    slot: np.ndarray
+    size: np.ndarray
+    values: np.ndarray
+    drawn: np.ndarray
+    weights: np.ndarray
+    weights2: np.ndarray
+    mixing: np.ndarray | None
+
+
+def _finish_laws(raws: Sequence[tuple]) -> _LawsBlock:
+    trials, mixings = zip(*raws)
+    counts = np.array([len(t) for t in trials])
+    laws = [law for t in trials for law in t]
+    size = np.array([v.size for v, _ in laws])
+    drawn = _dirichlet(_padded([e for _, e in laws]), size)
+    weights = _normalized(drawn, size)
+    mixing = None if mixings[0] is None else _dirichlet(_padded(mixings), np.array([m.size for m in mixings]))
+    owner = np.repeat(np.arange(len(raws)), counts)
+    slot = np.arange(len(laws)) - np.repeat(counts.cumsum() - counts, counts)
+    values = _padded([v for v, _ in laws])
+    return _LawsBlock(counts, owner, slot, size, values, drawn, weights, _normalized(weights, size), mixing)
+
+
+_SHIFT_CONVEXITY_LAWS = _Sampler(_draw_shift_convexity, _finish_laws)
+_PROPERTY_S_LAWS = _Sampler(_draw_property_s, _finish_laws)
+_MIXTURE_LAWS = _Sampler(_draw_mixture, _finish_laws)
+
+
+class _Lotteries(NamedTuple):
+    """A probe kind's finished compound lotteries.
+
+    The block's laws and their values shifted onto the boundary; each trial's
+    (B, k) weights q and shifts x, and (B, k, M) component weights and values,
+    for ``_mixture_risks``; for shift_convexity, the kernel as drawn: its
+    (B, T) target, target sizes and (B, k, T) rows; and ``instance``, which
+    reads out trial b's instance as drawn.
+    """
+
+    laws: _LawsBlock
+    shifted: np.ndarray
+    q: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    kernel: tuple | None
+    instance: Callable
+
+    def trial(self, b: int):
+        return self.instance(self, b)
+
+
+def _shifted_law(lot: _Lotteries, law: int) -> FiniteDist:
+    """A law of the block on the boundary, as FiniteDist stores it."""
+    n = lot.laws.size[law]
+    return FiniteDist(lot.shifted[law, :n].tolist(), lot.laws.weights[law, :n])
+
+
+def _first_law(lot: _Lotteries, b: int) -> int:
+    return int(lot.laws.counts[:b].sum())
+
+
+def _components(laws: _LawsBlock, shifted: np.ndarray, rows: np.ndarray, slot: np.ndarray) -> tuple:
+    """The (B, k, M) weights and values of the shifted laws ``rows``, each at its trial and slot."""
+    shape = (len(laws.counts), slot.max() + 1, laws.size[rows].max())
+    w, v = np.zeros(shape), np.zeros(shape)
+    w[laws.owner[rows], slot] = laws.weights2[rows, : shape[2]]
+    v[laws.owner[rows], slot] = shifted[rows, : shape[2]]
+    return w, v
+
+
+def _mixture_instance(lot: _Lotteries, b: int) -> list:
+    """The pairs (w, 0, law): a mixture is a compound lottery with no shifts."""
+    first = _first_law(lot, b)
+    return [(float(w), 0.0, _shifted_law(lot, first + i)) for i, w in enumerate(lot.q[b, : lot.laws.counts[b]])]
+
+
+def _mixture_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
+    w, v = _components(laws, shifted, np.arange(len(laws.owner)), laws.slot)
+    return _Lotteries(laws, shifted, laws.mixing, np.zeros(laws.mixing.shape), w, v, None, _mixture_instance)
+
+
+def _property_s_instance(lot: _Lotteries, b: int) -> list:
+    """The pairs (w, x, law): the marginal's drawn weights and its atoms on the boundary, as shifts."""
+    first = _first_law(lot, b)
+    k = lot.laws.counts[b] - 1
+    atoms = _shifted_law(lot, first).atoms
+    return [(float(w), x, _shifted_law(lot, first + 1 + i)) for i, (w, x) in enumerate(zip(lot.q[b, :k], atoms))]
+
+
+def _property_s_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
+    marginals, rows = np.flatnonzero(laws.slot == 0), np.flatnonzero(laws.slot > 0)
+    w, v = _components(laws, shifted, rows, laws.slot[rows] - 1)
+    k = w.shape[1]
+    q, x = laws.drawn[marginals, :k], shifted[marginals, :k]
+    return _Lotteries(laws, shifted, q, x, w, v, None, _property_s_instance)
+
+
+def _shift_convexity_instance(lot: _Lotteries, b: int) -> ShiftConvexityInstance:
     """mu and the kernel whose rows are the other laws, all on the boundary."""
-    mu, rows = laws[0], laws[1:]
-    # rows carry their own shifted supports; the kernel target is the union
-    target = sorted({a for r in rows for a in r.atoms})
-    idx = {a: i for i, a in enumerate(target)}
-    mat = np.zeros((len(rows), len(target)))
-    for i, r in enumerate(rows):
-        mat[i, [idx[a] for a in r.atoms]] = r.weights
-    return ShiftConvexityInstance(mu=mu, kernel=Kernel(mu.atoms, tuple(target), mat))
+    mu = _shifted_law(lot, _first_law(lot, b))
+    target, size, rows = lot.kernel
+    n = size[b]
+    return ShiftConvexityInstance(mu, Kernel(mu.atoms, tuple(target[b, :n].tolist()), rows[b, : len(mu), :n]))
+
+
+def _shift_convexity_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
+    """mu's (weight, atom) pairs, each with its kernel row, a law on the union of the rows' shifted atoms.
+
+    Each trial's target is that union in increasing order: the rows' atoms
+    are sorted by trial and value, and an atom's column is its rank among
+    the distinct atoms of its trial. Kernel renormalizes the rows on the
+    target, and each row's FiniteDist once more.
+    """
+    mu, rows = np.flatnonzero(laws.slot == 0), np.flatnonzero(laws.slot > 0)
+    blocks = len(laws.counts)
+    entries = _own_entries(laws.size[rows, None], shifted.shape[1:])
+    row = rows[np.nonzero(entries)[0]]  # each atom's law
+    atoms, owner = shifted[rows][entries], laws.owner[row]
+    order = np.lexsort((atoms, owner))
+    sorted_atoms, sorted_owner = atoms[order], owner[order]
+    new = np.ones(atoms.size, bool)
+    new[1:] = (sorted_atoms[1:] != sorted_atoms[:-1]) | (sorted_owner[1:] != sorted_owner[:-1])
+    distinct = new.cumsum() - 1
+    column = np.empty(atoms.size, int)
+    column[order] = distinct - distinct[np.searchsorted(sorted_owner, np.arange(blocks))][sorted_owner]
+    size = np.bincount(sorted_owner[new], minlength=blocks)
+    target = np.zeros((blocks, size.max()))
+    target[_own_entries(size[:, None], target.shape[1:])] = sorted_atoms[new]
+    k = laws.size[mu].max()
+    drawn = np.zeros((blocks, k, size.max()))
+    drawn[owner, laws.slot[row] - 1, column] = laws.weights2[rows][entries]
+    w = _normalized(_normalized(drawn, size), size)
+    present = np.arange(k) < laws.size[mu][:, None]
+    v = np.where(present[:, :, None], target[:, None, :], 0.0)
+    q, x = laws.weights2[mu, :k], shifted[mu, :k]
+    return _Lotteries(laws, shifted, q, x, w, v, (target, size, drawn), _shift_convexity_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +1111,17 @@ def consistency_gap(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> 
 _ACCEPTABLE_TOL = 1e-9
 
 
-def _mixture_risks(spec: RiskSpec, mixtures: Sequence[Sequence[tuple]], marginal=True) -> np.ndarray:
-    """rho of each mixture sum_i w_i m_i(. - x_i) of pairs (w_i, x_i, m_i), once its inputs are found acceptable.
+def _mixture_risks(spec: RiskSpec, q, x, w, v, marginal=True) -> np.ndarray:
+    """rho of each mixture sum_i q_i m_i(. - x_i), once its inputs are found acceptable.
 
-    The mixtures, their component laws and, when ``marginal``, their
-    x-marginals sum_i w_i delta_(x_i) are one ``rho_batch``. The weights w_i
-    are renormalized to sum to 1. A marginal or a component above
-    _ACCEPTABLE_TOL violates the precondition and raises.
+    A mixture is a row of the (B, k) weights q and shifts x and of the
+    (B, k, M) weights w and values v of its component laws m_i, zeros
+    padding missing components and atoms. The mixtures, their component laws
+    and, when ``marginal``, their x-marginals sum_i q_i delta_(x_i) are one
+    ``rho_batch``. The weights q_i are renormalized to sum to 1. A marginal
+    or a component above _ACCEPTABLE_TOL violates the precondition and raises.
     """
-    q, x = (_padded([np.array([pair[i] for pair in pairs]) for pairs in mixtures]) for i in (0, 1))
     q = q / _atom_sum(q)[:, None]
-    w = _padded([_padded([law.weights for _, _, law in pairs]) for pairs in mixtures])
-    v = _padded([_padded([law.values_array() for _, _, law in pairs]) for pairs in mixtures])
     b, k, m = w.shape
     present = w.any(axis=-1)
     parts = [(q, x)] if marginal else []
@@ -603,21 +1181,20 @@ def _key_identity_gap(spec: RiskSpec, mu_bar: np.ndarray, f: np.ndarray) -> floa
 # iterable of one TrialResult per trial in [start, stop), read once; trial k
 # draws all its randomness from the stream of budget.rng_for(k). It draws
 # through the block's one generator, which _trial_rngs reseeds by state
-# before each trial: a trial function takes all of a trial's draws before the
-# next trial's, and the generator carries no SeedSequence of the trial's own.
-# 19 kinds draw their trials one by one and solve them in a few batched
-# evaluations of one block function, which a kind's replay calls on a block
-# of one: the conditional, product and data-processing kinds and
-# joint_convexity keep their draws as arrays, and a conditional block takes
-# 2 rho_batch calls (rows with full laws, then outer laws; the weak kind
-# rows, then recentered full laws, 1 call each step); the probe kinds
+# before each trial: a sampler's draw step takes all of a trial's draws
+# before the next trial's, and the generator carries no SeedSequence of the
+# trial's own. 19 kinds finish the whole block's draws at once and solve
+# them in a few batched evaluations of one block function, which a kind's
+# replay calls on a block of one: a conditional block takes 2 rho_batch
+# calls (rows with full laws, then outer laws; the weak kind rows, then
+# recentered full laws, 1 call each step), and the probe kinds
 # (shift_convexity, property_s, mixture_convexity), dist_concavity and
-# lebesgue draw laws and take at most two rho_batch calls. The other 3
-# kinds (duality, lemma_identity, key_identity) run a solver per trial and
-# are written for one trial, as
+# lebesgue take at most two. A trial's instance is a ``_Drawn``, which the
+# kind's serializer reads out. The other 3 kinds (duality, lemma_identity,
+# key_identity) run a solver per trial and are written for one trial, as
 # (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
 # and wrapped by per_trial, which runs each trial as it is read, so a batch
-# never holds their instances.
+# never holds their instances; they finish their draws as a block of one.
 
 
 class TrialResult(NamedTuple):
@@ -637,23 +1214,6 @@ def per_trial(trial: Callable) -> Callable:
     return trials
 
 
-def _draw_pair(rng, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
-    """The weights (mu, nu) of a random pair of laws on one atom set."""
-    n = int(rng.integers(2, budget.max_e + 1))
-    mu_w = _sparsify(rng, _dirichlet(rng, n), budget.sparsity)
-    return mu_w, _dirichlet(rng, n)
-
-
-def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
-    img = list(rng.permutation(n_from)[:n_to])
-    out = [0] * n_from
-    for k, i in enumerate(img):
-        out[i] = k
-    for i in sorted(set(range(n_from)) - set(img)):
-        out[i] = int(rng.integers(n_to))
-    return out
-
-
 def _small_budget(budget: SearchBudget) -> SearchBudget:
     """The budget with spaces capped at 4 x 4, the limit of the grid oracle."""
     return replace(budget, max_e=min(4, budget.max_e), max_f=min(4, budget.max_f))
@@ -671,95 +1231,27 @@ def _negated(trials):
     return negated
 
 
-class _ChainDraw(NamedTuple):
-    """A pair of laws and the matrices that push them, as drawn: before FiniteDist and Kernel renormalize."""
-
-    nu: np.ndarray
-    mu: np.ndarray
-    chain: tuple  # row-stochastic matrices, finest first: a kernel's rows or a map's 0/1 matrix
-    maps: tuple  # the maps as the instance reports them; empty for a kernel
-
-
-def _map_matrix(mapping: dict) -> np.ndarray:
-    """A map's 0/1 matrix, its images in the order they first appear."""
-    order = list(dict.fromkeys(mapping.values()))
-    return np.eye(len(order))[[order.index(y) for y in mapping.values()]]
-
-
-def _draw_dpi(rng, budget: SearchBudget, bijection: bool) -> _ChainDraw:
-    mu_w, nu_w = _draw_pair(rng, budget)
-    if bijection:
-        kernel = np.eye(mu_w.size)[rng.permutation(mu_w.size)]
-    else:
-        n_f = int(rng.integers(2, budget.max_f + 1))
-        kernel = _dirichlet(rng, (mu_w.size, n_f))
-    return _ChainDraw(nu_w, mu_w, (kernel,), ())
-
-
-def _draw_sufficiency(rng, budget: SearchBudget, matched: bool) -> _ChainDraw:
-    n = int(rng.integers(2, max(3, budget.max_e) + 1))
-    mu_w = _dirichlet(rng, n)
-    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
-    images = _random_surjection(rng, n, n_fibers)
-    if matched:
-        nu_w = mu_w * rng.uniform(0.25, 2.5, size=n_fibers)[images]
-        nu_w = nu_w / nu_w.sum()
-    else:
-        nu_w = _dirichlet(rng, n)
-    mapping = {f"a{i}": f"g{k}" for i, k in enumerate(images)}
-    return _ChainDraw(nu_w, mu_w, (_map_matrix(mapping),), (mapping,))
-
-
-def _draw_refinement(rng, budget: SearchBudget) -> _ChainDraw:
-    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
-    mu_w, nu_w = _dirichlet(rng, (2, n0))
-    n1 = int(rng.integers(2, n0))
-    n2 = int(rng.integers(1, n1 + 1))
-    m1 = {f"a{i}": f"b{k}" for i, k in enumerate(_random_surjection(rng, n0, n1))}
-    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(_random_surjection(rng, n1, n2))}
-    # m2 acts on the image of m1, whose atoms come in the order they first appear
-    on_image = {b: m2[b] for b in dict.fromkeys(m1.values())}
-    return _ChainDraw(nu_w, mu_w, (_map_matrix(m1), _map_matrix(on_image)), (m1, m2))
-
-
-def _pair_score(values: list, draw: _ChainDraw) -> TrialResult:
+def _pair_score(values: list, inst) -> TrialResult:
     """alpha before minus alpha after the one push of a data-processing trial."""
     g = Gap.of(*values)
-    return TrialResult(g.value, g.vacuous, None, (draw, values))
+    return TrialResult(g.value, g.vacuous, None, (inst, values))
 
 
-def _refinement_score(values: list, draw: _ChainDraw) -> TrialResult:
+def _refinement_score(values: list, inst) -> TrialResult:
     """The least step down the values, over the steps between finite values; NaN if any value is."""
     if any(math.isnan(v) for v in values):
-        return TrialResult(math.nan, False, None, (draw, values))
+        return TrialResult(math.nan, False, None, (inst, values))
     steps = [a - b for a, b in zip(values, values[1:]) if math.isfinite(a) and math.isfinite(b)]
     if not steps:
         return TrialResult(None, True, None, None)
-    return TrialResult(min(steps), False, None, (draw, values))
+    return TrialResult(min(steps), False, None, (inst, values))
 
 
-def _chain_trials(risk, div, budget, start, stop, draw: Callable, score: Callable = _pair_score):
-    """Pairs of laws drawn one by one as arrays, pushed along their chains in one ``_chain_values``.
-
-    The laws and the matrices' rows are renormalized as FiniteDist and Kernel
-    renormalize them, so the serialized instance holds the bits a trial
-    evaluates.
-    """
-    draws = [draw(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    values = _chain_values(
-        div,
-        _padded([_renormalized(d.nu) for d in draws]),
-        _padded([_renormalized(d.mu) for d in draws]),
-        [_padded([m / m.sum(axis=1, keepdims=True) for m in step]) for step in zip(*(d.chain for d in draws))],
-    )
-    return [score(v, d) for v, d in zip(values.tolist(), draws)]
-
-
-def _draw_convexity(rng, budget: SearchBudget) -> tuple:
-    """A joint_convexity instance as drawn: (t, nu1, mu1, nu2, mu2)."""
-    n = int(rng.integers(2, budget.max_e + 1))
-    mu1, nu1, mu2, nu2 = _dirichlet(rng, (4, n))
-    return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
+def _chain_trials(risk, div, budget, start, stop, sampler: _Sampler, score: Callable = _pair_score):
+    """Pairs of laws pushed along their chains in one ``_chain_values``."""
+    block = _finished(sampler, budget, start, stop)
+    values = _chain_values(div, block.nu, block.mu, block.chain)
+    return [score(v, _Drawn(block, b)) for b, v in enumerate(values.tolist())]
 
 
 def _convexity_sides(div, t: np.ndarray, nu1, mu1, nu2, mu2) -> tuple[list, list]:
@@ -773,22 +1265,23 @@ def _convexity_sides(div, t: np.ndarray, nu1, mu1, nu2, mu2) -> tuple[list, list
 def _joint_convexity_trials(risk, div, budget, start, stop):
     """The two sides of ``_convexity_sides`` minus each other, one trial per drawn instance.
 
-    Laws are renormalized as FiniteDist renormalizes them. Infinite on both
-    sides is vacuous, and a trial with an infinite side keeps no instance.
+    Infinite on both sides is vacuous, and a trial with an infinite side
+    keeps no instance.
     """
-    draws = [_draw_convexity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    t, *laws = zip(*draws)
-    lhs, rhs = _convexity_sides(div, np.array(t), *(_padded([_renormalized(w) for w in ws]) for ws in laws))
+    block = _finished(_CONVEXITY, budget, start, stop)
+    mu1, nu1, mu2, nu2 = (np.ascontiguousarray(block.laws[:, i]) for i in range(4))
+    lhs, rhs = _convexity_sides(div, block.t, nu1, mu1, nu2, mu2)
     return [
         TrialResult(None, True, None, None)
         if math.isinf(left) and math.isinf(right)
-        else TrialResult(left - right, False, None, None if math.isinf(left) else d)
-        for left, right, d in zip(lhs, rhs, draws)
+        else TrialResult(left - right, False, None, None if math.isinf(left) else _Drawn(block, b))
+        for b, (left, right) in enumerate(zip(lhs, rhs))
     ]
 
 
 def _duality_trial(rng, risk, div, budget):
-    mu, nu = (FiniteDist(_labels("a", w.size), w) for w in _draw_pair(rng, budget))
+    mu_w, nu_w, _ = _finish_pair([_draw_pair(rng, budget)])
+    mu, nu = (FiniteDist(_labels("a", w.size), w) for w in (mu_w[0], nu_w[0]))
     res = dual_divergence(risk, nu, mu)
     if res.certified_gap is None:
         return None, True, None, None
@@ -801,14 +1294,6 @@ def _duality_trial(rng, risk, div, budget):
         "budget_exhausted": res.budget_exhausted,
     }
     return res.certified_gap, False, None, inst, res.budget_exhausted
-
-
-def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Arrays of one rank as one zero-padded array, stacked along a new first axis."""
-    out = np.zeros((len(arrays), *map(max, zip(*(a.shape for a in arrays)))))
-    for b, a in enumerate(arrays):
-        out[(b, *map(slice, a.shape))] = a
-    return out
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -828,85 +1313,50 @@ def _renormalized(w: np.ndarray) -> np.ndarray:
 
 
 def _conditional_trials(risk, div, budget, start, stop, weak: bool):
-    """Conditional instances drawn one by one as arrays, their gaps in one ``_conditional_gaps``.
+    """Conditional instances, their gaps in one ``_conditional_gaps``.
 
-    The weights are renormalized twice, as JointDist and then ``flat()``'s
-    FiniteDist renormalize them, so an acceptance trial gives the bits of
+    The joint law is renormalized twice, as JointDist and then ``flat()``'s
+    FiniteDist renormalize it, so an acceptance trial gives the bits of
     ``consistency_gap`` on its ``sample_conditional_instance(...).flat()``.
     """
-    draws = [_draw_conditional(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    w = _padded([_renormalized(_renormalized(d.w)) for d in draws])
-    gaps = _conditional_gaps(risk, w, _padded([d.paired for d in draws]), weak=weak)
-    return [TrialResult(float(g), False, d.is_product, d) for g, d in zip(gaps, draws)]
+    block = _finished(_CONDITIONAL, budget, start, stop)
+    gaps = _conditional_gaps(risk, block.w, block.paired, weak=weak)
+    products = block.product.tolist()
+    return [TrialResult(g, False, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps.tolist(), products))]
 
 
 def _product_trials(risk, div, budget, start, stop, weak: bool):
-    """Product instances drawn one by one as arrays, their gaps in one ``_product_gaps``.
-
-    The weights are renormalized as JointDist renormalizes them, so the
-    serialized instance holds the bits a trial evaluates.
-    """
-    draws = [_draw_product(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    gaps = _product_gaps(
-        div,
-        _padded([_renormalized(d.w) for d in draws]),
-        _padded([_renormalized(d.paired) for d in draws]),
-        np.array([d.w.shape[1] for d in draws]),
-        weak,
-    )
-    return [TrialResult(g.value, g.vacuous, d.is_product, d) for g, d in zip(gaps, draws)]
+    """Product instances, their gaps in one ``_product_gaps``."""
+    block = _finished(_PRODUCT, budget, start, stop)
+    gaps = _product_gaps(div, block.w, block.paired, np.array([r.n_f for r in block.raws]), weak)
+    products = block.product.tolist()
+    return [TrialResult(g.value, g.vacuous, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps, products))]
 
 
-def _probe_trials(
-    risk, div, budget, start, stop, draw: Callable, instance: Callable, pairs: Callable = list, marginal=True
-):
+def _on_boundary(risk: RiskSpec, laws: _LawsBlock) -> np.ndarray:
+    """The values of the block's laws shifted onto rho = 0 by one ``rho_batch``: ``rho_of_law``'s bits; zeros pad."""
+    rho = rho_batch(risk, laws.weights, laws.values)
+    return np.where(_own_entries(laws.size[:, None], laws.values.shape[1:]), laws.values - rho[:, None], 0.0)
+
+
+def _probe_trials(risk, div, budget, start, stop, sampler: _Sampler, lotteries: Callable, marginal=True):
     """Trials of an acceptance-set probe kind in two ``rho_batch`` calls.
 
-    ``draw`` gives a trial's laws and its other draws. The first call shifts
-    every law onto the boundary; ``instance`` builds each trial's instance
-    and ``pairs`` its compound lottery, for the second, ``_mixture_risks``.
+    The first shifts every law of the block onto the boundary
+    (``_on_boundary``); ``lotteries`` assembles each trial's compound lottery
+    from the shifted laws for the second, ``_mixture_risks``.
     """
-    draws = [draw(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    boundary = _on_boundary(risk, [laws for laws, _ in draws])
-    insts = [instance(laws, drawn) for laws, (_, drawn) in zip(boundary, draws)]
-    rho = _mixture_risks(risk, [pairs(inst) for inst in insts], marginal=marginal)
-    return [TrialResult(-r, False, None, inst) for r, inst in zip(rho.tolist(), insts)]
+    laws = _finished(sampler, budget, start, stop)
+    lot = lotteries(laws, _on_boundary(risk, laws))
+    risks = _mixture_risks(risk, lot.q, lot.x, lot.w, lot.v, marginal=marginal)
+    return [TrialResult(-r, False, None, _Drawn(lot, b)) for b, r in enumerate(risks.tolist())]
 
 
-def _draw_property_s(rng, budget: SearchBudget) -> tuple[list, np.ndarray]:
-    """The x-marginal and the k component laws of a compound lottery as drawn, and the marginal's weights."""
-    k = int(rng.integers(2, 5))
-    marginal = _draw_law(rng, k)
-    return [marginal, *(_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k))], marginal[1]
+def _concavity_gaps(risk, t: np.ndarray, w1, v1, w2, v2) -> list[float]:
+    """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2) of B pairs of laws, all in one ``rho_batch``.
 
-
-def _property_s_instance(laws: Sequence[FiniteDist], weights: np.ndarray) -> list:
-    """The pairs (w, x, law): the marginal's atoms on the boundary, as shifts."""
-    return [(float(w), x, law) for w, x, law in zip(weights, laws[0].atoms, laws[1:])]
-
-
-def _draw_mixture(rng, budget: SearchBudget) -> tuple[list, np.ndarray]:
-    k = int(rng.integers(2, 5))
-    weights = _dirichlet(rng, k)
-    return [_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k)], weights
-
-
-def _mixture_instance(laws: Sequence[FiniteDist], weights: np.ndarray) -> list:
-    """The pairs (w, 0, law): a mixture is a compound lottery with no shifts."""
-    return [(float(w), 0.0, law) for w, law in zip(weights, laws)]
-
-
-def _draw_concavity(rng, budget: SearchBudget) -> dict:
-    n1 = int(rng.integers(2, budget.max_e + 1))
-    n2 = int(rng.integers(2, budget.max_e + 1))
-    m1, m2 = (FiniteDist(v.tolist(), w) for v, w in (_draw_law(rng, n1), _draw_law(rng, n2)))
-    return {"t": float(rng.uniform(0.05, 0.95)), "m1": m1, "m2": m2}
-
-
-def _concavity_gaps(risk, t: np.ndarray, laws1: Sequence, laws2: Sequence) -> list[float]:
-    """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2) of B pairs, the laws and mixtures in one ``rho_batch``."""
-    w1, w2 = (_padded([law.weights for law in ms]) for ms in (laws1, laws2))
-    v1, v2 = (_padded([law.values_array() for law in ms]) for ms in (laws1, laws2))
+    Each law is given as (B, N) weights and values.
+    """
     mixed_w = np.hstack([t[:, None] * w1, (1 - t[:, None]) * w2])
     rho = rho_batch(risk, _stacked([w1, w2, mixed_w]), _stacked([v1, v2, np.hstack([v1, v2])]))
     rho1, rho2, mixed = rho.reshape(3, -1)
@@ -914,10 +1364,10 @@ def _concavity_gaps(risk, t: np.ndarray, laws1: Sequence, laws2: Sequence) -> li
 
 
 def _dist_concavity_trials(risk, div, budget, start, stop):
-    insts = [_draw_concavity(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    t = np.array([inst["t"] for inst in insts])
-    gaps = _concavity_gaps(risk, t, *([inst[m] for inst in insts] for m in ("m1", "m2")))
-    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps, insts)]
+    block = _finished(_CONCAVITY, budget, start, stop)
+    (w1, w2), (v1, v2) = block.weights, block.values
+    gaps = _concavity_gaps(risk, block.t, w1, v1, w2, v2)
+    return [TrialResult(g, False, None, _Drawn(block, b)) for b, g in enumerate(gaps)]
 
 
 def _lemma_identity_trial(rng, risk, div, budget):
@@ -931,39 +1381,35 @@ def _key_identity_trial(rng, risk, div, budget):
     return _key_identity_gap(risk, inst.joint.matrix, inst.values), False, inst.is_product, inst
 
 
-def _draw_lebesgue(rng, budget: SearchBudget) -> tuple:
-    n = int(rng.integers(2, budget.max_e + 1))
-    mu = FiniteDist(_labels("a", n), _dirichlet(rng, n))
-    return mu, _payoffs(rng, n), rng.uniform(0.0, 1.0, size=n)
+def _lebesgue_gaps(risk, w: np.ndarray, f: np.ndarray, h: np.ndarray) -> list[float]:
+    """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f), per row of (B, N) weights, payoffs and directions.
 
-
-def _lebesgue_gaps(risk, insts: Sequence[tuple]) -> list[float]:
-    """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f), per (mu's weights, f, h): all risks in one ``rho_batch``."""
+    All risks are one ``rho_batch``.
+    """
     scales = 4.0 ** -np.arange(15.0)
-    v = _padded([np.vstack([f, f + scales[:, None] * h]) for _, f, h in insts])
-    w = _padded([np.broadcast_to(mu_w, (16, mu_w.size)) for mu_w, _, _ in insts])
-    rho = rho_batch(risk, w.reshape(-1, w.shape[-1]), v.reshape(-1, v.shape[-1])).reshape(-1, 16)
+    v = np.concatenate([f[:, None], f[:, None] + scales[:, None] * h[:, None]], axis=1)
+    rho = rho_batch(risk, np.repeat(w, 16, axis=0), v.reshape(-1, w.shape[1])).reshape(-1, 16)
     limit, vals = rho[:, 0], rho[:, 1:]
     # ties keep the first argument, as max() does: a zero step or gap stays +0.0
     return np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit)).tolist()
 
 
 def _lebesgue_trials(risk, div, budget, start, stop):
-    insts = [_draw_lebesgue(rng, budget) for rng in _trial_rngs(budget, start, stop)]
-    gaps = _lebesgue_gaps(risk, [(mu.weights, f, h) for mu, f, h in insts])
-    return [TrialResult(g, False, None, inst) for g, inst in zip(gaps, insts)]
+    block = _finished(_LEBESGUE, budget, start, stop)
+    gaps = _lebesgue_gaps(risk, block.mu, block.f, block.h)
+    return [TrialResult(g, False, None, _Drawn(block, b)) for b, g in enumerate(gaps)]
 
 
 def _as_json(inst) -> dict:
     return inst.as_json()
 
 
-def _product_json(draw: _JointDraw) -> dict:
-    return _product_instance(draw).as_json()
+def _product_json(inst: _Drawn) -> dict:
+    return _product_instance(inst.draw()).as_json()
 
 
-def _conditional_json(draw: _JointDraw) -> dict:
-    return _conditional_instance(draw).as_json()
+def _conditional_json(inst: _Drawn) -> dict:
+    return _conditional_instance(inst.draw()).as_json()
 
 
 def _parts_json(parts: dict) -> dict:
@@ -971,9 +1417,14 @@ def _parts_json(parts: dict) -> dict:
     return {k: v.as_json() if hasattr(v, "as_json") else v for k, v in parts.items()}
 
 
+def _concavity_json(inst: _Drawn) -> dict:
+    return _parts_json(inst.draw())
+
+
 def _chain_json(inst: tuple) -> dict:
     """A data-processing instance: its laws and its kernel, its map, or its maps and the values along them."""
-    draw, values = inst
+    drawn, values = inst
+    draw = drawn.draw()
     labels = _labels("a", draw.mu.size)
     laws = {"nu": FiniteDist(labels, draw.nu).as_json(), "mu": FiniteDist(labels, draw.mu).as_json()}
     if not draw.maps:
@@ -984,22 +1435,22 @@ def _chain_json(inst: tuple) -> dict:
     return {**laws, "maps": list(draw.maps), "values": values}
 
 
-def _convexity_json(draw: tuple) -> dict:
-    t, *laws = draw
+def _convexity_json(inst: _Drawn) -> dict:
+    t, *laws = inst.draw()
     labels = _labels("a", laws[0].size)
     return {"t": t, **{k: FiniteDist(labels, w).as_json() for k, w in zip(("nu1", "mu1", "nu2", "mu2"), laws)}}
 
 
-def _property_s_json(pairs) -> dict:
-    return {"pairs": [{"weight": w, "x": x, "law": law.as_json()} for w, x, law in pairs]}
+def _property_s_json(inst: _Drawn) -> dict:
+    return {"pairs": [{"weight": w, "x": x, "law": law.as_json()} for w, x, law in inst.draw()]}
 
 
-def _mixture_json(components) -> dict:
-    return {"components": [{"weight": w, "law": law.as_json()} for w, _, law in components]}
+def _mixture_json(inst: _Drawn) -> dict:
+    return {"components": [{"weight": w, "law": law.as_json()} for w, _, law in inst.draw()]}
 
 
-def _lebesgue_json(inst) -> dict:
-    mu, f, h = inst
+def _lebesgue_json(inst: _Drawn) -> dict:
+    mu, f, h = inst.draw()
     return {"mu": mu.as_json(), "f": f.tolist(), "h": h.tolist()}
 
 
@@ -1020,19 +1471,16 @@ def _stored(cls, doc, key: str = "weights") -> tuple:
     return cls.from_json(doc), np.array(doc[key], dtype=float)
 
 
-class _Law(NamedTuple):
-    """A law on the real line with its weights as serialized: what the block code reads of a FiniteDist."""
-
-    weights: np.ndarray
-    values: np.ndarray
-
-    def values_array(self) -> np.ndarray:
-        return self.values
-
-
-def _law(doc) -> _Law:
+def _law(doc) -> tuple[np.ndarray, np.ndarray]:
+    """A law on the real line: its weights as serialized and its values."""
     law, w = _stored(FiniteDist, doc)
-    return _Law(w, law.values_array())
+    return w, law.values_array()
+
+
+def _one_lottery(q: list, x: list, laws: list) -> tuple:
+    """A compound lottery of weights q, shifts x and component laws (weights, values), as a block of one."""
+    w, v = (_padded([law[i] for law in laws])[None] for i in (0, 1))
+    return np.array([q], dtype=float), np.array([x], dtype=float), w, v
 
 
 def _on_one_space(doc, what: str, cls, *names) -> tuple[dict, list[np.ndarray]]:
@@ -1092,7 +1540,7 @@ def _map_matrices(atoms: tuple, maps: list) -> list[np.ndarray]:
             raise ConfigParseError(f"a map must be a JSON object on exactly the atoms {list(atoms)!r}, got {mapping!r}")
         on_atoms = {a: mapping[a] for a in atoms}
         atoms = tuple(dict.fromkeys(label_list(list(on_atoms.values()), "the images of a map")))
-        out.append(_map_matrix(on_atoms))
+        out.append(_one_hot([_first_seen(on_atoms.values())])[0])
     return out
 
 
@@ -1130,8 +1578,9 @@ def _shift_convexity_replay(risk, div, doc):
     if kernel.source != mu.atoms:
         raise ConfigParseError(f"the kernel's source must be mu's atoms {list(mu.atoms)!r}")
     # the trial's components are the kernel's rows as FiniteDist renormalizes them
-    pairs = [(float(w), float(x), FiniteDist(kernel.target, row)) for w, x, row in zip(mu_w, mu.values_array(), rows)]
-    return -float(_mixture_risks(risk, [pairs])[0])
+    laws = [FiniteDist(kernel.target, row) for row in rows]
+    lottery = _one_lottery(mu_w, mu.values_array(), [(law.weights, law.values_array()) for law in laws])
+    return -float(_mixture_risks(risk, *lottery)[0])
 
 
 def _lottery_replay(risk, div, doc, what: str, key: str, shifted: bool):
@@ -1144,14 +1593,16 @@ def _lottery_replay(risk, div, doc, what: str, key: str, shifted: bool):
     weights = number_list([p[0] for p in parts], f"the weights of {what} {key!r}")
     shifts = number_list([p[1] for p in parts], f"the shifts of {what} {key!r}") if shifted else [0.0] * len(parts)
     FiniteDist(range(len(weights)), weights)  # raises unless the weights are a probability vector
-    pairs = [(float(w), float(x), _law(p[-1])) for w, x, p in zip(weights, shifts, parts)]
-    return -float(_mixture_risks(risk, [pairs], marginal=shifted)[0])
+    lottery = _one_lottery(weights, shifts, [_law(p[-1]) for p in parts])
+    return -float(_mixture_risks(risk, *lottery, marginal=shifted)[0])
 
 
 def _concavity_replay(risk, div, doc):
     what = "dist_concavity instance"
     m1, m2 = json_object(doc, what, "m1", "m2")
-    return _concavity_gaps(risk, np.array([typed_field(doc, "t", None, float, what)]), [_law(m1)], [_law(m2)])[0]
+    (w1, v1), (w2, v2) = (_law(m) for m in (m1, m2))
+    t = np.array([typed_field(doc, "t", None, float, what)])
+    return _concavity_gaps(risk, t, w1[None], v1[None], w2[None], v2[None])[0]
 
 
 def _lebesgue_replay(risk, div, doc):
@@ -1161,7 +1612,7 @@ def _lebesgue_replay(risk, div, doc):
     f, h = (np.array(number_list(x, f"{what} {key!r}"), dtype=float) for key, x in (("f", f), ("h", h)))
     if f.shape != mu_w.shape or h.shape != mu_w.shape:
         raise ConfigParseError(f"{what} 'f' and 'h' must hold one value per atom of mu")
-    return _lebesgue_gaps(risk, [(mu_w, f, h)])[0]
+    return _lebesgue_gaps(risk, mu_w[None], f[None], h[None])[0]
 
 
 def _duality_replay(risk, div, doc):
@@ -1216,16 +1667,14 @@ def _conditional_kind(side: str, weak: bool = False, negate: bool = False) -> Ch
     return CheckKind(side, "risk", _negated(trials) if negate else trials, _conditional_json, replay)
 
 
-def _chain_kind(side: str, draw: Callable, link: str, score: Callable = _pair_score) -> CheckKind:
-    trials = partial(_chain_trials, draw=draw, score=score)
+def _chain_kind(side: str, kind: str, link: str, score: Callable = _pair_score) -> CheckKind:
+    trials = partial(_chain_trials, sampler=_CHAIN_SAMPLERS[kind], score=score)
     return CheckKind(side, "div", trials, _chain_json, partial(_chain_replay, link=link, score=score))
 
 
-_SHIFT_CONVEXITY = partial(
-    _probe_trials, draw=_draw_shift_convexity, instance=_shift_convexity_instance, pairs=ShiftConvexityInstance.pairs
-)
-_PROPERTY_S = partial(_probe_trials, draw=_draw_property_s, instance=_property_s_instance)
-_MIXTURE_CONVEXITY = partial(_probe_trials, draw=_draw_mixture, instance=_mixture_instance, marginal=False)
+_SHIFT_CONVEXITY = partial(_probe_trials, sampler=_SHIFT_CONVEXITY_LAWS, lotteries=_shift_convexity_lotteries)
+_PROPERTY_S = partial(_probe_trials, sampler=_PROPERTY_S_LAWS, lotteries=_property_s_lotteries)
+_MIXTURE_CONVEXITY = partial(_probe_trials, sampler=_MIXTURE_LAWS, lotteries=_mixture_lotteries, marginal=False)
 _PROPERTY_S_REPLAY = partial(_lottery_replay, what="property_s instance", key="pairs", shifted=True)
 _MIXTURE_REPLAY = partial(_lottery_replay, what="mixture_convexity instance", key="components", shifted=False)
 
@@ -1234,8 +1683,8 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "superadditivity": _product_kind("lower"),
     "subadditivity": _product_kind("lower", negate=True),
     "weak_consistency": _product_kind("lower", weak=True),
-    "dpi": _chain_kind("lower", partial(_draw_dpi, bijection=False), "kernel"),
-    "dpi_bijection": _chain_kind("abs", partial(_draw_dpi, bijection=True), "kernel"),
+    "dpi": _chain_kind("lower", "dpi", "kernel"),
+    "dpi_bijection": _chain_kind("abs", "dpi_bijection", "kernel"),
     "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json, _duality_replay),
     "time_consistency": _conditional_kind("abs"),
     "acceptance": _conditional_kind("lower"),
@@ -1245,10 +1694,10 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "property_s": CheckKind("lower", "risk", _PROPERTY_S, _property_s_json, _PROPERTY_S_REPLAY, "F"),
     "mixture_convexity": CheckKind("lower", "risk", _MIXTURE_CONVEXITY, _mixture_json, _MIXTURE_REPLAY, "F"),
     "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json, _convexity_replay),
-    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trials, _parts_json, _concavity_replay, "E"),
-    "sufficiency_matched": _chain_kind("abs", partial(_draw_sufficiency, matched=True), "map"),
-    "sufficiency_generic": _chain_kind("lower", partial(_draw_sufficiency, matched=False), "map"),
-    "refinement": _chain_kind("lower", _draw_refinement, "maps", _refinement_score),
+    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trials, _concavity_json, _concavity_replay, "E"),
+    "sufficiency_matched": _chain_kind("abs", "sufficiency_matched", "map"),
+    "sufficiency_generic": _chain_kind("lower", "sufficiency_generic", "map"),
+    "refinement": _chain_kind("lower", "refinement", "maps", _refinement_score),
     "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json, _lemma_replay),
     "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json, _key_identity_replay),
     "lebesgue": CheckKind("abs", "risk", _lebesgue_trials, _lebesgue_json, _lebesgue_replay),

@@ -18,6 +18,7 @@ and seeds produce byte-identical JSON.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import sys
@@ -344,13 +345,13 @@ CSV_COLUMNS = ("name", "trials", "vacuous", "worst_gap", "verdict", "seed")
 
 
 def reports_to_csv(reports: Sequence[CheckReport]) -> str:
+    """One header row and one row per report; a field is quoted only when it holds a comma, a quote or a newline."""
     buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for r in reports:
-        gap = ""
-        if r.worst_gap is not None:
-            gap = format_float(r.worst_gap).strip('"')
-        buf.write(f"{r.name},{r.trials},{r.vacuous},{gap},{r.verdict},{r.seed}\n")
+        gap = "" if r.worst_gap is None else format_float(r.worst_gap).strip('"')
+        writer.writerow((r.name, r.trials, r.vacuous, gap, r.verdict, r.seed))
     return buf.getvalue()
 
 

@@ -61,8 +61,6 @@ DIV_KINDS = PRODUCT_KINDS + CHAIN_KINDS + ("joint_convexity",)
 PROBE_KINDS = ("shift_convexity", "property_s", "mixture_convexity")
 # the risk kinds that draw laws and evaluate them with no conditioning
 LAW_KINDS = PROBE_KINDS + ("dist_concavity", "lebesgue")
-# each data-processing kind's array draw of one trial
-CHAIN_DRAWS = {kind: CHECK_KINDS[kind].trial.keywords["draw"] for kind in CHAIN_KINDS}
 BATCH_SPECS = [
     RiskSpec.shortfall(LossFn.power_plus(2.0)),
     RiskSpec.shortfall(LossFn.exponential(1.0)),
@@ -624,20 +622,66 @@ def as_bits(x):
     return x
 
 
-# The samplers whose calls to the generator were regrouped, as they once were:
-# one Dirichlet vector per call, and payoffs from ``choice``. The others
-# still make one call per vector and serve as their own oracle once
-# ``_dirichlet`` and ``_payoffs`` are replaced by the legacy primitives.
+# The samplers as they once were: each trial drew and finished its own
+# instance, with one Dirichlet vector per call and payoffs from ``choice``.
+
+
+def legacy_sparsify(rng, w, sparsity):
+    if sparsity <= 0.0:
+        return w
+    keep = rng.random(w.shape) >= sparsity
+    if not keep.any():
+        keep.flat[int(rng.integers(w.size))] = True
+    w = np.where(keep, w, 0.0)
+    return w / w.sum()
+
+
+def legacy_draw_joint(rng, budget, payoffs):
+    n_e = int(rng.integers(2, budget.max_e + 1))
+    n_f = int(rng.integers(2, budget.max_f + 1))
+    is_product = bool(rng.random() < consistency.PRODUCT_FRACTION)
+    if is_product:
+        w = np.outer(legacy_dirichlet(rng, n_e), legacy_dirichlet(rng, n_f))
+    else:
+        w = legacy_dirichlet(rng, n_e * n_f).reshape(n_e, n_f)
+    w = legacy_sparsify(rng, w, budget.sparsity)
+    paired = legacy_payoffs(rng, w.shape) if payoffs else legacy_dirichlet(rng, w.size).reshape(w.shape)
+    return w, paired, is_product
+
+
+def legacy_draw_pair(rng, budget):
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu_w = legacy_sparsify(rng, legacy_dirichlet(rng, n), budget.sparsity)
+    return mu_w, legacy_dirichlet(rng, n)
+
+
+def legacy_map_matrix(mapping):
+    order = list(dict.fromkeys(mapping.values()))
+    return np.eye(len(order))[[order.index(y) for y in mapping.values()]]
 
 
 def legacy_draw_dpi(rng, budget, bijection):
-    mu_w, nu_w = consistency._draw_pair(rng, budget)
+    mu_w, nu_w = legacy_draw_pair(rng, budget)
     if bijection:
         kernel = np.eye(mu_w.size)[rng.permutation(mu_w.size)]
     else:
         n_f = int(rng.integers(2, budget.max_f + 1))
         kernel = np.vstack([legacy_dirichlet(rng, n_f) for _ in range(mu_w.size)])
-    return consistency._ChainDraw(nu_w, mu_w, (kernel,), ())
+    return nu_w, mu_w, (kernel,), ()
+
+
+def legacy_draw_sufficiency(rng, budget, matched):
+    n = int(rng.integers(2, max(3, budget.max_e) + 1))
+    mu_w = legacy_dirichlet(rng, n)
+    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
+    images = consistency._random_surjection(rng, n, n_fibers)
+    if matched:
+        nu_w = mu_w * rng.uniform(0.25, 2.5, size=n_fibers)[images]
+        nu_w = nu_w / nu_w.sum()
+    else:
+        nu_w = legacy_dirichlet(rng, n)
+    mapping = {f"a{i}": f"g{k}" for i, k in enumerate(images)}
+    return nu_w, mu_w, (legacy_map_matrix(mapping),), (mapping,)
 
 
 def legacy_draw_refinement(rng, budget):
@@ -648,8 +692,7 @@ def legacy_draw_refinement(rng, budget):
     m1 = {f"a{i}": f"b{k}" for i, k in enumerate(consistency._random_surjection(rng, n0, n1))}
     m2 = {f"b{i}": f"c{k}" for i, k in enumerate(consistency._random_surjection(rng, n1, n2))}
     on_image = {b: m2[b] for b in dict.fromkeys(m1.values())}
-    chain = (consistency._map_matrix(m1), consistency._map_matrix(on_image))
-    return consistency._ChainDraw(nu_w, mu_w, chain, (m1, m2))
+    return nu_w, mu_w, (legacy_map_matrix(m1), legacy_map_matrix(on_image)), (m1, m2)
 
 
 def legacy_draw_convexity(rng, budget):
@@ -658,9 +701,46 @@ def legacy_draw_convexity(rng, budget):
     return float(rng.uniform(0.05, 0.95)), nu1, mu1, nu2, mu2
 
 
+def legacy_draw_law(rng, n):
+    return rng.choice(VALUE_GRID, size=n, replace=False), legacy_dirichlet(rng, n)
+
+
+def legacy_draw_concavity(rng, budget):
+    n1 = int(rng.integers(2, budget.max_e + 1))
+    n2 = int(rng.integers(2, budget.max_e + 1))
+    m1, m2 = (FiniteDist(v.tolist(), w) for v, w in (legacy_draw_law(rng, n1), legacy_draw_law(rng, n2)))
+    return float(rng.uniform(0.05, 0.95)), m1, m2
+
+
+def legacy_draw_lebesgue(rng, budget):
+    n = int(rng.integers(2, budget.max_e + 1))
+    mu = FiniteDist([f"a{i}" for i in range(n)], legacy_dirichlet(rng, n))
+    return mu, legacy_payoffs(rng, n), rng.uniform(0.0, 1.0, size=n)
+
+
+def legacy_draw_shift_convexity(rng, budget):
+    n_e = int(rng.integers(2, budget.max_e + 1))
+    n_f = int(rng.integers(2, budget.max_f + 1))
+    return [legacy_draw_law(rng, n) for n in (n_e, *[n_f] * n_e)], None
+
+
+def legacy_draw_property_s(rng, budget):
+    k = int(rng.integers(2, 5))
+    marginal = legacy_draw_law(rng, k)
+    return [marginal, *(legacy_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k))], None
+
+
+def legacy_draw_mixture(rng, budget):
+    k = int(rng.integers(2, 5))
+    weights = legacy_dirichlet(rng, k)
+    return [legacy_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k)], weights
+
+
 def boundary_law(rng, budget, spec, n):
-    """A law drawn as the probe kinds draw one and shifted onto rho = 0."""
-    return consistency._on_boundary(spec, [[consistency._draw_law(rng, n)]])[0][0]
+    """A law drawn as the probe kinds draw one and shifted onto rho = 0, as a block of one law."""
+    block = consistency._finish_laws([([consistency._draw_law(rng, n)], None)])
+    shifted = consistency._on_boundary(spec, block)
+    return FiniteDist(shifted[0, :n].tolist(), block.weights[0, :n])
 
 
 def legacy_boundary_law(rng, budget, spec, n):
@@ -670,68 +750,168 @@ def legacy_boundary_law(rng, budget, spec, n):
     return shift_law(law, -rho_of_law(spec, law))
 
 
+def grid(x, *shape):
+    """x's first entries on each axis: a trial's own part of a zero-padded block array."""
+    return x[tuple(slice(n) for n in shape)]
+
+
+# What a finished block evaluates of trial b, against the same arrays built
+# from a legacy draw by the law classes, whose renormalizations they must be
+
+
+def joint_view(block, b, d):
+    raw = block.raws[b]
+    return grid(block.w[b], raw.n_e, raw.n_f), grid(block.paired[b], raw.n_e, raw.n_f)
+
+
+def legacy_product_view(d):
+    return tuple(JointDist(range(w.shape[0]), range(w.shape[1]), w).matrix for w in d[:2])
+
+
+def legacy_conditional_view(d):
+    joint = JointDist(range(d[0].shape[0]), range(d[0].shape[1]), d[0])
+    return joint.as_dist().weights.reshape(joint.matrix.shape), d[1]
+
+
+def chain_view(block, b, d):
+    n = block.size[b]
+    chain = [grid(m[b], *s[b]) for m, s in zip(block.chain, block.shapes)]
+    return (block.nu[b, :n], block.mu[b, :n], *chain)
+
+
+def legacy_chain_view(d):
+    nu, mu, chain, _ = d
+    laws = (FiniteDist(range(w.size), w).weights for w in (nu, mu))
+    return (*laws, *(Kernel(range(m.shape[0]), range(m.shape[1]), m).matrix for m in chain))
+
+
+def convexity_view(block, b, d):
+    return tuple(block.laws[b, :, : block.size[b]])
+
+
+def legacy_convexity_view(d):
+    _, nu1, mu1, nu2, mu2 = d
+    return tuple(FiniteDist(range(w.size), w).weights for w in (mu1, nu1, mu2, nu2))
+
+
+def concavity_view(block, b, d):
+    return tuple(x[i][b, : block.size[i][b]] for i in (0, 1) for x in (block.weights, block.values))
+
+
+def legacy_concavity_view(d):
+    return tuple(x for m in d[1:] for x in (m.weights, m.values_array()))
+
+
+def lebesgue_view(block, b, d):
+    n = block.size[b]
+    return block.mu[b, :n], block.f[b, :n], block.h[b, :n]
+
+
+def legacy_lebesgue_view(d):
+    mu, f, h = d
+    return mu.weights, f, h
+
+
+def laws_view(block, b, d):
+    """Trial b's laws (weights drawn, as FiniteDist stores them, as the shifted law does; values) and mixing weights."""
+    arrays = (block.drawn, block.weights, block.weights2, block.values)
+    laws = [tuple(x[r, : block.size[r]] for x in arrays) for r in np.flatnonzero(block.owner == b)]
+    return laws, None if block.mixing is None else block.mixing[b, : block.counts[b]]
+
+
+def legacy_laws_view(d):
+    laws, mixing = d
+    out = []
+    for values, w in laws:
+        law = FiniteDist(values.tolist(), w)
+        out.append((w, law.weights, FiniteDist(values.tolist(), law.weights).weights, values))
+    return out, mixing
+
+
+# sampler name -> (the sampler, its legacy form, what a block evaluates of a trial, the same of a legacy draw)
+SAMPLERS = {
+    "product": (consistency._PRODUCT, partial(legacy_draw_joint, payoffs=False), joint_view, legacy_product_view),
+    "conditional": (
+        consistency._CONDITIONAL, partial(legacy_draw_joint, payoffs=True), joint_view, legacy_conditional_view
+    ),
+    **{
+        kind: (consistency._CHAIN_SAMPLERS[kind], legacy, chain_view, legacy_chain_view)
+        for kind, legacy in [
+            ("dpi", partial(legacy_draw_dpi, bijection=False)),
+            ("dpi_bijection", partial(legacy_draw_dpi, bijection=True)),
+            ("sufficiency_matched", partial(legacy_draw_sufficiency, matched=True)),
+            ("sufficiency_generic", partial(legacy_draw_sufficiency, matched=False)),
+            ("refinement", legacy_draw_refinement),
+        ]
+    },
+    "convexity": (consistency._CONVEXITY, legacy_draw_convexity, convexity_view, legacy_convexity_view),
+    "concavity": (consistency._CONCAVITY, legacy_draw_concavity, concavity_view, legacy_concavity_view),
+    "lebesgue": (consistency._LEBESGUE, legacy_draw_lebesgue, lebesgue_view, legacy_lebesgue_view),
+    "shift_convexity": (consistency._SHIFT_CONVEXITY_LAWS, legacy_draw_shift_convexity, laws_view, legacy_laws_view),
+    "property_s": (consistency._PROPERTY_S_LAWS, legacy_draw_property_s, laws_view, legacy_laws_view),
+    "mixture_convexity": (consistency._MIXTURE_LAWS, legacy_draw_mixture, laws_view, legacy_laws_view),
+}
 # one seed above 2**32, where SeedSequence takes a second word
 STREAM_SEEDS = (0, 1, 101, 7919, 2**33 + 5)
-# sampler name -> (the sampler, its legacy form)
-SAMPLERS = {
-    "product": (consistency._draw_product,) * 2,
-    "conditional": (consistency._draw_conditional,) * 2,
-    "convexity": (consistency._draw_convexity, legacy_draw_convexity),
-    "dpi": (CHAIN_DRAWS["dpi"], partial(legacy_draw_dpi, bijection=False)),
-    "dpi_bijection": (CHAIN_DRAWS["dpi_bijection"], partial(legacy_draw_dpi, bijection=True)),
-    "sufficiency_matched": (CHAIN_DRAWS["sufficiency_matched"],) * 2,
-    "sufficiency_generic": (CHAIN_DRAWS["sufficiency_generic"],) * 2,
-    "refinement": (CHAIN_DRAWS["refinement"], legacy_draw_refinement),
-}
 
 
 class TestSamplerStream:
-    """The samplers draw the bytes and leave the generator state of their legacy forms."""
-
-    @staticmethod
-    def same_draws(monkeypatch, new, old, calls):
-        """``new`` and ``old`` give the same bits and generator state on each (rng, *args) of ``calls``."""
-
-        def draws(sampler):
-            out = []
-            for rng, *args in calls():
-                out.append((as_bits(sampler(rng, *args)), rng.bit_generator.state))
-            return out
-
-        drawn = draws(new)
-        monkeypatch.setattr(consistency, "_dirichlet", legacy_dirichlet)
-        monkeypatch.setattr(consistency, "_payoffs", legacy_payoffs)
-        assert draws(old) == drawn
+    """A block's draw steps leave the generator states of the legacy samplers, and its finish gives their bits."""
 
     @pytest.mark.parametrize("shape", [1, 2, 7, 12, (1, 5), (2, 9), (4, 3), (12, 12), (3, 2, 4)])
-    def test_weights_and_payoffs(self, monkeypatch, shape):
-        def calls():
-            return [(np.random.default_rng([seed, 3]), shape) for seed in STREAM_SEEDS]
+    def test_weights_and_payoffs(self, shape):
+        for seed in STREAM_SEEDS:
+            rng, legacy = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+            e = rng.standard_exponential(shape)
+            w = consistency._dirichlet(e[None], np.array([e.shape[-1]]))[0]
+            assert as_bits(w) == as_bits(legacy_dirichlet(legacy, shape))
+            assert rng.bit_generator.state == legacy.bit_generator.state
+            payoffs = VALUE_GRID[rng.integers(0, VALUE_GRID.size, size=shape)]
+            assert as_bits(payoffs) == as_bits(legacy_payoffs(legacy, shape))
+            assert rng.bit_generator.state == legacy.bit_generator.state
 
-        self.same_draws(monkeypatch, consistency._dirichlet, legacy_dirichlet, calls)
-        monkeypatch.undo()
-        self.same_draws(monkeypatch, consistency._payoffs, legacy_payoffs, calls)
+    def test_mixed_sizes_in_one_block(self):
+        # rows of 1 to 40 exponentials padded together, each as its own call
+        rng, legacy = np.random.default_rng(5), np.random.default_rng(5)
+        sizes = rng.integers(1, 41, size=200)
+        legacy.integers(1, 41, size=200)
+        e = consistency._padded([rng.standard_exponential(n) for n in sizes])
+        w = consistency._dirichlet(e, sizes)
+        for row, n in zip(w, sizes):
+            assert as_bits(row[:n]) == as_bits(legacy_dirichlet(legacy, n)) and not row[n:].any()
 
     @pytest.mark.parametrize("size", [3, 12])
     @pytest.mark.parametrize("sparsity", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_batched_samplers(self, monkeypatch, sampler, sparsity, size):
-        def calls():
-            for seed in STREAM_SEEDS:
-                budget = SearchBudget(trials=0, seed=seed, max_e=size, max_f=size, sparsity=sparsity)
-                for trial in range(30):
-                    yield budget.rng_for(trial), budget
+    def test_batched_samplers(self, sampler, sparsity, size):
+        # blocks of 1, 7 and 100 trials; at size 12 a block mixes sizes 2 to
+        # 12, so most size groups hold one trial
+        new, legacy, view, legacy_view = SAMPLERS[sampler]
+        for seed in STREAM_SEEDS:
+            budget = SearchBudget(trials=0, seed=seed, max_e=size, max_f=size, sparsity=sparsity)
+            for trials in (1, 7, 100):
+                raws, olds = [], []
+                for trial in range(3, 3 + trials):
+                    rng, old = budget.rng_for(trial), budget.rng_for(trial)
+                    raws.append(new.draw(rng, budget))
+                    olds.append(legacy(old, budget))
+                    assert rng.bit_generator.state == old.bit_generator.state, (seed, trial)
+                block = new.finish(raws)
+                for b, old in enumerate(olds):
+                    if hasattr(block, "trial"):
+                        drawn = block.trial(b)
+                        drawn = list(drawn.values()) if isinstance(drawn, dict) else drawn
+                        assert as_bits(drawn) == as_bits(old), (seed, trials, b)
+                    assert as_bits(view(block, b, old)) == as_bits(legacy_view(old)), (seed, trials, b)
 
-        self.same_draws(monkeypatch, *SAMPLERS[sampler], calls)
-
-    def test_boundary_laws(self, monkeypatch):
-        def calls():
-            for seed in STREAM_SEEDS:
-                budget = SearchBudget(trials=0, seed=seed)
-                for n in range(2, 13):
-                    yield budget.rng_for(n), budget, ENTROPIC, n
-
-        self.same_draws(monkeypatch, boundary_law, legacy_boundary_law, calls)
+    def test_boundary_laws(self):
+        for seed in STREAM_SEEDS:
+            budget = SearchBudget(trials=0, seed=seed)
+            for n in range(2, 13):
+                rng, old = budget.rng_for(n), budget.rng_for(n)
+                new = boundary_law(rng, budget, ENTROPIC, n)
+                assert as_bits(new) == as_bits(legacy_boundary_law(old, budget, ENTROPIC, n))
+                assert rng.bit_generator.state == old.bit_generator.state
 
     def test_row_sums_are_the_bits_of_one_dimensional_sums(self):
         # batched weights renormalize each row by a 2-D sum along the last
@@ -742,6 +922,17 @@ class TestSamplerStream:
             w = rng.standard_exponential((50, n))
             rows = w.sum(axis=-1, keepdims=True)[:, 0]
             assert [r.tobytes() for r in rows] == [row.sum().tobytes() for row in w]
+
+    def test_grouped_row_sums_of_mixed_sizes(self):
+        # a block sums each size group unpadded: every (trial, row) sum is the
+        # bits of the 1-D sum of that row's own entries
+        rng = np.random.default_rng(1)
+        sizes = rng.integers(1, 30, size=120)
+        x = consistency._padded([rng.standard_exponential((3, n)) for n in sizes])
+        sums = consistency._row_sums(x, sizes)
+        assert [s.tobytes() for s in sums.reshape(-1)] == [
+            row[:n].sum().tobytes() for trial, n in zip(x, sizes) for row in trial
+        ]
 
 
 class TestBlockSeeding:

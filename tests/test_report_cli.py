@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import multiprocessing
@@ -24,6 +26,7 @@ from divlab.errors import ConfigParseError, PreconditionViolatedError, UnknownFa
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import (
+    CSV_COLUMNS,
     CheckSpec,
     SuiteConfig,
     Tolerances,
@@ -193,6 +196,18 @@ class TestReports:
         assert fields[1] == "100"
         assert fields[4] == "pass"
         assert fields[5] == "5"
+
+    def test_csv_quotes_only_the_fields_that_need_it(self):
+        # a name with a comma, a quote and a newline once split its row over
+        # two lines and the wrong columns
+        name = 'a,b"c\nd'
+        reports = run_suite(SuiteConfig(checks=(entropic_check(name=name), entropic_check())))
+        text = reports_to_csv(reports)
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == list(CSV_COLUMNS)
+        assert [row[0] for row in rows[1:]] == [name, "tc"]
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+        assert text.splitlines()[-1].split(",")[0] == "tc"
 
     def test_violation_report_carries_instance(self):
         check = CheckSpec(
@@ -733,6 +748,28 @@ class TestCli:
         assert cli.main(list(args)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("target, sizes", [
+        ("acceptance", {"E": 1, "F": 3}),
+        ("chain_rule", {"E": 3, "F": 1}),
+        ("dpi", {"E": 1, "F": 1}),
+    ])
+    def test_a_size_below_2_exits_2(self, target, sizes):
+        # every sampler draws at least 2 atoms a side: a size of 1 once
+        # escaped as numpy's "low >= high" with status 1, the status of a violation
+        check = {"name": "a", "target": target, "trials": 5, "sizes": sizes,
+                 "spec": {"family": "entropic", "eta": 1.0}}
+        out = run_cli("verify", "--config", json.dumps({"checks": [check]}))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: budget needs trials >= 0, seed >= 0 and sizes of at least 2\n"
+
+    def test_sweep_refuses_a_size_below_2(self, tmp_path):
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps({"name": "tc", "target": "time_consistency", "trials": 5,
+                                    "spec": {"family": "entropic", "eta": 1.0}, "sizes": {"E": 3, "F": 3}}))
+        out = run_cli("sweep", "--config", str(path), "--param", "sizes.E", "--values", "2,1")
+        assert out.returncode == 2 and out.stdout == ""
+        assert "sizes of at least 2" in out.stderr
 
     def test_sweep_refuses_a_value_that_is_not_a_number(self, tmp_path):
         path = tmp_path / "check.json"

@@ -42,8 +42,6 @@ from .prob import (
     JointDist,
     Kernel,
     Partition,
-    condition,
-    pushforward,
     uniform,
 )
 from .report import (

@@ -31,24 +31,21 @@ vectorized pass and sets one generator to each in turn, the state
 ``default_rng([s, k])`` starts in. ``SearchBudget.rng_for`` builds the
 generator itself and stays the reference.
 
-Every kind draws through a block sampler in two steps (see "block
-samplers"). Per trial, the draw step makes only the trial's generator
-calls, in the order of earlier versions; once per block, the finish step
-does all the arithmetic on the block's draws together: Dirichlet(1)
-weights as normalized standard exponentials, the stream and bits of
-numpy's ``dirichlet``, payoffs by integer index into VALUE_GRID, the
-stream of ``choice``, and the renormalizations of the law classes. Sums
-run over the trials of one size together, so every trial keeps its bits
-and reports of earlier versions replay unchanged. The finished arrays
-become laws, kernels and joint laws only when ``describe_trial``
-serializes an instance. The conditional and product kinds draw a random
-joint law, and the data-processing kinds and ``joint_convexity`` pairs of
-laws; they evaluate a whole block in batched solves whose per-trial
-results do not depend on the block either, and a conditional block takes
-two ``rho_batch`` calls (see ``_conditional_gaps``). The acceptance-set
-probes, ``dist_concavity`` and ``lebesgue`` draw laws and evaluate a
-block's risks in at most two ``rho_batch`` calls. Gaps where both sides
-are +inf are "vacuous" and excluded from statistics but counted. A
+All 22 kinds run one protocol (see "check kinds"): a kind's block sampler
+draws a block of trials in two steps (see "block samplers"). Per trial, the
+draw step makes only the trial's generator calls, in the order of earlier
+versions; once per block, the finish step does all the arithmetic on the
+block's draws together: Dirichlet(1) weights as normalized standard
+exponentials, the stream and bits of numpy's ``dirichlet``, payoffs by
+integer index into VALUE_GRID, the stream of ``choice``, and the
+renormalizations of the law classes. Sums run over the trials of one size
+together, so every trial keeps its bits and reports of earlier versions
+replay unchanged. The finished arrays become laws, kernels and joint laws
+only when ``describe_trial`` serializes an instance. The kind's block
+function then evaluates the whole block in batched calls whose per-trial
+results do not depend on the block; the solver kinds solve each trial's
+instance alone. Gaps where both sides are +inf are "vacuous" and excluded
+from statistics but counted. A
 ``SearchBudget`` sets the trial count, the seed, the grid sizes and the
 sparsity; every other parameter of the samplers is a module constant. The
 kinds that draw laws on distinct grid values (``shift_convexity``,
@@ -62,7 +59,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -91,14 +88,8 @@ from .errors import (
     number_rows,
     typed_field,
 )
-from .prob import (
-    FiniteDist,
-    JointDist,
-    Kernel,
-    Partition,
-    disintegrate_w,
-)
-from .risk import RiskSpec, _atom_sum, _pack_partition, rho_batch, rho_values
+from .prob import FiniteDist, JointDist, Kernel, Partition
+from .risk import RiskSpec, _atom_sum, _disintegrated, _pack_partition, rho_batch
 
 # the payoff values that samplers draw from: -2.0, -1.9, ..., 2.0
 VALUE_GRID = np.linspace(-2.0, 2.0, 41)
@@ -127,7 +118,7 @@ class SearchBudget:
     def rng_for(self, trial: int) -> np.random.Generator:
         """A new generator of the trial's stream, ``default_rng([seed, trial])``.
 
-        The reference for every trial's draws: the trial functions seed a
+        The reference for every trial's draws: ``CheckKind.trial`` seeds a
         block's trials through ``_trial_rngs``, whose states are tested equal
         to these, and a trial replays by hand from this generator.
         """
@@ -504,6 +495,9 @@ def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
 
 # joint instances: the product kinds, the conditional kinds, lemma_identity and key_identity
 
+# the most atoms per axis of a lemma_identity or key_identity instance, the limit of the grid oracle
+_ORACLE_ATOMS = 4
+
 
 class _JointRaw(NamedTuple):
     n_e: int
@@ -513,9 +507,10 @@ class _JointRaw(NamedTuple):
     paired: np.ndarray  # nu_bar's n_e * n_f exponentials, or the payoffs' indices into VALUE_GRID
 
 
-def _draw_joint(rng: np.random.Generator, budget: SearchBudget, payoffs: bool) -> _JointRaw:
-    n_e = int(rng.integers(2, budget.max_e + 1))
-    n_f = int(rng.integers(2, budget.max_f + 1))
+def _draw_joint(rng: np.random.Generator, budget: SearchBudget, payoffs: bool, cap: float = math.inf) -> _JointRaw:
+    """A joint instance of at most cap atoms per axis."""
+    n_e = int(rng.integers(2, min(budget.max_e, cap) + 1))
+    n_f = int(rng.integers(2, min(budget.max_f, cap) + 1))
     if rng.random() < PRODUCT_FRACTION:
         exps = (rng.standard_exponential(n_e), rng.standard_exponential(n_f))
     else:
@@ -541,7 +536,8 @@ class _JointBlock(NamedTuple):
     drawn, row after row. ``w`` and ``paired`` are the (B, E, F) arrays the
     kinds evaluate: mu_bar and nu_bar as JointDist renormalizes them, or the
     joint law renormalized once more, as ``flat()``'s FiniteDist does, and
-    the payoff values.
+    the payoff values. ``joint`` is the joint law as JointDist stores it, on
+    the same grid, which key_identity evaluates; None for pairs.
     """
 
     raws: Sequence[_JointRaw]
@@ -550,6 +546,7 @@ class _JointBlock(NamedTuple):
     drawn_paired: np.ndarray
     w: np.ndarray
     paired: np.ndarray
+    joint: np.ndarray | None
 
     def trial(self, b: int) -> _JointDraw:
         n_e, n_f = self.raws[b].n_e, self.raws[b].n_f
@@ -572,21 +569,28 @@ def _finish_joint(raws: Sequence[_JointRaw], payoffs: bool) -> _JointBlock:
         outer = d[first[product], :, None] * d[first[product] + 1, None, :]
         w[flat & product[:, None]] = outer[_own_entries(grid[product], outer.shape[1:])]
     w = _sparsified(w, [r.keep for r in raws], size)
-    evaluated = _normalized(w, size)  # JointDist's renormalization
+    stored = _normalized(w, size)  # JointDist's renormalization
     if payoffs:
-        evaluated = _normalized(evaluated, size)  # and flat()'s FiniteDist's
-        paired = evaluated_paired = _payoffs([r.paired for r in raws])
+        paired = stored_paired = _payoffs([r.paired for r in raws])
     else:
         paired = _dirichlet(_padded([r.paired for r in raws]), size)
-        evaluated_paired = _normalized(paired, size)
+        stored_paired = _normalized(paired, size)
     cells = _own_entries(grid, tuple(grid.max(axis=0)))
-    w_grid, paired_grid = np.zeros(cells.shape), np.zeros(cells.shape)
-    w_grid[cells], paired_grid[cells] = evaluated[flat], evaluated_paired[flat]
-    return _JointBlock(raws, product, w, paired, w_grid, paired_grid)
+
+    def on_grid(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(cells.shape)
+        out[cells] = x[flat]
+        return out
+
+    evaluated = _normalized(stored, size) if payoffs else stored  # and flat()'s FiniteDist's
+    joint = on_grid(stored) if payoffs else None
+    return _JointBlock(raws, product, w, paired, on_grid(evaluated), on_grid(stored_paired), joint)
 
 
 _PRODUCT = _configured(_draw_joint, _finish_joint, payoffs=False)
 _CONDITIONAL = _configured(_draw_joint, _finish_joint, payoffs=True)
+_SMALL_PRODUCT = _Sampler(partial(_draw_joint, payoffs=False, cap=_ORACLE_ATOMS), _PRODUCT.finish)
+_SMALL_CONDITIONAL = _Sampler(partial(_draw_joint, payoffs=True, cap=_ORACLE_ATOMS), _CONDITIONAL.finish)
 
 
 def _joint_dist(w: np.ndarray) -> JointDist:
@@ -624,6 +628,9 @@ def _finish_pair(raws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndar
     mu, keep, nu = zip(*raws)
     n = np.array([e.size for e in mu])
     return _sparsified(_dirichlet(_padded(mu), n), keep, n), _dirichlet(_padded(nu), n), n
+
+
+_PAIR = _Sampler(_draw_pair, _finish_pair)
 
 
 class _ChainDraw(NamedTuple):
@@ -739,15 +746,6 @@ def _finish_refinement(raws: Sequence[tuple]) -> _ChainBlock:
     chain, shapes = [_one_hot(first), _one_hot(second)], [_map_shapes(first), _map_shapes(second)]
     nu, mu = np.ascontiguousarray(laws[:, 1]), np.ascontiguousarray(laws[:, 0])
     return _chain_block(nu, mu, n, chain, shapes, images, (("a", "b"), ("b", "c")))
-
-
-_CHAIN_SAMPLERS = {
-    "dpi": _configured(_draw_dpi, _finish_dpi, bijection=False),
-    "dpi_bijection": _configured(_draw_dpi, _finish_dpi, bijection=True),
-    "sufficiency_matched": _configured(_draw_sufficiency, _finish_sufficiency, matched=True),
-    "sufficiency_generic": _configured(_draw_sufficiency, _finish_sufficiency, matched=False),
-    "refinement": _Sampler(_draw_refinement, _finish_refinement),
-}
 
 
 # joint_convexity: two pairs of laws on one atom set and a mixing weight
@@ -1037,9 +1035,7 @@ def _shift_convexity_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotter
 # ---------------------------------------------------------------------------
 
 
-def _product_gaps(
-    div: DivergenceSpec, mu: np.ndarray, nu: np.ndarray, n_f: np.ndarray, weak: bool
-) -> list[Gap]:
+def _product_gaps(div: DivergenceSpec, mu: np.ndarray, nu: np.ndarray, n_f: Sequence[int], weak: bool) -> list[Gap]:
     """Gaps of B product instances packed as (B, E, F) joint weights.
 
     Instance b has ``n_f[b]`` columns; zeros pad the rest and the missing
@@ -1048,19 +1044,15 @@ def _product_gaps(
     alpha(nu_bar | mu_bar) - alpha(nu | mu) - sum_x nu(x) alpha(K^nu_x | K^mu_x),
     or, when ``weak``, into the weak gap, which drops alpha(nu | mu). A row
     of zero mu-mass is uniform on the instance's columns, as
-    ``disintegrate_w`` makes it, and the row term is +inf once any
+    ``_disintegrated`` makes it, and the row term is +inf once any
     nu-charged row is infinite.
     """
     b, e, f = mu.shape
     joint = div.evaluate_batch(nu.reshape(b, e * f), mu.reshape(b, e * f))
-    mu_marg, nu_marg = _atom_sum(mu), _atom_sum(nu)
+    (mu_marg, mu_rows), (nu_marg, nu_rows) = _disintegrated(mu, n_f), _disintegrated(nu)
     charged = nu_marg > 0.0
-    mu_mass = mu_marg[charged][:, None]
-    width = np.broadcast_to(n_f[:, None], (b, e))[charged][:, None]
-    uniform = np.where(np.arange(f) < width, 1.0 / width, 0.0)
-    mu_rows = np.where(mu_mass > 0.0, mu[charged] / np.where(mu_mass > 0.0, mu_mass, 1.0), uniform)
     alpha = np.zeros((b, e))
-    alpha[charged] = div.evaluate_batch(nu[charged] / nu_marg[charged][:, None], mu_rows)
+    alpha[charged] = div.evaluate_batch(nu_rows[charged], mu_rows[charged])
     rows = np.where(np.isinf(alpha).any(axis=-1), math.inf, _atom_sum(nu_marg * alpha))
     if weak:
         rhs = rows
@@ -1083,9 +1075,9 @@ def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) 
     well.
     """
     b, e, f = w.shape
-    mass = _atom_sum(w)
+    mass, rows = _disintegrated(w)
     charged = mass > 0.0
-    rows = w[charged] / mass[charged][:, None]
+    rows = rows[charged]
     full_w = w.reshape(b, e * f)
     row_risk = np.zeros((b, e))
     if weak:
@@ -1134,67 +1126,75 @@ def _mixture_risks(spec: RiskSpec, q, x, w, v, marginal=True) -> np.ndarray:
     return rho[-b:]
 
 
-def _integral_lemma(spec: RiskSpec, mu_bar: np.ndarray, nu_bar: np.ndarray) -> tuple[Gap, bool]:
-    """|sum_x nu(x) alpha(K^nu_x | K^mu_x) - rowwise dual suprema| of two joint weight matrices.
+def _integral_lemma(spec: RiskSpec, mu_bar: np.ndarray, nu_bar: np.ndarray, n_f: Sequence[int]) -> list[tuple]:
+    """|sum_x nu(x) alpha(K^nu_x | K^mu_x) - rowwise dual suprema| of B pairs of (B, E, F) joint weights.
 
-    The dual objective separates across rows, so the supremum over joint test
-    functions is the nu-weighted sum of per-row dual solves; the closed form
-    of the same sum is the oracle. Also says whether a per-row dual solve ran
-    out of its budget. The closed forms of the rows nu charges are one batch;
-    a row of infinite alpha makes the gap vacuous, and then no row is solved.
+    Instance b has ``n_f[b]`` columns. The dual objective separates across
+    rows, so the supremum over joint test functions is the nu-weighted sum
+    of per-row dual solves; the closed form of the same sum is the oracle.
+    Also says whether a per-row dual solve ran out of its budget. The closed
+    forms of the rows nu charges are one batch; a row of infinite alpha
+    makes its instance's gap vacuous, and then none of its rows is solved.
     """
-    _, mu_rows = disintegrate_w(mu_bar)
-    nu_marg, nu_rows = disintegrate_w(nu_bar)
+    (_, mu_rows), (nu_marg, nu_rows) = _disintegrated(mu_bar, n_f), _disintegrated(nu_bar)
     charged = nu_marg > 0.0
-    weights, nu_rows, mu_rows = nu_marg[charged], nu_rows[charged], mu_rows[charged]
-    closed = divergence_for_risk_spec(spec).evaluate_batch(nu_rows, mu_rows)
-    if np.isinf(closed).any():
-        return Gap(value=None, vacuous=True), False
-    solves = [_dual_divergence_w(spec, n, m) for n, m in zip(nu_rows, mu_rows)]
-    dual = np.array([res.value for res in solves])
-    gap = abs(float(_atom_sum(weights * closed)) - float(_atom_sum(weights * dual)))
-    return Gap(value=gap), any(res.budget_exhausted for res in solves)
+    closed = np.zeros(nu_marg.shape)
+    closed[charged] = divergence_for_risk_spec(spec).evaluate_batch(nu_rows[charged], mu_rows[charged])
+    out = []
+    for b, n in enumerate(n_f):
+        if np.isinf(closed[b]).any():
+            out.append((Gap(value=None, vacuous=True), False))
+            continue
+        solves = [_dual_divergence_w(spec, nu_rows[b, e, :n], mu_rows[b, e, :n]) for e in np.flatnonzero(charged[b])]
+        dual = np.zeros(closed.shape[1])
+        dual[charged[b]] = [res.value for res in solves]
+        gap = abs(float(_atom_sum(nu_marg[b] * closed[b])) - float(_atom_sum(nu_marg[b] * dual)))
+        out.append((Gap(value=gap), any(res.budget_exhausted for res in solves)))
+    return out
 
 
-def _key_identity_gap(spec: RiskSpec, mu_bar: np.ndarray, f: np.ndarray) -> float:
-    """|rho_mu(x -> rho_rows(f(x, .))) - grid-dual reconstruction| of a joint weight matrix and a payoff.
+def _key_identity_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, n_e: Sequence[int]) -> list[float]:
+    """|rho_mu(x -> rho_rows(f(x, .))) - grid-dual reconstruction| of B joint laws and payoffs as (B, E, F) arrays.
 
-    The left side composes the risk through the disintegration of mu_bar;
-    the right side maximizes E_nu[g] - alpha(nu | mu) over an enumerated
-    simplex grid, with the per-row inner suprema evaluated in closed form.
-    The rows' risks are one ``rho_batch``.
+    Instance b has ``n_e[b]`` rows. The left side composes the risk through
+    the disintegration of the joint law: the block's row risks are one
+    ``rho_batch`` and its outer risks one more. The right side maximizes
+    E_nu[g] - alpha(nu | mu) over an enumerated simplex grid, with the
+    per-row inner suprema evaluated in closed form, one instance at a time.
     """
-    mu_marg, mu_rows = disintegrate_w(mu_bar)
-    charged = mu_marg > 0.0
-    g = np.zeros(len(mu_marg))
-    g[charged] = rho_batch(spec, mu_rows[charged], f[charged])
-    lhs = rho_values(spec, mu_marg, g)
-    rhs = primal_reconstruction(divergence_for_risk_spec(spec), FiniteDist(range(mu_marg.size), mu_marg), g)
-    return abs(lhs - rhs)
+    mass, rows = _disintegrated(w)
+    charged = mass > 0.0
+    g = np.zeros(mass.shape)
+    g[charged] = rho_batch(spec, rows[charged], v[charged])
+    div = divergence_for_risk_spec(spec)
+    return [
+        abs(lhs - primal_reconstruction(div, FiniteDist(range(n), m[:n]), x[:n]))
+        for lhs, m, x, n in zip(rho_batch(spec, mass, g).tolist(), mass, g, n_e)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # check kinds
 # ---------------------------------------------------------------------------
 #
-# A kind's trial function maps (risk, div, budget, start, stop) to an
-# iterable of one TrialResult per trial in [start, stop), read once; trial k
-# draws all its randomness from the stream of budget.rng_for(k). It draws
-# through the block's one generator, which _trial_rngs reseeds by state
-# before each trial: a sampler's draw step takes all of a trial's draws
-# before the next trial's, and the generator carries no SeedSequence of the
-# trial's own. 19 kinds finish the whole block's draws at once and solve
-# them in a few batched evaluations of one block function, which a kind's
-# replay calls on a block of one: a conditional block takes 2 rho_batch
-# calls (rows with full laws, then outer laws; the weak kind rows, then
-# recentered full laws, 1 call each step), and the probe kinds
-# (shift_convexity, property_s, mixture_convexity), dist_concavity and
-# lebesgue take at most two. A trial's instance is a ``_Drawn``, which the
-# kind's serializer reads out. The other 3 kinds (duality, lemma_identity,
-# key_identity) run a solver per trial and are written for one trial, as
-# (rng, risk, div, budget) -> (gap, vacuous, is_product, instance[, exhausted]),
-# and wrapped by per_trial, which runs each trial as it is read, so a batch
-# never holds their instances; they finish their draws as a block of one.
+# All 22 kinds run one protocol. ``CheckKind.trial`` maps (risk, div,
+# budget, start, stop) to a list of one TrialResult per trial in
+# [start, stop): the kind's sampler draws the block, trial k from the stream
+# of budget.rng_for(k) through the block's one generator, which _trial_rngs
+# reseeds by state before each trial, and the kind's block function
+# evaluates it. ``CheckKind.replay`` reads a serialized instance back
+# through the same block code, as a block of one. A conditional block takes 2 rho_batch calls (rows with full laws,
+# then outer laws; the weak kind rows, then recentered full laws, 1 call
+# each step), and the probe kinds (shift_convexity, property_s,
+# mixture_convexity), dist_concavity and lebesgue take at most two. The
+# solver kinds batch what does not solve: lemma_identity's closed forms are
+# one evaluate_batch and key_identity's row and outer risks one rho_batch
+# each; each trial then solves its own instance, duality through the
+# module attribute ``dual_divergence``, which a profiler may rebind to
+# observe every solve. A trial's instance is a
+# ``_Drawn`` (duality's a dict of its laws and solve), which the kind's
+# serializer reads out. The reverse inequalities (subadditivity, rejection)
+# negate their gaps in ``CheckKind``, for trials and replays alike.
 
 
 class TrialResult(NamedTuple):
@@ -1203,32 +1203,6 @@ class TrialResult(NamedTuple):
     is_product: bool | None  # None for kinds without a product/general split
     instance: object  # None when there is nothing to report
     exhausted: bool = False  # a solver ran out of its iteration budget
-
-
-def per_trial(trial: Callable) -> Callable:
-    """A kind's trial function from a one-trial function of (rng, risk, div, budget)."""
-
-    def trials(risk, div, budget, start, stop):
-        return (TrialResult(*trial(rng, risk, div, budget)) for rng in _trial_rngs(budget, start, stop))
-
-    return trials
-
-
-def _small_budget(budget: SearchBudget) -> SearchBudget:
-    """The budget with spaces capped at 4 x 4, the limit of the grid oracle."""
-    return replace(budget, max_e=min(4, budget.max_e), max_f=min(4, budget.max_f))
-
-
-def _negated(trials):
-    """The trial function with its gaps negated, for the one-sided reverse inequality."""
-
-    def negated(risk, div, budget, start, stop):
-        return (
-            r if r.gap is None else r._replace(gap=-r.gap)
-            for r in trials(risk, div, budget, start, stop)
-        )
-
-    return negated
 
 
 def _pair_score(values: list, inst) -> TrialResult:
@@ -1247,9 +1221,8 @@ def _refinement_score(values: list, inst) -> TrialResult:
     return TrialResult(min(steps), False, None, (inst, values))
 
 
-def _chain_trials(risk, div, budget, start, stop, sampler: _Sampler, score: Callable = _pair_score):
+def _chain_trials(risk, div, block: _ChainBlock, score: Callable = _pair_score) -> list[TrialResult]:
     """Pairs of laws pushed along their chains in one ``_chain_values``."""
-    block = _finished(sampler, budget, start, stop)
     values = _chain_values(div, block.nu, block.mu, block.chain)
     return [score(v, _Drawn(block, b)) for b, v in enumerate(values.tolist())]
 
@@ -1262,13 +1235,12 @@ def _convexity_sides(div, t: np.ndarray, nu1, mu1, nu2, mu2) -> tuple[list, list
     return lhs.tolist(), rhs.tolist()
 
 
-def _joint_convexity_trials(risk, div, budget, start, stop):
+def _joint_convexity_trials(risk, div, block: _ConvexityBlock) -> list[TrialResult]:
     """The two sides of ``_convexity_sides`` minus each other, one trial per drawn instance.
 
     Infinite on both sides is vacuous, and a trial with an infinite side
     keeps no instance.
     """
-    block = _finished(_CONVEXITY, budget, start, stop)
     mu1, nu1, mu2, nu2 = (np.ascontiguousarray(block.laws[:, i]) for i in range(4))
     lhs, rhs = _convexity_sides(div, block.t, nu1, mu1, nu2, mu2)
     return [
@@ -1279,21 +1251,25 @@ def _joint_convexity_trials(risk, div, budget, start, stop):
     ]
 
 
-def _duality_trial(rng, risk, div, budget):
-    mu_w, nu_w, _ = _finish_pair([_draw_pair(rng, budget)])
-    mu, nu = (FiniteDist(_labels("a", w.size), w) for w in (mu_w[0], nu_w[0]))
-    res = dual_divergence(risk, nu, mu)
-    if res.certified_gap is None:
-        return None, True, None, None
-    inst = {
-        "nu": nu,
-        "mu": mu,
-        "dual_value": res.value,
-        "closed_form": res.closed_form,
-        "iterations": res.iterations,
-        "budget_exhausted": res.budget_exhausted,
-    }
-    return res.certified_gap, False, None, inst, res.budget_exhausted
+def _duality_trials(risk, div, pairs: tuple) -> list[TrialResult]:
+    """Each pair's certified dual gap, its laws as FiniteDist stores them, by one ``dual_divergence`` call."""
+    out = []
+    for mu_w, nu_w, n in zip(*pairs):
+        mu, nu = (FiniteDist(_labels("a", n), w[:n]) for w in (mu_w, nu_w))
+        res = dual_divergence(risk, nu, mu)
+        if res.certified_gap is None:
+            out.append(TrialResult(None, True, None, None))
+            continue
+        inst = {
+            "nu": nu,
+            "mu": mu,
+            "dual_value": res.value,
+            "closed_form": res.closed_form,
+            "iterations": res.iterations,
+            "budget_exhausted": res.budget_exhausted,
+        }
+        out.append(TrialResult(res.certified_gap, False, None, inst, res.budget_exhausted))
+    return out
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -1312,25 +1288,38 @@ def _renormalized(w: np.ndarray) -> np.ndarray:
     return (flat / flat.sum()).reshape(w.shape)
 
 
-def _conditional_trials(risk, div, budget, start, stop, weak: bool):
+def _conditional_trials(risk, div, block: _JointBlock, weak: bool) -> list[TrialResult]:
     """Conditional instances, their gaps in one ``_conditional_gaps``.
 
     The joint law is renormalized twice, as JointDist and then ``flat()``'s
     FiniteDist renormalize it, so an acceptance trial gives the bits of
     ``consistency_gap`` on its ``sample_conditional_instance(...).flat()``.
     """
-    block = _finished(_CONDITIONAL, budget, start, stop)
     gaps = _conditional_gaps(risk, block.w, block.paired, weak=weak)
     products = block.product.tolist()
     return [TrialResult(g, False, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps.tolist(), products))]
 
 
-def _product_trials(risk, div, budget, start, stop, weak: bool):
+def _product_trials(risk, div, block: _JointBlock, weak: bool) -> list[TrialResult]:
     """Product instances, their gaps in one ``_product_gaps``."""
-    block = _finished(_PRODUCT, budget, start, stop)
-    gaps = _product_gaps(div, block.w, block.paired, np.array([r.n_f for r in block.raws]), weak)
+    gaps = _product_gaps(div, block.w, block.paired, [r.n_f for r in block.raws], weak)
     products = block.product.tolist()
     return [TrialResult(g.value, g.vacuous, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps, products))]
+
+
+def _lemma_identity_trials(risk, div, block: _JointBlock) -> list[TrialResult]:
+    lemma = _integral_lemma(risk, block.w, block.paired, [r.n_f for r in block.raws])
+    products = block.product.tolist()
+    return [
+        TrialResult(g.value, g.vacuous, p, _Drawn(block, b), exhausted)
+        for b, ((g, exhausted), p) in enumerate(zip(lemma, products))
+    ]
+
+
+def _key_identity_trials(risk, div, block: _JointBlock) -> list[TrialResult]:
+    gaps = _key_identity_gaps(risk, block.joint, block.paired, [r.n_e for r in block.raws])
+    products = block.product.tolist()
+    return [TrialResult(g, False, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps, products))]
 
 
 def _on_boundary(risk: RiskSpec, laws: _LawsBlock) -> np.ndarray:
@@ -1339,14 +1328,13 @@ def _on_boundary(risk: RiskSpec, laws: _LawsBlock) -> np.ndarray:
     return np.where(_own_entries(laws.size[:, None], laws.values.shape[1:]), laws.values - rho[:, None], 0.0)
 
 
-def _probe_trials(risk, div, budget, start, stop, sampler: _Sampler, lotteries: Callable, marginal=True):
+def _probe_trials(risk, div, laws: _LawsBlock, lotteries: Callable, marginal=True) -> list[TrialResult]:
     """Trials of an acceptance-set probe kind in two ``rho_batch`` calls.
 
     The first shifts every law of the block onto the boundary
     (``_on_boundary``); ``lotteries`` assembles each trial's compound lottery
     from the shifted laws for the second, ``_mixture_risks``.
     """
-    laws = _finished(sampler, budget, start, stop)
     lot = lotteries(laws, _on_boundary(risk, laws))
     risks = _mixture_risks(risk, lot.q, lot.x, lot.w, lot.v, marginal=marginal)
     return [TrialResult(-r, False, None, _Drawn(lot, b)) for b, r in enumerate(risks.tolist())]
@@ -1363,22 +1351,10 @@ def _concavity_gaps(risk, t: np.ndarray, w1, v1, w2, v2) -> list[float]:
     return (mixed - t * rho1 - (1 - t) * rho2).tolist()
 
 
-def _dist_concavity_trials(risk, div, budget, start, stop):
-    block = _finished(_CONCAVITY, budget, start, stop)
+def _dist_concavity_trials(risk, div, block: _ConcavityBlock) -> list[TrialResult]:
     (w1, w2), (v1, v2) = block.weights, block.values
     gaps = _concavity_gaps(risk, block.t, w1, v1, w2, v2)
     return [TrialResult(g, False, None, _Drawn(block, b)) for b, g in enumerate(gaps)]
-
-
-def _lemma_identity_trial(rng, risk, div, budget):
-    inst = sample_product_instance(rng, _small_budget(budget))
-    g, exhausted = _integral_lemma(risk, inst.mu_bar.matrix, inst.nu_bar.matrix)
-    return g.value, g.vacuous, inst.is_product, inst, exhausted
-
-
-def _key_identity_trial(rng, risk, div, budget):
-    inst = sample_conditional_instance(rng, _small_budget(budget))
-    return _key_identity_gap(risk, inst.joint.matrix, inst.values), False, inst.is_product, inst
 
 
 def _lebesgue_gaps(risk, w: np.ndarray, f: np.ndarray, h: np.ndarray) -> list[float]:
@@ -1394,14 +1370,9 @@ def _lebesgue_gaps(risk, w: np.ndarray, f: np.ndarray, h: np.ndarray) -> list[fl
     return np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit)).tolist()
 
 
-def _lebesgue_trials(risk, div, budget, start, stop):
-    block = _finished(_LEBESGUE, budget, start, stop)
+def _lebesgue_trials(risk, div, block: _LebesgueBlock) -> list[TrialResult]:
     gaps = _lebesgue_gaps(risk, block.mu, block.f, block.h)
     return [TrialResult(g, False, None, _Drawn(block, b)) for b, g in enumerate(gaps)]
-
-
-def _as_json(inst) -> dict:
-    return inst.as_json()
 
 
 def _product_json(inst: _Drawn) -> dict:
@@ -1497,14 +1468,14 @@ def _joint_pair(doc) -> list[np.ndarray]:
     return _on_one_space(doc, "product instance", JointDist, "mu_bar", "nu_bar")[1]
 
 
-def _product_replay(risk, div, doc, weak: bool, negate: bool = False):
+def _product_replay(risk, div, doc, weak: bool):
     mu, nu = _joint_pair(doc)
-    gap = _product_gaps(div, mu[None], nu[None], np.array([mu.shape[1]]), weak)[0].value
-    return -gap if negate and gap is not None else gap
+    return _product_gaps(div, mu[None], nu[None], [mu.shape[1]], weak)[0].value
 
 
 def _lemma_replay(risk, div, doc):
-    return _integral_lemma(risk, *_joint_pair(doc))[0].value
+    mu, nu = _joint_pair(doc)
+    return _integral_lemma(risk, mu[None], nu[None], [mu.shape[1]])[0][0].value
 
 
 def _joint_payoff(doc) -> tuple[np.ndarray, np.ndarray]:
@@ -1519,15 +1490,15 @@ def _joint_payoff(doc) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _conditional_replay(risk, div, doc, weak: bool, negate: bool = False):
+def _conditional_replay(risk, div, doc, weak: bool):
     w, v = _joint_payoff(doc)
     # the trial's weights are renormalized once more, as flat()'s FiniteDist does
-    gap = float(_conditional_gaps(risk, _renormalized(w)[None], v[None], weak)[0])
-    return -gap if negate else gap
+    return float(_conditional_gaps(risk, _renormalized(w)[None], v[None], weak)[0])
 
 
 def _key_identity_replay(risk, div, doc):
-    return _key_identity_gap(risk, *_joint_payoff(doc))
+    w, v = _joint_payoff(doc)
+    return _key_identity_gaps(risk, w[None], v[None], [w.shape[0]])[0]
 
 
 def _map_matrices(atoms: tuple, maps: list) -> list[np.ndarray]:
@@ -1583,8 +1554,9 @@ def _shift_convexity_replay(risk, div, doc):
     return -float(_mixture_risks(risk, *lottery)[0])
 
 
-def _lottery_replay(risk, div, doc, what: str, key: str, shifted: bool):
-    """Minus the risk of a compound lottery's shifted mixture, or of a mixture, whose shifts are 0."""
+def _lottery_replay(risk, div, doc, shifted: bool):
+    """Minus the risk of a property_s compound lottery's shifted mixture, or of a mixture, whose shifts are 0."""
+    what, key = ("property_s instance", "pairs") if shifted else ("mixture_convexity instance", "components")
     (entries,) = json_object(doc, what, key)
     if not isinstance(entries, list) or not entries:
         raise ConfigParseError(f"{what} {key!r} must be a nonempty list, got {entries!r}")
@@ -1625,23 +1597,39 @@ class CheckKind:
     """One structural fact, checked by seeded sampling.
 
     ``side`` "lower": gaps should stay >= -noise; "abs": |gap| should stay
-    <= noise. ``needs`` says which of (risk spec, divergence spec) the trial
-    uses. ``trial`` is described above; ``serialize`` turns its instance into
-    JSON and runs only when a trial is described, never in ``run_trials``.
-    ``replay(risk, div, instance_doc)`` is its inverse: it reads a serialized
-    instance back and evaluates it through the kind's block code as a block
-    of one, so it gives the bits of the trial's gap, None when vacuous; a
-    malformed document raises ConfigParseError. ``grid_sizes`` names the
-    sizes, "E" or "F", that count atoms of distinct values drawn from
-    VALUE_GRID, so they may not exceed its 41 points.
+    <= noise. ``needs`` says which of (risk spec, divergence spec) the kind
+    uses. ``sampler`` draws a block of instances and ``evaluate(risk, div,
+    block)`` gives each its TrialResult; ``serialize`` turns a result's
+    instance into JSON and runs only when a trial is described, never in
+    ``run_trials``. ``read(risk, div, instance_doc)`` is its inverse: it reads
+    a serialized instance back and evaluates it through the kind's block code
+    as a block of one; a malformed document raises ConfigParseError.
+    ``negate`` marks a reverse inequality, whose gaps ``trial`` and
+    ``replay`` negate. ``grid_sizes`` names the sizes, "E" or "F", that count
+    atoms of distinct values drawn from VALUE_GRID, so they may not exceed
+    its 41 points.
     """
 
     side: str
     needs: str
-    trial: Callable
+    sampler: _Sampler
+    evaluate: Callable
     serialize: Callable
-    replay: Callable
+    read: Callable
     grid_sizes: str = ""
+    negate: bool = False
+
+    def trial(self, risk, div, budget: SearchBudget, start: int, stop: int) -> list[TrialResult]:
+        """One TrialResult per trial in [start, stop): the block is drawn and finished together, then evaluated."""
+        results = self.evaluate(risk, div, _finished(self.sampler, budget, start, stop))
+        return [r._replace(gap=self._signed(r.gap)) for r in results] if self.negate else results
+
+    def replay(self, risk, div, doc):
+        """The gap of a serialized instance, the bits of its trial's; None when vacuous."""
+        return self._signed(self.read(risk, div, doc))
+
+    def _signed(self, gap):
+        return -gap if self.negate and gap is not None else gap
 
     def badness(self, gap: float) -> float:
         """How strongly a gap leans toward violation; larger is worse."""
@@ -1656,51 +1644,62 @@ class CheckKind:
 
 
 def _product_kind(side: str, weak: bool = False, negate: bool = False) -> CheckKind:
-    trials = partial(_product_trials, weak=weak)
-    replay = partial(_product_replay, weak=weak, negate=negate)
-    return CheckKind(side, "div", _negated(trials) if negate else trials, _product_json, replay)
+    evaluate, read = (partial(f, weak=weak) for f in (_product_trials, _product_replay))
+    return CheckKind(side, "div", _PRODUCT, evaluate, _product_json, read, negate=negate)
 
 
 def _conditional_kind(side: str, weak: bool = False, negate: bool = False) -> CheckKind:
-    trials = partial(_conditional_trials, weak=weak)
-    replay = partial(_conditional_replay, weak=weak, negate=negate)
-    return CheckKind(side, "risk", _negated(trials) if negate else trials, _conditional_json, replay)
+    evaluate, read = (partial(f, weak=weak) for f in (_conditional_trials, _conditional_replay))
+    return CheckKind(side, "risk", _CONDITIONAL, evaluate, _conditional_json, read, negate=negate)
 
 
-def _chain_kind(side: str, kind: str, link: str, score: Callable = _pair_score) -> CheckKind:
-    trials = partial(_chain_trials, sampler=_CHAIN_SAMPLERS[kind], score=score)
-    return CheckKind(side, "div", trials, _chain_json, partial(_chain_replay, link=link, score=score))
+def _chain_kind(side: str, sampler: _Sampler, link: str, score: Callable = _pair_score) -> CheckKind:
+    read = partial(_chain_replay, link=link, score=score)
+    return CheckKind(side, "div", sampler, partial(_chain_trials, score=score), _chain_json, read)
 
 
-_SHIFT_CONVEXITY = partial(_probe_trials, sampler=_SHIFT_CONVEXITY_LAWS, lotteries=_shift_convexity_lotteries)
-_PROPERTY_S = partial(_probe_trials, sampler=_PROPERTY_S_LAWS, lotteries=_property_s_lotteries)
-_MIXTURE_CONVEXITY = partial(_probe_trials, sampler=_MIXTURE_LAWS, lotteries=_mixture_lotteries, marginal=False)
-_PROPERTY_S_REPLAY = partial(_lottery_replay, what="property_s instance", key="pairs", shifted=True)
-_MIXTURE_REPLAY = partial(_lottery_replay, what="mixture_convexity instance", key="components", shifted=False)
+def _probe_kind(laws: _Sampler, lotteries: Callable, serialize, read, grid_sizes: str = "F", marginal=True):
+    evaluate = partial(_probe_trials, lotteries=lotteries, marginal=marginal)
+    return CheckKind("lower", "risk", laws, evaluate, serialize, read, grid_sizes)
+
 
 CHECK_KINDS: dict[str, CheckKind] = {
     "chain_rule": _product_kind("abs"),
     "superadditivity": _product_kind("lower"),
     "subadditivity": _product_kind("lower", negate=True),
     "weak_consistency": _product_kind("lower", weak=True),
-    "dpi": _chain_kind("lower", "dpi", "kernel"),
-    "dpi_bijection": _chain_kind("abs", "dpi_bijection", "kernel"),
-    "duality": CheckKind("abs", "risk", per_trial(_duality_trial), _parts_json, _duality_replay),
+    "dpi": _chain_kind("lower", _configured(_draw_dpi, _finish_dpi, bijection=False), "kernel"),
+    "dpi_bijection": _chain_kind("abs", _configured(_draw_dpi, _finish_dpi, bijection=True), "kernel"),
+    "duality": CheckKind("abs", "risk", _PAIR, _duality_trials, _parts_json, _duality_replay),
     "time_consistency": _conditional_kind("abs"),
     "acceptance": _conditional_kind("lower"),
     "rejection": _conditional_kind("lower", negate=True),
     "weak_acceptance": _conditional_kind("lower", weak=True),
-    "shift_convexity": CheckKind("lower", "risk", _SHIFT_CONVEXITY, _as_json, _shift_convexity_replay, "EF"),
-    "property_s": CheckKind("lower", "risk", _PROPERTY_S, _property_s_json, _PROPERTY_S_REPLAY, "F"),
-    "mixture_convexity": CheckKind("lower", "risk", _MIXTURE_CONVEXITY, _mixture_json, _MIXTURE_REPLAY, "F"),
-    "joint_convexity": CheckKind("lower", "div", _joint_convexity_trials, _convexity_json, _convexity_replay),
-    "dist_concavity": CheckKind("lower", "risk", _dist_concavity_trials, _concavity_json, _concavity_replay, "E"),
-    "sufficiency_matched": _chain_kind("abs", "sufficiency_matched", "map"),
-    "sufficiency_generic": _chain_kind("lower", "sufficiency_generic", "map"),
-    "refinement": _chain_kind("lower", "refinement", "maps", _refinement_score),
-    "lemma_identity": CheckKind("abs", "risk", per_trial(_lemma_identity_trial), _as_json, _lemma_replay),
-    "key_identity": CheckKind("abs", "risk", per_trial(_key_identity_trial), _as_json, _key_identity_replay),
-    "lebesgue": CheckKind("abs", "risk", _lebesgue_trials, _lebesgue_json, _lebesgue_replay),
+    "shift_convexity": _probe_kind(
+        _SHIFT_CONVEXITY_LAWS, _shift_convexity_lotteries, _Drawn.as_json, _shift_convexity_replay, "EF"
+    ),
+    "property_s": _probe_kind(
+        _PROPERTY_S_LAWS, _property_s_lotteries, _property_s_json, partial(_lottery_replay, shifted=True)
+    ),
+    "mixture_convexity": _probe_kind(
+        _MIXTURE_LAWS, _mixture_lotteries, _mixture_json, partial(_lottery_replay, shifted=False), marginal=False
+    ),
+    "joint_convexity": CheckKind(
+        "lower", "div", _CONVEXITY, _joint_convexity_trials, _convexity_json, _convexity_replay
+    ),
+    "dist_concavity": CheckKind(
+        "lower", "risk", _CONCAVITY, _dist_concavity_trials, _concavity_json, _concavity_replay, "E"
+    ),
+    "sufficiency_matched": _chain_kind("abs", _configured(_draw_sufficiency, _finish_sufficiency, matched=True), "map"),
+    "sufficiency_generic": _chain_kind(
+        "lower", _configured(_draw_sufficiency, _finish_sufficiency, matched=False), "map"
+    ),
+    "refinement": _chain_kind("lower", _Sampler(_draw_refinement, _finish_refinement), "maps", _refinement_score),
+    "lemma_identity": CheckKind("abs", "risk", _SMALL_PRODUCT, _lemma_identity_trials, _product_json, _lemma_replay),
+    "key_identity": CheckKind(
+        "abs", "risk", _SMALL_CONDITIONAL, _key_identity_trials, _conditional_json, _key_identity_replay
+    ),
+    "lebesgue": CheckKind("abs", "risk", _LEBESGUE, _lebesgue_trials, _lebesgue_json, _lebesgue_replay),
 }
 
 
@@ -1721,7 +1720,7 @@ def resolve_divergence(
     return div
 
 
-# trials per call of a kind's trial function in run_trials
+# trials per call of a kind's trial method in run_trials
 TRIAL_BATCH = 100
 
 
@@ -1774,10 +1773,10 @@ def run_trials(
 ) -> TrialStats:
     """Evaluate trials [start, stop); summaries merge deterministically.
 
-    The kind's trial function runs on consecutive batches of at most
+    The kind's ``trial`` runs on consecutive batches of at most
     TRIAL_BATCH trials, so memory stays bounded on any range. A trial's gap
     is the same bits in any batch and when ``describe_trial`` replays it
-    alone: batched kinds sum over atoms in a fixed order that zero padding
+    alone: every kind sums over atoms in a fixed order that zero padding
     does not change (see ``risk.rho_batch``).
     """
     entry = check_kind(kind)

@@ -34,10 +34,6 @@ class DuplicateAtomError(DivLabError):
     """Atom labels of a distribution are not distinct."""
 
 
-class UnmappedAtomError(DivLabError):
-    """A pushforward map is undefined on some atom of the source space."""
-
-
 class SpaceMismatchError(DivLabError):
     """Two objects that must share an atom set do not."""
 

@@ -1,4 +1,4 @@
-"""Finite probability spaces: laws, kernels, joint laws, pushforward, conditioning.
+"""Finite probability spaces: laws, kernels, joint laws and partitions.
 
 Everything downstream (risk evaluation, divergences, consistency checks)
 reduces to arithmetic on the types defined here. Atom labels are opaque and
@@ -27,7 +27,6 @@ from .errors import (
     LengthMismatchError,
     NegativeWeightError,
     TotalMassError,
-    UnmappedAtomError,
     ZeroTotalMassError,
     json_object,
     label_list,
@@ -158,20 +157,6 @@ class Kernel:
     def row(self, i: int) -> FiniteDist:
         return FiniteDist(self.target, self.matrix[i])
 
-    @classmethod
-    def deterministic(cls, source: Iterable[Atom], mapping, target: Iterable[Atom] | None = None) -> "Kernel":
-        """The kernel x -> delta_{T(x)}; raises if T misses an atom."""
-        source = tuple(source)
-        images = [_apply_map(mapping, a) for a in source]
-        target = tuple(dict.fromkeys(images) if target is None else target)
-        idx = {a: i for i, a in enumerate(target)}
-        mat = np.zeros((len(source), len(target)))
-        for i, y in enumerate(images):
-            if y not in idx:
-                raise UnmappedAtomError(f"image {y!r} not in target atom set")
-            mat[i, idx[y]] = 1.0
-        return cls(source, target, mat)
-
     def as_json(self) -> dict:
         return {
             "source": list(self.source),
@@ -191,7 +176,7 @@ class JointDist:
     """A distribution on a product of two labeled atom sets.
 
     Stored as a weight matrix indexed by (row atom, column atom), so
-    ``disintegrate_w`` splits it with no parse of pair labels.
+    ``risk._disintegrated`` splits it with no parse of pair labels.
     """
 
     row_atoms: tuple
@@ -266,66 +251,3 @@ class Partition:
     def from_json(cls, doc: Mapping) -> "Partition":
         json_object(doc, "partition", "blocks")
         return cls(label_list(b, "partition block") for b in typed_field(doc, "blocks", None, list, "partition"))
-
-
-def _apply_map(mapping, atom: Atom):
-    """T(atom) of a callable or a mapping T; UnmappedAtomError where T is undefined."""
-    undefined = (KeyError, IndexError) if callable(mapping) else (KeyError, IndexError, TypeError)
-    try:
-        return mapping(atom) if callable(mapping) else mapping[atom]
-    except undefined as exc:
-        raise UnmappedAtomError(f"map undefined at atom {atom!r}") from exc
-
-
-def pushforward(mu: FiniteDist, mapping) -> FiniteDist:
-    """The image measure mu o T^{-1}; target atoms in first-appearance order."""
-    images = [_apply_map(mapping, a) for a in mu.atoms]
-    target = tuple(dict.fromkeys(images))
-    idx = {a: i for i, a in enumerate(target)}
-    w = np.zeros(len(target))
-    for i, y in enumerate(images):
-        w[idx[y]] += mu.weights[i]
-    return FiniteDist(target, w)
-
-
-def disintegrate_w(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A joint weight matrix split into (row marginal, row-stochastic rows).
-
-    Rows at zero-marginal atoms are uniform: any choice is almost-surely
-    equivalent, and uniform is reproducible.
-    """
-    marg = matrix.sum(axis=1)
-    n_f = matrix.shape[1]
-    rows = np.empty_like(matrix)
-    for i, m in enumerate(marg):
-        if m > 0.0:
-            rows[i] = matrix[i] / m
-        else:
-            rows[i] = 1.0 / n_f
-    return marg, rows
-
-
-@dataclass(frozen=True)
-class ConditionalBlock:
-    block: tuple
-    weight: float
-    law: FiniteDist
-
-
-def condition(mu: FiniteDist, f, partition: Partition) -> list[ConditionalBlock]:
-    """Conditional laws of a real variable given each positive-weight block.
-
-    Zero-weight blocks are omitted; they are almost-surely irrelevant and any
-    value assigned to them would be an arbitrary constant.
-    """
-    partition.validate_against(mu.atoms)
-    vals = _as_values(f, len(mu))
-    out = []
-    for block in partition.blocks:
-        ids = [mu._index[a] for a in block]
-        w = float(mu.weights[ids].sum())
-        if w > 0.0:
-            atoms = [mu.atoms[i] for i in ids]
-            law = pushforward(FiniteDist(atoms, mu.weights[ids] / w), dict(zip(atoms, vals[ids].tolist())))
-            out.append(ConditionalBlock(block=block, weight=w, law=law))
-    return out

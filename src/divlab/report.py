@@ -345,14 +345,24 @@ CSV_COLUMNS = ("name", "trials", "vacuous", "worst_gap", "verdict", "seed")
 
 
 def reports_to_csv(reports: Sequence[CheckReport]) -> str:
-    """One header row and one row per report; a field is quoted only when it holds a comma, a quote or a newline."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """One header row and one row per report; a field is quoted only when it holds a comma, a quote or a line break."""
+    rows = [CSV_COLUMNS]
     for r in reports:
         gap = "" if r.worst_gap is None else format_float(r.worst_gap).strip('"')
-        writer.writerow((r.name, r.trials, r.vacuous, gap, r.verdict, r.seed))
-    return buf.getvalue()
+        rows.append((r.name, r.trials, r.vacuous, gap, r.verdict, r.seed))
+    return "".join(map(_csv_row, rows))
+
+
+def _csv_row(fields: Sequence) -> str:
+    """One CSV row, ending in a line feed.
+
+    The writer quotes a field that holds a character of its line terminator.
+    A carriage return and a line feed as the terminator make it quote both
+    kinds of line break, and the row's carriage return is then cut.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def emit_report(

@@ -453,17 +453,35 @@ def _pack_partition(mu: FiniteDist, f, partition: Partition) -> tuple[np.ndarray
     return w, v
 
 
+def _disintegrated(w: np.ndarray, width=None) -> tuple[np.ndarray, np.ndarray]:
+    """Joint weights (..., E, F) split into their row masses (..., E) and their rows, each divided by its mass.
+
+    The one disintegration of a joint law. A mass adds its row's atoms in
+    order, so zero padding changes no bits. Given ``width``, the (...,)
+    column counts of the instances, a row of zero mass is uniform on its
+    instance's columns: any choice is almost surely equivalent, and uniform
+    is reproducible. Without it such a row stays zero, for the callers that
+    use only the charged rows.
+    """
+    mass = _atom_sum(w)
+    charged = mass > 0.0
+    rows = w / np.where(charged, mass, 1.0)[..., None]
+    if width is None:
+        return mass, rows
+    n = np.asarray(width)[..., None, None]
+    return mass, np.where(charged[..., None], rows, np.where(np.arange(w.shape[-1]) < n, 1.0 / n, 0.0))
+
+
 def rho_conditional(spec: RiskSpec, mu: FiniteDist, f, partition: Partition) -> ConditionalRisk:
     """Blockwise risk of f given the partition, one value per charged block, in one ``rho_batch``.
 
-    The blocks are packed as ``consistency_gap`` packs them: each charged
-    row divided by its mass, summed in atom order, so the block risks and
-    weights are the bits that gap composes.
+    The blocks are packed and disintegrated as ``consistency_gap`` does it,
+    so the block risks and weights are the bits that gap composes.
     """
     (w,), (v,) = _pack_partition(mu, f, partition)
-    mass = _atom_sum(w)
+    mass, rows = _disintegrated(w)
     charged = mass > 0.0
-    risks = rho_batch(spec, w[charged] / mass[charged][:, None], v[charged]).tolist()
+    risks = rho_batch(spec, rows[charged], v[charged]).tolist()
     blocks = [block for block, c in zip(partition.blocks, charged) if c]
     return ConditionalRisk(
         partition=partition,

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from functools import partial, reduce
 from operator import getitem
 
@@ -11,6 +11,7 @@ from divlab import consistency
 from divlab.consistency import (
     CHECK_KINDS,
     VALUE_GRID,
+    CheckKind,
     ProductInstance,
     SearchBudget,
     TrialStats,
@@ -24,7 +25,7 @@ from divlab.consistency import (
 from divlab.divergence import DivergenceSpec, divergence_for_risk_spec, relative_entropy
 from divlab.errors import ConfigParseError, PreconditionViolatedError
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, JointDist, Kernel, Partition, pushforward, uniform
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_conditional, rho_lifted, rho_of_law, rho_values
 
@@ -50,6 +51,14 @@ def mixture(components):
     return FiniteDist(list(acc), list(acc.values()))
 
 
+def pushforward(law, mapping):
+    """The image law of a map given as a dict, its atoms in the order they first appear."""
+    acc: dict = {}
+    for a, w in zip(law.atoms, law.weights):
+        acc[mapping[a]] = acc.get(mapping[a], 0.0) + float(w)
+    return FiniteDist(list(acc), list(acc.values()))
+
+
 def row_marginal(joint):
     return FiniteDist(joint.row_atoms, joint.matrix.sum(axis=1))
 
@@ -59,6 +68,7 @@ PRODUCT_KINDS = ("chain_rule", "superadditivity", "subadditivity", "weak_consist
 CHAIN_KINDS = ("dpi", "dpi_bijection", "sufficiency_matched", "sufficiency_generic", "refinement")
 DIV_KINDS = PRODUCT_KINDS + CHAIN_KINDS + ("joint_convexity",)
 PROBE_KINDS = ("shift_convexity", "property_s", "mixture_convexity")
+SOLVER_KINDS = ("duality", "lemma_identity", "key_identity")
 # the risk kinds that draw laws and evaluate them with no conditioning
 LAW_KINDS = PROBE_KINDS + ("dist_concavity", "lebesgue")
 BATCH_SPECS = [
@@ -421,6 +431,37 @@ class TestImplicationWeb:
         assert div_stats.worst_gap < -1e-4
 
 
+class TestPushforwardOracle:
+    """The test-module pushforward that reference_gap uses as an independent reference."""
+
+    def test_identity(self):
+        d = FiniteDist(["a", "b"], [0.25, 0.75])
+        out = pushforward(d, {"a": "a", "b": "b"})
+        assert out.atoms == d.atoms and np.array_equal(out.weights, d.weights)
+
+    def test_constant_map_gives_point_mass(self):
+        d = uniform(["a", "b"])
+        out = pushforward(d, {"a": "c", "b": "c"})
+        assert out.atoms == ("c",) and out.weights[0] == 1.0
+
+    def test_swap(self):
+        d = FiniteDist(["a", "b"], [0.25, 0.75])
+        out = pushforward(d, {"a": "b", "b": "a"})
+        assert out.weight("b") == 0.25 and out.weight("a") == 0.75
+
+    def test_unmapped_atom(self):
+        with pytest.raises(KeyError):
+            pushforward(uniform(["a", "b"]), {"a": "x"})
+
+    def test_mass_preserved(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            d = FiniteDist([f"x{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
+            out = pushforward(d, {a: int(rng.integers(3)) for a in d.atoms})
+            assert abs(float(out.weights.sum()) - 1.0) <= 1e-15
+
+
 class TestTrialMachinery:
     def test_chunked_and_sequential_runs_agree(self):
         # uneven chunks, some inside one internal batch and some across two;
@@ -454,6 +495,24 @@ class TestTrialMachinery:
             if kind == "duality":
                 assert replay["instance"]["budget_exhausted"] is False
 
+    @pytest.mark.parametrize(
+        "reverse, forward, spec",
+        [("subadditivity", "superadditivity", RE), ("rejection", "acceptance", ENTROPIC)],
+    )
+    def test_a_reverse_inequality_is_its_forward_kind_negated(self, reverse, forward, spec):
+        # the two kinds share sampler and evaluation, and only the reverse one
+        # negates: in its trials and in its replays alike
+        budget = SearchBudget(trials=40, seed=26, max_e=3, max_f=3, sparsity=0.5)
+        risk, div = (None, spec) if CHECK_KINDS[forward].needs == "div" else (spec, None)
+        rev = CHECK_KINDS[reverse].trial(risk, div, budget, 0, 40)
+        fwd = CHECK_KINDS[forward].trial(risk, div, budget, 0, 40)
+        assert [r.gap for r in rev] == [None if f.gap is None else -f.gap for f in fwd]
+        assert any(r.gap for r in rev)
+        for trial in range(0, 40, 7):
+            doc = describe_trial(forward, risk, div, budget, trial)
+            if doc["gap"] is not None:
+                assert replay(reverse, spec, doc["instance"]) == -doc["gap"]
+
     @pytest.mark.parametrize("kind, law", [("lemma_identity", "mu_bar"), ("key_identity", "joint")])
     def test_small_budget_kinds_keep_sparsity(self, kind, law):
         budget = SearchBudget(trials=10, seed=24, max_e=3, max_f=3, sparsity=0.9)
@@ -465,7 +524,10 @@ class TestTrialMachinery:
         "kind, sparsity",
         # the law kinds draw no reference weights, so sparsity does not reach them
         [(kind, sparsity) for kind in CONDITIONAL_KINDS + DIV_KINDS for sparsity in (0.0, 0.5)]
-        + [(kind, 0.0) for kind in LAW_KINDS],
+        + [(kind, 0.0) for kind in LAW_KINDS]
+        # key_identity takes about 20 ms a trial: only sparse instances, whose rows may or may not be charged
+        + [(kind, sparsity) for kind in ("duality", "lemma_identity") for sparsity in (0.0, 0.5)]
+        + [("key_identity", 0.5)],
     )
     def test_batched_kinds_give_the_same_bits_in_every_layout(self, monkeypatch, kind, sparsity):
         # 4 x 4 joint instances give full laws of up to 16 atoms, the probe
@@ -473,27 +535,34 @@ class TestTrialMachinery:
         # dist_concavity's mixtures and lebesgue's laws reach 9 atoms or more:
         # from 8 atoms on, a pairwise sum would regroup under padding; 150
         # trials span two internal batches; sparse product and dpi instances
-        # give +inf and vacuous gaps
-        n = 150
+        # give +inf and vacuous gaps. The solver kinds run 30 trials on
+        # ENTROPIC, in internal batches of 8, and lemma_identity and
+        # key_identity instances are 4 x 4 at most
+        solver = kind in SOLVER_KINDS
+        n = 30 if solver else 150
+        splits = [(0, 1), (1, 13), (13, n)] if solver else [(0, 1), (1, 8), (8, 45), (45, 101), (101, n)]
+        if solver:
+            monkeypatch.setattr(consistency, "TRIAL_BATCH", 8)
         size = 4 if kind in CONDITIONAL_KINDS + PRODUCT_KINDS + PROBE_KINDS else 9
         budget = SearchBudget(trials=n, seed=25, max_e=size, max_f=size, sparsity=sparsity)
         entry = CHECK_KINDS[kind]
         seen: dict = {}
 
-        def recorded(risk, div, budget, start, stop):
-            results = list(entry.trial(risk, div, budget, start, stop))
-            seen.update(zip(range(start, stop), (r.gap for r in results)))
-            return results
+        class Recorded(CheckKind):
+            def trial(self, risk, div, budget, start, stop):
+                results = list(entry.trial(risk, div, budget, start, stop))
+                seen.update(zip(range(start, stop), (r.gap for r in results)))
+                return results
 
-        monkeypatch.setitem(CHECK_KINDS, kind, replace(entry, trial=recorded))
+        monkeypatch.setitem(CHECK_KINDS, kind, Recorded(*(getattr(entry, f.name) for f in fields(CheckKind))))
         on_div = kind in DIV_KINDS
-        for spec in BATCH_DIVS if on_div else BATCH_SPECS:
+        for spec in [ENTROPIC] if solver else BATCH_DIVS if on_div else BATCH_SPECS:
             risk, div = (None, spec) if on_div else (spec, None)
             seen.clear()
             stats = run_trials(kind, risk, div, budget, 0, n)
             whole = dict(seen)
             seen.clear()
-            for start, stop in [(0, 1), (1, 8), (8, 45), (45, 101), (101, n)]:
+            for start, stop in splits:
                 run_trials(kind, risk, div, budget, start, stop)
             docs = {k: describe_trial(kind, risk, div, budget, k) for k in range(n)}
             ranked = [k for k in range(n) if whole[k] is not None]
@@ -835,7 +904,7 @@ SAMPLERS = {
         consistency._CONDITIONAL, partial(legacy_draw_joint, payoffs=True), joint_view, legacy_conditional_view
     ),
     **{
-        kind: (consistency._CHAIN_SAMPLERS[kind], legacy, chain_view, legacy_chain_view)
+        kind: (CHECK_KINDS[kind].sampler, legacy, chain_view, legacy_chain_view)
         for kind, legacy in [
             ("dpi", partial(legacy_draw_dpi, bijection=False)),
             ("dpi_bijection", partial(legacy_draw_dpi, bijection=True)),

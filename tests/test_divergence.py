@@ -31,11 +31,18 @@ def chain_gap(kind, div, nu, mu, link, chain):
     return CHECK_KINDS[kind].replay(None, div, doc)
 
 
+def map_kernel(source, mapping, target=None):
+    """The 0/1 kernel x -> delta_T(x) of a map T given as a dict; its target defaults to the images in order."""
+    images = [mapping[a] for a in source]
+    target = tuple(dict.fromkeys(images) if target is None else target)
+    return Kernel(source, target, [[float(y == t) for t in target] for y in images])
+
+
 def chain_values(div, nu, mu, maps):
     """alpha(nu | mu) and alpha after each map of a chain, finest first, each map pushed as its 0/1 kernel."""
     kernels = []
     for mapping in maps:
-        kernels.append(Kernel.deterministic(kernels[-1].target if kernels else mu.atoms, mapping))
+        kernels.append(map_kernel(kernels[-1].target if kernels else mu.atoms, mapping))
     return _chain_values(div, nu.weights[None], mu.weights[None], [k.matrix[None] for k in kernels])[0].tolist()
 
 
@@ -376,11 +383,18 @@ class TestDpi:
         gap = chain_gap("dpi", div, nu, mu, "kernel", kernel)
         assert gap == pytest.approx(relative_entropy(nu, mu), abs=1e-12)
 
+    def test_map_kernel_is_graph_of_the_map(self):
+        # the 0/1 kernel that chain_values and the tests here push laws with
+        k = map_kernel(["a", "b", "c"], {"a": "u", "b": "v", "c": "u"})
+        assert k.target == ("u", "v")
+        assert np.array_equal(k.matrix, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        assert map_kernel(["a", "b"], {"a": "u", "b": "u"}, ("v", "u")).matrix.tolist() == [[0.0, 1.0]] * 2
+
     def test_vacuous_when_both_sides_blow_up(self):
         div = DivergenceSpec.relative_entropy(1.0)
         nu = FiniteDist(["a", "b"], [0.0, 1.0])
         mu = FiniteDist(["a", "b"], [1.0, 0.0])
-        identity = Kernel.deterministic(mu.atoms, {"a": "a", "b": "b"}, mu.atoms)
+        identity = map_kernel(mu.atoms, {"a": "a", "b": "b"}, mu.atoms)
         assert chain_gap("dpi", div, nu, mu, "kernel", identity) is None
 
 

@@ -6,28 +6,13 @@ from hypothesis import strategies as st
 from divlab.errors import (
     ConfigParseError,
     DuplicateAtomError,
-    InvalidPartitionError,
     LengthMismatchError,
     NegativeWeightError,
     TotalMassError,
-    UnmappedAtomError,
     ZeroTotalMassError,
 )
-from divlab.prob import (
-    FiniteDist,
-    JointDist,
-    Kernel,
-    Partition,
-    condition,
-    disintegrate_w,
-    pushforward,
-    uniform,
-)
-
-
-def random_dist(rng, n, labels=None):
-    labels = labels or tuple(f"x{i}" for i in range(n))
-    return FiniteDist(labels, rng.dirichlet(np.ones(n)))
+from divlab.prob import FiniteDist, JointDist, Kernel, Partition
+from divlab.risk import _disintegrated
 
 
 class TestMakeDist:
@@ -94,51 +79,30 @@ class TestMakeDist:
             parse(doc)
 
 
-class TestPushforward:
-    def test_identity(self):
-        d = FiniteDist(["a", "b"], [0.25, 0.75])
-        out = pushforward(d, {"a": "a", "b": "b"})
-        assert out.atoms == d.atoms and np.array_equal(out.weights, d.weights)
-
-    def test_constant_map_gives_point_mass(self):
-        d = uniform(["a", "b"])
-        out = pushforward(d, lambda _: "c")
-        assert out.atoms == ("c",) and out.weights[0] == 1.0
-
-    def test_swap(self):
-        d = FiniteDist(["a", "b"], [0.25, 0.75])
-        out = pushforward(d, {"a": "b", "b": "a"})
-        assert out.weight("b") == 0.25 and out.weight("a") == 0.75
-
-    def test_unmapped_atom(self):
-        d = uniform(["a", "b"])
-        with pytest.raises(UnmappedAtomError):
-            pushforward(d, {"a": "x"})
-
-    def test_mass_preserved(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            d = random_dist(rng, n)
-            out = pushforward(d, {a: int(rng.integers(3)) for a in d.atoms})
-            assert abs(float(out.weights.sum()) - 1.0) <= 1e-15
-
-
 class TestKernelAndDisintegration:
-    def test_deterministic_kernel_is_graph_of_the_map(self):
-        k = Kernel.deterministic(["a", "b", "c"], {"a": "u", "b": "v", "c": "u"})
-        assert k.target == ("u", "v")
-        assert np.array_equal(k.matrix, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-
     def test_disintegrate_product(self):
         mu, eta = np.array([0.3, 0.7]), np.array([0.4, 0.6])
-        marg, rows = disintegrate_w(np.outer(mu, eta))
+        marg, rows = _disintegrated(np.outer(mu, eta))
         assert np.allclose(marg, mu)
         assert np.allclose(rows, [eta, eta])
 
     def test_zero_row_convention_is_uniform(self):
-        _, rows = disintegrate_w(np.array([[0.5, 0.3, 0.2], [0.0, 0.0, 0.0]]))
+        _, rows = _disintegrated(np.array([[0.5, 0.3, 0.2], [0.0, 0.0, 0.0]]), 3)
         assert np.array_equal(rows[1], np.full(3, 1.0 / 3.0))
+
+    def test_zero_rows_are_uniform_on_their_instances_columns(self):
+        # a zero-padded block of two instances, of 2 and 3 columns: a padded
+        # instance's masses and rows are the bits of its own; without the
+        # widths, a row of zero mass stays zero
+        w = np.zeros((2, 3, 4))
+        w[0, 0, :2] = [0.25, 0.75]
+        w[1, :2, :3] = [[0.1, 0.2, 0.3], [0.4, 0.0, 0.0]]
+        mass, rows = _disintegrated(w, [2, 3])
+        assert np.array_equal(rows[0, 1], [0.5, 0.5, 0.0, 0.0])
+        assert np.array_equal(rows[1, 2], [1.0 / 3.0] * 3 + [0.0])
+        own_mass, own_rows = _disintegrated(w[1, :, :3], 3)
+        assert np.array_equal(mass[1], own_mass) and np.array_equal(rows[1, :, :3], own_rows)
+        assert not _disintegrated(w)[1][:, 2].any()
 
     def test_round_trip_on_random_joints(self):
         rng = np.random.default_rng(1)
@@ -154,61 +118,11 @@ class TestKernelAndDisintegration:
 
 
 def assert_disintegrates(w):
-    """disintegrate_w(w) gives w's row sums and row-stochastic rows that rebuild w."""
-    marg, rows = disintegrate_w(w)
+    """_disintegrated(w) gives w's row sums and row-stochastic rows that rebuild w."""
+    marg, rows = _disintegrated(w)
     assert np.array_equal(marg, w.sum(axis=1))
     assert np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(np.abs(marg[:, None] * rows - w) <= 1e-12)
-
-
-class TestCondition:
-    def test_trivial_partition(self):
-        mu = uniform(["a", "b"])
-        blocks = condition(mu, [0.0, 1.0], Partition([mu.atoms]))
-        assert len(blocks) == 1 and blocks[0].weight == 1.0
-        assert blocks[0].law.atoms == (0.0, 1.0) and np.array_equal(blocks[0].law.weights, [0.5, 0.5])
-
-    def test_finest_partition(self):
-        mu = FiniteDist(["a", "b"], [0.3, 0.7])
-        blocks = condition(mu, [5.0, 7.0], Partition((("a",), ("b",))))
-        assert [b.weight for b in blocks] == pytest.approx([0.3, 0.7])
-        assert blocks[0].law.atoms == (5.0,)
-        assert blocks[1].law.atoms == (7.0,)
-
-    def test_two_block_example(self):
-        mu = uniform(["a", "b", "c", "d"])
-        part = Partition([("a", "b"), ("c", "d")])
-        blocks = condition(mu, [0.0, 1.0, 2.0, 3.0], part)
-        assert [b.weight for b in blocks] == pytest.approx([0.5, 0.5])
-        for b, support in zip(blocks, [(0.0, 1.0), (2.0, 3.0)]):
-            assert b.law.atoms == support
-            assert np.allclose(b.law.weights, [0.5, 0.5])
-
-    def test_zero_weight_block_omitted(self):
-        mu = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
-        blocks = condition(mu, [1.0, 2.0, 3.0], Partition([("a",), ("b",), ("c",)]))
-        assert len(blocks) == 2
-
-    def test_invalid_partition(self):
-        mu = uniform(["a", "b"])
-        with pytest.raises(InvalidPartitionError):
-            condition(mu, [0.0, 1.0], Partition([("a",)]))
-        with pytest.raises(InvalidPartitionError):
-            condition(mu, [0.0, 1.0], Partition([("a", "b"), ("b",)]))
-
-    def test_mixture_of_conditionals_is_unconditional_law(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            n = int(rng.integers(3, 8))
-            mu = random_dist(rng, n)
-            vals = rng.uniform(-2, 2, n)
-            cut = int(rng.integers(1, n))
-            part = Partition([mu.atoms[:cut], mu.atoms[cut:]])
-            blocks = condition(mu, vals, part)
-            assert sum(b.weight for b in blocks) == pytest.approx(1.0, abs=1e-12)
-            for v, w in zip(vals, mu.weights):
-                mixed = sum(b.weight * b.law.weight(v) for b in blocks if v in b.law.atoms)
-                assert mixed == pytest.approx(w, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,16 +137,3 @@ def test_disintegration_round_trip_property(raw, seed):
     nf = int(rng.integers(2, 4))
     rows = np.vstack([rng.dirichlet(np.ones(nf)) for _ in range(n)])
     assert_disintegrates(w[:, None] * rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=8))
-def test_pushforward_preserves_mass_property(raw):
-    total = sum(raw)
-    if total <= 0:
-        with pytest.raises(ZeroTotalMassError):
-            FiniteDist(range(len(raw)), np.asarray(raw))
-        return
-    d = FiniteDist(range(len(raw)), np.asarray(raw) / total)
-    out = pushforward(d, lambda i: i % 2)
-    assert float(out.weights.sum()) == pytest.approx(1.0, abs=1e-15)

@@ -44,10 +44,14 @@ from divlab.risk import RiskSpec
 def fake_kind(side, trials):
     """A registry entry around a fake trial function, whose instances are plain dicts that no test replays."""
 
+    class Fake(CheckKind):
+        def trial(self, risk, div, budget, start, stop):
+            return trials(risk, div, budget, start, stop)
+
     def replay(risk, div, doc):
         raise AssertionError("a fake kind's instance is never replayed")
 
-    return CheckKind(side, "risk", trials, dict, replay)
+    return Fake(side, "risk", None, None, dict, replay)
 
 
 def entropic_check(name="tc", trials=100, seed=5, target="time_consistency"):
@@ -199,13 +203,15 @@ class TestReports:
 
     def test_csv_quotes_only_the_fields_that_need_it(self):
         # a name with a comma, a quote and a newline once split its row over
-        # two lines and the wrong columns
+        # two lines and the wrong columns, and a bare carriage return made
+        # csv.reader raise
         name = 'a,b"c\nd'
-        reports = run_suite(SuiteConfig(checks=(entropic_check(name=name), entropic_check())))
+        checks = (entropic_check(name=name), entropic_check(name="a\rb"), entropic_check())
+        reports = run_suite(SuiteConfig(checks=checks))
         text = reports_to_csv(reports)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == list(CSV_COLUMNS)
-        assert [row[0] for row in rows[1:]] == [name, "tc"]
+        assert [row[0] for row in rows[1:]] == [name, "a\rb", "tc"]
         assert all(len(row) == len(CSV_COLUMNS) for row in rows)
         assert text.splitlines()[-1].split(",")[0] == "tc"
 

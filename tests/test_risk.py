@@ -16,7 +16,7 @@ from divlab.errors import (
     ZeroTotalMassError,
 )
 from divlab.losses import LossFn, UtilityFn
-from divlab.prob import FiniteDist, Partition, condition, uniform
+from divlab.prob import FiniteDist, Partition, uniform
 from divlab.risk import (
     RiskSpec,
     rho_conditional,
@@ -47,6 +47,16 @@ ALL_SCALAR_SPECS = [
 
 def point_mass(value):
     return FiniteDist((value,), [1.0])
+
+
+def block_law(mu, f, block):
+    """The law of f under mu conditioned on a block of its atoms, equal values merged."""
+    mass = sum(mu.weight(a) for a in block)
+    law: dict = {}
+    for a in block:
+        v = float(f[mu.atoms.index(a)])
+        law[v] = law.get(v, 0.0) + mu.weight(a) / mass
+    return FiniteDist(list(law), list(law.values()))
 
 
 def random_law(rng, n):
@@ -568,9 +578,32 @@ class TestConditional:
             with pytest.raises(InvalidPartitionError):
                 rho_conditional(spec, mu, [1.0, 2.0, 3.0], Partition(blocks))
 
+    def test_block_law_of_a_two_block_example(self):
+        # the test-module block_law, the reference of the test below
+        mu = uniform(["a", "b", "c", "d"])
+        for block, support in [(("a", "b"), (0.0, 1.0)), (("c", "d"), (2.0, 3.0))]:
+            law = block_law(mu, [0.0, 1.0, 2.0, 3.0], block)
+            assert law.atoms == support and np.allclose(law.weights, [0.5, 0.5])
+        merged = block_law(FiniteDist(["a", "b", "c"], [0.2, 0.3, 0.5]), [1.0, 1.0, 4.0], ("a", "b", "c"))
+        assert merged.atoms == (1.0, 4.0) and np.allclose(merged.weights, [0.5, 0.5])
+
+    def test_block_laws_mix_back_into_the_law(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n = int(rng.integers(3, 8))
+            mu = FiniteDist([f"x{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
+            vals = rng.uniform(-2, 2, n)
+            cut = int(rng.integers(1, n))
+            blocks = [mu.atoms[:cut], mu.atoms[cut:]]
+            masses = [sum(mu.weight(a) for a in block) for block in blocks]
+            laws = [block_law(mu, vals, block) for block in blocks]
+            for v, w in zip(vals, mu.weights):
+                mixed = sum(m * law.weight(float(v)) for m, law in zip(masses, laws) if float(v) in law.atoms)
+                assert mixed == pytest.approx(w, abs=1e-12)
+
     def test_blocks_recombine_into_the_law(self):
         # the charged blocks' weights are mu's mass on each and sum to 1, and
-        # each block risk is, to rounding, the risk of condition()'s block law
+        # each block risk is, to rounding, the risk of the block's law
         rng = np.random.default_rng(2)
         spec = RiskSpec.shortfall(LossFn.power_plus(2.0))
         for _ in range(30):
@@ -582,9 +615,9 @@ class TestConditional:
             cond = rho_conditional(spec, mu, vals, part)
             assert [block for block, _ in cond.values] == list(part.blocks)
             assert sum(cond.weights) == pytest.approx(1.0, abs=1e-12)
-            for (block, risk), weight, cb in zip(cond.values, cond.weights, condition(mu, vals, part)):
+            for (block, risk), weight in zip(cond.values, cond.weights):
                 assert weight == pytest.approx(sum(mu.weight(a) for a in block), abs=1e-12)
-                assert risk == pytest.approx(rho_of_law(spec, cb.law), abs=1e-12)
+                assert risk == pytest.approx(rho_of_law(spec, block_law(mu, vals, block)), abs=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SCALAR_SPECS)
     def test_block_measurable_cash_additivity(self, spec):

@@ -23,13 +23,15 @@ Instances are sampled from seeded per-trial streams: trial k of a search
 with seed s draws the stream of ``numpy.random.default_rng([s, k])``, so any
 reported instance replays exactly from (seed, trial) and results do not
 depend on how trials are split into blocks, nor on which process runs a
-block (see ``_trial_pool``). A reported instance also replays from its
-document: ``CHECK_KINDS[kind].replay(risk, div, doc)`` reads it back and
-gives the gap bits of its trial. A block does not build a generator per
-trial: ``_trial_rngs`` computes the PCG64 states of all its trials in one
-vectorized pass and sets one generator to each in turn, the state
-``default_rng([s, k])`` starts in. ``SearchBudget.rng_for`` builds the
-generator itself and stays the reference.
+block. ``run_trials`` sizes its blocks by the instance, at most
+BLOCK_ENTRIES padded entries each, and a pool gives each worker one
+contiguous span of a budget's trials (see ``_trial_stats``). A reported
+instance also replays from its document: ``CHECK_KINDS[kind].replay(risk,
+div, doc)`` reads it back and gives the gap bits of its trial. A block does
+not build a generator per trial: ``_trial_rngs`` computes the PCG64 states
+of all its trials in one vectorized pass and sets one generator to each in
+turn, the state ``default_rng([s, k])`` starts in. ``SearchBudget.rng_for``
+builds the generator itself and stays the reference.
 
 All 22 kinds run one protocol (see "check kinds"): a kind's block sampler
 draws a block of trials in two steps (see "block samplers"). Per trial, the
@@ -50,7 +52,8 @@ from statistics but counted. A
 sparsity; every other parameter of the samplers is a module constant. The
 kinds that draw laws on distinct grid values (``shift_convexity``,
 ``property_s``, ``mixture_convexity``, ``dist_concavity``) refuse sizes
-above the grid's 41 points.
+above the grid's 41 points, and the kinds checked against the grid oracle
+(``lemma_identity``, ``key_identity``) refuse sizes above its 4 atoms.
 """
 
 from __future__ import annotations
@@ -495,7 +498,8 @@ def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
 
 # joint instances: the product kinds, the conditional kinds, lemma_identity and key_identity
 
-# the most atoms per axis of a lemma_identity or key_identity instance, the limit of the grid oracle
+# the most atoms per axis of a lemma_identity or key_identity instance, the limit of the grid oracle:
+# checks and searches refuse larger sizes, and the draw step caps a direct run_trials call
 _ORACLE_ATOMS = 4
 
 
@@ -1607,7 +1611,8 @@ class CheckKind:
     ``negate`` marks a reverse inequality, whose gaps ``trial`` and
     ``replay`` negate. ``grid_sizes`` names the sizes, "E" or "F", that count
     atoms of distinct values drawn from VALUE_GRID, so they may not exceed
-    its 41 points.
+    its 41 points. ``oracle`` marks a kind checked against the grid oracle,
+    whose sizes may not exceed its _ORACLE_ATOMS atoms per axis.
     """
 
     side: str
@@ -1618,6 +1623,7 @@ class CheckKind:
     read: Callable
     grid_sizes: str = ""
     negate: bool = False
+    oracle: bool = False
 
     def trial(self, risk, div, budget: SearchBudget, start: int, stop: int) -> list[TrialResult]:
         """One TrialResult per trial in [start, stop): the block is drawn and finished together, then evaluated."""
@@ -1638,6 +1644,9 @@ class CheckKind:
     def check_budget(self, budget: SearchBudget, what: str) -> None:
         """ConfigParseError if a size of the budget exceeds what this kind's sampler can draw."""
         for axis, size in zip("EF", (budget.max_e, budget.max_f)):
+            if self.oracle and size > _ORACLE_ATOMS:
+                limit = f"size {axis} must be at most {_ORACLE_ATOMS}, got {size}"
+                raise ConfigParseError(f"{what} is checked against the {_ORACLE_ATOMS}-atom grid oracle: {limit}")
             if axis in self.grid_sizes and size > VALUE_GRID.size:
                 limit = f"size {axis} must be at most {VALUE_GRID.size}, got {size}"
                 raise ConfigParseError(f"{what} draws distinct payoff values from VALUE_GRID: {limit}")
@@ -1695,9 +1704,11 @@ CHECK_KINDS: dict[str, CheckKind] = {
         "lower", _configured(_draw_sufficiency, _finish_sufficiency, matched=False), "map"
     ),
     "refinement": _chain_kind("lower", _Sampler(_draw_refinement, _finish_refinement), "maps", _refinement_score),
-    "lemma_identity": CheckKind("abs", "risk", _SMALL_PRODUCT, _lemma_identity_trials, _product_json, _lemma_replay),
+    "lemma_identity": CheckKind(
+        "abs", "risk", _SMALL_PRODUCT, _lemma_identity_trials, _product_json, _lemma_replay, oracle=True
+    ),
     "key_identity": CheckKind(
-        "abs", "risk", _SMALL_CONDITIONAL, _key_identity_trials, _conditional_json, _key_identity_replay
+        "abs", "risk", _SMALL_CONDITIONAL, _key_identity_trials, _conditional_json, _key_identity_replay, oracle=True
     ),
     "lebesgue": CheckKind("abs", "risk", _LEBESGUE, _lebesgue_trials, _lebesgue_json, _lebesgue_replay),
 }
@@ -1720,8 +1731,11 @@ def resolve_divergence(
     return div
 
 
-# trials per call of a kind's trial method in run_trials
-TRIAL_BATCH = 100
+# the most padded entries, trials x max_e x max_f, in one block of run_trials:
+# 100 trials at sizes 12, 1,600 at sizes 3
+BLOCK_ENTRIES = 14_400
+# a run opens a pool only for some budget of more than this many trials
+POOL_MIN_TRIALS = 100
 
 
 @dataclass
@@ -1773,16 +1787,19 @@ def run_trials(
 ) -> TrialStats:
     """Evaluate trials [start, stop); summaries merge deterministically.
 
-    The kind's ``trial`` runs on consecutive batches of at most
-    TRIAL_BATCH trials, so memory stays bounded on any range. A trial's gap
-    is the same bits in any batch and when ``describe_trial`` replays it
-    alone: every kind sums over atoms in a fixed order that zero padding
-    does not change (see ``risk.rho_batch``).
+    The kind's ``trial`` runs on consecutive blocks sized by the instance,
+    as many trials as BLOCK_ENTRIES padded entries of max_e x max_f hold,
+    so memory stays bounded on any range while small instances pay each
+    block's fixed cost (seeding, finishing, batched calls) over many
+    trials. A trial's gap is the same bits in any block and when
+    ``describe_trial`` replays it alone: every kind sums over atoms in a
+    fixed order that zero padding does not change (see ``risk.rho_batch``).
     """
     entry = check_kind(kind)
     stats = TrialStats(class_worst={})
-    for first in range(start, stop, TRIAL_BATCH):
-        results = entry.trial(risk, div, budget, first, min(first + TRIAL_BATCH, stop))
+    size = max(1, BLOCK_ENTRIES // (budget.max_e * budget.max_f))
+    for first in range(start, stop, size):
+        results = entry.trial(risk, div, budget, first, min(first + size, stop))
         for trial, (gap, vacuous, is_product, _, exhausted) in enumerate(results, first):
             stats.count += 1
             if vacuous or gap is None:
@@ -1816,15 +1833,19 @@ def _trial_stats(
     budget: SearchBudget,
     pool=None,
 ) -> TrialStats:
-    """run_trials over every trial of the budget, as its TRIAL_BATCH ranges merged in order.
+    """run_trials over every trial of the budget.
 
-    With a pool the ranges run on its workers, else in this process. Each
-    range is a batch that run_trials would run anyway and merging is exact,
-    so the result is the same with and without a pool.
+    Without a pool this is one run_trials call over [0, trials). With a pool
+    the trials are cut into one contiguous span per worker (one per usable
+    core, as the pool has), each a task, merged in order. A trial's gap does
+    not depend on its block and merging is exact, so the result is the same
+    with and without a pool.
     """
-    starts = range(0, budget.trials, TRIAL_BATCH)
-    stops = [min(first + TRIAL_BATCH, budget.trials) for first in starts]
-    parts = (map if pool is None else pool.map)(partial(run_trials, kind, risk, div, budget), starts, stops)
+    if pool is None:
+        return run_trials(kind, risk, div, budget, 0, budget.trials)
+    spans = max(1, min(budget.trials, _usable_cores()))
+    bounds = [budget.trials * i // spans for i in range(spans + 1)]
+    parts = pool.map(partial(run_trials, kind, risk, div, budget), bounds[:-1], bounds[1:])
     return reduce(TrialStats.merge, parts, TrialStats())
 
 
@@ -1839,18 +1860,19 @@ def _usable_cores() -> int:
 def _trial_pool(budgets: Iterable[SearchBudget]):
     """A process pool with one worker per usable core for a run of these budgets, or None.
 
-    The pool opens only where it can help and forking is safe: at least two
-    usable cores, some budget of more than one TRIAL_BATCH, no other thread
-    in this process (a forked child gets a copy of every lock, held ones
-    too), the "fork" start method, and a process that is not a daemon (a
-    daemon may have no children). Its workers are forked, so they see the
-    kinds and specs of this process as they are. It shuts down when the
-    block ends, cancelling the ranges still queued if the block raises, so
-    no worker outlives the run.
+    ``_trial_stats`` gives each worker one contiguous span of a budget's
+    trials. The pool opens only where it can help and forking is safe: at
+    least two usable cores, some budget of more than POOL_MIN_TRIALS
+    trials, no other thread in this process (a forked child gets a copy of
+    every lock, held ones too), the "fork" start method, and a process that
+    is not a daemon (a daemon may have no children). Its workers are forked,
+    so they see the kinds and specs of this process as they are. It shuts
+    down when the block ends, cancelling the spans still queued if the block
+    raises, so no worker outlives the run.
     """
     cores = _usable_cores()
     context = None
-    if cores >= 2 and threading.active_count() == 1 and any(b.trials > TRIAL_BATCH for b in budgets):
+    if cores >= 2 and threading.active_count() == 1 and any(b.trials > POOL_MIN_TRIALS for b in budgets):
         import multiprocessing  # imported here, so that a run without a pool never pays for it
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:

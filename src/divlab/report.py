@@ -218,9 +218,10 @@ def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
 def run_check(check: CheckSpec, pool=None) -> CheckReport:
     """Run a check's trials, judge them, and describe the worst one unless the check passes.
 
-    The trials run as consecutive ranges of TRIAL_BATCH, on the workers of
-    ``pool`` when one is given (see ``run_suite``) and in this process
-    otherwise; the report is the same bytes either way.
+    The trials run in this process, in blocks sized by the instance (see
+    ``run_trials``), or, when ``pool`` is given (see ``run_suite``), as one
+    contiguous span per worker of the pool; the report is the same bytes
+    either way.
     """
     div = resolve_divergence(check.target, check.risk, check.divergence)
     budget = check.budget
@@ -250,8 +251,9 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run every check in order; an empty suite yields an empty report.
 
     One process pool, with a worker per usable core, serves every check of
-    the suite; it opens only when some check has more than one TRIAL_BATCH
-    of trials and the platform can fork, and it is shut down before this
+    the suite, each check's trials cut into one contiguous span per worker;
+    it opens only when some check has more than POOL_MIN_TRIALS
+    trials and the platform can fork, and it is shut down before this
     returns or raises. Reports are byte-identical with any number of workers.
     """
     with _trial_pool(c.budget for c in config.checks) as pool:

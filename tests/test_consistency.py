@@ -533,25 +533,27 @@ class TestTrialMachinery:
         # 4 x 4 joint instances give full laws of up to 16 atoms, the probe
         # kinds' mixtures up to 64, and the pair kinds' drawn and pushed laws,
         # dist_concavity's mixtures and lebesgue's laws reach 9 atoms or more:
-        # from 8 atoms on, a pairwise sum would regroup under padding; 150
-        # trials span two internal batches; sparse product and dpi instances
-        # give +inf and vacuous gaps. The solver kinds run 30 trials on
-        # ENTROPIC, in internal batches of 8, and lemma_identity and
-        # key_identity instances are 4 x 4 at most
+        # from 8 atoms on, a pairwise sum would regroup under padding; sparse
+        # product and dpi instances give +inf and vacuous gaps. Blocks are
+        # made small, so that the 150 trials of a kind run in three internal
+        # blocks of 50 and the splits cut across them. The solver kinds run
+        # 30 trials on ENTROPIC, in internal blocks of 8, and lemma_identity
+        # and key_identity instances are 4 x 4 at most
         solver = kind in SOLVER_KINDS
-        n = 30 if solver else 150
+        n, block = (30, 8) if solver else (150, 50)
         splits = [(0, 1), (1, 13), (13, n)] if solver else [(0, 1), (1, 8), (8, 45), (45, 101), (101, n)]
-        if solver:
-            monkeypatch.setattr(consistency, "TRIAL_BATCH", 8)
         size = 4 if kind in CONDITIONAL_KINDS + PRODUCT_KINDS + PROBE_KINDS else 9
+        monkeypatch.setattr(consistency, "BLOCK_ENTRIES", block * size * size)
         budget = SearchBudget(trials=n, seed=25, max_e=size, max_f=size, sparsity=sparsity)
         entry = CHECK_KINDS[kind]
         seen: dict = {}
+        blocks = set()
 
         class Recorded(CheckKind):
             def trial(self, risk, div, budget, start, stop):
                 results = list(entry.trial(risk, div, budget, start, stop))
                 seen.update(zip(range(start, stop), (r.gap for r in results)))
+                blocks.add((start, stop))
                 return results
 
         monkeypatch.setitem(CHECK_KINDS, kind, Recorded(*(getattr(entry, f.name) for f in fields(CheckKind))))
@@ -559,7 +561,9 @@ class TestTrialMachinery:
         for spec in [ENTROPIC] if solver else BATCH_DIVS if on_div else BATCH_SPECS:
             risk, div = (None, spec) if on_div else (spec, None)
             seen.clear()
+            blocks.clear()
             stats = run_trials(kind, risk, div, budget, 0, n)
+            assert blocks == {(first, min(first + block, n)) for first in range(0, n, block)}
             whole = dict(seen)
             seen.clear()
             for start, stop in splits:

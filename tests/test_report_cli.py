@@ -400,6 +400,24 @@ class TestSuiteConfig:
                "trials": 2}
         assert run_check(CheckSpec.from_json(doc)).trials == 2
 
+    @pytest.mark.parametrize("target", ["lemma_identity", "key_identity"])
+    @pytest.mark.parametrize("sizes", [{"E": 12, "F": 3}, {"E": 3, "F": 5}])
+    def test_sizes_beyond_the_grid_oracle_are_refused(self, target, sizes):
+        # these kinds' sampler capped every instance at 4 x 4 atoms, so a
+        # check at sizes 12 once ran 4 x 4 instances under a report saying 12
+        doc = {"name": "o", "target": target, "spec": {"family": "entropic", "eta": 1.0}, "sizes": sizes}
+        with pytest.raises(ConfigParseError, match=r"^check 'o' is checked against the 4-atom grid oracle: .* at most 4, got (12|5)$"):
+            CheckSpec.from_json(doc)
+        budget = SearchBudget.from_json({"trials": 1, "sizes": sizes})
+        with pytest.raises(ConfigParseError, match=f"^target '{target}' is checked against the 4-atom grid oracle"):
+            counterexample_search(RiskSpec.entropic(1.0), budget, target)
+
+    @pytest.mark.parametrize("target", ["lemma_identity", "key_identity"])
+    def test_sizes_up_to_the_grid_oracle_run(self, target):
+        doc = {"name": "o", "target": target, "spec": {"family": "entropic", "eta": 1.0}, "sizes": {"E": 4, "F": 4},
+               "trials": 2}
+        assert run_check(CheckSpec.from_json(doc)).trials == 2
+
     @pytest.mark.parametrize("tolerances", [
         {"noise": 0.0, "violation": math.inf},
         {"noise": math.inf, "violation": math.inf},
@@ -583,6 +601,12 @@ class TestCli:
         out = run_cli("verify", "--config", json.dumps({"checks": [check]}))
         assert out.returncode == 2
         assert out.stderr.startswith("error: check 'a' draws") and "41" in out.stderr
+
+    def test_oversized_oracle_kind_exits_2(self):
+        out = run_cli("search", "--target", "key_identity", "--spec", '{"family":"entropic","eta":1.0}',
+                      "--size-e", "12", "--trials", "5")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: target 'key_identity' is checked against the 4-atom grid oracle")
 
     @pytest.mark.parametrize("field", [{"must_pass": "false"}, {"tolerances": {"noise": "x"}}],
                              ids=["must_pass", "tolerances"])
@@ -913,11 +937,42 @@ class TestParallelRuns:
         assert pools[0] is not None and pools[1] is None
         assert emit_report(serial, "json", "-") == parallel
         chain, pp2, probe, small = serial
-        # the pp2 violation sits in the second batch; the probe has NaN gaps in every batch
+        # on two workers each check is two spans: the pp2 violation, trial
+        # 116, sits in the first of [0, 125) and [125, 250), and both spans
+        # of the probe, [0, 115) and [115, 230), hold NaN gaps
         assert (pp2.verdict, pp2.worst_trial, chain.verdict) == ("violation", 116, "pass")
         assert pp2.instance["trial"] == 116 and chain.vacuous > 0
         assert (probe.verdict, probe.nan, probe.worst_trial) == ("violation", 7, 0)
         assert small.trials == 40
+
+    @pytest.mark.parametrize("size", [3, 12])
+    def test_a_pool_gets_one_span_per_worker(self, size):
+        # at sizes 3 a block holds 1,600 trials, more than a span; at sizes
+        # 12 it holds 100, so spans of 500 and 501 trials end on blocks of 0
+        # and 1 trials
+        self.needs_pool()
+        budget = SearchBudget(trials=1001, seed=8, max_e=size, max_f=size, sparsity=0.5)
+        # zero tolerances make the check a violation, so that its report describes the worst trial
+        check = CheckSpec(name="chain", target="chain_rule", budget=budget,
+                          divergence=DivergenceSpec.relative_entropy(1.0), tolerances=Tolerances(0.0, 0.0))
+        spans = []
+
+        class Recording:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def map(self, fn, starts, stops):
+                spans.append(list(zip(starts, stops)))
+                return self.pool.map(fn, starts, stops)
+
+        with consistency._trial_pool([budget]) as pool:
+            pooled = consistency._trial_stats("chain_rule", None, check.divergence, budget, Recording(pool))
+            pooled_report = emit_report([run_check(check, Recording(pool))], "json", "-")
+        workers = consistency._usable_cores()
+        assert spans == 2 * [[(1001 * i // workers, 1001 * (i + 1) // workers) for i in range(workers)]]
+        assert pooled == consistency.run_trials("chain_rule", None, check.divergence, budget, 0, 1001)
+        assert pooled_report == emit_report([run_check(check)], "json", "-")
+        assert json.loads(pooled_report)["checks"][0]["instance"]["trial"] == pooled.worst_trial
 
     def test_search_and_sweep_run_on_the_pool(self, monkeypatch, pools, capsys):
         self.needs_pool()

@@ -35,11 +35,21 @@ builds the generator itself and stays the reference.
 
 All 22 kinds run one protocol (see "check kinds"): a kind's block sampler
 draws a block of trials in two steps (see "block samplers"). Per trial, the
-draw step makes only the trial's generator calls, in the order of earlier
-versions; once per block, the finish step does all the arithmetic on the
-block's draws together: Dirichlet(1) weights as normalized standard
-exponentials, the stream and bits of numpy's ``dirichlet``, payoffs by
-integer index into VALUE_GRID, the stream of ``choice``, and the
+draw step makes only the trial's draws, in the order of earlier versions.
+Its sizes, permutations, distinct grid values, payoff indices and the
+rare fallback index of a keep mask come from the trial's raw PCG64 words
+through ``_Words``, which takes numpy's own 32-bit steps: the bits are
+numpy's, without the cost of a Generator call each. Its standard
+exponentials and uniforms (keep masks too), which take whole 64-bit words,
+stay Generator calls, and so do payoff indices past _INTEGERS_LOOP_MAX
+values, one sized ``integers`` call once no half-word is kept.
+``sample_product_instance`` and ``sample_conditional_instance``
+leave a caller's generator at the right word, but may drop the half-word
+it keeps for its next 32-bit draw. Once per block, the finish step does
+all the arithmetic on the block's draws together: Dirichlet(1) weights as
+normalized standard exponentials, the stream and bits of numpy's
+``dirichlet``, payoffs and distinct law values by integer index into
+VALUE_GRID, the streams of ``integers`` and ``choice``, and the
 renormalizations of the law classes. Sums run over the trials of one size
 together, so every trial keeps its bits and reports of earlier versions
 replay unchanged. The finished arrays become laws, kernels and joint laws
@@ -334,13 +344,149 @@ class ShiftConvexityInstance:
 
 
 # ---------------------------------------------------------------------------
+# a trial's 32-bit draws
+# ---------------------------------------------------------------------------
+#
+# numpy's Generator makes bounded integers, permutations and distinct picks
+# from 32-bit halves of PCG64's 64-bit words: a 32-bit draw takes the lower
+# half of a new word and keeps the upper half for the next one (its state's
+# ``has_uint32`` and ``uinteger``), and a 64-bit draw (``random``,
+# ``uniform``, ``standard_exponential``) takes a whole word and leaves a kept
+# half alone. ``_Words`` reads a trial's words with
+# ``bit_generator.random_raw`` and takes numpy's 32-bit steps in Python, so a
+# draw costs a word or two rather than a Generator call: ``integers`` in
+# [low, high) by Lemire's method (Lemire, "Fast random integer generation in
+# an interval", ACM TOMACS 2019), ``permutation`` as Fisher-Yates with
+# ``random_interval``'s masked rejection, and ``choice(a, n, replace=False)``
+# as Floyd's algorithm, shuffled with Lemire's method. The bits are numpy's.
+
+_SPAN32 = 1 << 32  # the widest range that numpy's 32-bit Lemire method draws
+# the most values of a sized integers draw made here: past them numpy's own
+# call costs less than the loop (one core, numpy 2.4)
+_INTEGERS_LOOP_MAX = 12
+
+
+def _handed_over():
+    raise RuntimeError("after a sized integers draw numpy keeps the half-word: no 32-bit draw may follow")
+
+
+class _Words:
+    """One trial's PCG64 words, read for its 32-bit draws as numpy's Generator reads them.
+
+    ``rng`` is the trial's generator; it makes the trial's 64-bit draws from
+    the same words, in turn with these. ``kept`` is the upper half-word of
+    the last word a 32-bit draw opened, which the next one takes first, or
+    None; the generator starts without one (``_trial_rngs`` clears it) and
+    never holds one while the reader does. A sized draw past its loop's
+    size goes to numpy once no half-word is kept, and from then on numpy
+    keeps it: the reader refuses any later 32-bit draw of its own.
+    """
+
+    __slots__ = ("rng", "_raw", "kept")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._raw = rng.bit_generator.random_raw
+        self.kept = None
+
+    def _next32(self) -> int:
+        kept = self.kept
+        if kept is None:
+            word = self._raw()
+            self.kept = word >> 32
+            return word & _MASK32
+        self.kept = None
+        return kept
+
+    def integer(self, low: int, high: int) -> int:
+        """``rng.integers(low, high)``: Lemire's method, which numpy skips for a range of one value."""
+        span = high - low
+        if not 1 < span <= _SPAN32:
+            if span == 1:
+                return low
+            raise ValueError(f"a 32-bit integer draw needs a range of 1 to 2**32 values, got [{low}, {high})")
+        m = self._next32() * span
+        if m & _MASK32 < span:
+            # the low products 2**32 mod span would favour some values: rejected
+            threshold = _SPAN32 % span
+            while m & _MASK32 < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def integers(self, high: int, size: int) -> np.ndarray:
+        """``rng.integers(0, high, size=size)``: past _INTEGERS_LOOP_MAX values, numpy's once no half-word is kept."""
+        if size <= _INTEGERS_LOOP_MAX:
+            return np.array(self._lemire([high] * size), np.int64)
+        head = []
+        while self.kept is not None and len(head) < size:
+            head.append(self.integer(0, high))
+        self._raw = _handed_over
+        tail = self.rng.integers(0, high, size=size - len(head))
+        return np.concatenate((head, tail)) if head else tail
+
+    def permutation(self, n: int) -> list[int]:
+        """``rng.permutation(n)``: Fisher-Yates from the top, each swap's index by masked rejection."""
+        out = list(range(n))
+        raw, kept = self._raw, self.kept
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if kept is None:
+                    word = raw()
+                    kept = word >> 32
+                    j = word & mask
+                else:
+                    j, kept = kept & mask, None
+                if j <= i:
+                    break
+            out[i], out[j] = out[j], out[i]
+        self.kept = kept
+        return out
+
+    def distinct(self, population: int, n: int) -> list[int]:
+        """The indices that ``rng.choice(a, n, replace=False)`` takes from an array a of this size.
+
+        Floyd's algorithm picks an n-set, a value already picked giving way
+        to the top of its range, and a Fisher-Yates pass shuffles it.
+        """
+        picks = self._lemire([*range(population - n + 1, population + 1), *range(n, 1, -1)])
+        picked: list[int] = []
+        for top, pick in zip(range(population - n, population), picks):
+            picked.append(top if pick in picked else pick)
+        for i, j in zip(range(n - 1, 0, -1), picks[n:]):
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
+
+    def _lemire(self, spans: Iterable[int]) -> list[int]:
+        """One ``integer(0, span)`` for each span in turn, with the loop's state in locals."""
+        raw, kept, out = self._raw, self.kept, []
+        for span in spans:
+            if span == 1:
+                out.append(0)
+                continue
+            while True:
+                if kept is None:
+                    word = raw()
+                    kept = word >> 32
+                    m = (word & _MASK32) * span
+                else:
+                    m, kept = kept * span, None
+                low = m & _MASK32
+                if low >= span or low >= _SPAN32 % span:
+                    break
+            out.append(m >> 32)
+        self.kept = kept
+        return out
+
+
+# ---------------------------------------------------------------------------
 # block samplers
 # ---------------------------------------------------------------------------
 #
-# A sampler is a pair (draw, finish). draw(rng, budget) makes one trial's
-# generator calls and keeps what they return: sizes, standard exponentials,
-# uniforms, permutations, payoff indices, sparsity keep masks. No generator
-# call depends on a drawn value, only on sizes and keep masks, so the
+# A sampler is a pair (draw, finish). draw(words, budget) makes one trial's
+# draws from its ``_Words`` and keeps what they return: sizes, standard
+# exponentials, uniforms, permutations, payoff indices, sparsity keep masks.
+# No draw depends on a drawn value, only on sizes and keep masks, so the
 # arithmetic can wait. finish(draws) does all of it for a block of trials at
 # once on zero-padded arrays: Dirichlet normalization, sparsification, outer
 # products, the renormalizations that FiniteDist, JointDist and Kernel
@@ -354,7 +500,7 @@ class ShiftConvexityInstance:
 
 
 class _Sampler(NamedTuple):
-    draw: Callable  # (rng, budget) -> one trial's raw draws
+    draw: Callable  # (words, budget) -> one trial's raw draws
     finish: Callable  # (a block's raw draws) -> the finished block
 
 
@@ -365,12 +511,21 @@ def _configured(draw: Callable, finish: Callable, **options) -> _Sampler:
 
 def _finished(sampler: _Sampler, budget: SearchBudget, start: int, stop: int):
     """The finished block of trials [start, stop): each trial's draws from its stream in turn, then the arithmetic."""
-    return sampler.finish([sampler.draw(rng, budget) for rng in _trial_rngs(budget, start, stop)])
+    return sampler.finish([sampler.draw(_Words(rng), budget) for rng in _trial_rngs(budget, start, stop)])
 
 
 def _finished_one(sampler: _Sampler, rng: np.random.Generator, budget: SearchBudget):
-    """The finished block of the one trial whose generator is rng."""
-    return sampler.finish([sampler.draw(rng, budget)])
+    """The finished block of the one trial whose generator is rng.
+
+    A half-word that rng keeps from an earlier 32-bit draw is taken first,
+    as numpy takes it. The one the trial's draws leave is dropped: rng is
+    left at the right word, but its next 32-bit draw may differ from numpy's.
+    """
+    words, state = _Words(rng), rng.bit_generator.state
+    if state["has_uint32"]:
+        words.kept = state["uinteger"]
+        rng.bit_generator.state = {**state, "has_uint32": 0}
+    return sampler.finish([sampler.draw(words, budget)])
 
 
 class _Drawn(NamedTuple):
@@ -438,13 +593,13 @@ def _dirichlet(e: np.ndarray, size: np.ndarray) -> np.ndarray:
     return _normalized(e * (1.0 / np.where(total > 0.0, total, 1.0)), size)
 
 
-def _keep_mask(rng: np.random.Generator, n: int, sparsity: float) -> np.ndarray | None:
+def _keep_mask(words: _Words, n: int, sparsity: float) -> np.ndarray | None:
     """Which of n weights a sparse law keeps, at least one; None when nothing is zeroed."""
     if sparsity <= 0.0:
         return None
-    keep = rng.random(n) >= sparsity
+    keep = words.rng.random(n) >= sparsity
     if not keep.any():
-        keep[int(rng.integers(n))] = True
+        keep[words.integer(0, n)] = True
     return keep
 
 
@@ -455,19 +610,22 @@ def _sparsified(w: np.ndarray, keeps: Sequence, size: np.ndarray) -> np.ndarray:
     return _normalized(np.where(_padded(keeps, bool), w, 0.0), size)
 
 
-def _one_hot(columns: Sequence) -> np.ndarray:
+def _one_hot(columns: Sequence[list]) -> np.ndarray:
     """Zero-padded 0/1 matrices: row i of matrix b has its 1 in column columns[b][i], all set in one assignment."""
     sizes = np.array([[len(c)] for c in columns])
-    cols = np.concatenate(columns)
+    cols = np.fromiter(chain(*columns), np.intp)
     out = np.zeros((len(columns), sizes.max(), int(cols.max()) + 1))
     out[(*np.nonzero(_own_entries(sizes, out.shape[1:2])), cols)] = 1.0
     return out
 
 
-def _payoffs(indices: Sequence[np.ndarray]) -> np.ndarray:
-    """Payoff values of VALUE_GRID at 1-D index arrays, zero-padded: ``rng.choice``'s values."""
-    out = np.zeros((len(indices), max(i.size for i in indices)))
-    out[_own_entries(np.array([[i.size] for i in indices]), out.shape[1:])] = VALUE_GRID[np.concatenate(indices)]
+def _payoffs(indices: Sequence) -> np.ndarray:
+    """The values of VALUE_GRID at index arrays, or at lists of indices, zero-padded: the values drawn by index."""
+    sizes = np.array([[len(i)] for i in indices])
+    out = np.zeros((len(indices), sizes.max()))
+    # arrays join fastest in one concatenate, and lists of ints through one iterator
+    flat = np.concatenate(indices) if isinstance(indices[0], np.ndarray) else np.fromiter(chain(*indices), np.intp)
+    out[_own_entries(sizes, out.shape[1:])] = VALUE_GRID[flat]
     return out
 
 
@@ -481,18 +639,18 @@ def _labels(prefix: str, n: int) -> tuple:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def _draw_law(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n distinct values of VALUE_GRID, as ``choice`` draws them, and the exponentials of their weights."""
-    return rng.choice(VALUE_GRID, size=n, replace=False), rng.standard_exponential(n)
+def _draw_law(words: _Words, n: int) -> tuple[list[int], np.ndarray]:
+    """The indices of n distinct values of VALUE_GRID, as ``choice`` draws them, and the exponentials of their weights."""
+    return words.distinct(VALUE_GRID.size, n), words.rng.standard_exponential(n)
 
 
-def _random_surjection(rng, n_from: int, n_to: int) -> list[int]:
-    img = list(rng.permutation(n_from)[:n_to])
+def _random_surjection(words: _Words, n_from: int, n_to: int) -> list[int]:
+    img = words.permutation(n_from)[:n_to]
     out = [0] * n_from
     for k, i in enumerate(img):
         out[i] = k
     for i in sorted(set(range(n_from)) - set(img)):
-        out[i] = int(rng.integers(n_to))
+        out[i] = words.integer(0, n_to)
     return out
 
 
@@ -511,17 +669,18 @@ class _JointRaw(NamedTuple):
     paired: np.ndarray  # nu_bar's n_e * n_f exponentials, or the payoffs' indices into VALUE_GRID
 
 
-def _draw_joint(rng: np.random.Generator, budget: SearchBudget, payoffs: bool, cap: float = math.inf) -> _JointRaw:
+def _draw_joint(words: _Words, budget: SearchBudget, payoffs: bool, cap: float = math.inf) -> _JointRaw:
     """A joint instance of at most cap atoms per axis."""
-    n_e = int(rng.integers(2, min(budget.max_e, cap) + 1))
-    n_f = int(rng.integers(2, min(budget.max_f, cap) + 1))
+    rng = words.rng
+    n_e = words.integer(2, min(budget.max_e, cap) + 1)
+    n_f = words.integer(2, min(budget.max_f, cap) + 1)
     if rng.random() < PRODUCT_FRACTION:
         exps = (rng.standard_exponential(n_e), rng.standard_exponential(n_f))
     else:
         exps = (rng.standard_exponential(n_e * n_f),)
     n = n_e * n_f
-    keep = _keep_mask(rng, n, budget.sparsity)
-    paired = rng.integers(0, VALUE_GRID.size, size=n) if payoffs else rng.standard_exponential(n)
+    keep = _keep_mask(words, n, budget.sparsity)
+    paired = words.integers(VALUE_GRID.size, n) if payoffs else rng.standard_exponential(n)
     return _JointRaw(n_e, n_f, exps, keep, paired)
 
 
@@ -620,11 +779,11 @@ def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) 
 # pairs of laws on one atom set, pushed along a chain: duality and the data-processing kinds
 
 
-def _draw_pair(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+def _draw_pair(words: _Words, budget: SearchBudget) -> tuple:
     """(mu's exponentials, its keep mask, nu's exponentials) on one atom set."""
-    n = int(rng.integers(2, budget.max_e + 1))
-    mu = rng.standard_exponential(n)
-    return mu, _keep_mask(rng, n, budget.sparsity), rng.standard_exponential(n)
+    n = words.integer(2, budget.max_e + 1)
+    mu = words.rng.standard_exponential(n)
+    return mu, _keep_mask(words, n, budget.sparsity), words.rng.standard_exponential(n)
 
 
 def _finish_pair(raws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -689,14 +848,14 @@ def _map_shapes(columns: Sequence) -> np.ndarray:
     return np.array([(len(c), max(c) + 1) for c in columns])
 
 
-def _draw_dpi(rng: np.random.Generator, budget: SearchBudget, bijection: bool) -> tuple:
+def _draw_dpi(words: _Words, budget: SearchBudget, bijection: bool) -> tuple:
     """(the pair's draws, the kernel's (n, n_f) exponentials or a permutation of the atoms)."""
-    pair = _draw_pair(rng, budget)
+    pair = _draw_pair(words, budget)
     n = pair[0].size
     if bijection:
-        return pair, rng.permutation(n)
-    n_f = int(rng.integers(2, budget.max_f + 1))
-    return pair, rng.standard_exponential((n, n_f))
+        return pair, words.permutation(n)
+    n_f = words.integer(2, budget.max_f + 1)
+    return pair, words.rng.standard_exponential((n, n_f))
 
 
 def _finish_dpi(raws: Sequence[tuple], bijection: bool) -> _ChainBlock:
@@ -708,12 +867,13 @@ def _finish_dpi(raws: Sequence[tuple], bijection: bool) -> _ChainBlock:
     return _chain_block(nu, mu, n, [_dirichlet(_padded(links), shapes[:, 1])], [shapes])
 
 
-def _draw_sufficiency(rng: np.random.Generator, budget: SearchBudget, matched: bool) -> tuple:
+def _draw_sufficiency(words: _Words, budget: SearchBudget, matched: bool) -> tuple:
     """(mu's exponentials, the statistic's image of each atom, nu's exponentials or a matched nu's factor per fiber)."""
-    n = int(rng.integers(2, max(3, budget.max_e) + 1))
+    rng = words.rng
+    n = words.integer(2, max(3, budget.max_e) + 1)
     mu = rng.standard_exponential(n)
-    n_fibers = 1 if n == 2 else int(rng.integers(1, n))
-    images = _random_surjection(rng, n, n_fibers)
+    n_fibers = 1 if n == 2 else words.integer(1, n)
+    images = _random_surjection(words, n, n_fibers)
     return mu, images, rng.uniform(0.25, 2.5, size=n_fibers) if matched else rng.standard_exponential(n)
 
 
@@ -731,13 +891,13 @@ def _finish_sufficiency(raws: Sequence[tuple], matched: bool) -> _ChainBlock:
     return _chain_block(nu, mu, n, [_one_hot(columns)], [_map_shapes(columns)], [(i,) for i in images], (("a", "g"),))
 
 
-def _draw_refinement(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+def _draw_refinement(words: _Words, budget: SearchBudget) -> tuple:
     """(mu's and nu's exponentials as a (2, n0) array, the images of the n0 atoms and of the first map's n1 images)."""
-    n0 = int(rng.integers(3, max(4, budget.max_e) + 1))
-    exps = rng.standard_exponential((2, n0))
-    n1 = int(rng.integers(2, n0))
-    n2 = int(rng.integers(1, n1 + 1))
-    return exps, (_random_surjection(rng, n0, n1), _random_surjection(rng, n1, n2))
+    n0 = words.integer(3, max(4, budget.max_e) + 1)
+    exps = words.rng.standard_exponential((2, n0))
+    n1 = words.integer(2, n0)
+    n2 = words.integer(1, n1 + 1)
+    return exps, (_random_surjection(words, n0, n1), _random_surjection(words, n1, n2))
 
 
 def _finish_refinement(raws: Sequence[tuple]) -> _ChainBlock:
@@ -755,10 +915,10 @@ def _finish_refinement(raws: Sequence[tuple]) -> _ChainBlock:
 # joint_convexity: two pairs of laws on one atom set and a mixing weight
 
 
-def _draw_convexity(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+def _draw_convexity(words: _Words, budget: SearchBudget) -> tuple:
     """(the exponentials of mu1, nu1, mu2 and nu2 as a (4, n) array, t)."""
-    n = int(rng.integers(2, budget.max_e + 1))
-    return rng.standard_exponential((4, n)), float(rng.uniform(0.05, 0.95))
+    n = words.integer(2, budget.max_e + 1)
+    return words.rng.standard_exponential((4, n)), float(words.rng.uniform(0.05, 0.95))
 
 
 class _ConvexityBlock(NamedTuple):
@@ -791,12 +951,12 @@ _CONVEXITY = _Sampler(_draw_convexity, _finish_convexity)
 # dist_concavity: two laws on the real line and a mixing weight
 
 
-def _draw_concavity(rng: np.random.Generator, budget: SearchBudget) -> tuple:
-    """(the values and exponentials of m1, those of m2, t)."""
-    n1 = int(rng.integers(2, budget.max_e + 1))
-    n2 = int(rng.integers(2, budget.max_e + 1))
-    m1, m2 = _draw_law(rng, n1), _draw_law(rng, n2)
-    return m1, m2, float(rng.uniform(0.05, 0.95))
+def _draw_concavity(words: _Words, budget: SearchBudget) -> tuple:
+    """(the value indices and exponentials of m1, those of m2, t)."""
+    n1 = words.integer(2, budget.max_e + 1)
+    n2 = words.integer(2, budget.max_e + 1)
+    m1, m2 = _draw_law(words, n1), _draw_law(words, n2)
+    return m1, m2, float(words.rng.uniform(0.05, 0.95))
 
 
 class _ConcavityBlock(NamedTuple):
@@ -815,8 +975,8 @@ class _ConcavityBlock(NamedTuple):
 
 def _finish_concavity(raws: Sequence[tuple]) -> _ConcavityBlock:
     *laws, t = zip(*raws)
-    size = tuple(np.array([v.size for v, _ in m]) for m in laws)
-    values = tuple(_padded([v for v, _ in m]) for m in laws)
+    size = tuple(np.array([len(v) for v, _ in m]) for m in laws)
+    values = tuple(_payoffs([v for v, _ in m]) for m in laws)
     drawn = tuple(_dirichlet(_padded([e for _, e in m]), n) for m, n in zip(laws, size))
     return _ConcavityBlock(np.array(t), size, values, drawn, tuple(_normalized(w, n) for w, n in zip(drawn, size)))
 
@@ -827,12 +987,12 @@ _CONCAVITY = _Sampler(_draw_concavity, _finish_concavity)
 # lebesgue: a law, a payoff and a direction
 
 
-def _draw_lebesgue(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+def _draw_lebesgue(words: _Words, budget: SearchBudget) -> tuple:
     """(mu's exponentials, the payoff's indices into VALUE_GRID, the direction, uniform on [0, 1))."""
-    n = int(rng.integers(2, budget.max_e + 1))
-    mu = rng.standard_exponential(n)
-    f = rng.integers(0, VALUE_GRID.size, size=n)
-    return mu, f, rng.uniform(0.0, 1.0, size=n)
+    n = words.integer(2, budget.max_e + 1)
+    mu = words.rng.standard_exponential(n)
+    f = words.integers(VALUE_GRID.size, n)
+    return mu, f, words.rng.uniform(0.0, 1.0, size=n)
 
 
 class _LebesgueBlock(NamedTuple):
@@ -860,28 +1020,28 @@ _LEBESGUE = _Sampler(_draw_lebesgue, _finish_lebesgue)
 
 
 # the acceptance-set probes: laws on the real line, each shifted onto rho = 0;
-# a trial's draws are (its laws' (values, exponentials), the exponentials of
-# mixture_convexity's mixing weights or None)
+# a trial's draws are (its laws' (value indices, exponentials), the
+# exponentials of mixture_convexity's mixing weights or None)
 
 
-def _draw_shift_convexity(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+def _draw_shift_convexity(words: _Words, budget: SearchBudget) -> tuple:
     """mu's law, then one per kernel row."""
-    n_e = int(rng.integers(2, budget.max_e + 1))
-    n_f = int(rng.integers(2, budget.max_f + 1))
-    return [_draw_law(rng, n) for n in (n_e, *[n_f] * n_e)], None
+    n_e = words.integer(2, budget.max_e + 1)
+    n_f = words.integer(2, budget.max_f + 1)
+    return [_draw_law(words, n) for n in (n_e, *[n_f] * n_e)], None
 
 
-def _draw_property_s(rng: np.random.Generator, budget: SearchBudget) -> tuple:
+def _draw_property_s(words: _Words, budget: SearchBudget) -> tuple:
     """The x-marginal, then its k component laws."""
-    k = int(rng.integers(2, 5))
-    marginal = _draw_law(rng, k)
-    return [marginal, *(_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k))], None
+    k = words.integer(2, 5)
+    marginal = _draw_law(words, k)
+    return [marginal, *(_draw_law(words, words.integer(2, budget.max_f + 1)) for _ in range(k))], None
 
 
-def _draw_mixture(rng: np.random.Generator, budget: SearchBudget) -> tuple:
-    k = int(rng.integers(2, 5))
-    weights = rng.standard_exponential(k)
-    return [_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k)], weights
+def _draw_mixture(words: _Words, budget: SearchBudget) -> tuple:
+    k = words.integer(2, 5)
+    weights = words.rng.standard_exponential(k)
+    return [_draw_law(words, words.integer(2, budget.max_f + 1)) for _ in range(k)], weights
 
 
 class _LawsBlock(NamedTuple):
@@ -909,13 +1069,13 @@ def _finish_laws(raws: Sequence[tuple]) -> _LawsBlock:
     trials, mixings = zip(*raws)
     counts = np.array([len(t) for t in trials])
     laws = [law for t in trials for law in t]
-    size = np.array([v.size for v, _ in laws])
+    size = np.array([len(v) for v, _ in laws])
     drawn = _dirichlet(_padded([e for _, e in laws]), size)
     weights = _normalized(drawn, size)
     mixing = None if mixings[0] is None else _dirichlet(_padded(mixings), np.array([m.size for m in mixings]))
     owner = np.repeat(np.arange(len(raws)), counts)
     slot = np.arange(len(laws)) - np.repeat(counts.cumsum() - counts, counts)
-    values = _padded([v for v, _ in laws])
+    values = _payoffs([v for v, _ in laws])
     return _LawsBlock(counts, owner, slot, size, values, drawn, weights, _normalized(weights, size), mixing)
 
 

@@ -4,10 +4,12 @@ A suite is a list of named checks. Each check binds a risk spec and/or a
 divergence spec to a check kind from ``consistency.CHECK_KINDS``, a seeded
 sampling budget, and a two-tier tolerance: gaps inside the noise band are
 ignored, gaps beyond the violation threshold are defects, and the strip in
-between is "inconclusive, refine". A trial whose gap is NaN, or whose solver
-ran out of its iteration budget, is counted apart and makes its check a
-violation, whatever the other gaps are. A check document with a field that
-the parser does not read is refused with ``ConfigParseError``.
+between is "inconclusive, refine". A check that judged no trial, having none
+or only vacuous ones, is inconclusive too: it has no evidence to pass on. A
+trial whose gap is NaN, or whose solver ran out of its iteration budget, is
+counted apart and makes its check a violation, whatever the other gaps are.
+A check document with a field that the parser does not read is refused with
+``ConfigParseError``.
 
 Reports are emitted as a single JSON document (with a schema_version field)
 or as CSV with one row per check. Serialization is deterministic: keys are
@@ -206,7 +208,8 @@ def _verdict(target: str, stats: TrialStats, tol: Tolerances) -> str:
         return "violation"
     worst_gap = stats.worst_gap
     if worst_gap is None:
-        return "pass"
+        # no trial was judged: a check without evidence does not pass
+        return "inconclusive"
     badness = check_kind(target).badness(worst_gap)
     if badness <= tol.noise:
         return "pass"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -728,6 +729,16 @@ def legacy_draw_pair(rng, budget):
     return mu_w, legacy_dirichlet(rng, n)
 
 
+def legacy_random_surjection(rng, n_from, n_to):
+    img = list(rng.permutation(n_from)[:n_to])
+    out = [0] * n_from
+    for k, i in enumerate(img):
+        out[i] = k
+    for i in sorted(set(range(n_from)) - set(img)):
+        out[i] = int(rng.integers(n_to))
+    return out
+
+
 def legacy_map_matrix(mapping):
     order = list(dict.fromkeys(mapping.values()))
     return np.eye(len(order))[[order.index(y) for y in mapping.values()]]
@@ -747,7 +758,7 @@ def legacy_draw_sufficiency(rng, budget, matched):
     n = int(rng.integers(2, max(3, budget.max_e) + 1))
     mu_w = legacy_dirichlet(rng, n)
     n_fibers = 1 if n == 2 else int(rng.integers(1, n))
-    images = consistency._random_surjection(rng, n, n_fibers)
+    images = legacy_random_surjection(rng, n, n_fibers)
     if matched:
         nu_w = mu_w * rng.uniform(0.25, 2.5, size=n_fibers)[images]
         nu_w = nu_w / nu_w.sum()
@@ -762,8 +773,8 @@ def legacy_draw_refinement(rng, budget):
     mu_w, nu_w = legacy_dirichlet(rng, n0), legacy_dirichlet(rng, n0)
     n1 = int(rng.integers(2, n0))
     n2 = int(rng.integers(1, n1 + 1))
-    m1 = {f"a{i}": f"b{k}" for i, k in enumerate(consistency._random_surjection(rng, n0, n1))}
-    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(consistency._random_surjection(rng, n1, n2))}
+    m1 = {f"a{i}": f"b{k}" for i, k in enumerate(legacy_random_surjection(rng, n0, n1))}
+    m2 = {f"b{i}": f"c{k}" for i, k in enumerate(legacy_random_surjection(rng, n1, n2))}
     on_image = {b: m2[b] for b in dict.fromkeys(m1.values())}
     return nu_w, mu_w, (legacy_map_matrix(m1), legacy_map_matrix(on_image)), (m1, m2)
 
@@ -809,14 +820,14 @@ def legacy_draw_mixture(rng, budget):
     return [legacy_draw_law(rng, int(rng.integers(2, budget.max_f + 1))) for _ in range(k)], weights
 
 
-def boundary_law(rng, budget, spec, n):
-    """A law drawn as the probe kinds draw one and shifted onto rho = 0, as a block of one law."""
-    block = consistency._finish_laws([([consistency._draw_law(rng, n)], None)])
+def boundary_law(words, spec, n):
+    """A law drawn from a trial's words as the probe kinds draw one and shifted onto rho = 0, as a block of one law."""
+    block = consistency._finish_laws([([consistency._draw_law(words, n)], None)])
     shifted = consistency._on_boundary(spec, block)
     return FiniteDist(shifted[0, :n].tolist(), block.weights[0, :n])
 
 
-def legacy_boundary_law(rng, budget, spec, n):
+def legacy_boundary_law(rng, spec, n):
     values = rng.choice(VALUE_GRID, size=n, replace=False)
     w = legacy_dirichlet(rng, n)
     law = FiniteDist([float(v) for v in values], w)
@@ -901,6 +912,22 @@ def legacy_laws_view(d):
     return out, mixing
 
 
+def stream_position(rng, words=None):
+    """Where a trial's stream stands: PCG64's 128-bit state and increment, and the half-word kept for
+    the next 32-bit draw, or None.
+
+    A reader's kept half-word counts as its generator's: numpy keeps it in
+    (has_uint32, uinteger), and ``uinteger`` means nothing while has_uint32
+    is 0. The two never both hold one.
+    """
+    state = rng.bit_generator.state
+    kept = state["uinteger"] if state["has_uint32"] else None
+    if words is not None and words.kept is not None:
+        assert kept is None
+        kept = words.kept
+    return state["state"], kept
+
+
 # sampler name -> (the sampler, its legacy form, what a block evaluates of a trial, the same of a legacy draw)
 SAMPLERS = {
     "product": (consistency._PRODUCT, partial(legacy_draw_joint, payoffs=False), joint_view, legacy_product_view),
@@ -965,10 +992,10 @@ class TestSamplerStream:
             for trials in (1, 7, 100):
                 raws, olds = [], []
                 for trial in range(3, 3 + trials):
-                    rng, old = budget.rng_for(trial), budget.rng_for(trial)
-                    raws.append(new.draw(rng, budget))
+                    words, old = consistency._Words(budget.rng_for(trial)), budget.rng_for(trial)
+                    raws.append(new.draw(words, budget))
                     olds.append(legacy(old, budget))
-                    assert rng.bit_generator.state == old.bit_generator.state, (seed, trial)
+                    assert stream_position(words.rng, words) == stream_position(old), (seed, trial)
                 block = new.finish(raws)
                 for b, old in enumerate(olds):
                     if hasattr(block, "trial"):
@@ -981,10 +1008,10 @@ class TestSamplerStream:
         for seed in STREAM_SEEDS:
             budget = SearchBudget(trials=0, seed=seed)
             for n in range(2, 13):
-                rng, old = budget.rng_for(n), budget.rng_for(n)
-                new = boundary_law(rng, budget, ENTROPIC, n)
-                assert as_bits(new) == as_bits(legacy_boundary_law(old, budget, ENTROPIC, n))
-                assert rng.bit_generator.state == old.bit_generator.state
+                words, old = consistency._Words(budget.rng_for(n)), budget.rng_for(n)
+                new = boundary_law(words, ENTROPIC, n)
+                assert as_bits(new) == as_bits(legacy_boundary_law(old, ENTROPIC, n))
+                assert stream_position(words.rng, words) == stream_position(old)
 
     def test_row_sums_are_the_bits_of_one_dimensional_sums(self):
         # batched weights renormalize each row by a 2-D sum along the last
@@ -1006,6 +1033,183 @@ class TestSamplerStream:
         assert [s.tobytes() for s in sums.reshape(-1)] == [
             row[:n].sum().tobytes() for trial, n in zip(x, sizes) for row in trial
         ]
+
+
+def forced(word, inc=0x5851F42D4C957F2D):
+    """A generator whose next 64-bit output is word.
+
+    PCG64 steps its state to s' = s * mult + inc and outputs the xor of the
+    halves of s', rotated by the top 6 bits of s'. A state s' whose upper
+    half is 0 outputs its lower half, so s = (word - inc) * mult^-1 mod 2**128.
+    """
+    state = (word - inc) * pow(consistency._PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def twins(seed):
+    """A trial's generator read through a reader, and its twin that numpy reads."""
+    return consistency._Words(np.random.default_rng(seed)), np.random.default_rng(seed)
+
+
+def next_draws(words):
+    """Two raw words, then a 32-bit draw, then a raw word: the kept half-word must outlive raw draws."""
+    raw = words.rng.bit_generator.random_raw
+    return [*raw(2).tolist(), words.integer(0, 2**32), raw()]
+
+
+def numpy_next_draws(rng):
+    raw = rng.bit_generator.random_raw
+    return [*raw(2).tolist(), int(rng.integers(0, 2**32)), raw()]
+
+
+# the ranges of the scalar integer draws: a single value (no draw), powers
+# of 2 (no rejection), the grid, and 2**31 + 1, where nearly half of all
+# products fall below Lemire's threshold
+SPANS = (1, 2, 3, 5, 41, 2**31 + 1)
+
+
+class TestTrialWords:
+    """``_Words`` gives numpy's values from a trial's raw words and leaves its stream where numpy leaves it."""
+
+    @pytest.mark.parametrize("span", SPANS)
+    def test_integers(self, span):
+        for seed in range(200):
+            words, rng = twins(seed)
+            for low in (0, 3, -7):
+                assert words.integer(low, low + span) == int(rng.integers(low, low + span)), seed
+                assert stream_position(words.rng, words) == stream_position(rng), seed
+            assert next_draws(words) == numpy_next_draws(rng)
+
+    @pytest.mark.parametrize("n", range(46))
+    def test_permutations(self, n):
+        for seed in range(40):
+            words, rng = twins([seed, n])
+            assert words.permutation(n) == rng.permutation(n).tolist(), seed
+            assert stream_position(words.rng, words) == stream_position(rng), seed
+            assert next_draws(words) == numpy_next_draws(rng)
+
+    @pytest.mark.parametrize("n", range(1, VALUE_GRID.size + 1))
+    def test_distinct_picks(self, n):
+        for seed in range(40):
+            words, rng = twins([seed, n])
+            picks = VALUE_GRID[words.distinct(VALUE_GRID.size, n)]
+            assert as_bits(picks) == as_bits(rng.choice(VALUE_GRID, n, replace=False)), seed
+            assert stream_position(words.rng, words) == stream_position(rng), seed
+            assert next_draws(words) == numpy_next_draws(rng)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sequences_mixed_with_64_bit_draws(self, seed):
+        # a seeded program of 32-bit draws through the reader and 64-bit
+        # draws on its generator, against the same calls on numpy alone
+        program = np.random.default_rng([99, seed])
+        words, rng = twins(seed)
+        for _ in range(40):
+            op = int(program.integers(8))
+            n = int(program.integers(1, 13))
+            if op == 0:
+                got, want = words.integer(2, n + 2), int(rng.integers(2, n + 2))
+            elif op == 1:
+                got, want = words.permutation(n), rng.permutation(n).tolist()
+            elif op == 2:
+                got, want = words.distinct(VALUE_GRID.size, n), rng.choice(VALUE_GRID.size, n, replace=False).tolist()
+            elif op == 3:
+                got, want = words.rng.random(n).tobytes(), rng.random(n).tobytes()
+            elif op == 4:
+                got, want = words.rng.standard_exponential(n).tobytes(), rng.standard_exponential(n).tobytes()
+            elif op == 5:
+                got, want = float(words.rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
+            elif op == 6:
+                got, want = words.integer(0, SPANS[n % len(SPANS)]), int(rng.integers(0, SPANS[n % len(SPANS)]))
+            else:
+                got, want = words.integers(41, n).tolist(), rng.integers(0, 41, size=n).tolist()
+            assert got == want
+            assert stream_position(words.rng, words) == stream_position(rng)
+        assert next_draws(words) == numpy_next_draws(rng)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 12, 13, 41, 144])
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_sized_draws(self, kept, n):
+        # past _INTEGERS_LOOP_MAX values numpy draws, once the reader has used
+        # up a kept half-word; numpy then keeps the half-word, and the reader
+        # refuses any 32-bit draw of its own
+        for seed in range(20):
+            words, rng = twins(seed)
+            if kept:
+                assert words.integer(0, 5) == int(rng.integers(0, 5))
+                assert words.kept is not None
+            got = words.integers(VALUE_GRID.size, n)
+            assert as_bits(got) == as_bits(rng.integers(0, VALUE_GRID.size, size=n))
+            assert stream_position(words.rng, words) == stream_position(rng)
+            if n <= consistency._INTEGERS_LOOP_MAX:
+                assert next_draws(words) == numpy_next_draws(rng)
+                continue
+            assert as_bits(words.rng.standard_exponential(3)) == as_bits(rng.standard_exponential(3))
+            assert as_bits(words.integers(7, 20)) == as_bits(rng.integers(0, 7, size=20))
+            assert stream_position(words.rng, words) == stream_position(rng)
+            with pytest.raises(RuntimeError):
+                words.integer(0, 5)
+
+    def test_a_forced_word_is_the_next_output(self):
+        for word in (0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1):
+            assert forced(word).bit_generator.random_raw() == word
+
+    @pytest.mark.parametrize("draw", ["integer", "sized", "distinct"])
+    @pytest.mark.parametrize("span", [3, 5, 41, 2**31 + 1])
+    def test_lemire_rejections(self, span, draw):
+        # x * span mod 2**32 = k for x = k / span mod 2**32: a product below
+        # 2**32 mod span is rejected and the kept half-word drawn next; one
+        # from there to span passes the threshold test. A scalar draw, a
+        # sized one and the one pick of a distinct draw each make one.
+        ours, numpys = {
+            "integer": (lambda w: w.integer(0, span), lambda r: int(r.integers(0, span))),
+            "sized": (lambda w: w.integers(span, 1).tolist(), lambda r: r.integers(0, span, size=1).tolist()),
+            "distinct": (lambda w: w.distinct(span, 1), lambda r: r.choice(span, 1, replace=False).tolist()),
+        }[draw]
+
+        def with_product(k):
+            return k * pow(span, -1, 2**32) % 2**32
+
+        threshold = 2**32 % span
+        high = with_product(threshold)  # the upper half passes
+        for k in sorted({0, threshold - 1, threshold, threshold + 1, span - 1}):
+            word = high << 32 | with_product(k)
+            words, rng = consistency._Words(forced(word)), forced(word)
+            assert ours(words) == numpys(rng)
+            assert words.kept == (None if k < threshold else high)  # a rejection takes both halves
+            assert stream_position(words.rng, words) == stream_position(rng)
+            assert next_draws(words) == numpy_next_draws(rng)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 12, 45])
+    def test_masked_rejections(self, n):
+        # the first swap of a permutation of n draws in [0, n - 1] under the
+        # mask 2**k - 1 >= n - 1: every masked value above n - 1 is rejected
+        mask = (1 << (n - 1).bit_length()) - 1
+        for low in range(mask + 1):
+            word = 0x9E3779B9 << 32 | 0xABCD0000 | low
+            words, rng = consistency._Words(forced(word)), forced(word)
+            assert words.permutation(n) == rng.permutation(n).tolist()
+            assert stream_position(words.rng, words) == stream_position(rng)
+            assert next_draws(words) == numpy_next_draws(rng)
+
+    def test_a_kept_half_word_of_the_callers_generator_is_taken(self):
+        # sample_conditional_instance reads a caller's generator: a half-word
+        # it keeps is drawn first, as numpy draws it
+        budget = SearchBudget(trials=0, seed=0, max_e=5, max_f=5)
+        for seed in range(20):
+            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for g in (rng, old):
+                g.random(dtype=np.float32)  # takes half of a word and keeps the other
+            new = consistency.sample_conditional_instance(rng, budget)
+            raw = legacy_draw_joint(old, budget, payoffs=True)
+            assert as_bits(new.values) == as_bits(raw[1])
+            assert rng.bit_generator.state["state"] == old.bit_generator.state["state"]
 
 
 class TestBlockSeeding:
@@ -1065,3 +1269,61 @@ class TestBlockPathBits:
             consistency, "_trial_rngs", lambda budget, start, stop: (budget.rng_for(k) for k in range(start, stop))
         )
         assert results() == seeded
+
+
+# sha256 of the canonical instance documents of trials 0-49 at seed 11, per
+# kind, over sizes 3 and 12 (3 and 4 for the kinds checked against the grid
+# oracle) and sparsity 0 and 0.5, as recorded while the samplers still drew
+# through Generator calls. The families avoid numpy's SIMD exp and power,
+# whose last bits differ between hosts: shortfall power_plus(2) and its
+# divergence, and esssup for the solver kinds, whose documents carry their
+# solves (and whose power_plus(2) solves take seconds).
+INSTANCE_DIGESTS = {
+    "chain_rule": "b9d612be0638cd3604c6bbd54d20ce5c58acb09057464af173e11b4cd1a82e67",
+    "superadditivity": "b9d612be0638cd3604c6bbd54d20ce5c58acb09057464af173e11b4cd1a82e67",
+    "subadditivity": "b9d612be0638cd3604c6bbd54d20ce5c58acb09057464af173e11b4cd1a82e67",
+    "weak_consistency": "b9d612be0638cd3604c6bbd54d20ce5c58acb09057464af173e11b4cd1a82e67",
+    "dpi": "9e38d868de4d87857bfef38b6a44fd31a666f6ca4dc019504b87cbf30bf53610",
+    "dpi_bijection": "0f1fea153910b47082bc160dfa3fa4d754ea50b58a3fdfe27dfac5e4f78b8bd4",
+    "duality": "fbc6691aa11345863f6b6106351b0c65908a5c8cb6266d31df1343c017c879fa",
+    "time_consistency": "d81911c6833dde8c509ebf8062417c32a68285c056635c5ebe3dbb3d735a0f39",
+    "acceptance": "d81911c6833dde8c509ebf8062417c32a68285c056635c5ebe3dbb3d735a0f39",
+    "rejection": "d81911c6833dde8c509ebf8062417c32a68285c056635c5ebe3dbb3d735a0f39",
+    "weak_acceptance": "d81911c6833dde8c509ebf8062417c32a68285c056635c5ebe3dbb3d735a0f39",
+    "shift_convexity": "4552252f00d6437a8b6c1234bfaf511d8fd1215e783693688bbbfa8efeda79a2",
+    "property_s": "02a523824ec6bf3d62fec148715bdb4e8ddfff9edbe1c08f54137dd1099f80c6",
+    "mixture_convexity": "9dc4cf32af8ea5c95609f847c0975d83e6e43b808ea7150b1c121ecb3e7c81cc",
+    "joint_convexity": "3c832e3d6fe18cf45cb508730fc56f97f322d6b827fdc5a18de3978f06e2c832",
+    "dist_concavity": "2bf20a48cb0a70a04498b1482afa00b8cc81fe669940e2f432d4c0880612cfa9",
+    "sufficiency_matched": "91941be58337786f89ff8ccca2c5c2941600753d2331d13ce5cc63d99defb6f6",
+    "sufficiency_generic": "c007ed70f16480f9451cc2d0dae7c1b8fd3d036562bb9042855f2abfcd90a170",
+    "refinement": "adda5b7a86f017c64bf41c70f25645284c6160c3419b513eb4dfa4308e7a94f2",
+    "lemma_identity": "01a2b0f2743c5696a69b34ae166a93aefdc310a30245be3516651944d067dc79",
+    "key_identity": "f605b68a98889ad246961780ee6a6b80578d24458ee62265033e77d9ff19c12e",
+    "lebesgue": "f0baa0a0527b65b4d0bd598ec67625e3edf488565a99741b6ceab061559024c8",
+}
+SOLVER_KINDS = ("duality", "lemma_identity", "key_identity")
+
+
+def instance_digest(kind):
+    """The sha256 of a kind's instance documents, serialized from one block per setting as describe_trial serializes them."""
+    entry = CHECK_KINDS[kind]
+    pp2 = RiskSpec.shortfall(LossFn.power_plus(2.0))
+    risk = RiskSpec.esssup() if kind in SOLVER_KINDS else pp2
+    div = consistency.resolve_divergence(kind, pp2, None)
+    digest = hashlib.sha256()
+    for size in (3, 4) if entry.oracle else (3, 12):
+        for sparsity in (0.0, 0.5):
+            budget = SearchBudget(trials=50, seed=11, max_e=size, max_f=size, sparsity=sparsity)
+            for result in entry.trial(risk, div, budget, 0, 50):
+                if result.instance is not None:
+                    digest.update(canonical_json(entry.serialize(result.instance)).encode())
+    return digest.hexdigest()
+
+
+class TestInstanceDigests:
+    """Every kind draws the instances it drew before its 32-bit draws came from raw words."""
+
+    @pytest.mark.parametrize("kind", list(CHECK_KINDS))
+    def test_instances_keep_their_bits(self, kind):
+        assert instance_digest(kind) == INSTANCE_DIGESTS[kind]

@@ -240,8 +240,10 @@ class TestReports:
         assert not suite_failed(reports)
 
     def test_zero_trials_passes_vacuously(self):
+        # a check that judged no trial has no evidence to pass on
         report = run_check(entropic_check(trials=0))
-        assert report.verdict == "pass" and report.worst_gap is None
+        assert report.verdict == "inconclusive" and report.worst_gap is None and report.instance is None
+        assert not suite_failed([report])
 
     def test_inconclusive_band(self):
         # a violation of ~0.2 with a sky-high violation threshold lands in
@@ -559,7 +561,26 @@ class TestCli:
         out = run_cli("verify", "--no-timestamp", "--config", json.dumps({"checks": checks}))
         assert out.returncode == 0, out.stdout
         for check in json.loads(out.stdout)["checks"]:
-            assert (check["vacuous"], check["verdict"], "exhausted" in check) == (5, "pass", False)
+            # all vacuous, so nothing was judged: inconclusive, with status 0
+            assert (check["vacuous"], check["verdict"], "exhausted" in check) == (5, "inconclusive", False)
+
+    def test_an_all_vacuous_check_is_inconclusive(self):
+        # at sparsity 0.5 and sizes 12 every chain_rule instance of this
+        # family has +inf on both sides, so no trial is judged
+        check = {
+            "name": "chain",
+            "target": "chain_rule",
+            "spec": {"family": "shortfall", "loss": {"kind": "power_plus", "p": 2}},
+            "trials": 300,
+            "seed": 1,
+            "sizes": {"E": 12, "F": 12},
+            "sparsity": 0.5,
+        }
+        out = run_cli("verify", "--no-timestamp", "--config", json.dumps({"checks": [check]}))
+        assert out.returncode == 0, out.stderr
+        assert '"vacuous":300,"verdict":"inconclusive"' in out.stdout
+        (report,) = json.loads(out.stdout)["checks"]
+        assert (report["worst_gap"], report["worst_trial"], "instance" in report) == (None, None, False)
 
     def test_conditional_command(self):
         out = run_cli(

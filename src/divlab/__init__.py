@@ -21,7 +21,6 @@ from .consistency import (
 from .divergence import (
     DivergenceSpec,
     DualSolveResult,
-    Gap,
     divergence_for_risk_spec,
     dual_divergence,
     phi_divergence,

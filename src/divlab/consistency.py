@@ -52,12 +52,13 @@ normalized standard exponentials, the stream and bits of numpy's
 VALUE_GRID, the streams of ``integers`` and ``choice``, and the
 renormalizations of the law classes. Sums run over the trials of one size
 together, so every trial keeps its bits and reports of earlier versions
-replay unchanged. The finished arrays become laws, kernels and joint laws
-only when ``describe_trial`` serializes an instance. The kind's block
-function then evaluates the whole block in batched calls whose per-trial
-results do not depend on the block; the solver kinds solve each trial's
-instance alone. Gaps where both sides are +inf are "vacuous" and excluded
-from statistics but counted. A
+replay unchanged. The kind's block function then evaluates the whole block
+in batched calls whose per-trial results do not depend on the block (the
+solver kinds solve each trial's instance alone) and returns its gaps and
+flags as arrays, a ``BlockResult``, which ``run_trials`` folds with numpy.
+The finished arrays become laws, kernels and joint laws only when
+``describe_trial`` serializes an instance. Gaps where both sides are +inf
+are "vacuous" and excluded from statistics but counted. A
 ``SearchBudget`` sets the trial count, the seed, the grid sizes and the
 sparsity; every other parameter of the samplers is a module constant. The
 kinds that draw laws on distinct grid values (``shift_convexity``,
@@ -81,7 +82,6 @@ import numpy as np
 
 from .divergence import (
     DivergenceSpec,
-    Gap,
     divergence_for_risk_spec,
     dual_divergence,
     primal_reconstruction,
@@ -95,6 +95,7 @@ from .errors import (
     NotAbsolutelyContinuousError,
     PreconditionViolatedError,
     UnknownFamilyError,
+    UnsupportedFamilyError,
     json_object,
     label_list,
     number_list,
@@ -526,20 +527,6 @@ def _finished_one(sampler: _Sampler, rng: np.random.Generator, budget: SearchBud
         words.kept = state["uinteger"]
         rng.bit_generator.state = {**state, "has_uint32": 0}
     return sampler.finish([sampler.draw(words, budget)])
-
-
-class _Drawn(NamedTuple):
-    """Trial b of a finished block: the instance a trial reports, read out only when it is serialized."""
-
-    block: tuple
-    b: int
-
-    def draw(self):
-        return self.block.trial(self.b)
-
-    def as_json(self) -> dict:
-        """The JSON of a draw that is an instance object."""
-        return self.draw().as_json()
 
 
 def _padded(arrays: Sequence[np.ndarray], dtype=float) -> np.ndarray:
@@ -1090,8 +1077,7 @@ class _Lotteries(NamedTuple):
     The block's laws and their values shifted onto the boundary; each trial's
     (B, k) weights q and shifts x, and (B, k, M) component weights and values,
     for ``_mixture_risks``; for shift_convexity, the kernel as drawn: its
-    (B, T) target, target sizes and (B, k, T) rows; and ``instance``, which
-    reads out trial b's instance as drawn.
+    (B, T) target, target sizes and (B, k, T) rows.
     """
 
     laws: _LawsBlock
@@ -1101,10 +1087,6 @@ class _Lotteries(NamedTuple):
     w: np.ndarray
     v: np.ndarray
     kernel: tuple | None
-    instance: Callable
-
-    def trial(self, b: int):
-        return self.instance(self, b)
 
 
 def _shifted_law(lot: _Lotteries, law: int) -> FiniteDist:
@@ -1126,23 +1108,24 @@ def _components(laws: _LawsBlock, shifted: np.ndarray, rows: np.ndarray, slot: n
     return w, v
 
 
-def _mixture_instance(lot: _Lotteries, b: int) -> list:
-    """The pairs (w, 0, law): a mixture is a compound lottery with no shifts."""
-    first = _first_law(lot, b)
-    return [(float(w), 0.0, _shifted_law(lot, first + i)) for i, w in enumerate(lot.q[b, : lot.laws.counts[b]])]
+def _mixture_json(result: BlockResult, b: int) -> dict:
+    """The components of trial b's mixture, a compound lottery with no shifts, and their weights."""
+    lot, first = result.drawn, _first_law(result.drawn, b)
+    weights = lot.q[b, : lot.laws.counts[b]].tolist()
+    return {"components": [{"weight": w, "law": _shifted_law(lot, first + i).as_json()} for i, w in enumerate(weights)]}
 
 
 def _mixture_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
     w, v = _components(laws, shifted, np.arange(len(laws.owner)), laws.slot)
-    return _Lotteries(laws, shifted, laws.mixing, np.zeros(laws.mixing.shape), w, v, None, _mixture_instance)
+    return _Lotteries(laws, shifted, laws.mixing, np.zeros(laws.mixing.shape), w, v, None)
 
 
-def _property_s_instance(lot: _Lotteries, b: int) -> list:
-    """The pairs (w, x, law): the marginal's drawn weights and its atoms on the boundary, as shifts."""
-    first = _first_law(lot, b)
-    k = lot.laws.counts[b] - 1
-    atoms = _shifted_law(lot, first).atoms
-    return [(float(w), x, _shifted_law(lot, first + 1 + i)) for i, (w, x) in enumerate(zip(lot.q[b, :k], atoms))]
+def _property_s_json(result: BlockResult, b: int) -> dict:
+    """Trial b's pairs (w, x, law): the marginal's drawn weights and its atoms on the boundary, as shifts."""
+    lot, first = result.drawn, _first_law(result.drawn, b)
+    pairs = zip(lot.q[b, : lot.laws.counts[b] - 1].tolist(), _shifted_law(lot, first).atoms)
+    laws = (_shifted_law(lot, first + 1 + i).as_json() for i in range(lot.laws.counts[b] - 1))
+    return {"pairs": [{"weight": w, "x": x, "law": law} for (w, x), law in zip(pairs, laws)]}
 
 
 def _property_s_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
@@ -1150,15 +1133,16 @@ def _property_s_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
     w, v = _components(laws, shifted, rows, laws.slot[rows] - 1)
     k = w.shape[1]
     q, x = laws.drawn[marginals, :k], shifted[marginals, :k]
-    return _Lotteries(laws, shifted, q, x, w, v, None, _property_s_instance)
+    return _Lotteries(laws, shifted, q, x, w, v, None)
 
 
-def _shift_convexity_instance(lot: _Lotteries, b: int) -> ShiftConvexityInstance:
-    """mu and the kernel whose rows are the other laws, all on the boundary."""
+def _shift_convexity_json(result: BlockResult, b: int) -> dict:
+    """Trial b's mu and the kernel whose rows are the other laws, all on the boundary."""
+    lot = result.drawn
     mu = _shifted_law(lot, _first_law(lot, b))
     target, size, rows = lot.kernel
-    n = size[b]
-    return ShiftConvexityInstance(mu, Kernel(mu.atoms, tuple(target[b, :n].tolist()), rows[b, : len(mu), :n]))
+    kernel = Kernel(mu.atoms, tuple(target[b, : size[b]].tolist()), rows[b, : len(mu), : size[b]])
+    return ShiftConvexityInstance(mu, kernel).as_json()
 
 
 def _shift_convexity_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotteries:
@@ -1191,7 +1175,7 @@ def _shift_convexity_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotter
     present = np.arange(k) < laws.size[mu][:, None]
     v = np.where(present[:, :, None], target[:, None, :], 0.0)
     q, x = laws.weights2[mu, :k], shifted[mu, :k]
-    return _Lotteries(laws, shifted, q, x, w, v, (target, size, drawn), _shift_convexity_instance)
+    return _Lotteries(laws, shifted, q, x, w, v, (target, size, drawn))
 
 
 # ---------------------------------------------------------------------------
@@ -1199,8 +1183,14 @@ def _shift_convexity_lotteries(laws: _LawsBlock, shifted: np.ndarray) -> _Lotter
 # ---------------------------------------------------------------------------
 
 
-def _product_gaps(div: DivergenceSpec, mu: np.ndarray, nu: np.ndarray, n_f: Sequence[int], weak: bool) -> list[Gap]:
-    """Gaps of B product instances packed as (B, E, F) joint weights.
+def _gap_of(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps lhs - rhs and their vacuous flags: +inf on both sides says nothing about the inequality."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, silently, as for Python floats
+        return lhs - rhs, np.isposinf(lhs) & np.isposinf(rhs)
+
+
+def _product_gaps(div: DivergenceSpec, mu: np.ndarray, nu: np.ndarray, n_f: Sequence[int], weak: bool) -> tuple:
+    """Gaps of B product instances packed as (B, E, F) joint weights, with their vacuous flags.
 
     Instance b has ``n_f[b]`` columns; zeros pad the rest and the missing
     rows. The joint, the marginal and the nu-charged rows are each one
@@ -1223,7 +1213,7 @@ def _product_gaps(div: DivergenceSpec, mu: np.ndarray, nu: np.ndarray, n_f: Sequ
     else:
         marg = div.evaluate_batch(nu_marg, mu_marg)
         rhs = np.where(np.isinf(marg) | np.isinf(rows), math.inf, marg + rows)
-    return [Gap.of(j, r) for j, r in zip(joint.tolist(), rhs.tolist())]
+    return _gap_of(joint, rhs)
 
 
 def _conditional_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, weak: bool) -> np.ndarray:
@@ -1290,34 +1280,31 @@ def _mixture_risks(spec: RiskSpec, q, x, w, v, marginal=True) -> np.ndarray:
     return rho[-b:]
 
 
-def _integral_lemma(spec: RiskSpec, mu_bar: np.ndarray, nu_bar: np.ndarray, n_f: Sequence[int]) -> list[tuple]:
+def _integral_lemma(spec: RiskSpec, mu_bar: np.ndarray, nu_bar: np.ndarray, n_f: Sequence[int]) -> tuple:
     """|sum_x nu(x) alpha(K^nu_x | K^mu_x) - rowwise dual suprema| of B pairs of (B, E, F) joint weights.
 
     Instance b has ``n_f[b]`` columns. The dual objective separates across
     rows, so the supremum over joint test functions is the nu-weighted sum
     of per-row dual solves; the closed form of the same sum is the oracle.
-    Also says whether a per-row dual solve ran out of its budget. The closed
-    forms of the rows nu charges are one batch; a row of infinite alpha
-    makes its instance's gap vacuous, and then none of its rows is solved.
+    Gives the gaps, their vacuous flags, and whether a row's solve ran out
+    of its budget. The closed forms of the rows nu charges are one batch; a
+    row of infinite alpha makes its instance vacuous, and unsolved.
     """
     (_, mu_rows), (nu_marg, nu_rows) = _disintegrated(mu_bar, n_f), _disintegrated(nu_bar)
     charged = nu_marg > 0.0
     closed = np.zeros(nu_marg.shape)
     closed[charged] = divergence_for_risk_spec(spec).evaluate_batch(nu_rows[charged], mu_rows[charged])
-    out = []
-    for b, n in enumerate(n_f):
-        if np.isinf(closed[b]).any():
-            out.append((Gap(value=None, vacuous=True), False))
-            continue
-        solves = [_dual_divergence_w(spec, nu_rows[b, e, :n], mu_rows[b, e, :n]) for e in np.flatnonzero(charged[b])]
-        dual = np.zeros(closed.shape[1])
-        dual[charged[b]] = [res.value for res in solves]
-        gap = abs(float(_atom_sum(nu_marg[b] * closed[b])) - float(_atom_sum(nu_marg[b] * dual)))
-        out.append((Gap(value=gap), any(res.budget_exhausted for res in solves)))
-    return out
+    vacuous = np.isinf(closed).any(axis=1)
+    closed[vacuous] = 0.0
+    dual, exhausted = np.zeros(closed.shape), np.zeros(vacuous.shape, bool)
+    for b, e in zip(*np.nonzero(charged & ~vacuous[:, None])):
+        res = _dual_divergence_w(spec, nu_rows[b, e, : n_f[b]], mu_rows[b, e, : n_f[b]])
+        dual[b, e] = res.value
+        exhausted[b] |= res.budget_exhausted
+    return np.abs(_atom_sum(nu_marg * closed) - _atom_sum(nu_marg * dual)), vacuous, exhausted
 
 
-def _key_identity_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, n_e: Sequence[int]) -> list[float]:
+def _key_identity_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, n_e: Sequence[int]) -> np.ndarray:
     """|rho_mu(x -> rho_rows(f(x, .))) - grid-dual reconstruction| of B joint laws and payoffs as (B, E, F) arrays.
 
     Instance b has ``n_e[b]`` rows. The left side composes the risk through
@@ -1331,10 +1318,8 @@ def _key_identity_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, n_e: Sequen
     g = np.zeros(mass.shape)
     g[charged] = rho_batch(spec, rows[charged], v[charged])
     div = divergence_for_risk_spec(spec)
-    return [
-        abs(lhs - primal_reconstruction(div, FiniteDist(range(n), m[:n]), x[:n]))
-        for lhs, m, x, n in zip(rho_batch(spec, mass, g).tolist(), mass, g, n_e)
-    ]
+    rhs = [primal_reconstruction(div, FiniteDist(range(n), m[:n]), x[:n]) for m, x, n in zip(mass, g, n_e)]
+    return np.abs(rho_batch(spec, mass, g) - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -1342,98 +1327,115 @@ def _key_identity_gaps(spec: RiskSpec, w: np.ndarray, v: np.ndarray, n_e: Sequen
 # ---------------------------------------------------------------------------
 #
 # All 22 kinds run one protocol. ``CheckKind.trial`` maps (risk, div,
-# budget, start, stop) to a list of one TrialResult per trial in
-# [start, stop): the kind's sampler draws the block, trial k from the stream
-# of budget.rng_for(k) through the block's one generator, which _trial_rngs
-# reseeds by state before each trial, and the kind's block function
-# evaluates it. ``CheckKind.replay`` reads a serialized instance back
-# through the same block code, as a block of one. A conditional block takes 2 rho_batch calls (rows with full laws,
-# then outer laws; the weak kind rows, then recentered full laws, 1 call
-# each step), and the probe kinds (shift_convexity, property_s,
-# mixture_convexity), dist_concavity and lebesgue take at most two. The
-# solver kinds batch what does not solve: lemma_identity's closed forms are
-# one evaluate_batch and key_identity's row and outer risks one rho_batch
-# each; each trial then solves its own instance, duality through the
-# module attribute ``dual_divergence``, which a profiler may rebind to
-# observe every solve. A trial's instance is a
-# ``_Drawn`` (duality's a dict of its laws and solve), which the kind's
-# serializer reads out. The reverse inequalities (subadditivity, rejection)
-# negate their gaps in ``CheckKind``, for trials and replays alike.
+# budget, start, stop) to one BlockResult: the kind's sampler draws the
+# block, trial k from the stream of budget.rng_for(k) through the block's
+# one generator, which _trial_rngs reseeds by state before each trial, and
+# the kind's block function judges it into arrays over its trials, which
+# ``run_trials`` folds with numpy: nothing is built per trial. Only
+# ``describe_trial`` builds an instance's laws, kernels and joint laws, as it
+# serializes its trial, evaluated as a block of one; ``CheckKind.replay``
+# reads an instance back through the same block code. A conditional block
+# takes 2 rho_batch calls (rows with full laws, then outer laws; the weak
+# kind rows, then recentered full laws), and the probe kinds, dist_concavity
+# and lebesgue take at most two. The solver kinds batch what does not
+# solve: duality's and lemma_identity's closed forms are one evaluate_batch
+# and key_identity's row and outer risks one rho_batch each; each trial then
+# solves its own instance, duality through the module attribute
+# ``dual_divergence``, which a profiler may rebind to observe every solve.
+# The reverse inequalities (subadditivity, rejection) negate their gaps in
+# ``CheckKind``, for trials and replays alike.
 
 
-class TrialResult(NamedTuple):
-    gap: float | None
-    vacuous: bool
-    is_product: bool | None  # None for kinds without a product/general split
-    instance: object  # None when there is nothing to report
-    exhausted: bool = False  # a solver ran out of its iteration budget
+class BlockResult(NamedTuple):
+    """A block's trials judged, each field but ``drawn`` an array over its trials in order.
+
+    ``gap`` (float64) means nothing where ``vacuous`` (bool) is set.
+    ``product`` marks the product class and ``exhausted`` a solver out of its
+    budget (bool), each None for a kind without it. ``drawn`` is what the
+    kind's serializer rebuilds trial b's instance from: the finished block,
+    with the chain kinds' values or joint_convexity's left sides, or
+    duality's per-pair solves.
+    """
+
+    gap: np.ndarray
+    vacuous: np.ndarray
+    product: np.ndarray | None
+    exhausted: np.ndarray | None
+    drawn: object
 
 
-def _pair_score(values: list, inst) -> TrialResult:
-    """alpha before minus alpha after the one push of a data-processing trial."""
-    g = Gap.of(*values)
-    return TrialResult(g.value, g.vacuous, None, (inst, values))
+def _judged(gap: np.ndarray, vacuous: np.ndarray | None, drawn, product=None, exhausted=None) -> BlockResult:
+    """The BlockResult of these arrays; with vacuous None, no trial is vacuous."""
+    return BlockResult(gap, np.zeros(gap.shape, bool) if vacuous is None else vacuous, product, exhausted, drawn)
 
 
-def _refinement_score(values: list, inst) -> TrialResult:
-    """The least step down the values, over the steps between finite values; NaN if any value is."""
-    if any(math.isnan(v) for v in values):
-        return TrialResult(math.nan, False, None, (inst, values))
-    steps = [a - b for a, b in zip(values, values[1:]) if math.isfinite(a) and math.isfinite(b)]
-    if not steps:
-        return TrialResult(None, True, None, None)
-    return TrialResult(min(steps), False, None, (inst, values))
+def _first(gap: np.ndarray, vacuous: np.ndarray | None = None) -> float | None:
+    """The gap of a block of one as a float; None when it is vacuous."""
+    return None if vacuous is not None and vacuous[0] else float(gap[0])
 
 
-def _chain_trials(risk, div, block: _ChainBlock, score: Callable = _pair_score) -> list[TrialResult]:
+def _pair_gaps(values: np.ndarray) -> tuple:
+    """alpha before minus alpha after the one push of each data-processing trial."""
+    return _gap_of(values[:, 0], values[:, 1])
+
+
+def _refinement_gaps(values: np.ndarray) -> tuple:
+    """Each row's least step down its values, the first of equal ones, over steps between finite values.
+
+    NaN if any value is; vacuous without such a step.
+    """
+    before, after = values[:, :-1], values[:, 1:]
+    finite = np.isfinite(before) & np.isfinite(after)
+    steps = np.subtract(before, after, out=np.zeros(finite.shape), where=finite)
+    gap, seen = np.zeros(len(values)), np.zeros(len(values), bool)
+    for step, ok in zip(steps.T, finite.T):
+        gap = np.where(ok & (~seen | (step < gap)), step, gap)
+        seen |= ok
+    nan = np.isnan(values).any(axis=1)
+    return np.where(nan, math.nan, gap), ~seen & ~nan
+
+
+def _chain_trials(risk, div, block: _ChainBlock, gaps: Callable = _pair_gaps) -> BlockResult:
     """Pairs of laws pushed along their chains in one ``_chain_values``."""
     values = _chain_values(div, block.nu, block.mu, block.chain)
-    return [score(v, _Drawn(block, b)) for b, v in enumerate(values.tolist())]
+    return _judged(*gaps(values), (block, values))
 
 
-def _convexity_sides(div, t: np.ndarray, nu1, mu1, nu2, mu2) -> tuple[list, list]:
+def _convexity_sides(div, t: np.ndarray, nu1, mu1, nu2, mu2) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of convexity, t alpha(nu1 | mu1) + (1 - t) alpha(nu2 | mu2) and alpha(the mixtures), of B pairs."""
     lhs = t * div.evaluate_batch(nu1, mu1) + (1 - t) * div.evaluate_batch(nu2, mu2)
     mix_nu, mix_mu = (t[:, None] * a + (1 - t[:, None]) * b for a, b in ((nu1, nu2), (mu1, mu2)))
     rhs = div.evaluate_batch(mix_nu / _atom_sum(mix_nu)[:, None], mix_mu / _atom_sum(mix_mu)[:, None])
-    return lhs.tolist(), rhs.tolist()
+    return lhs, rhs
 
 
-def _joint_convexity_trials(risk, div, block: _ConvexityBlock) -> list[TrialResult]:
-    """The two sides of ``_convexity_sides`` minus each other, one trial per drawn instance.
-
-    Infinite on both sides is vacuous, and a trial with an infinite side
-    keeps no instance.
-    """
+def _joint_convexity_trials(risk, div, block: _ConvexityBlock) -> BlockResult:
+    """The two sides of ``_convexity_sides`` minus each other; the left sides tell which trials keep an instance."""
     mu1, nu1, mu2, nu2 = (np.ascontiguousarray(block.laws[:, i]) for i in range(4))
     lhs, rhs = _convexity_sides(div, block.t, nu1, mu1, nu2, mu2)
-    return [
-        TrialResult(None, True, None, None)
-        if math.isinf(left) and math.isinf(right)
-        else TrialResult(left - right, False, None, None if math.isinf(left) else _Drawn(block, b))
-        for b, (left, right) in enumerate(zip(lhs, rhs))
-    ]
+    return _judged(*_gap_of(lhs, rhs), (block, lhs))
 
 
-def _duality_trials(risk, div, pairs: tuple) -> list[TrialResult]:
-    """Each pair's certified dual gap, its laws as FiniteDist stores them, by one ``dual_divergence`` call."""
-    out = []
-    for mu_w, nu_w, n in zip(*pairs):
-        mu, nu = (FiniteDist(_labels("a", n), w[:n]) for w in (mu_w, nu_w))
+def _duality_trials(risk, div, pairs: tuple) -> BlockResult:
+    """Each pair's certified dual gap, by one ``dual_divergence`` call on its laws as FiniteDist stores them.
+
+    The block's closed forms are one ``evaluate_batch`` first. A pair whose
+    closed form is +inf while nu << mu is vacuous without a solve: the
+    ascent can only end finite there, so its gap would certify nothing. A
+    family without a closed form solves every pair.
+    """
+    mu_w, nu_w, n = pairs
+    try:
+        closed = divergence_for_risk_spec(risk).evaluate_batch(_normalized(nu_w, n), _normalized(mu_w, n))
+    except UnsupportedFamilyError:
+        closed = np.zeros(n.shape)
+    gap, exhausted, solves = np.zeros(n.shape), np.zeros(n.shape, bool), [None] * n.size
+    for b in np.flatnonzero(~(np.isposinf(closed) & ~_not_ac(nu_w, mu_w))):
+        mu, nu = (FiniteDist(_labels("a", n[b]), w[b, : n[b]]) for w in (mu_w, nu_w))
         res = dual_divergence(risk, nu, mu)
-        if res.certified_gap is None:
-            out.append(TrialResult(None, True, None, None))
-            continue
-        inst = {
-            "nu": nu,
-            "mu": mu,
-            "dual_value": res.value,
-            "closed_form": res.closed_form,
-            "iterations": res.iterations,
-            "budget_exhausted": res.budget_exhausted,
-        }
-        out.append(TrialResult(res.certified_gap, False, None, inst, res.budget_exhausted))
-    return out
+        if res.certified_gap is not None:
+            gap[b], exhausted[b], solves[b] = res.certified_gap, res.budget_exhausted, (nu, mu, res)
+    return _judged(gap, np.array([s is None for s in solves]), solves, exhausted=exhausted)
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -1452,38 +1454,29 @@ def _renormalized(w: np.ndarray) -> np.ndarray:
     return (flat / flat.sum()).reshape(w.shape)
 
 
-def _conditional_trials(risk, div, block: _JointBlock, weak: bool) -> list[TrialResult]:
+def _conditional_trials(risk, div, block: _JointBlock, weak: bool) -> BlockResult:
     """Conditional instances, their gaps in one ``_conditional_gaps``.
 
     The joint law is renormalized twice, as JointDist and then ``flat()``'s
     FiniteDist renormalize it, so an acceptance trial gives the bits of
     ``consistency_gap`` on its ``sample_conditional_instance(...).flat()``.
     """
-    gaps = _conditional_gaps(risk, block.w, block.paired, weak=weak)
-    products = block.product.tolist()
-    return [TrialResult(g, False, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps.tolist(), products))]
+    return _judged(_conditional_gaps(risk, block.w, block.paired, weak=weak), None, block, block.product)
 
 
-def _product_trials(risk, div, block: _JointBlock, weak: bool) -> list[TrialResult]:
+def _product_trials(risk, div, block: _JointBlock, weak: bool) -> BlockResult:
     """Product instances, their gaps in one ``_product_gaps``."""
-    gaps = _product_gaps(div, block.w, block.paired, [r.n_f for r in block.raws], weak)
-    products = block.product.tolist()
-    return [TrialResult(g.value, g.vacuous, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps, products))]
+    return _judged(*_product_gaps(div, block.w, block.paired, [r.n_f for r in block.raws], weak), block, block.product)
 
 
-def _lemma_identity_trials(risk, div, block: _JointBlock) -> list[TrialResult]:
-    lemma = _integral_lemma(risk, block.w, block.paired, [r.n_f for r in block.raws])
-    products = block.product.tolist()
-    return [
-        TrialResult(g.value, g.vacuous, p, _Drawn(block, b), exhausted)
-        for b, ((g, exhausted), p) in enumerate(zip(lemma, products))
-    ]
+def _lemma_identity_trials(risk, div, block: _JointBlock) -> BlockResult:
+    gap, vacuous, exhausted = _integral_lemma(risk, block.w, block.paired, [r.n_f for r in block.raws])
+    return _judged(gap, vacuous, block, block.product, exhausted)
 
 
-def _key_identity_trials(risk, div, block: _JointBlock) -> list[TrialResult]:
-    gaps = _key_identity_gaps(risk, block.joint, block.paired, [r.n_e for r in block.raws])
-    products = block.product.tolist()
-    return [TrialResult(g, False, p, _Drawn(block, b)) for b, (g, p) in enumerate(zip(gaps, products))]
+def _key_identity_trials(risk, div, block: _JointBlock) -> BlockResult:
+    gap = _key_identity_gaps(risk, block.joint, block.paired, [r.n_e for r in block.raws])
+    return _judged(gap, None, block, block.product)
 
 
 def _on_boundary(risk: RiskSpec, laws: _LawsBlock) -> np.ndarray:
@@ -1492,7 +1485,7 @@ def _on_boundary(risk: RiskSpec, laws: _LawsBlock) -> np.ndarray:
     return np.where(_own_entries(laws.size[:, None], laws.values.shape[1:]), laws.values - rho[:, None], 0.0)
 
 
-def _probe_trials(risk, div, laws: _LawsBlock, lotteries: Callable, marginal=True) -> list[TrialResult]:
+def _probe_trials(risk, div, laws: _LawsBlock, lotteries: Callable, marginal=True) -> BlockResult:
     """Trials of an acceptance-set probe kind in two ``rho_batch`` calls.
 
     The first shifts every law of the block onto the boundary
@@ -1500,11 +1493,10 @@ def _probe_trials(risk, div, laws: _LawsBlock, lotteries: Callable, marginal=Tru
     from the shifted laws for the second, ``_mixture_risks``.
     """
     lot = lotteries(laws, _on_boundary(risk, laws))
-    risks = _mixture_risks(risk, lot.q, lot.x, lot.w, lot.v, marginal=marginal)
-    return [TrialResult(-r, False, None, _Drawn(lot, b)) for b, r in enumerate(risks.tolist())]
+    return _judged(-_mixture_risks(risk, lot.q, lot.x, lot.w, lot.v, marginal=marginal), None, lot)
 
 
-def _concavity_gaps(risk, t: np.ndarray, w1, v1, w2, v2) -> list[float]:
+def _concavity_gaps(risk, t: np.ndarray, w1, v1, w2, v2) -> np.ndarray:
     """rho(t m1 + (1 - t) m2) - t rho(m1) - (1 - t) rho(m2) of B pairs of laws, all in one ``rho_batch``.
 
     Each law is given as (B, N) weights and values.
@@ -1512,16 +1504,15 @@ def _concavity_gaps(risk, t: np.ndarray, w1, v1, w2, v2) -> list[float]:
     mixed_w = np.hstack([t[:, None] * w1, (1 - t[:, None]) * w2])
     rho = rho_batch(risk, _stacked([w1, w2, mixed_w]), _stacked([v1, v2, np.hstack([v1, v2])]))
     rho1, rho2, mixed = rho.reshape(3, -1)
-    return (mixed - t * rho1 - (1 - t) * rho2).tolist()
+    return mixed - t * rho1 - (1 - t) * rho2
 
 
-def _dist_concavity_trials(risk, div, block: _ConcavityBlock) -> list[TrialResult]:
+def _dist_concavity_trials(risk, div, block: _ConcavityBlock) -> BlockResult:
     (w1, w2), (v1, v2) = block.weights, block.values
-    gaps = _concavity_gaps(risk, block.t, w1, v1, w2, v2)
-    return [TrialResult(g, False, None, _Drawn(block, b)) for b, g in enumerate(gaps)]
+    return _judged(_concavity_gaps(risk, block.t, w1, v1, w2, v2), None, block)
 
 
-def _lebesgue_gaps(risk, w: np.ndarray, f: np.ndarray, h: np.ndarray) -> list[float]:
+def _lebesgue_gaps(risk, w: np.ndarray, f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """rho_mu(f + 4^-k h) for k < 15 falls to rho_mu(f), per row of (B, N) weights, payoffs and directions.
 
     All risks are one ``rho_batch``.
@@ -1531,35 +1522,41 @@ def _lebesgue_gaps(risk, w: np.ndarray, f: np.ndarray, h: np.ndarray) -> list[fl
     rho = rho_batch(risk, np.repeat(w, 16, axis=0), v.reshape(-1, w.shape[1])).reshape(-1, 16)
     limit, vals = rho[:, 0], rho[:, 1:]
     # ties keep the first argument, as max() does: a zero step or gap stays +0.0
-    return np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit)).tolist()
+    return np.maximum(np.maximum(0.0, np.diff(vals).max(axis=1)), np.abs(vals[:, -1] - limit))
 
 
-def _lebesgue_trials(risk, div, block: _LebesgueBlock) -> list[TrialResult]:
-    gaps = _lebesgue_gaps(risk, block.mu, block.f, block.h)
-    return [TrialResult(g, False, None, _Drawn(block, b)) for b, g in enumerate(gaps)]
+def _lebesgue_trials(risk, div, block: _LebesgueBlock) -> BlockResult:
+    return _judged(_lebesgue_gaps(risk, block.mu, block.f, block.h), None, block)
 
 
-def _product_json(inst: _Drawn) -> dict:
-    return _product_instance(inst.draw()).as_json()
+# a kind's serializer gives trial b's instance document from the kind's BlockResult, or None when it keeps none
 
 
-def _conditional_json(inst: _Drawn) -> dict:
-    return _conditional_instance(inst.draw()).as_json()
+def _product_json(result: BlockResult, b: int) -> dict:
+    return _product_instance(result.drawn.trial(b)).as_json()
 
 
-def _parts_json(parts: dict) -> dict:
-    """An instance given as named parts: laws and kernels by their as_json."""
-    return {k: v.as_json() if hasattr(v, "as_json") else v for k, v in parts.items()}
+def _conditional_json(result: BlockResult, b: int) -> dict:
+    return _conditional_instance(result.drawn.trial(b)).as_json()
 
 
-def _concavity_json(inst: _Drawn) -> dict:
-    return _parts_json(inst.draw())
+def _concavity_json(result: BlockResult, b: int) -> dict:
+    return {k: v.as_json() if isinstance(v, FiniteDist) else v for k, v in result.drawn.trial(b).items()}
 
 
-def _chain_json(inst: tuple) -> dict:
+def _duality_json(result: BlockResult, b: int) -> dict | None:
+    """A solved pair's laws and solve; a vacuous pair keeps none."""
+    if result.vacuous[b]:
+        return None
+    nu, mu, res = result.drawn[b]
+    doc = {"nu": nu.as_json(), "mu": mu.as_json(), "dual_value": res.value, "closed_form": res.closed_form}
+    return {**doc, "iterations": res.iterations, "budget_exhausted": res.budget_exhausted}
+
+
+def _chain_json(result: BlockResult, b: int) -> dict:
     """A data-processing instance: its laws and its kernel, its map, or its maps and the values along them."""
-    drawn, values = inst
-    draw = drawn.draw()
+    block, values = result.drawn
+    draw = block.trial(b)
     labels = _labels("a", draw.mu.size)
     laws = {"nu": FiniteDist(labels, draw.nu).as_json(), "mu": FiniteDist(labels, draw.mu).as_json()}
     if not draw.maps:
@@ -1567,25 +1564,26 @@ def _chain_json(inst: tuple) -> dict:
         return {**laws, "kernel": Kernel(labels, _labels("b", rows.shape[1]), rows).as_json()}
     if len(draw.maps) == 1:
         return {**laws, "map": draw.maps[0]}
-    return {**laws, "maps": list(draw.maps), "values": values}
+    return {**laws, "maps": list(draw.maps), "values": values[b].tolist()}
 
 
-def _convexity_json(inst: _Drawn) -> dict:
-    t, *laws = inst.draw()
+def _refinement_json(result: BlockResult, b: int) -> dict | None:
+    """A refinement instance; a vacuous one, without a step between finite values, keeps none."""
+    return None if result.vacuous[b] else _chain_json(result, b)
+
+
+def _convexity_json(result: BlockResult, b: int) -> dict | None:
+    """A joint_convexity instance; a trial with an infinite left side keeps none."""
+    block, lhs = result.drawn
+    if math.isinf(lhs[b]):
+        return None
+    t, *laws = block.trial(b)
     labels = _labels("a", laws[0].size)
     return {"t": t, **{k: FiniteDist(labels, w).as_json() for k, w in zip(("nu1", "mu1", "nu2", "mu2"), laws)}}
 
 
-def _property_s_json(inst: _Drawn) -> dict:
-    return {"pairs": [{"weight": w, "x": x, "law": law.as_json()} for w, x, law in inst.draw()]}
-
-
-def _mixture_json(inst: _Drawn) -> dict:
-    return {"components": [{"weight": w, "law": law.as_json()} for w, _, law in inst.draw()]}
-
-
-def _lebesgue_json(inst: _Drawn) -> dict:
-    mu, f, h = inst.draw()
+def _lebesgue_json(result: BlockResult, b: int) -> dict:
+    mu, f, h = result.drawn.trial(b)
     return {"mu": mu.as_json(), "f": f.tolist(), "h": h.tolist()}
 
 
@@ -1634,12 +1632,12 @@ def _joint_pair(doc) -> list[np.ndarray]:
 
 def _product_replay(risk, div, doc, weak: bool):
     mu, nu = _joint_pair(doc)
-    return _product_gaps(div, mu[None], nu[None], [mu.shape[1]], weak)[0].value
+    return _first(*_product_gaps(div, mu[None], nu[None], [mu.shape[1]], weak))
 
 
 def _lemma_replay(risk, div, doc):
     mu, nu = _joint_pair(doc)
-    return _integral_lemma(risk, mu[None], nu[None], [mu.shape[1]])[0][0].value
+    return _first(*_integral_lemma(risk, mu[None], nu[None], [mu.shape[1]])[:2])
 
 
 def _joint_payoff(doc) -> tuple[np.ndarray, np.ndarray]:
@@ -1657,12 +1655,12 @@ def _joint_payoff(doc) -> tuple[np.ndarray, np.ndarray]:
 def _conditional_replay(risk, div, doc, weak: bool):
     w, v = _joint_payoff(doc)
     # the trial's weights are renormalized once more, as flat()'s FiniteDist does
-    return float(_conditional_gaps(risk, _renormalized(w)[None], v[None], weak)[0])
+    return _first(_conditional_gaps(risk, _renormalized(w)[None], v[None], weak))
 
 
 def _key_identity_replay(risk, div, doc):
     w, v = _joint_payoff(doc)
-    return _key_identity_gaps(risk, w[None], v[None], [w.shape[0]])[0]
+    return _first(_key_identity_gaps(risk, w[None], v[None], [w.shape[0]]))
 
 
 def _map_matrices(atoms: tuple, maps: list) -> list[np.ndarray]:
@@ -1679,7 +1677,7 @@ def _map_matrices(atoms: tuple, maps: list) -> list[np.ndarray]:
     return out
 
 
-def _chain_replay(risk, div, doc, link: str, score: Callable = _pair_score):
+def _chain_replay(risk, div, doc, link: str, gaps: Callable = _pair_gaps):
     """A data-processing instance's laws pushed along its "kernel", its "map" or its "maps".
 
     Sufficiency of a statistic (one map) is a property of d nu / d mu, so it needs nu << mu.
@@ -1696,15 +1694,14 @@ def _chain_replay(risk, div, doc, link: str, score: Callable = _pair_score):
         if link == "map" and _not_ac(nu, mu):
             raise NotAbsolutelyContinuousError("a sufficiency instance needs nu << mu")
         chain = _map_matrices(tuple(space["atoms"]), [link_doc] if link == "map" else link_doc)
-    return score(_chain_values(div, nu[None], mu[None], [m[None] for m in chain])[0].tolist(), None).gap
+    return _first(*gaps(_chain_values(div, nu[None], mu[None], [m[None] for m in chain])))
 
 
 def _convexity_replay(risk, div, doc):
     what = "joint_convexity instance"
     _, laws = _on_one_space(doc, what, FiniteDist, "nu1", "mu1", "nu2", "mu2")
     t = typed_field(doc, "t", None, float, what)
-    (left,), (right,) = _convexity_sides(div, np.array([t]), *(w[None] for w in laws))
-    return Gap.of(left, right).value
+    return _first(*_gap_of(*_convexity_sides(div, np.array([t]), *(w[None] for w in laws))))
 
 
 def _shift_convexity_replay(risk, div, doc):
@@ -1738,7 +1735,7 @@ def _concavity_replay(risk, div, doc):
     m1, m2 = json_object(doc, what, "m1", "m2")
     (w1, v1), (w2, v2) = (_law(m) for m in (m1, m2))
     t = np.array([typed_field(doc, "t", None, float, what)])
-    return _concavity_gaps(risk, t, w1[None], v1[None], w2[None], v2[None])[0]
+    return _first(_concavity_gaps(risk, t, w1[None], v1[None], w2[None], v2[None]))
 
 
 def _lebesgue_replay(risk, div, doc):
@@ -1748,7 +1745,7 @@ def _lebesgue_replay(risk, div, doc):
     f, h = (np.array(number_list(x, f"{what} {key!r}"), dtype=float) for key, x in (("f", f), ("h", h)))
     if f.shape != mu_w.shape or h.shape != mu_w.shape:
         raise ConfigParseError(f"{what} 'f' and 'h' must hold one value per atom of mu")
-    return _lebesgue_gaps(risk, mu_w[None], f[None], h[None])[0]
+    return _first(_lebesgue_gaps(risk, mu_w[None], f[None], h[None]))
 
 
 def _duality_replay(risk, div, doc):
@@ -1763,16 +1760,17 @@ class CheckKind:
     ``side`` "lower": gaps should stay >= -noise; "abs": |gap| should stay
     <= noise. ``needs`` says which of (risk spec, divergence spec) the kind
     uses. ``sampler`` draws a block of instances and ``evaluate(risk, div,
-    block)`` gives each its TrialResult; ``serialize`` turns a result's
-    instance into JSON and runs only when a trial is described, never in
-    ``run_trials``. ``read(risk, div, instance_doc)`` is its inverse: it reads
-    a serialized instance back and evaluates it through the kind's block code
-    as a block of one; a malformed document raises ConfigParseError.
-    ``negate`` marks a reverse inequality, whose gaps ``trial`` and
-    ``replay`` negate. ``grid_sizes`` names the sizes, "E" or "F", that count
-    atoms of distinct values drawn from VALUE_GRID, so they may not exceed
-    its 41 points. ``oracle`` marks a kind checked against the grid oracle,
-    whose sizes may not exceed its _ORACLE_ATOMS atoms per axis.
+    block)`` judges them into one BlockResult. ``serialize(result, b)``
+    builds trial b's instance document from it, or None when the trial
+    keeps none; only ``describe_trial`` calls it, on a block of one.
+    ``read(risk, div, instance_doc)`` is its inverse: it reads a serialized
+    instance back and evaluates it through the kind's block code as a block
+    of one; a malformed document raises ConfigParseError. ``negate`` marks a
+    reverse inequality, whose gaps ``trial`` and ``replay`` negate.
+    ``grid_sizes`` names the sizes, "E" or "F", that count atoms of distinct
+    values drawn from VALUE_GRID, so they may not exceed its 41 points.
+    ``oracle`` marks a kind checked against the grid oracle, whose sizes may
+    not exceed its _ORACLE_ATOMS atoms per axis.
     """
 
     side: str
@@ -1785,20 +1783,18 @@ class CheckKind:
     negate: bool = False
     oracle: bool = False
 
-    def trial(self, risk, div, budget: SearchBudget, start: int, stop: int) -> list[TrialResult]:
-        """One TrialResult per trial in [start, stop): the block is drawn and finished together, then evaluated."""
-        results = self.evaluate(risk, div, _finished(self.sampler, budget, start, stop))
-        return [r._replace(gap=self._signed(r.gap)) for r in results] if self.negate else results
+    def trial(self, risk, div, budget: SearchBudget, start: int, stop: int) -> BlockResult:
+        """The BlockResult of trials [start, stop): the block is drawn and finished together, then evaluated."""
+        result = self.evaluate(risk, div, _finished(self.sampler, budget, start, stop))
+        return result._replace(gap=-result.gap) if self.negate else result
 
     def replay(self, risk, div, doc):
         """The gap of a serialized instance, the bits of its trial's; None when vacuous."""
-        return self._signed(self.read(risk, div, doc))
-
-    def _signed(self, gap):
+        gap = self.read(risk, div, doc)
         return -gap if self.negate and gap is not None else gap
 
-    def badness(self, gap: float) -> float:
-        """How strongly a gap leans toward violation; larger is worse."""
+    def badness(self, gap):
+        """How strongly a gap, or each of an array of gaps, leans toward violation; larger is worse."""
         return abs(gap) if self.side == "abs" else -gap
 
     def check_budget(self, budget: SearchBudget, what: str) -> None:
@@ -1822,9 +1818,9 @@ def _conditional_kind(side: str, weak: bool = False, negate: bool = False) -> Ch
     return CheckKind(side, "risk", _CONDITIONAL, evaluate, _conditional_json, read, negate=negate)
 
 
-def _chain_kind(side: str, sampler: _Sampler, link: str, score: Callable = _pair_score) -> CheckKind:
-    read = partial(_chain_replay, link=link, score=score)
-    return CheckKind(side, "div", sampler, partial(_chain_trials, score=score), _chain_json, read)
+def _chain_kind(side: str, sampler: _Sampler, link: str, gaps: Callable = _pair_gaps, serialize=_chain_json):
+    read = partial(_chain_replay, link=link, gaps=gaps)
+    return CheckKind(side, "div", sampler, partial(_chain_trials, gaps=gaps), serialize, read)
 
 
 def _probe_kind(laws: _Sampler, lotteries: Callable, serialize, read, grid_sizes: str = "F", marginal=True):
@@ -1839,13 +1835,13 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "weak_consistency": _product_kind("lower", weak=True),
     "dpi": _chain_kind("lower", _configured(_draw_dpi, _finish_dpi, bijection=False), "kernel"),
     "dpi_bijection": _chain_kind("abs", _configured(_draw_dpi, _finish_dpi, bijection=True), "kernel"),
-    "duality": CheckKind("abs", "risk", _PAIR, _duality_trials, _parts_json, _duality_replay),
+    "duality": CheckKind("abs", "risk", _PAIR, _duality_trials, _duality_json, _duality_replay),
     "time_consistency": _conditional_kind("abs"),
     "acceptance": _conditional_kind("lower"),
     "rejection": _conditional_kind("lower", negate=True),
     "weak_acceptance": _conditional_kind("lower", weak=True),
     "shift_convexity": _probe_kind(
-        _SHIFT_CONVEXITY_LAWS, _shift_convexity_lotteries, _Drawn.as_json, _shift_convexity_replay, "EF"
+        _SHIFT_CONVEXITY_LAWS, _shift_convexity_lotteries, _shift_convexity_json, _shift_convexity_replay, "EF"
     ),
     "property_s": _probe_kind(
         _PROPERTY_S_LAWS, _property_s_lotteries, _property_s_json, partial(_lottery_replay, shifted=True)
@@ -1863,7 +1859,9 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "sufficiency_generic": _chain_kind(
         "lower", _configured(_draw_sufficiency, _finish_sufficiency, matched=False), "map"
     ),
-    "refinement": _chain_kind("lower", _Sampler(_draw_refinement, _finish_refinement), "maps", _refinement_score),
+    "refinement": _chain_kind(
+        "lower", _Sampler(_draw_refinement, _finish_refinement), "maps", _refinement_gaps, _refinement_json
+    ),
     "lemma_identity": CheckKind(
         "abs", "risk", _SMALL_PRODUCT, _lemma_identity_trials, _product_json, _lemma_replay, oracle=True
     ),
@@ -1936,6 +1934,47 @@ class TrialStats:
         out.class_worst = merged or None
         return out
 
+    def fold(self, result: BlockResult, first: int, badness: Callable) -> None:
+        """Fold in a block's BlockResult, whose trial 0 is trial ``first``, as a loop over its trials would.
+
+        A vacuous trial is only counted; a solver's budget counts on the
+        others, NaN or not. A NaN gap is counted and never ranked: every
+        comparison with NaN is false, so ranked it would mask later gaps.
+        The worst trial, overall and per class, is the first of the largest
+        badness: a strict > over the trials in order.
+        """
+        judged = ~result.vacuous
+        nan = judged & np.isnan(result.gap)
+        self.count += result.gap.size
+        self.vacuous += int(np.count_nonzero(result.vacuous))
+        self.nan += int(np.count_nonzero(nan))
+        if result.exhausted is not None:
+            self.exhausted += int(np.count_nonzero(result.exhausted & judged))
+        ranked = np.flatnonzero(judged & ~nan)
+        if not ranked.size:
+            return
+        gap = result.gap[ranked]
+        bad = badness(gap)
+        k = _first_largest(bad)
+        if self.worst_trial is None or bad[k] > self.worst_badness:
+            self.worst_badness, self.worst_trial, self.worst_gap = float(bad[k]), first + int(ranked[k]), float(gap[k])
+        if result.product is None:
+            return
+        product = result.product[ranked]
+        # a class new to the summary takes its place in the order of its first trial
+        for label, rows in sorted((("product", product), ("general", ~product)), key=lambda c: not c[1][0]):
+            if not rows.any():
+                continue
+            k = np.flatnonzero(rows)[_first_largest(bad[rows])]
+            cur = self.class_worst.get(label)
+            if cur is None or bad[k] > cur[0]:
+                self.class_worst[label] = (float(bad[k]), first + int(ranked[k]), float(gap[k]))
+
+
+def _first_largest(x: np.ndarray) -> int:
+    """The index of the first largest entry of x, which holds no NaN; -0.0 and 0.0 tie."""
+    return int(np.argmax(x == x.max()))
+
 
 def run_trials(
     kind: str,
@@ -1959,28 +1998,7 @@ def run_trials(
     stats = TrialStats(class_worst={})
     size = max(1, BLOCK_ENTRIES // (budget.max_e * budget.max_f))
     for first in range(start, stop, size):
-        results = entry.trial(risk, div, budget, first, min(first + size, stop))
-        for trial, (gap, vacuous, is_product, _, exhausted) in enumerate(results, first):
-            stats.count += 1
-            if vacuous or gap is None:
-                # a vacuous trial carries no information, nor does its solver's budget
-                stats.vacuous += 1
-                continue
-            stats.exhausted += exhausted
-            if math.isnan(gap):
-                # every comparison with NaN is false: ranked, it would mask later gaps
-                stats.nan += 1
-                continue
-            bad = entry.badness(gap)
-            if stats.worst_trial is None or bad > stats.worst_badness:
-                stats.worst_badness = bad
-                stats.worst_trial = trial
-                stats.worst_gap = gap
-            if is_product is not None:
-                label = "product" if is_product else "general"
-                cur = stats.class_worst.get(label)
-                if cur is None or bad > cur[0]:
-                    stats.class_worst[label] = (bad, trial, gap)
+        stats.fold(entry.trial(risk, div, budget, first, min(first + size, stop)), first, entry.badness)
     if not stats.class_worst:
         stats.class_worst = None
     return stats
@@ -2057,14 +2075,16 @@ def describe_trial(
     budget: SearchBudget,
     trial: int,
 ) -> dict:
-    """Replay one trial and serialize its instance together with its gap."""
+    """Replay one trial as a block of one and serialize its instance together with its gap."""
     entry = check_kind(kind)
-    ((gap, vacuous, is_product, inst, _),) = entry.trial(risk, div, budget, trial, trial + 1)
-    doc = {"kind": kind, "trial": trial, "seed": budget.seed, "gap": gap, "vacuous": vacuous}
-    if is_product is not None:
-        doc["class"] = "product" if is_product else "general"
-    if inst is not None:
-        doc["instance"] = entry.serialize(inst)
+    result = entry.trial(risk, div, budget, trial, trial + 1)
+    doc = {"kind": kind, "trial": trial, "seed": budget.seed}
+    doc.update(gap=_first(result.gap, result.vacuous), vacuous=bool(result.vacuous[0]))
+    if result.product is not None:
+        doc["class"] = "product" if result.product[0] else "general"
+    instance = entry.serialize(result, 0)
+    if instance is not None:
+        doc["instance"] = instance
     return doc
 
 

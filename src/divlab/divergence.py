@@ -66,25 +66,6 @@ _DUAL_TOL = 1e-10
 _DUAL_FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class Gap:
-    """A difference of two extended reals, with infinity bookkeeping.
-
-    ``vacuous`` marks +inf minus +inf: the underlying inequality carries no
-    information there, so such instances are counted but excluded from
-    statistics. A non-vacuous gap may still be +/-inf.
-    """
-
-    value: float | None
-    vacuous: bool = False
-
-    @staticmethod
-    def of(lhs: float, rhs: float) -> "Gap":
-        if math.isinf(lhs) and math.isinf(rhs) and lhs > 0 and rhs > 0:
-            return Gap(value=None, vacuous=True)
-        return Gap(value=lhs - rhs)
-
-
 def _check_same_atoms(nu: FiniteDist, mu: FiniteDist) -> None:
     if nu.atoms != mu.atoms:
         raise SpaceMismatchError("divergences need both laws on the same atom set")

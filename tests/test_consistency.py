@@ -1,17 +1,20 @@
 import hashlib
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from functools import partial, reduce
 from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divlab import consistency
 from divlab.consistency import (
     CHECK_KINDS,
     VALUE_GRID,
+    BlockResult,
     CheckKind,
     ProductInstance,
     SearchBudget,
@@ -505,10 +508,10 @@ class TestTrialMachinery:
         # negates: in its trials and in its replays alike
         budget = SearchBudget(trials=40, seed=26, max_e=3, max_f=3, sparsity=0.5)
         risk, div = (None, spec) if CHECK_KINDS[forward].needs == "div" else (spec, None)
-        rev = CHECK_KINDS[reverse].trial(risk, div, budget, 0, 40)
-        fwd = CHECK_KINDS[forward].trial(risk, div, budget, 0, 40)
-        assert [r.gap for r in rev] == [None if f.gap is None else -f.gap for f in fwd]
-        assert any(r.gap for r in rev)
+        rev = trial_gaps(CHECK_KINDS[reverse].trial(risk, div, budget, 0, 40))
+        fwd = trial_gaps(CHECK_KINDS[forward].trial(risk, div, budget, 0, 40))
+        assert rev == [None if f is None else -f for f in fwd]
+        assert any(rev)
         for trial in range(0, 40, 7):
             doc = describe_trial(forward, risk, div, budget, trial)
             if doc["gap"] is not None:
@@ -552,10 +555,10 @@ class TestTrialMachinery:
 
         class Recorded(CheckKind):
             def trial(self, risk, div, budget, start, stop):
-                results = list(entry.trial(risk, div, budget, start, stop))
-                seen.update(zip(range(start, stop), (r.gap for r in results)))
+                result = entry.trial(risk, div, budget, start, stop)
+                seen.update(zip(range(start, stop), trial_gaps(result)))
                 blocks.add((start, stop))
-                return results
+                return result
 
         monkeypatch.setitem(CHECK_KINDS, kind, Recorded(*(getattr(entry, f.name) for f in fields(CheckKind))))
         on_div = kind in DIV_KINDS
@@ -655,10 +658,12 @@ class TestTrialMachinery:
 
     def test_shift_convexity_replay_gives_the_blocks_instance(self):
         budget = SearchBudget(trials=20, seed=29, max_e=4, max_f=4)
+        entry = CHECK_KINDS["shift_convexity"]
         for spec in (ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))):
-            for trial, result in enumerate(CHECK_KINDS["shift_convexity"].trial(spec, None, budget, 0, 20)):
+            result = entry.trial(spec, None, budget, 0, 20)
+            for trial in range(20):
                 inst = describe_trial("shift_convexity", spec, None, budget, trial)["instance"]
-                assert canonical_json(inst) == canonical_json(result.instance.as_json())
+                assert canonical_json(inst) == canonical_json(entry.serialize(result, trial))
 
     def test_sparsity_produces_vacuous_instances(self):
         budget = SearchBudget(trials=200, seed=23, max_e=3, max_f=3, sparsity=0.5)
@@ -1239,6 +1244,17 @@ class TestBlockSeeding:
             run_trials("acceptance", ENTROPIC, None, budget, -3, 2)
 
 
+def trial_gaps(result):
+    """A BlockResult's gaps as its trials report them: floats, None where vacuous."""
+    return [None if v else g for g, v in zip(result.gap.tolist(), result.vacuous.tolist())]
+
+
+def trial_result(entry, result, b):
+    """Trial b of a kind's BlockResult: its gap, its vacuous, class and exhausted flags, and its instance."""
+    flags = (result.vacuous[b], *(None if f is None else f[b] for f in (result.product, result.exhausted)))
+    return trial_gaps(result)[b], *(None if f is None else bool(f) for f in flags), entry.serialize(result, b)
+
+
 def result_bits(x):
     """A trial's result in comparable form: ``as_bits``, through dicts and dataclass instances too."""
     if isinstance(x, dict):
@@ -1262,7 +1278,9 @@ class TestBlockPathBits:
 
         def results():
             # gap bits, the vacuous, product and exhausted flags, and the drawn instance
-            return [result_bits(r) for r in CHECK_KINDS[kind].trial(ENTROPIC, div, budget, 5, 15)]
+            entry = CHECK_KINDS[kind]
+            result = entry.trial(ENTROPIC, div, budget, 5, 15)
+            return [result_bits(trial_result(entry, result, b)) for b in range(10)]
 
         seeded = results()
         monkeypatch.setattr(
@@ -1315,9 +1333,11 @@ def instance_digest(kind):
     for size in (3, 4) if entry.oracle else (3, 12):
         for sparsity in (0.0, 0.5):
             budget = SearchBudget(trials=50, seed=11, max_e=size, max_f=size, sparsity=sparsity)
-            for result in entry.trial(risk, div, budget, 0, 50):
-                if result.instance is not None:
-                    digest.update(canonical_json(entry.serialize(result.instance)).encode())
+            result = entry.trial(risk, div, budget, 0, 50)
+            for b in range(50):
+                doc = entry.serialize(result, b)
+                if doc is not None:
+                    digest.update(canonical_json(doc).encode())
     return digest.hexdigest()
 
 
@@ -1327,3 +1347,198 @@ class TestInstanceDigests:
     @pytest.mark.parametrize("kind", list(CHECK_KINDS))
     def test_instances_keep_their_bits(self, kind):
         assert instance_digest(kind) == INSTANCE_DIGESTS[kind]
+
+
+# sha256 of what a check reports, per kind: the TrialStats fields of run_trials
+# over trials 0-19 at seed 11 and the canonical describe_trial document of
+# each of those trials, which carries its gap, vacuous flag, class and
+# instance, over the sizes, sparsities and families of INSTANCE_DIGESTS; as
+# recorded while run_trials still folded one result object per trial.
+REPORT_DIGESTS = {
+    "chain_rule": "6fb3287ec3cb92f6a726423690ffef75bbefc61a878a19d10cc01a61d328d09f",
+    "superadditivity": "0c637aa27a00ebacd4ffd84bd66f5ab86767632e2a24864bea625a063386e64a",
+    "subadditivity": "135e987d0d5aaa2c889df6e65afc809768280ccf74121516104507e5c6ebfb1f",
+    "weak_consistency": "b078084c102f0d95a411962ec962e72742b8ec066a454ed2f0b0839779970fa0",
+    "dpi": "e9238bab221b953927571ffd59cb032e353d19ae35fc2d6b7b8d30e32c7fcacb",
+    "dpi_bijection": "e5a26d374805a2af3c9754a83f5000f8c5b5409c161752d43ba7149195e7865d",
+    "duality": "544c9ed15fee05bab225a19f1eee8e2934fc75f20fdbec56db93720c8b5078d6",
+    "time_consistency": "d1771102dec383795c3d9f691645dcb5b2c5ba0d9dc41f4db3aa8b1bd34f2993",
+    "acceptance": "6354e7fb988dd61fec7f79028a70f2103dc795ddb298c56c056e5d55ea02c61f",
+    "rejection": "fad2c23253544b5ec024a7e1953b6650836db219c363af217c142df0c482546d",
+    "weak_acceptance": "7d0b23bd1a21c7bd36dbd2728b3e4471c5eee59e667705033a8d5c8792f8b951",
+    "shift_convexity": "98cfd885484bae7e4212b9722cb672f34f7d384c9b6bb966265578923f4c402f",
+    "property_s": "9f0c698820db1b28b81fd77fe499e0194718d1f5b84d74c808668596b339c60a",
+    "mixture_convexity": "740301d7df60c8f45cd19ec5b5055344c48e57f4d63fef1ad777f5f323fae016",
+    "joint_convexity": "a796304e2090318d818f348ca8a13b5602a762de80fec9fa8f886e9a8d6303d3",
+    "dist_concavity": "d565119c22e8053f6ae18105a3aa6129a52eb0da4aa041104012ea4d93d56b34",
+    "sufficiency_matched": "dac166877e0becb5143fd5b476ef43ddd62f7c269f423eb08f543a6bc7ff9462",
+    "sufficiency_generic": "5aeb244aaf91ccac6e7a4993f7321c729bcc0da5538246d4c12a487bc6d30a59",
+    "refinement": "7bfc0e70aff36609e0b9135c8a1713ad2ce11b69844a9fa23bd96c35e286f423",
+    "lemma_identity": "03ac818577ba9f5f3d0f7c20c69ee2e4be7eea8cadbcf59c07e53c34b2a19f93",
+    "key_identity": "7ad18e54c1d4b0b8ac3ec3f815ac2a98fc52cf894593980f3b468db19a67395f",
+    "lebesgue": "c8dc1c6a76fdb25cb7734518696f9d64ca9afc8398f68045b706e0bcd63c8c36",
+}
+
+
+def report_digest(kind):
+    """The sha256 of a kind's run_trials summaries and describe_trial documents, setting after setting."""
+    entry = CHECK_KINDS[kind]
+    pp2 = RiskSpec.shortfall(LossFn.power_plus(2.0))
+    risk = RiskSpec.esssup() if kind in SOLVER_KINDS else pp2
+    div = consistency.resolve_divergence(kind, pp2, None)
+    digest = hashlib.sha256()
+    for size in (3, 4) if entry.oracle else (3, 12):
+        for sparsity in (0.0, 0.5):
+            budget = SearchBudget(trials=20, seed=11, max_e=size, max_f=size, sparsity=sparsity)
+            digest.update(canonical_json(asdict(run_trials(kind, risk, div, budget, 0, 20))).encode())
+            for trial in range(20):
+                digest.update(canonical_json(describe_trial(kind, risk, div, budget, trial)).encode())
+    return digest.hexdigest()
+
+
+class TestReportDigests:
+    """Every kind reports the summaries and trial documents it reported before its blocks were folded as arrays."""
+
+    @pytest.mark.parametrize("kind", list(CHECK_KINDS))
+    def test_reports_keep_their_bits(self, kind):
+        assert report_digest(kind) == REPORT_DIGESTS[kind]
+
+
+def sequential_stats(entry, trials, start=0):
+    """run_trials' summary of (gap, vacuous, is_product, exhausted) trials, folded one at a time as it once was.
+
+    The reference of the array fold: a vacuous trial's gap is None, a
+    negated kind's gaps come negated, and a kind without a solver is never
+    exhausted.
+    """
+    stats = TrialStats(class_worst={})
+    for trial, (gap, vacuous, is_product, exhausted) in enumerate(trials, start):
+        stats.count += 1
+        if vacuous or gap is None:
+            stats.vacuous += 1
+            continue
+        stats.exhausted += exhausted
+        if math.isnan(gap):
+            stats.nan += 1
+            continue
+        bad = entry.badness(gap)
+        if stats.worst_trial is None or bad > stats.worst_badness:
+            stats.worst_badness = bad
+            stats.worst_trial = trial
+            stats.worst_gap = gap
+        if is_product is not None:
+            label = "product" if is_product else "general"
+            cur = stats.class_worst.get(label)
+            if cur is None or bad > cur[0]:
+                stats.class_worst[label] = (bad, trial, gap)
+    if not stats.class_worst:
+        stats.class_worst = None
+    return stats
+
+
+# gaps with NaN, both infinities, both zeros, and ties
+FOLD_GAPS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-3, -1e-3, 2.0, -2.0])
+
+
+@st.composite
+def judged_trials(draw):
+    """The arrays of a kind's BlockResult over a run of trials, with or without classes and solver flags."""
+    n = draw(st.integers(1, 30))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    return {
+        "gap": draw(st.lists(FOLD_GAPS, min_size=n, max_size=n)),
+        "vacuous": draw(flags),
+        "product": draw(st.none() | flags),
+        "exhausted": draw(st.none() | flags),
+    }
+
+
+class TestArrayFold:
+    """run_trials folds each block's arrays into the summary that a loop over its trials in order gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trials=judged_trials(),
+        side=st.sampled_from(["lower", "abs"]),
+        negate=st.booleans(),
+        block=st.integers(1, 8),
+        cut=st.floats(0.0, 1.0),
+    )
+    @example(
+        # NaN first and last, an exhausted vacuous trial, and ties of -0.0 and 0.0 and of 2.0
+        trials={
+            "gap": [math.nan, -0.0, 2.0, 0.0, 2.0, -math.inf, math.nan],
+            "vacuous": [False, False, False, False, False, True, False],
+            "product": [True, False, True, True, False, False, True],
+            "exhausted": [True, False, False, True, False, True, False],
+        },
+        side="abs",
+        negate=False,
+        block=3,
+        cut=0.5,
+    )
+    @example(
+        trials={"gap": [0.0, -0.0, -0.0, math.inf], "vacuous": [False] * 4, "product": None, "exhausted": None},
+        side="lower",
+        negate=True,
+        block=2,
+        cut=0.25,
+    )
+    def test_fold_matches_the_sequential_loop(self, trials, side, negate, block, cut):
+        n = len(trials["gap"])
+        arrays = {k: None if v is None else np.array(v, dtype=float if k == "gap" else bool) for k, v in trials.items()}
+
+        def evaluate(risk, div, span):
+            lo, hi = span
+            return BlockResult(**{k: None if v is None else v[lo:hi].copy() for k, v in arrays.items()}, drawn=None)
+
+        entry = CheckKind(side, "risk", None, evaluate, None, None, negate=negate)
+        reference = sequential_stats(
+            entry,
+            [
+                (None if vacuous else -gap if negate else gap, vacuous, product, bool(exhausted))
+                for gap, vacuous, product, exhausted in zip(
+                    trials["gap"], trials["vacuous"], trials["product"] or [None] * n, trials["exhausted"] or [False] * n
+                )
+            ],
+        )
+        budget = SearchBudget(trials=n, seed=0)
+        mid = int(cut * n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(CHECK_KINDS, "folded", entry)
+            # a block is the span of trials itself; blocks of `block` trials at sizes 3
+            mp.setattr(consistency, "_finished", lambda sampler, budget, start, stop: (start, stop))
+            mp.setattr(consistency, "BLOCK_ENTRIES", block * 9)
+            whole = run_trials("folded", None, None, budget, 0, n)
+            merged = run_trials("folded", None, None, budget, 0, mid).merge(
+                run_trials("folded", None, None, budget, mid, n)
+            )
+        assert result_bits(whole) == result_bits(reference)
+        assert result_bits(merged) == result_bits(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lhs=FOLD_GAPS, rhs=FOLD_GAPS)
+    @example(lhs=math.inf, rhs=math.inf)
+    @example(lhs=math.inf, rhs=1.0)
+    @example(lhs=1.0, rhs=2.0)
+    def test_only_plus_infinity_on_both_sides_is_vacuous(self, lhs, rhs):
+        gap, vacuous = consistency._gap_of(np.array([lhs]), np.array([rhs]))
+        if lhs == rhs == math.inf:
+            assert vacuous[0]
+        else:
+            assert not vacuous[0] and as_bits(float(gap[0])) == as_bits(lhs - rhs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(FOLD_GAPS, min_size=3, max_size=3), min_size=1, max_size=8))
+    @example([[1.0, 0.0, -1.0], [0.0, -0.0, 0.0], [math.inf, 1.0, 0.0], [math.inf, math.inf, math.nan]])
+    def test_refinement_takes_the_first_least_finite_step(self, rows):
+        # the rule each refinement trial once applied to its own values
+        def least_step(values):
+            if any(math.isnan(v) for v in values):
+                return math.nan, False
+            steps = [a - b for a, b in zip(values, values[1:]) if math.isfinite(a) and math.isfinite(b)]
+            return (None, True) if not steps else (min(steps), False)
+
+        gap, vacuous = consistency._refinement_gaps(np.array(rows))
+        got = [(None if v else g, v) for g, v in zip(gap.tolist(), vacuous.tolist())]
+        assert result_bits(got) == result_bits([least_step(row) for row in rows])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from divlab.consistency import CHECK_KINDS, SearchBudget, run_trials
 from divlab.divergence import (
     DivergenceSpec,
-    Gap,
     _chain_values,
     divergence_for_risk_spec,
     dual_divergence,
@@ -527,14 +526,6 @@ class TestReconstructionCandidates:
 
 
 class TestGapAlgebra:
-    def test_vacuous_of(self):
-        g = Gap.of(math.inf, math.inf)
-        assert g.vacuous and g.value is None
-
-    def test_one_sided_inf(self):
-        assert Gap.of(math.inf, 1.0).value == math.inf
-        assert Gap.of(1.0, 2.0).value == -1.0
-
     def test_spec_json_round_trip(self):
         for div in [
             DivergenceSpec.relative_entropy(2.0),

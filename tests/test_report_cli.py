@@ -10,14 +10,15 @@ import threading
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from divlab import cli, consistency, report
 from divlab.consistency import (
     CHECK_KINDS,
+    BlockResult,
     CheckKind,
     SearchBudget,
-    TrialResult,
     counterexample_search,
     resolve_divergence,
 )
@@ -41,17 +42,21 @@ from divlab.report import (
 from divlab.risk import RiskSpec
 
 
-def fake_kind(side, trials):
-    """A registry entry around a fake trial function, whose instances are plain dicts that no test replays."""
+def fake_kind(side, gaps):
+    """A registry entry around a fake function of a block's gaps, whose instances are plain dicts that no test replays."""
 
     class Fake(CheckKind):
         def trial(self, risk, div, budget, start, stop):
-            return trials(risk, div, budget, start, stop)
+            gap = np.array(gaps(risk, div, budget, start, stop), dtype=float)
+            return BlockResult(gap, np.zeros(gap.shape, bool), None, None, None)
+
+    def serialize(result, b):
+        return {"gap": float(result.gap[b])}
 
     def replay(risk, div, doc):
         raise AssertionError("a fake kind's instance is never replayed")
 
-    return Fake(side, "risk", None, None, dict, replay)
+    return Fake(side, "risk", None, None, serialize, replay)
 
 
 def entropic_check(name="tc", trials=100, seed=5, target="time_consistency"):
@@ -110,7 +115,7 @@ class TestReports:
         gaps = [math.nan, 0.0, -5.0]
 
         def trials(risk, div, budget, start, stop):
-            return (TrialResult(gaps[k], False, None, {"gap": gaps[k]}) for k in range(start, stop))
+            return gaps[start:stop]
 
         monkeypatch.setitem(CHECK_KINDS, "nan_probe", fake_kind("lower", trials))
         check = entropic_check(name="np", trials=3, target="nan_probe")
@@ -564,6 +569,30 @@ class TestCli:
             # all vacuous, so nothing was judged: inconclusive, with status 0
             assert (check["vacuous"], check["verdict"], "exhausted" in check) == (5, "inconclusive", False)
 
+    def test_duality_solves_no_pair_whose_closed_form_is_infinite(self, monkeypatch, capsys):
+        # the expectation family's closed form is the equality indicator, +inf
+        # wherever nu != mu: duality once ran each such pair's dual ascent to
+        # its 5,000-iteration budget, only to count the trial vacuous
+        solve, calls = consistency.dual_divergence, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(consistency, "dual_divergence", counted)
+        argv = ["search", "--spec", '{"family":"expectation"}', "--target", "duality", "--trials", "10", "--seed", "11"]
+        assert cli.main(argv) == 0
+        # the output of the version that solved every pair
+        assert capsys.readouterr().out == (
+            '{"class_worst":null,"seed":11,"target":"duality","trials":10,"vacuous":10,'
+            '"worst_gap":null,"worst_instance":null,"worst_trial":null}\n'
+        )
+        assert calls == []
+        # a family whose closed form is finite on nu << mu still solves each
+        # pair once, and the worst one again when the search describes it
+        assert cli.main([*argv[:2], '{"family":"entropic","eta":1.0}', *argv[3:]]) == 0
+        assert len(calls) == 11 and json.loads(capsys.readouterr().out)["vacuous"] == 0
+
     def test_an_all_vacuous_check_is_inconclusive(self):
         # at sparsity 0.5 and sizes 12 every chain_rule instance of this
         # family has +inf on both sides, so no trial is judged
@@ -721,7 +750,7 @@ class TestCli:
         # the sweep once printed only "parameter,worst_gap": a value whose
         # trials gave NaN gaps printed a plain gap, as if it had passed
         def trials(risk, div, budget, start, stop):
-            return (TrialResult(math.nan if k == 1 else 0.5, False, None, {}) for k in range(start, stop))
+            return [math.nan if k == 1 else 0.5 for k in range(start, stop)]
 
         monkeypatch.setitem(CHECK_KINDS, "nan_probe", fake_kind("lower", trials))
         check = {"name": "np", "target": "nan_probe", "spec": {"family": "entropic", "eta": 1.0}, "trials": 5}
@@ -889,18 +918,17 @@ class TestCli:
 
 def _gap_probe(risk, div, budget, start, stop):
     """Gaps that depend only on the trial: NaN on every 37th."""
-    for k in range(start, stop):
-        yield TrialResult(math.nan if k % 37 == 5 else 1e-3 * (k % 11), False, None, {})
+    return [math.nan if k % 37 == 5 else 1e-3 * (k % 11) for k in range(start, stop)]
 
 
 def _refusing_probe(error):
-    """A kind that raises error(message) from trial 100 on."""
+    """A kind that raises error(message) from trial 100 on, naming the first trial of its block it refuses."""
 
     def trials(risk, div, budget, start, stop):
-        for k in range(start, stop):
-            if k >= 100:
-                raise error(f"trial {k} refused")
-            yield TrialResult(0.0, False, None, {})
+        refused = max(start, 100)
+        if refused < stop:
+            raise error(f"trial {refused} refused")
+        return [0.0] * (stop - start)
 
     return fake_kind("abs", trials)
 

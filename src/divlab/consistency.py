@@ -24,8 +24,9 @@ with seed s draws the stream of ``numpy.random.default_rng([s, k])``, so any
 reported instance replays exactly from (seed, trial) and results do not
 depend on how trials are split into blocks, nor on which process runs a
 block. ``run_trials`` sizes its blocks by the instance, at most
-BLOCK_ENTRIES padded entries each, and a pool gives each worker one
-contiguous span of a budget's trials (see ``_trial_stats``). A reported
+BLOCK_ENTRIES padded entries each, and with a pool this process and each
+worker run one contiguous span of a budget's trials (see
+``_trial_stats``). A reported
 instance also replays from its document: ``CHECK_KINDS[kind].replay(risk,
 div, doc)`` reads it back and gives the gap bits of its trial. A block does
 not build a generator per trial: ``_trial_rngs`` computes the PCG64 states
@@ -63,8 +64,10 @@ are "vacuous" and excluded from statistics but counted. A
 sparsity; every other parameter of the samplers is a module constant. The
 kinds that draw laws on distinct grid values (``shift_convexity``,
 ``property_s``, ``mixture_convexity``, ``dist_concavity``) refuse sizes
-above the grid's 41 points, and the kinds checked against the grid oracle
-(``lemma_identity``, ``key_identity``) refuse sizes above its 4 atoms.
+above the grid's 41 points, the kinds checked against the grid oracle
+(``lemma_identity``, ``key_identity``) refuse sizes above its 4 atoms, and
+the nine kinds whose samplers draw no keep mask refuse a nonzero sparsity
+(``CheckKind.sparse``).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain
@@ -1769,6 +1772,8 @@ class CheckKind:
     reverse inequality, whose gaps ``trial`` and ``replay`` negate.
     ``grid_sizes`` names the sizes, "E" or "F", that count atoms of distinct
     values drawn from VALUE_GRID, so they may not exceed its 41 points.
+    ``sparse`` marks a kind whose sampler applies the budget's sparsity;
+    the others draw no keep mask and refuse a nonzero sparsity.
     ``oracle`` marks a kind checked against the grid oracle, whose sizes may
     not exceed its _ORACLE_ATOMS atoms per axis.
     """
@@ -1780,6 +1785,7 @@ class CheckKind:
     serialize: Callable
     read: Callable
     grid_sizes: str = ""
+    sparse: bool = True
     negate: bool = False
     oracle: bool = False
 
@@ -1798,7 +1804,9 @@ class CheckKind:
         return abs(gap) if self.side == "abs" else -gap
 
     def check_budget(self, budget: SearchBudget, what: str) -> None:
-        """ConfigParseError if a size of the budget exceeds what this kind's sampler can draw."""
+        """ConfigParseError if a size or the sparsity of the budget is more than this kind's sampler can draw."""
+        if not self.sparse and budget.sparsity != 0.0:
+            raise ConfigParseError(f"{what} draws no sparse laws: sparsity must be 0, got {budget.sparsity!r}")
         for axis, size in zip("EF", (budget.max_e, budget.max_f)):
             if self.oracle and size > _ORACLE_ATOMS:
                 limit = f"size {axis} must be at most {_ORACLE_ATOMS}, got {size}"
@@ -1818,14 +1826,16 @@ def _conditional_kind(side: str, weak: bool = False, negate: bool = False) -> Ch
     return CheckKind(side, "risk", _CONDITIONAL, evaluate, _conditional_json, read, negate=negate)
 
 
-def _chain_kind(side: str, sampler: _Sampler, link: str, gaps: Callable = _pair_gaps, serialize=_chain_json):
+def _chain_kind(
+    side: str, sampler: _Sampler, link: str, gaps: Callable = _pair_gaps, serialize=_chain_json, sparse=True
+):
     read = partial(_chain_replay, link=link, gaps=gaps)
-    return CheckKind(side, "div", sampler, partial(_chain_trials, gaps=gaps), serialize, read)
+    return CheckKind(side, "div", sampler, partial(_chain_trials, gaps=gaps), serialize, read, sparse=sparse)
 
 
 def _probe_kind(laws: _Sampler, lotteries: Callable, serialize, read, grid_sizes: str = "F", marginal=True):
     evaluate = partial(_probe_trials, lotteries=lotteries, marginal=marginal)
-    return CheckKind("lower", "risk", laws, evaluate, serialize, read, grid_sizes)
+    return CheckKind("lower", "risk", laws, evaluate, serialize, read, grid_sizes, sparse=False)
 
 
 CHECK_KINDS: dict[str, CheckKind] = {
@@ -1850,17 +1860,20 @@ CHECK_KINDS: dict[str, CheckKind] = {
         _MIXTURE_LAWS, _mixture_lotteries, _mixture_json, partial(_lottery_replay, shifted=False), marginal=False
     ),
     "joint_convexity": CheckKind(
-        "lower", "div", _CONVEXITY, _joint_convexity_trials, _convexity_json, _convexity_replay
+        "lower", "div", _CONVEXITY, _joint_convexity_trials, _convexity_json, _convexity_replay, sparse=False
     ),
     "dist_concavity": CheckKind(
-        "lower", "risk", _CONCAVITY, _dist_concavity_trials, _concavity_json, _concavity_replay, "E"
+        "lower", "risk", _CONCAVITY, _dist_concavity_trials, _concavity_json, _concavity_replay, "E", sparse=False
     ),
-    "sufficiency_matched": _chain_kind("abs", _configured(_draw_sufficiency, _finish_sufficiency, matched=True), "map"),
+    "sufficiency_matched": _chain_kind(
+        "abs", _configured(_draw_sufficiency, _finish_sufficiency, matched=True), "map", sparse=False
+    ),
     "sufficiency_generic": _chain_kind(
-        "lower", _configured(_draw_sufficiency, _finish_sufficiency, matched=False), "map"
+        "lower", _configured(_draw_sufficiency, _finish_sufficiency, matched=False), "map", sparse=False
     ),
     "refinement": _chain_kind(
-        "lower", _Sampler(_draw_refinement, _finish_refinement), "maps", _refinement_gaps, _refinement_json
+        "lower", _Sampler(_draw_refinement, _finish_refinement), "maps", _refinement_gaps, _refinement_json,
+        sparse=False,
     ),
     "lemma_identity": CheckKind(
         "abs", "risk", _SMALL_PRODUCT, _lemma_identity_trials, _product_json, _lemma_replay, oracle=True
@@ -1868,7 +1881,7 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "key_identity": CheckKind(
         "abs", "risk", _SMALL_CONDITIONAL, _key_identity_trials, _conditional_json, _key_identity_replay, oracle=True
     ),
-    "lebesgue": CheckKind("abs", "risk", _LEBESGUE, _lebesgue_trials, _lebesgue_json, _lebesgue_replay),
+    "lebesgue": CheckKind("abs", "risk", _LEBESGUE, _lebesgue_trials, _lebesgue_json, _lebesgue_replay, sparse=False),
 }
 
 
@@ -2009,22 +2022,34 @@ def _trial_stats(
     risk: RiskSpec | None,
     div: DivergenceSpec | None,
     budget: SearchBudget,
-    pool=None,
+    pool: list[_Worker] | None = None,
 ) -> TrialStats:
     """run_trials over every trial of the budget.
 
     Without a pool this is one run_trials call over [0, trials). With a pool
-    the trials are cut into one contiguous span per worker (one per usable
-    core, as the pool has), each a task, merged in order. A trial's gap does
-    not depend on its block and merging is exact, so the result is the same
-    with and without a pool.
+    of cores - 1 workers the trials are cut into one contiguous span per
+    usable core: this process sends spans 1, 2, ... to the workers, one
+    each, runs span 0 itself, then receives the other spans in span order
+    and merges them. A trial's gap does not depend on its block and merging
+    is exact, so the result is the same with and without a pool. Errors
+    surface in span order, as in one process: one in span 0 first, then a
+    worker's, raised again here with the worker's formatted traceback as its
+    ``__cause__``, or a RuntimeError for a worker that died during its span.
+    The other spans' replies are then left unread: ``_trial_pool``
+    terminates the workers as the error leaves its block, so a pool that
+    raised once runs nothing more.
     """
     if pool is None:
         return run_trials(kind, risk, div, budget, 0, budget.trials)
-    spans = max(1, min(budget.trials, _usable_cores()))
+    spans = max(1, min(budget.trials, len(pool) + 1))
     bounds = [budget.trials * i // spans for i in range(spans + 1)]
-    parts = pool.map(partial(run_trials, kind, risk, div, budget), bounds[:-1], bounds[1:])
-    return reduce(TrialStats.merge, parts, TrialStats())
+    sent = list(zip(pool, bounds[1:], bounds[2:]))
+    for worker, start, stop in sent:
+        worker.pipe.send((kind, risk, div, budget, start, stop))
+    parts = [run_trials(kind, risk, div, budget, 0, bounds[1])]
+    for worker, start, stop in sent:
+        parts.append(worker.receive(f"trials [{start}, {stop}) of {kind!r}"))
+    return reduce(TrialStats.merge, parts)
 
 
 def _usable_cores() -> int:
@@ -2034,19 +2059,77 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, the ``__cause__`` of the exception raised again in the parent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _Worker(NamedTuple):
+    """A forked span worker and the parent's end of its pipe."""
+
+    process: multiprocessing.process.BaseProcess
+    pipe: multiprocessing.connection.Connection
+
+    def receive(self, span: str) -> TrialStats:
+        """The TrialStats of the span sent last; its exception, raised again; or a RuntimeError if the worker died."""
+        try:
+            result, trace = self.pipe.recv()
+        except (EOFError, OSError):
+            self.process.join(1.0)
+            raise RuntimeError(
+                f"span worker {self.process.pid} exited with code {self.process.exitcode} during {span}"
+            ) from None
+        if trace is not None:
+            raise result from _RemoteTraceback(trace)
+        return result
+
+
+def _span_worker(pipe, inherited) -> None:
+    """A worker's loop: run each span that arrives on pipe and send back its TrialStats or its exception.
+
+    It ends on the sentinel None, or when the parent is gone (EOF). It closes
+    the parent's ends of the pipes it inherited, its own included, so that
+    the parent's exit reads here as EOF, and it ignores SIGINT: on Ctrl-C the
+    parent, which gets the same signal, terminates it.
+    """
+    import signal  # imported here, so that a run without a pool never pays for it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            task = pipe.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        try:
+            reply = (run_trials(*task), None)
+        except Exception as exc:
+            import traceback  # imported here, on the error path only
+
+            reply = (exc, traceback.format_exc())
+        pipe.send(reply)
+
+
 @contextmanager
 def _trial_pool(budgets: Iterable[SearchBudget]):
-    """A process pool with one worker per usable core for a run of these budgets, or None.
+    """cores - 1 forked span workers for a run of these budgets, or None.
 
-    ``_trial_stats`` gives each worker one contiguous span of a budget's
-    trials. The pool opens only where it can help and forking is safe: at
-    least two usable cores, some budget of more than POOL_MIN_TRIALS
-    trials, no other thread in this process (a forked child gets a copy of
-    every lock, held ones too), the "fork" start method, and a process that
-    is not a daemon (a daemon may have no children). Its workers are forked,
-    so they see the kinds and specs of this process as they are. It shuts
-    down when the block ends, cancelling the spans still queued if the block
-    raises, so no worker outlives the run.
+    ``_trial_stats`` cuts each budget into one contiguous span per usable
+    core; this process runs span 0 and each worker one other span, over
+    its own pipe. The pool opens only where it can help and forking is
+    safe: at least two usable cores, some budget of more than
+    POOL_MIN_TRIALS trials, no other thread in this process (a forked child
+    gets a copy of every lock, held ones too), the "fork" start method, and
+    a process that is not a daemon (a daemon may have no children). Its
+    workers are forked, so they see the kinds and specs of this process as
+    they are. When the block ends each worker gets the sentinel None and is
+    joined; if the block raises, the workers are terminated and joined
+    instead, so no worker outlives the run.
     """
     cores = _usable_cores()
     context = None
@@ -2058,14 +2141,28 @@ def _trial_pool(budgets: Iterable[SearchBudget]):
     if context is None:
         yield None
         return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(cores, mp_context=context) as pool:
-        try:
-            yield pool
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    pool: list[_Worker] = []
+    try:
+        for _ in range(cores - 1):
+            ours, theirs = context.Pipe()
+            inherited = [w.pipe for w in pool] + [ours]
+            process = context.Process(target=_span_worker, args=(theirs, inherited), daemon=True)
+            process.start()
+            pool.append(_Worker(process, ours))
+            theirs.close()
+        yield pool
+    except BaseException:
+        for worker in pool:
+            worker.process.terminate()
+        raise
+    else:
+        for worker in pool:
+            with suppress(OSError):  # a worker that died has closed its end
+                worker.pipe.send(None)
+    finally:
+        for worker in pool:
+            worker.process.join()
+            worker.pipe.close()
 
 
 def describe_trial(
@@ -2135,8 +2232,9 @@ def counterexample_search(
 
     Deterministic given the budget seed; the returned instance replays from
     (seed, trial). With zero trials the result is empty and carries no
-    verdict. The trials run on every usable core (see ``_trial_pool``), with
-    the same result as in one process.
+    verdict. The trials run on every usable core, span 0 in this process
+    and one span on each forked worker (see ``_trial_pool``), with the same
+    result, and the same error in the same order, as in one process.
     """
     check_kind(target).check_budget(budget, f"target {target!r}")
     div = resolve_divergence(target, spec, divergence)

@@ -223,8 +223,10 @@ def run_check(check: CheckSpec, pool=None) -> CheckReport:
 
     The trials run in this process, in blocks sized by the instance (see
     ``run_trials``), or, when ``pool`` is given (see ``run_suite``), as one
-    contiguous span per worker of the pool; the report is the same bytes
-    either way.
+    contiguous span per usable core: this process runs span 0 and each
+    worker one other span, all started and received within this call. The
+    report is the same bytes either way, and an error surfaces as in one
+    process, the lowest span's first (see ``_trial_stats``).
     """
     div = resolve_divergence(check.target, check.risk, check.divergence)
     budget = check.budget
@@ -253,11 +255,13 @@ def run_check(check: CheckSpec, pool=None) -> CheckReport:
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run every check in order; an empty suite yields an empty report.
 
-    One process pool, with a worker per usable core, serves every check of
-    the suite, each check's trials cut into one contiguous span per worker;
-    it opens only when some check has more than POOL_MIN_TRIALS
-    trials and the platform can fork, and it is shut down before this
-    returns or raises. Reports are byte-identical with any number of workers.
+    One pool of cores - 1 forked workers serves every check of the suite,
+    each check's trials cut into one contiguous span per usable core, span 0
+    run in this process (see ``_trial_pool``); it opens only when some check
+    has more than POOL_MIN_TRIALS trials and the platform can fork. Before
+    this returns each worker gets the sentinel and is joined; before it
+    raises the workers are terminated and joined. Reports are
+    byte-identical with any number of workers.
     """
     with _trial_pool(c.budget for c in config.checks) as pool:
         return [run_check(c, pool) for c in config.checks]

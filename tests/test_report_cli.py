@@ -4,9 +4,11 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -67,6 +69,13 @@ def entropic_check(name="tc", trials=100, seed=5, target="time_consistency"):
         risk=RiskSpec.entropic(1.0),
         tolerances=Tolerances(noise=1e-8, violation=1e-4),
     )
+
+
+# the kinds whose samplers draw no keep mask, so that they refuse a nonzero sparsity
+WITHOUT_SPARSITY = [
+    "shift_convexity", "property_s", "mixture_convexity", "joint_convexity", "dist_concavity",
+    "sufficiency_matched", "sufficiency_generic", "refinement", "lebesgue",
+]
 
 
 class TestCanonicalJson:
@@ -424,6 +433,28 @@ class TestSuiteConfig:
         doc = {"name": "o", "target": target, "spec": {"family": "entropic", "eta": 1.0}, "sizes": {"E": 4, "F": 4},
                "trials": 2}
         assert run_check(CheckSpec.from_json(doc)).trials == 2
+
+    def test_nine_kinds_draw_no_sparse_laws(self):
+        assert sorted(k for k, entry in CHECK_KINDS.items() if not entry.sparse) == sorted(WITHOUT_SPARSITY)
+
+    @pytest.mark.parametrize("target", WITHOUT_SPARSITY)
+    def test_a_sparsity_the_kind_ignores_is_refused(self, target):
+        # these kinds draw no keep mask, so a check at sparsity 0.5 once ran
+        # the instances of sparsity 0 under a config that said otherwise
+        doc = {"name": "s", "target": target, "spec": {"family": "entropic", "eta": 1.0}, "sparsity": 0.5}
+        with pytest.raises(ConfigParseError, match=r"^check 's' draws no sparse laws: sparsity must be 0, got 0.5$"):
+            CheckSpec.from_json(doc)
+        budget = SearchBudget(trials=40, seed=3, max_e=4, max_f=4, sparsity=0.5)
+        risk = RiskSpec.entropic(1.0)
+        with pytest.raises(ConfigParseError, match=f"^target '{target}' draws no sparse laws"):
+            counterexample_search(risk, budget, target)
+        assert CheckSpec.from_json({**doc, "sparsity": 0.0}).budget.sparsity == 0.0
+        # the refused value was ignored: the trials are the same at sparsity 0
+        div = resolve_divergence(target, risk, None)
+        dense = replace(budget, sparsity=0.0)
+        assert consistency.run_trials(target, risk, div, budget, 0, 40) == consistency.run_trials(
+            target, risk, div, dense, 0, 40
+        )
 
     @pytest.mark.parametrize("tolerances", [
         {"noise": 0.0, "violation": math.inf},
@@ -921,16 +952,32 @@ def _gap_probe(risk, div, budget, start, stop):
     return [math.nan if k % 37 == 5 else 1e-3 * (k % 11) for k in range(start, stop)]
 
 
-def _refusing_probe(error):
-    """A kind that raises error(message) from trial 100 on, naming the first trial of its block it refuses."""
+def _refusing_probe(error, first=100):
+    """A kind that raises error(message) from trial ``first`` on, naming the first trial of its block it refuses."""
 
     def trials(risk, div, budget, start, stop):
-        refused = max(start, 100)
+        refused = max(start, first)
         if refused < stop:
             raise error(f"trial {refused} refused")
         return [0.0] * (stop - start)
 
     return fake_kind("abs", trials)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block runs longer than ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParallelRuns:
@@ -986,7 +1033,7 @@ class TestParallelRuns:
         assert pools[0] is not None and pools[1] is None
         assert emit_report(serial, "json", "-") == parallel
         chain, pp2, probe, small = serial
-        # on two workers each check is two spans: the pp2 violation, trial
+        # on two cores each check is two spans: the pp2 violation, trial
         # 116, sits in the first of [0, 125) and [125, 250), and both spans
         # of the probe, [0, 115) and [115, 230), hold NaN gaps
         assert (pp2.verdict, pp2.worst_trial, chain.verdict) == ("violation", 116, "pass")
@@ -995,7 +1042,7 @@ class TestParallelRuns:
         assert small.trials == 40
 
     @pytest.mark.parametrize("size", [3, 12])
-    def test_a_pool_gets_one_span_per_worker(self, size):
+    def test_a_pool_gets_one_span_per_worker(self, monkeypatch, size):
         # at sizes 3 a block holds 1,600 trials, more than a span; at sizes
         # 12 it holds 100, so spans of 500 and 501 trials end on blocks of 0
         # and 1 trials
@@ -1004,21 +1051,38 @@ class TestParallelRuns:
         # zero tolerances make the check a violation, so that its report describes the worst trial
         check = CheckSpec(name="chain", target="chain_rule", budget=budget,
                           divergence=DivergenceSpec.relative_entropy(1.0), tolerances=Tolerances(0.0, 0.0))
-        spans = []
+        ran, sent = [], []
 
         class Recording:
-            def __init__(self, pool):
-                self.pool = pool
+            """A worker's pipe that records the span the parent sends on it."""
 
-            def map(self, fn, starts, stops):
-                spans.append(list(zip(starts, stops)))
-                return self.pool.map(fn, starts, stops)
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def send(self, task):
+                sent.append(task[-2:])
+                self.pipe.send(task)
+
+            def recv(self):
+                return self.pipe.recv()
+
+        run_trials = consistency.run_trials
+
+        def parents_span(kind, risk, div, budget, start, stop):
+            ran.append((start, stop))
+            return run_trials(kind, risk, div, budget, start, stop)
 
         with consistency._trial_pool([budget]) as pool:
-            pooled = consistency._trial_stats("chain_rule", None, check.divergence, budget, Recording(pool))
-            pooled_report = emit_report([run_check(check, Recording(pool))], "json", "-")
+            recording = [worker._replace(pipe=Recording(worker.pipe)) for worker in pool]
+            # patched after the fork, so only this process records the span it runs itself
+            with monkeypatch.context() as patch:
+                patch.setattr(consistency, "run_trials", parents_span)
+                pooled = consistency._trial_stats("chain_rule", None, check.divergence, budget, recording)
+                pooled_report = emit_report([run_check(check, recording)], "json", "-")
         workers = consistency._usable_cores()
-        assert spans == 2 * [[(1001 * i // workers, 1001 * (i + 1) // workers) for i in range(workers)]]
+        spans = [(1001 * i // workers, 1001 * (i + 1) // workers) for i in range(workers)]
+        assert len(pool) == workers - 1
+        assert ran == 2 * spans[:1] and sent == 2 * spans[1:]
         assert pooled == consistency.run_trials("chain_rule", None, check.divergence, budget, 0, 1001)
         assert pooled_report == emit_report([run_check(check)], "json", "-")
         assert json.loads(pooled_report)["checks"][0]["instance"]["trial"] == pooled.worst_trial
@@ -1088,9 +1152,74 @@ class TestParallelRuns:
         run_suite(self.suite(monkeypatch))
         assert pools[0] is not None
         assert multiprocessing.active_children() == []
-        monkeypatch.setitem(CHECK_KINDS, "refusing", _refusing_probe(RuntimeError))
+        # trial 200 lies past the first bound on any number of cores, in a worker's span
+        monkeypatch.setitem(CHECK_KINDS, "refusing", _refusing_probe(RuntimeError, first=200))
         refusing = replace(entropic_check(name="r", trials=300), target="refusing")
-        with pytest.raises(RuntimeError, match="trial 100 refused") as raised:
+        with pytest.raises(RuntimeError, match="trial 200 refused") as raised:
             run_suite(SuiteConfig(checks=(refusing,)))
         assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("first", [0, 150])
+    def test_worker_errors_surface_in_span_order(self, monkeypatch, pools, first):
+        # three spans of 100 trials on two workers; span 2's error arrives
+        # first, because span 1 sleeps before it raises, yet the lowest
+        # failing span's error is the one raised, span 0's when this
+        # process refuses its own span too
+        self.needs_pool()
+        monkeypatch.setattr(consistency, "_usable_cores", lambda: 3)
+
+        def trials(risk, div, budget, start, stop):
+            if start == 100:
+                time.sleep(0.5)
+            refused = max(start, first)
+            if refused < stop:
+                raise PreconditionViolatedError(f"trial {refused} refused")
+            return [0.0] * (stop - start)
+
+        monkeypatch.setitem(CHECK_KINDS, "refusing", fake_kind("abs", trials))
+        refusing = replace(entropic_check(name="r", trials=300), target="refusing")
+        with _deadline(60), pytest.raises(PreconditionViolatedError, match=f"^trial {first} refused$") as raised:
+            run_suite(SuiteConfig(checks=(refusing,)))
+        assert len(pools[0]) == 2
+        assert multiprocessing.active_children() == []
+        cause = raised.value.__cause__
+        if first == 0:  # raised in this process
+            assert cause is None
+        else:
+            assert type(cause).__name__ == "_RemoteTraceback"
+            assert str(cause).startswith("Traceback") and "in trials" in str(cause)
+            assert str(cause).rstrip().endswith("PreconditionViolatedError: trial 150 refused")
+
+    def test_an_interrupt_in_the_parents_span_stops_the_workers(self, monkeypatch, pools):
+        # the worker's span would sleep for a minute; the interrupt in span 0
+        # terminates and joins it at once instead of waiting for it
+        self.needs_pool()
+
+        def trials(risk, div, budget, start, stop):
+            if start == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return [0.0] * (stop - start)
+
+        monkeypatch.setitem(CHECK_KINDS, "slow", fake_kind("abs", trials))
+        slow = replace(entropic_check(name="s", trials=300), target="slow")
+        began = time.monotonic()
+        with _deadline(30), pytest.raises(KeyboardInterrupt):
+            run_suite(SuiteConfig(checks=(slow,)))
+        assert time.monotonic() - began < 20
+        assert pools[0] is not None and multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_mid_span_raises(self, monkeypatch, pools):
+        self.needs_pool()
+
+        def trials(risk, div, budget, start, stop):
+            if multiprocessing.parent_process() is not None:  # only ever in a worker
+                os._exit(3)
+            return [0.0] * (stop - start)
+
+        monkeypatch.setitem(CHECK_KINDS, "dying", fake_kind("abs", trials))
+        dying = replace(entropic_check(name="d", trials=300), target="dying")
+        with _deadline(30), pytest.raises(RuntimeError, match=r"span worker \d+ exited with code 3 during trials \["):
+            run_suite(SuiteConfig(checks=(dying,)))
         assert multiprocessing.active_children() == []

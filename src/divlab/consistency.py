@@ -40,10 +40,11 @@ draw step makes only the trial's draws, in the order of earlier versions.
 Its sizes, permutations, distinct grid values, payoff indices and the
 rare fallback index of a keep mask come from the trial's raw PCG64 words
 through ``_Words``, which takes numpy's own 32-bit steps: the bits are
-numpy's, without the cost of a Generator call each. Its standard
-exponentials and uniforms (keep masks too), which take whole 64-bit words,
-stay Generator calls, and so do payoff indices past _INTEGERS_LOOP_MAX
-values, one sized ``integers`` call once no half-word is kept.
+numpy's, without the cost of a Generator call each; so are its scalar
+uniforms, one raw word each. Exponential vectors with no draw between them
+share one Generator call. Sized uniforms, keep masks and payoff indices
+past _INTEGERS_LOOP_MAX values stay Generator calls, the last one sized
+``integers`` call once no half-word is kept.
 ``sample_product_instance`` and ``sample_conditional_instance``
 leave a caller's generator at the right word, but may drop the half-word
 it keeps for its next 32-bit draw. Once per block, the finish step does
@@ -282,15 +283,14 @@ def _trial_rngs(budget: SearchBudget, start: int, stop: int) -> Iterator[np.rand
     must take all its draws before its caller advances.
     """
     rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     while start < stop:
         end = min(stop, 1 << 32 * len(_uint32_words(start)))
         for state, inc in _pcg64_states(budget.seed, start, end):
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            pcg["state"], pcg["inc"] = state, inc
+            bit_generator.state = full
             yield rng
         start = end
 
@@ -368,6 +368,7 @@ _SPAN32 = 1 << 32  # the widest range that numpy's 32-bit Lemire method draws
 # the most values of a sized integers draw made here: past them numpy's own
 # call costs less than the loop (one core, numpy 2.4)
 _INTEGERS_LOOP_MAX = 12
+_DOUBLE_UNIT = 2.0**-53  # next_double's unit, a word's top 53 bits counting it
 
 
 def _handed_over():
@@ -375,9 +376,9 @@ def _handed_over():
 
 
 class _Words:
-    """One trial's PCG64 words, read for its 32-bit draws as numpy's Generator reads them.
+    """One trial's PCG64 words, read for its 32-bit draws and scalar uniforms as numpy's Generator reads them.
 
-    ``rng`` is the trial's generator; it makes the trial's 64-bit draws from
+    ``rng`` is the trial's generator; it makes the trial's other draws from
     the same words, in turn with these. ``kept`` is the upper half-word of
     the last word a 32-bit draw opened, which the next one takes first, or
     None; the generator starts without one (``_trial_rngs`` clears it) and
@@ -386,12 +387,24 @@ class _Words:
     keeps it: the reader refuses any later 32-bit draw of its own.
     """
 
-    __slots__ = ("rng", "_raw", "kept")
+    __slots__ = ("rng", "_word", "_raw", "kept")
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._raw = rng.bit_generator.random_raw
+        self.rng = None
+        self.bound(rng)
+
+    def bound(self, rng: np.random.Generator) -> _Words:
+        """The reader of rng's next trial: one reader serves a block."""
+        if rng is not self.rng:
+            self.rng = rng
+            self._word = rng.bit_generator.random_raw
+        self._raw = self._word
         self.kept = None
+        return self
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        """``rng.uniform(low, high)``, or ``rng.random()``: numpy's low + (high - low) * next_double, from a whole word."""
+        return low + (high - low) * ((self._word() >> 11) * _DOUBLE_UNIT)
 
     def _next32(self) -> int:
         kept = self.kept
@@ -515,7 +528,10 @@ def _configured(draw: Callable, finish: Callable, **options) -> _Sampler:
 
 def _finished(sampler: _Sampler, budget: SearchBudget, start: int, stop: int):
     """The finished block of trials [start, stop): each trial's draws from its stream in turn, then the arithmetic."""
-    return sampler.finish([sampler.draw(_Words(rng), budget) for rng in _trial_rngs(budget, start, stop)])
+    rngs = _trial_rngs(budget, start, stop)
+    words = _Words(next(rngs))
+    draw = sampler.draw
+    return sampler.finish([draw(words, budget), *(draw(words.bound(rng), budget) for rng in rngs)])
 
 
 def _finished_one(sampler: _Sampler, rng: np.random.Generator, budget: SearchBudget):
@@ -583,9 +599,14 @@ def _dirichlet(e: np.ndarray, size: np.ndarray) -> np.ndarray:
     return _normalized(e * (1.0 / np.where(total > 0.0, total, 1.0)), size)
 
 
+def _draws_keep_mask(sparsity: float) -> bool:
+    """Whether a law of this sparsity draws a keep mask: without one nothing is zeroed."""
+    return sparsity > 0.0
+
+
 def _keep_mask(words: _Words, n: int, sparsity: float) -> np.ndarray | None:
     """Which of n weights a sparse law keeps, at least one; None when nothing is zeroed."""
-    if sparsity <= 0.0:
+    if not _draws_keep_mask(sparsity):
         return None
     keep = words.rng.random(n) >= sparsity
     if not keep.any():
@@ -660,17 +681,21 @@ class _JointRaw(NamedTuple):
 
 
 def _draw_joint(words: _Words, budget: SearchBudget, payoffs: bool, cap: float = math.inf) -> _JointRaw:
-    """A joint instance of at most cap atoms per axis."""
+    """A joint instance of at most cap atoms per axis; its adjacent exponential vectors from one call."""
     rng = words.rng
     n_e = words.integer(2, min(budget.max_e, cap) + 1)
     n_f = words.integer(2, min(budget.max_f, cap) + 1)
-    if rng.random() < PRODUCT_FRACTION:
-        exps = (rng.standard_exponential(n_e), rng.standard_exponential(n_f))
-    else:
-        exps = (rng.standard_exponential(n_e * n_f),)
     n = n_e * n_f
-    keep = _keep_mask(words, n, budget.sparsity)
-    paired = words.integers(VALUE_GRID.size, n) if payoffs else rng.standard_exponential(n)
+    product = words.uniform() < PRODUCT_FRACTION
+    m = n_e + n_f if product else n  # the reference law's exponentials
+    if payoffs or _draws_keep_mask(budget.sparsity):
+        e = rng.standard_exponential(m)
+        keep = _keep_mask(words, n, budget.sparsity)
+        paired = words.integers(VALUE_GRID.size, n) if payoffs else rng.standard_exponential(n)
+    else:
+        e = rng.standard_exponential(m + n)
+        keep, paired = None, e[m:]
+    exps = (e[:n_e], e[n_e:m]) if product else (e[:m],)
     return _JointRaw(n_e, n_f, exps, keep, paired)
 
 
@@ -772,6 +797,9 @@ def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) 
 def _draw_pair(words: _Words, budget: SearchBudget) -> tuple:
     """(mu's exponentials, its keep mask, nu's exponentials) on one atom set."""
     n = words.integer(2, budget.max_e + 1)
+    if not _draws_keep_mask(budget.sparsity):
+        mu, nu = words.rng.standard_exponential((2, n))
+        return mu, None, nu
     mu = words.rng.standard_exponential(n)
     return mu, _keep_mask(words, n, budget.sparsity), words.rng.standard_exponential(n)
 
@@ -908,7 +936,7 @@ def _finish_refinement(raws: Sequence[tuple]) -> _ChainBlock:
 def _draw_convexity(words: _Words, budget: SearchBudget) -> tuple:
     """(the exponentials of mu1, nu1, mu2 and nu2 as a (4, n) array, t)."""
     n = words.integer(2, budget.max_e + 1)
-    return words.rng.standard_exponential((4, n)), float(words.rng.uniform(0.05, 0.95))
+    return words.rng.standard_exponential((4, n)), words.uniform(0.05, 0.95)
 
 
 class _ConvexityBlock(NamedTuple):
@@ -946,7 +974,7 @@ def _draw_concavity(words: _Words, budget: SearchBudget) -> tuple:
     n1 = words.integer(2, budget.max_e + 1)
     n2 = words.integer(2, budget.max_e + 1)
     m1, m2 = _draw_law(words, n1), _draw_law(words, n2)
-    return m1, m2, float(words.rng.uniform(0.05, 0.95))
+    return m1, m2, words.uniform(0.05, 0.95)
 
 
 class _ConcavityBlock(NamedTuple):
@@ -1804,7 +1832,11 @@ class CheckKind:
         return abs(gap) if self.side == "abs" else -gap
 
     def check_budget(self, budget: SearchBudget, what: str) -> None:
-        """ConfigParseError if a size or the sparsity of the budget is more than this kind's sampler can draw."""
+        """ConfigParseError if a size or the sparsity of the budget is more than this kind's sampler can draw.
+
+        Sizes are drawn from 2 up, but ``refinement`` draws 3 to max(4, E)
+        atoms and ``sufficiency_*`` 2 to max(3, E).
+        """
         if not self.sparse and budget.sparsity != 0.0:
             raise ConfigParseError(f"{what} draws no sparse laws: sparsity must be 0, got {budget.sparsity!r}")
         for axis, size in zip("EF", (budget.max_e, budget.max_f)):

@@ -1161,6 +1161,63 @@ class TestTrialWords:
             with pytest.raises(RuntimeError):
                 words.integer(0, 5)
 
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_scalar_uniforms(self, kept):
+        # one word, scaled as numpy's next_double and random_uniform scale it;
+        # a half-word kept before it stays kept for the next 32-bit draw
+        for seed in range(300):
+            words, rng = twins([seed, 17])
+            if kept:
+                assert words.integer(0, 5) == int(rng.integers(0, 5))
+            assert as_bits(words.uniform()) == as_bits(rng.random()), seed
+            assert as_bits(words.uniform(0.05, 0.95)) == as_bits(rng.uniform(0.05, 0.95)), seed
+            assert as_bits(words.uniform(0.25, 2.5)) == as_bits(rng.uniform(0.25, 2.5)), seed
+            assert (words.kept is not None) == kept
+            assert stream_position(words.rng, words) == stream_position(rng), seed
+            assert next_draws(words) == numpy_next_draws(rng)
+
+    def test_scalar_uniforms_at_the_extreme_words(self):
+        # word 0 gives 0.0 and low itself; 2**64 - 1 the largest double below 1
+        for word in (0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1):
+            for low, high in ((0.0, 1.0), (0.05, 0.95)):
+                words, rng = consistency._Words(forced(word)), forced(word)
+                assert as_bits(words.uniform(low, high)) == as_bits(rng.uniform(low, high)), word
+                assert stream_position(words.rng, words) == stream_position(rng)
+            words, rng = consistency._Words(forced(word)), forced(word)
+            assert as_bits(words.uniform()) == as_bits(rng.random()), word
+        assert consistency._Words(forced(0)).uniform() == 0.0
+        assert consistency._Words(forced(2**64 - 1)).uniform() == 1.0 - 2.0**-53
+
+    def test_scalar_uniforms_after_numpy_takes_the_stream(self):
+        # a sized draw past _INTEGERS_LOOP_MAX values hands the stream to
+        # numpy, which may keep a half-word: a uniform still reads the next
+        # whole word and leaves that half-word to numpy's next 32-bit draw
+        n = consistency._INTEGERS_LOOP_MAX + 5
+        for seed in range(40):
+            words, rng = twins(seed)
+            assert words.integer(0, 7) == int(rng.integers(0, 7))
+            assert as_bits(words.integers(VALUE_GRID.size, n)) == as_bits(rng.integers(0, VALUE_GRID.size, size=n))
+            assert as_bits(words.uniform(0.05, 0.95)) == as_bits(rng.uniform(0.05, 0.95)), seed
+            assert as_bits(words.uniform()) == as_bits(rng.random()), seed
+            assert stream_position(words.rng, words) == stream_position(rng)
+            assert int(words.rng.integers(0, 2**32)) == int(rng.integers(0, 2**32))
+            assert stream_position(words.rng, words) == stream_position(rng)
+
+    def test_a_rebound_reader_starts_afresh(self):
+        # one reader serves a block: rebound to each trial's generator, it
+        # drops the last trial's kept half-word and hand-over
+        budget = SearchBudget(trials=0, seed=5)
+        words = None
+        for k, rng in zip(range(30), consistency._trial_rngs(budget, 0, 30)):
+            words = consistency._Words(rng) if words is None else words.bound(rng)
+            old = budget.rng_for(k)
+            assert words.integer(0, 3) == int(old.integers(0, 3))
+            if k % 2:
+                words.integers(VALUE_GRID.size, consistency._INTEGERS_LOOP_MAX + 1)
+                old.integers(0, VALUE_GRID.size, size=consistency._INTEGERS_LOOP_MAX + 1)
+            assert as_bits(words.uniform()) == as_bits(old.random())
+            assert stream_position(words.rng, words) == stream_position(old), k
+
     def test_a_forced_word_is_the_next_output(self):
         for word in (0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1):
             assert forced(word).bit_generator.random_raw() == word

@@ -9,15 +9,7 @@ two together: duality, data processing, the chain rule and its one-sided
 relaxations, shift-convexity of acceptance sets, and time consistency.
 """
 
-from .consistency import (
-    CHECK_KINDS,
-    ConditionalInstance,
-    ProductInstance,
-    SearchBudget,
-    SearchResult,
-    consistency_gap,
-    counterexample_search,
-)
+from .consistency import SearchResult, counterexample_search
 from .divergence import (
     DivergenceSpec,
     DualSolveResult,
@@ -29,13 +21,8 @@ from .divergence import (
     shortfall_divergence,
 )
 from .errors import DivLabError
-from .losses import (
-    ConjugateTable,
-    LossFn,
-    UtilityFn,
-    check_log_subadditive,
-    check_oce_inequality,
-)
+from .kinds import CHECK_KINDS, consistency_gap
+from .losses import ConjugateTable, LossFn, UtilityFn
 from .prob import (
     FiniteDist,
     JointDist,
@@ -63,5 +50,7 @@ from .risk import (
     rho_of_law,
     rho_shortfall,
 )
+from .samplers import ConditionalInstance
+from .streams import SearchBudget
 
 __version__ = "0.1.0"

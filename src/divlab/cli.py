@@ -24,9 +24,10 @@ import math
 import sys
 from dataclasses import replace
 
-from .consistency import CHECK_KINDS, SearchBudget, _trial_pool, counterexample_search
+from .consistency import _trial_pool, counterexample_search
 from .divergence import DivergenceSpec
 from .errors import ConfigParseError, DivLabError, number_list
+from .kinds import CHECK_KINDS
 from .prob import FiniteDist, Partition
 from .report import (
     CheckSpec,
@@ -40,6 +41,7 @@ from .report import (
     write_text,
 )
 from .risk import RiskSpec, rho_conditional, rho_of_law
+from .streams import SearchBudget
 
 
 def _refuse_constant(name: str):

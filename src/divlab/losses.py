@@ -10,11 +10,6 @@ Built-in kinds carry exact conjugate formulas. Custom kinds are tabulated
 piecewise-linear functions extended beyond the table with their boundary
 slopes; their conjugates are exact maxima of affine functions (slope x_i,
 intercept -f(x_i)), equal to +inf outside the slope range of the table.
-
-The two structural checks at the bottom decide which side of the
-time-consistency dichotomy a function falls on: log-subadditivity of a loss
-(l(x+y) <= l(x) l(y)) and the multiplicative conjugate inequality for a
-utility (y phi*(x) + x phi*(y) <= phi*(xy), or the reverse).
 """
 
 from __future__ import annotations
@@ -352,78 +347,4 @@ def conjugate_table(fn: LossFn | UtilityFn) -> ConjugateTable:
         intercepts=tuple(float(-v) for v in ys),
         y_lo=float(slopes[0]),
         y_hi=float(slopes[-1]),
-    )
-
-
-@dataclass(frozen=True)
-class LogSubadditivityReport:
-    worst_violation: float
-    worst_pair: tuple[float, float]
-    passes: bool
-
-
-def check_log_subadditive(loss: LossFn, grid: Sequence[float], tol: float = 1e-10) -> LogSubadditivityReport:
-    """Largest excess of l(x+y) over l(x)*l(y) on the grid square."""
-    g = np.asarray(grid, dtype=float)
-    with np.errstate(over="ignore"):
-        lg = np.asarray(loss(g), dtype=float)
-        excess = np.asarray(loss(g[:, None] + g[None, :]), dtype=float) - lg[:, None] * lg[None, :]
-    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    worst = float(excess[i, j])
-    return LogSubadditivityReport(
-        worst_violation=worst,
-        worst_pair=(float(g[i]), float(g[j])),
-        passes=worst <= tol,
-    )
-
-
-@dataclass(frozen=True)
-class OceInequalityReport:
-    max_excess: float
-    min_excess: float
-    classification: str  # "superadditive", "subadditive", "additive", "neither"
-    worst_pair: tuple[float, float]
-
-
-def check_oce_inequality(utility: UtilityFn, grid: Sequence[float], tol: float = 1e-9) -> OceInequalityReport:
-    """Sign sweep of y*phi*(x) + x*phi*(y) - phi*(xy) over a grid in [0, inf).
-
-    A nonpositive sweep is compatible with superadditivity of the induced
-    divergence, a nonnegative one with subadditivity.
-    """
-    g = np.asarray(grid, dtype=float)
-    if np.any(g < 0):
-        raise NegativeArgumentError("grid must lie in [0, inf)")
-    star = np.asarray([utility.conjugate(float(v)) for v in g])
-
-    def _prod(a, b):
-        # extended-real convention 0 * inf = 0
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return a * b
-
-    max_excess = -math.inf
-    min_excess = math.inf
-    worst = (float(g[0]), float(g[0]))
-    for i, x in enumerate(g):
-        for j, y in enumerate(g):
-            lhs = _prod(float(y), star[i]) + _prod(float(x), star[j])
-            rhs = utility.conjugate(float(x) * float(y))
-            if math.isinf(lhs) and math.isinf(rhs):
-                continue  # vacuous pair
-            e = lhs - rhs
-            if e > max_excess:
-                max_excess = e
-                worst = (float(x), float(y))
-            min_excess = min(min_excess, e)
-    if max_excess <= tol and min_excess >= -tol:
-        cls = "additive"
-    elif max_excess <= tol:
-        cls = "superadditive"
-    elif min_excess >= -tol:
-        cls = "subadditive"
-    else:
-        cls = "neither"
-    return OceInequalityReport(
-        max_excess=max_excess, min_excess=min_excess, classification=cls, worst_pair=worst
     )

@@ -1,7 +1,7 @@
 """Suite configuration, check execution, and deterministic report emission.
 
 A suite is a list of named checks. Each check binds a risk spec and/or a
-divergence spec to a check kind from ``consistency.CHECK_KINDS``, a seeded
+divergence spec to a check kind from ``kinds.CHECK_KINDS``, a seeded
 sampling budget, and a two-tier tolerance: gaps inside the noise band are
 ignored, gaps beyond the violation threshold are defects, and the strip in
 between is "inconclusive, refine". A check that judged no trial, having none
@@ -22,24 +22,19 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
-from .consistency import (
-    SearchBudget,
-    TrialStats,
-    _trial_pool,
-    _trial_stats,
-    check_kind,
-    describe_trial,
-    resolve_divergence,
-)
+from .consistency import TrialStats, _trial_pool, _trial_stats, describe_trial
 from .divergence import DivergenceSpec
 from .errors import ConfigParseError, IoError, reject_unknown_keys, typed_field
+from .kinds import check_kind, resolve_divergence
 from .risk import RiskSpec
+from .streams import SearchBudget
 
 SCHEMA_VERSION = 1
 
@@ -296,9 +291,7 @@ def _emit_value(obj, out: list) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        import json as _json
-
-        out.append(_json.dumps(obj, ensure_ascii=False))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, Mapping):
         out.append("{")
         first = True

@@ -15,15 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from divlab.consistency import (
-    CHECK_KINDS,
-    SearchBudget,
-    counterexample_search,
-    describe_trial,
-    run_trials,
-    sample_product_instance,
-)
+from divlab.consistency import SearchBudget, counterexample_search, describe_trial, run_trials
 from divlab.divergence import DivergenceSpec, divergence_for_risk_spec
+from divlab.kinds import CHECK_KINDS
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist
 from divlab.risk import RiskSpec, rho_entropic, rho_oce, rho_shortfall
@@ -171,10 +165,12 @@ def test_criterion_08_weber_weak_consistency_and_mixture_convexity():
 def test_criterion_09_rowwise_integral_identity():
     spec = RiskSpec.entropic(1.0)
     budget = SearchBudget(trials=200, seed=901, max_e=4, max_f=4)
+    div = divergence_for_risk_spec(spec)
     worst = 0.0
     for trial in range(budget.trials):
-        inst = sample_product_instance(budget.rng_for(trial), budget)
-        gap = CHECK_KINDS["lemma_identity"].replay(spec, None, inst.as_json())
+        # the product instance that the product kinds draw for this trial
+        inst = describe_trial("chain_rule", None, div, budget, trial)["instance"]
+        gap = CHECK_KINDS["lemma_identity"].replay(spec, None, inst)
         assert gap is not None
         worst = max(worst, gap)
     assert worst <= 1e-5, f"integral identity gap {worst:.3e}"

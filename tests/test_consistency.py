@@ -10,13 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divlab import consistency
+from divlab import consistency, kinds, samplers, streams
 from divlab.consistency import (
-    CHECK_KINDS,
-    VALUE_GRID,
-    BlockResult,
-    CheckKind,
-    ProductInstance,
     SearchBudget,
     TrialStats,
     consistency_gap,
@@ -24,14 +19,15 @@ from divlab.consistency import (
     describe_trial,
     run_trials,
     sample_conditional_instance,
-    sample_product_instance,
 )
 from divlab.divergence import DivergenceSpec, divergence_for_risk_spec, relative_entropy
 from divlab.errors import ConfigParseError, PreconditionViolatedError
+from divlab.kinds import CHECK_KINDS, BlockResult, CheckKind
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import canonical_json
 from divlab.risk import RiskSpec, rho_conditional, rho_lifted, rho_of_law, rho_values
+from divlab.samplers import VALUE_GRID
 
 ENTROPIC = RiskSpec.entropic(1.0)
 RE = DivergenceSpec.relative_entropy(1.0)
@@ -150,7 +146,12 @@ def replay(kind, spec, doc):
 
 
 def product_doc(mu_bar, nu_bar):
-    return ProductInstance(mu_bar=mu_bar, nu_bar=nu_bar, is_product=False).as_json()
+    return {"mu_bar": mu_bar.as_json(), "nu_bar": nu_bar.as_json(), "is_product": False}
+
+
+def product_instance(budget, trial):
+    """The product instance document of a trial, as the product kinds draw and serialize it."""
+    return describe_trial("chain_rule", None, RE, budget, trial)["instance"]
 
 
 def conditional_doc(joint, values):
@@ -162,15 +163,15 @@ class TestSuperadditivityGap:
     def test_chain_rule_identity_on_random_instances(self):
         budget = SearchBudget(trials=300, seed=0, max_e=5, max_f=5)
         for trial in range(300):
-            inst = sample_product_instance(budget.rng_for(trial), budget)
-            assert abs(replay("chain_rule", RE, inst.as_json())) <= 1e-12
+            inst = product_instance(budget, trial)
+            assert abs(replay("chain_rule", RE, inst)) <= 1e-12
 
     def test_scaled_entropy_still_exact(self):
         budget = SearchBudget(trials=100, seed=1, max_e=4, max_f=4)
         div = DivergenceSpec.relative_entropy(2.0)
         for trial in range(100):
-            inst = sample_product_instance(budget.rng_for(trial), budget)
-            assert abs(replay("chain_rule", div, inst.as_json())) <= 1e-12
+            inst = product_instance(budget, trial)
+            assert abs(replay("chain_rule", div, inst)) <= 1e-12
 
     def test_equal_joints_give_zero(self):
         w = np.asarray([[0.2, 0.3], [0.1, 0.4]])
@@ -256,9 +257,10 @@ class TestWeakConsistencyGap:
     def test_equals_marginal_entropy_for_relative_entropy(self):
         budget = SearchBudget(trials=100, seed=5, max_e=4, max_f=4)
         for trial in range(100):
-            inst = sample_product_instance(budget.rng_for(trial), budget)
-            weak = replay("weak_consistency", RE, inst.as_json())
-            marg = relative_entropy(row_marginal(inst.nu_bar), row_marginal(inst.mu_bar))
+            inst = product_instance(budget, trial)
+            weak = replay("weak_consistency", RE, inst)
+            nu_bar, mu_bar = (JointDist.from_json(inst[key]) for key in ("nu_bar", "mu_bar"))
+            marg = relative_entropy(row_marginal(nu_bar), row_marginal(mu_bar))
             assert weak == pytest.approx(marg, abs=1e-10)
             assert weak >= -1e-12
 
@@ -270,9 +272,9 @@ class TestWeakConsistencyGap:
         budget = SearchBudget(trials=100, seed=6, max_e=4, max_f=4)
         div = DivergenceSpec.phi_star(UtilityFn.hinge_power(2.0))
         for trial in range(100):
-            inst = sample_product_instance(budget.rng_for(trial), budget)
-            sup = replay("superadditivity", div, inst.as_json())
-            weak = replay("weak_consistency", div, inst.as_json())
+            inst = product_instance(budget, trial)
+            sup = replay("superadditivity", div, inst)
+            weak = replay("weak_consistency", div, inst)
             if sup is None or weak is None:
                 continue
             assert sup <= weak + 1e-10
@@ -347,8 +349,8 @@ class TestIntegralLemma:
     def test_entropic_rowwise_duality(self):
         budget = SearchBudget(trials=40, seed=12, max_e=4, max_f=4)
         for trial in range(40):
-            inst = sample_product_instance(budget.rng_for(trial), budget)
-            assert replay("lemma_identity", ENTROPIC, inst.as_json()) <= 1e-5
+            inst = product_instance(budget, trial)
+            assert replay("lemma_identity", ENTROPIC, inst) <= 1e-5
 
     def test_single_row_reduces_to_plain_duality(self):
         nu_bar = JointDist(["a"], ["u", "v", "w"], [[0.5, 0.3, 0.2]])
@@ -604,9 +606,8 @@ class TestTrialMachinery:
         assert built == []
         doc = describe_trial(kind, risk, div, budget, stats.worst_trial)
         assert built
-        if kind in PRODUCT_KINDS + CONDITIONAL_KINDS:
-            sample = sample_product_instance if kind in PRODUCT_KINDS else sample_conditional_instance
-            assert doc["instance"] == sample(budget.rng_for(stats.worst_trial), budget).as_json()
+        if kind in CONDITIONAL_KINDS:
+            assert doc["instance"] == sample_conditional_instance(budget.rng_for(stats.worst_trial), budget).as_json()
 
     @pytest.mark.parametrize("sparsity", [0.0, 0.5])
     @pytest.mark.parametrize("size", [3, 12])
@@ -617,7 +618,7 @@ class TestTrialMachinery:
         budget = SearchBudget(trials=6, seed=27, max_e=size, max_f=size, sparsity=sparsity)
         solver = kind in ("duality", "lemma_identity", "key_identity")
         for spec in [ENTROPIC] if solver else [ENTROPIC, RiskSpec.shortfall(LossFn.power_plus(2.0))]:
-            div = consistency.resolve_divergence(kind, spec, None)
+            div = kinds.resolve_divergence(kind, spec, None)
             for trial in range(budget.trials):
                 doc = describe_trial(kind, spec, div, budget, trial)
                 if "instance" in doc:
@@ -643,7 +644,7 @@ class TestTrialMachinery:
 
     @pytest.mark.parametrize("kind, path, value", MALFORMED)
     def test_replay_refuses_a_malformed_document(self, kind, path, value):
-        div = consistency.resolve_divergence(kind, ENTROPIC, None)
+        div = kinds.resolve_divergence(kind, ENTROPIC, None)
         doc = json.loads(canonical_json(describe_trial(kind, ENTROPIC, div, SearchBudget(1, 30), 0)["instance"]))
         *parents, last = path
         node = reduce(getitem, parents, doc)
@@ -718,7 +719,7 @@ def legacy_sparsify(rng, w, sparsity):
 def legacy_draw_joint(rng, budget, payoffs):
     n_e = int(rng.integers(2, budget.max_e + 1))
     n_f = int(rng.integers(2, budget.max_f + 1))
-    is_product = bool(rng.random() < consistency.PRODUCT_FRACTION)
+    is_product = bool(rng.random() < samplers.PRODUCT_FRACTION)
     if is_product:
         w = np.outer(legacy_dirichlet(rng, n_e), legacy_dirichlet(rng, n_f))
     else:
@@ -827,8 +828,8 @@ def legacy_draw_mixture(rng, budget):
 
 def boundary_law(words, spec, n):
     """A law drawn from a trial's words as the probe kinds draw one and shifted onto rho = 0, as a block of one law."""
-    block = consistency._finish_laws([([consistency._draw_law(words, n)], None)])
-    shifted = consistency._on_boundary(spec, block)
+    block = samplers._finish_laws([([samplers._draw_law(words, n)], None)])
+    shifted = kinds._on_boundary(spec, block)
     return FiniteDist(shifted[0, :n].tolist(), block.weights[0, :n])
 
 
@@ -935,9 +936,9 @@ def stream_position(rng, words=None):
 
 # sampler name -> (the sampler, its legacy form, what a block evaluates of a trial, the same of a legacy draw)
 SAMPLERS = {
-    "product": (consistency._PRODUCT, partial(legacy_draw_joint, payoffs=False), joint_view, legacy_product_view),
+    "product": (samplers._PRODUCT, partial(legacy_draw_joint, payoffs=False), joint_view, legacy_product_view),
     "conditional": (
-        consistency._CONDITIONAL, partial(legacy_draw_joint, payoffs=True), joint_view, legacy_conditional_view
+        samplers._CONDITIONAL, partial(legacy_draw_joint, payoffs=True), joint_view, legacy_conditional_view
     ),
     **{
         kind: (CHECK_KINDS[kind].sampler, legacy, chain_view, legacy_chain_view)
@@ -949,12 +950,12 @@ SAMPLERS = {
             ("refinement", legacy_draw_refinement),
         ]
     },
-    "convexity": (consistency._CONVEXITY, legacy_draw_convexity, convexity_view, legacy_convexity_view),
-    "concavity": (consistency._CONCAVITY, legacy_draw_concavity, concavity_view, legacy_concavity_view),
-    "lebesgue": (consistency._LEBESGUE, legacy_draw_lebesgue, lebesgue_view, legacy_lebesgue_view),
-    "shift_convexity": (consistency._SHIFT_CONVEXITY_LAWS, legacy_draw_shift_convexity, laws_view, legacy_laws_view),
-    "property_s": (consistency._PROPERTY_S_LAWS, legacy_draw_property_s, laws_view, legacy_laws_view),
-    "mixture_convexity": (consistency._MIXTURE_LAWS, legacy_draw_mixture, laws_view, legacy_laws_view),
+    "convexity": (samplers._CONVEXITY, legacy_draw_convexity, convexity_view, legacy_convexity_view),
+    "concavity": (samplers._CONCAVITY, legacy_draw_concavity, concavity_view, legacy_concavity_view),
+    "lebesgue": (samplers._LEBESGUE, legacy_draw_lebesgue, lebesgue_view, legacy_lebesgue_view),
+    "shift_convexity": (samplers._SHIFT_CONVEXITY_LAWS, legacy_draw_shift_convexity, laws_view, legacy_laws_view),
+    "property_s": (samplers._PROPERTY_S_LAWS, legacy_draw_property_s, laws_view, legacy_laws_view),
+    "mixture_convexity": (samplers._MIXTURE_LAWS, legacy_draw_mixture, laws_view, legacy_laws_view),
 }
 # one seed above 2**32, where SeedSequence takes a second word
 STREAM_SEEDS = (0, 1, 101, 7919, 2**33 + 5)
@@ -968,7 +969,7 @@ class TestSamplerStream:
         for seed in STREAM_SEEDS:
             rng, legacy = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
             e = rng.standard_exponential(shape)
-            w = consistency._dirichlet(e[None], np.array([e.shape[-1]]))[0]
+            w = samplers._dirichlet(e[None], np.array([e.shape[-1]]))[0]
             assert as_bits(w) == as_bits(legacy_dirichlet(legacy, shape))
             assert rng.bit_generator.state == legacy.bit_generator.state
             payoffs = VALUE_GRID[rng.integers(0, VALUE_GRID.size, size=shape)]
@@ -980,8 +981,8 @@ class TestSamplerStream:
         rng, legacy = np.random.default_rng(5), np.random.default_rng(5)
         sizes = rng.integers(1, 41, size=200)
         legacy.integers(1, 41, size=200)
-        e = consistency._padded([rng.standard_exponential(n) for n in sizes])
-        w = consistency._dirichlet(e, sizes)
+        e = samplers._padded([rng.standard_exponential(n) for n in sizes])
+        w = samplers._dirichlet(e, sizes)
         for row, n in zip(w, sizes):
             assert as_bits(row[:n]) == as_bits(legacy_dirichlet(legacy, n)) and not row[n:].any()
 
@@ -997,7 +998,7 @@ class TestSamplerStream:
             for trials in (1, 7, 100):
                 raws, olds = [], []
                 for trial in range(3, 3 + trials):
-                    words, old = consistency._Words(budget.rng_for(trial)), budget.rng_for(trial)
+                    words, old = streams._Words(budget.rng_for(trial)), budget.rng_for(trial)
                     raws.append(new.draw(words, budget))
                     olds.append(legacy(old, budget))
                     assert stream_position(words.rng, words) == stream_position(old), (seed, trial)
@@ -1013,7 +1014,7 @@ class TestSamplerStream:
         for seed in STREAM_SEEDS:
             budget = SearchBudget(trials=0, seed=seed)
             for n in range(2, 13):
-                words, old = consistency._Words(budget.rng_for(n)), budget.rng_for(n)
+                words, old = streams._Words(budget.rng_for(n)), budget.rng_for(n)
                 new = boundary_law(words, ENTROPIC, n)
                 assert as_bits(new) == as_bits(legacy_boundary_law(old, ENTROPIC, n))
                 assert stream_position(words.rng, words) == stream_position(old)
@@ -1033,8 +1034,8 @@ class TestSamplerStream:
         # bits of the 1-D sum of that row's own entries
         rng = np.random.default_rng(1)
         sizes = rng.integers(1, 30, size=120)
-        x = consistency._padded([rng.standard_exponential((3, n)) for n in sizes])
-        sums = consistency._row_sums(x, sizes)
+        x = samplers._padded([rng.standard_exponential((3, n)) for n in sizes])
+        sums = samplers._row_sums(x, sizes)
         assert [s.tobytes() for s in sums.reshape(-1)] == [
             row[:n].sum().tobytes() for trial, n in zip(x, sizes) for row in trial
         ]
@@ -1047,7 +1048,7 @@ def forced(word, inc=0x5851F42D4C957F2D):
     halves of s', rotated by the top 6 bits of s'. A state s' whose upper
     half is 0 outputs its lower half, so s = (word - inc) * mult^-1 mod 2**128.
     """
-    state = (word - inc) * pow(consistency._PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    state = (word - inc) * pow(streams._PCG64_MULT, -1, 1 << 128) % (1 << 128)
     rng = np.random.Generator(np.random.PCG64(0))
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -1060,7 +1061,7 @@ def forced(word, inc=0x5851F42D4C957F2D):
 
 def twins(seed):
     """A trial's generator read through a reader, and its twin that numpy reads."""
-    return consistency._Words(np.random.default_rng(seed)), np.random.default_rng(seed)
+    return streams._Words(np.random.default_rng(seed)), np.random.default_rng(seed)
 
 
 def next_draws(words):
@@ -1152,7 +1153,7 @@ class TestTrialWords:
             got = words.integers(VALUE_GRID.size, n)
             assert as_bits(got) == as_bits(rng.integers(0, VALUE_GRID.size, size=n))
             assert stream_position(words.rng, words) == stream_position(rng)
-            if n <= consistency._INTEGERS_LOOP_MAX:
+            if n <= streams._INTEGERS_LOOP_MAX:
                 assert next_draws(words) == numpy_next_draws(rng)
                 continue
             assert as_bits(words.rng.standard_exponential(3)) == as_bits(rng.standard_exponential(3))
@@ -1180,19 +1181,19 @@ class TestTrialWords:
         # word 0 gives 0.0 and low itself; 2**64 - 1 the largest double below 1
         for word in (0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1):
             for low, high in ((0.0, 1.0), (0.05, 0.95)):
-                words, rng = consistency._Words(forced(word)), forced(word)
+                words, rng = streams._Words(forced(word)), forced(word)
                 assert as_bits(words.uniform(low, high)) == as_bits(rng.uniform(low, high)), word
                 assert stream_position(words.rng, words) == stream_position(rng)
-            words, rng = consistency._Words(forced(word)), forced(word)
+            words, rng = streams._Words(forced(word)), forced(word)
             assert as_bits(words.uniform()) == as_bits(rng.random()), word
-        assert consistency._Words(forced(0)).uniform() == 0.0
-        assert consistency._Words(forced(2**64 - 1)).uniform() == 1.0 - 2.0**-53
+        assert streams._Words(forced(0)).uniform() == 0.0
+        assert streams._Words(forced(2**64 - 1)).uniform() == 1.0 - 2.0**-53
 
     def test_scalar_uniforms_after_numpy_takes_the_stream(self):
         # a sized draw past _INTEGERS_LOOP_MAX values hands the stream to
         # numpy, which may keep a half-word: a uniform still reads the next
         # whole word and leaves that half-word to numpy's next 32-bit draw
-        n = consistency._INTEGERS_LOOP_MAX + 5
+        n = streams._INTEGERS_LOOP_MAX + 5
         for seed in range(40):
             words, rng = twins(seed)
             assert words.integer(0, 7) == int(rng.integers(0, 7))
@@ -1208,13 +1209,13 @@ class TestTrialWords:
         # drops the last trial's kept half-word and hand-over
         budget = SearchBudget(trials=0, seed=5)
         words = None
-        for k, rng in zip(range(30), consistency._trial_rngs(budget, 0, 30)):
-            words = consistency._Words(rng) if words is None else words.bound(rng)
+        for k, rng in zip(range(30), streams._trial_rngs(budget, 0, 30)):
+            words = streams._Words(rng) if words is None else words.bound(rng)
             old = budget.rng_for(k)
             assert words.integer(0, 3) == int(old.integers(0, 3))
             if k % 2:
-                words.integers(VALUE_GRID.size, consistency._INTEGERS_LOOP_MAX + 1)
-                old.integers(0, VALUE_GRID.size, size=consistency._INTEGERS_LOOP_MAX + 1)
+                words.integers(VALUE_GRID.size, streams._INTEGERS_LOOP_MAX + 1)
+                old.integers(0, VALUE_GRID.size, size=streams._INTEGERS_LOOP_MAX + 1)
             assert as_bits(words.uniform()) == as_bits(old.random())
             assert stream_position(words.rng, words) == stream_position(old), k
 
@@ -1242,7 +1243,7 @@ class TestTrialWords:
         high = with_product(threshold)  # the upper half passes
         for k in sorted({0, threshold - 1, threshold, threshold + 1, span - 1}):
             word = high << 32 | with_product(k)
-            words, rng = consistency._Words(forced(word)), forced(word)
+            words, rng = streams._Words(forced(word)), forced(word)
             assert ours(words) == numpys(rng)
             assert words.kept == (None if k < threshold else high)  # a rejection takes both halves
             assert stream_position(words.rng, words) == stream_position(rng)
@@ -1255,7 +1256,7 @@ class TestTrialWords:
         mask = (1 << (n - 1).bit_length()) - 1
         for low in range(mask + 1):
             word = 0x9E3779B9 << 32 | 0xABCD0000 | low
-            words, rng = consistency._Words(forced(word)), forced(word)
+            words, rng = streams._Words(forced(word)), forced(word)
             assert words.permutation(n) == rng.permutation(n).tolist()
             assert stream_position(words.rng, words) == stream_position(rng)
             assert next_draws(words) == numpy_next_draws(rng)
@@ -1284,7 +1285,7 @@ class TestBlockSeeding:
         # range crosses k = 2**32, where k's word count changes
         budget = SearchBudget(trials=0, seed=seed)
         seen = 0
-        for k, rng in zip(range(first, stop), consistency._trial_rngs(budget, first, stop)):
+        for k, rng in zip(range(first, stop), streams._trial_rngs(budget, first, stop)):
             assert rng.bit_generator.state == np.random.default_rng([seed, k]).bit_generator.state, k
             # one float32 takes half of a 64-bit output and buffers the other
             # half, which the next trial's state must not inherit
@@ -1331,7 +1332,7 @@ class TestBlockPathBits:
     @pytest.mark.parametrize("kind", list(CHECK_KINDS))
     def test_trials_match_per_trial_generators(self, monkeypatch, kind, size, sparsity):
         budget = SearchBudget(trials=20, seed=11, max_e=size, max_f=size, sparsity=sparsity)
-        div = consistency.resolve_divergence(kind, ENTROPIC, None)
+        div = kinds.resolve_divergence(kind, ENTROPIC, None)
 
         def results():
             # gap bits, the vacuous, product and exhausted flags, and the drawn instance
@@ -1341,7 +1342,7 @@ class TestBlockPathBits:
 
         seeded = results()
         monkeypatch.setattr(
-            consistency, "_trial_rngs", lambda budget, start, stop: (budget.rng_for(k) for k in range(start, stop))
+            samplers, "_trial_rngs", lambda budget, start, stop: (budget.rng_for(k) for k in range(start, stop))
         )
         assert results() == seeded
 
@@ -1385,7 +1386,7 @@ def instance_digest(kind):
     entry = CHECK_KINDS[kind]
     pp2 = RiskSpec.shortfall(LossFn.power_plus(2.0))
     risk = RiskSpec.esssup() if kind in SOLVER_KINDS else pp2
-    div = consistency.resolve_divergence(kind, pp2, None)
+    div = kinds.resolve_divergence(kind, pp2, None)
     digest = hashlib.sha256()
     for size in (3, 4) if entry.oracle else (3, 12):
         for sparsity in (0.0, 0.5):
@@ -1442,7 +1443,7 @@ def report_digest(kind):
     entry = CHECK_KINDS[kind]
     pp2 = RiskSpec.shortfall(LossFn.power_plus(2.0))
     risk = RiskSpec.esssup() if kind in SOLVER_KINDS else pp2
-    div = consistency.resolve_divergence(kind, pp2, None)
+    div = kinds.resolve_divergence(kind, pp2, None)
     digest = hashlib.sha256()
     for size in (3, 4) if entry.oracle else (3, 12):
         for sparsity in (0.0, 0.5):
@@ -1564,7 +1565,7 @@ class TestArrayFold:
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(CHECK_KINDS, "folded", entry)
             # a block is the span of trials itself; blocks of `block` trials at sizes 3
-            mp.setattr(consistency, "_finished", lambda sampler, budget, start, stop: (start, stop))
+            mp.setattr(kinds, "_finished", lambda sampler, budget, start, stop: (start, stop))
             mp.setattr(consistency, "BLOCK_ENTRIES", block * 9)
             whole = run_trials("folded", None, None, budget, 0, n)
             merged = run_trials("folded", None, None, budget, 0, mid).merge(
@@ -1579,7 +1580,7 @@ class TestArrayFold:
     @example(lhs=math.inf, rhs=1.0)
     @example(lhs=1.0, rhs=2.0)
     def test_only_plus_infinity_on_both_sides_is_vacuous(self, lhs, rhs):
-        gap, vacuous = consistency._gap_of(np.array([lhs]), np.array([rhs]))
+        gap, vacuous = kinds._gap_of(np.array([lhs]), np.array([rhs]))
         if lhs == rhs == math.inf:
             assert vacuous[0]
         else:
@@ -1596,6 +1597,6 @@ class TestArrayFold:
             steps = [a - b for a, b in zip(values, values[1:]) if math.isfinite(a) and math.isfinite(b)]
             return (None, True) if not steps else (min(steps), False)
 
-        gap, vacuous = consistency._refinement_gaps(np.array(rows))
+        gap, vacuous = kinds._refinement_gaps(np.array(rows))
         got = [(None if v else g, v) for g, v in zip(gap.tolist(), vacuous.tolist())]
         assert result_bits(got) == result_bits([least_step(row) for row in rows])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.consistency import CHECK_KINDS, SearchBudget, run_trials
+from divlab.consistency import SearchBudget, run_trials
 from divlab.divergence import (
     DivergenceSpec,
     _chain_values,
@@ -17,6 +17,7 @@ from divlab.divergence import (
     shortfall_divergence,
 )
 from divlab.errors import ConfigParseError, NotAbsolutelyContinuousError, SpaceMismatchError
+from divlab.kinds import CHECK_KINDS
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, Kernel, uniform
 from divlab.risk import RiskSpec, rho_lifted

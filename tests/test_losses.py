@@ -13,8 +13,6 @@ from divlab.errors import (
 from divlab.losses import (
     LossFn,
     UtilityFn,
-    check_log_subadditive,
-    check_oce_inequality,
     conjugate_table,
 )
 
@@ -241,31 +239,7 @@ class TestUtilityConjugates:
         assert abs(phi.conjugate(1.0)) <= 1e-9
 
 
-class TestLogSubadditivity:
-    def test_exponential_passes_with_zero_violation(self):
-        grid = np.linspace(-3, 3, 25)
-        report = check_log_subadditive(LossFn.exponential(1.0), grid)
-        assert report.passes
-        assert abs(report.worst_violation) <= 1e-10
-
-    def test_power_plus_fails(self):
-        # l(-1) = 0 forces l(y) <= l(y-1) * l(1)... with a zero factor
-        grid = np.linspace(-3, 3, 25)
-        report = check_log_subadditive(LossFn.power_plus(2.0), grid)
-        assert not report.passes
-        assert report.worst_violation > 1e-3
-
-    def test_singleton_grid_is_trivially_fine(self):
-        report = check_log_subadditive(LossFn.power_plus(2.0), [0.0])
-        assert report.passes
-
-
 class TestOceInequality:
-    def test_ylogy_is_additive(self):
-        grid = np.linspace(0.0, 4.0, 17)
-        report = check_oce_inequality(UtilityFn.exp_shift(), grid)
-        assert report.classification == "additive"
-
     def test_pair_with_one_is_equality(self):
         phi = UtilityFn.hinge_power(2.0)
         # y*phi*(1) + 1*phi*(y) = phi*(y) exactly, by phi*(1) = 0
@@ -279,14 +253,3 @@ class TestOceInequality:
         lhs = y * phi.conjugate(x) + x * phi.conjugate(y)
         assert lhs == pytest.approx(4.0)
         assert phi.conjugate(x * y) == pytest.approx(9.0)
-
-    def test_squared_distance_is_neither(self):
-        # <= fails at (2, 0) and >= fails elsewhere, so the sweep lands on
-        # "neither" over a grid containing 0
-        grid = np.linspace(0.0, 4.0, 17)
-        report = check_oce_inequality(UtilityFn.hinge_power(2.0), grid)
-        assert report.classification == "neither"
-
-    def test_negative_grid_rejected(self):
-        with pytest.raises(NegativeArgumentError):
-            check_oce_inequality(UtilityFn.exp_shift(), [-1.0, 0.0])

@@ -15,17 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from divlab import cli, consistency, report
-from divlab.consistency import (
-    CHECK_KINDS,
-    BlockResult,
-    CheckKind,
-    SearchBudget,
-    counterexample_search,
-    resolve_divergence,
-)
+from divlab import cli, consistency, kinds, report
+from divlab.consistency import SearchBudget, counterexample_search
 from divlab.divergence import DivergenceSpec
 from divlab.errors import ConfigParseError, PreconditionViolatedError, UnknownFamilyError
+from divlab.kinds import CHECK_KINDS, BlockResult, CheckKind, resolve_divergence
 from divlab.losses import LossFn, UtilityFn
 from divlab.prob import FiniteDist, JointDist, Kernel, Partition, uniform
 from divlab.report import (
@@ -146,7 +140,7 @@ class TestReports:
     def test_exhausted_solve_fails_the_check(self, monkeypatch):
         # a dual solve that ran out of iterations once passed on its small
         # certified gap, as if the solver had converged
-        from divlab import consistency
+        from divlab import kinds
         from divlab.divergence import DualSolveResult
 
         def exhausted_solve(spec, nu, mu):
@@ -160,7 +154,7 @@ class TestReports:
         assert honest.verdict == "pass" and honest.exhausted == 0
         assert "exhausted" not in honest.as_json()
 
-        monkeypatch.setattr(consistency, "dual_divergence", exhausted_solve)
+        monkeypatch.setattr(kinds, "dual_divergence", exhausted_solve)
         report = run_check(check)
         assert (report.exhausted, report.worst_gap) == (3, 1e-12)
         assert report.verdict == "violation"
@@ -176,9 +170,9 @@ class TestReports:
         # so a trial whose solver ran out of iterations could still pass
         from dataclasses import replace
 
-        from divlab import consistency
+        from divlab import kinds
 
-        solve = consistency._dual_divergence_w
+        solve = kinds._dual_divergence_w
 
         def exhausted_solve(spec, nu_w, mu_w):
             return replace(solve(spec, nu_w, mu_w), budget_exhausted=True)
@@ -187,7 +181,7 @@ class TestReports:
         honest = run_check(check)
         assert honest.verdict == "pass" and honest.exhausted == 0
 
-        monkeypatch.setattr(consistency, "_dual_divergence_w", exhausted_solve)
+        monkeypatch.setattr(kinds, "_dual_divergence_w", exhausted_solve)
         report = run_check(check)
         assert (report.exhausted, report.worst_gap) == (3, honest.worst_gap)
         assert report.verdict == "violation"
@@ -604,13 +598,13 @@ class TestCli:
         # the expectation family's closed form is the equality indicator, +inf
         # wherever nu != mu: duality once ran each such pair's dual ascent to
         # its 5,000-iteration budget, only to count the trial vacuous
-        solve, calls = consistency.dual_divergence, []
+        solve, calls = kinds.dual_divergence, []
 
         def counted(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(consistency, "dual_divergence", counted)
+        monkeypatch.setattr(kinds, "dual_divergence", counted)
         argv = ["search", "--spec", '{"family":"expectation"}', "--target", "duality", "--trials", "10", "--seed", "11"]
         assert cli.main(argv) == 0
         # the output of the version that solved every pair

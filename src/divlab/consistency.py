@@ -92,7 +92,7 @@ class TrialStats:
         self.nan += int(np.count_nonzero(nan))
         if result.exhausted is not None:
             self.exhausted += int(np.count_nonzero(result.exhausted & judged))
-        ranked = np.flatnonzero(judged & ~nan)
+        ranked = (judged & ~nan).nonzero()[0]
         if not ranked.size:
             return
         gap = result.gap[ranked]
@@ -107,7 +107,7 @@ class TrialStats:
         for label, rows in sorted((("product", product), ("general", ~product)), key=lambda c: not c[1][0]):
             if not rows.any():
                 continue
-            k = np.flatnonzero(rows)[_first_largest(bad[rows])]
+            k = rows.nonzero()[0][_first_largest(bad[rows])]
             cur = self.class_worst.get(label)
             if cur is None or bad[k] > cur[0]:
                 self.class_worst[label] = (float(bad[k]), first + int(ranked[k]), float(gap[k]))

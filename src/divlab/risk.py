@@ -30,6 +30,7 @@ from .errors import (
     InvalidDensityError,
     InvalidPartitionError,
     LengthMismatchError,
+    NegativeWeightError,
     SpaceMismatchError,
     UnboundedObjectiveError,
     UnknownFamilyError,
@@ -257,7 +258,7 @@ def _atom_sum(terms: np.ndarray) -> np.ndarray:
     an exact zero leaves a float unchanged; np.sum adds pairwise from 8 atoms
     on, so padding would regroup it and change the bits.
     """
-    return np.cumsum(terms, axis=-1)[..., -1]
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def _entropic_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, eta: float) -> np.ndarray:
@@ -269,71 +270,81 @@ def _entropic_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, eta: float) -
 def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn) -> np.ndarray:
     """The smallest c with E[loss(X - c)] <= 1 for every law, by safeguarded Newton.
 
-    expected(c) is convex and nonincreasing in c, so a Newton step from the
-    left of the root never passes it: a Newton point at or past hi makes hi
-    the root, and one with expected <= 1 is the root itself. The start E[X]
-    is left of the root, as expected(E[X]) >= l(0) = 1 by Jensen. A step that
-    is not finite (overflow) or more than half the last one (slow progress)
-    becomes a bisection of [lo, hi]. Each law keeps its own bracket and step
-    under masks, and every way a law finishes leaves its root at hi: a Newton
-    point at or past hi, a step below the tolerance, an accepted Newton
-    point, a closed bisection or the iteration cap. The post-check reuses
-    e_hi, evaluating only the roots that a small step left unevaluated.
+    E[loss(X - c)] is convex and nonincreasing in c, so a Newton step from
+    the left of the root never passes it: a Newton point at or past hi makes
+    hi the root, and one with E <= 1 is the root itself. The bracket
+    [min X - 1, max X + 1] and the start E[X], clipped to it, are placed
+    without evaluating E, so E is taken at all three in one stacked loss
+    call, and the bracket is checked before any derivative is. By Jensen, E
+    at E[X] is at least l(0) = 1: the start becomes lo, or hi where E there
+    is at most 1.
+
+    Each law keeps its bracket, E at both ends and its step under masks, all
+    updated in place. A masked atom takes the value lo, so that at any
+    c >= lo its loss and slope are finite and its term is an exact zero,
+    never 0 * inf. Steps are taken from lo, with the loss and its derivative
+    evaluated on one x = X - c. The slope is nonnegative, and a step that is
+    not finite (an overflow, or a zero or infinite slope) or more than half
+    the last Newton step (slow progress) becomes a bisection of [lo, hi].
+    Every way a law finishes leaves its root at hi: a Newton point at or
+    past hi, a step below the tolerance, an accepted Newton point, a closed
+    bisection or the iteration cap. The post-check reuses E at hi,
+    evaluating only the roots that a small step left unevaluated.
     """
-
-    def expected(c: np.ndarray, rows=slice(None)) -> np.ndarray:
-        # masked terms are exact zeros, never 0 * inf from an overflowed loss
-        terms = np.where(pos[rows], loss(v[rows] - c[:, None]), 0.0)
-        return _atom_sum(w[rows] * terms)
-
-    def newton_step(c: np.ndarray, e_c: np.ndarray) -> np.ndarray:
-        slope = _atom_sum(w * np.where(pos, loss.derivative(v - c[:, None]), 0.0))
-        ok = (slope > 0.0) & (slope < math.inf)
-        return np.where(ok, (e_c - 1.0) / np.where(ok, slope, 1.0), math.inf)
-
     lo = np.where(pos, v, math.inf).min(axis=-1) - 1.0
     hi = np.where(pos, v, -math.inf).max(axis=-1) + 1.0
-    e_lo, e_hi = expected(lo), expected(hi)
-    if np.any(e_lo <= 1.0) or np.any(e_hi > 1.0 + 1e-12):
+    start = np.minimum(np.maximum(_atom_sum(w * v), lo), hi)
+    v = np.where(pos, v, lo[:, None])
+    e_lo, e_hi, e_start = _atom_sum(w * loss(v - np.array([lo, hi, start])[..., None]))
+    if (e_lo <= 1.0).any() or (e_hi > 1.0 + 1e-12).any():
         raise BracketFailureError(
             "E[loss(X - c)] does not cross 1 on the standard bracket; the loss violates l(0) = 1 < l(x > 0)"
         )
-    start = np.minimum(np.maximum(_atom_sum(w * v), lo), hi)
-    e_start = expected(start)
     left = e_start > 1.0
-    lo, e_lo = np.where(left, start, lo), np.where(left, e_start, e_lo)
-    hi, e_hi = np.where(left, hi, start), np.where(left, e_hi, e_start)
-    step = newton_step(lo, e_lo)
-    last = hi - lo
-    known = np.ones(lo.shape, dtype=bool)  # e_hi holds expected(hi)
+    np.copyto(lo, start, where=left)
+    np.copyto(e_lo, e_start, where=left)
+    right = ~left
+    np.copyto(hi, start, where=right)
+    np.copyto(e_hi, e_start, where=right)
+    last = hi - lo  # the last Newton step, at first the bracket's width
+    unevaluated = np.zeros(lo.shape, dtype=bool)  # hi set by a small step, e_hi not E there
     active = np.ones(lo.shape, dtype=bool)
-    for _ in range(_ROOT_MAX_ITER):
-        at_hi = active & np.isfinite(step) & (lo + step >= hi)
-        newton = active & ~at_hi & (step <= 0.5 * last)
-        small = newton & (step <= _ROOT_TOL)
-        c = np.where(newton, lo + step, 0.5 * (lo + hi))
-        hi = np.where(small, c, hi)
-        known &= ~small
-        active &= ~(at_hi | small)
-        if not active.any():
-            break
-        e_c = expected(c)
-        below = active & (e_c <= 1.0)
-        hi, e_hi = np.where(below, c, hi), np.where(below, e_c, e_hi)
-        moves_lo = active & ~below
-        lo, e_lo = np.where(moves_lo, c, lo), np.where(moves_lo, e_c, e_lo)
-        last = np.where(newton, step, last)
-        if moves_lo.any():
-            step = np.where(moves_lo, newton_step(lo, e_lo), step)
-        # an accepted Newton point or a closed bisection finishes
-        active &= ~np.where(newton, below, hi - lo <= _ROOT_TOL)
+    moves_lo = np.ones(lo.shape, dtype=bool)  # the laws whose lo is new: c, with E there in e_c
+    step = np.empty(lo.shape)
+    x, e_c = v - lo[:, None], e_lo  # x = X - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            # a zero slope gives an infinite step, and laws whose lo stayed keep theirs
+            slope = _atom_sum(w * loss.derivative(x))
+            np.copyto(step, np.where(slope < math.inf, (e_c - 1.0) / slope, math.inf), where=moves_lo)
+            ahead = lo + step
+            at_hi = active & np.isfinite(step) & (ahead >= hi)
+            newton = (active ^ at_hi) & (step <= 0.5 * last)
+            small = newton & (step <= _ROOT_TOL)
+            c = np.where(newton, ahead, 0.5 * (lo + hi))
+            np.copyto(hi, c, where=small)
+            unevaluated |= small
+            active ^= at_hi | small
+            if not active.any():
+                break
+            x = v - c[:, None]
+            e_c = _atom_sum(w * loss(x))
+            below = active & (e_c <= 1.0)
+            np.copyto(hi, c, where=below)
+            np.copyto(e_hi, e_c, where=below)
+            moves_lo = active ^ below
+            np.copyto(lo, c, where=moves_lo)
+            np.copyto(e_lo, e_c, where=moves_lo)
+            np.copyto(last, step, where=newton)
+            # an accepted Newton point or a closed bisection finishes
+            active &= np.where(newton, moves_lo, hi - lo > _ROOT_TOL)
     # a Newton step below _ROOT_TOL leaves its root unevaluated, or equal to lo
     # when the step is below half the float spacing there
-    e_hi = np.where(~known & (hi == lo), e_lo, e_hi)
-    rows = np.flatnonzero(~known & (hi != lo))
+    np.copyto(e_hi, e_lo, where=unevaluated & (hi == lo))
+    rows = (unevaluated & (hi != lo)).nonzero()[0]
     if rows.size:
-        e_hi[rows] = expected(hi[rows], rows)
-    if np.any(e_hi > 1.0 + 1e-9):
+        e_hi[rows] = _atom_sum(w[rows] * loss(v[rows] - hi[rows, None]))
+    if (e_hi > 1.0 + 1e-9).any():
         raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
     return hi
 
@@ -342,14 +353,16 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     """Risks of the B laws whose weights and values are the rows of (B, K) arrays.
 
     The one law-level evaluator: every other evaluation of a law-invariant
-    family is a batch of one of it. Each law needs an atom of positive
-    weight, and zero-weight atoms (also the zeros that pad shorter laws) are
-    masked out. Every sum over atoms adds them in a fixed order, one after
-    another, with masked atoms adding exact zeros, so a law's risk is the
-    same bits whatever the batch size, its position in the batch and its
-    padding. Shortfall runs its safeguarded Newton on all laws at once under
-    masks, with a bracket check and a post-check; OCE solves its laws one by
-    one.
+    family is a batch of one of it. Weights must be nonnegative (a negative
+    or NaN weight raises NegativeWeightError) and each law needs an atom of
+    positive weight; zero-weight atoms (also the zeros that pad shorter
+    laws) are masked out. The total mass is the caller's: weights are taken
+    as given, not renormalized. Every sum over atoms adds them in a fixed
+    order, one after another, with masked atoms adding exact zeros, so a
+    law's risk is the same bits whatever the batch size, its position in the
+    batch and its padding. Shortfall runs its safeguarded Newton on all laws
+    at once under masks, with a bracket check and a post-check; OCE solves
+    its laws one by one.
     """
     if spec.family == "coherent":
         raise UnsupportedFamilyError(
@@ -359,6 +372,8 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if W.ndim != 2 or W.shape != V.shape:
         raise LengthMismatchError(f"need (B, K) weights and values, got {W.shape} and {V.shape}")
+    if not (W >= 0.0).all():
+        raise NegativeWeightError("weights must be nonnegative numbers")
     pos = W > 0.0
     if not pos.any(axis=-1).all():
         raise ZeroTotalMassError("every law of a batch needs an atom of positive weight")

@@ -106,7 +106,7 @@ def _slices(x: np.ndarray, offset: np.ndarray, length: np.ndarray) -> np.ndarray
     """x[b, offset[b] : offset[b] + length[b]] for each row b of x, zero-padded to the longest."""
     k = np.arange(int(length.max()))
     at = np.minimum(offset[:, None] + k, x.shape[1] - 1)
-    return np.where(k < length[:, None], np.take_along_axis(x, at, 1), 0)
+    return np.where(k < length[:, None], x[np.arange(len(x))[:, None], at], 0)
 
 
 def _unflattened(flat: np.ndarray, n_rows, n_cols: np.ndarray) -> np.ndarray:
@@ -244,7 +244,7 @@ def _surjections(rows: _Rows, sel: np.ndarray, n_from: np.ndarray, n_to: np.ndar
 
 def _sizes(rows: _Rows, sel: np.ndarray, *highs: int) -> np.ndarray:
     """``rng.integers(2, high)`` for each high in turn, (K, R): a trial's sizes drawn one after another."""
-    return 2 + rows.lemire(sel, np.tile(np.array(highs) - 2, (sel.size, 1))).T
+    return 2 + rows.lemire(sel, np.full((sel.size, len(highs)), np.subtract(highs, 2))).T
 
 
 def _draw_laws(rows: _Rows, sel: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ Trial k of a run with seed s draws the stream of
 whichever block or process runs it. ``SearchBudget.rng_for`` builds that
 generator and is the reference. A block does not build one per trial:
 ``_pcg64_states`` computes the PCG64 states of a run of trials in one
-vectorized pass, and one generator is set to each in turn (``_trial_rngs``).
+vectorized pass, and the thread's one generator (``_generator``) is set to
+each in turn (``_in_turn``).
 default_rng([s, k]) hashes the 32-bit words of s and k into a pool of four
 words with numpy's SeedSequence (NEP 19), draws PCG64's initial state and
 sequence from the pool, and seeds PCG64 as O'Neill's srandom does;
@@ -33,6 +34,7 @@ state at the row's cursor, which then refills the row. The bits are numpy's.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Mapping
@@ -157,29 +159,29 @@ def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     """PCG64's (state, inc) in ``default_rng([seed, k])`` for k in [start, stop), all with start's word count."""
-    trials = np.arange(start, stop, dtype=object)
+    trials = range(start, stop)
     entropy = np.array(
         [
-            *([w] * trials.size for w in _uint32_words(seed)),
-            *(trials >> 32 * j & _MASK32 for j in range(len(_uint32_words(start)))),
+            *([w] * len(trials) for w in _uint32_words(seed)),
+            *([k >> 32 * j & _MASK32 for k in trials] for j in range(len(_uint32_words(start)))),
         ],
         np.uint32,
     )
     first, rounds, beyond, generate = _seeding_constants(len(entropy))
     # SeedSequence.mix_entropy: hash the first words into the pool, zeros past
     # the entropy, then each pool word into every other one in turn
-    pool = np.zeros((_POOL_SIZE, trials.size), np.uint32)
+    pool = np.zeros((_POOL_SIZE, len(trials)), np.uint32)
     pool[: len(entropy)] = entropy[:_POOL_SIZE]
     pool = _hashed(pool, *first)
     for src, consts in enumerate(rounds):
-        word = pool[src].copy()
+        word = pool[src]  # a view: _mixed returns a new pool and leaves this one as it is
         pool = _mixed(pool, _hashed(word, *consts))
         pool[src] = word
     # and each entropy word beyond the pool into every pool word
     for word, consts in zip(entropy[_POOL_SIZE:], beyond):
         pool = _mixed(pool, _hashed(word, *consts))
     # generate_state(4, uint64): the pool cycled to 8 words, hashed, read as little-endian pairs
-    w = _hashed(np.vstack([pool, pool]), *generate).astype(np.uint64)
+    w = _hashed(np.concatenate([pool, pool]), *generate).astype(np.uint64)
     state_hi, state_lo, seq_hi, seq_lo = (w[0::2] | w[1::2] << np.uint64(32)).tolist()
     # PCG64's srandom: state 0 and inc = 2 initseq + 1, one step, add initstate, one step
     out = []
@@ -203,9 +205,15 @@ def _trial_states(budget: SearchBudget, start: int, stop: int) -> list[tuple[int
     return out
 
 
+_THREAD = threading.local()  # each thread's generator: one is never shared across threads
+
+
 def _generator() -> np.random.Generator:
-    """A PCG64 generator whose state its user sets."""
-    return np.random.Generator(np.random.PCG64(0))
+    """This thread's PCG64 generator, made on first use; each user sets its state before drawing."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
+    return rng
 
 
 def _in_turn(states: Iterable[tuple[int, int]], rng: np.random.Generator) -> Iterator[np.random.Generator]:
@@ -216,17 +224,6 @@ def _in_turn(states: Iterable[tuple[int, int]], rng: np.random.Generator) -> Ite
     for pcg["state"], pcg["inc"] in states:
         bit_generator.state = full
         yield rng
-
-
-def _trial_rngs(budget: SearchBudget, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """The generator of each trial in [start, stop), in order: one Generator, set to each trial's state in turn.
-
-    Before trial k it holds exactly the state of ``budget.rng_for(k)``, no
-    half-word kept: the states and the setting ``_Rows.read`` reads a
-    block's rows with. A yielded generator is valid only until the next one
-    is drawn.
-    """
-    return _in_turn(_trial_states(budget, start, stop), _generator())
 
 
 @cache
@@ -383,7 +380,7 @@ class _Rows:
 
     @classmethod
     def read(cls, budget: SearchBudget, start: int, stop: int, width: int) -> _Rows:
-        """The rows of trials [start, stop): each trial's first width words, by one ``random_raw`` call each."""
+        """The rows of trials [start, stop): each trial's first width words, by one ``random_raw`` call each of the thread's generator."""
         states = _trial_states(budget, start, stop)
         rng = _generator()
         raw = rng.bit_generator.random_raw
@@ -425,7 +422,7 @@ class _Rows:
         rng is set where row sel[i] stood before the draw, at cursor[i] with
         kept[i]; the row is then refilled from where numpy leaves its stream.
         """
-        for i in np.flatnonzero(short).tolist():
+        for i in short.nonzero()[0].tolist():
             b = int(sel[i])
             rng = self._at(b, int(cursor[i]), int(kept[i]))
             values = draw(rng, i)
@@ -475,7 +472,7 @@ class _Rows:
         w = np.take(self.words, np.repeat(sel * self.words.shape[1] + cursor - first, room) + np.arange(row.size), mode="clip")
         ri, idx = w >> 11, (w >> 3 & 0xFF).astype(np.intp)
         x, fast = ri.view(np.int64) * _ZIGGURAT_WE[idx], ri < _ZIGGURAT_KE[idx]
-        slow = np.flatnonzero(~fast)
+        slow = (~fast).nonzero()[0]
         then = np.minimum(slow + 1, row.size - 1)
         inside = slow + 1 < end[row[slow]]  # the second word is the row's
         strip, curve = idx[slow], np.exp(-x[slow])
@@ -487,7 +484,7 @@ class _Rows:
         value[slow[(test >= curve) | unsettled]] = False
         made = value.cumsum()
         made -= (made - value)[first][row]  # the values of its row through each entry
-        last = np.flatnonzero(value & (made == count[row]))  # the entry of each row's last value
+        last = (value & (made == count[row])).nonzero()[0]  # the entry of each row's last value
         took = np.zeros(sel.size, np.intp)
         took[row[last]] = last - first[row[last]] + 1 + ~fast[last]
         self.cursor[sel] = cursor + took

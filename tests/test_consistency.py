@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 import typing
 from dataclasses import asdict, fields, is_dataclass
 from functools import partial, reduce
@@ -1436,7 +1437,7 @@ class TestBlockReader:
 
 
 class TestBlockSeeding:
-    """A block's one reseeded generator holds, before each trial, the state of ``default_rng([seed, k])``."""
+    """The thread's generator, set in turn to the states a block reads its rows from, holds before each trial the state of ``default_rng([seed, k])``."""
 
     @pytest.mark.parametrize("first, stop", [(0, 300), (2**31 - 5, 2**31 + 5), (2**32 - 3, 2**32 + 3)])
     @pytest.mark.parametrize("seed", [0, 1, 101, 7919, 2**33 + 5, 2**100 + 3])
@@ -1445,13 +1446,24 @@ class TestBlockSeeding:
         # range crosses k = 2**32, where k's word count changes
         budget = SearchBudget(trials=0, seed=seed)
         seen = 0
-        for k, rng in zip(range(first, stop), streams._trial_rngs(budget, first, stop)):
+        states = streams._trial_states(budget, first, stop)
+        for k, rng in zip(range(first, stop), streams._in_turn(states, streams._generator())):
             assert rng.bit_generator.state == np.random.default_rng([seed, k]).bit_generator.state, k
             # one float32 takes half of a 64-bit output and buffers the other
             # half, which the next trial's state must not inherit
             rng.random(dtype=np.float32)
             seen += 1
         assert seen == stop - first
+
+    def test_each_thread_reads_with_its_own_generator(self):
+        # blocks reuse their thread's generator; threads never share one
+        mine = streams._generator()
+        assert streams._generator() is mine
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(streams._generator()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and len(theirs) == 1 and theirs[0] is not mine
 
     def test_a_negative_trial_index_is_refused(self):
         # -1 >> k is -1 for every k: counting the words of -1 never ended

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from divlab.consistency import run_trials
 from divlab.errors import (
     BracketFailureError,
     ConfigParseError,
+    DivLabError,
     InvalidDensityError,
     InvalidPartitionError,
+    NegativeWeightError,
     SpaceMismatchError,
     UnsupportedFamilyError,
     ZeroTotalMassError,
@@ -28,7 +32,8 @@ from divlab.risk import (
     rho_shortfall,
     rho_values,
 )
-from divlab.risk import _oce_values
+from divlab.risk import _ROOT_MAX_ITER, _ROOT_TOL, _oce_values, _shortfall_batch
+from divlab.streams import SearchBudget
 
 UNIFORM01 = FiniteDist([0.0, 1.0], [0.5, 0.5])
 LOG_MEAN_EXP = math.log((1.0 + math.e) / 2.0)
@@ -142,18 +147,21 @@ def bisection_root(w, v, loss, tol=1e-11):
 
 
 class CountingLoss:
-    """A loss that counts its value and derivative calls."""
+    """A loss that counts its value and derivative calls, and logs each one's kind and argument shape."""
 
     def __init__(self, loss):
         self.loss = loss
         self.calls = 0
+        self.log = []
 
     def __call__(self, x):
         self.calls += 1
+        self.log.append(("value", np.shape(x)))
         return self.loss(x)
 
     def derivative(self, x):
         self.calls += 1
+        self.log.append(("derivative", np.shape(x)))
         return self.loss.derivative(x)
 
 
@@ -255,6 +263,24 @@ class TestShortfallRoot:
             recorded = RecordingLoss(loss)
             shortfall_root(w, v, recorded)
             assert len(set(recorded.points)) == len(recorded.points)
+
+    def test_a_search_pp2_block_pins_its_loss_calls(self):
+        # criterion 06's 20-trial acceptance block at seed 101 solves 67 laws
+        # of up to 9 atoms, then 20 of 3. Each solve makes one stacked value
+        # call at lo, hi and the start, a derivative and a value call per
+        # Newton step, a derivative in the step that finds every law done,
+        # and the post-check's value call on the roots a small step left
+        # unevaluated
+        counting = CountingLoss(LossFn.power_plus(2.0))
+        budget = SearchBudget(trials=20, seed=101, max_e=3, max_f=3)
+        run_trials("acceptance", RiskSpec.shortfall(counting), None, budget, 0, 20)
+
+        def solve(laws, atoms, steps, unevaluated):
+            step = [("derivative", (laws, atoms)), ("value", (laws, atoms))]
+            return [("value", (3, laws, atoms)), *step * steps, step[0], ("value", (unevaluated, atoms))]
+
+        assert counting.log == solve(67, 9, 5, 42) + solve(20, 3, 5, 14)
+        assert counting.calls == 26
 
     def test_terminates_where_float_spacing_exceeds_tol(self):
         # near 1e5 neighbouring floats lie 1.5e-11 apart, wider than the root tolerance,
@@ -416,12 +442,156 @@ class TestRhoBatch:
         with pytest.raises(ZeroTotalMassError):
             rho_batch(RiskSpec.expectation(), np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RiskSpec.entropic(1.0),
+            RiskSpec.shortfall(LossFn.power_plus(2.0)),
+            RiskSpec.oce(UtilityFn.exp_shift()),
+            RiskSpec.expectation(),
+            RiskSpec.esssup(),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_negative_and_nan_weights_are_refused(self, spec, bad):
+        # masked as a zero weight, the bad atom would leave the second law a
+        # point mass at 0 carrying a total mass of 1.5
+        w = np.array([[0.25, 0.75], [bad, 1.5]])
+        with pytest.raises(NegativeWeightError):
+            rho_batch(spec, w, np.array([[1.0, 2.0], [3.0, 0.0]]))
+
     @pytest.mark.parametrize("name", PARITY_LOSSES)
     def test_shortfall_roots_keep_their_bits(self, name):
         # exponential losses are left out: numpy's SIMD exp may differ between machines
         spec = RiskSpec.shortfall(PARITY_LOSSES[name])
         roots = b"".join(rho_batch(spec, w, v).tobytes() for w, v in parity_batches(31))
         assert hashlib.sha256(roots).hexdigest() == ROOT_DIGESTS[name]
+
+
+def cumsum_atoms(terms):
+    """The atom sum as the solver below took it: the last entry of a cumulative sum."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def shortfall_batch_oracle(w, v, pos, loss):
+    """The masked safeguarded Newton solver in a plainer form, kept as the bit oracle.
+
+    It evaluates E through closures, with masks on every loss call, three
+    setup evaluations and new arrays for every update. Every iterate of the
+    library's ``_shortfall_batch`` must be this one's: the same roots bit for
+    bit, and the same exception.
+    """
+
+    def expected(c: np.ndarray, rows=slice(None)) -> np.ndarray:
+        # masked terms are exact zeros, never 0 * inf from an overflowed loss
+        terms = np.where(pos[rows], loss(v[rows] - c[:, None]), 0.0)
+        return cumsum_atoms(w[rows] * terms)
+
+    def newton_step(c: np.ndarray, e_c: np.ndarray) -> np.ndarray:
+        slope = cumsum_atoms(w * np.where(pos, loss.derivative(v - c[:, None]), 0.0))
+        ok = (slope > 0.0) & (slope < math.inf)
+        return np.where(ok, (e_c - 1.0) / np.where(ok, slope, 1.0), math.inf)
+
+    lo = np.where(pos, v, math.inf).min(axis=-1) - 1.0
+    hi = np.where(pos, v, -math.inf).max(axis=-1) + 1.0
+    e_lo, e_hi = expected(lo), expected(hi)
+    if np.any(e_lo <= 1.0) or np.any(e_hi > 1.0 + 1e-12):
+        raise BracketFailureError(
+            "E[loss(X - c)] does not cross 1 on the standard bracket; the loss violates l(0) = 1 < l(x > 0)"
+        )
+    start = np.minimum(np.maximum(cumsum_atoms(w * v), lo), hi)
+    e_start = expected(start)
+    left = e_start > 1.0
+    lo, e_lo = np.where(left, start, lo), np.where(left, e_start, e_lo)
+    hi, e_hi = np.where(left, hi, start), np.where(left, e_hi, e_start)
+    step = newton_step(lo, e_lo)
+    last = hi - lo
+    known = np.ones(lo.shape, dtype=bool)  # e_hi holds expected(hi)
+    active = np.ones(lo.shape, dtype=bool)
+    for _ in range(_ROOT_MAX_ITER):
+        at_hi = active & np.isfinite(step) & (lo + step >= hi)
+        newton = active & ~at_hi & (step <= 0.5 * last)
+        small = newton & (step <= _ROOT_TOL)
+        c = np.where(newton, lo + step, 0.5 * (lo + hi))
+        hi = np.where(small, c, hi)
+        known &= ~small
+        active &= ~(at_hi | small)
+        if not active.any():
+            break
+        e_c = expected(c)
+        below = active & (e_c <= 1.0)
+        hi, e_hi = np.where(below, c, hi), np.where(below, e_c, e_hi)
+        moves_lo = active & ~below
+        lo, e_lo = np.where(moves_lo, c, lo), np.where(moves_lo, e_c, e_lo)
+        last = np.where(newton, step, last)
+        if moves_lo.any():
+            step = np.where(moves_lo, newton_step(lo, e_lo), step)
+        # an accepted Newton point or a closed bisection finishes
+        active &= ~np.where(newton, below, hi - lo <= _ROOT_TOL)
+    # a Newton step below _ROOT_TOL leaves its root unevaluated, or equal to lo
+    # when the step is below half the float spacing there
+    e_hi = np.where(~known & (hi == lo), e_lo, e_hi)
+    rows = np.flatnonzero(~known & (hi != lo))
+    if rows.size:
+        e_hi[rows] = expected(hi[rows], rows)
+    if np.any(e_hi > 1.0 + 1e-9):
+        raise BracketFailureError("post-check failed: E[loss(X - rho)] > 1")
+    return hi
+
+
+# both convex tables of the tests, the second with a kink at 0 and a zero loss left of -2
+ORACLE_LOSSES = [
+    *(LossFn.exponential(eta) for eta in (0.5, 1.0, 3.0)),
+    *(LossFn.power_plus(p) for p in (1.0, 1.5, 2.0, 3.0)),
+    CONVEX_TABLE,
+    LossFn.custom([-2.0, 0.0, 1.0, 3.0], [0.0, 1.0, 2.0, 6.0]),
+]
+
+
+@st.composite
+def shortfall_batches(draw):
+    """(B, K + pad) weights and values: B in 1..80, K in 1..12, zero-weight atoms inside and zero padding past K.
+
+    Values reach +-300, where exponential losses overflow. Most batches hold
+    laws of total mass 1; the rest keep their raw weights, whose bracket may fail.
+    """
+    b, k, pad = draw(st.integers(1, 80)), draw(st.integers(1, 12)), draw(st.integers(0, 3))
+    scale = draw(st.sampled_from([2.0, 20.0, 300.0]))
+    v = draw(hnp.arrays(float, (b, k), elements=st.floats(-scale, scale)))
+    w = draw(hnp.arrays(float, (b, k), elements=st.one_of(st.just(0.0), st.floats(1e-6, 1.0))))
+    empty = ~(w > 0.0).any(axis=1)
+    w[empty, np.arange(b)[empty] % k] = 1.0
+    if draw(st.integers(0, 4)):
+        w /= w.sum(axis=1, keepdims=True)
+    return np.pad(w, ((0, 0), (0, pad))), np.pad(v, ((0, 0), (0, pad)))
+
+
+def roots_or_error(solver, w, v, loss):
+    """The solver's roots on rho_batch's masked inputs, or the type of the exception it raises."""
+    pos = w > 0.0
+    try:
+        return solver(w, np.where(pos, v, 0.0), pos, loss)
+    except DivLabError as exc:
+        return type(exc)
+
+
+class TestShortfallBitOracle:
+    """``_shortfall_batch`` against the solver it replaced, kept verbatim above: every root's bits and every exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shortfall_batches(), st.sampled_from(ORACLE_LOSSES))
+    # a slope that overflows where E does not: its step must be a bisection, not 0
+    @example((np.array([[0.9948, 0.0052]]), np.array([[-2.17, 235.42]])), LossFn.exponential(3.0))
+    # a masked atom far right of the root, where exp(3 x) overflows
+    @example((np.array([[0.5, 0.5, 0.0]]), np.array([[-280.0, -270.0, 5.0]])), LossFn.exponential(3.0))
+    def test_roots_match_the_oracle_bit_for_bit(self, batch, loss):
+        w, v = batch
+        got, want = (roots_or_error(solver, w, v, loss) for solver in (_shortfall_batch, shortfall_batch_oracle))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
 
 
 class TestOce:

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .losses import LossFn, UtilityFn, _table_conjugate_array, conjugate_table
 from .prob import FiniteDist
-from .risk import RiskSpec, _atom_sum, _golden_min, _validate_density, rho_batch, rho_values
+from .risk import RiskSpec, _atom_sum, _validate_density, rho_batch, rho_values
 
 _EQUALITY_TOL = 1e-12
 # the fields of each family's JSON document besides "family"
@@ -64,6 +64,9 @@ _DUAL_MAX_ITERS = 5000
 _DUAL_STEP0 = 1.0
 _DUAL_TOL = 1e-10
 _DUAL_FD_STEP = 1e-6
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a cap on golden-section steps; 58 of them shrink a unit bracket below 1e-12
+_GOLDEN_MAX_ITER = 400
 
 
 def _check_same_atoms(nu: FiniteDist, mu: FiniteDist) -> None:
@@ -484,6 +487,30 @@ def _simplex_grid(n: int, m: int) -> np.ndarray:
     mesh = mesh[mesh.sum(axis=1) <= m]
     last = m - mesh.sum(axis=1)
     return np.column_stack([mesh, last]).astype(float) / m
+
+
+def _golden_min(fn, lo: float, hi: float, xtol: float) -> float:
+    """Golden-section search for a minimizer of a unimodal fn on [lo, hi].
+
+    Returns the final bracket midpoint; callers that need the value evaluate
+    fn there. The comparison is strict, so ties move the bracket right.
+    Maximize by negating fn.
+    """
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    it = 0
+    while hi - lo > xtol and it < _GOLDEN_MAX_ITER:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fn(d)
+        it += 1
+    return 0.5 * (lo + hi)
 
 
 # the simplex grid's divisions per atom count; the exchange polish supplies the last digits

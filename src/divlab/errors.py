@@ -62,10 +62,6 @@ class BracketFailureError(DivLabError):
     """Root bracketing failed; the loss function violates its contract."""
 
 
-class UnboundedObjectiveError(DivLabError):
-    """A minimization kept escaping through the bracket after expansions."""
-
-
 class InvalidDensityError(DivLabError):
     """A coherent-family density is negative or does not integrate to one."""
 

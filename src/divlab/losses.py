@@ -94,6 +94,14 @@ def _interp_extrapolate(x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return out
 
 
+def _table_slope(x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The left derivative of the extended piecewise-linear table at x."""
+    slopes = np.diff(ys) / np.diff(xs)
+    # segment k spans (xs[k], xs[k+1]]; outside the table the boundary slopes
+    seg = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, slopes.size - 1)
+    return slopes[seg]
+
+
 @dataclass(frozen=True, eq=False)
 class LossFn:
     """A convex nondecreasing loss with l(0) = 1 and l(x) > 1 for x > 0."""
@@ -161,11 +169,7 @@ class LossFn:
             # give power_plus(1) slope p there
             base = 1.0 + x
             return np.where(base > 0.0, self.p * np.maximum(base, 0.0) ** (self.p - 1.0), 0.0)
-        xs = np.asarray(self.xs)
-        slopes = np.diff(np.asarray(self.ys)) / np.diff(xs)
-        # segment k spans (xs[k], xs[k+1]]; outside the table the boundary slopes
-        seg = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, slopes.size - 1)
-        return slopes[seg]
+        return _table_slope(x, np.asarray(self.xs), np.asarray(self.ys))
 
     def conjugate(self, y: float) -> float:
         """l*(y) = sup_x (x*y - l(x)) for y >= 0; +inf is a legal value."""
@@ -279,6 +283,33 @@ class UtilityFn:
         if self.kind == "hinge_power":
             return np.maximum(1.0 + x / self.p, 0.0) ** self.p - 1.0
         return _interp_extrapolate(x, np.asarray(self.xs), np.asarray(self.ys))
+
+    def derivative(self, x):
+        """Elementwise left derivative phi'(x-), the slope on the left at a
+        table's kink, so that 1 - E[phi'(X - c-)] is the right derivative in
+        c of the OCE objective E[phi(X - c)] + c.
+        """
+        x = np.asarray(x, dtype=float)
+        if self.kind == "exp_shift":
+            with np.errstate(over="ignore"):
+                return np.exp(x - 1.0)
+        if self.kind == "identity":
+            return np.ones_like(x)
+        if self.kind == "hinge_power":
+            return np.maximum(1.0 + x / self.p, 0.0) ** (self.p - 1.0)
+        return _table_slope(x, np.asarray(self.xs), np.asarray(self.ys))
+
+    def pivot(self) -> float:
+        """A point x0 where phi, which is at least x by phi*(1) = 0, touches
+        x with slope 1: for a table the last point that maximizes x - phi(x),
+        so that the OCE bisection ends inside a stretch where phi(x) = x.
+        """
+        if self.kind == "exp_shift":
+            return 1.0
+        if self.kind in ("identity", "hinge_power"):
+            return 0.0
+        gap = np.asarray(self.xs) - np.asarray(self.ys)
+        return self.xs[gap.size - 1 - int(np.argmax(gap[::-1]))]
 
     def conjugate(self, y: float) -> float:
         """phi*(y) for y >= 0; phi*(0) is the right-limit -inf(phi)."""

@@ -154,9 +154,6 @@ class Kernel:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", mat)
 
-    def row(self, i: int) -> FiniteDist:
-        return FiniteDist(self.target, self.matrix[i])
-
     def as_json(self) -> dict:
         return {
             "source": list(self.source),

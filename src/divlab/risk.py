@@ -32,7 +32,6 @@ from .errors import (
     LengthMismatchError,
     NegativeWeightError,
     SpaceMismatchError,
-    UnboundedObjectiveError,
     UnknownFamilyError,
     UnsupportedFamilyError,
     ZeroTotalMassError,
@@ -56,15 +55,11 @@ _FIELDS = {
 }
 FAMILIES = tuple(_FIELDS)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# solver tolerances: the shortfall root and the OCE shift are found to within these
+# solver tolerance: the shortfall root and the OCE shift are found to within it
 _ROOT_TOL = 1e-11
-_OPT_TOL = 1e-11
 # a cap on shortfall root iterations; it also ends the search where the float
 # spacing at the root exceeds _ROOT_TOL, so that neither step nor bracket can shrink to it
 _ROOT_MAX_ITER = 100
-# a cap on golden-section steps; 58 of them shrink a unit bracket below 1e-12
-_GOLDEN_MAX_ITER = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,55 +163,6 @@ class RiskSpec:
 # ---------------------------------------------------------------------------
 # family evaluators on (weights, values) arrays
 # ---------------------------------------------------------------------------
-
-
-def _golden_min(fn, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section search for a minimizer of a unimodal fn on [lo, hi].
-
-    Returns the final bracket midpoint; callers that need the value evaluate
-    fn there. The comparison is strict, so ties move the bracket right.
-    Maximize by negating fn.
-    """
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    it = 0
-    while hi - lo > xtol and it < _GOLDEN_MAX_ITER:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fn(d)
-        it += 1
-    return 0.5 * (lo + hi)
-
-
-def _oce_values(w: np.ndarray, v: np.ndarray, utility: UtilityFn) -> float:
-    pos = w > 0.0
-    vv, ww = v[pos], w[pos]
-
-    def objective(m: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(ww @ np.asarray(utility(m + vv), dtype=float)) - m
-
-    # the optimal shift tracks the negated support: for any utility with
-    # phi*(1) = 0 it lies within a bounded margin of [-max(v), -min(v)]
-    lo = -float(np.max(vv)) - 50.0
-    hi = -float(np.min(vv)) + 50.0
-    for _ in range(10):
-        m = _golden_min(objective, lo, hi, _OPT_TOL)
-        val = objective(m)
-        width = hi - lo
-        if m - lo > 1e-3 * width and hi - m > 1e-3 * width:
-            return val
-        mid = 0.5 * (lo + hi)
-        lo, hi = mid - width, mid + width
-    raise UnboundedObjectiveError(
-        "OCE minimizer kept hitting the bracket; utility violates phi*(1) = 0"
-    )
 
 
 def _validate_density(d: np.ndarray, mu_w: np.ndarray) -> None:
@@ -349,20 +295,56 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
     return hi
 
 
+def _oce_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, utility: UtilityFn) -> np.ndarray:
+    """min over c of E[phi(X - c)] + c for every law, c being the negated shift m, by bisection.
+
+    The objective is convex in c with right derivative 1 - E[phi'(X - c-)],
+    so the smallest c with E[phi'(X - c-)] <= 1 minimizes it. phi has slope
+    1 at its pivot x0, so its slopes are at least 1 right of x0 and at most
+    1 left of it, and that c lies in [min X - x0, max X - x0]: no margin,
+    no bracket check. Each law halves its bracket as often as takes the
+    width below _ROOT_TOL, a count fixed up front, none for a point mass. A
+    width that is not finite, or too large for width / _ROOT_TOL to be, has
+    no bracket to halve: its law takes no step and its risk is NaN. A spent
+    count leaves a zero step, so a law's bits do not depend on the batch.
+    The risk is the objective at the upper end hi, within _ROOT_TOL of the
+    minimizer, where the objective's slope is between 0 and 1. Masked atoms
+    take min X, where phi and phi' are finite if they are at the charged
+    atoms, so their terms are exact zeros. _shortfall_batch's Newton
+    shortcuts would need E[phi'(X - c)] convex in c, which fails for
+    hinge_power with 1 < p < 2.
+    """
+    x0 = utility.pivot()
+    low = np.where(pos, v, math.inf).min(axis=-1)
+    top = np.where(pos, v, -math.inf).max(axis=-1)
+    v = np.where(pos, v, low[:, None])
+    with np.errstate(invalid="ignore", over="ignore"):
+        width = top - low
+        ratio = width / _ROOT_TOL
+        hi = np.where(ratio < math.inf, top - x0, math.nan)
+        steps = np.frexp(ratio)[1]
+        halvings = np.arange(1, steps.max(initial=0) + 1)[:, None]
+        halves = np.where(halvings <= steps, np.ldexp(width, -halvings), 0.0)
+        for half in halves:
+            mid = hi - half
+            np.copyto(hi, mid, where=_atom_sum(w * utility.derivative(v - mid[:, None])) <= 1.0)
+        return _atom_sum(w * utility(v - hi[:, None])) + hi
+
+
 def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     """Risks of the B laws whose weights and values are the rows of (B, K) arrays.
 
     The one law-level evaluator: every other evaluation of a law-invariant
-    family is a batch of one of it. Weights must be nonnegative (a negative
-    or NaN weight raises NegativeWeightError) and each law needs an atom of
-    positive weight; zero-weight atoms (also the zeros that pad shorter
-    laws) are masked out. The total mass is the caller's: weights are taken
-    as given, not renormalized. Every sum over atoms adds them in a fixed
-    order, one after another, with masked atoms adding exact zeros, so a
-    law's risk is the same bits whatever the batch size, its position in the
-    batch and its padding. Shortfall runs its safeguarded Newton on all laws
-    at once under masks, with a bracket check and a post-check; OCE solves
-    its laws one by one.
+    family is a batch of one of it. Weights must be finite and nonnegative
+    (a negative, infinite or NaN weight raises NegativeWeightError) and each
+    law needs an atom of positive weight; zero-weight atoms (also the zeros
+    that pad shorter laws) are masked out. The total mass is the caller's:
+    weights are taken as given, not renormalized. Every sum over atoms adds
+    them in a fixed order, one after another, with masked atoms adding exact
+    zeros, so a law's risk is the same bits whatever the batch size, its
+    position in the batch and its padding. Shortfall runs its safeguarded Newton on all laws
+    at once under masks, with a bracket check and a post-check; OCE bisects
+    all its laws' shifts at once, each law a fixed number of times.
     """
     if spec.family == "coherent":
         raise UnsupportedFamilyError(
@@ -372,8 +354,8 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if W.ndim != 2 or W.shape != V.shape:
         raise LengthMismatchError(f"need (B, K) weights and values, got {W.shape} and {V.shape}")
-    if not (W >= 0.0).all():
-        raise NegativeWeightError("weights must be nonnegative numbers")
+    if not ((W >= 0.0) & (W < math.inf)).all():
+        raise NegativeWeightError("weights must be finite and nonnegative")
     pos = W > 0.0
     if not pos.any(axis=-1).all():
         raise ZeroTotalMassError("every law of a batch needs an atom of positive weight")
@@ -383,7 +365,7 @@ def rho_batch(spec: RiskSpec, W, V) -> np.ndarray:
     if spec.family == "shortfall":
         return _shortfall_batch(W, V, pos, spec.loss)
     if spec.family == "oce":
-        return np.array([_oce_values(w, v, spec.utility) for w, v in zip(W, V)])
+        return _oce_batch(W, V, pos, spec.utility)
     if spec.family == "expectation":
         return _atom_sum(W * V)
     if spec.family == "esssup":
@@ -417,7 +399,7 @@ def rho_shortfall(law: FiniteDist, loss: LossFn) -> float:
 
 
 def rho_oce(law: FiniteDist, utility: UtilityFn) -> float:
-    """inf over shifts m of E[utility(m + X)] - m, by golden section."""
+    """inf over shifts m of E[utility(m + X)] - m, by bisection on E[utility'(m + X)] = 1."""
     return rho_of_law(RiskSpec.oce(utility), law)
 
 

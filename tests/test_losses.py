@@ -108,16 +108,21 @@ class TestLossDerivative:
             LossFn.power_plus(2.0),
             LossFn.power_plus(3.0),
             CONVEX_TABLE,
+            UtilityFn.exp_shift(),
+            UtilityFn.identity(),
+            UtilityFn.hinge_power(1.5),
+            UtilityFn.hinge_power(3.0),
+            UtilityFn.custom([-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0]),
         ]),
         st.floats(min_value=-4.0, max_value=4.0),
     )
-    def test_matches_central_differences_away_from_kinks(self, loss, x):
-        kinks = {"power_plus": [-1.0], "custom": list(loss.xs or ())}.get(loss.kind, [])
+    def test_matches_central_differences_away_from_kinks(self, fn, x):
+        kinks = {"power_plus": [-1.0], "hinge_power": [-(fn.p or 0.0)], "custom": list(fn.xs or ())}.get(fn.kind, [])
         h = 1e-6
         if any(abs(x - k) < 1e-3 for k in kinks):
             return
-        central = (float(loss(x + h)) - float(loss(x - h))) / (2.0 * h)
-        assert float(loss.derivative(x)) == pytest.approx(central, rel=1e-6, abs=1e-6)
+        central = (float(fn(x + h)) - float(fn(x - h))) / (2.0 * h)
+        assert float(fn.derivative(x)) == pytest.approx(central, rel=1e-6, abs=1e-6)
 
     def test_power_plus_one_is_flat_left_of_minus_one(self):
         loss = LossFn.power_plus(1.0)
@@ -134,6 +139,21 @@ class TestLossDerivative:
     def test_exponential_overflow_is_inf_not_an_error(self):
         with np.errstate(over="raise"):
             assert LossFn.exponential(3.0).derivative(np.array([400.0]))[0] == math.inf
+
+
+class TestUtilityPivot:
+    @pytest.mark.parametrize("phi", [
+        UtilityFn.exp_shift(),
+        UtilityFn.identity(),
+        UtilityFn.hinge_power(1.5),
+        UtilityFn.custom([-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0]),
+        UtilityFn.custom([-1.0, 0.0, 1.0], [-0.5, 0.0, 1.0]),
+    ])
+    def test_pivot_touches_the_identity_with_slope_one(self, phi):
+        x0 = phi.pivot()
+        assert float(phi(x0)) == x0
+        # the left slope at x0 is at most 1 and the left slope just right of it at least 1
+        assert float(phi.derivative(x0)) <= 1.0 <= float(phi.derivative(x0 + 1e-9))
 
 
 class TestLossValidation:

@@ -539,6 +539,16 @@ class TestCli:
             math.log((1 + math.e) / 2), abs=1e-12
         )
 
+    def test_oce_identity_risk_is_the_mean(self):
+        # the objective is flat in the shift: every shift minimizes it
+        out = run_cli(
+            "risk",
+            "--spec", '{"family":"oce","utility":{"kind":"identity"}}',
+            "--law", '{"atoms":[0.0,1.0],"weights":[0.5,0.5]}',
+        )
+        assert out.returncode == 0, out.stderr
+        assert abs(json.loads(out.stdout)["value"] - 0.5) <= 1e-12
+
     def test_div_command(self):
         out = run_cli(
             "div",

@@ -32,7 +32,7 @@ from divlab.risk import (
     rho_shortfall,
     rho_values,
 )
-from divlab.risk import _ROOT_MAX_ITER, _ROOT_TOL, _oce_values, _shortfall_batch
+from divlab.risk import _ROOT_MAX_ITER, _ROOT_TOL, _shortfall_batch
 from divlab.streams import SearchBudget
 
 UNIFORM01 = FiniteDist([0.0, 1.0], [0.5, 0.5])
@@ -177,6 +177,13 @@ class RecordingLoss(CountingLoss):
         return super().__call__(x)
 
 
+class CountingUtility(CountingLoss):
+    """A utility that counts and logs its calls as CountingLoss does, with the utility's pivot."""
+
+    def pivot(self):
+        return self.loss.pivot()
+
+
 CONVEX_TABLE = LossFn.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [0.5, 0.5, 1.0, 2.0, 4.0])
 ROOT_LOSSES = [
     LossFn.exponential(0.3),
@@ -290,12 +297,75 @@ class TestShortfallRoot:
         assert calls <= 20
 
 
+# the two utility tables of the other test modules: one with kinks at -1, 0
+# and 1, and exp(x - 1) on a grid of step 0.05
+KINKED_UTILITY = UtilityFn.custom([-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0])
+EXP_GRID = np.linspace(-4.0, 4.0, 161)
+EXP_TABLE_UTILITY = UtilityFn.custom(EXP_GRID, np.exp(EXP_GRID - 1.0))
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(fn, lo, hi, xtol):
+    """Golden-section search for a minimizer of a unimodal fn on [lo, hi], returning the final bracket's midpoint."""
+    c = hi - GOLDEN * (hi - lo)
+    d = lo + GOLDEN * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    # the cap ends a search whose bracket is too wide for its float spacing to reach xtol
+    for _ in range(400):
+        if hi - lo <= xtol:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - GOLDEN * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + GOLDEN * (hi - lo)
+            fd = fn(d)
+    return 0.5 * (lo + hi)
+
+
+def golden_oce(w, v, utility):
+    """The OCE of one law by golden section on the shift m, the solver rho_batch once ran law by law.
+
+    The optimal shift lies within a margin of [-max X, -min X]; while the
+    minimizer lands at an edge of the bracket, the bracket doubles. A flat
+    objective, whose every shift is a minimizer, may land at an edge
+    whatever the bracket, and its value is right wherever it lands.
+    """
+    pos = w > 0.0
+    vv, ww = v[pos], w[pos]
+
+    def objective(m):
+        with np.errstate(over="ignore"):
+            return float(ww @ np.asarray(utility(m + vv), dtype=float)) - m
+
+    lo, hi = -float(np.max(vv)) - 50.0, -float(np.min(vv)) + 50.0
+    for _ in range(10):
+        m = golden_min(objective, lo, hi, 1e-11)
+        width = hi - lo
+        if m - lo > 1e-3 * width and hi - m > 1e-3 * width:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = mid - width, mid + width
+    return objective(m)
+
+
+def oce_tolerance(spec, oracle):
+    """How far an OCE may lie from the golden-section oracle: 1e-12 relative, or 1e-11 for a table, whose objective is kinked at the minimum."""
+    if spec.family == "oce" and spec.utility.kind == "custom":
+        return 1e-11 * max(1.0, abs(oracle))
+    return 1e-12 * max(1.0, abs(oracle))
+
+
 BATCH_SPECS = [
     RiskSpec.entropic(0.3),
     RiskSpec.entropic(3.0),
     *[RiskSpec.shortfall(loss) for loss in ROOT_LOSSES],
     RiskSpec.oce(UtilityFn.exp_shift()),
+    RiskSpec.oce(UtilityFn.hinge_power(1.5)),
     RiskSpec.oce(UtilityFn.hinge_power(2.0)),
+    RiskSpec.oce(KINKED_UTILITY),
     RiskSpec.expectation(),
     RiskSpec.esssup(),
 ]
@@ -336,7 +406,7 @@ def oracle_risk(spec, w, v):
     if spec.family == "shortfall":
         return bisection_root(w[pos], v[pos], spec.loss)[0]
     if spec.family == "oce":
-        return _oce_values(w, v, spec.utility)
+        return golden_oce(w, v, spec.utility)
     if spec.family == "expectation":
         return float(np.dot(w, v))
     return float(np.max(v[pos]))
@@ -413,7 +483,7 @@ class TestRhoBatch:
             n = len(values)
             oracle = oracle_risk(spec, w[i, :n], v[i, :n])
             # the bisection oracle stops within 1e-11 of the root, not at the Newton iterate
-            tol = 1e-9 if spec.family == "shortfall" else 1e-12 * max(1.0, abs(oracle))
+            tol = 1e-9 if spec.family == "shortfall" else oce_tolerance(spec, oracle)
             assert abs(batch[i] - oracle) <= tol
             # alone and unpadded, and through the scalar entry point: the same bits
             assert rho_batch(spec, w[i : i + 1, :n], v[i : i + 1, :n])[0] == batch[i]
@@ -453,7 +523,7 @@ class TestRhoBatch:
         ],
         ids=lambda spec: spec.family,
     )
-    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_negative_and_nan_weights_are_refused(self, spec, bad):
         # masked as a zero weight, the bad atom would leave the second law a
         # point mass at 0 carrying a total mass of 1.5
@@ -594,6 +664,26 @@ class TestShortfallBitOracle:
             assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
 
 
+# the tables above, identity, exp_shift and hinge_power(p) for p = 1.5, 2, 3
+OCE_UTILITIES = [
+    UtilityFn.exp_shift(),
+    UtilityFn.identity(),
+    *(UtilityFn.hinge_power(p) for p in (1.5, 2.0, 3.0)),
+    KINKED_UTILITY,
+    EXP_TABLE_UTILITY,
+]
+# phi(x) = x for x >= 0 and x / 2 below: the objective of a law on x >= 0 is flat
+FLAT_UTILITY = UtilityFn.custom([-1.0, 0.0, 1.0], [-0.5, 0.0, 1.0])
+oce_law_strategy = st.lists(
+    st.tuples(
+        st.floats(min_value=-50.0, max_value=50.0),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+    ),
+    min_size=1,
+    max_size=12,
+).filter(lambda atoms: any(w > 0.0 for _, w in atoms))
+
+
 class TestOce:
     def test_point_mass(self):
         assert rho_oce(point_mass(0.75), UtilityFn.exp_shift()) == pytest.approx(0.75, abs=1e-9)
@@ -609,6 +699,43 @@ class TestOce:
         assert rho_oce(law, UtilityFn.identity()) == pytest.approx(
             float(law.weights @ law.values_array()), abs=1e-9
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(oce_law_strategy, min_size=1, max_size=4), st.sampled_from(OCE_UTILITIES), st.integers(0, 3))
+    def test_matches_the_golden_section_oracle(self, atom_lists, utility, pad):
+        laws = [([a for a, _ in atoms], [b for _, b in atoms]) for atoms in atom_lists]
+        w, v = padded(laws, 12 + pad)
+        spec = RiskSpec.oce(utility)
+        batch = rho_batch(spec, w, v)
+        for i, (values, _) in enumerate(laws):
+            oracle = golden_oce(w[i, : len(values)], v[i, : len(values)], utility)
+            assert abs(batch[i] - oracle) <= oce_tolerance(spec, oracle)
+
+    @pytest.mark.parametrize("utility", [UtilityFn.identity(), FLAT_UTILITY], ids=["identity", "table"])
+    @pytest.mark.parametrize("law", [UNIFORM01, point_mass(0.0), FiniteDist([0.0, 2.0], [0.25, 0.75])],
+                             ids=["uniform01", "point_mass", "0-2"])
+    def test_flat_objectives_give_the_mean(self, utility, law):
+        # every shift on a flat stretch minimizes the objective, so a minimizer
+        # need not lie inside any bracket
+        mean = float(law.weights @ law.values_array())
+        assert abs(rho_of_law(RiskSpec.oce(utility), law) - mean) <= 1e-12
+
+    @pytest.mark.parametrize("widths, halvings", [([0.0], 0), ([1.0], 37), ([0.0, 3.0, 1.0], 39)])
+    def test_each_law_halves_its_bracket_below_the_tolerance(self, widths, halvings):
+        # 2**36 < 1 / _ROOT_TOL < 2**37 < 3 / _ROOT_TOL < 2**39; a point mass takes no step
+        counting = CountingUtility(UtilityFn.exp_shift())
+        w = np.array([[0.5, 0.5, 0.0]] * len(widths))
+        v = np.array([[-0.25, width - 0.25, 7.0] for width in widths])
+        rho_batch(RiskSpec.oce(counting), w, v)
+        assert counting.log == [("derivative", (len(widths), 3))] * halvings + [("value", (len(widths), 3))]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+    def test_laws_too_wide_to_bisect_take_no_halving_and_give_nan(self, bad):
+        # not a finite risk at the bracket's end, which for -inf would read 0.5
+        counting = CountingUtility(UtilityFn.hinge_power(2.0))
+        out = rho_batch(RiskSpec.oce(counting), np.array([[0.5, 0.5]]), np.array([[bad, 1.0]]))
+        assert counting.log == [("value", (1, 2))]
+        assert math.isnan(out[0])
 
 
 class TestCoherent:

@@ -239,6 +239,15 @@ def _shortfall_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, loss: LossFn
     """
     lo = np.where(pos, v, math.inf).min(axis=-1) - 1.0
     hi = np.where(pos, v, -math.inf).max(axis=-1) + 1.0
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        # as in _oce_batch, a bracket that is not finite has no root to find:
+        # its law takes no step, and its risk is +inf for a +inf value and
+        # NaN for a -inf or NaN one
+        out = np.where(lo > -math.inf, hi, math.nan)
+        if finite.any():
+            out[finite] = _shortfall_batch(w[finite], v[finite], pos[finite], loss)
+        return out
     start = np.minimum(np.maximum(_atom_sum(w * v), lo), hi)
     v = np.where(pos, v, lo[:, None])
     e_lo, e_hi, e_start = _atom_sum(w * loss(v - np.array([lo, hi, start])[..., None]))

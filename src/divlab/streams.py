@@ -3,23 +3,30 @@
 Trial k of a run with seed s draws the stream of
 ``numpy.random.default_rng([s, k])``, so a trial replays from (seed, trial)
 whichever block or process runs it. ``SearchBudget.rng_for`` builds that
-generator and is the reference. A block does not build one per trial:
-``_pcg64_states`` computes the PCG64 states of a run of trials in one
-vectorized pass, and the thread's one generator (``_generator``) is set to
-each in turn (``_in_turn``).
+generator and is the reference; a block builds no generator per trial.
 default_rng([s, k]) hashes the 32-bit words of s and k into a pool of four
 words with numpy's SeedSequence (NEP 19), draws PCG64's initial state and
 sequence from the pool, and seeds PCG64 as O'Neill's srandom does;
-``_pcg64_states`` takes the same steps on uint32 arrays, one column per trial.
+``_pcg64_states`` takes the same steps on uint32 and uint64 arrays, one
+column per trial, up to srandom's last step.
 
-``_Rows`` reads a block: one ``random_raw`` call per trial fills row b of a
-(B, W) uint64 array with trial b's first W words, and the samplers make
-every draw of the block from those rows with array code, taking numpy's
-steps. A 32-bit draw takes the lower half of a new word and keeps the upper
-half for the next one, as numpy's ``has_uint32``/``uinteger`` do, and a
-64-bit draw takes a whole word and leaves a kept half alone; each row has
-its own cursor and kept half. ``integers`` in [low, high) follows Lemire's
-method (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+``_Rows`` reads a block into a (B, W) uint64 array, row b holding trial b's
+first W words. PCG64 is a 128-bit LCG (O'Neill, "PCG", 2014): a state s
+steps to mult s + inc, j steps to a_j s + c_j inc (Brown, "Random number
+generation with arbitrary strides", 1994), and a word is the xor of the
+new state's halves rotated right by its top 6 bits (XSL-RR). So a row's
+first min(W, 48) words are computed, for every row at once, by exact
+128-bit arithmetic on (hi, lo) pairs of uint64 arrays (``_lcg_states``,
+``_xsl_rr``). The rest of a row is read only when a draw first reaches
+it, by one ``random_raw`` call of a generator set to the row's state past
+its computed words: numpy reads a long row faster than the arrays compute
+it, and trials take far fewer words than W. The samplers make every draw
+of the block from the rows with array code, taking numpy's steps. A
+32-bit draw takes the lower half of a new word and keeps the upper half
+for the next one, as numpy's ``has_uint32``/``uinteger`` do, and a 64-bit
+draw takes a whole word and leaves a kept half alone; each row has its own
+cursor and kept half. ``integers`` in [low, high) follows Lemire's method
+(Lemire, "Fast random integer generation in an interval", ACM TOMACS
 2019), ``permutation`` Fisher-Yates with ``random_interval``'s masked
 rejection, ``choice(a, n, replace=False)`` Floyd's algorithm shuffled with
 Lemire's method, ``random`` and ``uniform`` numpy's next_double, and
@@ -37,7 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -64,9 +71,10 @@ class SearchBudget:
     def rng_for(self, trial: int) -> np.random.Generator:
         """A new generator of the trial's stream, ``default_rng([seed, trial])``.
 
-        The reference for every trial's draws: ``CheckKind.trial`` reads a
-        block's rows from the states ``_trial_states`` computes, which are
-        tested equal to these, and a trial replays by hand from this generator.
+        The reference for every trial's draws: ``CheckKind.trial`` computes a
+        block's rows from the states ``_trial_states`` computes, and those
+        rows are tested equal to this generator's words; a trial replays by
+        hand from it.
         """
         return np.random.default_rng([self.seed, trial])
 
@@ -94,10 +102,11 @@ class SearchBudget:
 _POOL_SIZE = 4  # SeedSequence's pool, in words
 _HASH_A = (0x43B0D7E5, 0x931E8875)  # (first constant, multiplier) of the hashes that mix entropy
 _HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for the hashes of generate_state
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+# 0-d arrays, which numpy takes faster than scalars
+_MIX_L, _MIX_R, _XSHIFT = (np.array(n, np.uint32) for n in (0xCA01F9DD, 0x4973F715, 16))
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -157,20 +166,28 @@ def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v ^ v >> _XSHIFT
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) in ``default_rng([seed, k])`` for k in [start, stop), all with start's word count."""
-    trials = range(start, stop)
-    entropy = np.array(
-        [
-            *([w] * len(trials) for w in _uint32_words(seed)),
-            *([k >> 32 * j & _MASK32 for k in trials] for j in range(len(_uint32_words(start)))),
-        ],
-        np.uint32,
-    )
+def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64's state one step before that of ``default_rng([seed, k])``, and its inc, for k in [start, stop).
+
+    A (4, n) uint64 array, one column per trial: the state's upper and
+    lower words, then inc's; every k has start's word count. PCG64's
+    srandom sets state 0 and inc = 2 initseq + 1, steps once, adds
+    initstate and steps once more: this stops before that last step, which
+    ``_Rows.read`` takes together with the steps to the trial's words.
+    """
+    n, seed_words, k_words = stop - start, _uint32_words(seed), _uint32_words(start)
+    # k's lowest word counts up from start's; the words above it are start's,
+    # or start + 2**32's in the trials past a carry out of the lowest
+    lowest = np.arange(n, dtype=np.uint64) + np.uint64(k_words[0])
+    above = np.array([k_words[1:], _uint32_words(start + (1 << 32))[1 : len(k_words)]], np.uint32)
+    entropy = np.empty((len(seed_words) + len(k_words), n), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words)] = lowest & _MASK32
+    entropy[len(seed_words) + 1 :] = above[(lowest >> 32).astype(np.intp)].T
     first, rounds, beyond, generate = _seeding_constants(len(entropy))
     # SeedSequence.mix_entropy: hash the first words into the pool, zeros past
     # the entropy, then each pool word into every other one in turn
-    pool = np.zeros((_POOL_SIZE, len(trials)), np.uint32)
+    pool = np.zeros((_POOL_SIZE, n), np.uint32)
     pool[: len(entropy)] = entropy[:_POOL_SIZE]
     pool = _hashed(pool, *first)
     for src, consts in enumerate(rounds):
@@ -182,48 +199,76 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
         pool = _mixed(pool, _hashed(word, *consts))
     # generate_state(4, uint64): the pool cycled to 8 words, hashed, read as little-endian pairs
     w = _hashed(np.concatenate([pool, pool]), *generate).astype(np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = (w[0::2] | w[1::2] << np.uint64(32)).tolist()
-    # PCG64's srandom: state 0 and inc = 2 initseq + 1, one step, add initstate, one step
-    out = []
-    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        out.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return out
+    init_hi, init_lo, seq_hi, seq_lo = w[0::2] | w[1::2] << np.uint64(32)
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    # srandom's first step takes state 0 to inc, and initstate is added
+    lo = init_lo + inc_lo
+    return np.array([init_hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo])
 
 
-def _trial_states(budget: SearchBudget, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) of each trial in [start, stop): one pass per run of trials with one word count.
+def _trial_states(budget: SearchBudget, start: int, stop: int) -> np.ndarray:
+    """``_pcg64_states`` of each trial in [start, stop): one pass per run of trials with one word count.
 
     A trial index's word count changes at k = 2**32, and SeedSequence hashes
     each word, so a range across it takes two passes.
     """
-    out = []
+    parts = [np.empty((4, 0), np.uint64)]
     while start < stop:
         end = min(stop, 1 << 32 * len(_uint32_words(start)))
-        out += _pcg64_states(budget.seed, start, end)
+        parts.append(_pcg64_states(budget.seed, start, end))
         start = end
-    return out
+    return np.concatenate(parts, axis=1)
 
 
-_THREAD = threading.local()  # each thread's generator: one is never shared across threads
+def _int128(pair, b: int) -> int:
+    """Entry b of a (hi, lo) pair of uint64 arrays, or the two rows of one, as a Python int."""
+    return int(pair[0][b]) << 64 | int(pair[1][b])
 
 
-def _generator() -> np.random.Generator:
-    """This thread's PCG64 generator, made on first use; each user sets its state before drawing."""
-    rng = getattr(_THREAD, "rng", None)
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
-    return rng
+# uint64 operands of the 128-bit arithmetic, 0-d arrays as well
+_LOW32, _HALF, _TOP6, _ROT6 = (np.array(n, np.uint64) for n in (_MASK32, 32, 58, 63))
 
 
-def _in_turn(states: Iterable[tuple[int, int]], rng: np.random.Generator) -> Iterator[np.random.Generator]:
-    """rng set to each PCG64 (state, inc) in turn, no half-word kept: valid until the next one is drawn."""
-    bit_generator = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for pcg["state"], pcg["inc"] in states:
-        bit_generator.state = full
-        yield rng
+def _limbs(n: int) -> tuple:
+    """A 128-bit constant as the words ``_plus_product`` multiplies by: (hi, lo, lo's lower and upper 32 bits)."""
+    lo = n & _MASK64
+    return tuple(np.array(w, np.uint64) for w in (n >> 64, lo, lo & _MASK32, lo >> 32))
+
+
+def _plus_product(s, c: tuple, u) -> tuple[np.ndarray, np.ndarray]:
+    """s + c u mod 2**128, s and u (hi, lo) pairs of uint64 arrays, c ``_limbs``, all broadcast together.
+
+    Every product but one wraps at 2**64: the upper word of c u is
+    c_hi u_lo + c_lo u_hi plus the upper word of the 64 x 64-bit product
+    c_lo u_lo, built from 32-bit halves (Warren, "Hacker's Delight", 8-2),
+    in place on three buffers of the result's shape.
+    """
+    (s_hi, s_lo), (c_hi, c_lo, c0, c1), (u_hi, u_lo) = s, c, u
+    u0, u1 = u_lo & _LOW32, u_lo >> _HALF
+    t = c0 * u1
+    w = c0 * u0
+    w >>= _HALF
+    t += w  # below 2**64: (2**32 - 1)**2 + 2**32 - 1
+    np.multiply(c1, u0, out=w)
+    hi = t & _LOW32
+    w += hi  # the middle column, below 2**64 as well
+    np.multiply(c1, u1, out=hi)
+    t >>= _HALF
+    hi += t
+    w >>= _HALF
+    hi += w
+    np.multiply(c_hi, u_lo, out=t)
+    hi += t
+    np.multiply(c_lo, u_hi, out=t)
+    hi += t
+    lo = np.multiply(c_lo, u_lo, out=w)
+    lo += s_lo
+    hi += s_hi
+    hi += lo < s_lo
+    return hi, lo
+
+
+_STEP = _limbs(_PCG64_MULT - 1)
 
 
 @cache
@@ -238,6 +283,49 @@ def _jump(steps: int) -> tuple[int, int]:
     return a, c
 
 
+@cache
+def _step_constants(count: int) -> tuple:
+    """c_1 ... c_count of ``_jump`` as ``_limbs`` of uint64 arrays."""
+    limbs = np.array([_limbs(_jump(j)[1]) for j in range(1, count + 1)], np.uint64).T.copy()
+    limbs.flags.writeable = False
+    return tuple(limbs)
+
+
+def _lcg_states(state, inc, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's states 1 ... count steps past each row's state, as a (hi, lo) pair of (B, count) uint64 arrays.
+
+    With a_j = 1 + (mult - 1) c_j, the state j steps past s is
+    s + c_j u, u = (mult - 1) s + inc: one product a state once each row's
+    u is known, for every row and step at once.
+    """
+    u_hi, u_lo = _plus_product(inc, _STEP, state)
+    return _plus_product((state[0][:, None], state[1][:, None]), _step_constants(count), (u_hi[:, None], u_lo[:, None]))
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state into hi: its halves' xor rotated right by its top 6 bits; lo is overwritten."""
+    rot = hi >> _TOP6
+    lo ^= hi
+    np.right_shift(lo, rot, out=hi)
+    np.negative(rot, out=rot)
+    rot &= _ROT6  # 64 - rot, and 0 for 0
+    lo <<= rot
+    hi |= lo
+    return hi
+
+
+_THREAD = threading.local()  # each thread's generator: one is never shared across threads
+
+
+def _generator() -> np.random.Generator:
+    """This thread's PCG64 generator, made on first use; each user sets its state before drawing."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
+    return rng
+
+
+_PREFIX = 48  # the words of a row that ``_Rows.read`` computes; numpy reads the rest when a draw reaches them
 _NO_HALF = np.uint64(1 << 32)  # a row's kept half-word when it keeps none: no half-word is as large
 _DOUBLE_UNIT = 2.0**-53  # next_double's unit, a word's top 53 bits counting it
 
@@ -360,34 +448,40 @@ class _Rows:
     ``words[b]`` holds W consecutive words of trial b's stream, ``cursor[b]``
     indexes the next one to read and ``kept[b]`` is the upper half-word that
     the next 32-bit draw takes first, or _NO_HALF. Row b's word 0 comes
-    after PCG64 state ``_origin[b]`` of increment ``_inc[b]``: the trial's
-    state, or where a draw numpy made last left it. ``_rng`` is a generator
-    that ``advance`` sets to any row's place. Each draw method takes rows
-    ``sel`` (an index array) and makes their draws in turn, each row's in
-    order, as (R, K) arrays zero-padded past each row's draws. It makes them
-    in one pass over the rows' words; a row whose draws that pass cannot
-    settle (a rare value, or too few words) has all of them made by numpy
-    at its place, and is refilled past them.
+    after PCG64 state ``_origin[b]`` of increment ``_inc[b]``, each a (hi, lo)
+    pair of uint64 arrays: the trial's state, or where a draw numpy made last
+    left it. A row that ``read`` computed holds only its first ``_prefix``
+    words while ``_short[b]``; the rest are read when a draw first reaches
+    past them (``_reach``), from ``_after[b]``, the state past the prefix.
+    ``_rng`` is a generator that ``advance`` sets to any row's place; only
+    it and a tail's read make a row's state a Python int. Each draw method
+    takes rows ``sel`` (an index array) and makes their draws in turn, each
+    row's in order, as (R, K) arrays zero-padded past each row's draws. It
+    makes them in one pass over the rows' words; a row whose draws that pass
+    cannot settle (a rare value, or too few words) has all of them made by
+    numpy at its place, and is refilled past them.
     """
 
-    __slots__ = ("words", "cursor", "kept", "_origin", "_inc", "_rng")
+    __slots__ = ("words", "cursor", "kept", "_origin", "_inc", "_after", "_prefix", "_short", "_rng")
 
-    def __init__(self, words: np.ndarray, states: list, kept: np.ndarray, rng: np.random.Generator):
+    def __init__(self, words: np.ndarray, origin, inc, kept: np.ndarray, rng: np.random.Generator, prefix: int, after):
         self.words, self.kept, self._rng = words, kept, rng
         self.cursor = np.zeros(len(words), np.intp)
-        self._origin = [state for state, _ in states]
-        self._inc = [inc for _, inc in states]
+        self._origin, self._inc, self._prefix, self._after = origin, inc, prefix, after
+        self._short = np.full(len(words), prefix < words.shape[1])  # the rows that hold only their prefix
 
     @classmethod
     def read(cls, budget: SearchBudget, start: int, stop: int, width: int) -> _Rows:
-        """The rows of trials [start, stop): each trial's first width words, by one ``random_raw`` call each of the thread's generator."""
+        """The rows of trials [start, stop), each trial's first min(width, _PREFIX) words computed from its state."""
         states = _trial_states(budget, start, stop)
-        rng = _generator()
-        raw = rng.bit_generator.random_raw
-        words = np.empty((len(states), width), np.uint64)
-        for b, _ in enumerate(_in_turn(states, rng)):
-            words[b] = raw(width)
-        return cls(words, states, np.full(len(states), _NO_HALF), rng)
+        before, inc = states[:2], states[2:]
+        prefix = min(width, _PREFIX)
+        # one step to each trial's state, the last of PCG64's srandom, then one to each word
+        hi, lo = _lcg_states(before, inc, prefix + 1)
+        origin, after = (hi[:, 0].copy(), lo[:, 0].copy()), (hi[:, -1].copy(), lo[:, -1].copy())
+        words = np.empty((stop - start, width), np.uint64)
+        words[:, :prefix] = _xsl_rr(hi, lo)[:, 1:]
+        return cls(words, origin, inc, np.full(stop - start, _NO_HALF), _generator(), prefix, after)
 
     @classmethod
     def of_generator(cls, rng: np.random.Generator, width: int) -> _Rows:
@@ -397,24 +491,28 @@ class _Rows:
         state = rng.bit_generator.state
         kept = state["uinteger"] if state["has_uint32"] else _NO_HALF
         pcg = state["state"]
+        origin, inc = (np.array([[n >> 64], [n & _MASK64]], np.uint64) for n in (pcg["state"], pcg["inc"]))
         words = rng.bit_generator.random_raw(width)[None]
-        return cls(words, [(pcg["state"], pcg["inc"])], np.array([kept], np.uint64), rng)
+        return cls(words, origin, inc, np.array([kept], np.uint64), rng, width, None)
 
     def advance(self, b: int) -> np.random.Generator:
         """The block's generator set to row b's place: trial b's stream at the row's cursor, its kept half-word kept."""
         return self._at(b, self.cursor[b].item(), self.kept[b].item())
 
-    def _at(self, b: int, cursor: int, kept: int) -> np.random.Generator:
-        """The block's generator set to trial b's stream this many words past row b's first, keeping this half-word."""
-        a, c = _jump(cursor)
-        inc = self._inc[b]
+    def _set(self, state: int, b: int, kept: int = _NO_HALF.item()) -> np.random.Generator:
+        """The block's generator set to PCG64 state of row b's increment, keeping this half-word."""
         self._rng.bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": (a * self._origin[b] + c * inc) & _MASK128, "inc": inc},
+            "state": {"state": state, "inc": _int128(self._inc, b)},
             "has_uint32": kept >> 32 ^ 1,
             "uinteger": kept & _MASK32,
         }
         return self._rng
+
+    def _at(self, b: int, cursor: int, kept: int) -> np.random.Generator:
+        """The block's generator set to trial b's stream this many words past row b's first, keeping this half-word."""
+        a, c = _jump(cursor)
+        return self._set((a * _int128(self._origin, b) + c * _int128(self._inc, b)) & _MASK128, b, kept)
 
     def _by_numpy(self, sel, short, out: np.ndarray, draw: Callable, cursor: np.ndarray, kept: np.ndarray) -> None:
         """The draws of each short row i made by numpy: out[i] starts with draw(rng, i).
@@ -428,13 +526,26 @@ class _Rows:
             values = draw(rng, i)
             out[i, : len(values)] = values
             state = rng.bit_generator.state
-            self._origin[b] = state["state"]["state"]
+            self._origin[0][b], self._origin[1][b] = divmod(state["state"]["state"], 1 << 64)
             self.kept[b] = state["uinteger"] if state["has_uint32"] else _NO_HALF
             self.words[b] = rng.bit_generator.random_raw(self.words.shape[1])
             self.cursor[b] = 0
+            self._short[b] = False
+
+    def _reach(self, sel: np.ndarray, end: np.ndarray) -> None:
+        """The tail of each row sel[i] that holds only its prefix and that a draw reads up to word end[i] - 1, past it.
+
+        numpy reads a row's tail in one call, from the state past its prefix.
+        """
+        width, prefix = self.words.shape[1], self._prefix
+        if prefix < width:
+            for b in sel[self._short[sel] & (end > prefix)].tolist():
+                self.words[b, prefix:] = self._set(_int128(self._after, b), b).bit_generator.random_raw(width - prefix)
+                self._short[b] = False
 
     def _words(self, sel: np.ndarray, at: np.ndarray) -> np.ndarray:
         """Word at[i, j] of row sel[i]; past the row, another word of the block."""
+        self._reach(sel, at.max(axis=1, initial=-1) + 1)
         return np.take(self.words, (sel * self.words.shape[1])[:, None] + at, mode="clip")
 
     def uniforms(self, sel: np.ndarray, count: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -469,6 +580,7 @@ class _Rows:
         end = np.cumsum(room)
         first = end - room  # each row's first entry in the run
         row = np.repeat(np.arange(sel.size), room)
+        self._reach(sel, cursor + room)
         w = np.take(self.words, np.repeat(sel * self.words.shape[1] + cursor - first, room) + np.arange(row.size), mode="clip")
         ri, idx = w >> 11, (w >> 3 & 0xFF).astype(np.intp)
         x, fast = ri.view(np.int64) * _ZIGGURAT_WE[idx], ri < _ZIGGURAT_KE[idx]

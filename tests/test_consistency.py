@@ -1436,24 +1436,58 @@ class TestBlockReader:
             assert stream_position(rng) == stream_position(old)
 
 
+def pcg64_words(state, inc, count):
+    """PCG64's next count outputs from (state, inc) and the states they are outputs of, on Python ints."""
+    words, states = [], []
+    for _ in range(count):
+        state = (state * streams._PCG64_MULT + inc) % (1 << 128)
+        x, rot = (state >> 64 ^ state) & (1 << 64) - 1, state >> 122
+        words.append((x >> rot | x << (64 - rot)) & (1 << 64) - 1)
+        states.append(state)
+    return words, states
+
+
+def as_pair(ints):
+    """128-bit ints as the (hi, lo) pair of uint64 arrays the block reader works on."""
+    return np.array([n >> 64 for n in ints], np.uint64), np.array([n & (1 << 64) - 1 for n in ints], np.uint64)
+
+
 class TestBlockSeeding:
-    """The thread's generator, set in turn to the states a block reads its rows from, holds before each trial the state of ``default_rng([seed, k])``."""
+    """A block's rows hold the words of ``default_rng([seed, k])``, computed from the states of a vectorized seeding."""
 
     @pytest.mark.parametrize("first, stop", [(0, 300), (2**31 - 5, 2**31 + 5), (2**32 - 3, 2**32 + 3)])
     @pytest.mark.parametrize("seed", [0, 1, 101, 7919, 2**33 + 5, 2**100 + 3])
     def test_states_are_those_of_default_rng(self, seed, first, stop):
         # 2**100 + 3 has more words than SeedSequence's pool of 4, and the last
-        # range crosses k = 2**32, where k's word count changes
+        # range crosses k = 2**32, where k's word count changes; widths past
+        # the computed prefix have every row's tail read, as a draw reaching
+        # the row's last word reads it
         budget = SearchBudget(trials=0, seed=seed)
-        seen = 0
-        states = streams._trial_states(budget, first, stop)
-        for k, rng in zip(range(first, stop), streams._in_turn(states, streams._generator())):
-            assert rng.bit_generator.state == np.random.default_rng([seed, k]).bit_generator.state, k
-            # one float32 takes half of a 64-bit output and buffers the other
-            # half, which the next trial's state must not inherit
-            rng.random(dtype=np.float32)
-            seen += 1
-        assert seen == stop - first
+        every = np.arange(stop - first)
+        for width in (24, 34, 88, 304):
+            rows = streams._Rows.read(budget, first, stop, width)
+            rows._reach(every, np.full(every.size, width))
+            for b, k in enumerate(range(first, stop)):
+                rng = budget.rng_for(k)
+                assert stream_position(rows.advance(b)) == stream_position(rng), (width, k)
+                assert rows.words[b].tolist() == rng.bit_generator.random_raw(width).tolist(), (width, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1)), min_size=1, max_size=5),
+        count=st.integers(1, 304),
+    )
+    def test_states_and_outputs_are_those_of_the_lcg_on_python_ints(self, pairs, count):
+        # the 128-bit arithmetic on uint64 halves against the definition, on
+        # any state and increment, odd or not
+        state, inc = as_pair([s for s, _ in pairs]), as_pair([i for _, i in pairs])
+        hi, lo = streams._lcg_states(state, inc, count)
+        reached = [[int(h) << 64 | int(l) for h, l in zip(*row)] for row in zip(hi.tolist(), lo.tolist())]
+        out = streams._xsl_rr(hi, lo)
+        for b, (s, i) in enumerate(pairs):
+            words, states = pcg64_words(s, i, count)
+            assert reached[b] == states
+            assert out[b].tolist() == words
 
     def test_each_thread_reads_with_its_own_generator(self):
         # blocks reuse their thread's generator; threads never share one
@@ -1497,7 +1531,7 @@ def result_bits(x):
 
 
 class TestBlockPathBits:
-    """Every kind gives the bits it gives when each trial's state is read off its own ``rng_for`` generator."""
+    """Every kind gives the same bits from rows whose draws reach numpy's tails and from each trial's own generator."""
 
     @pytest.mark.parametrize("sparsity", [0.0, 0.5])
     @pytest.mark.parametrize("size", [3, 12])
@@ -1513,12 +1547,18 @@ class TestBlockPathBits:
             return [result_bits(trial_result(entry, result, b)) for b in range(10)]
 
         seeded = results()
+        monkeypatch.setattr(streams, "_PREFIX", 8)  # every row's draws past its 8th word read its tail
+        assert results() == seeded
 
-        def default_rng_states(seed, start, stop):
-            states = (np.random.default_rng([seed, k]).bit_generator.state["state"] for k in range(start, stop))
-            return [(pcg["state"], pcg["inc"]) for pcg in states]
+        def per_trial_rows(budget, start, stop, width):
+            # each trial's words read off its own generator, and its state
+            states = [budget.rng_for(k).bit_generator.state["state"] for k in range(start, stop)]
+            words = np.array([budget.rng_for(k).bit_generator.random_raw(width) for k in range(start, stop)])
+            origin, inc = as_pair([pcg["state"] for pcg in states]), as_pair([pcg["inc"] for pcg in states])
+            kept = np.full(stop - start, streams._NO_HALF)
+            return streams._Rows(words, origin, inc, kept, streams._generator(), width, None)
 
-        monkeypatch.setattr(streams, "_pcg64_states", default_rng_states)
+        monkeypatch.setattr(streams._Rows, "read", per_trial_rows)
         assert results() == seeded
 
 

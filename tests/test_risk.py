@@ -250,6 +250,19 @@ class TestShortfallRoot:
         assert rho == pytest.approx(0.27, abs=1e-12)
         assert calls <= 6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad, risk", [(-math.inf, math.nan), (math.inf, math.inf), (math.nan, math.nan)])
+    def test_laws_whose_bracket_is_not_finite_take_no_step(self, bad, risk):
+        # the counterpart of OCE's rule: no loss call, and +inf is kept; a law
+        # beside it keeps its bits
+        counting = CountingLoss(LossFn.power_plus(2.0))
+        out = rho_batch(RiskSpec.shortfall(counting), np.array([[0.5, 0.5]]), np.array([[bad, 1.0]]))
+        assert counting.log == []
+        np.testing.assert_equal(out, [risk])
+        spec = RiskSpec.shortfall(LossFn.power_plus(2.0))
+        pair = rho_batch(spec, np.full((2, 2), 0.5), np.array([[bad, 1.0], [0.0, 1.0]]))
+        assert pair[1].tobytes() == rho_batch(spec, [[0.5, 0.5]], [[0.0, 1.0]])[0].tobytes()
+
     @pytest.mark.parametrize("loss", ROOT_LOSSES, ids=lambda l: str(l.as_json()))
     @pytest.mark.parametrize("values, weights", WIDE_LAWS)
     def test_wide_laws_need_no_more_calls_than_bisection(self, values, weights, loss):
@@ -332,13 +345,20 @@ def golden_oce(w, v, utility):
     minimizer lands at an edge of the bracket, the bracket doubles. A flat
     objective, whose every shift is a minimizer, may land at an edge
     whatever the bracket, and its value is right wherever it lands.
+
+    The objective is E[phi(m + X) - (m + X)] + E[X], which is E[phi(m + X)] - m
+    for weights that sum to 1. Normalized weights may sum to 1 - 1e-16, which
+    would tilt the identity's flat objective by -m * 1e-16: the bracket then
+    doubles after its edge, and the value drifts by about 5e-12. Taking m out
+    atom by atom keeps that objective exactly flat.
     """
     pos = w > 0.0
     vv, ww = v[pos], w[pos]
 
     def objective(m):
         with np.errstate(over="ignore"):
-            return float(ww @ np.asarray(utility(m + vv), dtype=float)) - m
+            y = m + vv
+            return float(ww @ (np.asarray(utility(y), dtype=float) - y)) + float(ww @ vv)
 
     lo, hi = -float(np.max(vv)) - 50.0, -float(np.min(vv)) + 50.0
     for _ in range(10):
@@ -702,6 +722,8 @@ class TestOce:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(oce_law_strategy, min_size=1, max_size=4), st.sampled_from(OCE_UTILITIES), st.integers(0, 3))
+    # normalized, these weights sum to 1 - 8.2e-17
+    @example([[(44.3984375, 1e-06), (0.0, 0.99999)]], UtilityFn.identity(), 0)
     def test_matches_the_golden_section_oracle(self, atom_lists, utility, pad):
         laws = [([a for a, _ in atoms], [b for _, b in atoms]) for atoms in atom_lists]
         w, v = padded(laws, 12 + pad)

@@ -1,12 +1,13 @@
 """Running checks: trials folded into summaries, in this process or on forked span workers, and the search.
 
 ``run_trials`` runs a kind's trials in consecutive blocks of at most
-BLOCK_ENTRIES padded entries and folds each block's BlockResult into a
-``TrialStats``. A trial's gap does not depend on its block nor on the
-process that runs it, and summaries merge exactly, so with a pool this
-process and each worker run one contiguous span of a budget's trials
-(``_trial_stats``) and the result keeps its bits. ``describe_trial``
-replays one trial as a block of one and serializes its instance;
+BLOCK_ENTRIES padded entries, folds each block's BlockResult into its own
+``TrialStats`` and merges them in block order. A trial's gap does not
+depend on its block nor on the process that runs it, and summaries merge
+exactly, so with a pool this process and each worker run one contiguous
+span of a budget's trials (``_trial_stats``) and the result keeps its
+bits. ``describe_trial`` replays one trial as a block of one and
+serializes its instance;
 ``counterexample_search`` runs a budget and describes its worst trial.
 ``SearchBudget``, ``sample_conditional_instance`` and ``consistency_gap``
 are imported here too, for callers that read them from this module.
@@ -52,65 +53,62 @@ class TrialStats:
     class_worst: dict | None = None  # label -> (badness, trial, gap)
 
     def merge(self, other: "TrialStats") -> "TrialStats":
-        out = TrialStats(
-            count=self.count + other.count,
-            vacuous=self.vacuous + other.vacuous,
-            nan=self.nan + other.nan,
-            exhausted=self.exhausted + other.exhausted,
-        )
-        for side in (self, other):
-            if side.worst_trial is None:
-                continue
-            if out.worst_trial is None or side.worst_badness > out.worst_badness or (
-                side.worst_badness == out.worst_badness and side.worst_trial < out.worst_trial
-            ):
-                out.worst_badness = side.worst_badness
-                out.worst_trial = side.worst_trial
-                out.worst_gap = side.worst_gap
-        merged: dict = {}
-        for side in (self, other):
-            for label, tup in (side.class_worst or {}).items():
-                cur = merged.get(label)
-                if cur is None or tup[0] > cur[0] or (tup[0] == cur[0] and tup[1] < cur[1]):
-                    merged[label] = tup
-        out.class_worst = merged or None
-        return out
+        """The summary of both sides' trials.
 
-    def fold(self, result: BlockResult, first: int, badness: Callable) -> None:
-        """Fold in a block's BlockResult, whose trial 0 is trial ``first``, as a loop over its trials would.
+        The only ranking rule: the worst trial, overall and per class, is the
+        one of the largest badness, the earliest among ties, as a loop over
+        the trials in order finds it. A class keeps its place in the order
+        the sides give it.
+        """
+        sides = (self, other)
+        top = _worst((s.worst_badness, s.worst_trial, s.worst_gap) for s in sides if s.worst_trial is not None)
+        classes = [s.class_worst or {} for s in sides]
+        labels = dict.fromkeys(label for c in classes for label in c)
+        class_worst = {label: _worst(c[label] for c in classes if label in c) for label in labels}
+        return TrialStats(
+            self.count + other.count,
+            self.vacuous + other.vacuous,
+            self.nan + other.nan,
+            self.exhausted + other.exhausted,
+            *(top or (-math.inf, None, None)),
+            class_worst or None,
+        )
+
+    @classmethod
+    def fold(cls, result: BlockResult, first: int, badness: Callable) -> "TrialStats":
+        """The summary of a block's BlockResult, whose trial 0 is trial ``first``, built from its arrays.
 
         A vacuous trial is only counted; a solver's budget counts on the
         others, NaN or not. A NaN gap is counted and never ranked: every
         comparison with NaN is false, so ranked it would mask later gaps.
-        The worst trial, overall and per class, is the first of the largest
-        badness: a strict > over the trials in order.
+        The block's worst trial, overall and per class, is its first of the
+        largest badness; classes come in the order of their first trial.
         """
         judged = ~result.vacuous
         nan = judged & np.isnan(result.gap)
-        self.count += result.gap.size
-        self.vacuous += int(np.count_nonzero(result.vacuous))
-        self.nan += int(np.count_nonzero(nan))
-        if result.exhausted is not None:
-            self.exhausted += int(np.count_nonzero(result.exhausted & judged))
+        exhausted = 0 if result.exhausted is None else int(np.count_nonzero(result.exhausted & judged))
+        out = cls(result.gap.size, int(np.count_nonzero(result.vacuous)), int(np.count_nonzero(nan)), exhausted)
         ranked = (judged & ~nan).nonzero()[0]
         if not ranked.size:
-            return
+            return out
         gap = result.gap[ranked]
         bad = badness(gap)
-        k = _first_largest(bad)
-        if self.worst_trial is None or bad[k] > self.worst_badness:
-            self.worst_badness, self.worst_trial, self.worst_gap = float(bad[k]), first + int(ranked[k]), float(gap[k])
-        if result.product is None:
-            return
-        product = result.product[ranked]
-        # a class new to the summary takes its place in the order of its first trial
-        for label, rows in sorted((("product", product), ("general", ~product)), key=lambda c: not c[1][0]):
-            if not rows.any():
-                continue
-            k = rows.nonzero()[0][_first_largest(bad[rows])]
-            cur = self.class_worst.get(label)
-            if cur is None or bad[k] > cur[0]:
-                self.class_worst[label] = (float(bad[k]), first + int(ranked[k]), float(gap[k]))
+
+        def worst(rows: np.ndarray) -> tuple:
+            k = rows[_first_largest(bad[rows])]
+            return float(bad[k]), first + int(ranked[k]), float(gap[k])
+
+        out.worst_badness, out.worst_trial, out.worst_gap = worst(np.arange(ranked.size))
+        if result.product is not None:
+            product = result.product[ranked]
+            classes = sorted((("product", product), ("general", ~product)), key=lambda c: not c[1][0])
+            out.class_worst = {label: worst(rows.nonzero()[0]) for label, rows in classes if rows.any()}
+        return out
+
+
+def _worst(entries: Iterable[tuple]) -> tuple | None:
+    """The (badness, trial, gap) of the largest badness, the earliest trial among ties; None for no entries."""
+    return max(entries, key=lambda e: (e[0], -e[1]), default=None)
 
 
 def _first_largest(x: np.ndarray) -> int:
@@ -137,12 +135,13 @@ def run_trials(
     fixed order that zero padding does not change (see ``risk.rho_batch``).
     """
     entry = check_kind(kind)
-    stats = TrialStats(class_worst={})
+    stats = TrialStats()
     size = max(1, BLOCK_ENTRIES // (budget.max_e * budget.max_f))
     for first in range(start, stop, size):
-        stats.fold(entry.trial(risk, div, budget, first, min(first + size, stop)), first, entry.badness)
-    if not stats.class_worst:
-        stats.class_worst = None
+        # bound to no name, a block's result is freed before the next block is drawn
+        stats = stats.merge(
+            TrialStats.fold(entry.trial(risk, div, budget, first, min(first + size, stop)), first, entry.badness)
+        )
     return stats
 
 

@@ -21,10 +21,11 @@ the Lebesgue property around them:
    shifted-mixture property, plain mixture convexity).
 
 All 22 kinds run one protocol. ``CheckKind.trial`` maps (risk, div, budget,
-start, stop) to one BlockResult: the kind's sampler draws and finishes the
-block, and the kind's block function judges it in batched calls whose
-per-trial results do not depend on the block, into arrays over its trials;
-nothing is built per trial. A conditional block takes 2 rho_batch calls
+start, stop) to one BlockResult: the kind's sampler, one function of the
+block's rows, draws and finishes the block in one call, and the kind's
+block function judges it in batched calls whose per-trial results do not
+depend on the block, into arrays over its trials; nothing is built per
+trial. A conditional block takes 2 rho_batch calls
 (rows with full laws, then outer laws; the weak kind rows, then recentered
 full laws), and the probe kinds, dist_concavity and lebesgue take at most
 two. The solver kinds batch what does not solve: duality's and
@@ -36,7 +37,9 @@ are "vacuous": counted, never ranked. The reverse inequalities
 (subadditivity, rejection) negate their gaps in ``CheckKind``, for trials
 and replays alike. A kind's serializer builds trial b's instance document
 from its BlockResult, and its reader evaluates a document back through
-the same block code, as a block of one.
+the same block code, as a block of one: a document holds finished
+weights, so the reader builds, with no sampler, the arrays that the
+kind's block code judges.
 """
 
 from __future__ import annotations
@@ -73,39 +76,33 @@ from .errors import (
 from .prob import FiniteDist, JointDist, Kernel, Partition
 from .risk import RiskSpec, _atom_sum, _disintegrated, _pack_partition, rho_batch
 from .samplers import (
-    _CONCAVITY,
-    _CONDITIONAL,
-    _CONVEXITY,
-    _DPI,
-    _DPI_BIJECTION,
-    _LEBESGUE,
-    _MIXTURE_LAWS,
     _ORACLE_ATOMS,
-    _PAIR,
-    _PRODUCT,
-    _PROPERTY_S_LAWS,
-    _REFINEMENT,
-    _SHIFT_CONVEXITY_LAWS,
-    _SMALL_CONDITIONAL,
-    _SMALL_PRODUCT,
-    _SUFFICIENCY_GENERIC,
-    _SUFFICIENCY_MATCHED,
     VALUE_GRID,
     _ChainBlock,
+    _concavity,
     _ConcavityBlock,
     _conditional_instance,
+    _convexity,
     _ConvexityBlock,
+    _dpi,
     _finished,
+    _joint,
     _joint_dist,
     _JointBlock,
     _labels,
     _LawsBlock,
+    _lebesgue,
     _LebesgueBlock,
+    _mixture_laws,
     _normalized,
     _one_hot,
     _own_entries,
     _padded,
-    _Sampler,
+    _pair,
+    _property_s_laws,
+    _refinement,
+    _shift_convexity_laws,
+    _sufficiency,
 )
 from .streams import SearchBudget
 
@@ -728,10 +725,18 @@ def _chain_replay(risk, div, doc, link: str, gaps: Callable = _pair_gaps):
     return _first(*gaps(_chain_values(div, nu[None], mu[None], [m[None] for m in chain])))
 
 
+def _mixing_weight(doc, what: str) -> float:
+    """A document's mixing weight t, a number in [0, 1]; else ConfigParseError."""
+    t = typed_field(doc, "t", None, float, what)
+    if not 0.0 <= t <= 1.0:
+        raise ConfigParseError(f"{what} 't' must lie in [0, 1], got {t!r}")
+    return t
+
+
 def _convexity_replay(risk, div, doc):
     what = "joint_convexity instance"
     _, laws = _on_one_space(doc, what, FiniteDist, "nu1", "mu1", "nu2", "mu2")
-    t = typed_field(doc, "t", None, float, what)
+    t = _mixing_weight(doc, what)
     return _first(*_gap_of(*_convexity_sides(div, np.array([t]), *(w[None] for w in laws))))
 
 
@@ -765,7 +770,7 @@ def _concavity_replay(risk, div, doc):
     what = "dist_concavity instance"
     m1, m2 = json_object(doc, what, "m1", "m2")
     (w1, v1), (w2, v2) = (_law(m) for m in (m1, m2))
-    t = np.array([typed_field(doc, "t", None, float, what)])
+    t = np.array([_mixing_weight(doc, what)])
     return _first(_concavity_gaps(risk, t, w1[None], v1[None], w2[None], v2[None]))
 
 
@@ -795,8 +800,9 @@ class CheckKind:
 
     ``side`` "lower": gaps should stay >= -noise; "abs": |gap| should stay
     <= noise. ``needs`` says which of (risk spec, divergence spec) the kind
-    uses. ``sampler`` draws a block of instances and ``evaluate(risk, div,
-    block)`` judges them into one BlockResult. ``serialize(result, b)``
+    uses. ``sampler(rows, budget)`` draws a block of instances from the
+    block's ``_Rows`` and finishes them, in one call, and ``evaluate(risk,
+    div, block)`` judges them into one BlockResult. ``serialize(result, b)``
     builds trial b's instance document from it, or None when the trial
     keeps none; only ``describe_trial`` calls it, on a block of one.
     ``read(risk, div, instance_doc)`` is its inverse: it reads a serialized
@@ -813,7 +819,7 @@ class CheckKind:
 
     side: str
     needs: str
-    sampler: _Sampler
+    sampler: Callable
     evaluate: Callable
     serialize: Callable
     read: Callable
@@ -855,22 +861,22 @@ class CheckKind:
 
 def _product_kind(side: str, weak: bool = False, negate: bool = False) -> CheckKind:
     evaluate, read = (partial(f, weak=weak) for f in (_product_trials, _product_replay))
-    return CheckKind(side, "div", _PRODUCT, evaluate, _product_json, read, negate=negate)
+    return CheckKind(side, "div", partial(_joint, payoffs=False), evaluate, _product_json, read, negate=negate)
 
 
 def _conditional_kind(side: str, weak: bool = False, negate: bool = False) -> CheckKind:
     evaluate, read = (partial(f, weak=weak) for f in (_conditional_trials, _conditional_replay))
-    return CheckKind(side, "risk", _CONDITIONAL, evaluate, _conditional_json, read, negate=negate)
+    return CheckKind(side, "risk", partial(_joint, payoffs=True), evaluate, _conditional_json, read, negate=negate)
 
 
 def _chain_kind(
-    side: str, sampler: _Sampler, link: str, gaps: Callable = _pair_gaps, serialize=_chain_json, sparse=True
+    side: str, sampler: Callable, link: str, gaps: Callable = _pair_gaps, serialize=_chain_json, sparse=True
 ):
     read = partial(_chain_replay, link=link, gaps=gaps)
     return CheckKind(side, "div", sampler, partial(_chain_trials, gaps=gaps), serialize, read, sparse=sparse)
 
 
-def _probe_kind(laws: _Sampler, lotteries: Callable, serialize, read, grid_sizes: str = "F", marginal=True):
+def _probe_kind(laws: Callable, lotteries: Callable, serialize, read, grid_sizes: str = "F", marginal=True):
     evaluate = partial(_probe_trials, lotteries=lotteries, marginal=marginal)
     return CheckKind("lower", "risk", laws, evaluate, serialize, read, grid_sizes, sparse=False)
 
@@ -880,38 +886,50 @@ CHECK_KINDS: dict[str, CheckKind] = {
     "superadditivity": _product_kind("lower"),
     "subadditivity": _product_kind("lower", negate=True),
     "weak_consistency": _product_kind("lower", weak=True),
-    "dpi": _chain_kind("lower", _DPI, "kernel"),
-    "dpi_bijection": _chain_kind("abs", _DPI_BIJECTION, "kernel"),
-    "duality": CheckKind("abs", "risk", _PAIR, _duality_trials, _duality_json, _duality_replay),
+    "dpi": _chain_kind("lower", partial(_dpi, bijection=False), "kernel"),
+    "dpi_bijection": _chain_kind("abs", partial(_dpi, bijection=True), "kernel"),
+    "duality": CheckKind("abs", "risk", _pair, _duality_trials, _duality_json, _duality_replay),
     "time_consistency": _conditional_kind("abs"),
     "acceptance": _conditional_kind("lower"),
     "rejection": _conditional_kind("lower", negate=True),
     "weak_acceptance": _conditional_kind("lower", weak=True),
     "shift_convexity": _probe_kind(
-        _SHIFT_CONVEXITY_LAWS, _shift_convexity_lotteries, _shift_convexity_json, _shift_convexity_replay, "EF"
+        _shift_convexity_laws, _shift_convexity_lotteries, _shift_convexity_json, _shift_convexity_replay, "EF"
     ),
     "property_s": _probe_kind(
-        _PROPERTY_S_LAWS, _property_s_lotteries, _property_s_json, partial(_lottery_replay, shifted=True)
+        _property_s_laws, _property_s_lotteries, _property_s_json, partial(_lottery_replay, shifted=True)
     ),
     "mixture_convexity": _probe_kind(
-        _MIXTURE_LAWS, _mixture_lotteries, _mixture_json, partial(_lottery_replay, shifted=False), marginal=False
+        _mixture_laws, _mixture_lotteries, _mixture_json, partial(_lottery_replay, shifted=False), marginal=False
     ),
     "joint_convexity": CheckKind(
-        "lower", "div", _CONVEXITY, _joint_convexity_trials, _convexity_json, _convexity_replay, sparse=False
+        "lower", "div", _convexity, _joint_convexity_trials, _convexity_json, _convexity_replay, sparse=False
     ),
     "dist_concavity": CheckKind(
-        "lower", "risk", _CONCAVITY, _dist_concavity_trials, _concavity_json, _concavity_replay, "E", sparse=False
+        "lower", "risk", _concavity, _dist_concavity_trials, _concavity_json, _concavity_replay, "E", sparse=False
     ),
-    "sufficiency_matched": _chain_kind("abs", _SUFFICIENCY_MATCHED, "map", sparse=False),
-    "sufficiency_generic": _chain_kind("lower", _SUFFICIENCY_GENERIC, "map", sparse=False),
-    "refinement": _chain_kind("lower", _REFINEMENT, "maps", _refinement_gaps, _refinement_json, sparse=False),
+    "sufficiency_matched": _chain_kind("abs", partial(_sufficiency, matched=True), "map", sparse=False),
+    "sufficiency_generic": _chain_kind("lower", partial(_sufficiency, matched=False), "map", sparse=False),
+    "refinement": _chain_kind("lower", _refinement, "maps", _refinement_gaps, _refinement_json, sparse=False),
     "lemma_identity": CheckKind(
-        "abs", "risk", _SMALL_PRODUCT, _lemma_identity_trials, _product_json, _lemma_replay, oracle=True
+        "abs",
+        "risk",
+        partial(_joint, payoffs=False, cap=_ORACLE_ATOMS),
+        _lemma_identity_trials,
+        _product_json,
+        _lemma_replay,
+        oracle=True,
     ),
     "key_identity": CheckKind(
-        "abs", "risk", _SMALL_CONDITIONAL, _key_identity_trials, _conditional_json, _key_identity_replay, oracle=True
+        "abs",
+        "risk",
+        partial(_joint, payoffs=True, cap=_ORACLE_ATOMS),
+        _key_identity_trials,
+        _conditional_json,
+        _key_identity_replay,
+        oracle=True,
     ),
-    "lebesgue": CheckKind("abs", "risk", _LEBESGUE, _lebesgue_trials, _lebesgue_json, _lebesgue_replay, sparse=False),
+    "lebesgue": CheckKind("abs", "risk", _lebesgue, _lebesgue_trials, _lebesgue_json, _lebesgue_replay, sparse=False),
 }
 
 

@@ -208,8 +208,10 @@ def _atom_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _entropic_batch(w: np.ndarray, v: np.ndarray, pos: np.ndarray, eta: float) -> np.ndarray:
+    """log E[exp(eta X)] / eta, shifted by the largest eta x; a law with a charged +inf value shifts by 0, its risk +inf."""
     ev = np.where(pos, eta * v, -math.inf)
     s = ev.max(axis=-1)
+    s = np.where(s < math.inf, s, 0.0)
     return (s + np.log(_atom_sum(w * np.exp(ev - s[:, None])))) / eta
 
 

@@ -1,20 +1,21 @@
 """Block samplers: each check kind's instances, drawn and finished as arrays over a block of trials.
 
-A sampler is a pair (draw, finish). draw(rows, budget) makes the block's
-draws from its ``_Rows``, each trial's in the order of earlier versions, as
-arrays over the block's trials: sizes, standard exponentials, uniforms,
-permutations, payoff indices, distinct grid values, sparsity keep masks,
-each zero-padded past a trial's own. A draw step that only some trials take
-(a keep mask's fallback, a component law) runs on just those rows. A row
-holds ``_row_width(budget)`` words, about the most a trial takes, so that
-rows rarely run out. No draw depends on a drawn value, only on sizes and
-keep masks, so the arithmetic can wait.
-finish(draws) does all of it at once on the padded arrays: Dirichlet(1)
+A sampler is one function (rows, budget) -> the finished block. It first
+makes the block's draws from its ``_Rows``, each trial's in the order of
+earlier versions, as arrays over the block's trials: sizes, standard
+exponentials, uniforms, permutations, payoff indices, distinct grid values,
+sparsity keep masks, each zero-padded past a trial's own. A draw that only
+some trials take (a keep mask's fallback, a component law) runs on just
+those rows. A row holds ``_row_width(budget)`` words, about the most a trial
+takes, so that rows rarely run out. No draw depends on a drawn value, only
+on sizes and keep masks, so the arithmetic can wait until the draws are
+made, and then does all of it at once on the padded arrays: Dirichlet(1)
 weights as normalized standard exponentials (the stream and bits of
 numpy's ``dirichlet``), payoffs and distinct law values by integer index
 into VALUE_GRID (the streams of ``integers`` and ``choice``),
 sparsification, outer products, the renormalizations that FiniteDist,
-JointDist and Kernel apply, kernel rows, and 0/1 map matrices.
+JointDist and Kernel apply, kernel rows, and 0/1 map matrices. The
+arithmetic reads no words, so where it runs among the draws moves no stream.
 Elementwise steps and running sums (cumsum) are blind to padding; np.sum
 adds in blocks of 8 from 8 entries on, so ``_row_sums`` sums together only
 the trials whose sizes pad alike, with the bits of each trial's own 1-D sum. So every
@@ -25,7 +26,7 @@ reads out trial b's draw as the one-trial samplers of earlier versions
 returned it, for the serializers: laws, kernels, joint laws and maps are
 built only there. A budget sets the sizes and the sparsity; every other
 parameter of the samplers is a module constant.
-``sample_conditional_instance`` finishes a block of one read from a
+``sample_conditional_instance`` samples a block of one read from a
 caller's generator, and leaves the generator past the trial's draws with
 the half-word they keep, as numpy's own draws would.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,32 +49,14 @@ VALUE_GRID.flags.writeable = False
 PRODUCT_FRACTION = 0.5
 
 
-class _Sampler(NamedTuple):
-    draw: Callable  # (rows, budget) -> the block's raw draws
-    finish: Callable  # (the block's raw draws) -> the finished block
-
-
 def _row_width(budget: SearchBudget) -> int:
     """The words each row holds: about the most that a trial of any sampler takes at the budget's sizes."""
     return 2 * budget.max_e * budget.max_f + 16
 
 
-def _finished(sampler: _Sampler, budget: SearchBudget, start: int, stop: int):
-    """The finished block of trials [start, stop): the block's rows read, its draws made, then the arithmetic."""
-    return sampler.finish(sampler.draw(_Rows.read(budget, start, stop, _row_width(budget)), budget))
-
-
-def _finished_one(sampler: _Sampler, rng: np.random.Generator, budget: SearchBudget):
-    """The finished block of the one trial whose PCG64 generator is rng.
-
-    A half-word that rng keeps from an earlier 32-bit draw is taken first,
-    as numpy takes it, and rng is left past the trial's draws with the
-    half-word they keep.
-    """
-    rows = _Rows.of_generator(rng, _row_width(budget))
-    block = sampler.finish(sampler.draw(rows, budget))
-    rows.advance(0)
-    return block
+def _finished(sampler: Callable, budget: SearchBudget, start: int, stop: int):
+    """The finished block of trials [start, stop): the block's rows read, then sampled."""
+    return sampler(_Rows.read(budget, start, stop, _row_width(budget)), budget)
 
 
 def _each(rows: _Rows) -> np.ndarray:
@@ -247,7 +229,7 @@ def _sizes(rows: _Rows, sel: np.ndarray, *highs: int) -> np.ndarray:
     return 2 + rows.lemire(sel, np.full((sel.size, len(highs)), np.subtract(highs, 2))).T
 
 
-def _draw_laws(rows: _Rows, sel: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_laws(rows: _Rows, sel: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices of n distinct values of VALUE_GRID, as ``choice`` draws them, and the exponentials of their weights."""
     return _distinct(rows, sel, VALUE_GRID.size, n), rows.exponentials(sel, n)
 
@@ -255,35 +237,8 @@ def _draw_laws(rows: _Rows, sel: np.ndarray, n: np.ndarray) -> tuple[np.ndarray,
 # joint instances: the product kinds, the conditional kinds, lemma_identity and key_identity
 
 # the most atoms per axis of a lemma_identity or key_identity instance, the limit of the grid oracle:
-# checks and searches refuse larger sizes, and the draw step caps a direct run_trials call
+# checks and searches refuse larger sizes, and the sampler caps a direct run_trials call
 _ORACLE_ATOMS = 4
-
-
-class _JointRaw(NamedTuple):
-    n_e: np.ndarray
-    n_f: np.ndarray
-    product: np.ndarray  # whether the reference law is a product of its marginals
-    exps: np.ndarray  # the reference law's exponentials: its marginals' n_e then n_f, or its n_e * n_f
-    keep: np.ndarray | None  # the reference weights' keep mask, row after row
-    paired: np.ndarray  # nu_bar's n_e * n_f exponentials, or the payoffs' indices into VALUE_GRID
-
-
-def _draw_joint(rows: _Rows, budget: SearchBudget, payoffs: bool, cap: float = math.inf) -> _JointRaw:
-    """Joint instances of at most cap atoms per axis; a trial's adjacent exponential vectors from one run of words."""
-    sel = _each(rows)
-    n_e, n_f = _sizes(rows, sel, min(budget.max_e, cap) + 1, min(budget.max_f, cap) + 1)
-    n = n_e * n_f
-    product = rows.uniform(sel) < PRODUCT_FRACTION
-    m = np.where(product, n_e + n_f, n)  # the reference law's exponentials
-    sparse = _draws_keep_mask(budget.sparsity)
-    if payoffs or sparse:
-        exps = rows.exponentials(sel, m)
-        keep = _keep_mask(rows, sel, n, budget.sparsity) if sparse else None
-        grid = np.where(_own_entries(n[:, None], (n.max(),)), VALUE_GRID.size, 0)
-        paired = rows.lemire(sel, grid) if payoffs else rows.exponentials(sel, n)
-        return _JointRaw(n_e, n_f, product, exps, keep, paired)
-    e = rows.exponentials(sel, m + n)
-    return _JointRaw(n_e, n_f, product, _slices(e, 0 * m, m), None, _slices(e, m, n))
 
 
 class _JointDraw(NamedTuple):
@@ -320,29 +275,48 @@ class _JointBlock(NamedTuple):
         return _JointDraw(w, paired, bool(self.product[b]))
 
 
-def _finish_joint(raw: _JointRaw, payoffs: bool) -> _JointBlock:
-    n_e, n_f, product = raw.n_e, raw.n_f, raw.product
-    grid = np.column_stack([n_e, n_f])
+def _joint(rows: _Rows, budget: SearchBudget, payoffs: bool, cap: float = math.inf) -> _JointBlock:
+    """Joint instances of at most cap atoms per axis; a trial's adjacent exponential vectors from one run of words.
+
+    A trial draws its reference law's exponentials (its marginals' n_e then
+    n_f, or its n_e * n_f), their keep mask, then nu_bar's n_e * n_f
+    exponentials or the payoffs' indices into VALUE_GRID.
+    """
+    sel = _each(rows)
+    n_e, n_f = _sizes(rows, sel, min(budget.max_e, cap) + 1, min(budget.max_f, cap) + 1)
     size = n_e * n_f
+    product = rows.uniform(sel) < PRODUCT_FRACTION  # whether the reference law is a product of its marginals
+    m = np.where(product, n_e + n_f, size)  # the reference law's exponentials
+    sparse = _draws_keep_mask(budget.sparsity)
+    flat = _own_entries(size[:, None], (size.max(),))  # each trial's n_e * n_f entries, row after row
+    keep = None
+    if payoffs or sparse:
+        exps = rows.exponentials(sel, m)
+        if sparse:
+            keep = _keep_mask(rows, sel, size, budget.sparsity)
+        paired = rows.lemire(sel, np.where(flat, VALUE_GRID.size, 0)) if payoffs else rows.exponentials(sel, size)
+    else:
+        e = rows.exponentials(sel, m + size)
+        exps, paired = _slices(e, 0 * m, m), _slices(e, m, size)
+    grid = np.column_stack([n_e, n_f])
     # every exponential vector of the block, a product law's two marginals in turn, in one normalization
     count = 1 + product
     first = np.cumsum(count) - count  # each trial's first vector
     owner = np.repeat(np.arange(size.size), count)
     second = np.arange(owner.size) - first[owner] == 1
     length = np.where(second, n_f[owner], np.where(product[owner], n_e[owner], size[owner]))
-    d = _dirichlet(_slices(raw.exps[owner], np.where(second, n_e[owner], 0), length), length)
-    flat = _own_entries(size[:, None], (size.max(),))  # each trial's n_e * n_f entries, row after row
+    d = _dirichlet(_slices(exps[owner], np.where(second, n_e[owner], 0), length), length)
     w = np.zeros(flat.shape)
     w[~product, : d.shape[1]] = d[first[~product]]
     if product.any():
         outer = d[first[product], :, None] * d[first[product] + 1, None, :]
         w[flat & product[:, None]] = outer[_own_entries(grid[product], outer.shape[1:])]
-    w = _sparsified(w, raw.keep, size)
+    w = _sparsified(w, keep, size)
     stored = _normalized(w, size)  # JointDist's renormalization
     if payoffs:
-        paired = stored_paired = _values(raw.paired, size)
+        paired = stored_paired = _values(paired, size)
     else:
-        paired = _dirichlet(raw.paired, size)
+        paired = _dirichlet(paired, size)
         stored_paired = _normalized(paired, size)
     cells = _own_entries(grid, tuple(grid.max(axis=0)))
 
@@ -354,19 +328,6 @@ def _finish_joint(raw: _JointRaw, payoffs: bool) -> _JointBlock:
     evaluated = _normalized(stored, size) if payoffs else stored  # and flat()'s FiniteDist's
     joint = on_grid(stored) if payoffs else None
     return _JointBlock(n_e, n_f, product, w, paired, on_grid(evaluated), on_grid(stored_paired), joint)
-
-
-def _joint_sampler(payoffs: bool, cap: float = math.inf) -> _Sampler:
-    return _Sampler(
-        partial(_draw_joint, payoffs=payoffs, cap=cap),
-        partial(_finish_joint, payoffs=payoffs),
-    )
-
-
-_PRODUCT = _joint_sampler(payoffs=False)
-_CONDITIONAL = _joint_sampler(payoffs=True)
-_SMALL_PRODUCT = _joint_sampler(payoffs=False, cap=_ORACLE_ATOMS)
-_SMALL_CONDITIONAL = _joint_sampler(payoffs=True, cap=_ORACLE_ATOMS)
 
 
 @dataclass(frozen=True)
@@ -405,38 +366,36 @@ def _conditional_instance(draw: _JointDraw) -> ConditionalInstance:
 
 
 def sample_conditional_instance(rng: np.random.Generator, budget: SearchBudget) -> ConditionalInstance:
-    """A conditional instance drawn from a caller's PCG64 generator, with the bits of the trial of that stream."""
-    return _conditional_instance(_finished_one(_CONDITIONAL, rng, budget).trial(0))
+    """A conditional instance drawn from a caller's PCG64 generator, with the bits of the trial of that stream.
+
+    A half-word that rng keeps from an earlier 32-bit draw is taken first,
+    as numpy takes it, and rng is left past the trial's draws with the
+    half-word they keep.
+    """
+    rows = _Rows.of_generator(rng, _row_width(budget))
+    block = _joint(rows, budget, payoffs=True)
+    rows.advance(0)
+    return _conditional_instance(block.trial(0))
 
 
 # pairs of laws on one atom set, pushed along a chain: duality and the data-processing kinds
 
 
-class _PairRaw(NamedTuple):
-    n: np.ndarray
-    mu: np.ndarray  # exponentials
-    keep: np.ndarray | None  # mu's keep mask
-    nu: np.ndarray  # exponentials
+def _pair(rows: _Rows, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights (mu, nu) of a block of pairs on one atom set as drawn, zero-padded, and their sizes.
 
-
-def _draw_pair(rows: _Rows, budget: SearchBudget) -> _PairRaw:
-    """mu's exponentials, its keep mask and nu's exponentials on one atom set."""
+    A trial draws mu's exponentials, its keep mask, then nu's exponentials.
+    """
     sel = _each(rows)
     n = rows.integers(sel, 2, budget.max_e + 1)
+    keep = None
     if not _draws_keep_mask(budget.sparsity):
         mu, nu = _unflattened(rows.exponentials(sel, 2 * n), 2, n).transpose(1, 0, 2)
-        return _PairRaw(n, mu, None, nu)
-    mu = rows.exponentials(sel, n)
-    return _PairRaw(n, mu, _keep_mask(rows, sel, n, budget.sparsity), rows.exponentials(sel, n))
-
-
-def _finish_pair(raw: _PairRaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights (mu, nu) of a block of pairs as drawn, zero-padded, and their sizes."""
-    n = raw.n
-    return _sparsified(_dirichlet(raw.mu, n), raw.keep, n), _dirichlet(raw.nu, n), n
-
-
-_PAIR = _Sampler(_draw_pair, _finish_pair)
+    else:
+        mu = rows.exponentials(sel, n)
+        keep = _keep_mask(rows, sel, n, budget.sparsity)
+        nu = rows.exponentials(sel, n)
+    return _sparsified(_dirichlet(mu, n), keep, n), _dirichlet(nu, n), n
 
 
 class _ChainDraw(NamedTuple):
@@ -486,122 +445,59 @@ def _chain_block(nu, mu, n, chain: list, shapes: list, images: tuple = (), map_l
     return _ChainBlock(n, nu, mu, chain, shapes, images, map_labels, _normalized(nu, n), _normalized(mu, n), evaluated)
 
 
-class _DpiRaw(NamedTuple):
-    pair: _PairRaw
-    n_f: np.ndarray | None  # the kernel's columns; None for a bijection
-    link: np.ndarray  # the kernel's n * n_f exponentials, row after row, or a permutation of the atoms
-
-
-def _draw_dpi(rows: _Rows, budget: SearchBudget, bijection: bool) -> _DpiRaw:
-    pair = _draw_pair(rows, budget)
+def _dpi(rows: _Rows, budget: SearchBudget, bijection: bool) -> _ChainBlock:
+    """A pair, then its link: a permutation of its atoms, or a kernel's n * n_f exponentials, row after row."""
+    mu, nu, n = _pair(rows, budget)
     sel = _each(rows)
     if bijection:
-        return _DpiRaw(pair, None, rows.permutations(sel, pair.n))
+        return _chain_block(nu, mu, n, [_one_hot(rows.permutations(sel, n), n)], [np.column_stack([n, n])])
     n_f = rows.integers(sel, 2, budget.max_f + 1)
-    return _DpiRaw(pair, n_f, rows.exponentials(sel, pair.n * n_f))
+    kernel = _dirichlet(_unflattened(rows.exponentials(sel, n * n_f), n, n_f), n_f)
+    return _chain_block(nu, mu, n, [kernel], [np.column_stack([n, n_f])])
 
 
-def _finish_dpi(raw: _DpiRaw, bijection: bool) -> _ChainBlock:
-    mu, nu, n = _finish_pair(raw.pair)
-    if bijection:
-        return _chain_block(nu, mu, n, [_one_hot(raw.link, n)], [np.column_stack([n, n])])
-    kernel = _dirichlet(_unflattened(raw.link, n, raw.n_f), raw.n_f)
-    return _chain_block(nu, mu, n, [kernel], [np.column_stack([n, raw.n_f])])
-
-
-def _dpi_sampler(bijection: bool) -> _Sampler:
-    draw, finish = (partial(f, bijection=bijection) for f in (_draw_dpi, _finish_dpi))
-    return _Sampler(draw, finish)
-
-
-_DPI = _dpi_sampler(bijection=False)
-_DPI_BIJECTION = _dpi_sampler(bijection=True)
-
-
-class _SufficiencyRaw(NamedTuple):
-    n: np.ndarray
-    mu: np.ndarray  # exponentials
-    images: np.ndarray  # the statistic's image of each atom
-    other: np.ndarray  # nu's exponentials, or a matched nu's factor per fiber
-
-
-def _draw_sufficiency(rows: _Rows, budget: SearchBudget, matched: bool) -> _SufficiencyRaw:
+def _sufficiency(rows: _Rows, budget: SearchBudget, matched: bool) -> _ChainBlock:
+    """mu, the statistic's image of each atom, then nu's exponentials or a matched nu's factor per fiber."""
     sel = _each(rows)
     n = rows.integers(sel, 2, max(3, budget.max_e) + 1)
-    mu = rows.exponentials(sel, n)
+    mu = _dirichlet(rows.exponentials(sel, n), n)
     n_fibers = np.ones_like(n)
     more = np.flatnonzero(n > 2)
     n_fibers[more] = rows.integers(sel[more], 1, n[more])
     images = _surjections(rows, sel, n, n_fibers)
-    other = rows.uniforms(sel, n_fibers, 0.25, 2.5) if matched else rows.exponentials(sel, n)
-    return _SufficiencyRaw(n, mu, images, other)
-
-
-def _finish_sufficiency(raw: _SufficiencyRaw, matched: bool) -> _ChainBlock:
-    n = raw.n
-    mu = _dirichlet(raw.mu, n)
     if matched:
         # nu is mu times its fiber's factor: d nu / d mu is a function of the statistic
-        nu = _normalized(mu * np.take_along_axis(raw.other, raw.images, 1), n)
+        factors = rows.uniforms(sel, n_fibers, 0.25, 2.5)
+        nu = _normalized(mu * np.take_along_axis(factors, images, 1), n)
     else:
-        nu = _dirichlet(raw.other, n)
-    columns = _first_seen(raw.images, n)
+        nu = _dirichlet(rows.exponentials(sel, n), n)
+    columns = _first_seen(images, n)
     chain, shapes = [_one_hot(columns, n)], [_map_shapes(columns, n)]
-    return _chain_block(nu, mu, n, chain, shapes, (raw.images,), (("a", "g"),))
+    return _chain_block(nu, mu, n, chain, shapes, (images,), (("a", "g"),))
 
 
-def _sufficiency_sampler(matched: bool) -> _Sampler:
-    draw, finish = (partial(f, matched=matched) for f in (_draw_sufficiency, _finish_sufficiency))
-    return _Sampler(draw, finish)
-
-
-_SUFFICIENCY_MATCHED = _sufficiency_sampler(matched=True)
-_SUFFICIENCY_GENERIC = _sufficiency_sampler(matched=False)
-
-
-class _RefinementRaw(NamedTuple):
-    n0: np.ndarray
-    n1: np.ndarray
-    exps: np.ndarray  # mu's n0 exponentials, then nu's
-    one: np.ndarray  # the images of the n0 atoms
-    two: np.ndarray  # the images of the first map's n1 images
-
-
-def _draw_refinement(rows: _Rows, budget: SearchBudget) -> _RefinementRaw:
+def _refinement(rows: _Rows, budget: SearchBudget) -> _ChainBlock:
+    """mu's n0 exponentials then nu's, the images of the n0 atoms, then those of the first map's n1 images."""
     sel = _each(rows)
     n0 = rows.integers(sel, 3, max(4, budget.max_e) + 1)
     exps = rows.exponentials(sel, 2 * n0)
     n1 = rows.integers(sel, 2, n0)
     n2 = rows.integers(sel, 1, n1 + 1)
-    return _RefinementRaw(n0, n1, exps, _surjections(rows, sel, n0, n1), _surjections(rows, sel, n1, n2))
-
-
-def _finish_refinement(raw: _RefinementRaw) -> _ChainBlock:
-    n0, n1 = raw.n0, raw.n1
-    mu, nu = _dirichlet(_unflattened(raw.exps, 2, n0), n0).transpose(1, 0, 2)
-    first = _first_seen(raw.one, n0)
+    one, two = _surjections(rows, sel, n0, n1), _surjections(rows, sel, n1, n2)
+    mu, nu = _dirichlet(_unflattened(exps, 2, n0), n0).transpose(1, 0, 2)
+    first = _first_seen(one, n0)
     # the second map acts on the first one's image, whose atoms come in the order they first appear
-    order = np.zeros(raw.two.shape, np.int64)
-    b, i = np.nonzero(_own_entries(n0[:, None], raw.one.shape[1:]))
-    order[b, first[b, i]] = raw.one[b, i]
-    second = _first_seen(np.take_along_axis(raw.two, order, 1), n1)
+    order = np.zeros(two.shape, np.int64)
+    b, i = np.nonzero(_own_entries(n0[:, None], one.shape[1:]))
+    order[b, first[b, i]] = one[b, i]
+    second = _first_seen(np.take_along_axis(two, order, 1), n1)
     chain = [_one_hot(first, n0), _one_hot(second, n1)]
     shapes = [_map_shapes(first, n0), _map_shapes(second, n1)]
     nu, mu = np.ascontiguousarray(nu), np.ascontiguousarray(mu)
-    return _chain_block(nu, mu, n0, chain, shapes, (raw.one, raw.two), (("a", "b"), ("b", "c")))
-
-
-_REFINEMENT = _Sampler(_draw_refinement, _finish_refinement)
+    return _chain_block(nu, mu, n0, chain, shapes, (one, two), (("a", "b"), ("b", "c")))
 
 
 # joint_convexity: two pairs of laws on one atom set and a mixing weight
-
-
-def _draw_convexity(rows: _Rows, budget: SearchBudget) -> tuple:
-    """(n, the exponentials of mu1, nu1, mu2 and nu2 as one run, t)."""
-    sel = _each(rows)
-    n = rows.integers(sel, 2, budget.max_e + 1)
-    return n, rows.exponentials(sel, 4 * n), rows.uniform(sel, 0.05, 0.95)
 
 
 class _ConvexityBlock(NamedTuple):
@@ -621,24 +517,16 @@ class _ConvexityBlock(NamedTuple):
         return float(self.t[b]), nu1, mu1, nu2, mu2
 
 
-def _finish_convexity(raw: tuple) -> _ConvexityBlock:
-    n, exps, t = raw
+def _convexity(rows: _Rows, budget: SearchBudget) -> _ConvexityBlock:
+    """The exponentials of mu1, nu1, mu2 and nu2 as one run, then t."""
+    sel = _each(rows)
+    n = rows.integers(sel, 2, budget.max_e + 1)
+    exps, t = rows.exponentials(sel, 4 * n), rows.uniform(sel, 0.05, 0.95)
     drawn = _dirichlet(_unflattened(exps, 4, n), n)
     return _ConvexityBlock(t, n, drawn, _normalized(drawn, n))
 
 
-_CONVEXITY = _Sampler(_draw_convexity, _finish_convexity)
-
-
 # dist_concavity: two laws on the real line and a mixing weight
-
-
-def _draw_concavity(rows: _Rows, budget: SearchBudget) -> tuple:
-    """(m1's size, value indices and exponentials, the same of m2, t)."""
-    sel = _each(rows)
-    n1, n2 = _sizes(rows, sel, budget.max_e + 1, budget.max_e + 1)
-    m1, m2 = (n1, *_draw_laws(rows, sel, n1)), (n2, *_draw_laws(rows, sel, n2))
-    return m1, m2, rows.uniform(sel, 0.05, 0.95)
 
 
 class _ConcavityBlock(NamedTuple):
@@ -655,27 +543,18 @@ class _ConcavityBlock(NamedTuple):
         return dict(zip(("t", "m1", "m2"), (float(self.t[b]), *laws)))
 
 
-def _finish_concavity(raw: tuple) -> _ConcavityBlock:
-    *laws, t = raw
-    size = tuple(n for n, _, _ in laws)
-    values = tuple(_values(i, n) for n, i, _ in laws)
-    drawn = tuple(_dirichlet(e, n) for n, _, e in laws)
+def _concavity(rows: _Rows, budget: SearchBudget) -> _ConcavityBlock:
+    """m1's size, value indices and exponentials, the same of m2, then t."""
+    sel = _each(rows)
+    size = tuple(_sizes(rows, sel, budget.max_e + 1, budget.max_e + 1))
+    laws = [_grid_laws(rows, sel, n) for n in size]
+    t = rows.uniform(sel, 0.05, 0.95)
+    values = tuple(_values(i, n) for n, (i, _) in zip(size, laws))
+    drawn = tuple(_dirichlet(e, n) for n, (_, e) in zip(size, laws))
     return _ConcavityBlock(t, size, values, drawn, tuple(_normalized(w, n) for w, n in zip(drawn, size)))
 
 
-_CONCAVITY = _Sampler(_draw_concavity, _finish_concavity)
-
-
 # lebesgue: a law, a payoff and a direction
-
-
-def _draw_lebesgue(rows: _Rows, budget: SearchBudget) -> tuple:
-    """(n, mu's exponentials, the payoff's indices into VALUE_GRID, the direction, uniform on [0, 1))."""
-    sel = _each(rows)
-    n = rows.integers(sel, 2, budget.max_e + 1)
-    mu = rows.exponentials(sel, n)
-    f = rows.lemire(sel, np.where(_own_entries(n[:, None], (n.max(),)), VALUE_GRID.size, 0))
-    return n, mu, f, rows.uniforms(sel, n, 0.0, 1.0)
 
 
 class _LebesgueBlock(NamedTuple):
@@ -692,73 +571,16 @@ class _LebesgueBlock(NamedTuple):
         return FiniteDist(_labels("a", n), self.drawn[b, :n]), self.f[b, :n], self.h[b, :n]
 
 
-def _finish_lebesgue(raw: tuple) -> _LebesgueBlock:
-    n, exps, f, h = raw
-    drawn = _dirichlet(exps, n)
-    return _LebesgueBlock(n, drawn, _normalized(drawn, n), _values(f, n), h)
-
-
-_LEBESGUE = _Sampler(_draw_lebesgue, _finish_lebesgue)
+def _lebesgue(rows: _Rows, budget: SearchBudget) -> _LebesgueBlock:
+    """mu's exponentials, the payoff's indices into VALUE_GRID, then the direction, uniform on [0, 1)."""
+    sel = _each(rows)
+    n = rows.integers(sel, 2, budget.max_e + 1)
+    drawn = _dirichlet(rows.exponentials(sel, n), n)
+    f = rows.lemire(sel, np.where(_own_entries(n[:, None], (n.max(),)), VALUE_GRID.size, 0))
+    return _LebesgueBlock(n, drawn, _normalized(drawn, n), _values(f, n), rows.uniforms(sel, n, 0.0, 1.0))
 
 
 # the acceptance-set probes: laws on the real line, each shifted onto rho = 0
-
-
-class _LawsRaw(NamedTuple):
-    """A block's laws, one row per law, trial after trial."""
-
-    counts: np.ndarray  # each trial's laws
-    size: np.ndarray  # each law's atoms
-    indices: np.ndarray  # each law's values, as indices into VALUE_GRID
-    exps: np.ndarray  # each law's exponentials
-    mixing: np.ndarray | None  # the exponentials of mixture_convexity's (B, k) mixing weights
-
-
-def _laws_raw(counts: np.ndarray, slots: list, mixing: np.ndarray | None = None) -> _LawsRaw:
-    """The laws drawn slot by slot, (trials, sizes, indices, exponentials) per slot, laid out trial after trial."""
-    at = np.cumsum(counts) - counts
-    width = max(n.max() for _, n, _, _ in slots)
-    size = np.zeros(int(counts.sum()), np.int64)
-    indices, exps = np.zeros((size.size, width), np.int64), np.zeros((size.size, width))
-    for slot, (trials, n, i, e) in enumerate(slots):
-        law = at[trials] + slot
-        size[law], indices[law, : i.shape[1]], exps[law, : e.shape[1]] = n, i, e
-    return _LawsRaw(counts, size, indices, exps, mixing)
-
-
-def _draw_shift_convexity(rows: _Rows, budget: SearchBudget) -> _LawsRaw:
-    """mu's law, then one per kernel row."""
-    sel = _each(rows)
-    n_e, n_f = _sizes(rows, sel, budget.max_e + 1, budget.max_f + 1)
-    slots = [(sel, n_e, *_draw_laws(rows, sel, n_e))]
-    for slot in range(1, int(n_e.max()) + 1):
-        trials = np.flatnonzero(n_e >= slot)
-        slots.append((trials, n_f[trials], *_draw_laws(rows, trials, n_f[trials])))
-    return _laws_raw(n_e + 1, slots)
-
-
-def _draw_property_s(rows: _Rows, budget: SearchBudget) -> _LawsRaw:
-    """The x-marginal, then its k component laws."""
-    sel = _each(rows)
-    k = rows.integers(sel, 2, 5)
-    slots = [(sel, k, *_draw_laws(rows, sel, k))]
-    for slot in range(1, int(k.max()) + 1):
-        trials = np.flatnonzero(k >= slot)
-        n = rows.integers(trials, 2, budget.max_f + 1)
-        slots.append((trials, n, *_draw_laws(rows, trials, n)))
-    return _laws_raw(k + 1, slots)
-
-
-def _draw_mixture(rows: _Rows, budget: SearchBudget) -> _LawsRaw:
-    sel = _each(rows)
-    k = rows.integers(sel, 2, 5)
-    weights = rows.exponentials(sel, k)
-    slots = []
-    for slot in range(int(k.max())):
-        trials = np.flatnonzero(k > slot)
-        n = rows.integers(trials, 2, budget.max_f + 1)
-        slots.append((trials, n, *_draw_laws(rows, trials, n)))
-    return _laws_raw(k, slots, weights)
 
 
 class _LawsBlock(NamedTuple):
@@ -782,17 +604,60 @@ class _LawsBlock(NamedTuple):
     mixing: np.ndarray | None
 
 
-def _finish_laws(raw: _LawsRaw) -> _LawsBlock:
-    counts, size = raw.counts, raw.size
-    drawn = _dirichlet(raw.exps, size)
+def _laws_block(counts: np.ndarray, slots: list, mixing: np.ndarray | None = None) -> _LawsBlock:
+    """The finished laws of each trial's counts[b] slots, laid out trial after trial.
+
+    slots holds, slot by slot, (the trials that draw it, their sizes, value
+    indices and exponentials); mixing the exponentials of
+    mixture_convexity's (B, k) mixing weights.
+    """
+    at = np.cumsum(counts) - counts
+    width = max(n.max() for _, n, _, _ in slots)
+    size = np.zeros(int(counts.sum()), np.int64)
+    indices, exps = np.zeros((size.size, width), np.int64), np.zeros((size.size, width))
+    for slot, (trials, n, i, e) in enumerate(slots):
+        law = at[trials] + slot
+        size[law], indices[law, : i.shape[1]], exps[law, : e.shape[1]] = n, i, e
+    drawn = _dirichlet(exps, size)
     weights = _normalized(drawn, size)
-    mixing = None if raw.mixing is None else _dirichlet(raw.mixing, counts)
+    mixing = None if mixing is None else _dirichlet(mixing, counts)
     owner = np.repeat(np.arange(counts.size), counts)
-    slot = np.arange(size.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    values = _values(raw.indices, size)
+    slot = np.arange(size.size) - np.repeat(at, counts)
+    values = _values(indices, size)
     return _LawsBlock(counts, owner, slot, size, values, drawn, weights, _normalized(weights, size), mixing)
 
 
-_SHIFT_CONVEXITY_LAWS = _Sampler(_draw_shift_convexity, _finish_laws)
-_PROPERTY_S_LAWS = _Sampler(_draw_property_s, _finish_laws)
-_MIXTURE_LAWS = _Sampler(_draw_mixture, _finish_laws)
+def _shift_convexity_laws(rows: _Rows, budget: SearchBudget) -> _LawsBlock:
+    """mu's law, then one per kernel row."""
+    sel = _each(rows)
+    n_e, n_f = _sizes(rows, sel, budget.max_e + 1, budget.max_f + 1)
+    slots = [(sel, n_e, *_grid_laws(rows, sel, n_e))]
+    for slot in range(1, int(n_e.max()) + 1):
+        trials = np.flatnonzero(n_e >= slot)
+        slots.append((trials, n_f[trials], *_grid_laws(rows, trials, n_f[trials])))
+    return _laws_block(n_e + 1, slots)
+
+
+def _property_s_laws(rows: _Rows, budget: SearchBudget) -> _LawsBlock:
+    """The x-marginal, then its k component laws."""
+    sel = _each(rows)
+    k = rows.integers(sel, 2, 5)
+    slots = [(sel, k, *_grid_laws(rows, sel, k))]
+    for slot in range(1, int(k.max()) + 1):
+        trials = np.flatnonzero(k >= slot)
+        n = rows.integers(trials, 2, budget.max_f + 1)
+        slots.append((trials, n, *_grid_laws(rows, trials, n)))
+    return _laws_block(k + 1, slots)
+
+
+def _mixture_laws(rows: _Rows, budget: SearchBudget) -> _LawsBlock:
+    """The mixing weights' k exponentials, then the k component laws."""
+    sel = _each(rows)
+    k = rows.integers(sel, 2, 5)
+    weights = rows.exponentials(sel, k)
+    slots = []
+    for slot in range(int(k.max())):
+        trials = np.flatnonzero(k > slot)
+        n = rows.integers(trials, 2, budget.max_f + 1)
+        slots.append((trials, n, *_grid_laws(rows, trials, n)))
+    return _laws_block(k, slots, weights)

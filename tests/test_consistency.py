@@ -102,10 +102,12 @@ MALFORMED = [
     ("sufficiency_matched", ("map", "a0"), DELETE),
     ("refinement", ("maps", 1), {"z": "c0"}),
     ("joint_convexity", ("mu2", "atoms", 0), "z"),
+    ("joint_convexity", ("t",), 1.5),
     ("shift_convexity", ("kernel", "source", 0), 99.0),
     ("property_s", ("pairs", 0, "x"), DELETE),
     ("mixture_convexity", ("components", 0, "weight"), "half"),
     ("dist_concavity", ("t",), None),
+    ("dist_concavity", ("t",), 1.5),
     ("lebesgue", ("h",), [0.5]),
     ("duality", ("nu", "atoms", 0), "z"),
 ]
@@ -836,7 +838,7 @@ def legacy_draw_mixture(rng, budget):
 def boundary_law(rows, spec, n):
     """A law drawn from a block of one as the probe kinds draw one and shifted onto rho = 0, as a block of one law."""
     one, size = np.arange(1), np.array([n])
-    block = samplers._finish_laws(samplers._laws_raw(one + 1, [(one, size, *samplers._draw_laws(rows, one, size))]))
+    block = samplers._laws_block(one + 1, [(one, size, *samplers._grid_laws(rows, one, size))])
     shifted = kinds._on_boundary(spec, block)
     return FiniteDist(shifted[0, :n].tolist(), block.weights[0, :n])
 
@@ -935,9 +937,11 @@ def stream_position(rng):
 
 # sampler name -> (the sampler, its legacy form, what a block evaluates of a trial, the same of a legacy draw)
 SAMPLERS = {
-    "product": (samplers._PRODUCT, partial(legacy_draw_joint, payoffs=False), joint_view, legacy_product_view),
+    "product": (
+        CHECK_KINDS["chain_rule"].sampler, partial(legacy_draw_joint, payoffs=False), joint_view, legacy_product_view
+    ),
     "conditional": (
-        samplers._CONDITIONAL, partial(legacy_draw_joint, payoffs=True), joint_view, legacy_conditional_view
+        CHECK_KINDS["acceptance"].sampler, partial(legacy_draw_joint, payoffs=True), joint_view, legacy_conditional_view
     ),
     **{
         kind: (CHECK_KINDS[kind].sampler, legacy, chain_view, legacy_chain_view)
@@ -949,19 +953,19 @@ SAMPLERS = {
             ("refinement", legacy_draw_refinement),
         ]
     },
-    "convexity": (samplers._CONVEXITY, legacy_draw_convexity, convexity_view, legacy_convexity_view),
-    "concavity": (samplers._CONCAVITY, legacy_draw_concavity, concavity_view, legacy_concavity_view),
-    "lebesgue": (samplers._LEBESGUE, legacy_draw_lebesgue, lebesgue_view, legacy_lebesgue_view),
-    "shift_convexity": (samplers._SHIFT_CONVEXITY_LAWS, legacy_draw_shift_convexity, laws_view, legacy_laws_view),
-    "property_s": (samplers._PROPERTY_S_LAWS, legacy_draw_property_s, laws_view, legacy_laws_view),
-    "mixture_convexity": (samplers._MIXTURE_LAWS, legacy_draw_mixture, laws_view, legacy_laws_view),
+    "convexity": (samplers._convexity, legacy_draw_convexity, convexity_view, legacy_convexity_view),
+    "concavity": (samplers._concavity, legacy_draw_concavity, concavity_view, legacy_concavity_view),
+    "lebesgue": (samplers._lebesgue, legacy_draw_lebesgue, lebesgue_view, legacy_lebesgue_view),
+    "shift_convexity": (samplers._shift_convexity_laws, legacy_draw_shift_convexity, laws_view, legacy_laws_view),
+    "property_s": (samplers._property_s_laws, legacy_draw_property_s, laws_view, legacy_laws_view),
+    "mixture_convexity": (samplers._mixture_laws, legacy_draw_mixture, laws_view, legacy_laws_view),
 }
 # one seed above 2**32, where SeedSequence takes a second word
 STREAM_SEEDS = (0, 1, 101, 7919, 2**33 + 5)
 
 
 class TestSamplerStream:
-    """A block's draw steps leave the generator states of the legacy samplers, and its finish gives their bits."""
+    """A block's samplers leave the generator states of the legacy samplers, and give their bits."""
 
     @pytest.mark.parametrize("shape", [1, 2, 7, 12, (1, 5), (2, 9), (4, 3), (12, 12), (3, 2, 4)])
     def test_weights_and_payoffs(self, shape):
@@ -996,7 +1000,7 @@ class TestSamplerStream:
             budget = SearchBudget(trials=0, seed=seed, max_e=size, max_f=size, sparsity=sparsity)
             for trials in (1, 7, 100):
                 rows = streams._Rows.read(budget, 3, 3 + trials, samplers._row_width(budget))
-                block = new.finish(new.draw(rows, budget))
+                block = new(rows, budget)
                 olds = []
                 for b, trial in enumerate(range(3, 3 + trials)):
                     old = budget.rng_for(trial)

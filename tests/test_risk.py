@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -550,6 +551,25 @@ class TestRhoBatch:
         w = np.array([[0.25, 0.75], [bad, 1.5]])
         with pytest.raises(NegativeWeightError):
             rho_batch(spec, w, np.array([[1.0, 2.0], [3.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RiskSpec.entropic(1.0),
+            RiskSpec.shortfall(LossFn.power_plus(2.0)),
+            RiskSpec.expectation(),
+            RiskSpec.esssup(),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_a_charged_plus_infinity_gives_plus_infinity(self, spec):
+        # beside a finite law, which keeps its risk; no step may warn (inf - inf, 0 * inf)
+        w, v = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[math.inf, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rho_batch(spec, w, v)
+        assert out[0] == math.inf
+        assert out[1] == rho_batch(spec, w[1:], v[1:])[0]
 
     @pytest.mark.parametrize("name", PARITY_LOSSES)
     def test_shortfall_roots_keep_their_bits(self, name):
